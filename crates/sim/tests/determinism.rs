@@ -266,3 +266,49 @@ fn different_seeds_actually_vary_the_workload() {
     let (b, _) = transcript(2);
     assert_ne!(a, b, "seeded workloads must differ");
 }
+
+/// 64-bit FNV-1a: the pinned-transcript hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const PINNED_CHAOS: u64 = 0x0b5c_0623_0528_48ec;
+const PINNED_RELAXED: u64 = 0xca3c_97c9_89da_78f7;
+const PINNED_LIFECYCLE: u64 = 0xa282_ec4e_3091_1c7a;
+
+/// The same-seed suites above compare two runs of one build, so a change
+/// that alters behaviour *consistently* passes them. These hashes pin
+/// the time-free transcripts themselves: a refactor of the scheduler
+/// must leave them byte-identical, and a deliberate behaviour change
+/// must re-pin them in the same commit and say why.
+#[test]
+fn transcripts_match_their_pinned_hashes() {
+    let chaos: String = [0u64, 7, 42].iter().map(|&s| transcript(s).0).collect();
+    assert_eq!(fnv1a(chaos.as_bytes()), PINNED_CHAOS, "chaos transcripts");
+
+    let relaxed: String = [0u64, 42]
+        .iter()
+        .map(|&s| transcript_of(build_with(s, LraAlgorithm::Ilp, PlacerMode::Relaxed)).0)
+        .collect();
+    assert_eq!(
+        fnv1a(relaxed.as_bytes()),
+        PINNED_RELAXED,
+        "relaxed-arm transcripts"
+    );
+
+    let mut lifecycle = String::new();
+    for seed in 0..32u64 {
+        for pipeline in [PipelineMode::Sync, PipelineMode::Async] {
+            for sharded in [false, true] {
+                lifecycle.push_str(&lifecycle_transcript(seed, pipeline, sharded));
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(lifecycle.as_bytes()),
+        PINNED_LIFECYCLE,
+        "lifecycle transcripts"
+    );
+}
