@@ -22,28 +22,31 @@ use crate::node::NodeId;
 /// Configuration of sharded solving (consumed by the scheduler layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Whether sharded solving is enabled at all.
-    pub enabled: bool,
     /// Desired shard count; clamped to the number of basis group sets
-    /// (a shard must contain whole racks/service units).
+    /// (a shard must contain whole racks/service units). `1` means no
+    /// sharding: one monolithic solve per round.
     pub target_shards: usize,
 }
 
 impl ShardConfig {
     /// Sharding disabled (the default): one monolithic solve per round.
     pub fn disabled() -> Self {
+        ShardConfig { target_shards: 1 }
+    }
+
+    /// Sharding with the given target shard count (`0` and `1` both
+    /// mean disabled).
+    pub fn with_shards(target_shards: usize) -> Self {
         ShardConfig {
-            enabled: false,
-            target_shards: 1,
+            target_shards: target_shards.max(1),
         }
     }
 
-    /// Sharding enabled with the given target shard count.
-    pub fn with_shards(target_shards: usize) -> Self {
-        ShardConfig {
-            enabled: true,
-            target_shards: target_shards.max(1),
-        }
+    /// Whether rounds may be split at all: more than one shard is asked
+    /// for. A round is actually sharded only when the plan built from
+    /// the cluster's groups also has more than one shard.
+    pub fn enabled(&self) -> bool {
+        self.target_shards > 1
     }
 }
 

@@ -32,18 +32,22 @@
 #![warn(missing_docs)]
 
 mod capabilities;
+mod durability;
 mod heuristics;
 mod ilp;
 mod jkube;
+mod ledger;
 mod lifecycle;
 mod lra;
 mod medea;
 mod migration;
 mod objective;
 mod obs_bridge;
+mod reconcile;
 mod recovery;
 mod relax;
 mod request;
+mod round;
 mod shared;
 mod task_scheduler;
 mod yarn;

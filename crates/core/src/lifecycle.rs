@@ -17,7 +17,8 @@
 //! which upgrade domain a rolling upgrade had reached) from the
 //! journal-restored allocations and their [`version_tag`]s.
 
-use medea_cluster::{ApplicationId, ContainerRequest, Tag};
+use medea_cluster::{ApplicationId, ContainerRequest, Resources, Tag};
+use medea_journal::CheckpointSpec;
 
 /// Reserved tag namespace carrying a container's application version:
 /// `ver:<n>`. Attached to every container the reconciler places, it is
@@ -43,6 +44,18 @@ pub fn tag_version(tag: &Tag) -> Option<u64> {
 /// untagged containers — only a real version bump does.
 pub fn container_version(tags: &[Tag]) -> Option<u64> {
     tags.iter().find_map(tag_version)
+}
+
+/// The replica template behind a container: its resources and tags minus
+/// the per-placement `appid:` and `ver:` tags, which the reconciler
+/// attaches again on every placement.
+pub(crate) fn replica_template(resources: Resources, tags: &[Tag]) -> ContainerRequest {
+    ContainerRequest::new(
+        resources,
+        tags.iter()
+            .filter(|t| !t.is_app_id() && tag_version(t).is_none())
+            .cloned(),
+    )
 }
 
 /// Desired state of one lifecycle-managed application.
@@ -90,6 +103,32 @@ impl AppSpec {
     pub fn headroom(&self, running: usize) -> usize {
         self.disruption_budget
             .saturating_sub(self.replicas.saturating_sub(running))
+    }
+
+    /// The journal form of this spec — the four numbers an `app_spec`
+    /// record and a checkpoint's spec list both carry.
+    pub(crate) fn to_journal(self, app: ApplicationId) -> CheckpointSpec {
+        CheckpointSpec {
+            app: app.0,
+            replicas: self.replicas as u64,
+            version: self.version,
+            budget: self.disruption_budget as u64,
+        }
+    }
+
+    /// Inverse of [`AppSpec::to_journal`], from the four journaled numbers.
+    pub(crate) fn from_journal(
+        app: u64,
+        replicas: u64,
+        version: u64,
+        budget: u64,
+    ) -> (ApplicationId, AppSpec) {
+        let spec = AppSpec {
+            replicas: replicas as usize,
+            version,
+            disruption_budget: budget as usize,
+        };
+        (ApplicationId(app), spec)
     }
 }
 

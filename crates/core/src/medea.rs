@@ -17,83 +17,87 @@
 //! bounded attempt budget, and a [`CircuitBreaker`] degrades ILP
 //! scheduling to the node-candidates heuristic after repeated solver
 //! deadline/stall outcomes.
+//!
+//! The scheduler is split by **who owns which state**: this file holds
+//! the composition, the LRA queue and node-loss handling; `round` the
+//! one round path and the in-flight table; `ledger` the recovery
+//! accounting; `reconcile` the specs; `durability` the journal handle.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use medea_cluster::{
-    ApplicationId, ClusterSnapshot, ClusterState, ContainerId, ContainerRequest, ExecutionKind,
-    IndexConfig, NodeGroupId, NodeId, RestoreError, ShardConfig, ShardPlan,
+    Allocation, ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind,
+    NodeGroupId, NodeId, ShardConfig, Tag,
 };
 use medea_constraints::{ConstraintError, ConstraintManager, PlacementConstraint, TagExpr};
-use medea_journal::{CheckpointSpec, JournalError, JournalOp, JournalRecord, Wal};
 use medea_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::ilp::{IlpBasisCache, IlpSolveStatus};
-use crate::lifecycle::{
-    container_version, derive_phase, tag_version, version_tag, AppLifecycle, AppSpec,
-    LifecycleStats, ManagedApp,
-};
+use crate::durability::Journal;
+pub use crate::durability::{NodeReport, RestartReport};
+use crate::ledger::RecoveryLedger;
+use crate::lifecycle::{LifecycleStats, ManagedApp};
 use crate::lra::{LraAlgorithm, LraScheduler};
-use crate::migration::{Migration, MigrationConfig, MigrationController};
+use crate::migration::MigrationConfig;
 use crate::recovery::{fault_domain_tag, DegradationLadder, NodeLossReport, RecoveryConfig};
 use crate::recovery::{BreakerState, RecoveryReport, FAULT_DOMAIN_TAG};
-use crate::request::{LraRequest, PlacementOutcome, TaskJobRequest};
+use crate::request::{LraRequest, TaskJobRequest};
+pub use crate::round::InflightSolve;
+use crate::round::{InflightTable, Placer};
 use crate::task_scheduler::{TaskAllocation, TaskScheduler, TaskSchedulerError};
 
 /// Pre-resolved `core.*` metric handles: looked up once when a registry
 /// is attached, then updated lock-free in the scheduling cycle.
-struct CoreMetrics {
-    queue_depth: Arc<Gauge>,
-    cycle_time_us: Arc<Histogram>,
-    place_us: Arc<Histogram>,
-    cycles: Arc<Counter>,
-    solve_inflight: Arc<Gauge>,
-    placement_staleness_ticks: Arc<Histogram>,
-    lras_deployed: Arc<Counter>,
-    lras_unplaced: Arc<Counter>,
-    commit_conflicts: Arc<Counter>,
-    lras_dropped: Arc<Counter>,
-    recovery_lost: Arc<Counter>,
-    recovery_replaced: Arc<Counter>,
-    recovery_exhausted: Arc<Counter>,
-    recovery_cancelled: Arc<Counter>,
-    recovery_latency_ticks: Arc<Histogram>,
-    breaker_opened: Arc<Counter>,
-    breaker_closed: Arc<Counter>,
-    breaker_state: Arc<Gauge>,
-    relax_breaker_opened: Arc<Counter>,
-    relax_breaker_closed: Arc<Counter>,
-    relax_breaker_state: Arc<Gauge>,
-    placer_mode: Arc<Gauge>,
-    solver_stalls: Arc<Counter>,
-    shards_active: Arc<Gauge>,
-    shard_resubmissions: Arc<Counter>,
-    shard_solve_us: Arc<Histogram>,
-    index_update_ops: Arc<Gauge>,
-    index_distinct_tags: Arc<Gauge>,
-    index_rebuilds: Arc<Gauge>,
-    restarts: Arc<Counter>,
-    restart_restore_us: Arc<Histogram>,
-    restart_replayed_ops: Arc<Histogram>,
-    restart_phantom_released: Arc<Counter>,
-    restart_inflight_requeued: Arc<Counter>,
-    audit_runs: Arc<Counter>,
-    audit_failures: Arc<Counter>,
-    journal_appends: Arc<Gauge>,
-    journal_bytes: Arc<Gauge>,
-    journal_checkpoints: Arc<Gauge>,
-    lifecycle_reconciles: Arc<Counter>,
-    lifecycle_scale_ups: Arc<Counter>,
-    lifecycle_scale_downs: Arc<Counter>,
-    lifecycle_upgraded: Arc<Counter>,
-    migrations: Arc<Counter>,
-    disruption_budget_denials: Arc<Counter>,
+pub(super) struct CoreMetrics {
+    pub(super) queue_depth: Arc<Gauge>,
+    pub(super) cycle_time_us: Arc<Histogram>,
+    pub(super) place_us: Arc<Histogram>,
+    pub(super) cycles: Arc<Counter>,
+    pub(super) solve_inflight: Arc<Gauge>,
+    pub(super) placement_staleness_ticks: Arc<Histogram>,
+    pub(super) lras_deployed: Arc<Counter>,
+    pub(super) lras_unplaced: Arc<Counter>,
+    pub(super) commit_conflicts: Arc<Counter>,
+    pub(super) lras_dropped: Arc<Counter>,
+    pub(super) recovery_lost: Arc<Counter>,
+    pub(super) recovery_replaced: Arc<Counter>,
+    pub(super) recovery_exhausted: Arc<Counter>,
+    pub(super) recovery_cancelled: Arc<Counter>,
+    pub(super) recovery_latency_ticks: Arc<Histogram>,
+    pub(super) breaker_opened: Arc<Counter>,
+    pub(super) breaker_closed: Arc<Counter>,
+    pub(super) breaker_state: Arc<Gauge>,
+    pub(super) relax_breaker_opened: Arc<Counter>,
+    pub(super) relax_breaker_closed: Arc<Counter>,
+    pub(super) relax_breaker_state: Arc<Gauge>,
+    pub(super) placer_mode: Arc<Gauge>,
+    pub(super) solver_stalls: Arc<Counter>,
+    pub(super) shards_active: Arc<Gauge>,
+    pub(super) shard_resubmissions: Arc<Counter>,
+    pub(super) shard_solve_us: Arc<Histogram>,
+    pub(super) index_update_ops: Arc<Gauge>,
+    pub(super) index_distinct_tags: Arc<Gauge>,
+    pub(super) index_rebuilds: Arc<Gauge>,
+    pub(super) restarts: Arc<Counter>,
+    pub(super) restart_restore_us: Arc<Histogram>,
+    pub(super) restart_replayed_ops: Arc<Histogram>,
+    pub(super) restart_phantom_released: Arc<Counter>,
+    pub(super) restart_inflight_requeued: Arc<Counter>,
+    pub(super) audit_runs: Arc<Counter>,
+    pub(super) audit_failures: Arc<Counter>,
+    pub(super) journal_appends: Arc<Gauge>,
+    pub(super) journal_bytes: Arc<Gauge>,
+    pub(super) journal_checkpoints: Arc<Gauge>,
+    pub(super) lifecycle_reconciles: Arc<Counter>,
+    pub(super) lifecycle_scale_ups: Arc<Counter>,
+    pub(super) lifecycle_scale_downs: Arc<Counter>,
+    pub(super) lifecycle_upgraded: Arc<Counter>,
+    pub(super) migrations: Arc<Counter>,
+    pub(super) disruption_budget_denials: Arc<Counter>,
 }
 
 impl CoreMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
+    pub(super) fn new(registry: &MetricsRegistry) -> Self {
         CoreMetrics {
             queue_depth: registry.gauge("core.queue_depth"),
             cycle_time_us: registry.histogram("core.cycle_time_us"),
@@ -146,31 +150,45 @@ impl CoreMetrics {
 
 /// A pending LRA with submission metadata.
 #[derive(Debug, Clone)]
-struct PendingLra {
-    request: LraRequest,
-    submitted_at: u64,
-    attempts: u32,
+pub(super) struct PendingLra {
+    pub(super) request: LraRequest,
+    pub(super) submitted_at: u64,
+    pub(super) attempts: u32,
     /// Earliest tick this entry may be scheduled (recovery backoff).
-    not_before: u64,
+    pub(super) not_before: u64,
     /// Whether this request re-places containers lost to a node crash.
-    is_recovery: bool,
+    pub(super) is_recovery: bool,
     /// Whether this entry is a reconciler-emitted delta (scale-up or
     /// upgrade replacement). Lifecycle entries that exhaust their
     /// attempt budget evaporate without dropping the app — the app is
     /// still deployed and managed; the reconciler re-emits the delta
     /// while the spec stays unmet.
-    is_lifecycle: bool,
+    pub(super) is_lifecycle: bool,
+}
+
+impl PendingLra {
+    /// A fresh client submission: no attempts consumed, schedulable now.
+    pub(super) fn new(request: LraRequest, now: u64) -> Self {
+        PendingLra {
+            request,
+            submitted_at: now,
+            attempts: 0,
+            not_before: now,
+            is_recovery: false,
+            is_lifecycle: false,
+        }
+    }
 }
 
 /// What `MedeaScheduler::retract_undeployed` removed from the pending
 /// queue.
 #[derive(Debug, Clone, Copy, Default)]
-struct RetractReport {
+pub(super) struct RetractReport {
     /// Whole queued entries removed.
-    entries_removed: usize,
+    pub(super) entries_removed: usize,
     /// Containers removed (partial retraction shrinks an entry without
     /// removing it).
-    containers_removed: usize,
+    pub(super) containers_removed: usize,
 }
 
 /// Read-only view of one undeployed LRA (queued or inside an in-flight
@@ -204,71 +222,6 @@ pub struct CancelReport {
     pub inflight_cancelled: usize,
 }
 
-/// A node's view of its own allocations, gathered when nodes re-register
-/// with a restarted resource manager (the anti-entropy input of
-/// [`MedeaScheduler::restart`]). Mirrors YARN's NM re-registration: the
-/// node reports which containers it is actually running, and the RM
-/// reconciles journal-derived state against that ground truth.
-#[derive(Debug, Clone)]
-pub struct NodeReport {
-    /// The reporting node.
-    pub node: NodeId,
-    /// Whether the node is up. An unavailable node still re-registers
-    /// (e.g. draining) but its containers are treated as lost.
-    pub available: bool,
-    /// Containers the node is actually hosting.
-    pub containers: Vec<ContainerId>,
-}
-
-/// What one work-preserving restart did: how state was rebuilt, what the
-/// anti-entropy pass repaired, and whether the post-restart invariant
-/// audit passed. Returned by [`MedeaScheduler::restart`].
-#[derive(Debug, Clone, Default)]
-pub struct RestartReport {
-    /// Whether cluster state was rebuilt from checkpoint + journal tail
-    /// (`false`: no journal attached, the in-memory state was kept and
-    /// only reconciled against node reports).
-    pub restored_from_journal: bool,
-    /// Journal records replayed on top of the checkpoint.
-    pub replayed_ops: usize,
-    /// Wall-clock microseconds spent loading + replaying the journal.
-    pub restore_us: u64,
-    /// In-flight solves discarded (their results never commit).
-    pub inflight_solves_dropped: usize,
-    /// LRA batch entries from dropped solves re-entered into the pending
-    /// queue as §5.4 resubmissions.
-    pub inflight_lras_requeued: usize,
-    /// Containers present in journal-derived state but absent from the
-    /// owning node's report (lost during the outage): released.
-    pub phantom_containers_released: usize,
-    /// Phantom LRA containers routed through the recovery pipeline.
-    pub lost_lra_containers: usize,
-    /// Phantom task containers returned to their queues' accounting.
-    pub lost_task_containers: usize,
-    /// Containers reported by nodes that journal-derived state does not
-    /// know (should not happen when the journal is intact; counted, not
-    /// adopted).
-    pub unknown_containers_reported: usize,
-    /// Nodes that failed to re-register (absent from `reports`) or
-    /// re-registered unavailable: routed through
-    /// [`MedeaScheduler::node_lost`].
-    pub nodes_marked_lost: usize,
-    /// Error from the post-reconciliation invariant audit, if it failed.
-    pub audit_error: Option<String>,
-}
-
-/// Where a batch entry's constraint footprint routes it during a sharded
-/// round (see [`MedeaScheduler::propose_all`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryRoute {
-    /// All affinity targets live in one shard: solve there.
-    Pinned(usize),
-    /// No footprint: any shard works; spread round-robin.
-    Any,
-    /// Constraints straddle shards: solve over the full node set.
-    Residual,
-}
-
 /// Result of one committed LRA placement.
 #[derive(Debug, Clone)]
 pub struct LraDeployment {
@@ -285,100 +238,6 @@ pub struct LraDeployment {
     pub algorithm_time: std::time::Duration,
     /// Whether these containers re-place ones lost to a node crash.
     pub recovered: bool,
-}
-
-/// An in-flight LRA solve: the output of [`MedeaScheduler::propose`],
-/// consumed by [`MedeaScheduler::commit`].
-///
-/// Holds the batch that was solved, the placements the algorithm proposed
-/// against a [`medea_cluster::ClusterSnapshot`] of the cluster, and the
-/// per-entry *violation baseline* — the number of violated constraint
-/// checks each placement had on the snapshot itself. At commit time the
-/// same count is re-evaluated on live state: a higher count means the
-/// cluster drifted under the solve (γ-cardinality drift) and the entry is
-/// conflicted rather than committed.
-///
-/// One *round* may be in flight per scheduler, holding one solve
-/// ([`MedeaScheduler::propose`]) or — with sharding enabled — one solve
-/// per active shard plus an optional cross-shard residual
-/// ([`MedeaScheduler::propose_all`]); new rounds are refused while any of
-/// them is uncommitted. Dropping an `InflightSolve` without committing it
-/// loses the batch; always hand it back via [`MedeaScheduler::commit`].
-#[derive(Debug)]
-pub struct InflightSolve {
-    /// Round-unique solve id; keys the scheduler-side copy of the batch
-    /// so [`MedeaScheduler::restart`] can requeue batches whose solves
-    /// were lost with the process.
-    id: u64,
-    batch: Vec<PendingLra>,
-    outcomes: Vec<PlacementOutcome>,
-    /// Violated-check count per batch entry on the snapshot right after
-    /// its own placement was applied (`None` for unplaced entries or
-    /// placements the snapshot itself rejected — those skip the γ-drift
-    /// comparison; the live allocation still validates capacity).
-    baselines: Vec<Option<usize>>,
-    /// Constraints of already-deployed LRAs + operator at propose time.
-    deployed_constraints: Vec<PlacementConstraint>,
-    snapshot_epoch: u64,
-    proposed_at: u64,
-    algorithm_time: std::time::Duration,
-    lras: usize,
-    containers: usize,
-    recovery_containers: usize,
-    /// The shard this solve was restricted to; `None` for an unsharded
-    /// solve or the cross-shard residual of a sharded round.
-    shard: Option<usize>,
-    /// Whether this solve belongs to a sharded round (conflicts then
-    /// count toward `core.shard_resubmissions_total`).
-    sharded: bool,
-}
-
-impl InflightSolve {
-    /// Round-unique identifier of this solve.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Tick the batch was proposed at.
-    pub fn proposed_at(&self) -> u64 {
-        self.proposed_at
-    }
-
-    /// Cluster mutation epoch of the snapshot the solve ran against.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.snapshot_epoch
-    }
-
-    /// Wall-clock time the placement algorithm spent on the batch.
-    pub fn algorithm_time(&self) -> std::time::Duration {
-        self.algorithm_time
-    }
-
-    /// Number of LRAs in the solved batch.
-    pub fn lras(&self) -> usize {
-        self.lras
-    }
-
-    /// Total containers requested by the solved batch.
-    pub fn containers(&self) -> usize {
-        self.containers
-    }
-
-    /// The shard this solve was restricted to (`None`: unsharded, or the
-    /// cross-shard residual solve of a sharded round).
-    pub fn shard(&self) -> Option<usize> {
-        self.shard
-    }
-
-    /// The proposed (not yet committed) placements: `(app, nodes)` per
-    /// placed batch entry, in batch order.
-    pub fn placements(&self) -> Vec<(ApplicationId, Vec<NodeId>)> {
-        self.batch
-            .iter()
-            .zip(&self.outcomes)
-            .filter_map(|(p, o)| o.placement().map(|pl| (p.request.app, pl.nodes.clone())))
-            .collect()
-    }
 }
 
 /// Counters exposed for the evaluation harness.
@@ -417,84 +276,51 @@ pub struct MedeaStats {
 /// assert_eq!(deployed.len(), 1);
 /// ```
 pub struct MedeaScheduler {
-    state: ClusterState,
-    constraint_manager: ConstraintManager,
-    lra_scheduler: LraScheduler,
-    task_scheduler: TaskScheduler,
-    pending: VecDeque<PendingLra>,
+    pub(super) state: ClusterState,
+    pub(super) constraint_manager: ConstraintManager,
+    pub(super) task_scheduler: TaskScheduler,
+    /// The LRA queue: submissions, resubmissions, recovery requests and
+    /// reconciler deltas waiting for a scheduling round.
+    pub(super) pending: VecDeque<PendingLra>,
     /// Scheduling interval in ticks (§5.1; 10 s in the evaluation).
     pub interval: u64,
-    next_run: u64,
+    pub(super) next_run: u64,
     /// Maximum resubmission attempts before an LRA is dropped.
     pub max_attempts: u32,
     /// Recovery retry/backoff policy and breaker thresholds.
     pub recovery: RecoveryConfig,
-    /// Placer-arm degradation ladder (`Ilp → Relaxed → Heuristic`):
-    /// stacked circuit breakers deciding which arm serves each batch.
-    ladder: DegradationLadder,
-    /// Scheduling cycles the solver is forced to degrade (injected stall).
-    stall_cycles_remaining: u32,
+    /// How a batch gets solved: the LRA scheduler, the degradation
+    /// ladder, and the sharding configuration with its per-shard caches.
+    pub(super) placer: Placer,
     /// Crashed node → fault-domain members marked with the
     /// [`FAULT_DOMAIN_TAG`] on its behalf (unmarked on recovery).
     fault_marks: HashMap<NodeId, Vec<NodeId>>,
-    recovery_lost: usize,
-    recovery_replaced: usize,
-    recovery_unplaceable: usize,
-    unplaceable_by_app: HashMap<ApplicationId, usize>,
-    /// Sharded-solving configuration (disabled by default: one
-    /// monolithic solve per round).
-    shard: ShardConfig,
-    /// Per-shard ILP warm-basis caches, grown on demand: a shard's basis
-    /// never matches another shard's constraint skeleton, so sharing the
-    /// scheduler's single-slot cache across shards would thrash it.
-    shard_caches: Vec<Arc<IlpBasisCache>>,
-    /// Solves currently in flight: 0 or 1 unsharded; up to one per shard
-    /// plus a residual during a sharded round. New rounds are gated on
-    /// this reaching 0.
-    inflight: usize,
-    /// Recovery containers inside the in-flight batch; counted as pending
-    /// by [`MedeaScheduler::recovery_report`] so the lost = replaced +
-    /// unplaceable + pending invariant holds mid-solve.
-    inflight_recovery_containers: usize,
-    /// Monotonic solve-id source for [`InflightSolve::id`].
-    solve_seq: u64,
-    /// Scheduler-side copies of in-flight batches, keyed by solve id
-    /// (ordered so restart requeues deterministically). An entry lives
-    /// from propose to commit; [`MedeaScheduler::restart`] drains
-    /// whatever is left — those solves died with the process and their
-    /// LRAs re-enter the queue as §5.4 resubmissions.
-    inflight_batches: BTreeMap<u64, Vec<PendingLra>>,
-    /// Apps cancelled while a solve holding them was in flight, keyed by
-    /// solve id. The solve object out with the caller still carries its
-    /// own copy of the batch, so [`MedeaScheduler::commit`] consults this
-    /// set and skips (rather than deploys or resubmits) those entries;
-    /// [`MedeaScheduler::restart`] drops them instead of requeueing.
-    cancelled_in_solve: BTreeMap<u64, BTreeSet<ApplicationId>>,
+    /// Cumulative recovery accounting; pending is counted, not stored.
+    pub(super) ledger: RecoveryLedger,
+    /// The only in-flight state: every proposed-but-uncommitted solve's
+    /// entries. New rounds are gated on it being empty.
+    pub(super) inflight: InflightTable,
     /// Durability: the write-ahead journal shared with the cluster state
-    /// (`None` until [`MedeaScheduler::attach_journal`]).
-    journal: Option<Arc<Mutex<Wal>>>,
-    /// Ticks between periodic checkpoints (0 disables the cadence; the
-    /// initial checkpoint at attach time still happens).
-    checkpoint_interval: u64,
-    next_checkpoint: u64,
+    /// and its checkpoint cadence (`None` until
+    /// [`MedeaScheduler::attach_journal`]).
+    pub(super) journal: Option<Journal>,
     /// Scheduling cycles between periodic invariant audits (0 disables;
     /// restart always audits).
     pub audit_interval: u64,
-    cycles_since_audit: u64,
     /// Apps dropped after exhausting resubmission attempts since the last
     /// [`MedeaScheduler::take_dropped`] — the serving layer reads this to
     /// answer status queries (`stats.lras_dropped` only counts).
-    dropped_log: Vec<ApplicationId>,
+    pub(super) dropped_log: Vec<ApplicationId>,
     /// Desired-state specs of lifecycle-managed applications. The
     /// reconciler diffs these against observed state each round and
     /// emits placement deltas (see [`MedeaScheduler::submit_managed_lra`]).
-    specs: BTreeMap<ApplicationId, ManagedApp>,
+    pub(super) specs: BTreeMap<ApplicationId, ManagedApp>,
     /// Cumulative reconciler activity counters.
-    lifecycle_stats: LifecycleStats,
+    pub(super) lifecycle_stats: LifecycleStats,
     /// Migration policy used by [`MedeaScheduler::defragment`].
     pub migration: MigrationConfig,
-    stats: MedeaStats,
-    metrics: Option<CoreMetrics>,
+    pub(super) stats: MedeaStats,
+    pub(super) metrics: Option<CoreMetrics>,
 }
 
 impl MedeaScheduler {
@@ -504,35 +330,18 @@ impl MedeaScheduler {
         MedeaScheduler {
             state,
             constraint_manager: ConstraintManager::new(),
-            lra_scheduler: LraScheduler::new(algorithm),
             task_scheduler: TaskScheduler::single_queue(),
             pending: VecDeque::new(),
             interval,
             next_run: 0,
             max_attempts: 5,
             recovery,
-            ladder: DegradationLadder::new(
-                recovery.breaker_failure_threshold,
-                recovery.breaker_open_cycles,
-            ),
-            stall_cycles_remaining: 0,
+            placer: Placer::new(LraScheduler::new(algorithm), &recovery),
             fault_marks: HashMap::new(),
-            recovery_lost: 0,
-            recovery_replaced: 0,
-            recovery_unplaceable: 0,
-            unplaceable_by_app: HashMap::new(),
-            shard: ShardConfig::disabled(),
-            shard_caches: Vec::new(),
-            inflight: 0,
-            inflight_recovery_containers: 0,
-            solve_seq: 0,
-            inflight_batches: BTreeMap::new(),
-            cancelled_in_solve: BTreeMap::new(),
+            ledger: RecoveryLedger::default(),
+            inflight: InflightTable::default(),
             journal: None,
-            checkpoint_interval: 0,
-            next_checkpoint: 0,
             audit_interval: 0,
-            cycles_since_audit: 0,
             dropped_log: Vec::new(),
             specs: BTreeMap::new(),
             lifecycle_stats: LifecycleStats::default(),
@@ -560,19 +369,14 @@ impl MedeaScheduler {
     /// Enables (or reconfigures) sharded solving (see
     /// [`MedeaScheduler::with_sharding`]).
     pub fn set_sharding(&mut self, config: ShardConfig) {
-        self.shard = config;
-    }
-
-    /// The current sharded-solving configuration.
-    pub fn sharding(&self) -> &ShardConfig {
-        &self.shard
+        self.placer.shard = config;
     }
 
     /// Replaces the recovery policy (and resets the degradation ladder
     /// to the new thresholds).
     pub fn with_recovery(mut self, config: RecoveryConfig) -> Self {
         self.recovery = config;
-        self.ladder =
+        self.placer.ladder =
             DegradationLadder::new(config.breaker_failure_threshold, config.breaker_open_cycles);
         self
     }
@@ -589,7 +393,7 @@ impl MedeaScheduler {
     /// Attaches a metrics registry (see [`MedeaScheduler::with_metrics`]).
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.metrics = Some(CoreMetrics::new(&registry));
-        self.lra_scheduler.ilp.metrics = Some(Arc::clone(&registry));
+        self.placer.lra.ilp.metrics = Some(Arc::clone(&registry));
         self.task_scheduler.set_metrics(&registry);
     }
 
@@ -610,7 +414,7 @@ impl MedeaScheduler {
 
     /// Access to the LRA scheduler configuration.
     pub fn lra_scheduler_mut(&mut self) -> &mut LraScheduler {
-        &mut self.lra_scheduler
+        &mut self.placer.lra
     }
 
     /// Scheduling statistics so far.
@@ -632,29 +436,24 @@ impl MedeaScheduler {
     /// queued entries plus entries inside in-flight solves (proposed,
     /// not yet committed). Read-only view for status/serving layers.
     pub fn queued_lras(&self) -> Vec<QueuedLra> {
-        let queued = self.pending.iter().map(|p| QueuedLra {
+        let view = |p: &PendingLra, in_flight: bool| QueuedLra {
             app: p.request.app,
             containers: p.request.num_containers(),
             attempts: p.attempts,
             submitted_at: p.submitted_at,
             is_recovery: p.is_recovery,
-            in_flight: false,
-        });
-        let inflight = self.inflight_batches.iter().flat_map(|(id, batch)| {
-            let cancelled = self.cancelled_in_solve.get(id);
-            batch
-                .iter()
-                .filter(move |p| !cancelled.is_some_and(|c| c.contains(&p.request.app)))
-                .map(|p| QueuedLra {
-                    app: p.request.app,
-                    containers: p.request.num_containers(),
-                    attempts: p.attempts,
-                    submitted_at: p.submitted_at,
-                    is_recovery: p.is_recovery,
-                    in_flight: true,
-                })
-        });
-        queued.chain(inflight).collect()
+            in_flight,
+        };
+        let queued = self.pending.iter().map(|p| view(p, false));
+        queued
+            .chain(self.inflight.live().map(|p| view(p, true)))
+            .collect()
+    }
+
+    /// Every undeployed entry the scheduler holds: the queue, then the
+    /// live (not cancelled) entries of in-flight solves.
+    pub(super) fn undeployed(&self) -> impl Iterator<Item = &PendingLra> {
+        self.pending.iter().chain(self.inflight.live())
     }
 
     /// Drains the log of apps dropped after exhausting their attempt
@@ -674,9 +473,9 @@ impl MedeaScheduler {
     pub fn run_to_drain(&mut self, start: u64, max_cycles: u64) -> (Vec<LraDeployment>, bool, u64) {
         let mut now = start;
         let mut deployed = Vec::new();
-        let mut drained = self.pending.is_empty() && self.inflight == 0;
+        let drained = |m: &Self| m.pending.is_empty() && m.inflight.is_empty();
         for _ in 0..max_cycles {
-            if drained {
+            if drained(self) {
                 break;
             }
             // Jump over scheduling-interval and backoff gates: the drain
@@ -687,9 +486,8 @@ impl MedeaScheduler {
             }
             deployed.extend(self.tick(now));
             now = now.saturating_add(self.interval.max(1));
-            drained = self.pending.is_empty() && self.inflight == 0;
         }
-        (deployed, drained, now)
+        (deployed, drained(self), now)
     }
 
     /// Submits an LRA: validates and registers its constraints with the
@@ -701,14 +499,7 @@ impl MedeaScheduler {
             request.constraints.clone(),
             self.state.groups(),
         )?;
-        self.pending.push_back(PendingLra {
-            request,
-            submitted_at: now,
-            attempts: 0,
-            not_before: now,
-            is_recovery: false,
-            is_lifecycle: false,
-        });
+        self.pending.push_back(PendingLra::new(request, now));
         Ok(())
     }
 
@@ -749,16 +540,14 @@ impl MedeaScheduler {
     /// - **Deployed containers** are released.
     /// - **Queued entries** (pending or backed off) are removed without
     ///   consuming an attempt.
-    /// - **Entries inside in-flight solves** are marked cancelled: the
-    ///   scheduler-side batch copy keeps them (so recovery accounting
-    ///   stays consistent until the solve resolves), but
-    ///   [`MedeaScheduler::commit`] skips them — no deployment, no
-    ///   resubmission — and [`MedeaScheduler::restart`] drops instead of
-    ///   requeueing them.
+    /// - **Entries inside in-flight solves** are marked cancelled on the
+    ///   in-flight table: [`MedeaScheduler::commit`] skips them — no
+    ///   deployment, no resubmission — and [`MedeaScheduler::restart`]
+    ///   drops instead of requeueing them.
     /// - **Constraints** are deregistered.
     ///
     /// Cancelled *recovery* entries are recorded as unplaceable at the
-    /// moment they leave the system (teardown makes replacement moot), so
+    /// moment they are cancelled (teardown makes replacement moot), so
     /// the `lost = replaced + unplaceable + pending` ledger invariant
     /// holds at every step.
     pub fn cancel_lra(&mut self, app: ApplicationId) -> CancelReport {
@@ -767,19 +556,13 @@ impl MedeaScheduler {
             ..CancelReport::default()
         };
         report.pending_removed = self.retract_undeployed(app, None).entries_removed;
-        for (&id, batch) in self.inflight_batches.iter_mut() {
-            let cancelled = batch.iter().filter(|p| p.request.app == app).count();
-            if cancelled > 0 {
-                report.inflight_cancelled += cancelled;
-                self.cancelled_in_solve.entry(id).or_default().insert(app);
-            }
-        }
+        let (entries, abandoned_recovery) = self.inflight.cancel(app);
+        report.inflight_cancelled = entries;
+        self.record_recovery_cancelled(app, abandoned_recovery);
         self.constraint_manager.remove_app(app);
         // A cancelled managed app leaves lifecycle management too: the
         // retirement is journaled so a restart does not resurrect it.
-        if let Some(managed) = self.specs.remove(&app) {
-            self.journal_spec(app, &managed.spec, true);
-        }
+        self.retire_spec(app);
         report
     }
 
@@ -788,10 +571,12 @@ impl MedeaScheduler {
     /// containers of `app` (`None`: all of them), splitting an entry in
     /// place when the limit partially covers it, and books abandoned
     /// *recovery* containers as terminally unplaceable in the same step
-    /// they leave the queue — the one place the
-    /// `lost = replaced + unplaceable + pending` ledger is balanced, so
-    /// the two callers cannot drift apart.
-    fn retract_undeployed(&mut self, app: ApplicationId, limit: Option<usize>) -> RetractReport {
+    /// they leave the queue, so the two callers cannot drift apart.
+    pub(super) fn retract_undeployed(
+        &mut self,
+        app: ApplicationId,
+        limit: Option<usize>,
+    ) -> RetractReport {
         let mut report = RetractReport::default();
         let mut remaining = limit.unwrap_or(usize::MAX);
         let mut abandoned_recovery = 0usize;
@@ -802,22 +587,18 @@ impl MedeaScheduler {
                 continue;
             }
             let n = p.request.num_containers();
-            if n <= remaining {
-                remaining -= n;
+            let removed = n.min(remaining);
+            remaining -= removed;
+            report.containers_removed += removed;
+            if p.is_recovery {
+                abandoned_recovery += removed;
+            }
+            if removed == n {
                 report.entries_removed += 1;
-                report.containers_removed += n;
-                if p.is_recovery {
-                    abandoned_recovery += n;
-                }
             } else {
                 // Partial retraction: shrink the entry in place (its
                 // containers are interchangeable within one request).
-                p.request.containers.truncate(n - remaining);
-                report.containers_removed += remaining;
-                if p.is_recovery {
-                    abandoned_recovery += remaining;
-                }
-                remaining = 0;
+                p.request.containers.truncate(n - removed);
                 kept.push_back(p);
             }
         }
@@ -830,590 +611,42 @@ impl MedeaScheduler {
     }
 
     /// Books `n` recovery containers of `app` as terminally unplaceable
-    /// because their app was cancelled — the balancing entry that keeps
-    /// the recovery ledger intact when replacements are abandoned.
+    /// because their app was cancelled or scaled down — the balancing
+    /// entry that keeps the recovery ledger intact when replacements are
+    /// abandoned.
     fn record_recovery_cancelled(&mut self, app: ApplicationId, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.recovery_unplaceable += n;
-        *self.unplaceable_by_app.entry(app).or_insert(0) += n;
+        self.ledger.unplaceable(app, n);
         if let Some(m) = &self.metrics {
             m.recovery_cancelled.add(n as u64);
         }
-    }
-
-    /// Submits an application under lifecycle management: registers its
-    /// constraints and desired spec, journals the spec, and lets the
-    /// reconciler emit the initial scale-up on the next scheduling
-    /// round. Managed replicas are homogeneous — every replica is a
-    /// clone of `template` (its `ver:`/`appid:` tags stripped; the
-    /// reconciler attaches the spec version per placement).
-    ///
-    /// Unlike [`MedeaScheduler::submit_lra`], nothing is queued here:
-    /// the desired state *is* the submission, and every placement delta
-    /// — initial deployment, elastic scaling, upgrade replacements —
-    /// flows through the same reconcile path.
-    pub fn submit_managed_lra(
-        &mut self,
-        app: ApplicationId,
-        template: ContainerRequest,
-        constraints: Vec<PlacementConstraint>,
-        spec: AppSpec,
-    ) -> Result<(), ConstraintError> {
-        self.constraint_manager
-            .register_app(app, constraints, self.state.groups())?;
-        let template = ContainerRequest::new(
-            template.resources,
-            template
-                .tags
-                .iter()
-                .filter(|t| !t.is_app_id() && tag_version(t).is_none())
-                .cloned(),
-        );
-        self.specs.insert(
-            app,
-            ManagedApp {
-                spec,
-                template: Some(template),
-            },
-        );
-        self.journal_spec(app, &spec, false);
-        Ok(())
-    }
-
-    /// Sets the desired replica count of a managed app, journaling the
-    /// change; the reconciler scales toward it on the next round. An
-    /// unmanaged but deployed app is adopted into management first
-    /// (spec derived from observed state, budget 1). Returns `false`
-    /// when the app is unknown in both worlds.
-    pub fn set_replicas(&mut self, app: ApplicationId, replicas: usize) -> bool {
-        if !self.specs.contains_key(&app) && !self.adopt(app) {
-            return false;
-        }
-        let spec = {
-            let managed = self.specs.get_mut(&app).expect("present or adopted");
-            managed.spec.replicas = replicas;
-            managed.spec
-        };
-        self.journal_spec(app, &spec, false);
-        true
-    }
-
-    /// Sets the desired version of a managed app, journaling the
-    /// change; the reconciler rolls the upgrade one upgrade domain at a
-    /// time under the disruption budget. Adopts a deployed-but-unmanaged
-    /// app like [`MedeaScheduler::set_replicas`].
-    pub fn set_version(&mut self, app: ApplicationId, version: u64) -> bool {
-        if !self.specs.contains_key(&app) && !self.adopt(app) {
-            return false;
-        }
-        let spec = {
-            let managed = self.specs.get_mut(&app).expect("present or adopted");
-            managed.spec.version = version;
-            managed.spec
-        };
-        self.journal_spec(app, &spec, false);
-        true
-    }
-
-    /// Sets the disruption budget of a managed app, journaling the
-    /// change. Returns `false` for unmanaged apps.
-    pub fn set_disruption_budget(&mut self, app: ApplicationId, budget: usize) -> bool {
-        let Some(managed) = self.specs.get_mut(&app) else {
-            return false;
-        };
-        managed.spec.disruption_budget = budget;
-        let spec = managed.spec;
-        self.journal_spec(app, &spec, false);
-        true
-    }
-
-    /// Adopts a deployed (or queued) app into lifecycle management:
-    /// replicas = everything observed, version = the highest `ver:` tag
-    /// seen (1 if none), budget 1. The template is re-derived lazily
-    /// from a live container.
-    fn adopt(&mut self, app: ApplicationId) -> bool {
-        let running = self.state.app_containers(app).len();
-        let incoming = self.incoming_containers(app);
-        if running + incoming == 0 {
-            return false;
-        }
-        let version = self
-            .state
-            .app_containers(app)
-            .iter()
-            .filter_map(|&id| self.state.allocation(id).ok())
-            .filter_map(|a| container_version(&a.tags))
-            .max()
-            .unwrap_or(1);
-        self.specs.insert(
-            app,
-            ManagedApp {
-                spec: AppSpec {
-                    replicas: running + incoming,
-                    version,
-                    disruption_budget: 1,
-                },
-                template: None,
-            },
-        );
-        true
-    }
-
-    /// The lifecycle view of one managed app (`None`: not managed).
-    /// Phase and counts are derived from observed state on every call.
-    pub fn app_lifecycle(&self, app: ApplicationId) -> Option<AppLifecycle> {
-        let managed = self.specs.get(&app)?;
-        let ids = self.state.app_containers(app);
-        let running = ids.len();
-        let at_version = ids
-            .iter()
-            .filter(|&&id| {
-                self.state
-                    .allocation(id)
-                    .ok()
-                    .map(|a| container_version(&a.tags).unwrap_or(1) == managed.spec.version)
-                    .unwrap_or(false)
-            })
-            .count();
-        let incoming = self.incoming_containers(app);
-        Some(AppLifecycle {
-            app,
-            spec: managed.spec,
-            phase: derive_phase(&managed.spec, running, at_version, incoming),
-            running,
-            at_version,
-            incoming,
-        })
-    }
-
-    /// Lifecycle views of every managed app, ascending app id.
-    pub fn lifecycles(&self) -> Vec<AppLifecycle> {
-        self.specs
-            .keys()
-            .filter_map(|&app| self.app_lifecycle(app))
-            .collect()
-    }
-
-    /// Cumulative reconciler activity counters.
-    pub fn lifecycle_stats(&self) -> LifecycleStats {
-        self.lifecycle_stats
-    }
-
-    /// Containers headed toward `app` but not yet deployed: queued
-    /// entries plus live in-flight batch entries (minus cancelled).
-    fn incoming_containers(&self, app: ApplicationId) -> usize {
-        let queued: usize = self
-            .pending
-            .iter()
-            .filter(|p| p.request.app == app)
-            .map(|p| p.request.num_containers())
-            .sum();
-        let inflight: usize = self
-            .inflight_batches
-            .iter()
-            .map(|(id, batch)| {
-                if self
-                    .cancelled_in_solve
-                    .get(id)
-                    .is_some_and(|c| c.contains(&app))
-                {
-                    0
-                } else {
-                    batch
-                        .iter()
-                        .filter(|p| p.request.app == app)
-                        .map(|p| p.request.num_containers())
-                        .sum::<usize>()
-                }
-            })
-            .sum();
-        queued + inflight
-    }
-
-    /// Appends an `app_spec` record at the current epoch (no epoch
-    /// bump: the spec is scheduler-layer desired state, not a cluster
-    /// mutation — cluster replay filters it, restart's spec restore
-    /// reads it back). No-op without a journal.
-    fn journal_spec(&mut self, app: ApplicationId, spec: &AppSpec, retired: bool) {
-        let Some(wal) = &self.journal else {
-            return;
-        };
-        let record = JournalRecord {
-            epoch: self.state.epoch(),
-            op: JournalOp::AppSpec {
-                app: app.0,
-                replicas: spec.replicas as u64,
-                version: spec.version,
-                budget: spec.disruption_budget as u64,
-                retired,
-            },
-        };
-        Self::lock_wal(wal).append_best_effort(&record);
-        self.publish_journal_gauges();
-    }
-
-    /// Serializes the desired-spec map for a checkpoint document.
-    fn checkpoint_specs(&self) -> Vec<CheckpointSpec> {
-        self.specs
-            .iter()
-            .map(|(&app, m)| CheckpointSpec {
-                app: app.0,
-                replicas: m.spec.replicas as u64,
-                version: m.spec.version,
-                budget: m.spec.disruption_budget as u64,
-            })
-            .collect()
-    }
-
-    /// Removes a fully drained spec from management, journaling the
-    /// retirement so a restart cannot resurrect it.
-    fn retire_spec(&mut self, app: ApplicationId) {
-        if let Some(managed) = self.specs.remove(&app) {
-            self.journal_spec(app, &managed.spec, true);
-        }
-    }
-
-    /// The desired-state reconciler: one pass over every managed app,
-    /// diffing spec against observed state and emitting placement
-    /// deltas into the normal batch path. Runs at the top of each
-    /// scheduling round (before the batch is cut), so deltas it emits
-    /// join that same round's solve.
-    ///
-    /// Per app, in priority order:
-    ///
-    /// 1. **Drain** (`replicas == 0`): retract queued deltas, release
-    ///    every deployed container, deregister constraints, retire the
-    ///    spec. Exempt from the disruption budget — the operator asked
-    ///    for zero.
-    /// 2. **Scale up** (observed + incoming < desired): one
-    ///    all-or-nothing entry for the missing replicas, cloned from
-    ///    the template at the spec version, entering the batch/ILP path
-    ///    as a §5.4-style resubmission.
-    /// 3. **Scale down** (observed + incoming > desired): retract
-    ///    queued containers first (cheapest — nothing placed yet), then
-    ///    release deployed victims picked by constraint impact (highest
-    ///    weighted violation extent first, ties broken toward emptier
-    ///    nodes via the index's free-capacity ordering, newest
-    ///    container first). Exempt from the budget — the surplus is the
-    ///    operator's ask.
-    /// 4. **Rolling upgrade** (counts steady, old versions deployed):
-    ///    walk the upgrade domains one at a time (see
-    ///    [`MedeaScheduler::upgrade_step`]).
-    fn reconcile(&mut self, now: u64) {
-        if self.specs.is_empty() {
-            return;
-        }
-        self.lifecycle_stats.reconciles += 1;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_reconciles.inc();
-        }
-        let apps: Vec<ApplicationId> = self.specs.keys().copied().collect();
-        let mut retired: Vec<ApplicationId> = Vec::new();
-        for app in apps {
-            let spec = self.specs.get(&app).map(|m| m.spec).expect("key from map");
-            let running = self.state.app_containers(app).len();
-            let incoming = self.incoming_containers(app);
-            if spec.replicas == 0 {
-                self.retract_undeployed(app, None);
-                let released = self.state.release_app(app);
-                self.lifecycle_stats.scale_down_containers += released;
-                if let Some(m) = &self.metrics {
-                    m.lifecycle_scale_downs.add(released as u64);
-                }
-                self.constraint_manager.remove_app(app);
-                retired.push(app);
-                continue;
-            }
-            let total = running + incoming;
-            match total.cmp(&spec.replicas) {
-                std::cmp::Ordering::Less => {
-                    let delta = spec.replicas - total;
-                    if self.push_lifecycle_entry(app, delta, now) {
-                        self.lifecycle_stats.scale_up_containers += delta;
-                        if let Some(m) = &self.metrics {
-                            m.lifecycle_scale_ups.add(delta as u64);
-                        }
-                    }
-                }
-                std::cmp::Ordering::Greater => {
-                    let mut surplus = total - spec.replicas;
-                    let retracted = self.retract_undeployed(app, Some(surplus));
-                    surplus -= retracted.containers_removed.min(surplus);
-                    if surplus > 0 {
-                        self.release_scale_down_victims(app, surplus);
-                    }
-                }
-                std::cmp::Ordering::Equal => {
-                    if incoming == 0 {
-                        self.upgrade_step(app, spec, running, now);
-                    }
-                }
-            }
-        }
-        for app in retired {
-            self.retire_spec(app);
-        }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(self.pending.len() as i64);
-        }
-    }
-
-    /// Queues one reconciler-emitted delta of `count` template clones
-    /// at the spec version. Returns `false` when no template is known
-    /// yet and none can be derived from a live container (cold restart
-    /// of an app with zero survivors) — the delta is retried on a later
-    /// round.
-    fn push_lifecycle_entry(&mut self, app: ApplicationId, count: usize, now: u64) -> bool {
-        let Some(template) = self.template_for(app) else {
-            return false;
-        };
-        let version = self.specs.get(&app).map(|m| m.spec.version).unwrap_or(1);
-        let mut tags = template.tags.clone();
-        tags.push(version_tag(version));
-        let container = ContainerRequest::new(template.resources, tags);
-        let constraints = self.constraint_manager.app_constraints(app);
-        self.pending.push_back(PendingLra {
-            request: LraRequest::new(app, vec![container; count], constraints),
-            submitted_at: now,
-            attempts: 0,
-            not_before: now,
-            is_recovery: false,
-            is_lifecycle: true,
-        });
-        true
-    }
-
-    /// The replica template of a managed app, re-deriving it from a
-    /// live container when the in-memory copy did not survive a cold
-    /// restart.
-    fn template_for(&mut self, app: ApplicationId) -> Option<ContainerRequest> {
-        if let Some(t) = self.specs.get(&app).and_then(|m| m.template.clone()) {
-            return Some(t);
-        }
-        let derived = self
-            .state
-            .app_containers(app)
-            .first()
-            .copied()
-            .and_then(|id| self.state.allocation(id).ok())
-            .map(|a| {
-                ContainerRequest::new(
-                    a.resources,
-                    a.tags
-                        .iter()
-                        .filter(|t| !t.is_app_id() && tag_version(t).is_none())
-                        .cloned(),
-                )
-            });
-        if let (Some(m), Some(t)) = (self.specs.get_mut(&app), derived.clone()) {
-            m.template = Some(t);
-        }
-        derived
-    }
-
-    /// Releases `n` deployed containers of `app`, picked by constraint
-    /// impact: highest weighted violation extent first (removing the
-    /// worst offender helps every constraint it strains), ties broken
-    /// toward nodes higher in the index's free-memory ordering (vacating
-    /// emptier nodes consolidates), then newest container first.
-    fn release_scale_down_victims(&mut self, app: ApplicationId, n: usize) {
-        let constraints: Vec<PlacementConstraint> = self
-            .constraint_manager
-            .active_shared()
-            .iter()
-            .map(|s| s.constraint.clone())
-            .collect();
-        let rank: HashMap<NodeId, usize> = self
-            .state
-            .nodes_by_free_memory()
-            .into_iter()
-            .enumerate()
-            .map(|(i, node)| (node, i))
-            .collect();
-        let mut victims: Vec<(ContainerId, f64, usize)> = self
-            .state
-            .app_containers(app)
-            .iter()
-            .copied()
-            .filter_map(|id| {
-                let alloc = self.state.allocation(id).ok()?;
-                let extent: f64 = constraints
-                    .iter()
-                    .filter(|c| c.subject.matches_allocation(alloc))
-                    .filter_map(|c| {
-                        medea_constraints::check_container(&self.state, c, id)
-                            .map(|ck| ck.extent * c.weight)
-                    })
-                    .sum();
-                Some((
-                    id,
-                    extent,
-                    rank.get(&alloc.node).copied().unwrap_or(usize::MAX),
-                ))
-            })
-            .collect();
-        victims.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.2.cmp(&b.2))
-                .then(b.0.cmp(&a.0))
-        });
-        let mut released = 0usize;
-        for (id, _, _) in victims.into_iter().take(n) {
-            if self.state.release(id).is_ok() {
-                released += 1;
-            }
-        }
-        self.lifecycle_stats.scale_down_containers += released;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_scale_downs.add(released as u64);
-        }
-    }
-
-    /// One rolling-upgrade step: finds the first upgrade domain (falling
-    /// back to racks, then the whole cluster) still hosting old-version
-    /// containers of `app`, takes down as many of them as the disruption
-    /// budget's headroom allows, and queues same-count replacements at
-    /// the spec version. Only called when counts are steady, so the next
-    /// step waits until this wave's replacements are deployed; the
-    /// domain cursor is *derived* (first domain with old versions), so a
-    /// restarted RM resumes at exactly the right domain.
-    fn upgrade_step(&mut self, app: ApplicationId, spec: AppSpec, running: usize, now: u64) {
-        let old: Vec<(ContainerId, NodeId)> = self
-            .state
-            .app_containers(app)
-            .iter()
-            .copied()
-            .filter_map(|id| {
-                let a = self.state.allocation(id).ok()?;
-                if container_version(&a.tags).unwrap_or(1) == spec.version {
-                    None
-                } else {
-                    Some((id, a.node))
-                }
-            })
-            .collect();
-        if old.is_empty() {
-            return;
-        }
-        let headroom = spec.headroom(running);
-        if headroom == 0 {
-            self.lifecycle_stats.budget_denials += 1;
-            if let Some(m) = &self.metrics {
-                m.disruption_budget_denials.inc();
-            }
-            return;
-        }
-        let domains: Vec<Vec<NodeId>> = {
-            let groups = self.state.groups();
-            groups
-                .sets_of(&NodeGroupId::upgrade_domain())
-                .or_else(|_| groups.sets_of(&NodeGroupId::rack()))
-                .unwrap_or_default()
-        };
-        let mut wave: Vec<ContainerId> = match domains
-            .iter()
-            .find(|set| old.iter().any(|(_, n)| set.contains(n)))
-        {
-            Some(set) => old
-                .iter()
-                .filter(|(_, n)| set.contains(n))
-                .map(|(id, _)| *id)
-                .collect(),
-            // No domain covers any old container (none registered, or
-            // stragglers outside every set): treat them as one domain.
-            None => old.iter().map(|(id, _)| *id).collect(),
-        };
-        wave.sort_unstable();
-        wave.truncate(headroom);
-        let mut taken = 0usize;
-        for &id in &wave {
-            if self.state.release(id).is_ok() {
-                taken += 1;
-            }
-        }
-        if taken == 0 {
-            return;
-        }
-        self.push_lifecycle_entry(app, taken, now);
-        self.lifecycle_stats.upgraded_containers += taken;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_upgraded.add(taken as u64);
-        }
-    }
-
-    /// Runs one defragmentation pass: consolidates managed-app LRA
-    /// containers off fragmented (emptiest) nodes onto tighter nodes
-    /// that fit without new violations, each app capped by its
-    /// disruption budget's headroom. Refused (empty result) while a
-    /// solve is in flight — migrating under an uncommitted solve would
-    /// manufacture avoidable γ-drift conflicts.
-    pub fn defragment(&mut self, _now: u64) -> Vec<Migration> {
-        if self.inflight > 0 || self.specs.is_empty() {
-            return Vec::new();
-        }
-        let constraints: Vec<PlacementConstraint> = self
-            .constraint_manager
-            .active_shared()
-            .iter()
-            .map(|s| s.constraint.clone())
-            .collect();
-        let mut allowance: BTreeMap<ApplicationId, usize> = self
-            .specs
-            .iter()
-            .map(|(&app, m)| (app, m.spec.headroom(self.state.app_containers(app).len())))
-            .collect();
-        let controller = MigrationController::new(self.migration);
-        let moves = controller.consolidate(&mut self.state, &constraints, &mut allowance);
-        self.lifecycle_stats.migrations += moves.len();
-        if let Some(m) = &self.metrics {
-            m.migrations.add(moves.len() as u64);
-        }
-        moves
     }
 
     /// Current circuit-breaker state of the exact-ILP arm (degradation
     /// protection). See [`MedeaScheduler::relaxed_breaker_state`] for the
     /// relaxed arm's breaker.
     pub fn breaker_state(&self) -> BreakerState {
-        self.ladder.ilp_state()
+        self.placer.ladder.ilp_state()
     }
 
     /// Current circuit-breaker state of the LP-relaxation arm: open
     /// means repeated rounding failures demoted service to the greedy
     /// heuristic.
     pub fn relaxed_breaker_state(&self) -> BreakerState {
-        self.ladder.relaxed_state()
+        self.placer.ladder.relaxed_state()
     }
 
     /// Cumulative recovery accounting: every container killed by
     /// [`MedeaScheduler::node_lost`] is replaced, explicitly unplaceable,
-    /// or still pending — never silently lost.
+    /// or still pending — never silently lost. Recovery containers
+    /// inside an in-flight solve are neither replaced nor queued yet:
+    /// they count as pending until commit.
     pub fn recovery_report(&self) -> RecoveryReport {
-        // Recovery containers inside an in-flight solve are neither
-        // replaced nor queued yet — they count as pending until commit.
-        let pending: usize = self
-            .pending
-            .iter()
+        let pending = self
+            .undeployed()
             .filter(|p| p.is_recovery)
             .map(|p| p.request.num_containers())
-            .sum::<usize>()
-            + self.inflight_recovery_containers;
-        let mut by_app: Vec<(ApplicationId, usize)> = self
-            .unplaceable_by_app
-            .iter()
-            .map(|(&a, &n)| (a, n))
-            .collect();
-        by_app.sort_by_key(|&(a, _)| a);
-        RecoveryReport {
-            containers_lost: self.recovery_lost,
-            containers_replaced: self.recovery_replaced,
-            containers_unplaceable: self.recovery_unplaceable,
-            containers_pending: pending,
-            unplaceable_by_app: by_app,
-        }
+            .sum();
+        self.ledger.report(pending)
     }
 
     /// Handles the loss of a node (crash semantics): marks it
@@ -1430,64 +663,82 @@ impl MedeaScheduler {
         let released = self.state.release_node(node).unwrap_or_default();
 
         let mut report = NodeLossReport::default();
-        // Group lost LRA containers per app, preserving each container's
-        // own resources and tags (minus the auto-added appid tag, which
-        // re-allocation re-adds).
-        let mut lost_by_app: HashMap<ApplicationId, Vec<medea_cluster::ContainerRequest>> =
-            HashMap::new();
+        let mut lost_lras = BTreeMap::new();
         for alloc in &released {
-            match alloc.kind {
-                ExecutionKind::Task => {
-                    report.task_containers_lost += 1;
-                    self.task_scheduler.on_container_lost(alloc);
-                }
-                ExecutionKind::LongRunning => {
-                    report.lra_containers_lost += 1;
-                    lost_by_app.entry(alloc.app).or_default().push(
-                        medea_cluster::ContainerRequest::new(
-                            alloc.resources,
-                            alloc.tags.iter().filter(|t| !t.is_app_id()).cloned(),
-                        ),
-                    );
-                }
+            match self.container_lost(alloc, &mut lost_lras) {
+                ExecutionKind::Task => report.task_containers_lost += 1,
+                ExecutionKind::LongRunning => report.lra_containers_lost += 1,
             }
         }
-
         self.mark_fault_domain(node);
+        report.apps_affected = self.enqueue_recovery(lost_lras, now);
+        if let Some(m) = &self.metrics {
+            m.queue_depth.set(self.pending.len() as i64);
+        }
+        report
+    }
 
-        let mut apps: Vec<ApplicationId> = lost_by_app.keys().copied().collect();
-        apps.sort();
-        for app in apps {
-            let containers = lost_by_app.remove(&app).unwrap_or_default();
-            report.apps_affected.push((app, containers.len()));
-            // The app's own constraints still apply to the replacements;
-            // they are attached to the request because the batch filter
-            // in tick() excludes in-batch apps from the deployed set.
+    /// Books one container that died with its node or during an RM
+    /// outage: a task container goes back to its queue's accounting; an
+    /// LRA container is grouped per app for
+    /// [`MedeaScheduler::enqueue_recovery`], keeping its own resources
+    /// and tags (minus the auto-added appid tag, which re-allocation
+    /// re-adds).
+    pub(super) fn container_lost(
+        &mut self,
+        alloc: &Allocation,
+        lost_lras: &mut BTreeMap<ApplicationId, Vec<ContainerRequest>>,
+    ) -> ExecutionKind {
+        match alloc.kind {
+            ExecutionKind::Task => self.task_scheduler.on_container_lost(alloc),
+            ExecutionKind::LongRunning => {
+                lost_lras
+                    .entry(alloc.app)
+                    .or_default()
+                    .push(ContainerRequest::new(
+                        alloc.resources,
+                        alloc.tags.iter().filter(|t| !t.is_app_id()).cloned(),
+                    ))
+            }
+        }
+        alloc.kind
+    }
+
+    /// The one entry into the recovery pipeline: queues one recovery
+    /// request per app (ascending app id) for its lost containers and
+    /// books them on the ledger. The app's own constraints still apply to
+    /// the replacements — they travel with the request because a round
+    /// excludes in-batch apps from the deployed set — plus a soft
+    /// anti-affinity to [`FAULT_DOMAIN_TAG`]-marked nodes. Returns the
+    /// containers lost per app.
+    pub(super) fn enqueue_recovery(
+        &mut self,
+        lost_lras: BTreeMap<ApplicationId, Vec<ContainerRequest>>,
+        now: u64,
+    ) -> Vec<(ApplicationId, usize)> {
+        let mut affected = Vec::with_capacity(lost_lras.len());
+        for (app, containers) in lost_lras {
+            let n = containers.len();
+            affected.push((app, n));
             let mut constraints = self.constraint_manager.app_constraints(app);
             constraints.push(
                 PlacementConstraint::anti_affinity(
-                    TagExpr::and([medea_cluster::Tag::app_id(app)]),
+                    TagExpr::and([Tag::app_id(app)]),
                     FAULT_DOMAIN_TAG,
                     NodeGroupId::node(),
                 )
                 .with_weight(2.0),
             );
             self.pending.push_back(PendingLra {
-                request: LraRequest::new(app, containers, constraints),
-                submitted_at: now,
-                attempts: 0,
-                not_before: now,
                 is_recovery: true,
-                is_lifecycle: false,
+                ..PendingLra::new(LraRequest::new(app, containers, constraints), now)
             });
+            self.ledger.lost(n);
+            if let Some(m) = &self.metrics {
+                m.recovery_lost.add(n as u64);
+            }
         }
-
-        self.recovery_lost += report.lra_containers_lost;
-        if let Some(m) = &self.metrics {
-            m.recovery_lost.add(report.lra_containers_lost as u64);
-            m.queue_depth.set(self.pending.len() as i64);
-        }
-        report
+        affected
     }
 
     /// Handles the recovery of a previously lost node: marks it available
@@ -1502,383 +753,12 @@ impl MedeaScheduler {
         }
     }
 
-    /// Attaches a write-ahead journal: installs an initial checkpoint of
-    /// the current cluster state, then hooks the WAL into the state's
-    /// mutation path so every subsequent place/release/retag/crash/
-    /// recover is logged. `checkpoint_interval` is the tick cadence of
-    /// periodic re-checkpoints (0: only the initial one).
-    ///
-    /// The checkpoint is installed *before* the hook goes live, so the
-    /// log tail strictly follows the checkpoint epoch — restore never
-    /// sees a record it cannot order.
-    pub fn attach_journal(
-        &mut self,
-        mut wal: Wal,
-        checkpoint_interval: u64,
-    ) -> Result<(), JournalError> {
-        let mut doc = self.state.checkpoint_doc();
-        doc.specs = self.checkpoint_specs();
-        wal.install_checkpoint(&doc)?;
-        let wal = Arc::new(Mutex::new(wal));
-        self.state.attach_wal(Arc::clone(&wal));
-        self.journal = Some(wal);
-        self.checkpoint_interval = checkpoint_interval;
-        self.next_checkpoint = checkpoint_interval;
-        self.publish_journal_gauges();
-        Ok(())
-    }
-
-    /// Whether a journal is attached.
-    pub fn journal_attached(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Cumulative journal I/O statistics (zeros when no journal is
-    /// attached).
-    pub fn journal_stats(&self) -> medea_journal::JournalStats {
-        self.journal
-            .as_ref()
-            .map(|w| Self::lock_wal(w).stats())
-            .unwrap_or_default()
-    }
-
-    fn lock_wal(wal: &Arc<Mutex<Wal>>) -> std::sync::MutexGuard<'_, Wal> {
-        // A poisoned journal mutex means a panic mid-append; the WAL's
-        // own framing makes a torn line detectable at restore, so
-        // continuing here is safe.
-        wal.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Installs a checkpoint of the current cluster state, truncating
-    /// the replay tail. The document is serialized from a
-    /// [`ClusterSnapshot`] — the same frozen view the solve pipeline
-    /// uses — so checkpointing composes with in-flight solves. No-op
-    /// without a journal.
-    pub fn checkpoint(&mut self, now: u64) -> Result<(), JournalError> {
-        let Some(wal) = self.journal.as_ref().map(Arc::clone) else {
-            return Ok(());
-        };
-        let snap = self.state.snapshot();
-        let mut doc = snap.state().checkpoint_doc();
-        doc.specs = self.checkpoint_specs();
-        Self::lock_wal(&wal).install_checkpoint(&doc)?;
-        self.next_checkpoint = now.saturating_add(self.checkpoint_interval.max(1));
-        self.publish_journal_gauges();
-        Ok(())
-    }
-
-    fn maybe_checkpoint(&mut self, now: u64) {
-        if self.journal.is_some() && self.checkpoint_interval > 0 && now >= self.next_checkpoint {
-            // Best effort on the periodic path: a failed checkpoint
-            // leaves the longer replay tail in place, which restore
-            // handles; the failure is visible in the journal stats.
-            let _ = self.checkpoint(now);
-        }
-    }
-
-    fn publish_journal_gauges(&self) {
-        if let (Some(m), Some(wal)) = (&self.metrics, &self.journal) {
-            let s = Self::lock_wal(wal).stats();
-            m.journal_appends.set(s.records_appended as i64);
-            m.journal_bytes.set(s.bytes_appended as i64);
-            m.journal_checkpoints.set(s.checkpoints_installed as i64);
-        }
-    }
-
-    /// Cross-checks scheduler-visible invariants: the tag index and γ
-    /// caches agree with ground-truth state, and allocation bookkeeping
-    /// (node container lists, per-app lists, free-capacity arithmetic)
-    /// is internally consistent.
-    pub fn audit(&self) -> Result<(), String> {
-        self.state.check_index_consistency()?;
-        self.state.check_allocation_consistency()
-    }
-
-    fn run_audit(&mut self) -> Option<String> {
-        let err = self.audit().err();
-        if let Some(m) = &self.metrics {
-            m.audit_runs.inc();
-            if err.is_some() {
-                m.audit_failures.inc();
-            }
-        }
-        err
-    }
-
-    /// Work-preserving restart after a resource-manager crash (the RM
-    /// failover path; YARN's work-preserving recovery, adapted to the
-    /// two-scheduler design):
-    ///
-    /// 1. **Drop volatile state.** Every in-flight solve died with the
-    ///    process; their batches re-enter the pending queue through the
-    ///    §5.4 resubmission path (attempt budgets still apply).
-    /// 2. **Rebuild durable state.** With a journal attached, the live
-    ///    [`ClusterState`] is discarded and rebuilt from the latest
-    ///    checkpoint plus the journal tail; the tag index and γ caches
-    ///    are rebuilt from scratch, never copied.
-    /// 3. **Anti-entropy reconciliation.** Journal-derived state is
-    ///    diffed against what re-registering nodes actually report:
-    ///    phantom containers (in state, not on the node — lost during
-    ///    the outage) are released and, for LRAs, routed through the
-    ///    recovery pipeline with the usual fault-domain anti-affinity;
-    ///    nodes that do not re-register (or report unavailable) go
-    ///    through [`MedeaScheduler::node_lost`]; nodes that report
-    ///    healthy after a journaled crash are brought back.
-    /// 4. **Audit.** The state↔index↔γ invariants are verified; a
-    ///    failure is reported (and counted) rather than panicking.
-    ///
-    /// The recovery ledger survives the restart: every container lost
-    /// across the boundary stays accounted as
-    /// `lost = replaced + unplaceable + pending`.
-    ///
-    /// In-memory submission-side state (pending queue, registered
-    /// constraints, fault-domain marks) deliberately survives in memory:
-    /// Medea models the YARN pattern where application masters re-submit
-    /// outstanding asks on re-registration, so only *cluster* state is
-    /// journal-derived.
-    pub fn restart(
-        &mut self,
-        now: u64,
-        reports: &[NodeReport],
-    ) -> Result<RestartReport, RestoreError> {
-        // Phase 1: volatile state. Any solve still out there belongs to
-        // the previous incarnation; results handed to `commit` later
-        // would double-count, so the inflight gate is cleared and the
-        // batches are requeued.
-        let mut report = RestartReport {
-            inflight_solves_dropped: self.inflight,
-            ..RestartReport::default()
-        };
-        self.inflight = 0;
-        self.inflight_recovery_containers = 0;
-        let dropped: Vec<(u64, Vec<PendingLra>)> = std::mem::take(&mut self.inflight_batches)
-            .into_iter()
-            .collect();
-        let cancelled_by_solve = std::mem::take(&mut self.cancelled_in_solve);
-        for (id, batch) in dropped {
-            let cancelled = cancelled_by_solve.get(&id);
-            for entry in batch {
-                if cancelled.is_some_and(|c| c.contains(&entry.request.app)) {
-                    // Released mid-solve: the app is gone, not requeued.
-                    // Its recovery containers leave the ledger's pending
-                    // bucket here (the counter is zeroed below), so book
-                    // them unplaceable now.
-                    if entry.is_recovery {
-                        self.record_recovery_cancelled(
-                            entry.request.app,
-                            entry.request.num_containers(),
-                        );
-                    }
-                    continue;
-                }
-                report.inflight_lras_requeued += 1;
-                self.resubmit(entry, now);
-            }
-        }
-
-        // Phase 2: durable state.
-        if let Some(wal) = self.journal.as_ref().map(Arc::clone) {
-            let t0 = Instant::now();
-            let (mut restored, replayed, desired) = {
-                let guard = Self::lock_wal(&wal);
-                // Desired specs are journal-durable too: the checkpoint
-                // carries the map and `app_spec` records in the tail
-                // carry later changes (cluster replay filters them).
-                let (checkpoint, tail) = guard.load()?;
-                let mut desired: BTreeMap<ApplicationId, AppSpec> = BTreeMap::new();
-                if let Some(cp) = &checkpoint {
-                    for s in &cp.specs {
-                        desired.insert(
-                            ApplicationId(s.app),
-                            AppSpec {
-                                replicas: s.replicas as usize,
-                                version: s.version,
-                                disruption_budget: s.budget as usize,
-                            },
-                        );
-                    }
-                }
-                for rec in &tail {
-                    if let JournalOp::AppSpec {
-                        app,
-                        replicas,
-                        version,
-                        budget,
-                        retired,
-                    } = &rec.op
-                    {
-                        let app = ApplicationId(*app);
-                        if *retired {
-                            desired.remove(&app);
-                        } else {
-                            desired.insert(
-                                app,
-                                AppSpec {
-                                    replicas: *replicas as usize,
-                                    version: *version,
-                                    disruption_budget: *budget as usize,
-                                },
-                            );
-                        }
-                    }
-                }
-                let (restored, replayed) = ClusterState::restore_from_wal(&guard)?;
-                (restored, replayed, desired)
-            };
-            // The journal wins on spec numbers; in-memory survivors
-            // contribute their templates (like the pending queue,
-            // templates are submission-side state that survives in
-            // memory — after a cold restart they are re-derived from
-            // live containers).
-            let previous = std::mem::take(&mut self.specs);
-            self.specs = desired
-                .into_iter()
-                .map(|(app, spec)| {
-                    let template = previous.get(&app).and_then(|m| m.template.clone());
-                    (app, ManagedApp { spec, template })
-                })
-                .collect();
-            report.restore_us = t0.elapsed().as_micros() as u64;
-            report.replayed_ops = replayed;
-            report.restored_from_journal = true;
-            // The index configuration is operator state, not cluster
-            // state: carry the live setting over to the rebuilt state.
-            if restored.index_enabled() != self.state.index_enabled() {
-                restored.set_index_config(if self.state.index_enabled() {
-                    IndexConfig::enabled()
-                } else {
-                    IndexConfig::disabled()
-                });
-            }
-            restored.attach_wal(wal);
-            self.state = restored;
-        }
-
-        // Phase 3: anti-entropy against node reports.
-        let reported: HashMap<NodeId, &NodeReport> = reports.iter().map(|r| (r.node, r)).collect();
-        let all_nodes: Vec<NodeId> = self.state.node_ids().collect();
-        let mut lost_by_app: HashMap<ApplicationId, Vec<medea_cluster::ContainerRequest>> =
-            HashMap::new();
-        for node in all_nodes {
-            match reported.get(&node) {
-                Some(r) if r.available => {
-                    if !self.state.is_available(node) {
-                        // Crashed before the outage, healthy now: same
-                        // path as a live recovery heartbeat (also clears
-                        // the fault-domain marks placed on its behalf).
-                        self.node_recovered(node);
-                    }
-                    let actual: HashSet<ContainerId> = r.containers.iter().copied().collect();
-                    let believed: Vec<ContainerId> = self
-                        .state
-                        .containers_on(node)
-                        .map(|c| c.to_vec())
-                        .unwrap_or_default();
-                    for id in &r.containers {
-                        let known = self
-                            .state
-                            .allocation(*id)
-                            .map(|a| a.node == node)
-                            .unwrap_or(false);
-                        if !known {
-                            report.unknown_containers_reported += 1;
-                        }
-                    }
-                    for id in believed {
-                        if actual.contains(&id) {
-                            continue;
-                        }
-                        // Phantom: the journal says it exists, the node
-                        // says it does not. The node wins.
-                        let Ok(alloc) = self.state.allocation(id).cloned() else {
-                            continue;
-                        };
-                        if self.state.release(id).is_err() {
-                            continue;
-                        }
-                        report.phantom_containers_released += 1;
-                        match alloc.kind {
-                            ExecutionKind::Task => {
-                                report.lost_task_containers += 1;
-                                self.task_scheduler.on_container_lost(&alloc);
-                            }
-                            ExecutionKind::LongRunning => {
-                                report.lost_lra_containers += 1;
-                                lost_by_app.entry(alloc.app).or_default().push(
-                                    medea_cluster::ContainerRequest::new(
-                                        alloc.resources,
-                                        alloc.tags.iter().filter(|t| !t.is_app_id()).cloned(),
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    // Silent (no re-registration) or explicitly down:
-                    // full node-loss semantics, idempotent if the
-                    // journal already recorded the crash.
-                    if self.state.is_available(node) {
-                        report.nodes_marked_lost += 1;
-                        self.node_lost(node, now);
-                    }
-                }
-            }
-        }
-        // Route phantom LRA losses through the recovery pipeline. Unlike
-        // node_lost, the hosting node is *up* — the containers just died
-        // with the outage — so no fault-domain marking; the soft
-        // anti-affinity still steers replacements off marked domains.
-        let mut apps: Vec<ApplicationId> = lost_by_app.keys().copied().collect();
-        apps.sort();
-        for app in apps {
-            let containers = lost_by_app.remove(&app).unwrap_or_default();
-            let n = containers.len();
-            let mut constraints = self.constraint_manager.app_constraints(app);
-            constraints.push(
-                PlacementConstraint::anti_affinity(
-                    TagExpr::and([medea_cluster::Tag::app_id(app)]),
-                    FAULT_DOMAIN_TAG,
-                    NodeGroupId::node(),
-                )
-                .with_weight(2.0),
-            );
-            self.pending.push_back(PendingLra {
-                request: LraRequest::new(app, containers, constraints),
-                submitted_at: now,
-                attempts: 0,
-                not_before: now,
-                is_recovery: true,
-                is_lifecycle: false,
-            });
-            self.recovery_lost += n;
-            if let Some(m) = &self.metrics {
-                m.recovery_lost.add(n as u64);
-            }
-        }
-
-        // Phase 4: invariants + metrics.
-        report.audit_error = self.run_audit();
-        if let Some(m) = &self.metrics {
-            m.restarts.inc();
-            m.restart_restore_us.record(report.restore_us);
-            m.restart_replayed_ops.record(report.replayed_ops as u64);
-            m.restart_phantom_released
-                .add(report.phantom_containers_released as u64);
-            m.restart_inflight_requeued
-                .add(report.inflight_lras_requeued as u64);
-            m.solve_inflight.set(0);
-            m.queue_depth.set(self.pending.len() as i64);
-        }
-        self.publish_journal_gauges();
-        Ok(report)
-    }
-
     /// Injects a solver stall: for the next `cycles` scheduling cycles
     /// the ILP path is treated as degraded (counts against the circuit
     /// breaker, placements fall back to the heuristic).
     pub fn inject_solver_stall(&mut self, cycles: u32) {
-        self.stall_cycles_remaining = self.stall_cycles_remaining.saturating_add(cycles);
+        self.placer.stall_cycles_remaining =
+            self.placer.stall_cycles_remaining.saturating_add(cycles);
         if let Some(m) = &self.metrics {
             m.solver_stalls.inc();
         }
@@ -1912,7 +792,7 @@ impl MedeaScheduler {
     /// Advances time: when the scheduling interval is reached, runs the
     /// LRA scheduler on the pending batch and commits the placements.
     ///
-    /// Synchronous compatibility path: [`MedeaScheduler::propose`]
+    /// The synchronous pipeline: [`MedeaScheduler::propose_all`]
     /// followed immediately by [`MedeaScheduler::commit`] at the same
     /// tick, so the solve never observes a stale snapshot. The
     /// asynchronous pipeline calls the two phases itself with simulated
@@ -1932,703 +812,7 @@ impl MedeaScheduler {
     /// committed). A sharded round keeps this `true` until every
     /// per-shard solve (and the residual, if any) has been committed.
     pub fn solve_inflight(&self) -> bool {
-        self.inflight > 0
-    }
-
-    /// Phase 1 of the placement pipeline (§5.3: the LRA scheduler runs
-    /// off the critical path): freezes a [`medea_cluster::ClusterSnapshot`]
-    /// of the cluster, runs the placement algorithm for the eligible
-    /// pending batch against it, and returns the proposal for a later
-    /// [`MedeaScheduler::commit`]. The live state is free to mutate —
-    /// task containers, crashes, completions — while the solve is
-    /// conceptually in flight.
-    ///
-    /// Returns `None` (without consuming a cycle) when the interval has
-    /// not elapsed, the queue is empty or entirely backed off, or a solve
-    /// is already in flight. Always produces a single monolithic solve,
-    /// regardless of the sharding configuration — sharded rounds go
-    /// through [`MedeaScheduler::propose_all`].
-    pub fn propose(&mut self, now: u64) -> Option<InflightSolve> {
-        self.propose_round(now, false).pop()
-    }
-
-    /// Phase 1 of the sharded pipeline: like [`MedeaScheduler::propose`],
-    /// but when sharding is enabled the round is split into per-shard
-    /// solves. The cluster is partitioned along rack/service-unit
-    /// boundaries ([`ShardPlan`]); each batch entry is routed by its
-    /// constraint footprint:
-    ///
-    /// - own constraint over a group that straddles shards → the
-    ///   cross-shard **residual** solve (full node set);
-    /// - affinity targets carried by nodes of exactly one shard → pinned
-    ///   to that shard;
-    /// - affinity targets spanning several shards → residual;
-    /// - no footprint → round-robin across shards, freest shard first
-    ///   (the `ClusterIndex` free-memory ordering).
-    ///
-    /// Every solve runs against the same snapshot with its baseline
-    /// computed on the *pristine* snapshot, so interactions between
-    /// shards (e.g. a deployed cardinality constraint spanning two
-    /// shards) surface as γ-drift commit conflicts and are reconciled by
-    /// the usual §5.4 rollback + resubmission path.
-    ///
-    /// Returns an empty vector under the same conditions `propose`
-    /// returns `None`. Each returned solve must be handed back via
-    /// [`MedeaScheduler::commit`]; new rounds are refused until all are.
-    pub fn propose_all(&mut self, now: u64) -> Vec<InflightSolve> {
-        self.propose_round(now, self.shard.enabled)
-    }
-
-    fn propose_round(&mut self, now: u64, sharded: bool) -> Vec<InflightSolve> {
-        // Durability cadence runs ahead of the scheduling gates: a quiet
-        // queue must not starve checkpoints.
-        self.maybe_checkpoint(now);
-        if self.inflight > 0 {
-            return Vec::new();
-        }
-        if now < self.next_run {
-            return Vec::new();
-        }
-        // Desired-state reconciliation runs at the top of the round, so
-        // the deltas it emits (scale-ups, upgrade replacements) join
-        // this round's batch. No-op without managed specs.
-        self.reconcile(now);
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        if self.audit_interval > 0 {
-            self.cycles_since_audit += 1;
-            if self.cycles_since_audit >= self.audit_interval {
-                self.cycles_since_audit = 0;
-                self.run_audit();
-            }
-        }
-        // Recovery retries back off between attempts: only entries whose
-        // backoff has elapsed join this batch; the rest stay queued. If
-        // nothing is eligible the cycle is skipped entirely (next_run is
-        // not advanced, so the next tick re-checks).
-        let (batch, deferred): (Vec<PendingLra>, Vec<PendingLra>) =
-            self.pending.drain(..).partition(|p| p.not_before <= now);
-        self.pending = deferred.into();
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        self.next_run = now + self.interval;
-        self.stats.cycles += 1;
-        if let Some(m) = &self.metrics {
-            m.cycles.inc();
-        }
-
-        // Constraints of deployed LRAs + operator, minus the new batch's
-        // own (those travel with the requests).
-        let deployed: Vec<PlacementConstraint> = {
-            let batch_apps: Vec<ApplicationId> = batch.iter().map(|p| p.request.app).collect();
-            self.constraint_manager
-                .active_shared()
-                .iter()
-                .filter(|s| match s.source {
-                    medea_constraints::ConstraintSource::Application(a) => !batch_apps.contains(&a),
-                    medea_constraints::ConstraintSource::Operator => true,
-                })
-                .map(|s| s.constraint.clone())
-                .collect()
-        };
-
-        // One snapshot per round, shared by every sub-solve: solves only
-        // read it (their working copies are restricted to shard nodes),
-        // and baseline bookkeeping below is undone per sub-batch.
-        let mut snapshot = self.state.snapshot();
-
-        let plan = if sharded {
-            Some(ShardPlan::build(
-                self.state.groups(),
-                self.shard.target_shards,
-            ))
-        } else {
-            None
-        };
-
-        let mut solves = Vec::new();
-        match plan {
-            Some(plan) if plan.num_shards() > 1 => {
-                let k = plan.num_shards();
-                let mut sub: Vec<Vec<PendingLra>> = (0..k).map(|_| Vec::new()).collect();
-                let mut residual: Vec<PendingLra> = Vec::new();
-                // Round-robin order for footprint-free entries: shards in
-                // order of first appearance in the free-memory ordering
-                // (freest shard first), so load spreads toward capacity.
-                let order = {
-                    let mut seen = vec![false; k];
-                    let mut ord = Vec::with_capacity(k);
-                    for n in self.state.nodes_by_free_memory() {
-                        if let Some(s) = plan.shard_of(n) {
-                            if !seen[s] {
-                                seen[s] = true;
-                                ord.push(s);
-                            }
-                        }
-                    }
-                    for (s, seen) in seen.iter().enumerate() {
-                        if !seen {
-                            ord.push(s);
-                        }
-                    }
-                    ord
-                };
-                let mut rr = 0usize;
-                for p in batch {
-                    match Self::route_entry(&self.state, &plan, &p.request) {
-                        // A pinned shard outside the plan (or an empty
-                        // round-robin order) means the plan and the
-                        // routing disagree — degrade that entry to the
-                        // cross-shard residual instead of panicking
-                        // mid-round.
-                        EntryRoute::Pinned(s) => match sub.get_mut(s) {
-                            Some(bucket) => bucket.push(p),
-                            None => residual.push(p),
-                        },
-                        EntryRoute::Any => {
-                            let slot = order
-                                .get(rr % order.len().max(1))
-                                .and_then(|&s| sub.get_mut(s));
-                            match slot {
-                                Some(bucket) => {
-                                    bucket.push(p);
-                                    rr += 1;
-                                }
-                                None => residual.push(p),
-                            }
-                        }
-                        EntryRoute::Residual => residual.push(p),
-                    }
-                }
-                let mut active = 0i64;
-                for (s, sb) in sub.into_iter().enumerate() {
-                    if sb.is_empty() {
-                        continue;
-                    }
-                    active += 1;
-                    let allowed = plan.nodes(s).to_vec();
-                    solves.push(self.solve_sub_batch(
-                        now,
-                        sb,
-                        &deployed,
-                        &mut snapshot,
-                        Some(s),
-                        Some(&allowed),
-                        true,
-                    ));
-                }
-                if !residual.is_empty() {
-                    solves.push(self.solve_sub_batch(
-                        now,
-                        residual,
-                        &deployed,
-                        &mut snapshot,
-                        None,
-                        None,
-                        true,
-                    ));
-                }
-                if let Some(m) = &self.metrics {
-                    m.shards_active.set(active);
-                }
-            }
-            _ => {
-                solves.push(self.solve_sub_batch(
-                    now,
-                    batch,
-                    &deployed,
-                    &mut snapshot,
-                    None,
-                    None,
-                    sharded,
-                ));
-                if let Some(m) = &self.metrics {
-                    if sharded {
-                        // Degenerate plan (one basis set): sharding was on
-                        // but the round ran as a single solve.
-                        m.shards_active.set(1);
-                    }
-                }
-            }
-        }
-
-        self.inflight = solves.len();
-        self.inflight_recovery_containers = solves.iter().map(|s| s.recovery_containers).sum();
-        if let Some(m) = &self.metrics {
-            m.solve_inflight.set(self.inflight as i64);
-        }
-        solves
-    }
-
-    /// Runs the placement algorithm for one sub-batch of the round —
-    /// restricted to `allowed` nodes for a shard solve — and computes its
-    /// commit-validation baselines against the shared round snapshot.
-    ///
-    /// Baselines accumulate *within* the sub-batch (commit replays the
-    /// same order on live state) but are undone before returning, so
-    /// every sub-batch's baseline is computed on the pristine snapshot.
-    /// This is load-bearing for conflict detection: if a later shard's
-    /// baseline saw an earlier shard's tentative placements, cross-shard
-    /// γ-drift would be absorbed into the baseline and never surface as a
-    /// commit conflict.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_sub_batch(
-        &mut self,
-        now: u64,
-        batch: Vec<PendingLra>,
-        deployed: &[PlacementConstraint],
-        snapshot: &mut ClusterSnapshot,
-        shard: Option<usize>,
-        allowed: Option<&[NodeId]>,
-        sharded: bool,
-    ) -> InflightSolve {
-        let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
-
-        // Shard solves use per-shard warm-basis caches; swap the shard's
-        // cache in for the duration of the solve and restore afterwards.
-        let mut swapped: Option<Option<Arc<IlpBasisCache>>> = None;
-        if let Some(s) = shard {
-            if self.lra_scheduler.algorithm == LraAlgorithm::Ilp {
-                while self.shard_caches.len() <= s {
-                    self.shard_caches.push(Arc::new(IlpBasisCache::default()));
-                }
-                swapped = Some(
-                    self.lra_scheduler
-                        .ilp
-                        .warm_cache
-                        .replace(Arc::clone(&self.shard_caches[s])),
-                );
-            }
-        }
-        let t0 = Instant::now();
-        let outcomes = self.place_batch_on(snapshot.state(), &requests, deployed, allowed);
-        let algorithm_time = t0.elapsed();
-        if let Some(prev) = swapped {
-            self.lra_scheduler.ilp.warm_cache = prev;
-        }
-        if let Some(m) = &self.metrics {
-            m.place_us.record_duration(algorithm_time);
-            if shard.is_some() {
-                m.shard_solve_us.record_duration(algorithm_time);
-            }
-        }
-
-        // Establish the commit-time validation baseline: apply the
-        // proposed placements to the snapshot in batch order and count
-        // each entry's violated constraint checks right after its own
-        // allocation. Commit replays the same sequence on live state; a
-        // higher live count means the cluster drifted mid-solve.
-        let mut baselines: Vec<Option<usize>> = Vec::with_capacity(batch.len());
-        let mut applied: Vec<ContainerId> = Vec::new();
-        for (pending, outcome) in batch.iter().zip(&outcomes) {
-            let Some(placement) = outcome.placement() else {
-                baselines.push(None);
-                continue;
-            };
-            let mut ids = Vec::with_capacity(placement.nodes.len());
-            let mut ok = true;
-            for (c, &n) in pending.request.containers.iter().zip(&placement.nodes) {
-                match snapshot.state_mut().allocate(
-                    pending.request.app,
-                    n,
-                    c,
-                    ExecutionKind::LongRunning,
-                ) {
-                    Ok(id) => ids.push(id),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                // The algorithm proposed something the snapshot itself
-                // rejects; commit will fail it on capacity. No baseline.
-                for id in ids {
-                    let _ = snapshot.state_mut().release(id);
-                }
-                baselines.push(None);
-                continue;
-            }
-            baselines.push(Some(Self::violated_checks(
-                snapshot.state(),
-                &pending.request.constraints,
-                deployed,
-                &ids,
-            )));
-            applied.extend(ids);
-        }
-        // Restore the snapshot for the round's next sub-batch (see the
-        // method doc: baselines must be pristine per sub-batch).
-        for id in applied.into_iter().rev() {
-            let _ = snapshot.state_mut().release(id);
-        }
-
-        let lras = batch.len();
-        let containers: usize = batch.iter().map(|p| p.request.num_containers()).sum();
-        let recovery_containers: usize = batch
-            .iter()
-            .filter(|p| p.is_recovery)
-            .map(|p| p.request.num_containers())
-            .sum();
-        // Keep a scheduler-side copy keyed by solve id: if the process
-        // restarts before commit, restart() requeues it.
-        let id = self.solve_seq;
-        self.solve_seq += 1;
-        self.inflight_batches.insert(id, batch.clone());
-        InflightSolve {
-            id,
-            batch,
-            outcomes,
-            baselines,
-            deployed_constraints: deployed.to_vec(),
-            snapshot_epoch: snapshot.epoch(),
-            proposed_at: now,
-            algorithm_time,
-            lras,
-            containers,
-            recovery_containers,
-            shard,
-            sharded,
-        }
-    }
-
-    /// Routes one batch entry by its constraint footprint (see
-    /// [`MedeaScheduler::propose_all`]). Only the entry's *own*
-    /// constraints pin or residualize it; interactions with deployed
-    /// constraints that span shards are deliberately left to commit-time
-    /// γ-drift validation.
-    fn route_entry(state: &ClusterState, plan: &ShardPlan, request: &LraRequest) -> EntryRoute {
-        let mut shards: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for c in &request.constraints {
-            if !plan.is_aligned(&c.group) {
-                return EntryRoute::Residual;
-            }
-            for leaf in c.expr.leaves() {
-                // Only minimum-cardinality (affinity-like) leaves pin the
-                // entry near their targets; anti-affinity leaves have
-                // nothing to co-locate with, and their violations are
-                // scored against the full snapshot from any shard.
-                if leaf.cardinality.min == 0 {
-                    continue;
-                }
-                for n in state.nodes_with_all_tags(leaf.target.tags()) {
-                    if let Some(s) = plan.shard_of(n) {
-                        shards.insert(s);
-                    }
-                }
-            }
-        }
-        let mut it = shards.iter();
-        match (it.next(), it.next()) {
-            (None, _) => EntryRoute::Any,
-            (Some(&s), None) => EntryRoute::Pinned(s),
-            (Some(_), Some(_)) => EntryRoute::Residual,
-        }
-    }
-
-    /// Phase 3 of the placement pipeline: re-validates every proposed
-    /// placement against the **live** state — capacity consumed by task
-    /// containers mid-solve, nodes crashed mid-solve, γ-cardinality
-    /// drift past the propose-time baseline — commits the still-valid
-    /// subset, and resubmits conflicted entries to the next interval
-    /// (the §5.4 conflict policy).
-    ///
-    /// Returns the LRAs deployed.
-    pub fn commit(&mut self, now: u64, solve: InflightSolve) -> Vec<LraDeployment> {
-        let InflightSolve {
-            id,
-            batch,
-            outcomes,
-            baselines,
-            deployed_constraints,
-            proposed_at,
-            algorithm_time,
-            recovery_containers,
-            sharded,
-            ..
-        } = solve;
-        // A solve from before the last restart was already requeued by
-        // restart(); committing it would double-place the batch.
-        if self.inflight_batches.remove(&id).is_none() {
-            self.cancelled_in_solve.remove(&id);
-            return Vec::new();
-        }
-        // Apps released while this solve was in flight: their entries are
-        // dead — neither deployed nor resubmitted (their containers were
-        // already freed by `cancel_lra`).
-        let cancelled = self.cancelled_in_solve.remove(&id).unwrap_or_default();
-        self.inflight = self.inflight.saturating_sub(1);
-        self.inflight_recovery_containers = self
-            .inflight_recovery_containers
-            .saturating_sub(recovery_containers);
-        let commit_start = Instant::now();
-        if let Some(m) = &self.metrics {
-            m.solve_inflight.set(self.inflight as i64);
-            m.placement_staleness_ticks
-                .record(now.saturating_sub(proposed_at));
-        }
-
-        let mut deployed_out = Vec::new();
-        for ((pending, outcome), baseline) in batch.into_iter().zip(outcomes).zip(baselines) {
-            if cancelled.contains(&pending.request.app) {
-                // Leaves the system here: abandoned recovery containers
-                // move from "pending" to "unplaceable" in the same step
-                // the inflight pending count drops, keeping the ledger
-                // intact.
-                if pending.is_recovery {
-                    self.record_recovery_cancelled(
-                        pending.request.app,
-                        pending.request.num_containers(),
-                    );
-                }
-                continue;
-            }
-            match outcome {
-                PlacementOutcome::Placed(placement) => {
-                    match self.commit_validated(
-                        &pending.request,
-                        &placement.nodes,
-                        baseline,
-                        &deployed_constraints,
-                    ) {
-                        Ok(containers) => {
-                            self.stats.lras_deployed += 1;
-                            if pending.is_recovery {
-                                self.recovery_replaced += containers.len();
-                            }
-                            if let Some(m) = &self.metrics {
-                                m.lras_deployed.inc();
-                                if pending.is_recovery {
-                                    m.recovery_replaced.add(containers.len() as u64);
-                                    m.recovery_latency_ticks
-                                        .record(now.saturating_sub(pending.submitted_at));
-                                }
-                            }
-                            deployed_out.push(LraDeployment {
-                                app: pending.request.app,
-                                nodes: placement.nodes,
-                                containers,
-                                latency_ticks: now.saturating_sub(pending.submitted_at),
-                                algorithm_time,
-                                recovered: pending.is_recovery,
-                            });
-                        }
-                        Err(()) => {
-                            self.stats.commit_conflicts += 1;
-                            if let Some(m) = &self.metrics {
-                                m.commit_conflicts.inc();
-                            }
-                            if sharded {
-                                // Cross-shard interference (or ordinary
-                                // drift) detected during a sharded round:
-                                // tracked separately so operators can see
-                                // how much re-solving sharding costs.
-                                self.stats.shard_resubmissions += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.shard_resubmissions.inc();
-                                }
-                            }
-                            self.resubmit(pending, now);
-                        }
-                    }
-                }
-                PlacementOutcome::Unplaced { .. } => {
-                    self.stats.lras_unplaced += 1;
-                    if let Some(m) = &self.metrics {
-                        m.lras_unplaced.inc();
-                    }
-                    self.resubmit(pending, now);
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            // The cycle spans both phases: algorithm time plus commit
-            // validation. Queue depth is set exactly once per cycle, here
-            // at cycle end, after resubmissions have settled.
-            m.cycle_time_us
-                .record_duration(algorithm_time + commit_start.elapsed());
-            m.queue_depth.set(self.pending.len() as i64);
-            let idx = self.state.index_stats();
-            m.index_update_ops.set(idx.update_ops as i64);
-            m.index_distinct_tags.set(idx.distinct_tags as i64);
-            m.index_rebuilds.set(idx.rebuilds as i64);
-        }
-        deployed_out
-    }
-
-    /// Counts violated `(constraint, container)` checks over the given
-    /// containers: the request's own constraints plus the deployed set,
-    /// restricted to constraints whose subject matches the allocation.
-    fn violated_checks(
-        state: &ClusterState,
-        own: &[PlacementConstraint],
-        deployed: &[PlacementConstraint],
-        ids: &[ContainerId],
-    ) -> usize {
-        let mut violated = 0;
-        for &id in ids {
-            let Ok(alloc) = state.allocation(id) else {
-                continue;
-            };
-            for c in own.iter().chain(deployed) {
-                if !c.subject.matches_allocation(alloc) {
-                    continue;
-                }
-                if let Some(check) = medea_constraints::check_container(state, c, id) {
-                    if !check.satisfied {
-                        violated += 1;
-                    }
-                }
-            }
-        }
-        violated
-    }
-
-    /// Runs the placement algorithm for one batch — restricted to
-    /// `allowed` candidate hosts when solving a shard — routing the
-    /// solver arms through the degradation ladder: injected stalls and
-    /// solver degradations count as failures against the breaker of the
-    /// arm that served, demoting service `Ilp → Relaxed → Heuristic`;
-    /// each breaker probes its arm again after a cool-down, restoring
-    /// the higher arm on a successful probe.
-    fn place_batch_on(
-        &mut self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
-    ) -> Vec<PlacementOutcome> {
-        if self.lra_scheduler.algorithm != LraAlgorithm::Ilp {
-            return self
-                .lra_scheduler
-                .place_on(state, requests, deployed, allowed);
-        }
-        let opened_before = self.ladder.ilp_breaker().opened_total();
-        let closed_before = self.ladder.ilp_breaker().closed_total();
-        let relax_opened_before = self.ladder.relaxed_breaker().opened_total();
-        let relax_closed_before = self.ladder.relaxed_breaker().closed_total();
-        let arm = self.ladder.select(self.lra_scheduler.ilp.mode);
-        let outcomes = if self.stall_cycles_remaining > 0 {
-            // An injected stall fails whichever solver arm would have
-            // served and the batch is carried by the heuristic.
-            self.stall_cycles_remaining -= 1;
-            self.ladder.on_outcome(arm, false);
-            self.lra_scheduler
-                .place_degraded_on(state, requests, deployed, allowed)
-        } else {
-            let (outcomes, status) = self
-                .lra_scheduler
-                .place_with_mode_on(state, requests, deployed, allowed, arm);
-            self.ladder
-                .on_outcome(arm, status == IlpSolveStatus::Solved);
-            outcomes
-        };
-        if let Some(m) = &self.metrics {
-            m.breaker_opened
-                .add(self.ladder.ilp_breaker().opened_total() - opened_before);
-            m.breaker_closed
-                .add(self.ladder.ilp_breaker().closed_total() - closed_before);
-            m.breaker_state.set(self.ladder.ilp_breaker().state_code());
-            m.relax_breaker_opened
-                .add(self.ladder.relaxed_breaker().opened_total() - relax_opened_before);
-            m.relax_breaker_closed
-                .add(self.ladder.relaxed_breaker().closed_total() - relax_closed_before);
-            m.relax_breaker_state
-                .set(self.ladder.relaxed_breaker().state_code());
-            m.placer_mode.set(arm.code());
-        }
-        outcomes
-    }
-
-    /// Commits a placement against the live state with commit-time
-    /// re-validation; on any failure all of the LRA's containers are
-    /// rolled back (§5.4 conflict handling). Failure modes:
-    ///
-    /// - allocation fails — capacity consumed by task containers or the
-    ///   node crashed (went unavailable) while the solve was in flight;
-    /// - γ-cardinality drift — the placement's violated-check count on
-    ///   live state exceeds the propose-time baseline, i.e. concurrent
-    ///   mutations made the proposal worse than what the solver chose.
-    fn commit_validated(
-        &mut self,
-        request: &LraRequest,
-        nodes: &[NodeId],
-        baseline: Option<usize>,
-        deployed: &[PlacementConstraint],
-    ) -> Result<Vec<ContainerId>, ()> {
-        let mut ids = Vec::with_capacity(nodes.len());
-        for (c, &n) in request.containers.iter().zip(nodes) {
-            match self
-                .state
-                .allocate(request.app, n, c, ExecutionKind::LongRunning)
-            {
-                Ok(id) => ids.push(id),
-                Err(_) => {
-                    for id in ids {
-                        let _ = self.state.release(id);
-                    }
-                    return Err(());
-                }
-            }
-        }
-        if let Some(base) = baseline {
-            let live = Self::violated_checks(&self.state, &request.constraints, deployed, &ids);
-            if live > base {
-                for id in ids {
-                    let _ = self.state.release(id);
-                }
-                return Err(());
-            }
-        }
-        Ok(ids)
-    }
-
-    /// Requeues an LRA after a conflict or failed placement, dropping it
-    /// once the attempt budget is exhausted. Recovery requests back off
-    /// exponentially between attempts and, when exhausted, are recorded
-    /// as explicitly unplaceable (their app keeps its constraints — it is
-    /// still partially deployed) rather than silently dropped.
-    fn resubmit(&mut self, mut pending: PendingLra, now: u64) {
-        pending.attempts += 1;
-        if pending.is_recovery {
-            if pending.attempts >= self.recovery.max_attempts {
-                let n = pending.request.num_containers();
-                self.recovery_unplaceable += n;
-                *self
-                    .unplaceable_by_app
-                    .entry(pending.request.app)
-                    .or_insert(0) += n;
-                if let Some(m) = &self.metrics {
-                    m.recovery_exhausted.add(n as u64);
-                }
-            } else {
-                pending.not_before = now + self.recovery.backoff(pending.attempts);
-                self.pending.push_back(pending);
-            }
-            return;
-        }
-        if pending.attempts >= self.max_attempts {
-            if pending.is_lifecycle {
-                // A reconciler delta that cannot place evaporates
-                // without dropping the app: the app is still deployed
-                // and managed, its constraints stay registered, and the
-                // reconciler re-emits the delta while the spec is
-                // unmet. Desired-state convergence retries forever;
-                // only the per-entry attempt budget resets.
-                return;
-            }
-            self.stats.lras_dropped += 1;
-            self.dropped_log.push(pending.request.app);
-            if let Some(m) = &self.metrics {
-                m.lras_dropped.inc();
-            }
-            self.constraint_manager.remove_app(pending.request.app);
-        } else {
-            self.pending.push_back(pending);
-        }
+        !self.inflight.is_empty()
     }
 }
 

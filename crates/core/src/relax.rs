@@ -37,9 +37,10 @@ use medea_cluster::{ClusterState, ContainerId, ExecutionKind, NodeId};
 use medea_constraints::{check_container, PlacementConstraint};
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngCore, SeedableRng};
-use medea_solver::{LpStatus, Simplex};
+use medea_solver::{LpStatus, Simplex, SolveEvent, SolveInstrumentation};
 
 use crate::ilp::{self, IlpConfig, IlpSolveStatus, Prep, Prepared};
+use crate::obs_bridge::SolverMetricsBridge;
 use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
 
 /// Which placer arm serves a batch: the quality-vs-latency ladder.
@@ -193,16 +194,20 @@ pub fn place_with_relaxed_report_on(
         .warm_cache
         .as_deref()
         .and_then(|cache| cache.take_if(skeleton));
-    if warm.is_some() {
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.counter("core.relax_warm_start_hits_total").inc();
-        }
-    }
     let t_lp = Instant::now();
     let (sol, basis) = Simplex::new(&model.problem).solve_warm(None, warm.as_ref());
     if let Some(m) = cfg.metrics.as_deref() {
         m.histogram("core.relax_lp_us")
             .record_duration(t_lp.elapsed());
+        // This LP runs outside `Milp`, which reports its own solves: feed
+        // the same `solver.*` series, so the counters cover both arms.
+        let bridge = SolverMetricsBridge::new(m);
+        bridge.record(SolveEvent::SimplexPivots(sol.iterations as u64));
+        bridge.record(SolveEvent::Refactorizations(sol.refactorizations as u64));
+        if warm.is_some() {
+            m.counter("core.relax_warm_start_hits_total").inc();
+            bridge.record(SolveEvent::WarmStartUsed);
+        }
     }
     if let (Some(cache), Some(b)) = (cfg.warm_cache.as_deref(), &basis) {
         cache.store(skeleton, b.clone());
@@ -704,5 +709,49 @@ fn record_quality(cfg: &IlpConfig, report: &RelaxReport) {
     if let Some(gap) = report.relative_gap() {
         m.histogram("core.relax_objective_gap_permille")
             .record((gap * 1_000.0).round() as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use medea_cluster::{ApplicationId, NodeGroupId, Resources, Tag};
+
+    /// The relaxed arm's LP runs outside `Milp`; its solver effort must
+    /// still reach the `solver.*` series when a registry is attached.
+    #[test]
+    fn relaxed_solve_reports_solver_counters() {
+        let registry = medea_obs::MetricsRegistry::new();
+        let cfg = IlpConfig {
+            metrics: Some(registry.clone()),
+            ..IlpConfig::default()
+        };
+        let state = ClusterState::homogeneous(6, Resources::new(8192, 8), 2);
+        let request = |app: u64| {
+            LraRequest::uniform(
+                ApplicationId(app),
+                3,
+                Resources::new(1024, 1),
+                vec![Tag::new("svc")],
+                vec![PlacementConstraint::anti_affinity(
+                    "svc",
+                    "svc",
+                    NodeGroupId::node(),
+                )],
+            )
+        };
+        let (out, _) = place_with_relaxed_status_on(&state, &[request(1)], &[], &cfg, None);
+        assert!(out[0].placement().is_some());
+        let snap = registry.snapshot();
+        assert!(snap.counter("solver.simplex_pivots_total").unwrap_or(0) > 0);
+        assert!(snap.counter("solver.refactorizations_total").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("solver.warm_starts_total").unwrap_or(0), 0);
+
+        // Same skeleton again: the cached basis seeds the LP.
+        let (out, _) = place_with_relaxed_status_on(&state, &[request(2)], &[], &cfg, None);
+        assert!(out[0].placement().is_some());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("solver.warm_starts_total"), Some(1));
+        assert_eq!(snap.counter("core.relax_warm_start_hits_total"), Some(1));
     }
 }

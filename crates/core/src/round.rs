@@ -1,0 +1,791 @@
+//! The one scheduling round (§3, §5.4, Fig. 6): batch the eligible
+//! pending LRAs at the interval, solve them against a snapshot off the
+//! critical path ([`MedeaScheduler::propose_all`]), and hand each
+//! placement back to the single writer, which commits it or — on
+//! conflict — resubmits it ([`MedeaScheduler::commit`]).
+//!
+//! Owns the **in-flight table**: the entries of every proposed-but-
+//! uncommitted solve live there and nowhere else.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use medea_cluster::{
+    ApplicationId, ClusterSnapshot, ClusterState, ContainerId, ExecutionKind, NodeId, ShardConfig,
+    ShardPlan,
+};
+use medea_constraints::{ConstraintSource, PlacementConstraint};
+
+use crate::ilp::{IlpBasisCache, IlpSolveStatus};
+use crate::lra::{LraAlgorithm, LraScheduler};
+use crate::medea::{LraDeployment, MedeaScheduler, PendingLra};
+use crate::recovery::{DegradationLadder, RecoveryConfig};
+use crate::request::{LraRequest, PlacementOutcome};
+
+/// Where a batch entry's constraint footprint routes it during a sharded
+/// round (see [`MedeaScheduler::propose_all`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryRoute {
+    /// All affinity targets live in one shard: solve there.
+    Pinned(usize),
+    /// No footprint: any shard works; spread round-robin.
+    Any,
+    /// Constraints straddle shards: solve over the full node set.
+    Residual,
+}
+
+/// An in-flight LRA solve: the output of [`MedeaScheduler::propose_all`],
+/// consumed by [`MedeaScheduler::commit`].
+///
+/// Holds what the solver produced: the placements the algorithm proposed
+/// against a [`medea_cluster::ClusterSnapshot`] of the cluster, and the
+/// per-entry *violation baseline* — the number of violated constraint
+/// checks each placement had on the snapshot itself. At commit time the
+/// same count is re-evaluated on live state: a higher count means the
+/// cluster drifted under the solve (γ-cardinality drift) and the entry is
+/// conflicted rather than committed.
+///
+/// The batch entries stay on the scheduler's in-flight table, keyed by
+/// this solve's id: dropping an `InflightSolve` leaves them in flight
+/// until [`MedeaScheduler::restart`] requeues them, so always hand it
+/// back via [`MedeaScheduler::commit`].
+#[derive(Debug)]
+pub struct InflightSolve {
+    id: u64,
+    outcomes: Vec<PlacementOutcome>,
+    /// Violated-check count per batch entry on the snapshot right after
+    /// its own placement was applied (`None` for unplaced entries or
+    /// placements the snapshot itself rejected — those skip the γ-drift
+    /// comparison; the live allocation still validates capacity).
+    baselines: Vec<Option<usize>>,
+    /// Constraints of already-deployed LRAs + operator at propose time,
+    /// shared by every solve of the round.
+    deployed_constraints: Arc<[PlacementConstraint]>,
+    proposed_at: u64,
+    algorithm_time: Duration,
+    containers: usize,
+}
+
+impl InflightSolve {
+    /// Wall-clock time the placement algorithm spent on the batch.
+    pub fn algorithm_time(&self) -> Duration {
+        self.algorithm_time
+    }
+
+    /// Number of LRAs in the solved batch.
+    pub fn lras(&self) -> usize {
+        self.outcomes.len()
+    }
+
+    /// Total containers requested by the solved batch.
+    pub fn containers(&self) -> usize {
+        self.containers
+    }
+
+    /// The proposed (not yet committed) placements: `(app, nodes)` per
+    /// placed batch entry, in batch order.
+    pub fn placements(&self) -> Vec<(ApplicationId, Vec<NodeId>)> {
+        self.outcomes
+            .iter()
+            .filter_map(|o| o.placement().map(|pl| (pl.app, pl.nodes.clone())))
+            .collect()
+    }
+}
+
+/// The scheduler-side half of one in-flight solve.
+#[derive(Debug)]
+pub(super) struct InflightBatch {
+    pub(super) entries: Vec<PendingLra>,
+    /// Apps cancelled while the solve was in flight: their entries are
+    /// dead — commit skips them, restart does not requeue them.
+    pub(super) cancelled: BTreeSet<ApplicationId>,
+    /// Whether the round was split by a shard plan (conflicts then also
+    /// count toward `core.shard_resubmissions_total`).
+    sharded_round: bool,
+}
+
+/// The in-flight table: solve id → the entries that solve holds, from
+/// propose to commit. Ordered, so restart requeues deterministically;
+/// ids are never reused, so a solve from before a restart matches no
+/// later entry.
+#[derive(Debug, Default)]
+pub(super) struct InflightTable {
+    next_id: u64,
+    solves: BTreeMap<u64, InflightBatch>,
+}
+
+impl InflightTable {
+    pub(super) fn is_empty(&self) -> bool {
+        self.solves.is_empty()
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.solves.len()
+    }
+
+    fn insert(&mut self, entries: Vec<PendingLra>, sharded_round: bool) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let batch = InflightBatch {
+            entries,
+            cancelled: BTreeSet::new(),
+            sharded_round,
+        };
+        self.solves.insert(id, batch);
+        id
+    }
+
+    fn take(&mut self, id: u64) -> Option<InflightBatch> {
+        self.solves.remove(&id)
+    }
+
+    /// Empties the table (restart: every solve out there is dead).
+    pub(super) fn drain(&mut self) -> Vec<InflightBatch> {
+        std::mem::take(&mut self.solves).into_values().collect()
+    }
+
+    /// Marks `app` cancelled in every solve holding it. Returns the
+    /// entries hit and the recovery containers this call abandoned.
+    pub(super) fn cancel(&mut self, app: ApplicationId) -> (usize, usize) {
+        let (mut entries, mut abandoned_recovery) = (0, 0);
+        for batch in self.solves.values_mut() {
+            let of_app = batch.entries.iter().filter(|p| p.request.app == app);
+            let hit = of_app.clone().count();
+            if hit == 0 {
+                continue;
+            }
+            entries += hit;
+            if batch.cancelled.insert(app) {
+                abandoned_recovery += of_app
+                    .filter(|p| p.is_recovery)
+                    .map(|p| p.request.num_containers())
+                    .sum::<usize>();
+            }
+        }
+        (entries, abandoned_recovery)
+    }
+
+    /// Every entry still headed for a commit (cancelled ones excluded),
+    /// ascending solve id, batch order within a solve.
+    pub(super) fn live(&self) -> impl Iterator<Item = &PendingLra> {
+        self.solves.values().flat_map(|batch| {
+            batch
+                .entries
+                .iter()
+                .filter(|p| !batch.cancelled.contains(&p.request.app))
+        })
+    }
+}
+
+/// How a batch gets solved.
+pub(super) struct Placer {
+    pub(super) lra: LraScheduler,
+    /// Placer-arm degradation ladder (`Ilp → Relaxed → Heuristic`):
+    /// stacked circuit breakers deciding which arm serves each batch.
+    pub(super) ladder: DegradationLadder,
+    /// Scheduling cycles the solver is forced to degrade (injected stall).
+    pub(super) stall_cycles_remaining: u32,
+    /// Sharded-solving configuration (disabled by default: one
+    /// monolithic solve per round).
+    pub(super) shard: ShardConfig,
+    /// Per-shard ILP warm-basis caches, grown on demand: a shard's basis
+    /// never matches another shard's constraint skeleton, so sharing the
+    /// scheduler's single-slot cache across shards would thrash it.
+    shard_caches: Vec<Arc<IlpBasisCache>>,
+}
+
+impl Placer {
+    pub(super) fn new(lra: LraScheduler, recovery: &RecoveryConfig) -> Self {
+        Placer {
+            lra,
+            ladder: DegradationLadder::new(
+                recovery.breaker_failure_threshold,
+                recovery.breaker_open_cycles,
+            ),
+            stall_cycles_remaining: 0,
+            shard: ShardConfig::disabled(),
+            shard_caches: Vec::new(),
+        }
+    }
+}
+
+impl MedeaScheduler {
+    /// Phase 1 of the placement pipeline (§5.3: the LRA scheduler runs
+    /// off the critical path): freezes a [`medea_cluster::ClusterSnapshot`]
+    /// of the cluster, runs the placement algorithm for the eligible
+    /// pending batch against it, and returns the proposals for a later
+    /// [`MedeaScheduler::commit`]. The live state is free to mutate —
+    /// task containers, crashes, completions — while the solves are
+    /// conceptually in flight.
+    ///
+    /// Returns an empty vector (without consuming a cycle) when the
+    /// interval has not elapsed, the queue is empty or entirely backed
+    /// off, or a solve is already in flight. Each returned solve must be
+    /// handed back via [`MedeaScheduler::commit`]; new rounds are refused
+    /// until all are.
+    ///
+    /// A round is **sharded** iff sharding is configured and the
+    /// [`ShardPlan`] built from the cluster's rack/service-unit groups
+    /// has more than one shard; otherwise the whole batch is one solve
+    /// over the full node set and no plan is built. In a sharded round
+    /// each batch entry is routed by its constraint footprint:
+    ///
+    /// - own constraint over a group that straddles shards → the
+    ///   cross-shard **residual** solve (full node set);
+    /// - affinity targets carried by nodes of exactly one shard → pinned
+    ///   to that shard;
+    /// - affinity targets spanning several shards → residual;
+    /// - no footprint → round-robin across shards, freest shard first
+    ///   (the `ClusterIndex` free-memory ordering).
+    ///
+    /// Every solve runs against the same snapshot with its baseline
+    /// computed on the *pristine* snapshot, so interactions between
+    /// shards (e.g. a deployed cardinality constraint spanning two
+    /// shards) surface as γ-drift commit conflicts and are reconciled by
+    /// the usual §5.4 rollback + resubmission path.
+    pub fn propose_all(&mut self, now: u64) -> Vec<InflightSolve> {
+        // Durability cadence runs ahead of the scheduling gates: a quiet
+        // queue must not starve checkpoints.
+        self.maybe_checkpoint(now);
+        if !self.inflight.is_empty() || now < self.next_run {
+            return Vec::new();
+        }
+        // Desired-state reconciliation runs at the top of the round, so
+        // the deltas it emits (scale-ups, upgrade replacements) join
+        // this round's batch. No-op without managed specs.
+        self.reconcile(now);
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        // Recovery retries back off between attempts: only entries whose
+        // backoff has elapsed join this batch; the rest stay queued. If
+        // nothing is eligible the cycle is skipped entirely (next_run is
+        // not advanced, so the next tick re-checks).
+        let (batch, deferred): (Vec<PendingLra>, Vec<PendingLra>) =
+            self.pending.drain(..).partition(|p| p.not_before <= now);
+        self.pending = deferred.into();
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        self.next_run = now + self.interval;
+        self.stats.cycles += 1;
+        if let Some(m) = &self.metrics {
+            m.cycles.inc();
+        }
+        if self.audit_interval > 0 && (self.stats.cycles as u64).is_multiple_of(self.audit_interval)
+        {
+            self.run_audit();
+        }
+
+        // Constraints of deployed LRAs + operator, minus the new batch's
+        // own (those travel with the requests).
+        let deployed: Arc<[PlacementConstraint]> = {
+            let batch_apps: Vec<ApplicationId> = batch.iter().map(|p| p.request.app).collect();
+            self.constraint_manager
+                .active_shared()
+                .iter()
+                .filter(|s| match s.source {
+                    ConstraintSource::Application(a) => !batch_apps.contains(&a),
+                    ConstraintSource::Operator => true,
+                })
+                .map(|s| s.constraint.clone())
+                .collect()
+        };
+
+        // One snapshot per round, shared by every sub-solve: solves only
+        // read it (their working copies are restricted to shard nodes),
+        // and baseline bookkeeping is undone per sub-batch.
+        let mut snapshot = self.state.snapshot();
+
+        let plan = Some(self.placer.shard)
+            .filter(ShardConfig::enabled)
+            .map(|c| ShardPlan::build(self.state.groups(), c.target_shards))
+            .filter(|plan| plan.num_shards() > 1);
+        let jobs = match &plan {
+            Some(plan) => self.route_batch(plan, batch),
+            None => vec![(None, batch)],
+        };
+        if let (Some(m), Some(_)) = (&self.metrics, &plan) {
+            let active = jobs.iter().filter(|(shard, _)| shard.is_some()).count();
+            m.shards_active.set(active as i64);
+        }
+
+        let mut solves = Vec::with_capacity(jobs.len());
+        for (shard, sub) in jobs {
+            let restricted = shard.zip(plan.as_ref()).map(|(s, p)| (s, p.nodes(s)));
+            let (outcomes, baselines, algorithm_time) =
+                self.solve_sub_batch(&sub, &deployed, &mut snapshot, restricted);
+            let containers = sub.iter().map(|p| p.request.num_containers()).sum();
+            solves.push(InflightSolve {
+                id: self.inflight.insert(sub, plan.is_some()),
+                outcomes,
+                baselines,
+                deployed_constraints: Arc::clone(&deployed),
+                proposed_at: now,
+                algorithm_time,
+                containers,
+            });
+        }
+        if let Some(m) = &self.metrics {
+            m.solve_inflight.set(self.inflight.len() as i64);
+        }
+        solves
+    }
+
+    /// Splits a sharded round's batch into its sub-batches: one per shard
+    /// that received entries (ascending shard), then the cross-shard
+    /// residual (`None`) if any entry needs the full node set.
+    fn route_batch(
+        &self,
+        plan: &ShardPlan,
+        batch: Vec<PendingLra>,
+    ) -> Vec<(Option<usize>, Vec<PendingLra>)> {
+        let k = plan.num_shards();
+        let mut sub: Vec<Vec<PendingLra>> = (0..k).map(|_| Vec::new()).collect();
+        let mut residual: Vec<PendingLra> = Vec::new();
+        // Round-robin order for footprint-free entries: shards by first
+        // appearance in the free-memory ordering (freest shard first, so
+        // load spreads toward capacity), then any shard it never reached.
+        let mut seen = vec![false; k];
+        let order: Vec<usize> = self
+            .state
+            .nodes_by_free_memory()
+            .into_iter()
+            .filter_map(|n| plan.shard_of(n))
+            .chain(0..k)
+            .filter(|&s| !std::mem::replace(&mut seen[s], true))
+            .collect();
+        let mut rr = 0usize;
+        for p in batch {
+            match Self::route_entry(&self.state, plan, &p.request) {
+                // A pinned shard outside the plan (or an empty
+                // round-robin order) means the plan and the routing
+                // disagree — degrade that entry to the cross-shard
+                // residual instead of panicking mid-round.
+                EntryRoute::Pinned(s) => match sub.get_mut(s) {
+                    Some(bucket) => bucket.push(p),
+                    None => residual.push(p),
+                },
+                EntryRoute::Any => {
+                    let slot = order
+                        .get(rr % order.len().max(1))
+                        .and_then(|&s| sub.get_mut(s));
+                    match slot {
+                        Some(bucket) => {
+                            bucket.push(p);
+                            rr += 1;
+                        }
+                        None => residual.push(p),
+                    }
+                }
+                EntryRoute::Residual => residual.push(p),
+            }
+        }
+        sub.into_iter()
+            .enumerate()
+            .map(|(s, sb)| (Some(s), sb))
+            .chain([(None, residual)])
+            .filter(|(_, sb)| !sb.is_empty())
+            .collect()
+    }
+
+    /// Runs the placement algorithm for one sub-batch of the round —
+    /// restricted to one shard's nodes for a shard solve — and computes
+    /// its commit-validation baselines against the shared round snapshot.
+    /// Returns outcomes and baselines per entry plus the algorithm time.
+    ///
+    /// Baselines accumulate *within* the sub-batch (commit replays the
+    /// same order on live state) but are undone before returning, so
+    /// every sub-batch's baseline is computed on the pristine snapshot.
+    /// This is load-bearing for conflict detection: if a later shard's
+    /// baseline saw an earlier shard's tentative placements, cross-shard
+    /// γ-drift would be absorbed into the baseline and never surface as a
+    /// commit conflict.
+    fn solve_sub_batch(
+        &mut self,
+        batch: &[PendingLra],
+        deployed: &[PlacementConstraint],
+        snapshot: &mut ClusterSnapshot,
+        shard: Option<(usize, &[NodeId])>,
+    ) -> (Vec<PlacementOutcome>, Vec<Option<usize>>, Duration) {
+        let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
+
+        // Shard solves use per-shard warm-basis caches; swap the shard's
+        // cache in for the duration of the solve and restore afterwards.
+        let mut swapped: Option<Option<Arc<IlpBasisCache>>> = None;
+        if let Some((s, _)) = shard {
+            if self.placer.lra.algorithm == LraAlgorithm::Ilp {
+                let caches = &mut self.placer.shard_caches;
+                while caches.len() <= s {
+                    caches.push(Arc::new(IlpBasisCache::default()));
+                }
+                swapped = Some(
+                    self.placer
+                        .lra
+                        .ilp
+                        .warm_cache
+                        .replace(Arc::clone(&caches[s])),
+                );
+            }
+        }
+        let t0 = Instant::now();
+        let allowed = shard.map(|(_, nodes)| nodes);
+        let outcomes = self.place_batch_on(snapshot.state(), &requests, deployed, allowed);
+        let algorithm_time = t0.elapsed();
+        if let Some(prev) = swapped {
+            self.placer.lra.ilp.warm_cache = prev;
+        }
+        if let Some(m) = &self.metrics {
+            m.place_us.record_duration(algorithm_time);
+            if shard.is_some() {
+                m.shard_solve_us.record_duration(algorithm_time);
+            }
+        }
+
+        // Establish the commit-time validation baseline: apply the
+        // proposed placements to the snapshot in batch order and count
+        // each entry's violated constraint checks right after its own
+        // allocation. Commit replays the same sequence on live state; a
+        // higher live count means the cluster drifted mid-solve.
+        let mut baselines: Vec<Option<usize>> = Vec::with_capacity(batch.len());
+        let mut applied: Vec<ContainerId> = Vec::new();
+        for (pending, outcome) in batch.iter().zip(&outcomes) {
+            // No baseline for an unplaced entry, nor for a proposal the
+            // snapshot itself rejects (commit will fail it on capacity).
+            let ids = outcome.placement().and_then(|placement| {
+                Self::allocate_all(snapshot.state_mut(), &pending.request, &placement.nodes)
+            });
+            baselines.push(ids.as_ref().map(|ids| {
+                Self::violated_checks(
+                    snapshot.state(),
+                    &pending.request.constraints,
+                    deployed,
+                    ids,
+                )
+            }));
+            applied.extend(ids.into_iter().flatten());
+        }
+        // Restore the snapshot for the round's next sub-batch (see the
+        // method doc: baselines must be pristine per sub-batch).
+        for id in applied.into_iter().rev() {
+            let _ = snapshot.state_mut().release(id);
+        }
+        (outcomes, baselines, algorithm_time)
+    }
+
+    /// Routes one batch entry by its constraint footprint (see
+    /// [`MedeaScheduler::propose_all`]). Only the entry's *own*
+    /// constraints pin or residualize it; interactions with deployed
+    /// constraints that span shards are deliberately left to commit-time
+    /// γ-drift validation.
+    fn route_entry(state: &ClusterState, plan: &ShardPlan, request: &LraRequest) -> EntryRoute {
+        let mut shards: BTreeSet<usize> = BTreeSet::new();
+        for c in &request.constraints {
+            if !plan.is_aligned(&c.group) {
+                return EntryRoute::Residual;
+            }
+            for leaf in c.expr.leaves() {
+                // Only minimum-cardinality (affinity-like) leaves pin the
+                // entry near their targets; anti-affinity leaves have
+                // nothing to co-locate with, and their violations are
+                // scored against the full snapshot from any shard.
+                if leaf.cardinality.min == 0 {
+                    continue;
+                }
+                for n in state.nodes_with_all_tags(leaf.target.tags()) {
+                    if let Some(s) = plan.shard_of(n) {
+                        shards.insert(s);
+                    }
+                }
+            }
+        }
+        let mut it = shards.iter();
+        match (it.next(), it.next()) {
+            (None, _) => EntryRoute::Any,
+            (Some(&s), None) => EntryRoute::Pinned(s),
+            (Some(_), Some(_)) => EntryRoute::Residual,
+        }
+    }
+
+    /// Phase 3 of the placement pipeline: re-validates every proposed
+    /// placement against the **live** state — capacity consumed by task
+    /// containers mid-solve, nodes crashed mid-solve, γ-cardinality
+    /// drift past the propose-time baseline — commits the still-valid
+    /// subset, and resubmits conflicted entries to the next interval
+    /// (the §5.4 conflict policy).
+    ///
+    /// Returns the LRAs deployed.
+    pub fn commit(&mut self, now: u64, solve: InflightSolve) -> Vec<LraDeployment> {
+        // Taking the entries out of the table is the dead-incarnation
+        // check: a solve from before the last restart was already
+        // requeued by restart(), and committing it would double-place
+        // the batch.
+        let Some(batch) = self.inflight.take(solve.id) else {
+            return Vec::new();
+        };
+        let commit_start = Instant::now();
+        if let Some(m) = &self.metrics {
+            m.solve_inflight.set(self.inflight.len() as i64);
+            m.placement_staleness_ticks
+                .record(now.saturating_sub(solve.proposed_at));
+        }
+
+        let mut deployed_out = Vec::new();
+        for ((pending, outcome), baseline) in batch
+            .entries
+            .into_iter()
+            .zip(solve.outcomes)
+            .zip(solve.baselines)
+        {
+            // Apps released while this solve was in flight: their entries
+            // are dead — neither deployed nor resubmitted (`cancel_lra`
+            // already freed their containers and settled the ledger).
+            if batch.cancelled.contains(&pending.request.app) {
+                continue;
+            }
+            let PlacementOutcome::Placed(placement) = outcome else {
+                self.stats.lras_unplaced += 1;
+                if let Some(m) = &self.metrics {
+                    m.lras_unplaced.inc();
+                }
+                self.resubmit(pending, now);
+                continue;
+            };
+            let Some(containers) = self.commit_validated(
+                &pending.request,
+                &placement.nodes,
+                baseline,
+                &solve.deployed_constraints,
+            ) else {
+                self.stats.commit_conflicts += 1;
+                if let Some(m) = &self.metrics {
+                    m.commit_conflicts.inc();
+                }
+                if batch.sharded_round {
+                    // Cross-shard interference (or ordinary drift)
+                    // detected during a sharded round: tracked separately
+                    // so operators can see how much re-solving sharding
+                    // costs.
+                    self.stats.shard_resubmissions += 1;
+                    if let Some(m) = &self.metrics {
+                        m.shard_resubmissions.inc();
+                    }
+                }
+                self.resubmit(pending, now);
+                continue;
+            };
+            self.stats.lras_deployed += 1;
+            if pending.is_recovery {
+                self.ledger.replaced(containers.len());
+            }
+            if let Some(m) = &self.metrics {
+                m.lras_deployed.inc();
+                if pending.is_recovery {
+                    m.recovery_replaced.add(containers.len() as u64);
+                    m.recovery_latency_ticks
+                        .record(now.saturating_sub(pending.submitted_at));
+                }
+            }
+            deployed_out.push(LraDeployment {
+                app: pending.request.app,
+                nodes: placement.nodes,
+                containers,
+                latency_ticks: now.saturating_sub(pending.submitted_at),
+                algorithm_time: solve.algorithm_time,
+                recovered: pending.is_recovery,
+            });
+        }
+        if let Some(m) = &self.metrics {
+            // The cycle spans both phases: algorithm time plus commit
+            // validation. Queue depth is set exactly once per cycle, here
+            // at cycle end, after resubmissions have settled.
+            m.cycle_time_us
+                .record_duration(solve.algorithm_time + commit_start.elapsed());
+            m.queue_depth.set(self.pending.len() as i64);
+            let idx = self.state.index_stats();
+            m.index_update_ops.set(idx.update_ops as i64);
+            m.index_distinct_tags.set(idx.distinct_tags as i64);
+            m.index_rebuilds.set(idx.rebuilds as i64);
+        }
+        deployed_out
+    }
+
+    /// Counts violated `(constraint, container)` checks over the given
+    /// containers: the request's own constraints plus the deployed set,
+    /// restricted to constraints whose subject matches the allocation.
+    fn violated_checks(
+        state: &ClusterState,
+        own: &[PlacementConstraint],
+        deployed: &[PlacementConstraint],
+        ids: &[ContainerId],
+    ) -> usize {
+        let mut violated = 0;
+        for &id in ids {
+            let Ok(alloc) = state.allocation(id) else {
+                continue;
+            };
+            for c in own.iter().chain(deployed) {
+                if !c.subject.matches_allocation(alloc) {
+                    continue;
+                }
+                if let Some(check) = medea_constraints::check_container(state, c, id) {
+                    if !check.satisfied {
+                        violated += 1;
+                    }
+                }
+            }
+        }
+        violated
+    }
+
+    /// Runs the placement algorithm for one batch — restricted to
+    /// `allowed` candidate hosts when solving a shard — routing the
+    /// solver arms through the degradation ladder: injected stalls and
+    /// solver degradations count as failures against the breaker of the
+    /// arm that served, demoting service `Ilp → Relaxed → Heuristic`;
+    /// each breaker probes its arm again after a cool-down, restoring
+    /// the higher arm on a successful probe.
+    fn place_batch_on(
+        &mut self,
+        state: &ClusterState,
+        requests: &[LraRequest],
+        deployed: &[PlacementConstraint],
+        allowed: Option<&[NodeId]>,
+    ) -> Vec<PlacementOutcome> {
+        let Placer {
+            lra,
+            ladder,
+            stall_cycles_remaining,
+            ..
+        } = &mut self.placer;
+        if lra.algorithm != LraAlgorithm::Ilp {
+            return lra.place_on(state, requests, deployed, allowed);
+        }
+        let opened_before = ladder.ilp_breaker().opened_total();
+        let closed_before = ladder.ilp_breaker().closed_total();
+        let relax_opened_before = ladder.relaxed_breaker().opened_total();
+        let relax_closed_before = ladder.relaxed_breaker().closed_total();
+        let arm = ladder.select(lra.ilp.mode);
+        let outcomes = if *stall_cycles_remaining > 0 {
+            // An injected stall fails whichever solver arm would have
+            // served and the batch is carried by the heuristic.
+            *stall_cycles_remaining -= 1;
+            ladder.on_outcome(arm, false);
+            lra.place_degraded_on(state, requests, deployed, allowed)
+        } else {
+            let (outcomes, status) =
+                lra.place_with_mode_on(state, requests, deployed, allowed, arm);
+            ladder.on_outcome(arm, status == IlpSolveStatus::Solved);
+            outcomes
+        };
+        if let Some(m) = &self.metrics {
+            m.breaker_opened
+                .add(ladder.ilp_breaker().opened_total() - opened_before);
+            m.breaker_closed
+                .add(ladder.ilp_breaker().closed_total() - closed_before);
+            m.breaker_state.set(ladder.ilp_breaker().state_code());
+            m.relax_breaker_opened
+                .add(ladder.relaxed_breaker().opened_total() - relax_opened_before);
+            m.relax_breaker_closed
+                .add(ladder.relaxed_breaker().closed_total() - relax_closed_before);
+            m.relax_breaker_state
+                .set(ladder.relaxed_breaker().state_code());
+            m.placer_mode.set(arm.code());
+        }
+        outcomes
+    }
+
+    /// Allocates every container of `request` on its proposed node, or
+    /// none: the first failure rolls the earlier ones back.
+    fn allocate_all(
+        state: &mut ClusterState,
+        request: &LraRequest,
+        nodes: &[NodeId],
+    ) -> Option<Vec<ContainerId>> {
+        let mut ids = Vec::with_capacity(nodes.len());
+        for (c, &n) in request.containers.iter().zip(nodes) {
+            match state.allocate(request.app, n, c, ExecutionKind::LongRunning) {
+                Ok(id) => ids.push(id),
+                Err(_) => {
+                    for id in ids {
+                        let _ = state.release(id);
+                    }
+                    return None;
+                }
+            }
+        }
+        Some(ids)
+    }
+
+    /// Commits a placement against the live state with commit-time
+    /// re-validation; on any failure all of the LRA's containers are
+    /// rolled back (§5.4 conflict handling) and `None` is returned.
+    /// Failure modes:
+    ///
+    /// - allocation fails — capacity consumed by task containers or the
+    ///   node crashed (went unavailable) while the solve was in flight;
+    /// - γ-cardinality drift — the placement's violated-check count on
+    ///   live state exceeds the propose-time baseline, i.e. concurrent
+    ///   mutations made the proposal worse than what the solver chose.
+    fn commit_validated(
+        &mut self,
+        request: &LraRequest,
+        nodes: &[NodeId],
+        baseline: Option<usize>,
+        deployed: &[PlacementConstraint],
+    ) -> Option<Vec<ContainerId>> {
+        let ids = Self::allocate_all(&mut self.state, request, nodes)?;
+        if let Some(base) = baseline {
+            let live = Self::violated_checks(&self.state, &request.constraints, deployed, &ids);
+            if live > base {
+                for id in ids {
+                    let _ = self.state.release(id);
+                }
+                return None;
+            }
+        }
+        Some(ids)
+    }
+
+    /// Requeues an LRA after a conflict or failed placement, dropping it
+    /// once the attempt budget is exhausted. Recovery requests back off
+    /// exponentially between attempts and, when exhausted, are recorded
+    /// as explicitly unplaceable (their app keeps its constraints — it is
+    /// still partially deployed) rather than silently dropped.
+    pub(super) fn resubmit(&mut self, mut pending: PendingLra, now: u64) {
+        pending.attempts += 1;
+        if pending.is_recovery {
+            if pending.attempts >= self.recovery.max_attempts {
+                let n = pending.request.num_containers();
+                self.ledger.unplaceable(pending.request.app, n);
+                if let Some(m) = &self.metrics {
+                    m.recovery_exhausted.add(n as u64);
+                }
+            } else {
+                pending.not_before = now + self.recovery.backoff(pending.attempts);
+                self.pending.push_back(pending);
+            }
+            return;
+        }
+        if pending.attempts >= self.max_attempts {
+            if pending.is_lifecycle {
+                // A reconciler delta that cannot place evaporates
+                // without dropping the app: the app is still deployed
+                // and managed, its constraints stay registered, and the
+                // reconciler re-emits the delta while the spec is
+                // unmet. Desired-state convergence retries forever;
+                // only the per-entry attempt budget resets.
+                return;
+            }
+            self.stats.lras_dropped += 1;
+            self.dropped_log.push(pending.request.app);
+            if let Some(m) = &self.metrics {
+                m.lras_dropped.inc();
+            }
+            self.constraint_manager.remove_app(pending.request.app);
+        } else {
+            self.pending.push_back(pending);
+        }
+    }
+}

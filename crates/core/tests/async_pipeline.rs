@@ -47,7 +47,7 @@ fn propose_commit_same_tick_equals_tick() {
     let mut via_tick = mk();
     let t = via_tick.tick(0);
     let mut via_phases = mk();
-    let solve = via_phases.propose(0).expect("batch must propose");
+    let solve = via_phases.propose_all(0).pop().expect("batch must propose");
     let p = via_phases.commit(0, solve);
     assert_eq!(t.len(), p.len());
     for (a, b) in t.iter().zip(&p) {
@@ -66,12 +66,12 @@ fn single_solve_in_flight() {
     );
     m.submit_lra(lra(1, 1, 1024, "a"), 0).unwrap();
     m.submit_lra(lra(2, 1, 1024, "b"), 0).unwrap();
-    let solve = m.propose(0).expect("first propose runs");
+    let solve = m.propose_all(0).pop().expect("first propose runs");
     assert!(m.solve_inflight());
     // A second propose is refused while one is in flight, even past the
     // interval, and does not consume a cycle.
     m.submit_lra(lra(3, 1, 1024, "c"), 5).unwrap();
-    assert!(m.propose(20).is_none());
+    assert!(m.propose_all(20).is_empty());
     assert_eq!(m.stats().cycles, 1);
     let deployed = m.commit(7, solve);
     assert_eq!(deployed.len(), 2);
@@ -93,7 +93,7 @@ fn task_capacity_consumed_mid_solve_conflicts_exactly_the_victim() {
     );
     m.submit_lra(lra(1, 1, 4096, "a"), 0).unwrap();
     m.submit_lra(lra(2, 1, 4096, "b"), 0).unwrap();
-    let solve = m.propose(0).expect("batch proposes");
+    let solve = m.propose_all(0).pop().expect("batch proposes");
     let placements = solve.placements();
     assert_eq!(placements.len(), 2);
     let (victim_app, victim_node) = (placements[0].0, placements[0].1[0]);
@@ -155,7 +155,7 @@ fn node_crash_mid_solve_invalidates_and_recovery_accounting_holds() {
     assert_eq!(m.tick(0).len(), 1);
 
     m.submit_lra(lra(2, 1, 1024, "v"), 5).unwrap();
-    let solve = m.propose(10).expect("app2 proposes");
+    let solve = m.propose_all(10).pop().expect("app2 proposes");
     let victim = solve.placements()[0].1[0];
 
     let report = m.node_lost(victim, 12);
@@ -175,7 +175,10 @@ fn node_crash_mid_solve_invalidates_and_recovery_accounting_holds() {
 
     // The recovery batch itself goes through the pipeline: while it is
     // in flight its containers still count as pending.
-    let solve2 = m.propose(20).expect("recovery + resubmission propose");
+    let solve2 = m
+        .propose_all(20)
+        .pop()
+        .expect("recovery + resubmission propose");
     let r = m.recovery_report();
     assert_eq!(r.containers_pending, 1, "in-flight recovery is pending");
     assert!(r.accounted());
@@ -215,7 +218,7 @@ fn gamma_cardinality_drift_mid_solve_conflicts() {
         0,
     )
     .unwrap();
-    let solve = m.propose(0).expect("proposes");
+    let solve = m.propose_all(0).pop().expect("proposes");
     let chosen = solve.placements()[0].1[0];
 
     m.state_mut()
@@ -250,7 +253,7 @@ fn unrelated_mutations_do_not_conflict() {
         10,
     );
     m.submit_lra(lra(1, 2, 1024, "a"), 0).unwrap();
-    let solve = m.propose(0).expect("proposes");
+    let solve = m.propose_all(0).pop().expect("proposes");
     // Plenty of headroom: small task containers on every node.
     for n in m.state().node_ids().collect::<Vec<_>>() {
         m.state_mut()
@@ -272,7 +275,7 @@ fn pipeline_metrics_flow() {
     )
     .with_metrics(Arc::clone(&registry));
     m.submit_lra(lra(1, 1, 4096, "a"), 0).unwrap();
-    let solve = m.propose(0).unwrap();
+    let solve = m.propose_all(0).pop().unwrap();
     assert_eq!(registry.snapshot().gauge("core.solve_inflight"), Some(1));
     let chosen = solve.placements()[0].1[0];
     m.state_mut()

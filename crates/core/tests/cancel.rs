@@ -6,7 +6,13 @@
 //! intact when recovery entries are abandoned mid-pipeline.
 
 use medea_cluster::{ApplicationId, ClusterState, NodeId, Resources, Tag};
-use medea_core::{LraAlgorithm, LraRequest, MedeaScheduler, NodeReport, RecoveryReport};
+use medea_core::{
+    InflightSolve, LraAlgorithm, LraRequest, MedeaScheduler, NodeReport, RecoveryConfig,
+    RecoveryReport,
+};
+use medea_journal::{MemoryStorage, Wal};
+use medea_rand::rngs::StdRng;
+use medea_rand::{RngExt, SeedableRng};
 
 fn cluster(nodes: usize) -> ClusterState {
     ClusterState::homogeneous(nodes, Resources::new(8192, 8), 2)
@@ -77,7 +83,7 @@ fn cancel_in_flight_entry_is_skipped_at_commit() {
     let mut m = MedeaScheduler::new(cluster(4), LraAlgorithm::NodeCandidates, 1);
     m.submit_lra(lra(1, 2, 1024, "doomed"), 0).unwrap();
     m.submit_lra(lra(2, 1, 1024, "other"), 0).unwrap();
-    let solve = m.propose(0).expect("solve should start");
+    let solve = m.propose_all(0).pop().expect("solve should start");
 
     // Release lands mid-solve (the async placement cancel): the app's
     // entry must be dead on arrival at commit.
@@ -98,7 +104,7 @@ fn cancelled_app_is_absent_from_queued_lras() {
     let mut m = MedeaScheduler::new(cluster(4), LraAlgorithm::NodeCandidates, 1);
     m.submit_lra(lra(1, 1, 1024, "a"), 0).unwrap();
     m.submit_lra(lra(2, 1, 1024, "b"), 0).unwrap();
-    let solve = m.propose(0).expect("solve should start");
+    let solve = m.propose_all(0).pop().expect("solve should start");
     m.cancel_lra(ApplicationId(1));
     let queued: Vec<_> = m.queued_lras().iter().map(|q| q.app).collect();
     assert_eq!(queued, vec![ApplicationId(2)]);
@@ -169,7 +175,7 @@ fn cancel_recovery_in_flight_then_commit_keeps_ledger() {
     assert!(lost > 0);
 
     // Recovery entries enter a solve, then the app is released.
-    let solve = m.propose(1).expect("recovery solve");
+    let solve = m.propose_all(1).pop().expect("recovery solve");
     m.cancel_lra(ApplicationId(1));
     assert!(ledger_intact(&m.recovery_report()));
     let deployed = m.commit(1, solve);
@@ -187,7 +193,7 @@ fn restart_drops_cancelled_inflight_entries() {
     let mut m = MedeaScheduler::new(cluster(4), LraAlgorithm::NodeCandidates, 10);
     m.submit_lra(lra(1, 2, 1024, "doomed"), 0).unwrap();
     m.submit_lra(lra(2, 1, 1024, "other"), 0).unwrap();
-    let solve = m.propose(0).expect("solve should start");
+    let solve = m.propose_all(0).pop().expect("solve should start");
     m.cancel_lra(ApplicationId(1));
 
     let report = m.restart(5, &faithful_reports(&m)).unwrap();
@@ -301,6 +307,93 @@ fn ledger_survives_interleaved_cancel_scale_down_and_node_crash() {
     let r = m.recovery_report();
     assert!(ledger_intact(&r), "steady state: {r:?}");
     assert_eq!(r.containers_pending, 0, "no orphaned recovery work");
+}
+
+/// The hand-picked orders above each pin one interleaving; this drives
+/// seeded random ones. Every public operation that moves a recovery
+/// container between ledger buckets — or moves the entries holding them
+/// between the queue, an in-flight solve and the cluster — is drawn at
+/// random, solves are committed in order, late, after a restart, or
+/// never, and `lost = replaced + unplaceable + pending` must hold after
+/// **every** step.
+#[test]
+fn ledger_balances_after_every_step_of_seeded_interleavings() {
+    const NODES: u32 = 6;
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(0x1ED6_E200 ^ seed);
+        let mut m = MedeaScheduler::new(cluster(NODES as usize), LraAlgorithm::NodeCandidates, 2);
+        // Small budgets so exhaustion (unplaceable, dropped) is reached.
+        m.max_attempts = 3;
+        m.recovery = RecoveryConfig {
+            max_attempts: 3,
+            base_backoff: 1,
+            max_backoff: 4,
+            ..RecoveryConfig::default()
+        };
+        if seed % 2 == 1 {
+            m.attach_journal(Wal::new(MemoryStorage::new()), 0).unwrap();
+        }
+        let mut held: Vec<InflightSolve> = Vec::new();
+        let mut apps = 0u64;
+        let mut now = 0u64;
+        for step in 0..200 {
+            now += rng.random_range(0..3u64);
+            let op = rng.random_range(0..11u32);
+            match op {
+                0 | 1 => {
+                    apps += 1;
+                    let count = rng.random_range(1..4usize);
+                    let mem = rng.random_range(1..4u64) * 1024;
+                    m.submit_lra(lra(apps, count, mem, "svc"), now).unwrap();
+                }
+                2 => {
+                    m.node_lost(NodeId(rng.random_range(0..NODES)), now);
+                }
+                3 => m.node_recovered(NodeId(rng.random_range(0..NODES))),
+                4 => {
+                    m.cancel_lra(ApplicationId(rng.random_range(0..apps + 1)));
+                }
+                5 => {
+                    // Scale up or down; adopts a deployed unmanaged app.
+                    let app = ApplicationId(rng.random_range(0..apps + 1));
+                    m.set_replicas(app, rng.random_range(0..6usize));
+                }
+                6 => held.extend(m.propose_all(now)),
+                7 if !held.is_empty() => {
+                    m.commit(now, held.remove(0));
+                }
+                8 if !held.is_empty() => {
+                    // Out of order, or dropped: never committed.
+                    let solve = held.swap_remove(rng.random_range(0..held.len()));
+                    if rng.random_range(0..2u32) == 0 {
+                        m.commit(now, solve);
+                    }
+                }
+                9 => {
+                    // Solves still held are now from a dead incarnation;
+                    // committing them later must change nothing.
+                    m.restart(now, &faithful_reports(&m)).unwrap();
+                }
+                _ => {
+                    m.tick(now);
+                }
+            }
+            let r = m.recovery_report();
+            assert!(ledger_intact(&r), "seed {seed} step {step} op {op}: {r:?}");
+        }
+        // Whatever was never committed died with the last incarnation.
+        drop(held);
+        m.restart(now, &faithful_reports(&m)).unwrap();
+        for node in 0..NODES {
+            m.node_recovered(NodeId(node));
+        }
+        m.run_to_drain(now, 256);
+        assert!(!m.solve_inflight(), "seed {seed}: in-flight entry left");
+        assert!(m.queued_lras().iter().all(|q| !q.in_flight), "seed {seed}");
+        let r = m.recovery_report();
+        assert!(ledger_intact(&r), "seed {seed} after drain: {r:?}");
+        assert_eq!(m.audit(), Ok(()), "seed {seed}");
+    }
 }
 
 // Keep NodeId referenced so the import list mirrors the sibling suites

@@ -9,7 +9,9 @@ use medea_core::{
     container_version, AppSpec, LifecyclePhase, LraAlgorithm, LraRequest, MedeaScheduler,
     NodeReport, TaskJobRequest,
 };
-use medea_journal::{MemoryStorage, Wal};
+use medea_journal::{JournalError, JournalStorage, MemoryStorage, Wal};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn cluster() -> ClusterState {
     ClusterState::homogeneous(4, Resources::new(8192, 8), 2)
@@ -47,7 +49,7 @@ fn restart_requeues_inflight_solves_and_refuses_stale_commits() {
     let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::Serial, 10);
     m.submit_lra(lra(1, 2, 1024, "a"), 0).unwrap();
     m.submit_lra(lra(2, 1, 1024, "b"), 0).unwrap();
-    let solve = m.propose(0).expect("solve should start");
+    let solve = m.propose_all(0).pop().expect("solve should start");
     assert!(m.solve_inflight());
 
     let report = m.restart(5, &faithful_reports(&m)).unwrap();
@@ -212,7 +214,7 @@ fn recovery_invariant_survives_restart_mid_solve() {
     let lost = m.node_lost(victim_node, 5).lra_containers_lost;
     assert!(lost > 0);
 
-    let solve = m.propose(10).expect("recovery batch solves");
+    let solve = m.propose_all(10).pop().expect("recovery batch solves");
     assert!(m.recovery_report().accounted(), "pending counts in-flight");
     let report = m.restart(12, &faithful_reports(&m)).unwrap();
     assert_eq!(report.inflight_lras_requeued, 1);
@@ -349,4 +351,64 @@ fn explicit_checkpoint_truncates_tail_to_zero() {
     let report = m.restart(2, &faithful_reports(&m)).unwrap();
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(m.state().num_containers(), 3);
+}
+
+/// Journal storage that counts how often each half of the journal is
+/// read back.
+struct CountingStorage {
+    inner: MemoryStorage,
+    log_reads: Arc<AtomicUsize>,
+    checkpoint_reads: Arc<AtomicUsize>,
+}
+
+impl JournalStorage for CountingStorage {
+    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
+        self.inner.append_line(line)
+    }
+    fn read_log(&self) -> Result<Vec<String>, JournalError> {
+        self.log_reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_log()
+    }
+    fn write_checkpoint(&mut self, body: &str) -> Result<(), JournalError> {
+        self.inner.write_checkpoint(body)
+    }
+    fn read_checkpoint(&self) -> Result<Option<String>, JournalError> {
+        self.checkpoint_reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_checkpoint()
+    }
+    fn truncate_log(&mut self) -> Result<(), JournalError> {
+        self.inner.truncate_log()
+    }
+}
+
+#[test]
+fn restart_reads_the_journal_once() {
+    let log_reads = Arc::new(AtomicUsize::new(0));
+    let checkpoint_reads = Arc::new(AtomicUsize::new(0));
+    let storage = CountingStorage {
+        inner: MemoryStorage::new(),
+        log_reads: Arc::clone(&log_reads),
+        checkpoint_reads: Arc::clone(&checkpoint_reads),
+    };
+    let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::NodeCandidates, 10);
+    m.attach_journal(Wal::new(storage), 0).unwrap();
+    m.submit_managed_lra(
+        ApplicationId(1),
+        ContainerRequest::new(Resources::new(1024, 1), [Tag::new("svc")]),
+        vec![],
+        AppSpec::replicas(3),
+    )
+    .unwrap();
+    assert_eq!(m.tick(0).len(), 1);
+    let before = m.state().digest();
+
+    for k in 1..=2 {
+        let report = m.restart(5 + k, &faithful_reports(&m)).unwrap();
+        assert!(report.restored_from_journal);
+        assert_eq!(m.state().digest(), before);
+        // Specs and cluster state both come out of the same load.
+        assert_eq!(m.lifecycles().len(), 1);
+        assert_eq!(log_reads.load(Ordering::Relaxed), k as usize);
+        assert_eq!(checkpoint_reads.load(Ordering::Relaxed), k as usize);
+    }
 }

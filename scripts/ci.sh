@@ -1,81 +1,48 @@
 #!/usr/bin/env bash
 # CI gate for the workspace. Everything runs offline: the workspace has
 # no external crates, so any registry access is a regression this script
-# must catch.
+# must catch. Every test binary runs once per profile (debug keeps
+# overflow checks and `debug_assert!`, release is what ships); each step
+# prints its wall time and the gate prints the total, so CI cost is
+# itself a tracked number.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
-cargo fmt --all -- --check
+gate_start=$SECONDS
+step() {
+    local title=$1 start=$SECONDS
+    shift
+    echo "==> $title"
+    "$@"
+    echo "<== $title: $((SECONDS - start))s"
+}
 
-echo "==> cargo clippy (warnings denied)"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+bench_smoke() {
+    cargo run --release --offline -p medea-bench --bin "$1" -- --smoke
+}
 
-echo "==> cargo build --release --offline (all targets)"
-cargo build --release --offline --workspace --benches --tests
+step "cargo fmt --check" cargo fmt --all -- --check
+step "cargo clippy (warnings denied)" \
+    cargo clippy --workspace --all-targets --offline -- -D warnings
+step "cargo build --release --offline (all targets)" \
+    cargo build --release --offline --workspace --benches --tests
+step "cargo test (debug)" cargo test --offline --workspace -q
+step "cargo test (release)" cargo test --release --offline --workspace -q
 
-echo "==> cargo test (debug)"
-cargo test --offline --workspace -q
+# The benchmark package has its own manifest and lock file; building and
+# testing it here makes an API break against it fail CI, not the pipeline.
+step "benchmark package build (--locked)" \
+    cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+step "benchmark package tests (--locked)" \
+    cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo test (release)"
-cargo test --release --offline --workspace -q
+# Each smoke run rewrites its BENCH_*.json in smoke mode and exits
+# nonzero when its own gate fails (serve: protocol errors or dropped
+# responses; lifecycle: hard violations, budget overruns, broken ledger).
+for bench in solver scale pipeline recovery serve lifecycle; do
+    step "$bench benchmark smoke (writes BENCH_$bench.json, mode=smoke)" \
+        bench_smoke "${bench}_bench"
+done
+step "chaos smoke (fixed-seed fault injection + recovery)" bench_smoke fig8_resilience
 
-echo "==> solver correctness gate (differential + certificates + metamorphic + round-trip)"
-# Named explicitly so a regression in any of these suites fails the gate
-# with an unambiguous step, even though the workspace runs also cover them.
-cargo test --release --offline -p medea-core -q --test differential
-cargo test --release --offline -p medea-solver -q --test certificates --test metamorphic
-cargo test --release --offline -p medea-constraints -q --test prop_constraints
-
-echo "==> index correctness gate (index-vs-scan differential + chaos interplay)"
-cargo test --release --offline -p medea-cluster -q --test index_differential
-cargo test --release --offline -p medea-sim -q --test chaos_index
-
-echo "==> async pipeline gate (async-vs-sync differential + commit conflicts + chaos)"
-cargo test --release --offline -p medea-sim -q --test async_vs_sync
-cargo test --release --offline -p medea-core -q --test async_pipeline
-cargo test --release --offline -p medea-sim -q --test chaos
-
-echo "==> sharded solving gate (sharded-vs-unsharded differential + cross-shard conflicts)"
-cargo test --release --offline -p medea-core -q --test shard_differential
-cargo test --release --offline -p medea-core -q --test shard_conflicts
-
-echo "==> failover gate (journal round-trips + work-preserving restart + crash differential + determinism)"
-cargo test --release --offline -p medea-cluster -q --test checkpoint_restore
-cargo test --release --offline -p medea-core -q --test restart
-cargo test --release --offline -p medea-sim -q --test failover --test determinism
-
-echo "==> lifecycle gate (reconciler ledger + restart-mid-upgrade + 32-seed lifecycle determinism)"
-cargo test --release --offline -p medea-core -q --test cancel --test restart
-cargo test --release --offline -p medea-sim -q --test determinism
-
-echo "==> server gate (wire protocol + admission/backpressure + concurrency + drain/restart)"
-cargo test --release --offline -p medea-server -q
-cargo test --release --offline -p medea-server -q --test protocol --test admission
-cargo test --release --offline -p medea-server -q --test concurrent --test drain_restart
-
-echo "==> relaxed placer gate (rounding soundness + three-arm differential)"
-cargo test --release --offline -p medea-core -q --test relaxed_rounding --test placer_differential
-
-echo "==> solver benchmark smoke (writes BENCH_solver.json, mode=smoke)"
-cargo run --release --offline -p medea-bench --bin solver_bench -- --smoke
-
-echo "==> cluster-scale benchmark smoke (writes BENCH_scale.json, mode=smoke)"
-cargo run --release --offline -p medea-bench --bin scale_bench -- --smoke
-
-echo "==> pipeline benchmark smoke (writes BENCH_pipeline.json, mode=smoke)"
-cargo run --release --offline -p medea-bench --bin pipeline_bench -- --smoke
-
-echo "==> recovery benchmark smoke (writes BENCH_recovery.json, mode=smoke)"
-cargo run --release --offline -p medea-bench --bin recovery_bench -- --smoke
-
-echo "==> serving benchmark smoke (writes BENCH_serve.json, mode=smoke; asserts zero protocol errors and zero dropped responses)"
-cargo run --release --offline -p medea-bench --bin serve_bench -- --smoke
-
-echo "==> lifecycle benchmark smoke (writes BENCH_lifecycle.json, mode=smoke; asserts zero hard violations, zero budget overruns, ledger intact, util >= place-once baseline)"
-cargo run --release --offline -p medea-bench --bin lifecycle_bench -- --smoke
-
-echo "==> chaos smoke (fixed-seed fault injection + recovery)"
-cargo run --release --offline -p medea-bench --bin fig8_resilience -- --smoke
-
-echo "CI gate passed."
+echo "CI gate passed in $((SECONDS - gate_start))s."
