@@ -298,9 +298,10 @@ impl MedeaScheduler {
         // and baseline bookkeeping is undone per sub-batch.
         let mut snapshot = self.state.snapshot();
 
-        let plan = Some(self.placer.shard)
-            .filter(ShardConfig::enabled)
-            .map(|c| ShardPlan::build(self.state.groups(), c.target_shards))
+        let shard = self.placer.shard;
+        let plan = shard
+            .enabled()
+            .then(|| ShardPlan::build(self.state.groups(), shard.target_shards))
             .filter(|plan| plan.num_shards() > 1);
         let jobs = match &plan {
             Some(plan) => self.route_batch(plan, batch),
