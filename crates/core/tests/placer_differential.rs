@@ -399,3 +399,50 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
         "only {clean_relaxed_runs} clean relaxed runs — rounding never succeeds outright?"
     );
 }
+
+/// Every way of asking the LRA scheduler for a placement: each
+/// `LraAlgorithm`, and `LraAlgorithm::Ilp` under each `PlacerMode`.
+fn dispatch_table() -> Vec<(LraAlgorithm, PlacerMode)> {
+    let mut table: Vec<(LraAlgorithm, PlacerMode)> = LraAlgorithm::ALL
+        .into_iter()
+        .map(|alg| (alg, PlacerMode::Ilp))
+        .collect();
+    table.push((LraAlgorithm::Ilp, PlacerMode::Relaxed));
+    table.push((LraAlgorithm::Ilp, PlacerMode::Heuristic));
+    table
+}
+
+/// A fresh scheduler per solve, so every basis cache is cold.
+fn fresh(alg: LraAlgorithm, mode: PlacerMode) -> LraScheduler {
+    let mut scheduler = LraScheduler::new(alg);
+    scheduler.ilp.mode = mode;
+    scheduler
+}
+
+/// The whole-cluster call, the unrestricted full-detail call and the
+/// full-detail call restricted to *all* nodes (ascending) are one
+/// placement: same outcomes, exactly, for every configured arm.
+#[test]
+fn entry_points_agree_for_every_arm() {
+    for seed in 0..SEEDS {
+        let Instance { state, requests } = random_instance(seed);
+        let all_nodes: Vec<NodeId> = state.node_ids().collect();
+        for (alg, mode) in dispatch_table() {
+            let whole = fresh(alg, mode).place(&state, &requests, &[]);
+            let unrestricted = fresh(alg, mode).place_on(&state, &requests, &[], None);
+            let restricted = fresh(alg, mode).place_on(&state, &requests, &[], Some(&all_nodes));
+            assert_eq!(
+                whole,
+                unrestricted,
+                "seed {seed} {alg}/{}: place != place_on(None)",
+                mode.name()
+            );
+            assert_eq!(
+                restricted,
+                unrestricted,
+                "seed {seed} {alg}/{}: place_on(all nodes) != place_on(None)",
+                mode.name()
+            );
+        }
+    }
+}
