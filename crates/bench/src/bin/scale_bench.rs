@@ -130,7 +130,7 @@ fn census_cluster(n: usize) -> (ClusterState, Vec<PlacementConstraint>) {
 /// 6-per-node cardinality cap) with the NodeCandidates heuristic.
 fn scale_round(state: &ClusterState, deployed: &[PlacementConstraint], app: u64) {
     let reqs = vec![medea_sim::apps::hbase_like(ApplicationId(app), 8, 6)];
-    let out = HeuristicScheduler::new(Ordering::NodeCandidates).place(state, &reqs, deployed);
+    let out = HeuristicScheduler::new(Ordering::NodeCandidates).place(state, &reqs, deployed, None);
     assert!(
         out.iter().all(|o| o.placement().is_some()),
         "bench round must place its batch"

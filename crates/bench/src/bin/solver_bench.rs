@@ -50,8 +50,7 @@ use medea_cluster::{
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
-    place_with_ilp, place_with_ilp_status_on, place_with_relaxed_report_on, HeuristicScheduler,
-    IlpConfig, LraRequest, Ordering, PlacementOutcome, PlacerMode,
+    IlpBasisCache, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, PlacementOutcome, PlacerMode,
 };
 use medea_solver::{Milp, Simplex, SolveEvent, SolveInstrumentation};
 
@@ -144,13 +143,18 @@ fn dense_baseline(name: &str) -> Option<u64> {
 
 /// A Fig. 9a-shaped scheduling round: a batch of HBase-like instances
 /// (8 workers, 6-per-node cardinality cap) against a fixed cluster.
-fn ilp_round(state: &ClusterState, cfg: &IlpConfig, first_app: u64) {
+fn ilp_round(
+    state: &ClusterState,
+    scheduler: &LraScheduler,
+    cache: Option<&IlpBasisCache>,
+    first_app: u64,
+) {
     let reqs: Vec<_> = (0..2)
         .map(|i| medea_sim::apps::hbase_like(ApplicationId(first_app + i), 8, 6))
         .collect();
-    let out = place_with_ilp(state, &reqs, &[], cfg);
+    let out = scheduler.place_on(state, &reqs, &[], None, None, cache);
     assert!(
-        out.iter().all(|o| o.placement().is_some()),
+        out.outcomes.iter().all(|o| o.placement().is_some()),
         "bench round must place its batch"
     );
 }
@@ -269,7 +273,7 @@ fn run_round(
     arm: PlacerMode,
     state: &ClusterState,
     requests: &[LraRequest],
-    cfg: &IlpConfig,
+    scheduler: &LraScheduler,
 ) -> (Vec<PlacementOutcome>, Option<f64>) {
     let chunks: Vec<&[LraRequest]> = requests.chunks(FRONTIER_CHUNK_LRAS).collect();
     let parts = frontier_partitions(state.node_ids().count(), chunks.len());
@@ -278,20 +282,9 @@ fn run_round(
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut gaps = Vec::new();
     for (chunk, part) in chunks.iter().zip(&parts) {
-        let outs =
-            match arm {
-                PlacerMode::Ilp => {
-                    place_with_ilp_status_on(&work, chunk, &deployed, cfg, Some(part)).0
-                }
-                PlacerMode::Relaxed => {
-                    let (outs, _, report) =
-                        place_with_relaxed_report_on(&work, chunk, &deployed, cfg, Some(part));
-                    gaps.extend(report.relative_gap());
-                    outs
-                }
-                PlacerMode::Heuristic => HeuristicScheduler::new(Ordering::NodeCandidates)
-                    .place_on(&work, chunk, &deployed, Some(part)),
-            };
+        let placed = scheduler.place_on(&work, chunk, &deployed, Some(part), Some(arm), None);
+        gaps.extend(placed.relax.and_then(|report| report.relative_gap()));
+        let outs = placed.outcomes;
         for (r, out) in chunk.iter().zip(&outs) {
             if let Some(pl) = out.placement() {
                 for (c, &n) in r.containers.iter().zip(&pl.nodes) {
@@ -320,7 +313,8 @@ fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
         let (warmup, iters) = if containers >= 64 { (0, 1) } else { (1, 3) };
         let mut medians = std::collections::BTreeMap::new();
         for arm in [PlacerMode::Ilp, PlacerMode::Relaxed, PlacerMode::Heuristic] {
-            let cfg = IlpConfig {
+            let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+            scheduler.ilp = IlpConfig {
                 mode: arm,
                 gap: 1e-6,
                 // Per-chunk deadline. The exact arm burns it chunk after
@@ -330,12 +324,11 @@ fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
                 // handful of LRAs.
                 time_limit: Duration::from_secs(2),
                 node_limit: 50_000_000,
-                warm_cache: None,
                 ..IlpConfig::default()
             };
             let mut last: Option<(Vec<PlacementOutcome>, Option<f64>)> = None;
             let mut samples = time_solves(warmup, iters, || {
-                last = Some(run_round(arm, &state, &requests, &cfg));
+                last = Some(run_round(arm, &state, &requests, &scheduler));
             });
             samples.sort_unstable();
             let (outcomes, gap) = last.expect("at least one iteration ran");
@@ -489,17 +482,11 @@ fn main() {
     let state = ClusterState::homogeneous(30, Resources::new(16 * 1024, 16), 3);
     for warm in [false, true] {
         let name = format!("ilp_round/fig9_{}", if warm { "warm" } else { "cold" });
-        let cfg = IlpConfig {
-            warm_cache: if warm {
-                IlpConfig::default().warm_cache
-            } else {
-                None
-            },
-            ..IlpConfig::default()
-        };
+        let scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+        let cache = warm.then(IlpBasisCache::default);
         let mut app = 1u64;
         let samples = time_solves(1, rounds, || {
-            ilp_round(&state, &cfg, app);
+            ilp_round(&state, &scheduler, cache.as_ref(), app);
             app += 100;
         });
         results.push(summarize(&name, samples, &Tally::default(), None));

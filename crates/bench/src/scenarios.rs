@@ -70,7 +70,7 @@ pub fn deploy_lras_with_metrics(
     registry: &Arc<MetricsRegistry>,
 ) -> DeployResult {
     let mut scheduler = LraScheduler::new(algorithm);
-    scheduler.ilp.metrics = Some(Arc::clone(registry));
+    scheduler.set_metrics(registry);
     deploy_with(cluster, scheduler, requests, batch_size, Some(registry))
 }
 

@@ -61,25 +61,16 @@ impl HeuristicScheduler {
     /// within a scheduling interval (unlike J-Kube): ordering is computed
     /// across the whole batch, and the working copy accumulates tentative
     /// placements so later decisions see earlier ones.
-    pub fn place(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-    ) -> Vec<PlacementOutcome> {
-        self.place_on(state, requests, deployed_constraints, None)
-    }
-
-    /// Like [`HeuristicScheduler::place`], but restricted to an allowed
-    /// node list (a shard's nodes). Scoring still sees the full cluster
-    /// state — `γ` counts over groups remain globally correct — only the
-    /// candidate hosts are restricted. `None` means all nodes.
+    ///
+    /// `allowed` restricts candidate hosts to a node list (a shard's
+    /// nodes); `None` means all nodes. Scoring still sees the full cluster
+    /// state — `γ` counts over groups remain globally correct.
     ///
     /// Callers must pass `allowed` in ascending node-id order: the greedy
     /// scan breaks score ties by keeping the first maximum, so scan order
     /// is part of the placement contract (sharded runs reproduce
     /// unsharded tie-breaks only because both scan ascending ids).
-    pub fn place_on(
+    pub fn place(
         &self,
         state: &ClusterState,
         requests: &[LraRequest],
@@ -318,7 +309,7 @@ mod tests {
                 vec![Tag::new("x")],
                 vec![],
             );
-            let out = HeuristicScheduler::new(ordering).place(&state, &[req], &[]);
+            let out = HeuristicScheduler::new(ordering).place(&state, &[req], &[], None);
             assert!(out[0].placement().is_some(), "{ordering:?} failed to place");
         }
     }
@@ -338,6 +329,7 @@ mod tests {
             &state,
             std::slice::from_ref(&req),
             &[],
+            None,
         );
         let mut st = cluster(6, 2);
         commit(&mut st, &[req], &out);
@@ -357,7 +349,7 @@ mod tests {
             vec![Tag::new("big")],
             vec![],
         );
-        let out = HeuristicScheduler::new(Ordering::Submission).place(&state, &[req], &[]);
+        let out = HeuristicScheduler::new(Ordering::Submission).place(&state, &[req], &[], None);
         assert!(matches!(out[0], PlacementOutcome::Unplaced { .. }));
     }
 
@@ -394,7 +386,7 @@ mod tests {
             vec![caf.clone()],
         );
         let reqs = [producer, consumer];
-        let out = HeuristicScheduler::new(Ordering::TagPopularity).place(&state, &reqs, &[]);
+        let out = HeuristicScheduler::new(Ordering::TagPopularity).place(&state, &reqs, &[], None);
         let mut st = cluster(6, 3);
         commit(&mut st, &reqs, &out);
         let stats = violation_stats(&st, [&caf]);
@@ -439,8 +431,12 @@ mod tests {
             Ordering::TagPopularity,
             Ordering::NodeCandidates,
         ] {
-            let out =
-                HeuristicScheduler::new(ordering).place(&state, std::slice::from_ref(&req), &[]);
+            let out = HeuristicScheduler::new(ordering).place(
+                &state,
+                std::slice::from_ref(&req),
+                &[],
+                None,
+            );
             let pl = out[0].placement().unwrap();
             assert_eq!(pl.nodes, vec![NodeId(1)], "{ordering:?}");
         }
@@ -457,7 +453,7 @@ mod tests {
             vec![],
         );
         let allowed = [NodeId(2), NodeId(3)];
-        let out = HeuristicScheduler::new(Ordering::Submission).place_on(
+        let out = HeuristicScheduler::new(Ordering::Submission).place(
             &state,
             &[req],
             &[],
@@ -486,7 +482,8 @@ mod tests {
             vec![Tag::new("noisy")],
             vec![],
         );
-        let out = HeuristicScheduler::new(Ordering::Submission).place(&state, &[req], &[deployed]);
+        let out =
+            HeuristicScheduler::new(Ordering::Submission).place(&state, &[req], &[deployed], None);
         let pl = out[0].placement().unwrap();
         assert!(pl.nodes.iter().all(|&n| n != NodeId(0)));
     }

@@ -18,27 +18,25 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use medea_cluster::{ClusterState, NodeId, Tag};
 use medea_constraints::{PlacementConstraint, TagConstraint};
-use medea_obs::MetricsRegistry;
 use medea_solver::{Basis, Cmp, Milp, Problem, VarId, VarKind};
 
-use crate::obs_bridge::SolverMetricsBridge;
-
+use crate::heuristics::{HeuristicScheduler, Ordering};
 use crate::objective::ObjectiveWeights;
+use crate::obs_bridge::PlacerMetrics;
 use crate::relax::PlacerMode;
-use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
+use crate::request::{BatchPlacement, LraPlacement, LraRequest, PlacementOutcome};
 
 /// Configuration of the ILP scheduler.
 #[derive(Debug, Clone)]
 pub struct IlpConfig {
     /// Which placer arm serves batches when the scheduler's algorithm is
     /// [`crate::LraAlgorithm::Ilp`]: the exact MILP, the LP-relaxation
-    /// fast path ([`crate::place_with_relaxed`]), or the greedy
-    /// heuristic. The scheduler's degradation ladder may temporarily
+    /// fast path, or the greedy heuristic. The scheduler's degradation ladder may temporarily
     /// serve from a lower arm regardless of this setting.
     pub mode: PlacerMode,
     /// Objective weights (Eq. 1).
@@ -57,23 +55,17 @@ pub struct IlpConfig {
     /// Ablation toggle: seed branch and bound with the greedy heuristic's
     /// placement (on by default; makes the solve anytime).
     pub mip_start: bool,
-    /// Optional metrics registry: when set, each solve reports solver
-    /// events (`solver.*` counters via [`SolverMetricsBridge`]), its
-    /// wall-clock time (`core.ilp_solve_us`), and heuristic fallbacks
-    /// (`core.heuristic_fallback_total`).
-    pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Cross-round warm-start cache: the optimal root basis of each solve
-    /// is remembered keyed by the problem's constraint skeleton, and the
-    /// next solve with the same skeleton starts the root LP from it
-    /// instead of a cold two-phase start. A scheduler that places
-    /// similarly shaped batches round after round (the common steady
-    /// state) pays the full simplex cost only on the first round. Set to
-    /// `None` to disable. Cloning the config shares the cache.
-    pub warm_cache: Option<Arc<IlpBasisCache>>,
 }
 
-/// Single-slot cache mapping a constraint-skeleton hash to the basis that
-/// solved it last (see [`IlpConfig::warm_cache`]).
+/// Cross-round warm-start slot: the optimal root basis of a solve is
+/// remembered keyed by the problem's constraint skeleton, and the next
+/// solve handed the same slot with the same skeleton starts its root LP
+/// from it instead of a cold two-phase start. A scheduler that places
+/// similarly shaped batches round after round (the common steady state)
+/// pays the full simplex cost only on the first round. Whoever runs the
+/// solves owns the slot and passes it to [`crate::LraScheduler::place_on`]
+/// — one per shard, so shards (whose skeletons never match) do not evict
+/// each other.
 ///
 /// A basis snapshot is purely structural (which columns are basic, where
 /// the nonbasics rest), so replaying it against a problem with the same
@@ -131,22 +123,8 @@ impl Default for IlpConfig {
             gap: 0.02,
             symmetry_breaking: true,
             mip_start: true,
-            metrics: None,
-            warm_cache: Some(Arc::new(IlpBasisCache::default())),
         }
     }
-}
-
-/// Outcome quality of one ILP batch solve, reported alongside the
-/// placements so callers (the scheduler's circuit breaker) can react to
-/// sustained solver degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IlpSolveStatus {
-    /// The MILP produced a usable incumbent within its limits.
-    Solved,
-    /// The solve fell back to the heuristic placement: a validation
-    /// error, or the deadline/node limit was hit before any incumbent.
-    Degraded,
 }
 
 /// Internal description of one new container in the model.
@@ -254,9 +232,12 @@ pub(crate) fn prepare(
     // provably contains the heuristic solution), and its placement becomes
     // the initial incumbent — making the solve anytime: with any deadline
     // the result is heuristic-or-better.
-    let heuristic =
-        crate::heuristics::HeuristicScheduler::new(crate::heuristics::Ordering::NodeCandidates)
-            .place_on(state, requests, deployed_constraints, allowed);
+    let heuristic = HeuristicScheduler::new(Ordering::NodeCandidates).place(
+        state,
+        requests,
+        deployed_constraints,
+        allowed,
+    );
     let heuristic_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = heuristic
             .iter()
@@ -301,50 +282,32 @@ pub(crate) fn prepare(
     }))
 }
 
-/// Places a batch of LRAs by solving the Fig. 5 ILP.
+/// The exact arm: places a batch of LRAs by solving the Fig. 5 ILP.
 ///
 /// `deployed_constraints` are the active constraints of already-deployed
 /// LRAs and the cluster operator (from the constraint manager); the new
 /// requests' own constraints are taken from the requests themselves.
-pub fn place_with_ilp(
-    state: &ClusterState,
-    requests: &[LraRequest],
-    deployed_constraints: &[PlacementConstraint],
-    cfg: &IlpConfig,
-) -> Vec<PlacementOutcome> {
-    place_with_ilp_status(state, requests, deployed_constraints, cfg).0
-}
-
-/// Like [`place_with_ilp`], additionally reporting whether the solve
-/// degraded to the heuristic (for the scheduler's circuit breaker).
-pub fn place_with_ilp_status(
-    state: &ClusterState,
-    requests: &[LraRequest],
-    deployed_constraints: &[PlacementConstraint],
-    cfg: &IlpConfig,
-) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
-    place_with_ilp_status_on(state, requests, deployed_constraints, cfg, None)
-}
-
-/// Like [`place_with_ilp_status`], but restricted to an allowed node list
-/// (a shard's nodes); `None` means all nodes. The restriction is applied
-/// where candidates are *selected* — the heuristic MIP start and all
-/// three candidate-selection priorities — so the whole model, not just a
-/// post-filter, lives inside the shard. Constraint evaluation still sees
-/// the full state, keeping `γ` counts over groups globally correct.
 ///
-/// Per-shard solvers should also hold per-shard [`IlpBasisCache`]s (one
-/// shard's basis never matches another shard's skeleton, and a shared
-/// single-slot cache would thrash).
-pub fn place_with_ilp_status_on(
+/// `allowed` restricts the solve to a node list (a shard's nodes); `None`
+/// means all nodes. The restriction is applied where candidates are
+/// *selected* — the heuristic MIP start and all three candidate-selection
+/// priorities — so the whole model, not just a post-filter, lives inside
+/// the shard. Constraint evaluation still sees the full state, keeping
+/// `γ` counts over groups globally correct.
+///
+/// `cache` is the warm-start slot to read and refill (`None`: cold
+/// solve, nothing remembered).
+pub(crate) fn solve(
     state: &ClusterState,
     requests: &[LraRequest],
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
-) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
+    cache: Option<&IlpBasisCache>,
+    metrics: Option<&PlacerMetrics>,
+) -> BatchPlacement {
     let prepared = match prepare(state, requests, deployed_constraints, cfg, allowed) {
-        Prep::Trivial(outcomes) => return (outcomes, IlpSolveStatus::Solved),
+        Prep::Trivial(outcomes) => return outcomes.into(),
         Prep::Ready(p) => p,
     };
     let Prepared {
@@ -375,29 +338,23 @@ pub fn place_with_ilp_status_on(
             milp = milp.with_incumbent(point);
         }
     }
-    let bridge = cfg.metrics.as_deref().map(SolverMetricsBridge::new);
-    if let Some(bridge) = &bridge {
-        milp = milp.with_instrumentation(bridge);
+    if let Some(m) = metrics {
+        milp = milp.with_instrumentation(&m.solver);
     }
     // Cross-round warm start: reuse the previous round's optimal basis
     // when the constraint skeleton is unchanged (same rows over the same
     // variables — only capacities/demands/weights moved).
     let skeleton = model.problem.skeleton_hash();
-    if let Some(basis) = cfg
-        .warm_cache
-        .as_deref()
-        .and_then(|cache| cache.take_if(skeleton))
-    {
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.counter("core.ilp_warm_start_hits_total").inc();
+    if let Some(basis) = cache.and_then(|cache| cache.take_if(skeleton)) {
+        if let Some(m) = metrics {
+            m.arm.ilp_warm_start_hits.inc();
         }
         milp = milp.with_warm_basis(basis);
     }
     let t_solve = Instant::now();
     let solution = milp.solve();
-    if let Some(m) = cfg.metrics.as_deref() {
-        m.histogram("core.ilp_solve_us")
-            .record_duration(t_solve.elapsed());
+    if let Some(m) = metrics {
+        m.arm.ilp_solve_us.record_duration(t_solve.elapsed());
     }
 
     // Anytime degradation: if the MILP produced nothing usable (an error
@@ -406,20 +363,23 @@ pub fn place_with_ilp_status_on(
     // whole batch — the two-scheduler design prefers a heuristic-quality
     // placement now over no placement at all.
     let fallback = |reason: &str| {
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.counter("core.heuristic_fallback_total").inc();
+        if let Some(m) = metrics {
+            m.arm.heuristic_fallbacks.inc();
         }
         if std::env::var_os("MEDEA_SOLVER_DEBUG").is_some() {
             eprintln!("ilp: falling back to heuristic placement ({reason})");
         }
-        (heuristic.clone(), IlpSolveStatus::Degraded)
+        BatchPlacement {
+            degraded: true,
+            ..heuristic.clone().into()
+        }
     };
     let sol = match &solution {
         Err(_) => return fallback("problem validation error"),
         Ok(sol) if !sol.has_solution() => return fallback("no incumbent within limits"),
         Ok(sol) => sol,
     };
-    if let (Some(cache), Some(basis)) = (cfg.warm_cache.as_deref(), &sol.root_basis) {
+    if let (Some(cache), Some(basis)) = (cache, &sol.root_basis) {
         cache.store(skeleton, basis.clone());
     }
 
@@ -455,7 +415,7 @@ pub fn place_with_ilp_status_on(
             outcomes.push(PlacementOutcome::Unplaced { app: r.app });
         }
     }
-    (outcomes, IlpSolveStatus::Solved)
+    outcomes.into()
 }
 
 /// Converts heuristic placement outcomes into the per-container candidate
@@ -1187,6 +1147,16 @@ mod tests {
     };
     use medea_constraints::Cardinality;
 
+    /// One cold, unrestricted, untraced solve.
+    fn place(
+        state: &ClusterState,
+        requests: &[LraRequest],
+        deployed: &[PlacementConstraint],
+        cfg: &IlpConfig,
+    ) -> Vec<PlacementOutcome> {
+        solve(state, requests, deployed, cfg, None, None, None).outcomes
+    }
+
     fn cluster(n: usize, racks: usize) -> ClusterState {
         ClusterState::homogeneous(n, Resources::new(16 * 1024, 16), racks)
     }
@@ -1211,7 +1181,7 @@ mod tests {
             vec![Tag::new("a")],
             vec![],
         );
-        let out = place_with_ilp(
+        let out = place(
             &state,
             std::slice::from_ref(&req),
             &[],
@@ -1238,7 +1208,7 @@ mod tests {
             vec![],
             vec![],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         assert!(matches!(out[0], PlacementOutcome::Unplaced { .. }));
     }
 
@@ -1253,7 +1223,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![caa],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("should place");
         let mut nodes = pl.nodes.clone();
         nodes.sort();
@@ -1281,7 +1251,7 @@ mod tests {
             vec![Tag::new("storm")],
             vec![caf],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("should place");
         assert!(pl.nodes.iter().all(|&n| n == NodeId(3)));
     }
@@ -1298,7 +1268,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![card],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("should place");
         let mut per_node: HashMap<NodeId, usize> = HashMap::new();
         for &n in &pl.nodes {
@@ -1324,7 +1294,7 @@ mod tests {
             vec![Tag::new("tf")],
             vec![intra],
         );
-        let out = place_with_ilp(
+        let out = place(
             &state,
             std::slice::from_ref(&req),
             &[],
@@ -1371,7 +1341,7 @@ mod tests {
             vec![Tag::new("batchy")],
             vec![],
         );
-        let out = place_with_ilp(&state, &[req], &[deployed], &IlpConfig::default());
+        let out = place(&state, &[req], &[deployed], &IlpConfig::default());
         let pl = out[0].placement().expect("should place");
         assert!(
             pl.nodes.iter().all(|&n| n != NodeId(0)),
@@ -1398,7 +1368,7 @@ mod tests {
             vec![Tag::new("beta")],
             vec![],
         );
-        let out = place_with_ilp(&state, &[r1, r2], &[], &IlpConfig::default());
+        let out = place(&state, &[r1, r2], &[], &IlpConfig::default());
         let p1 = out[0].placement().expect("r1 placed");
         let p2 = out[1].placement().expect("r2 placed");
         for n1 in &p1.nodes {
@@ -1427,7 +1397,7 @@ mod tests {
             vec![Tag::new("b")],
             vec![],
         );
-        let out = place_with_ilp(&state, &[r1, r2], &[], &IlpConfig::default());
+        let out = place(&state, &[r1, r2], &[], &IlpConfig::default());
         assert!(out[0].placement().is_some());
         assert!(out[1].placement().is_some());
     }
@@ -1445,7 +1415,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![caa],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("soft constraints must not block");
         assert_eq!(pl.nodes.len(), 4);
     }
@@ -1453,7 +1423,7 @@ mod tests {
     #[test]
     fn empty_request_list() {
         let state = cluster(2, 1);
-        assert!(place_with_ilp(&state, &[], &[], &IlpConfig::default()).is_empty());
+        assert!(place(&state, &[], &[], &IlpConfig::default()).is_empty());
     }
 
     #[test]
@@ -1488,7 +1458,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![compound.clone()],
         );
-        let out = place_with_ilp(
+        let out = place(
             &state,
             std::slice::from_ref(&req),
             &[],
@@ -1524,7 +1494,7 @@ mod tests {
                 NodeGroupId::node(),
             )],
         );
-        let out = place_with_ilp(&state, &[req], &[], &cfg);
+        let out = place(&state, &[req], &[], &cfg);
         let pl = out[0]
             .placement()
             .expect("small model solves without start");
@@ -1556,7 +1526,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![hard, soft],
         );
-        let out = place_with_ilp(&state, &[req], &[], &IlpConfig::default());
+        let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("placeable");
         assert_eq!(pl.nodes[0], NodeId(1), "hard anti-affinity must dominate");
     }
@@ -1564,10 +1534,9 @@ mod tests {
     #[test]
     fn cross_round_cache_warm_starts_matching_skeletons() {
         let registry = medea_obs::MetricsRegistry::new();
-        let cfg = IlpConfig {
-            metrics: Some(registry.clone()),
-            ..IlpConfig::default()
-        };
+        let metrics = PlacerMetrics::new(&registry);
+        let cfg = IlpConfig::default();
+        let cache = IlpBasisCache::default();
         let state = cluster(6, 2);
         let request = |app: u64| {
             LraRequest::uniform(
@@ -1582,19 +1551,29 @@ mod tests {
                 )],
             )
         };
+        let traced = |r: &LraRequest| {
+            solve(
+                &state,
+                std::slice::from_ref(r),
+                &[],
+                &cfg,
+                None,
+                Some(&cache),
+                Some(&metrics),
+            )
+            .outcomes
+        };
 
-        // Round 1: cold — the cache is empty.
-        let r1 = request(1);
-        let out = place_with_ilp(&state, std::slice::from_ref(&r1), &[], &cfg);
+        // Round 1: cold — the slot is empty.
+        let out = traced(&request(1));
         assert!(out[0].placement().is_some());
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("core.ilp_warm_start_hits_total"), None);
+        assert_eq!(snap.counter("core.ilp_warm_start_hits_total"), Some(0));
 
         // Round 2: an identical batch shape (same constraint skeleton, the
-        // cluster untouched) must hit the cache and produce the same
-        // quality of placement.
-        let r2 = request(2);
-        let out = place_with_ilp(&state, std::slice::from_ref(&r2), &[], &cfg);
+        // cluster untouched) handed the same slot must hit it and produce
+        // the same quality of placement.
+        let out = traced(&request(2));
         let pl = out[0].placement().expect("warm round must still place");
         let mut nodes = pl.nodes.clone();
         nodes.sort();
@@ -1611,11 +1590,8 @@ mod tests {
     #[test]
     fn disabled_cache_never_warm_starts() {
         let registry = medea_obs::MetricsRegistry::new();
-        let cfg = IlpConfig {
-            metrics: Some(registry.clone()),
-            warm_cache: None,
-            ..IlpConfig::default()
-        };
+        let metrics = PlacerMetrics::new(&registry);
+        let cfg = IlpConfig::default();
         let state = cluster(4, 2);
         for app in 1u64..=2 {
             let req = LraRequest::uniform(
@@ -1625,10 +1601,10 @@ mod tests {
                 vec![Tag::new("x")],
                 vec![],
             );
-            let out = place_with_ilp(&state, &[req], &[], &cfg);
+            let out = solve(&state, &[req], &[], &cfg, None, None, Some(&metrics)).outcomes;
             assert!(out[0].placement().is_some());
         }
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("core.ilp_warm_start_hits_total"), None);
+        assert_eq!(snap.counter("core.ilp_warm_start_hits_total"), Some(0));
     }
 }

@@ -56,10 +56,7 @@ pub use capabilities::{
     implemented_capabilities, paper_table1, render_table, CapabilityRow, Support,
 };
 pub use heuristics::{HeuristicScheduler, Ordering};
-pub use ilp::{
-    place_with_ilp, place_with_ilp_status, place_with_ilp_status_on, IlpBasisCache, IlpConfig,
-    IlpSolveStatus,
-};
+pub use ilp::{IlpBasisCache, IlpConfig};
 pub use jkube::JKubeScheduler;
 pub use lifecycle::{
     container_version, tag_version, version_tag, AppLifecycle, AppSpec, LifecyclePhase,
@@ -77,11 +74,10 @@ pub use recovery::{
     fault_domain_tag, BreakerState, CircuitBreaker, DegradationLadder, NodeLossReport,
     RecoveryConfig, RecoveryReport, FAULT_DOMAIN_TAG,
 };
-pub use relax::{
-    place_with_relaxed, place_with_relaxed_report_on, place_with_relaxed_status_on, PlacerMode,
-    RelaxReport,
+pub use relax::{PlacerMode, RelaxReport};
+pub use request::{
+    BatchPlacement, Locality, LraPlacement, LraRequest, PlacementOutcome, TaskJobRequest,
 };
-pub use request::{Locality, LraPlacement, LraRequest, PlacementOutcome, TaskJobRequest};
 pub use shared::{AppPhase, SharedScheduler, StatusBoard};
 pub use task_scheduler::{
     QueueConfig, QueuePolicy, TaskAllocation, TaskScheduler, TaskSchedulerError,

@@ -4,12 +4,14 @@ use std::fmt;
 
 use medea_cluster::{ClusterState, NodeId};
 use medea_constraints::PlacementConstraint;
+use medea_obs::MetricsRegistry;
 
 use crate::heuristics::{HeuristicScheduler, Ordering};
-use crate::ilp::{place_with_ilp_status_on, IlpConfig, IlpSolveStatus};
+use crate::ilp::{self, IlpBasisCache, IlpConfig};
 use crate::jkube::JKubeScheduler;
-use crate::relax::{place_with_relaxed_status_on, PlacerMode};
-use crate::request::{LraRequest, PlacementOutcome};
+use crate::obs_bridge::PlacerMetrics;
+use crate::relax::{self, PlacerMode};
+use crate::request::{BatchPlacement, LraRequest, PlacementOutcome};
 use crate::yarn::YarnScheduler;
 
 /// The LRA placement algorithm to use (§7.1 comparison set).
@@ -71,6 +73,11 @@ pub struct LraScheduler {
     pub algorithm: LraAlgorithm,
     /// ILP configuration (used only by [`LraAlgorithm::Ilp`]).
     pub ilp: IlpConfig,
+    /// Warm-start slot of this scheduler's whole-cluster solves: batches
+    /// of the same shape, round after round, start the root LP from the
+    /// previous round's optimal basis.
+    pub(crate) cache: IlpBasisCache,
+    metrics: Option<PlacerMetrics>,
 }
 
 impl LraScheduler {
@@ -79,10 +86,20 @@ impl LraScheduler {
         LraScheduler {
             algorithm,
             ilp: IlpConfig::default(),
+            cache: IlpBasisCache::default(),
+            metrics: None,
         }
     }
 
-    /// Places a batch of newly submitted LRAs.
+    /// Attaches a metrics registry: the solver arms report `solver.*`,
+    /// `core.ilp_*` and `core.relax_*` series into it (handles resolved
+    /// here, once).
+    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
+        self.metrics = Some(PlacerMetrics::new(registry));
+    }
+
+    /// Places a batch of newly submitted LRAs over the whole cluster with
+    /// the configured algorithm.
     ///
     /// `deployed_constraints` are the already-active constraints from the
     /// constraint manager (deployed LRAs + operator); the new requests
@@ -93,143 +110,71 @@ impl LraScheduler {
         requests: &[LraRequest],
         deployed_constraints: &[PlacementConstraint],
     ) -> Vec<PlacementOutcome> {
-        self.place_with_status(state, requests, deployed_constraints)
-            .0
+        self.place_on(
+            state,
+            requests,
+            deployed_constraints,
+            None,
+            None,
+            Some(&self.cache),
+        )
+        .outcomes
     }
 
-    /// Like [`LraScheduler::place`], but restricted to an allowed node
-    /// list (a shard's nodes); `None` means all nodes. Scoring still sees
-    /// the full state — only candidate hosts are restricted.
+    /// The one placement entry point, in full detail.
+    ///
+    /// - `allowed` restricts candidate hosts to a node list (a shard's
+    ///   nodes, ascending); `None` means all nodes. Scoring and `γ`
+    ///   counts still see the full state.
+    /// - `arm` overrides the configured algorithm with a placer arm — how
+    ///   the degradation ladder serves from a lower arm while a breaker is
+    ///   open; `None` serves the configured algorithm
+    ///   ([`IlpConfig::mode`] under [`LraAlgorithm::Ilp`]).
+    /// - `cache` is the warm-start slot a solver arm reads and refills;
+    ///   the caller owns it (one per shard, so shards never evict each
+    ///   other). `None` solves cold.
     pub fn place_on(
         &self,
         state: &ClusterState,
         requests: &[LraRequest],
         deployed_constraints: &[PlacementConstraint],
         allowed: Option<&[NodeId]>,
-    ) -> Vec<PlacementOutcome> {
-        self.place_with_status_on(state, requests, deployed_constraints, allowed)
-            .0
-    }
-
-    /// Like [`LraScheduler::place`], additionally reporting whether the
-    /// ILP path degraded to its heuristic fallback. Non-ILP algorithms
-    /// always report [`IlpSolveStatus::Solved`] (they have no solver to
-    /// degrade).
-    pub fn place_with_status(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-    ) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
-        self.place_with_status_on(state, requests, deployed_constraints, None)
-    }
-
-    /// Allowed-node-restricted variant of
-    /// [`LraScheduler::place_with_status`].
-    pub fn place_with_status_on(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
-    ) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
-        if self.algorithm == LraAlgorithm::Ilp {
-            return self.place_with_mode_on(
-                state,
-                requests,
-                deployed_constraints,
-                allowed,
-                self.ilp.mode,
-            );
-        }
-        (
-            self.place_non_ilp(state, requests, deployed_constraints, allowed),
-            IlpSolveStatus::Solved,
-        )
-    }
-
-    /// Places a batch with an explicit placer arm, overriding the
-    /// configured [`IlpConfig::mode`] — the entry point the scheduler's
-    /// degradation ladder uses to serve from a lower arm while a breaker
-    /// is open.
-    pub fn place_with_mode_on(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
-        mode: PlacerMode,
-    ) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
-        match mode {
-            PlacerMode::Ilp => {
-                place_with_ilp_status_on(state, requests, deployed_constraints, &self.ilp, allowed)
-            }
-            PlacerMode::Relaxed => place_with_relaxed_status_on(
+        arm: Option<PlacerMode>,
+        cache: Option<&IlpBasisCache>,
+    ) -> BatchPlacement {
+        let metrics = self.metrics.as_ref();
+        let greedy = |ordering| {
+            HeuristicScheduler::new(ordering).place(state, requests, deployed_constraints, allowed)
+        };
+        let by_mode = |mode| match mode {
+            PlacerMode::Ilp => ilp::solve(
                 state,
                 requests,
                 deployed_constraints,
                 &self.ilp,
                 allowed,
+                cache,
+                metrics,
             ),
-            PlacerMode::Heuristic => (
-                self.place_degraded_on(state, requests, deployed_constraints, allowed),
-                IlpSolveStatus::Solved,
-            ),
-        }
-    }
-
-    /// The degraded path the circuit breaker switches to while open: the
-    /// node-candidates heuristic (§5.3), regardless of the configured
-    /// algorithm.
-    pub fn place_degraded(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-    ) -> Vec<PlacementOutcome> {
-        self.place_degraded_on(state, requests, deployed_constraints, None)
-    }
-
-    /// Allowed-node-restricted variant of
-    /// [`LraScheduler::place_degraded`].
-    pub fn place_degraded_on(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
-    ) -> Vec<PlacementOutcome> {
-        HeuristicScheduler::new(Ordering::NodeCandidates).place_on(
-            state,
-            requests,
-            deployed_constraints,
-            allowed,
-        )
-    }
-
-    fn place_non_ilp(
-        &self,
-        state: &ClusterState,
-        requests: &[LraRequest],
-        deployed_constraints: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
-    ) -> Vec<PlacementOutcome> {
-        match self.algorithm {
-            // Only reachable via place_with_status, which routes ILP
-            // through the solver; degrade to the anchor heuristic rather
-            // than panic if a future caller slips through.
-            LraAlgorithm::Ilp | LraAlgorithm::NodeCandidates => HeuristicScheduler::new(
-                Ordering::NodeCandidates,
-            )
-            .place_on(state, requests, deployed_constraints, allowed),
-            LraAlgorithm::TagPopularity => HeuristicScheduler::new(Ordering::TagPopularity)
-                .place_on(state, requests, deployed_constraints, allowed),
-            LraAlgorithm::Serial => HeuristicScheduler::new(Ordering::Submission).place_on(
+            PlacerMode::Relaxed => relax::solve(
                 state,
                 requests,
                 deployed_constraints,
+                &self.ilp,
                 allowed,
+                cache,
+                metrics,
             ),
+            PlacerMode::Heuristic => greedy(Ordering::NodeCandidates).into(),
+        };
+        if let Some(mode) = arm {
+            return by_mode(mode);
+        }
+        match self.algorithm {
+            LraAlgorithm::Ilp => return by_mode(self.ilp.mode),
+            LraAlgorithm::NodeCandidates => greedy(Ordering::NodeCandidates),
+            LraAlgorithm::TagPopularity => greedy(Ordering::TagPopularity),
+            LraAlgorithm::Serial => greedy(Ordering::Submission),
             // The J-Kube and YARN baselines pick nodes internally; the
             // restriction is applied by masking availability on a working
             // copy (every placer honors node availability).
@@ -246,6 +191,7 @@ impl LraScheduler {
             LraAlgorithm::Yarn => YarnScheduler::new()
                 .place(masked(state, allowed).as_ref().unwrap_or(state), requests),
         }
+        .into()
     }
 }
 

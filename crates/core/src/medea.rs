@@ -31,7 +31,7 @@ use medea_cluster::{
     NodeGroupId, NodeId, ShardConfig, Tag,
 };
 use medea_constraints::{ConstraintError, ConstraintManager, PlacementConstraint, TagExpr};
-use medea_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use medea_obs::MetricsRegistry;
 
 use crate::durability::Journal;
 pub use crate::durability::{NodeReport, RestartReport};
@@ -46,105 +46,55 @@ pub use crate::round::InflightSolve;
 use crate::round::{InflightTable, Placer};
 use crate::task_scheduler::{TaskAllocation, TaskScheduler, TaskSchedulerError};
 
-/// Pre-resolved `core.*` metric handles: looked up once when a registry
-/// is attached, then updated lock-free in the scheduling cycle.
-pub(super) struct CoreMetrics {
-    pub(super) queue_depth: Arc<Gauge>,
-    pub(super) cycle_time_us: Arc<Histogram>,
-    pub(super) place_us: Arc<Histogram>,
-    pub(super) cycles: Arc<Counter>,
-    pub(super) solve_inflight: Arc<Gauge>,
-    pub(super) placement_staleness_ticks: Arc<Histogram>,
-    pub(super) lras_deployed: Arc<Counter>,
-    pub(super) lras_unplaced: Arc<Counter>,
-    pub(super) commit_conflicts: Arc<Counter>,
-    pub(super) lras_dropped: Arc<Counter>,
-    pub(super) recovery_lost: Arc<Counter>,
-    pub(super) recovery_replaced: Arc<Counter>,
-    pub(super) recovery_exhausted: Arc<Counter>,
-    pub(super) recovery_cancelled: Arc<Counter>,
-    pub(super) recovery_latency_ticks: Arc<Histogram>,
-    pub(super) breaker_opened: Arc<Counter>,
-    pub(super) breaker_closed: Arc<Counter>,
-    pub(super) breaker_state: Arc<Gauge>,
-    pub(super) relax_breaker_opened: Arc<Counter>,
-    pub(super) relax_breaker_closed: Arc<Counter>,
-    pub(super) relax_breaker_state: Arc<Gauge>,
-    pub(super) placer_mode: Arc<Gauge>,
-    pub(super) solver_stalls: Arc<Counter>,
-    pub(super) shards_active: Arc<Gauge>,
-    pub(super) shard_resubmissions: Arc<Counter>,
-    pub(super) shard_solve_us: Arc<Histogram>,
-    pub(super) index_update_ops: Arc<Gauge>,
-    pub(super) index_distinct_tags: Arc<Gauge>,
-    pub(super) index_rebuilds: Arc<Gauge>,
-    pub(super) restarts: Arc<Counter>,
-    pub(super) restart_restore_us: Arc<Histogram>,
-    pub(super) restart_replayed_ops: Arc<Histogram>,
-    pub(super) restart_phantom_released: Arc<Counter>,
-    pub(super) restart_inflight_requeued: Arc<Counter>,
-    pub(super) audit_runs: Arc<Counter>,
-    pub(super) audit_failures: Arc<Counter>,
-    pub(super) journal_appends: Arc<Gauge>,
-    pub(super) journal_bytes: Arc<Gauge>,
-    pub(super) journal_checkpoints: Arc<Gauge>,
-    pub(super) lifecycle_reconciles: Arc<Counter>,
-    pub(super) lifecycle_scale_ups: Arc<Counter>,
-    pub(super) lifecycle_scale_downs: Arc<Counter>,
-    pub(super) lifecycle_upgraded: Arc<Counter>,
-    pub(super) migrations: Arc<Counter>,
-    pub(super) disruption_budget_denials: Arc<Counter>,
-}
-
-impl CoreMetrics {
-    pub(super) fn new(registry: &MetricsRegistry) -> Self {
-        CoreMetrics {
-            queue_depth: registry.gauge("core.queue_depth"),
-            cycle_time_us: registry.histogram("core.cycle_time_us"),
-            place_us: registry.histogram("core.place_us"),
-            cycles: registry.counter("core.cycles_total"),
-            solve_inflight: registry.gauge("core.solve_inflight"),
-            placement_staleness_ticks: registry.histogram("core.placement_staleness_ticks"),
-            lras_deployed: registry.counter("core.lras_deployed_total"),
-            lras_unplaced: registry.counter("core.lras_unplaced_total"),
-            commit_conflicts: registry.counter("core.commit_conflicts_total"),
-            lras_dropped: registry.counter("core.lras_dropped_total"),
-            recovery_lost: registry.counter("core.recovery_containers_lost_total"),
-            recovery_replaced: registry.counter("core.recovery_replaced_total"),
-            recovery_exhausted: registry.counter("core.recovery_retry_exhausted_total"),
-            recovery_cancelled: registry.counter("core.recovery_cancelled_total"),
-            recovery_latency_ticks: registry.histogram("core.recovery_latency_ticks"),
-            breaker_opened: registry.counter("core.breaker_opened_total"),
-            breaker_closed: registry.counter("core.breaker_closed_total"),
-            breaker_state: registry.gauge("core.breaker_state"),
-            relax_breaker_opened: registry.counter("core.relax_breaker_opened_total"),
-            relax_breaker_closed: registry.counter("core.relax_breaker_closed_total"),
-            relax_breaker_state: registry.gauge("core.relax_breaker_state"),
-            placer_mode: registry.gauge("core.placer_mode"),
-            solver_stalls: registry.counter("core.solver_stalls_total"),
-            shards_active: registry.gauge("core.shards_active"),
-            shard_resubmissions: registry.counter("core.shard_resubmissions_total"),
-            shard_solve_us: registry.histogram("core.shard_solve_us"),
-            index_update_ops: registry.gauge("cluster.index_update_ops"),
-            index_distinct_tags: registry.gauge("cluster.index_distinct_tags"),
-            index_rebuilds: registry.gauge("cluster.index_rebuilds"),
-            restarts: registry.counter("core.restart_total"),
-            restart_restore_us: registry.histogram("core.restart_restore_us"),
-            restart_replayed_ops: registry.histogram("core.restart_replayed_ops"),
-            restart_phantom_released: registry.counter("core.restart_phantom_released_total"),
-            restart_inflight_requeued: registry.counter("core.restart_inflight_requeued_total"),
-            audit_runs: registry.counter("core.audit_runs_total"),
-            audit_failures: registry.counter("core.audit_failures_total"),
-            journal_appends: registry.gauge("journal.appends"),
-            journal_bytes: registry.gauge("journal.bytes"),
-            journal_checkpoints: registry.gauge("journal.checkpoints"),
-            lifecycle_reconciles: registry.counter("core.lifecycle_reconciles_total"),
-            lifecycle_scale_ups: registry.counter("core.lifecycle_scale_ups_total"),
-            lifecycle_scale_downs: registry.counter("core.lifecycle_scale_downs_total"),
-            lifecycle_upgraded: registry.counter("core.lifecycle_upgraded_total"),
-            migrations: registry.counter("core.migrations_total"),
-            disruption_budget_denials: registry.counter("core.disruption_budget_denials_total"),
-        }
+medea_obs::metric_handles! {
+    /// Pre-resolved `core.*` metric handles: looked up once when a registry
+    /// is attached, then updated lock-free in the scheduling cycle.
+    pub(super) struct CoreMetrics {
+        pub(super) queue_depth: Gauge = "core.queue_depth",
+        pub(super) cycle_time_us: Histogram = "core.cycle_time_us",
+        pub(super) place_us: Histogram = "core.place_us",
+        pub(super) cycles: Counter = "core.cycles_total",
+        pub(super) solve_inflight: Gauge = "core.solve_inflight",
+        pub(super) placement_staleness_ticks: Histogram = "core.placement_staleness_ticks",
+        pub(super) lras_deployed: Counter = "core.lras_deployed_total",
+        pub(super) lras_unplaced: Counter = "core.lras_unplaced_total",
+        pub(super) commit_conflicts: Counter = "core.commit_conflicts_total",
+        pub(super) lras_dropped: Counter = "core.lras_dropped_total",
+        pub(super) recovery_lost: Counter = "core.recovery_containers_lost_total",
+        pub(super) recovery_replaced: Counter = "core.recovery_replaced_total",
+        pub(super) recovery_exhausted: Counter = "core.recovery_retry_exhausted_total",
+        pub(super) recovery_cancelled: Counter = "core.recovery_cancelled_total",
+        pub(super) recovery_latency_ticks: Histogram = "core.recovery_latency_ticks",
+        pub(super) breaker_opened: Counter = "core.breaker_opened_total",
+        pub(super) breaker_closed: Counter = "core.breaker_closed_total",
+        pub(super) breaker_state: Gauge = "core.breaker_state",
+        pub(super) relax_breaker_opened: Counter = "core.relax_breaker_opened_total",
+        pub(super) relax_breaker_closed: Counter = "core.relax_breaker_closed_total",
+        pub(super) relax_breaker_state: Gauge = "core.relax_breaker_state",
+        pub(super) placer_mode: Gauge = "core.placer_mode",
+        pub(super) solver_stalls: Counter = "core.solver_stalls_total",
+        pub(super) shards_active: Gauge = "core.shards_active",
+        pub(super) shard_resubmissions: Counter = "core.shard_resubmissions_total",
+        pub(super) shard_solve_us: Histogram = "core.shard_solve_us",
+        pub(super) index_update_ops: Gauge = "cluster.index_update_ops",
+        pub(super) index_distinct_tags: Gauge = "cluster.index_distinct_tags",
+        pub(super) index_rebuilds: Gauge = "cluster.index_rebuilds",
+        pub(super) restarts: Counter = "core.restart_total",
+        pub(super) restart_restore_us: Histogram = "core.restart_restore_us",
+        pub(super) restart_replayed_ops: Histogram = "core.restart_replayed_ops",
+        pub(super) restart_phantom_released: Counter = "core.restart_phantom_released_total",
+        pub(super) restart_inflight_requeued: Counter = "core.restart_inflight_requeued_total",
+        pub(super) audit_runs: Counter = "core.audit_runs_total",
+        pub(super) audit_failures: Counter = "core.audit_failures_total",
+        pub(super) journal_appends: Gauge = "journal.appends",
+        pub(super) journal_bytes: Gauge = "journal.bytes",
+        pub(super) journal_checkpoints: Gauge = "journal.checkpoints",
+        pub(super) lifecycle_reconciles: Counter = "core.lifecycle_reconciles_total",
+        pub(super) lifecycle_scale_ups: Counter = "core.lifecycle_scale_ups_total",
+        pub(super) lifecycle_scale_downs: Counter = "core.lifecycle_scale_downs_total",
+        pub(super) lifecycle_upgraded: Counter = "core.lifecycle_upgraded_total",
+        pub(super) migrations: Counter = "core.migrations_total",
+        pub(super) disruption_budget_denials: Counter = "core.disruption_budget_denials_total",
     }
 }
 
@@ -393,7 +343,7 @@ impl MedeaScheduler {
     /// Attaches a metrics registry (see [`MedeaScheduler::with_metrics`]).
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.metrics = Some(CoreMetrics::new(&registry));
-        self.placer.lra.ilp.metrics = Some(Arc::clone(&registry));
+        self.placer.lra.set_metrics(&registry);
         self.task_scheduler.set_metrics(&registry);
     }
 
@@ -622,17 +572,9 @@ impl MedeaScheduler {
     }
 
     /// Current circuit-breaker state of the exact-ILP arm (degradation
-    /// protection). See [`MedeaScheduler::relaxed_breaker_state`] for the
-    /// relaxed arm's breaker.
+    /// protection).
     pub fn breaker_state(&self) -> BreakerState {
         self.placer.ladder.ilp_state()
-    }
-
-    /// Current circuit-breaker state of the LP-relaxation arm: open
-    /// means repeated rounding failures demoted service to the greedy
-    /// heuristic.
-    pub fn relaxed_breaker_state(&self) -> BreakerState {
-        self.placer.ladder.relaxed_state()
     }
 
     /// Cumulative recovery accounting: every container killed by

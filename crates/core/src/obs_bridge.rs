@@ -7,36 +7,59 @@
 //! maps each event onto a lock-free counter, so the per-event cost is a
 //! single relaxed atomic add.
 
-use std::sync::Arc;
-
-use medea_obs::{Counter, MetricsRegistry};
+use medea_obs::MetricsRegistry;
 use medea_solver::{SolveEvent, SolveInstrumentation};
 
-/// Maps [`SolveEvent`]s onto `solver.*` counters of a registry.
-#[derive(Debug)]
-pub struct SolverMetricsBridge {
-    simplex_pivots: Arc<Counter>,
-    nodes_explored: Arc<Counter>,
-    nodes_pruned: Arc<Counter>,
-    incumbent_improvements: Arc<Counter>,
-    deadline_hits: Arc<Counter>,
-    node_limit_hits: Arc<Counter>,
-    refactorizations: Arc<Counter>,
-    warm_starts: Arc<Counter>,
+medea_obs::metric_handles! {
+    /// Maps [`SolveEvent`]s onto `solver.*` counters of a registry.
+    #[derive(Debug)]
+    pub struct SolverMetricsBridge {
+        simplex_pivots: Counter = "solver.simplex_pivots_total",
+        nodes_explored: Counter = "solver.bnb_nodes_explored_total",
+        nodes_pruned: Counter = "solver.bnb_nodes_pruned_total",
+        incumbent_improvements: Counter = "solver.incumbent_improvements_total",
+        deadline_hits: Counter = "solver.deadline_hits_total",
+        node_limit_hits: Counter = "solver.node_limit_hits_total",
+        refactorizations: Counter = "solver.refactorizations_total",
+        warm_starts: Counter = "solver.warm_starts_total",
+    }
 }
 
-impl SolverMetricsBridge {
-    /// Resolves the solver counter series in `registry`.
-    pub fn new(registry: &MetricsRegistry) -> Self {
-        SolverMetricsBridge {
-            simplex_pivots: registry.counter("solver.simplex_pivots_total"),
-            nodes_explored: registry.counter("solver.bnb_nodes_explored_total"),
-            nodes_pruned: registry.counter("solver.bnb_nodes_pruned_total"),
-            incumbent_improvements: registry.counter("solver.incumbent_improvements_total"),
-            deadline_hits: registry.counter("solver.deadline_hits_total"),
-            node_limit_hits: registry.counter("solver.node_limit_hits_total"),
-            refactorizations: registry.counter("solver.refactorizations_total"),
-            warm_starts: registry.counter("solver.warm_starts_total"),
+medea_obs::metric_handles! {
+    /// Pre-resolved series of the two solver arms (`core.ilp_*`,
+    /// `core.relax_*`), looked up once when a registry is attached to
+    /// the [`crate::LraScheduler`].
+    #[derive(Debug)]
+    pub(crate) struct ArmMetrics {
+        pub(crate) ilp_solve_us: Histogram = "core.ilp_solve_us",
+        pub(crate) ilp_warm_start_hits: Counter = "core.ilp_warm_start_hits_total",
+        pub(crate) heuristic_fallbacks: Counter = "core.heuristic_fallback_total",
+        pub(crate) relax_lp_us: Histogram = "core.relax_lp_us",
+        pub(crate) relax_round_us: Histogram = "core.relax_round_us",
+        pub(crate) relax_residue_us: Histogram = "core.relax_residue_us",
+        pub(crate) relax_warm_start_hits: Counter = "core.relax_warm_start_hits_total",
+        pub(crate) relax_fallbacks: Counter = "core.relax_fallback_total",
+        pub(crate) relax_residue_solves: Counter = "core.relax_residue_solves_total",
+        pub(crate) relax_evictions: Counter = "core.relax_evictions_total",
+        pub(crate) relax_repair_passes: Histogram = "core.relax_repair_passes",
+        pub(crate) relax_residue_containers: Histogram = "core.relax_residue_containers",
+        pub(crate) relax_objective_gap_permille: Histogram = "core.relax_objective_gap_permille",
+    }
+}
+
+/// Everything a solver arm reports into: its own `core.*` series and the
+/// `solver.*` bridge.
+#[derive(Debug)]
+pub(crate) struct PlacerMetrics {
+    pub(crate) arm: ArmMetrics,
+    pub(crate) solver: SolverMetricsBridge,
+}
+
+impl PlacerMetrics {
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+        PlacerMetrics {
+            arm: ArmMetrics::new(registry),
+            solver: SolverMetricsBridge::new(registry),
         }
     }
 }

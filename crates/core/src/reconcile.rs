@@ -69,13 +69,6 @@ impl MedeaScheduler {
         self.update_spec(app, |spec| spec.version = version)
     }
 
-    /// Sets the disruption budget of a managed app, journaling the
-    /// change. Returns `false` for unmanaged apps.
-    pub fn set_disruption_budget(&mut self, app: ApplicationId, budget: usize) -> bool {
-        self.specs.contains_key(&app)
-            && self.update_spec(app, |spec| spec.disruption_budget = budget)
-    }
-
     /// The one spec-mutation path: finds the app's spec (adopting a
     /// deployed-but-unmanaged app first), applies `change`, and journals
     /// the result. Returns `false` when there is nothing to manage.

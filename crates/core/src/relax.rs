@@ -5,8 +5,8 @@
 //! exact ILP and the greedy heuristic:
 //!
 //! 1. **Relax** — solve the LP relaxation of the *same* Fig. 5 model
-//!    with the sparse revised simplex, warm-started from the shared
-//!    [`crate::IlpBasisCache`] (the MILP's root LP is the identical
+//!    with the sparse revised simplex, warm-started from the caller's
+//!    [`crate::IlpBasisCache`] slot (the MILP's root LP is the identical
 //!    problem, so the two arms share warmth across rounds);
 //! 2. **Round** — turn the fractional solution into an integral
 //!    placement by seeded randomized rounding: requests are processed in
@@ -27,8 +27,8 @@
 //!    infeasible placement is *never* committed.
 //!
 //! The arm reports `core.relax_*` metrics (LP/rounding/residue time,
-//! repair passes, residue size, objective gap) and an
-//! [`IlpSolveStatus`] so the scheduler's degradation ladder can demote
+//! repair passes, residue size, objective gap), a [`RelaxReport`], and
+//! whether it degraded, so the scheduler's degradation ladder can demote
 //! it to the heuristic on repeated rounding failure.
 
 use std::time::Instant;
@@ -39,9 +39,9 @@ use medea_rand::rngs::StdRng;
 use medea_rand::{RngCore, SeedableRng};
 use medea_solver::{LpStatus, Simplex, SolveEvent, SolveInstrumentation};
 
-use crate::ilp::{self, IlpConfig, IlpSolveStatus, Prep, Prepared};
-use crate::obs_bridge::SolverMetricsBridge;
-use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
+use crate::ilp::{self, IlpBasisCache, IlpConfig, Prep, Prepared};
+use crate::obs_bridge::PlacerMetrics;
+use crate::request::{BatchPlacement, LraPlacement, LraRequest, PlacementOutcome};
 
 /// Which placer arm serves a batch: the quality-vs-latency ladder.
 ///
@@ -132,31 +132,6 @@ impl RelaxReport {
     }
 }
 
-/// Places a batch via the LP-relaxation fast path (see module docs).
-pub fn place_with_relaxed(
-    state: &ClusterState,
-    requests: &[LraRequest],
-    deployed_constraints: &[PlacementConstraint],
-    cfg: &IlpConfig,
-) -> Vec<PlacementOutcome> {
-    place_with_relaxed_status_on(state, requests, deployed_constraints, cfg, None).0
-}
-
-/// Like [`place_with_relaxed`], additionally reporting whether the arm
-/// degraded (LP unusable, or rounding failures the residue MILP could
-/// not absorb) — the signal the scheduler's degradation ladder consumes.
-pub fn place_with_relaxed_status_on(
-    state: &ClusterState,
-    requests: &[LraRequest],
-    deployed_constraints: &[PlacementConstraint],
-    cfg: &IlpConfig,
-    allowed: Option<&[NodeId]>,
-) -> (Vec<PlacementOutcome>, IlpSolveStatus) {
-    let (outcomes, status, _) =
-        place_with_relaxed_report_on(state, requests, deployed_constraints, cfg, allowed);
-    (outcomes, status)
-}
-
 /// One tentatively-rounded request on the working state.
 struct Tentative {
     /// Chosen node per container (container order).
@@ -165,19 +140,35 @@ struct Tentative {
     ids: Vec<ContainerId>,
 }
 
-/// Full-detail entry point: placements, degradation status, and the
-/// [`RelaxReport`] quality accounting (used by the property/differential
-/// suites and the quality-vs-latency benchmark).
-pub fn place_with_relaxed_report_on(
+/// The relaxed arm (see module docs): placements, whether the arm
+/// degraded (LP unusable, or rounding failures the residue MILP could not
+/// absorb), and the [`RelaxReport`] quality accounting. `allowed` and
+/// `cache` as for the exact arm; the residue re-solve always runs cold.
+pub(crate) fn solve(
     state: &ClusterState,
     requests: &[LraRequest],
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
-) -> (Vec<PlacementOutcome>, IlpSolveStatus, RelaxReport) {
+    cache: Option<&IlpBasisCache>,
+    metrics: Option<&PlacerMetrics>,
+) -> BatchPlacement {
     let mut report = RelaxReport::default();
+    let finish = |outcomes, degraded, report: RelaxReport| {
+        record_quality(metrics, &report);
+        BatchPlacement {
+            outcomes,
+            degraded,
+            relax: Some(report),
+        }
+    };
     let prepared = match ilp::prepare(state, requests, deployed_constraints, cfg, allowed) {
-        Prep::Trivial(outcomes) => return (outcomes, IlpSolveStatus::Solved, report),
+        Prep::Trivial(outcomes) => {
+            return BatchPlacement {
+                relax: Some(report),
+                ..outcomes.into()
+            }
+        }
         Prep::Ready(p) => p,
     };
     let Prepared {
@@ -188,28 +179,25 @@ pub fn place_with_relaxed_report_on(
         model,
     } = &*prepared;
 
-    // --- 1. LP relaxation, warm-started from the shared basis cache. ---
+    // --- 1. LP relaxation, warm-started from the caller's basis slot. ---
     let skeleton = model.problem.skeleton_hash();
-    let warm = cfg
-        .warm_cache
-        .as_deref()
-        .and_then(|cache| cache.take_if(skeleton));
+    let warm = cache.and_then(|cache| cache.take_if(skeleton));
     let t_lp = Instant::now();
     let (sol, basis) = Simplex::new(&model.problem).solve_warm(None, warm.as_ref());
-    if let Some(m) = cfg.metrics.as_deref() {
-        m.histogram("core.relax_lp_us")
-            .record_duration(t_lp.elapsed());
+    if let Some(m) = metrics {
+        m.arm.relax_lp_us.record_duration(t_lp.elapsed());
         // This LP runs outside `Milp`, which reports its own solves: feed
         // the same `solver.*` series, so the counters cover both arms.
-        let bridge = SolverMetricsBridge::new(m);
-        bridge.record(SolveEvent::SimplexPivots(sol.iterations as u64));
-        bridge.record(SolveEvent::Refactorizations(sol.refactorizations as u64));
+        m.solver
+            .record(SolveEvent::SimplexPivots(sol.iterations as u64));
+        m.solver
+            .record(SolveEvent::Refactorizations(sol.refactorizations as u64));
         if warm.is_some() {
-            m.counter("core.relax_warm_start_hits_total").inc();
-            bridge.record(SolveEvent::WarmStartUsed);
+            m.arm.relax_warm_start_hits.inc();
+            m.solver.record(SolveEvent::WarmStartUsed);
         }
     }
-    if let (Some(cache), Some(b)) = (cfg.warm_cache.as_deref(), &basis) {
+    if let (Some(cache), Some(b)) = (cache, &basis) {
         cache.store(skeleton, b.clone());
     }
 
@@ -231,8 +219,8 @@ pub fn place_with_relaxed_report_on(
         // infeasible model): serve the validated heuristic placement and
         // report degradation so the ladder can react.
         report.fallback = true;
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.counter("core.relax_fallback_total").inc();
+        if let Some(m) = metrics {
+            m.arm.relax_fallbacks.inc();
         }
         let outcomes = validate_outcomes(
             state,
@@ -243,8 +231,7 @@ pub fn place_with_relaxed_report_on(
             new_containers,
             &mut report,
         );
-        record_quality(cfg, &report);
-        return (outcomes, IlpSolveStatus::Degraded, report);
+        return finish(outcomes, true, report);
     }
     report.lp_optimal = true;
     report.lp_bound = Some(sol.objective);
@@ -423,9 +410,8 @@ pub fn place_with_relaxed_report_on(
             placed[ri] = None;
         }
     }
-    if let Some(m) = cfg.metrics.as_deref() {
-        m.histogram("core.relax_round_us")
-            .record_duration(t_round.elapsed());
+    if let Some(m) = metrics {
+        m.arm.relax_round_us.record_duration(t_round.elapsed());
     }
 
     // --- 4. Exact MILP over the violated residue. ---
@@ -439,8 +425,8 @@ pub fn place_with_relaxed_report_on(
             .iter()
             .map(|&ri| requests[ri].num_containers())
             .sum();
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.counter("core.relax_residue_solves_total").inc();
+        if let Some(m) = metrics {
+            m.arm.relax_residue_solves.inc();
         }
         let sub_requests: Vec<LraRequest> =
             residue.iter().map(|&ri| requests[ri].clone()).collect();
@@ -452,25 +438,24 @@ pub fn place_with_relaxed_report_on(
                 sub_deployed.extend(requests[ri].constraints.iter().cloned());
             }
         }
-        let sub_cfg = IlpConfig {
-            mode: PlacerMode::Ilp,
-            // The residue skeleton differs from the batch skeleton; keep
-            // it out of the single-slot cache so the LP warmth survives
-            // to the next round.
-            warm_cache: None,
-            ..cfg.clone()
-        };
+        // The residue skeleton differs from the batch skeleton; it gets
+        // no cache, so the single slot keeps the LP warmth for the next
+        // round.
         let t_residue = Instant::now();
-        let (sub_outcomes, sub_status) =
-            ilp::place_with_ilp_status_on(&work, &sub_requests, &sub_deployed, &sub_cfg, allowed);
-        if let Some(m) = cfg.metrics.as_deref() {
-            m.histogram("core.relax_residue_us")
-                .record_duration(t_residue.elapsed());
+        let sub = ilp::solve(
+            &work,
+            &sub_requests,
+            &sub_deployed,
+            cfg,
+            allowed,
+            None,
+            metrics,
+        );
+        if let Some(m) = metrics {
+            m.arm.relax_residue_us.record_duration(t_residue.elapsed());
         }
-        if sub_status == IlpSolveStatus::Degraded {
-            degraded = true;
-        }
-        for (&ri, out) in residue.iter().zip(&sub_outcomes) {
+        degraded |= sub.degraded;
+        for (&ri, out) in residue.iter().zip(&sub.outcomes) {
             let Some(pl) = out.placement() else {
                 continue;
             };
@@ -564,13 +549,7 @@ pub fn place_with_relaxed_report_on(
         report.incumbent_objective = Some(model.problem.objective_value(&point));
     }
 
-    record_quality(cfg, &report);
-    let status = if degraded {
-        IlpSolveStatus::Degraded
-    } else {
-        IlpSolveStatus::Solved
-    };
-    (outcomes, status, report)
+    finish(outcomes, degraded, report)
 }
 
 /// Samples a candidate index for one container: roulette over the
@@ -693,21 +672,19 @@ fn validate_outcomes(
         .collect()
 }
 
-/// Records the report's quality numbers to the configured registry.
-fn record_quality(cfg: &IlpConfig, report: &RelaxReport) {
-    let Some(m) = cfg.metrics.as_deref() else {
+/// Records the report's quality numbers to the attached registry.
+fn record_quality(metrics: Option<&PlacerMetrics>, report: &RelaxReport) {
+    let Some(m) = metrics.map(|m| &m.arm) else {
         return;
     };
-    m.histogram("core.relax_repair_passes")
-        .record(report.repair_passes as u64);
-    m.histogram("core.relax_residue_containers")
+    m.relax_repair_passes.record(report.repair_passes as u64);
+    m.relax_residue_containers
         .record(report.residue_containers as u64);
     if report.evicted_lras > 0 {
-        m.counter("core.relax_evictions_total")
-            .add(report.evicted_lras as u64);
+        m.relax_evictions.add(report.evicted_lras as u64);
     }
     if let Some(gap) = report.relative_gap() {
-        m.histogram("core.relax_objective_gap_permille")
+        m.relax_objective_gap_permille
             .record((gap * 1_000.0).round() as u64);
     }
 }
@@ -722,10 +699,9 @@ mod tests {
     #[test]
     fn relaxed_solve_reports_solver_counters() {
         let registry = medea_obs::MetricsRegistry::new();
-        let cfg = IlpConfig {
-            metrics: Some(registry.clone()),
-            ..IlpConfig::default()
-        };
+        let metrics = PlacerMetrics::new(&registry);
+        let cfg = IlpConfig::default();
+        let cache = IlpBasisCache::default();
         let state = ClusterState::homogeneous(6, Resources::new(8192, 8), 2);
         let request = |app: u64| {
             LraRequest::uniform(
@@ -740,7 +716,10 @@ mod tests {
                 )],
             )
         };
-        let (out, _) = place_with_relaxed_status_on(&state, &[request(1)], &[], &cfg, None);
+        let relaxed = |r: LraRequest| {
+            solve(&state, &[r], &[], &cfg, None, Some(&cache), Some(&metrics)).outcomes
+        };
+        let out = relaxed(request(1));
         assert!(out[0].placement().is_some());
         let snap = registry.snapshot();
         assert!(snap.counter("solver.simplex_pivots_total").unwrap_or(0) > 0);
@@ -748,7 +727,7 @@ mod tests {
         assert_eq!(snap.counter("solver.warm_starts_total").unwrap_or(0), 0);
 
         // Same skeleton again: the cached basis seeds the LP.
-        let (out, _) = place_with_relaxed_status_on(&state, &[request(2)], &[], &cfg, None);
+        let out = relaxed(request(2));
         assert!(out[0].placement().is_some());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("solver.warm_starts_total"), Some(1));

@@ -9,6 +9,8 @@
 use medea_cluster::{ApplicationId, ContainerRequest, NodeId, Resources, Tag};
 use medea_constraints::PlacementConstraint;
 
+use crate::relax::RelaxReport;
+
 /// A long-running application submission: containers plus placement
 /// constraints (§3 "LRA interface").
 #[derive(Debug, Clone)]
@@ -174,6 +176,33 @@ impl PlacementOutcome {
         match self {
             PlacementOutcome::Placed(p) => p.app,
             PlacementOutcome::Unplaced { app } => *app,
+        }
+    }
+}
+
+/// What one placement call produced for a batch: the result every arm
+/// returns.
+#[derive(Debug, Clone)]
+pub struct BatchPlacement {
+    /// One outcome per request, in request order.
+    pub outcomes: Vec<PlacementOutcome>,
+    /// A solver arm gave up on (part of) the batch — a validation error,
+    /// a limit hit before any incumbent, an unusable LP, or rounding
+    /// failures the residue solve could not absorb — and served a
+    /// fallback instead: the signal the degradation ladder counts.
+    /// Always `false` for the arms that have no solver.
+    pub degraded: bool,
+    /// Quality accounting of the relaxed arm (`None` from every other).
+    pub relax: Option<RelaxReport>,
+}
+
+impl From<Vec<PlacementOutcome>> for BatchPlacement {
+    /// A solver-free result: nothing to degrade, nothing to report.
+    fn from(outcomes: Vec<PlacementOutcome>) -> Self {
+        BatchPlacement {
+            outcomes,
+            degraded: false,
+            relax: None,
         }
     }
 }

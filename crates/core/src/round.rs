@@ -17,10 +17,11 @@ use medea_cluster::{
 };
 use medea_constraints::{ConstraintSource, PlacementConstraint};
 
-use crate::ilp::{IlpBasisCache, IlpSolveStatus};
+use crate::ilp::IlpBasisCache;
 use crate::lra::{LraAlgorithm, LraScheduler};
 use crate::medea::{LraDeployment, MedeaScheduler, PendingLra};
 use crate::recovery::{DegradationLadder, RecoveryConfig};
+use crate::relax::PlacerMode;
 use crate::request::{LraRequest, PlacementOutcome};
 
 /// Where a batch entry's constraint footprint routes it during a sharded
@@ -189,10 +190,12 @@ pub(super) struct Placer {
     /// Sharded-solving configuration (disabled by default: one
     /// monolithic solve per round).
     pub(super) shard: ShardConfig,
-    /// Per-shard ILP warm-basis caches, grown on demand: a shard's basis
-    /// never matches another shard's constraint skeleton, so sharing the
-    /// scheduler's single-slot cache across shards would thrash it.
-    shard_caches: Vec<Arc<IlpBasisCache>>,
+    /// Per-shard warm-basis slots, grown on demand: a shard's basis
+    /// never matches another shard's constraint skeleton, so sharing one
+    /// slot across shards would thrash it. Whole-cluster solves (the
+    /// unsharded round, the cross-shard residual) use the LRA
+    /// scheduler's own slot.
+    shard_caches: Vec<IlpBasisCache>,
 }
 
 impl Placer {
@@ -412,31 +415,9 @@ impl MedeaScheduler {
     ) -> (Vec<PlacementOutcome>, Vec<Option<usize>>, Duration) {
         let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
 
-        // Shard solves use per-shard warm-basis caches; swap the shard's
-        // cache in for the duration of the solve and restore afterwards.
-        let mut swapped: Option<Option<Arc<IlpBasisCache>>> = None;
-        if let Some((s, _)) = shard {
-            if self.placer.lra.algorithm == LraAlgorithm::Ilp {
-                let caches = &mut self.placer.shard_caches;
-                while caches.len() <= s {
-                    caches.push(Arc::new(IlpBasisCache::default()));
-                }
-                swapped = Some(
-                    self.placer
-                        .lra
-                        .ilp
-                        .warm_cache
-                        .replace(Arc::clone(&caches[s])),
-                );
-            }
-        }
         let t0 = Instant::now();
-        let allowed = shard.map(|(_, nodes)| nodes);
-        let outcomes = self.place_batch_on(snapshot.state(), &requests, deployed, allowed);
+        let outcomes = self.place_batch_on(snapshot.state(), &requests, deployed, shard);
         let algorithm_time = t0.elapsed();
-        if let Some(prev) = swapped {
-            self.placer.lra.ilp.warm_cache = prev;
-        }
         if let Some(m) = &self.metrics {
             m.place_us.record_duration(algorithm_time);
             if shard.is_some() {
@@ -640,46 +621,63 @@ impl MedeaScheduler {
         violated
     }
 
-    /// Runs the placement algorithm for one batch — restricted to
-    /// `allowed` candidate hosts when solving a shard — routing the
-    /// solver arms through the degradation ladder: injected stalls and
-    /// solver degradations count as failures against the breaker of the
-    /// arm that served, demoting service `Ilp → Relaxed → Heuristic`;
-    /// each breaker probes its arm again after a cool-down, restoring
-    /// the higher arm on a successful probe.
+    /// Runs the placement algorithm for one batch — restricted to the
+    /// shard's nodes, warm-started from the shard's own basis slot, when
+    /// solving a shard — routing the solver arms through the degradation
+    /// ladder: injected stalls and solver degradations count as failures
+    /// against the breaker of the arm that served, demoting service
+    /// `Ilp → Relaxed → Heuristic`; each breaker probes its arm again
+    /// after a cool-down, restoring the higher arm on a successful probe.
     fn place_batch_on(
         &mut self,
         state: &ClusterState,
         requests: &[LraRequest],
         deployed: &[PlacementConstraint],
-        allowed: Option<&[NodeId]>,
+        shard: Option<(usize, &[NodeId])>,
     ) -> Vec<PlacementOutcome> {
         let Placer {
             lra,
             ladder,
             stall_cycles_remaining,
+            shard_caches,
             ..
         } = &mut self.placer;
+        let allowed = shard.map(|(_, nodes)| nodes);
+        let cache = match shard {
+            Some((s, _)) => {
+                if shard_caches.len() <= s {
+                    shard_caches.resize_with(s + 1, IlpBasisCache::default);
+                }
+                &shard_caches[s]
+            }
+            None => &lra.cache,
+        };
         if lra.algorithm != LraAlgorithm::Ilp {
-            return lra.place_on(state, requests, deployed, allowed);
+            return lra
+                .place_on(state, requests, deployed, allowed, None, Some(cache))
+                .outcomes;
         }
         let opened_before = ladder.ilp_breaker().opened_total();
         let closed_before = ladder.ilp_breaker().closed_total();
         let relax_opened_before = ladder.relaxed_breaker().opened_total();
         let relax_closed_before = ladder.relaxed_breaker().closed_total();
         let arm = ladder.select(lra.ilp.mode);
-        let outcomes = if *stall_cycles_remaining > 0 {
-            // An injected stall fails whichever solver arm would have
-            // served and the batch is carried by the heuristic.
+        // An injected stall fails whichever solver arm would have served
+        // and the batch is carried by the heuristic.
+        let stalled = *stall_cycles_remaining > 0;
+        if stalled {
             *stall_cycles_remaining -= 1;
-            ladder.on_outcome(arm, false);
-            lra.place_degraded_on(state, requests, deployed, allowed)
-        } else {
-            let (outcomes, status) =
-                lra.place_with_mode_on(state, requests, deployed, allowed, arm);
-            ladder.on_outcome(arm, status == IlpSolveStatus::Solved);
-            outcomes
-        };
+        }
+        let serving = if stalled { PlacerMode::Heuristic } else { arm };
+        let placed = lra.place_on(
+            state,
+            requests,
+            deployed,
+            allowed,
+            Some(serving),
+            Some(cache),
+        );
+        ladder.on_outcome(arm, !stalled && !placed.degraded);
         if let Some(m) = &self.metrics {
             m.breaker_opened
                 .add(ladder.ilp_breaker().opened_total() - opened_before);
@@ -694,7 +692,7 @@ impl MedeaScheduler {
                 .set(ladder.relaxed_breaker().state_code());
             m.placer_mode.set(arm.code());
         }
-        outcomes
+        placed.outcomes
     }
 
     /// Allocates every container of `request` on its proposed node, or

@@ -10,31 +10,22 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 use medea_cluster::{
     Allocation, ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind,
     NodeGroupId, NodeId, Resources,
 };
-use medea_obs::{Counter, Histogram, MetricsRegistry};
+use medea_obs::MetricsRegistry;
 
 use crate::request::{Locality, TaskJobRequest};
 
-/// Pre-resolved `task.*` metric handles.
-#[derive(Debug)]
-struct TaskMetrics {
-    heartbeats: Arc<Counter>,
-    allocations: Arc<Counter>,
-    alloc_latency_ticks: Arc<Histogram>,
-}
-
-impl TaskMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        TaskMetrics {
-            heartbeats: registry.counter("task.heartbeats_total"),
-            allocations: registry.counter("task.allocations_total"),
-            alloc_latency_ticks: registry.histogram("task.alloc_latency_ticks"),
-        }
+medea_obs::metric_handles! {
+    /// Pre-resolved `task.*` metric handles.
+    #[derive(Debug)]
+    struct TaskMetrics {
+        heartbeats: Counter = "task.heartbeats_total",
+        allocations: Counter = "task.allocations_total",
+        alloc_latency_ticks: Histogram = "task.alloc_latency_ticks",
     }
 }
 

@@ -22,8 +22,8 @@
 use medea_cluster::{ApplicationId, ClusterState, IndexConfig, NodeGroupId, Resources, Tag};
 use medea_constraints::{Cardinality, PlacementConstraint};
 use medea_core::{
-    place_with_ilp_status, HeuristicScheduler, IlpConfig, IlpSolveStatus, LraRequest,
-    ObjectiveWeights, Ordering, PlacementOutcome,
+    HeuristicScheduler, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights,
+    Ordering, PlacementOutcome,
 };
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -321,9 +321,11 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
         gap: 0.0,
         time_limit: Duration::from_secs(30),
         node_limit: 5_000_000,
-        warm_cache: None,
         ..IlpConfig::default()
     };
+    // Every solve below passes no basis slot: cold, seed-independent.
+    let mut exact = LraScheduler::new(LraAlgorithm::Ilp);
+    exact.ilp = cfg;
 
     for seed in 0..SEEDS {
         let instance = random_instance(seed);
@@ -332,13 +334,12 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
         let best = brute_force_best(&instance, &weights, &tags, &active);
         assert!(best.is_finite(), "seed {seed}: all-unplaced is feasible");
 
-        let (outcomes, status) =
-            place_with_ilp_status(&instance.state, &instance.requests, &[], &cfg);
-        assert_eq!(
-            status,
-            IlpSolveStatus::Solved,
+        let placed = exact.place_on(&instance.state, &instance.requests, &[], None, None, None);
+        assert!(
+            !placed.degraded,
             "seed {seed}: ILP must not degrade on tiny instances"
         );
+        let outcomes = placed.outcomes;
         let ilp_score = score(
             &instance,
             &weights,
@@ -356,7 +357,7 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
         // heuristic-or-better.
         let mut heuristic = HeuristicScheduler::new(Ordering::NodeCandidates);
         heuristic.weights = weights;
-        let h_out = heuristic.place(&instance.state, &instance.requests, &[]);
+        let h_out = heuristic.place(&instance.state, &instance.requests, &[], None);
         let h_score = score(
             &instance,
             &weights,
@@ -395,9 +396,11 @@ fn index_mode_never_changes_placements() {
         gap: 0.0,
         time_limit: Duration::from_secs(30),
         node_limit: 5_000_000,
-        warm_cache: None,
         ..IlpConfig::default()
     };
+    // Every solve below passes no basis slot: cold, seed-independent.
+    let mut exact = LraScheduler::new(LraAlgorithm::Ilp);
+    exact.ilp = cfg;
 
     for seed in 0..SEEDS {
         let instance = random_instance(seed);
@@ -417,11 +420,11 @@ fn index_mode_never_changes_placements() {
         h_off.weights = weights;
         let a = assignment_of(
             &instance.requests,
-            &h_on.place(&indexed, &instance.requests, &[]),
+            &h_on.place(&indexed, &instance.requests, &[], None),
         );
         let b = assignment_of(
             &instance.requests,
-            &h_off.place(&scanned, &instance.requests, &[]),
+            &h_off.place(&scanned, &instance.requests, &[], None),
         );
         assert_eq!(
             a, b,
@@ -431,14 +434,15 @@ fn index_mode_never_changes_placements() {
         // The ILP path (candidate selection + warm starts) every few
         // seeds: identical candidates in, identical solution out.
         if seed % 5 == 0 {
-            let (on_out, on_status) =
-                place_with_ilp_status(&indexed, &instance.requests, &[], &cfg);
-            let (off_out, off_status) =
-                place_with_ilp_status(&scanned, &instance.requests, &[], &cfg);
-            assert_eq!(on_status, off_status, "seed {seed}: ILP status diverges");
+            let on = exact.place_on(&indexed, &instance.requests, &[], None, None, None);
+            let off = exact.place_on(&scanned, &instance.requests, &[], None, None, None);
             assert_eq!(
-                assignment_of(&instance.requests, &on_out),
-                assignment_of(&instance.requests, &off_out),
+                on.degraded, off.degraded,
+                "seed {seed}: ILP status diverges"
+            );
+            assert_eq!(
+                assignment_of(&instance.requests, &on.outcomes),
+                assignment_of(&instance.requests, &off.outcomes),
                 "seed {seed}: ILP placements diverge by index mode"
             );
         }

@@ -28,8 +28,8 @@ use medea_cluster::{
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
-    place_with_relaxed_report_on, IlpConfig, LraAlgorithm, LraRequest, LraScheduler,
-    ObjectiveWeights, PlacementOutcome, PlacerMode,
+    IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights, PlacementOutcome,
+    PlacerMode,
 };
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -285,11 +285,10 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
         gap: 0.0,
         time_limit: Duration::from_secs(30),
         node_limit: 5_000_000,
-        warm_cache: None,
         ..IlpConfig::default()
     };
     let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
-    scheduler.ilp = cfg.clone();
+    scheduler.ilp = cfg;
 
     let mut oracle_feasible_seeds = 0usize;
     let mut clean_relaxed_runs = 0usize;
@@ -298,22 +297,22 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
         let hard = hard_constraints(&instance.requests);
         let k = instance.requests.len();
 
-        let (ilp_out, _) = scheduler.place_with_mode_on(
-            &instance.state,
-            &instance.requests,
-            &[],
-            None,
-            PlacerMode::Ilp,
-        );
-        let (heur_out, _) = scheduler.place_with_mode_on(
-            &instance.state,
-            &instance.requests,
-            &[],
-            None,
-            PlacerMode::Heuristic,
-        );
-        let (relaxed_out, _, report) =
-            place_with_relaxed_report_on(&instance.state, &instance.requests, &[], &cfg, None);
+        // Every arm solves cold (no basis slot): the arms stay independent.
+        let arm = |mode| {
+            scheduler.place_on(
+                &instance.state,
+                &instance.requests,
+                &[],
+                None,
+                Some(mode),
+                None,
+            )
+        };
+        let ilp_out = arm(PlacerMode::Ilp).outcomes;
+        let heur_out = arm(PlacerMode::Heuristic).outcomes;
+        let relaxed = arm(PlacerMode::Relaxed);
+        let relaxed_out = relaxed.outcomes;
+        let report = relaxed.relax.expect("the relaxed arm reports its quality");
 
         // Hard-constraint satisfaction is equivalent across the two
         // solver arms: zero committed violations each.
@@ -421,16 +420,22 @@ fn fresh(alg: LraAlgorithm, mode: PlacerMode) -> LraScheduler {
 
 /// The whole-cluster call, the unrestricted full-detail call and the
 /// full-detail call restricted to *all* nodes (ascending) are one
-/// placement: same outcomes, exactly, for every configured arm.
+/// placement: same outcomes, exactly, for every configured arm. Under
+/// `LraAlgorithm::Ilp`, naming the arm in the call and configuring it as
+/// the mode are the same call too.
 #[test]
 fn entry_points_agree_for_every_arm() {
     for seed in 0..SEEDS {
         let Instance { state, requests } = random_instance(seed);
         let all_nodes: Vec<NodeId> = state.node_ids().collect();
         for (alg, mode) in dispatch_table() {
+            let on = |allowed, arm| {
+                fresh(alg, mode)
+                    .place_on(&state, &requests, &[], allowed, arm, None)
+                    .outcomes
+            };
             let whole = fresh(alg, mode).place(&state, &requests, &[]);
-            let unrestricted = fresh(alg, mode).place_on(&state, &requests, &[], None);
-            let restricted = fresh(alg, mode).place_on(&state, &requests, &[], Some(&all_nodes));
+            let unrestricted = on(None, None);
             assert_eq!(
                 whole,
                 unrestricted,
@@ -438,11 +443,19 @@ fn entry_points_agree_for_every_arm() {
                 mode.name()
             );
             assert_eq!(
-                restricted,
+                on(Some(&all_nodes), None),
                 unrestricted,
                 "seed {seed} {alg}/{}: place_on(all nodes) != place_on(None)",
                 mode.name()
             );
+            if alg == LraAlgorithm::Ilp {
+                assert_eq!(
+                    on(None, Some(mode)),
+                    unrestricted,
+                    "seed {seed}: arm override {} != configured mode",
+                    mode.name()
+                );
+            }
         }
     }
 }

@@ -18,7 +18,7 @@ use std::time::Duration;
 use medea_cluster::{ApplicationId, ClusterState, NodeGroupId, Resources, Tag};
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
-    place_with_relaxed_report_on, IlpConfig, LraRequest, ObjectiveWeights, PlacementOutcome,
+    IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights, PlacementOutcome,
     PlacerMode, RelaxReport,
 };
 use medea_rand::rngs::StdRng;
@@ -185,15 +185,17 @@ fn cfg() -> IlpConfig {
         gap: 0.0,
         time_limit: Duration::from_secs(30),
         node_limit: 5_000_000,
-        warm_cache: None,
         ..IlpConfig::default()
     }
 }
 
+/// One cold solve of the relaxed arm.
 fn run(instance: &Instance) -> (Vec<PlacementOutcome>, RelaxReport) {
-    let (outcomes, _, report) =
-        place_with_relaxed_report_on(&instance.state, &instance.requests, &[], &cfg(), None);
-    (outcomes, report)
+    let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+    scheduler.ilp = cfg();
+    let placed = scheduler.place_on(&instance.state, &instance.requests, &[], None, None, None);
+    let report = placed.relax.expect("the relaxed arm reports its quality");
+    (placed.outcomes, report)
 }
 
 #[test]

@@ -559,6 +559,62 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// Declares a struct of pre-resolved metric handles, naming each handle
+/// once: `field: Kind = "series.name"`. Generates the struct (each field
+/// an `Arc` of its kind), `new(&MetricsRegistry)` resolving every series,
+/// and `NAMES`, the series the struct registers.
+///
+/// ```
+/// medea_obs::metric_handles! {
+///     /// Handles of a toy layer.
+///     pub struct ToyMetrics {
+///         rounds: Counter = "toy.rounds_total",
+///         depth: Gauge = "toy.depth",
+///     }
+/// }
+/// let registry = medea_obs::MetricsRegistry::new();
+/// let m = ToyMetrics::new(&registry);
+/// m.rounds.inc();
+/// m.depth.set(2);
+/// assert_eq!(ToyMetrics::NAMES, ["toy.rounds_total", "toy.depth"]);
+/// assert_eq!(registry.len(), 2);
+/// ```
+#[macro_export]
+macro_rules! metric_handles {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($fvis:vis $field:ident: $kind:ident = $series:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($fvis $field: ::std::sync::Arc<$crate::$kind>,)*
+        }
+
+        impl $name {
+            /// Every series this struct resolves, in declaration order.
+            $vis const NAMES: &'static [&'static str] = &[$($series),*];
+
+            /// Resolves (registering on first use) every handle.
+            $vis fn new(registry: &$crate::MetricsRegistry) -> Self {
+                $name {
+                    $($field: $crate::metric_handles!(@resolve registry, $kind, $series),)*
+                }
+            }
+        }
+    };
+    (@resolve $registry:ident, Counter, $series:literal) => {
+        $registry.counter($series)
+    };
+    (@resolve $registry:ident, Gauge, $series:literal) => {
+        $registry.gauge($series)
+    };
+    (@resolve $registry:ident, Histogram, $series:literal) => {
+        $registry.histogram($series)
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

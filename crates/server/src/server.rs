@@ -57,7 +57,7 @@ use medea_constraints::parse_constraint;
 use medea_core::{
     AppPhase, LifecyclePhase, LraRequest, MedeaScheduler, SharedScheduler, StatusBoard,
 };
-use medea_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use medea_obs::MetricsRegistry;
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, PlaceWork};
 use crate::proto::{
@@ -233,39 +233,21 @@ struct WorkState {
     shutdown: Option<bool>,
 }
 
-struct ServerMetrics {
-    requests: Arc<Counter>,
-    responses: Arc<Counter>,
-    accepted: Arc<Counter>,
-    shed: Arc<Counter>,
-    released: Arc<Counter>,
-    spec_updates: Arc<Counter>,
-    queries: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_size: Arc<Histogram>,
-    admission_us: Arc<Histogram>,
-    connections: Arc<Gauge>,
-    connections_rejected: Arc<Counter>,
-}
-
-impl ServerMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        ServerMetrics {
-            requests: registry.counter("server.requests_total"),
-            responses: registry.counter("server.responses_total"),
-            accepted: registry.counter("server.accepted_total"),
-            shed: registry.counter("server.shed_total"),
-            released: registry.counter("server.released_total"),
-            spec_updates: registry.counter("server.spec_updates_total"),
-            queries: registry.counter("server.queries_total"),
-            protocol_errors: registry.counter("server.protocol_errors_total"),
-            batches: registry.counter("server.batches_total"),
-            batch_size: registry.histogram("server.batch_size"),
-            admission_us: registry.histogram("server.admission_us"),
-            connections: registry.gauge("server.connections"),
-            connections_rejected: registry.counter("server.connections_rejected_total"),
-        }
+medea_obs::metric_handles! {
+    struct ServerMetrics {
+        requests: Counter = "server.requests_total",
+        responses: Counter = "server.responses_total",
+        accepted: Counter = "server.accepted_total",
+        shed: Counter = "server.shed_total",
+        released: Counter = "server.released_total",
+        spec_updates: Counter = "server.spec_updates_total",
+        queries: Counter = "server.queries_total",
+        protocol_errors: Counter = "server.protocol_errors_total",
+        batches: Counter = "server.batches_total",
+        batch_size: Histogram = "server.batch_size",
+        admission_us: Histogram = "server.admission_us",
+        connections: Gauge = "server.connections",
+        connections_rejected: Counter = "server.connections_rejected_total",
     }
 }
 

@@ -16,7 +16,7 @@ use medea_core::{
     AppSpec, LraDeployment, LraRequest, MedeaScheduler, NodeReport, RestartReport, TaskJobRequest,
 };
 use medea_journal::{MemoryStorage, Wal};
-use medea_obs::{Counter, Gauge, MetricsRegistry};
+use medea_obs::MetricsRegistry;
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
 
@@ -186,62 +186,34 @@ pub struct SimMetrics {
     pub deployments: Vec<LraDeployment>,
 }
 
-/// Pre-resolved `sim.*` series, updated per handled event. Kept as
-/// `Arc` handles so the hot event loop never touches the registry map.
-#[derive(Debug)]
-struct SimObs {
-    events: Arc<Counter>,
-    heartbeats: Arc<Counter>,
-    lra_submissions: Arc<Counter>,
-    task_submissions: Arc<Counter>,
-    task_completions: Arc<Counter>,
-    lra_completions: Arc<Counter>,
-    node_failures: Arc<Counter>,
-    scheduler_ticks: Arc<Counter>,
-    chaos_node_crashes: Arc<Counter>,
-    chaos_node_recoveries: Arc<Counter>,
-    chaos_solver_stalls: Arc<Counter>,
-    chaos_containers_killed: Arc<Counter>,
-    lifecycle_submissions: Arc<Counter>,
-    scale_events: Arc<Counter>,
-    upgrade_events: Arc<Counter>,
-    defrag_passes: Arc<Counter>,
-    defrag_migrations: Arc<Counter>,
-    placement_readies: Arc<Counter>,
-    rm_crashes: Arc<Counter>,
-    rm_restarts: Arc<Counter>,
-    rm_containers_lost: Arc<Counter>,
-    rm_events_deferred: Arc<Counter>,
-    clock: Arc<Gauge>,
-}
-
-impl SimObs {
-    fn new(registry: &MetricsRegistry) -> Self {
-        SimObs {
-            events: registry.counter("sim.events_total"),
-            heartbeats: registry.counter("sim.heartbeats_total"),
-            lra_submissions: registry.counter("sim.lra_submissions_total"),
-            task_submissions: registry.counter("sim.task_submissions_total"),
-            task_completions: registry.counter("sim.task_completions_total"),
-            lra_completions: registry.counter("sim.lra_completions_total"),
-            node_failures: registry.counter("sim.node_failures_total"),
-            scheduler_ticks: registry.counter("sim.scheduler_ticks_total"),
-            chaos_node_crashes: registry.counter("sim.chaos_node_crashes_total"),
-            chaos_node_recoveries: registry.counter("sim.chaos_node_recoveries_total"),
-            chaos_solver_stalls: registry.counter("sim.chaos_solver_stalls_total"),
-            chaos_containers_killed: registry.counter("sim.chaos_containers_killed_total"),
-            lifecycle_submissions: registry.counter("sim.lifecycle_submissions_total"),
-            scale_events: registry.counter("sim.scale_events_total"),
-            upgrade_events: registry.counter("sim.upgrade_events_total"),
-            defrag_passes: registry.counter("sim.defrag_passes_total"),
-            defrag_migrations: registry.counter("sim.defrag_migrations_total"),
-            placement_readies: registry.counter("sim.placement_ready_total"),
-            rm_crashes: registry.counter("sim.rm_crashes_total"),
-            rm_restarts: registry.counter("sim.rm_restarts_total"),
-            rm_containers_lost: registry.counter("sim.rm_containers_lost_total"),
-            rm_events_deferred: registry.counter("sim.rm_events_deferred_total"),
-            clock: registry.gauge("sim.clock_ticks"),
-        }
+medea_obs::metric_handles! {
+    /// Pre-resolved `sim.*` series, updated per handled event. Kept as
+    /// `Arc` handles so the hot event loop never touches the registry map.
+    #[derive(Debug)]
+    struct SimObs {
+        events: Counter = "sim.events_total",
+        heartbeats: Counter = "sim.heartbeats_total",
+        lra_submissions: Counter = "sim.lra_submissions_total",
+        task_submissions: Counter = "sim.task_submissions_total",
+        task_completions: Counter = "sim.task_completions_total",
+        lra_completions: Counter = "sim.lra_completions_total",
+        node_failures: Counter = "sim.node_failures_total",
+        scheduler_ticks: Counter = "sim.scheduler_ticks_total",
+        chaos_node_crashes: Counter = "sim.chaos_node_crashes_total",
+        chaos_node_recoveries: Counter = "sim.chaos_node_recoveries_total",
+        chaos_solver_stalls: Counter = "sim.chaos_solver_stalls_total",
+        chaos_containers_killed: Counter = "sim.chaos_containers_killed_total",
+        lifecycle_submissions: Counter = "sim.lifecycle_submissions_total",
+        scale_events: Counter = "sim.scale_events_total",
+        upgrade_events: Counter = "sim.upgrade_events_total",
+        defrag_passes: Counter = "sim.defrag_passes_total",
+        defrag_migrations: Counter = "sim.defrag_migrations_total",
+        placement_readies: Counter = "sim.placement_ready_total",
+        rm_crashes: Counter = "sim.rm_crashes_total",
+        rm_restarts: Counter = "sim.rm_restarts_total",
+        rm_containers_lost: Counter = "sim.rm_containers_lost_total",
+        rm_events_deferred: Counter = "sim.rm_events_deferred_total",
+        clock: Gauge = "sim.clock_ticks",
     }
 }
 
