@@ -73,11 +73,6 @@ impl ClusterState {
         self.journal = Some(wal);
     }
 
-    /// Detaches the journal, returning the handle if one was attached.
-    pub fn detach_wal(&mut self) -> Option<Arc<Mutex<Wal>>> {
-        self.journal.take()
-    }
-
     /// The attached journal handle, if any.
     pub fn wal(&self) -> Option<&Arc<Mutex<Wal>>> {
         self.journal.as_ref()

@@ -389,11 +389,6 @@ impl SimDriver {
         self.last_restart.as_ref()
     }
 
-    /// Whether the simulated resource manager is currently down.
-    pub fn rm_down(&self) -> bool {
-        self.now < self.rm_down_until
-    }
-
     /// The scheduler under simulation.
     pub fn medea(&self) -> &MedeaScheduler {
         &self.medea

@@ -38,13 +38,11 @@
 
 mod instrument;
 mod milp;
-mod presolve;
 mod problem;
 mod simplex;
 
 pub use instrument::{SolveEvent, SolveInstrumentation};
 pub use milp::{Milp, MilpSolution, MilpStatus, INT_TOL};
-pub use presolve::{presolve, PresolveStats};
 pub use problem::{
     Cmp, Constraint, ConstraintId, Problem, ProblemError, Sense, VarId, VarKind, Variable,
 };

@@ -137,9 +137,6 @@ pub struct Milp<'a> {
     node_limit: usize,
     /// Relative optimality gap at which the search stops early.
     gap_tol: f64,
-    /// Optional MIP start: `(var index, value)` fixings of a known-good
-    /// partial solution (see [`Milp::with_start`]).
-    start: Option<Vec<(usize, f64)>>,
     /// Optional complete initial point (see [`Milp::with_incumbent`]).
     incumbent_point: Option<Vec<f64>>,
     /// Root bound overrides applied to the entire search.
@@ -160,7 +157,6 @@ impl<'a> Milp<'a> {
             deadline: None,
             node_limit: 200_000,
             gap_tol: 1e-6,
-            start: None,
             incumbent_point: None,
             root_bounds: Vec::new(),
             warm_basis: None,
@@ -209,24 +205,13 @@ impl<'a> Milp<'a> {
 
     /// Provides a complete known-feasible point as the initial incumbent.
     ///
-    /// Unlike [`Milp::with_start`] (which fixes a subset of variables and
-    /// solves for the rest), the point must assign every variable; it is
-    /// verified with [`Problem::is_feasible`] and silently ignored if it
-    /// does not check out.
+    /// The point must assign every variable; it is verified with
+    /// [`Problem::is_feasible`] and silently ignored if it does not check
+    /// out. The search then only has to *improve* on it, which makes the
+    /// solver anytime: with a tight deadline it degrades to the point's
+    /// quality instead of failing.
     pub fn with_incumbent(mut self, point: Vec<f64>) -> Self {
         self.incumbent_point = Some(point);
-        self
-    }
-
-    /// Provides a MIP start: variable fixings from a heuristic solution.
-    ///
-    /// Before the main search, the solver fixes these variables, solves
-    /// the restricted subproblem quickly, and adopts the result as the
-    /// initial incumbent. The main search then only has to *improve* on
-    /// the heuristic, which makes the solver anytime: with a tight
-    /// deadline it degrades to heuristic quality instead of failing.
-    pub fn with_start(mut self, fixings: Vec<(usize, f64)>) -> Self {
-        self.start = Some(fixings);
         self
     }
 
@@ -319,41 +304,6 @@ impl<'a> Milp<'a> {
                     point.len(),
                     p.num_vars()
                 );
-            }
-        }
-
-        // MIP start: solve the subproblem with the caller's fixings and
-        // adopt its solution as the initial incumbent.
-        if let Some(fixings) = &self.start {
-            let mut bounds = self.root_bounds.clone();
-            for &(j, v) in fixings {
-                set_override(&mut bounds, j, v, v);
-            }
-            let warm = Milp {
-                problem: p,
-                deadline: Some(
-                    self.deadline
-                        .map(|d| d / 2)
-                        .unwrap_or(Duration::from_secs(1)),
-                ),
-                node_limit: 400,
-                gap_tol: self.gap_tol.max(1e-4),
-                start: None,
-                incumbent_point: None,
-                root_bounds: bounds,
-                // The fixings only tighten bounds, so the root basis is
-                // dual feasible for the sub-solve too.
-                warm_basis: root_basis.clone(),
-                instrumentation: self.instrumentation,
-            };
-            if let Ok(sol) = warm.solve() {
-                if sol.has_solution() && p.is_feasible(&sol.values, 1e-6) {
-                    let obj = sign * sol.objective;
-                    if incumbent.as_ref().is_none_or(|(_, inc)| obj < *inc) {
-                        incumbent = Some((sol.values.clone(), obj));
-                        self.emit(SolveEvent::IncumbentImproved);
-                    }
-                }
             }
         }
 

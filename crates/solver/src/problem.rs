@@ -284,19 +284,6 @@ impl Problem {
         &self.constraints
     }
 
-    /// Overrides the bounds of an existing variable.
-    ///
-    /// Used by branch and bound to impose branching decisions.
-    pub fn set_bounds(&mut self, id: VarId, lower: f64, upper: f64) {
-        self.vars[id.0].lower = lower;
-        self.vars[id.0].upper = upper;
-    }
-
-    /// Overrides the objective coefficient of an existing variable.
-    pub fn set_cost(&mut self, id: VarId, cost: f64) {
-        self.vars[id.0].cost = cost;
-    }
-
     /// Validates variable bounds, handles, and numeric sanity.
     ///
     /// The solvers call this before starting; it is public so that problem

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use medea_solver::{presolve, Cmp, Milp, MilpStatus, Problem, VarKind};
+use medea_solver::{Cmp, Milp, MilpStatus, Problem, VarKind};
 
 /// A 0-1 knapsack with a known dynamic-programming optimum.
 fn knapsack(values: &[i64], weights: &[i64], cap: i64) -> (Problem, i64) {
@@ -109,18 +109,6 @@ fn gap_terminates_early_but_within_tolerance() {
         "5% gap: {} vs optimum {best}",
         sol.objective
     );
-}
-
-#[test]
-fn presolve_then_solve_agrees_with_direct_solve() {
-    let values: Vec<i64> = (0..14).map(|i| 20 + (i * 11) % 17).collect();
-    let weights: Vec<i64> = (0..14).map(|i| 4 + (i * 3) % 9).collect();
-    let (p, best) = knapsack(&values, &weights, 30);
-    let mut reduced = p.clone();
-    let stats = presolve(&mut reduced);
-    assert!(!stats.proven_infeasible);
-    let sol = Milp::new(&reduced).solve().unwrap();
-    assert_eq!(sol.objective.round() as i64, best);
 }
 
 #[test]
