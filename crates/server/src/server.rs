@@ -695,16 +695,16 @@ fn handle_place(
 
     {
         let mut apps = lock_unwrap(&inner.apps);
-        match apps.phase(app) {
-            Some(phase) if phase != MetaPhase::Released => {
-                return Response::Error {
-                    id,
-                    code: "duplicate_app".to_string(),
-                    message: format!("app {app} is already active"),
-                };
-            }
-            _ => apps.insert_active(app, tenant.clone()),
+        // Released and Rejected are both terminal: the id is free again
+        // (a rejected client resubmits its corrected request under it).
+        if apps.phase(app) == Some(MetaPhase::Active) {
+            return Response::Error {
+                id,
+                code: "duplicate_app".to_string(),
+                message: format!("app {app} is already active"),
+            };
         }
+        apps.insert_active(app, tenant.clone());
     }
 
     let now_ms = inner.now_ms();

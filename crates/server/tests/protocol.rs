@@ -164,6 +164,46 @@ fn semantic_errors_are_typed_and_keep_the_connection() {
     handle.shutdown(true);
 }
 
+/// A place the scheduler rejects after the `accepted` reply (constraint
+/// over a node group the cluster does not have) leaves the id terminal,
+/// not active: the client resubmits the corrected request under it.
+#[test]
+fn rejected_app_can_be_resubmitted_under_the_same_id() {
+    let handle = start(4, AdmissionConfig::default());
+    let mut c = Client::connect(handle.addr());
+    let place = |c: &mut Client, id: u64, group: &str| {
+        c.call(&Request::Place {
+            id,
+            tenant: "alice".to_string(),
+            app: 30,
+            containers: vec![ContainerSpec {
+                count: 2,
+                memory_mb: 512,
+                vcores: 1,
+                tags: vec!["w".to_string()],
+            }],
+            constraints: vec![format!("{{w, {{w, 0, 0}}, {group}}}")],
+        })
+    };
+
+    // Syntactically fine, so admission accepts; the scheduler rejects.
+    assert!(matches!(
+        place(&mut c, 1, "no_such_group"),
+        Response::Accepted { .. }
+    ));
+    common::await_phase(&mut c, 30, "rejected", Duration::from_secs(10));
+
+    match place(&mut c, 2, "node") {
+        Response::Accepted { id, app, .. } => assert_eq!((id, app), (2, 30)),
+        other => panic!("resubmission after rejection must be accepted, got {other:?}"),
+    }
+    match common::await_phase(&mut c, 30, "placed", Duration::from_secs(10)) {
+        Response::AppStatus { nodes, .. } => assert_eq!(nodes.len(), 2),
+        other => panic!("expected app status, got {other:?}"),
+    }
+    handle.shutdown(true);
+}
+
 #[test]
 fn garbage_json_and_bad_utf8_get_typed_errors_without_dropping() {
     let handle = start(4, AdmissionConfig::default());
