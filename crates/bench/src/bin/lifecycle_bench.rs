@@ -29,8 +29,7 @@
 //! Usage: `cargo run --release -p medea-bench --bin lifecycle_bench`
 //! (`--smoke` runs the small scale only, for CI).
 
-use std::fmt::Write as _;
-
+use medea_bench::BenchJson;
 use medea_cluster::{ClusterState, NodeId, Resources};
 use medea_constraints::{violation_stats, PlacementConstraint};
 use medea_core::{LifecyclePhase, LraAlgorithm};
@@ -193,51 +192,35 @@ fn bench_scale(scale: &Scale) -> ScaleResult {
     }
 }
 
-fn write_json(mode: &str, results: &[ScaleResult]) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"lifecycle_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    body.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        body.push_str("    {");
-        let _ = write!(
-            body,
-            "\"nodes\": {}, \"apps\": {}, \"days\": {}, \
-             \"lifecycle_util\": {:.6}, \"baseline_util\": {:.6}, \
-             \"hard_violations\": {}, \"budget_overruns\": {}, \
-             \"budget_denials\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
-             \"upgraded\": {}, \"migrations\": {}, \"reconciles\": {}, \
-             \"ledger_ok\": {}, \"converged\": {}",
-            r.nodes,
-            r.apps,
-            r.days,
-            r.lifecycle_util,
-            r.baseline_util,
-            r.hard_violations,
-            r.budget_overruns,
-            r.budget_denials,
-            r.scale_ups,
-            r.scale_downs,
-            r.upgraded,
-            r.migrations,
-            r.reconciles,
-            r.ledger_ok,
-            r.converged,
-        );
-        body.push('}');
-        if i + 1 < results.len() {
-            body.push(',');
-        }
-        body.push('\n');
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_lifecycle.json", body)
+/// The inside of one `scales` row of `BENCH_lifecycle.json`.
+fn row_json(r: &ScaleResult) -> String {
+    format!(
+        "\"nodes\": {}, \"apps\": {}, \"days\": {}, \
+         \"lifecycle_util\": {:.6}, \"baseline_util\": {:.6}, \
+         \"hard_violations\": {}, \"budget_overruns\": {}, \
+         \"budget_denials\": {}, \"scale_ups\": {}, \"scale_downs\": {}, \
+         \"upgraded\": {}, \"migrations\": {}, \"reconciles\": {}, \
+         \"ledger_ok\": {}, \"converged\": {}",
+        r.nodes,
+        r.apps,
+        r.days,
+        r.lifecycle_util,
+        r.baseline_util,
+        r.hard_violations,
+        r.budget_overruns,
+        r.budget_denials,
+        r.scale_ups,
+        r.scale_downs,
+        r.upgraded,
+        r.migrations,
+        r.reconciles,
+        r.ledger_ok,
+        r.converged,
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
     let scales: &[Scale] = if smoke {
         &[Scale {
             nodes: 32,
@@ -296,5 +279,7 @@ fn main() {
         );
         results.push(r);
     }
-    write_json(mode, &results).expect("BENCH_lifecycle.json writes");
+    let mut doc = BenchJson::new("lifecycle", smoke);
+    doc.rows("scales", results.iter().map(row_json));
+    doc.write().expect("BENCH_lifecycle.json writes");
 }

@@ -17,12 +17,11 @@
 //!    while sync pays with task latency instead.
 //!
 //! Usage: `cargo run --release -p medea-bench --bin pipeline_bench`
-//! (`--smoke` runs the scaled-down CI variant; the JSON records
-//! `"mode": "smoke"` so trajectories never mix scales).
+//! (`--smoke` runs the scaled-down CI variant; its JSON records
+//! `"mode": "smoke"` and lands under `target/bench-smoke/`, so
+//! trajectories never mix scales).
 
-use std::fmt::Write as _;
-
-use medea_bench::{paper_solve_model, run_pipeline, PipelineRun, PipelineScenario};
+use medea_bench::{paper_solve_model, run_pipeline, BenchJson, PipelineRun, PipelineScenario};
 use medea_sim::{box_stats, BoxStats, PipelineMode, SolveLatencyModel};
 
 /// One arm of the task-latency comparison.
@@ -62,67 +61,57 @@ struct SweepRow {
     async_deployments: usize,
 }
 
-fn write_json(mode: &str, arms: &[LatencyArm], sweep: &[SweepRow]) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"pipeline_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    body.push_str("  \"task_latency\": {\n");
-    for a in arms {
-        let _ = writeln!(
-            body,
-            "    \"{}\": {{\"tasks\": {}, \"p50\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1}, \
-             \"lra_p50\": {:.1}, \"deployments\": {}, \"conflicts\": {}}},",
-            a.name,
-            a.tasks,
-            a.stats.p50,
-            a.stats.p99,
-            a.stats.mean,
-            a.lra_p50,
-            a.deployments,
-            a.conflicts,
-        );
-    }
+/// The members of the `task_latency` object of `BENCH_pipeline.json`:
+/// one per arm, then the two deltas against the first (baseline) arm.
+fn task_latency_json(arms: &[LatencyArm]) -> Vec<String> {
+    let mut entries: Vec<String> = arms
+        .iter()
+        .map(|a| {
+            format!(
+                "\"{}\": {{\"tasks\": {}, \"p50\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1}, \
+                 \"lra_p50\": {:.1}, \"deployments\": {}, \"conflicts\": {}}}",
+                a.name,
+                a.tasks,
+                a.stats.p50,
+                a.stats.p99,
+                a.stats.mean,
+                a.lra_p50,
+                a.deployments,
+                a.conflicts,
+            )
+        })
+        .collect();
     let base = arms[0].stats.p50.max(1e-9);
-    let _ = writeln!(
-        body,
-        "    \"async_vs_baseline_p50_pct\": {:.1},",
+    entries.push(format!(
+        "\"async_vs_baseline_p50_pct\": {:.1}",
         (arms[1].stats.p50 / base - 1.0) * 100.0
-    );
-    let _ = writeln!(
-        body,
-        "    \"sync_vs_baseline_p50_pct\": {:.1}",
+    ));
+    entries.push(format!(
+        "\"sync_vs_baseline_p50_pct\": {:.1}",
         (arms[2].stats.p50 / base - 1.0) * 100.0
-    );
-    body.push_str("  },\n");
-    body.push_str("  \"conflict_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = write!(
-            body,
-            "    {{\"deadline_ticks\": {}, \"sync_task_p50\": {:.1}, \"sync_task_p99\": {:.1}, \
-             \"async_task_p50\": {:.1}, \"async_task_p99\": {:.1}, \"async_conflicts\": {}, \
-             \"async_conflict_rate\": {:.3}, \"async_deployments\": {}}}",
-            r.deadline,
-            r.sync_task_p50,
-            r.sync_task_p99,
-            r.async_task_p50,
-            r.async_task_p99,
-            r.async_conflicts,
-            r.async_conflict_rate,
-            r.async_deployments,
-        );
-        if i + 1 < sweep.len() {
-            body.push(',');
-        }
-        body.push('\n');
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_pipeline.json", body)
+    ));
+    entries
+}
+
+/// The inside of one `conflict_sweep` row.
+fn sweep_row_json(r: &SweepRow) -> String {
+    format!(
+        "\"deadline_ticks\": {}, \"sync_task_p50\": {:.1}, \"sync_task_p99\": {:.1}, \
+         \"async_task_p50\": {:.1}, \"async_task_p99\": {:.1}, \"async_conflicts\": {}, \
+         \"async_conflict_rate\": {:.3}, \"async_deployments\": {}",
+        r.deadline,
+        r.sync_task_p50,
+        r.sync_task_p99,
+        r.async_task_p50,
+        r.async_task_p99,
+        r.async_conflicts,
+        r.async_conflict_rate,
+        r.async_deployments,
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
 
     // Experiment 1: task latency with the solver on vs. off the critical
     // path, against the no-LRA baseline.
@@ -226,8 +215,10 @@ fn main() {
         );
     }
 
-    match write_json(mode, &arms, &sweep) {
-        Ok(()) => println!("(json: BENCH_pipeline.json)"),
-        Err(e) => eprintln!("warning: cannot write BENCH_pipeline.json: {e}"),
+    let mut doc = BenchJson::new("pipeline", smoke);
+    doc.object("task_latency", task_latency_json(&arms));
+    doc.rows("conflict_sweep", sweep.iter().map(sweep_row_json));
+    if let Err(e) = doc.write() {
+        eprintln!("warning: cannot write BENCH_pipeline.json: {e}");
     }
 }

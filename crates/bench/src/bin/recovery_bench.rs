@@ -23,9 +23,9 @@
 //! Usage: `cargo run --release -p medea-bench --bin recovery_bench`
 //! (`--smoke` runs the 500-node scale only, for CI).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use medea_bench::BenchJson;
 use medea_cluster::{ApplicationId, ClusterState, NodeId, Resources};
 use medea_core::{LraAlgorithm, MedeaScheduler, NodeReport, TaskJobRequest};
 use medea_journal::{FileStorage, Wal};
@@ -165,44 +165,28 @@ fn bench_scale(nodes: usize) -> ScaleResult {
     }
 }
 
-fn write_json(mode: &str, results: &[ScaleResult]) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"recovery_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    body.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        body.push_str("    {");
-        let _ = write!(
-            body,
-            "\"nodes\": {}, \"containers\": {}, \"wal_records\": {}, \
-             \"wal_bytes\": {}, \"restore_us\": {}, \"replayed_ops\": {}, \
-             \"tail_restore_us\": {}, \"lossy_phantoms_released\": {}, \
-             \"lossy_restore_us\": {}, \"audit_clean\": {}",
-            r.nodes,
-            r.containers,
-            r.wal_records,
-            r.wal_bytes,
-            r.restore_us,
-            r.replayed_ops,
-            r.tail_restore_us,
-            r.lossy_phantoms_released,
-            r.lossy_restore_us,
-            r.audit_clean,
-        );
-        body.push('}');
-        if i + 1 < results.len() {
-            body.push(',');
-        }
-        body.push('\n');
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_recovery.json", body)
+/// The inside of one `scales` row of `BENCH_recovery.json`.
+fn row_json(r: &ScaleResult) -> String {
+    format!(
+        "\"nodes\": {}, \"containers\": {}, \"wal_records\": {}, \
+         \"wal_bytes\": {}, \"restore_us\": {}, \"replayed_ops\": {}, \
+         \"tail_restore_us\": {}, \"lossy_phantoms_released\": {}, \
+         \"lossy_restore_us\": {}, \"audit_clean\": {}",
+        r.nodes,
+        r.containers,
+        r.wal_records,
+        r.wal_bytes,
+        r.restore_us,
+        r.replayed_ops,
+        r.tail_restore_us,
+        r.lossy_phantoms_released,
+        r.lossy_restore_us,
+        r.audit_clean,
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
     let scales: &[usize] = if smoke { &[500] } else { &[500, 5000, 20000] };
     let mut results = Vec::new();
     for &nodes in scales {
@@ -224,5 +208,7 @@ fn main() {
         );
         results.push(r);
     }
-    write_json(mode, &results).expect("BENCH_recovery.json writes");
+    let mut doc = BenchJson::new("recovery", smoke);
+    doc.rows("scales", results.iter().map(row_json));
+    doc.write().expect("BENCH_recovery.json writes");
 }

@@ -30,6 +30,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use medea_bench::BenchJson;
 use medea_cluster::{
     ApplicationId, ClusterState, ContainerRequest, ExecutionKind, IndexConfig, NodeGroupId, NodeId,
     Resources, ShardConfig, Tag,
@@ -323,58 +324,43 @@ fn summarize(
     }
 }
 
-fn write_json(mode: &str, results: &[ScaleResult]) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"scale_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    body.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        body.push_str("    {");
+/// The inside of one `scales` row of `BENCH_scale.json`.
+fn row_json(r: &ScaleResult) -> String {
+    let mut row = format!(
+        "\"nodes\": {}, \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
+         \"mean_us\": {}, \"populate_us\": {}, \
+         \"nodes_touched_indexed\": {}, \"nodes_touched_scan\": {}, \
+         \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}",
+        r.nodes,
+        r.iters,
+        r.median_us,
+        r.p99_us,
+        r.mean_us,
+        r.populate_us,
+        r.nodes_touched_indexed,
+        r.nodes_touched_scan,
+        r.index_update_ops_populate,
+        r.index_update_ns_per_op,
+    );
+    if let Some(b) = r.pre_index_baseline_us {
+        let speedup = b as f64 / r.median_us.max(1) as f64;
         let _ = write!(
-            body,
-            "\"nodes\": {}, \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
-             \"mean_us\": {}, \"populate_us\": {}, \
-             \"nodes_touched_indexed\": {}, \"nodes_touched_scan\": {}, \
-             \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}",
-            r.nodes,
-            r.iters,
-            r.median_us,
-            r.p99_us,
-            r.mean_us,
-            r.populate_us,
-            r.nodes_touched_indexed,
-            r.nodes_touched_scan,
-            r.index_update_ops_populate,
-            r.index_update_ns_per_op,
+            row,
+            ", \"pre_index_baseline_us\": {b}, \"speedup_vs_scan\": {speedup:.2}"
         );
-        if let Some(b) = r.pre_index_baseline_us {
-            let speedup = b as f64 / r.median_us.max(1) as f64;
-            let _ = write!(
-                body,
-                ", \"pre_index_baseline_us\": {b}, \"speedup_vs_scan\": {speedup:.2}"
-            );
-        }
-        let shard_speedup = r.unsharded_round_us as f64 / r.sharded_round_us.max(1) as f64;
-        let _ = write!(
-            body,
-            ", \"unsharded_round_us\": {}, \"sharded_round_us\": {}, \
-             \"shards\": {}, \"shard_speedup\": {shard_speedup:.2}",
-            r.unsharded_round_us, r.sharded_round_us, r.shards,
-        );
-        body.push('}');
-        if i + 1 < results.len() {
-            body.push(',');
-        }
-        body.push('\n');
     }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scale.json", body)
+    let shard_speedup = r.unsharded_round_us as f64 / r.sharded_round_us.max(1) as f64;
+    let _ = write!(
+        row,
+        ", \"unsharded_round_us\": {}, \"sharded_round_us\": {}, \
+         \"shards\": {}, \"shard_speedup\": {shard_speedup:.2}",
+        r.unsharded_round_us, r.sharded_round_us, r.shards,
+    );
+    row
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
     let scales: &[(usize, usize, usize)] = if smoke {
         // The 20000-node row keeps the sharded-speedup gate in CI.
         &[(500, 1, 2), (20000, 0, 2)]
@@ -451,8 +437,9 @@ fn main() {
         );
         results.push(r);
     }
-    match write_json(mode, &results) {
-        Ok(()) => println!("(json: BENCH_scale.json)"),
-        Err(e) => eprintln!("warning: cannot write BENCH_scale.json: {e}"),
+    let mut doc = BenchJson::new("scale", smoke);
+    doc.rows("scales", results.iter().map(row_json));
+    if let Err(e) = doc.write() {
+        eprintln!("warning: cannot write BENCH_scale.json: {e}");
     }
 }

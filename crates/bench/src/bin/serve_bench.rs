@@ -24,10 +24,10 @@
 //! zero-loss gate).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use medea_bench::BenchJson;
 use medea_cluster::{ClusterState, Resources};
 use medea_core::{LraAlgorithm, MedeaScheduler};
 use medea_obs::MetricsRegistry;
@@ -353,49 +353,32 @@ fn open_loop(
     summarize("open_loop", clients, target_rps, t0.elapsed(), outcomes)
 }
 
-fn write_json(mode: &str, rows: &[RowResult], protocol_errors: u64) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"serve_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(body, "  \"server_protocol_errors\": {protocol_errors},");
-    body.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str("    {");
-        let _ = write!(
-            body,
-            "\"scenario\": \"{}\", \"clients\": {}, \"target_rps\": {}, \
-             \"requests\": {}, \"responses\": {}, \"accepted\": {}, \
-             \"shed\": {}, \"errors\": {}, \"elapsed_ms\": {}, \
-             \"achieved_rps\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {}",
-            r.scenario,
-            r.clients,
-            r.target_rps,
-            r.requests,
-            r.responses,
-            r.accepted,
-            r.shed,
-            r.errors,
-            r.elapsed_ms,
-            r.achieved_rps,
-            r.p50_us,
-            r.p99_us,
-            r.max_us,
-        );
-        body.push('}');
-        if i + 1 < rows.len() {
-            body.push(',');
-        }
-        body.push('\n');
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_serve.json", body)
+/// The inside of one `rows` row of `BENCH_serve.json`.
+fn row_json(r: &RowResult) -> String {
+    format!(
+        "\"scenario\": \"{}\", \"clients\": {}, \"target_rps\": {}, \
+         \"requests\": {}, \"responses\": {}, \"accepted\": {}, \
+         \"shed\": {}, \"errors\": {}, \"elapsed_ms\": {}, \
+         \"achieved_rps\": {}, \"p50_us\": {}, \"p99_us\": {}, \
+         \"max_us\": {}",
+        r.scenario,
+        r.clients,
+        r.target_rps,
+        r.requests,
+        r.responses,
+        r.accepted,
+        r.shed,
+        r.errors,
+        r.elapsed_ms,
+        r.achieved_rps,
+        r.p50_us,
+        r.p99_us,
+        r.max_us,
+    )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
 
     let handle = start_server(if smoke { 64 } else { 256 });
     let addr = handle.addr();
@@ -467,5 +450,8 @@ fn main() {
     }
     assert!(report.drained && report.drain_complete, "drain must finish");
 
-    write_json(mode, &rows, protocol_errors).expect("BENCH_serve.json writes");
+    let mut doc = BenchJson::new("serve", smoke);
+    doc.field("server_protocol_errors", protocol_errors);
+    doc.rows("rows", rows.iter().map(row_json));
+    doc.write().expect("BENCH_serve.json writes");
 }

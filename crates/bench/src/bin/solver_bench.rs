@@ -37,14 +37,15 @@
 //! the JSON under `"dense_baseline_us"` for the `milp_exact` instances.
 //!
 //! Usage: `cargo run --release -p medea-bench --bin solver_bench`
-//! (`--smoke` runs a fast, low-iteration variant for CI; the JSON is
-//! still written with `"mode": "smoke"` so trajectories never mix modes).
+//! (`--smoke` runs a fast, low-iteration variant for CI; its JSON says
+//! `"mode": "smoke"` and lands under `target/bench-smoke/`, never on the
+//! committed file, so trajectories never mix modes).
 
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use medea_bench::placement_model;
+use medea_bench::{placement_model, BenchJson};
 use medea_cluster::{
     ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
 };
@@ -374,79 +375,54 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
-fn write_json(
-    mode: &str,
-    results: &[InstanceResult],
-    frontier: &[FrontierRow],
-) -> std::io::Result<()> {
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(body, "  \"bench\": \"solver_bench\",");
-    let _ = writeln!(body, "  \"mode\": \"{mode}\",");
-    body.push_str("  \"instances\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        body.push_str("    {");
+/// The inside of one `instances` row of `BENCH_solver.json`.
+fn instance_json(r: &InstanceResult) -> String {
+    let mut row = format!(
+        "\"name\": \"{}\", \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
+         \"mean_us\": {}, \"pivots_per_solve\": {}, \"refactorizations_per_solve\": {}, \
+         \"warm_starts_per_solve\": {:.2}",
+        json_escape_free(&r.name),
+        r.iters,
+        r.median_us,
+        r.p99_us,
+        r.mean_us,
+        r.pivots_per_solve,
+        r.refactorizations_per_solve,
+        r.warm_starts_per_solve,
+    );
+    if let Some(b) = r.dense_baseline_us {
+        let speedup = b as f64 / r.median_us.max(1) as f64;
         let _ = write!(
-            body,
-            "\"name\": \"{}\", \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
-             \"mean_us\": {}, \"pivots_per_solve\": {}, \"refactorizations_per_solve\": {}, \
-             \"warm_starts_per_solve\": {:.2}",
-            json_escape_free(&r.name),
-            r.iters,
-            r.median_us,
-            r.p99_us,
-            r.mean_us,
-            r.pivots_per_solve,
-            r.refactorizations_per_solve,
-            r.warm_starts_per_solve,
+            row,
+            ", \"dense_baseline_us\": {b}, \"speedup_vs_dense\": {speedup:.2}"
         );
-        if let Some(b) = r.dense_baseline_us {
-            let speedup = b as f64 / r.median_us.max(1) as f64;
-            let _ = write!(
-                body,
-                ", \"dense_baseline_us\": {b}, \"speedup_vs_dense\": {speedup:.2}"
-            );
-        }
-        body.push('}');
-        if i + 1 < results.len() {
-            body.push(',');
-        }
-        body.push('\n');
     }
-    body.push_str("  ],\n");
-    body.push_str("  \"frontier\": [\n");
-    for (i, r) in frontier.iter().enumerate() {
-        body.push_str("    {");
-        let _ = write!(
-            body,
-            "\"name\": \"{}\", \"batch_containers\": {}, \"iters\": {}, \"median_us\": {}, \
-             \"p99_us\": {}, \"placed_lras\": {}, \"total_lras\": {}, \"hard_violations\": {}",
-            json_escape_free(&r.name),
-            r.batch_containers,
-            r.iters,
-            r.median_us,
-            r.p99_us,
-            r.placed_lras,
-            r.total_lras,
-            r.hard_violations,
-        );
-        if let Some(g) = r.relative_gap {
-            let _ = write!(body, ", \"relative_gap\": {g:.4}");
-        }
-        body.push('}');
-        if i + 1 < frontier.len() {
-            body.push(',');
-        }
-        body.push('\n');
+    row
+}
+
+/// The inside of one `frontier` row.
+fn frontier_json(r: &FrontierRow) -> String {
+    let mut row = format!(
+        "\"name\": \"{}\", \"batch_containers\": {}, \"iters\": {}, \"median_us\": {}, \
+         \"p99_us\": {}, \"placed_lras\": {}, \"total_lras\": {}, \"hard_violations\": {}",
+        json_escape_free(&r.name),
+        r.batch_containers,
+        r.iters,
+        r.median_us,
+        r.p99_us,
+        r.placed_lras,
+        r.total_lras,
+        r.hard_violations,
+    );
+    if let Some(g) = r.relative_gap {
+        let _ = write!(row, ", \"relative_gap\": {g:.4}");
     }
-    body.push_str("  ]\n}\n");
-    std::fs::write("BENCH_solver.json", body)
+    row
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (lp_iters, milp_iters, rounds) = if smoke { (5, 3, 4) } else { (30, 10, 12) };
-    let mode = if smoke { "smoke" } else { "full" };
     let mut results: Vec<InstanceResult> = Vec::new();
 
     // Family 1: LP relaxations (cold simplex).
@@ -545,8 +521,10 @@ fn main() {
                 .unwrap_or_else(|| "-".to_string()),
         );
     }
-    match write_json(mode, &results, &frontier) {
-        Ok(()) => println!("(json: BENCH_solver.json)"),
-        Err(e) => eprintln!("warning: cannot write BENCH_solver.json: {e}"),
+    let mut doc = BenchJson::new("solver", smoke);
+    doc.rows("instances", results.iter().map(instance_json));
+    doc.rows("frontier", frontier.iter().map(frontier_json));
+    if let Err(e) = doc.write() {
+        eprintln!("warning: cannot write BENCH_solver.json: {e}");
     }
 }

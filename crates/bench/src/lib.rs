@@ -16,7 +16,7 @@ mod scenarios;
 mod timing;
 
 pub use models::placement_model;
-pub use output::{f2, f3, pct, Report};
+pub use output::{f2, f3, pct, BenchJson, Report};
 pub use pipeline::{paper_solve_model, run_pipeline, PipelineRun, PipelineScenario};
 pub use scenarios::{
     deploy_lras, deploy_lras_with_metrics, hbase_count_for_utilization, lra_mix, DeployResult,

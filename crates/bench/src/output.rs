@@ -1,9 +1,10 @@
-//! Experiment output: formatted tables on stdout and CSV files under
-//! `target/experiments/`.
+//! Experiment output: formatted tables on stdout, CSV files under
+//! `target/experiments/`, and the `BENCH_<name>.json` documents.
 
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple experiment report: header row plus data rows, printed as an
 /// aligned table and written as CSV.
@@ -100,6 +101,76 @@ impl Report {
     }
 }
 
+/// One `BENCH_<name>.json` document: the header every bench shares
+/// (`bench`, `mode`, `commit`, `cores`) followed by the bench's own
+/// sections, and the rule for where it lands — a `full` run writes the
+/// committed file at the repo root, a `--smoke` run writes under
+/// `target/bench-smoke/`, so CI never rewrites a committed result.
+#[derive(Debug)]
+pub struct BenchJson {
+    path: PathBuf,
+    body: String,
+}
+
+impl BenchJson {
+    /// Starts the document of `<name>_bench` in the given mode.
+    pub fn new(name: &str, smoke: bool) -> Self {
+        let file = format!("BENCH_{name}.json");
+        let (mode, path) = if smoke {
+            ("smoke", Path::new("target/bench-smoke").join(file))
+        } else {
+            ("full", PathBuf::from(file))
+        };
+        let commit = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let body = format!(
+            "{{\n  \"bench\": \"{name}_bench\",\n  \"mode\": \"{mode}\",\n  \
+             \"commit\": \"{commit}\",\n  \"cores\": {cores}"
+        );
+        BenchJson { path, body }
+    }
+
+    /// Adds a top-level scalar `"key": value`.
+    pub fn field(&mut self, key: &str, value: impl Display) {
+        let _ = write!(self.body, ",\n  \"{key}\": {value}");
+    }
+
+    /// Adds `"key": [{row}, ...]`, one row per line; each row is the
+    /// inside of its object (`"k": v, ...`).
+    pub fn rows(&mut self, key: &str, rows: impl IntoIterator<Item = String>) {
+        let rows: Vec<String> = rows.into_iter().map(|r| format!("    {{{r}}}")).collect();
+        let _ = write!(self.body, ",\n  \"{key}\": [\n{}\n  ]", rows.join(",\n"));
+    }
+
+    /// Adds `"key": {entry, ...}`, one entry per line; each entry is a
+    /// complete `"k": v` member.
+    pub fn object(&mut self, key: &str, entries: impl IntoIterator<Item = String>) {
+        let entries: Vec<String> = entries.into_iter().map(|e| format!("    {e}")).collect();
+        let _ = write!(
+            self.body,
+            ",\n  \"{key}\": {{\n{}\n  }}",
+            entries.join(",\n")
+        );
+    }
+
+    /// Writes the document and prints where it went.
+    pub fn write(mut self) -> std::io::Result<()> {
+        self.body.push_str("\n}\n");
+        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs::create_dir_all(dir)?;
+        }
+        fs::write(&self.path, self.body)?;
+        println!("(json: {})", self.path.display());
+        Ok(())
+    }
+}
+
 /// Formats a float with 2 decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -128,6 +199,30 @@ mod tests {
         let path = r.write_csv().expect("csv written");
         let body = std::fs::read_to_string(path).unwrap();
         assert_eq!(body, "x,y\n1,2\n3,4.5\n");
+    }
+
+    #[test]
+    fn bench_json_shape_and_smoke_path() {
+        let mut doc = BenchJson::new("unit", true);
+        doc.field("errors", 0);
+        doc.rows("rows", ["\"a\": 1".to_string(), "\"a\": 2".to_string()]);
+        doc.object("named", ["\"x\": {\"p50\": 1.0}".to_string()]);
+        assert_eq!(
+            doc.path,
+            Path::new("target/bench-smoke/BENCH_unit.json"),
+            "smoke runs stay out of the repo root"
+        );
+        assert!(doc.body.starts_with(
+            "{\n  \"bench\": \"unit_bench\",\n  \"mode\": \"smoke\",\n  \"commit\": \""
+        ));
+        assert!(doc.body.ends_with(
+            ",\n  \"errors\": 0,\n  \"rows\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ],\n  \
+             \"named\": {\n    \"x\": {\"p50\": 1.0}\n  }"
+        ));
+        assert_eq!(
+            BenchJson::new("unit", false).path,
+            Path::new("BENCH_unit.json")
+        );
     }
 
     #[test]

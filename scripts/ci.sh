@@ -36,11 +36,21 @@ step "benchmark package build (--locked)" \
 step "benchmark package tests (--locked)" \
     cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-# Each smoke run rewrites its BENCH_*.json in smoke mode and exits
-# nonzero when its own gate fails (serve: protocol errors or dropped
-# responses; lifecycle: hard violations, budget overruns, broken ledger).
+# The committed BENCH_*.json are full-mode results; a smoke run writes
+# under target/bench-smoke/ and must never replace one.
+no_committed_smoke() {
+    if grep -l '"mode": "smoke"' BENCH_*.json; then
+        echo "error: the files above are committed smoke-mode results" >&2
+        return 1
+    fi
+}
+step "no committed BENCH_*.json in smoke mode" no_committed_smoke
+
+# Each smoke run exits nonzero when its own gate fails (serve: protocol
+# errors or dropped responses; lifecycle: hard violations, budget
+# overruns, broken ledger).
 for bench in solver scale pipeline recovery serve lifecycle; do
-    step "$bench benchmark smoke (writes BENCH_$bench.json, mode=smoke)" \
+    step "$bench benchmark smoke (writes target/bench-smoke/BENCH_$bench.json)" \
         bench_smoke "${bench}_bench"
 done
 step "chaos smoke (fixed-seed fault injection + recovery)" bench_smoke fig8_resilience
