@@ -778,6 +778,52 @@ mod tests {
         )
     }
 
+    /// Attaching a registry declares every series; rounds under either
+    /// solver arm add none (nothing is resolved by name mid-solve).
+    #[test]
+    fn traced_rounds_register_exactly_the_declared_series() {
+        use crate::obs_bridge::{ArmMetrics, SolverMetricsBridge};
+        use crate::task_scheduler::TaskMetrics;
+        use std::collections::BTreeSet;
+
+        let registry = MetricsRegistry::new();
+        let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::Ilp, 10)
+            .with_metrics(Arc::clone(&registry));
+        for (round, mode) in [crate::PlacerMode::Ilp, crate::PlacerMode::Relaxed]
+            .into_iter()
+            .enumerate()
+        {
+            m.lra_scheduler_mut().ilp.mode = mode;
+            let now = 10 * round as u64;
+            m.submit_lra(lra(round as u64 + 1, 2, 1024, "a"), now)
+                .unwrap();
+            assert_eq!(m.tick(now).len(), 1);
+        }
+        let registered: BTreeSet<String> = registry
+            .snapshot()
+            .series
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        let declared: BTreeSet<String> = [
+            CoreMetrics::NAMES,
+            ArmMetrics::NAMES,
+            SolverMetricsBridge::NAMES,
+            TaskMetrics::NAMES,
+        ]
+        .concat()
+        .into_iter()
+        .map(String::from)
+        .collect();
+        assert_eq!(registered, declared);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.histogram("core.ilp_solve_us").map(|h| h.count),
+            Some(1)
+        );
+        assert_eq!(snap.histogram("core.relax_lp_us").map(|h| h.count), Some(1));
+    }
+
     #[test]
     fn interval_gates_scheduling() {
         let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::Serial, 10);

@@ -22,7 +22,7 @@ use crate::request::{Locality, TaskJobRequest};
 medea_obs::metric_handles! {
     /// Pre-resolved `task.*` metric handles.
     #[derive(Debug)]
-    struct TaskMetrics {
+    pub(crate) struct TaskMetrics {
         heartbeats: Counter = "task.heartbeats_total",
         allocations: Counter = "task.allocations_total",
         alloc_latency_ticks: Histogram = "task.alloc_latency_ticks",

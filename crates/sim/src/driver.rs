@@ -921,6 +921,16 @@ mod tests {
         assert!(snap.counter("task.heartbeats_total").unwrap() > 0);
         assert_eq!(snap.counter("task.allocations_total"), Some(4));
         assert_eq!(snap.gauge("sim.clock_ticks"), Some(5_000));
+        // The driver's own series are the declared ones, no more.
+        let sim_series: Vec<&str> = snap
+            .series
+            .iter()
+            .map(|s| s.name.as_str())
+            .filter(|n| n.starts_with("sim."))
+            .collect();
+        let mut declared = SimObs::NAMES.to_vec();
+        declared.sort_unstable();
+        assert_eq!(sim_series, declared);
     }
 
     #[test]
