@@ -324,6 +324,21 @@ mod tests {
             }],
         };
         let enc = doc.encode();
+        // Exact bytes: a checkpoint on disk must keep restoring.
+        assert_eq!(
+            enc,
+            concat!(
+                r#"{"epoch":42,"next_container":7,"nodes":["#,
+                r#"{"id":0,"host":"host-0000","mem":16384,"vcores":16,"available":true,"#,
+                r#""static_tags":["ssd"],"tags":[["appid:1",2],["ssd",1]]},"#,
+                r#"{"id":1,"host":"host-0001","mem":8192,"vcores":8,"available":false,"#,
+                r#""static_tags":[],"tags":[]}],"#,
+                r#""groups":[{"name":"rack","sets":[[0],[1]]}],"#,
+                r#""allocs":[{"container":3,"app":1,"node":0,"mem":1024,"vcores":1,"lr":true,"#,
+                r#""tags":["hbase","appid:1"]}],"#,
+                r#""specs":[{"app":1,"replicas":4,"version":2,"budget":1}]}"#,
+            )
+        );
         let dec = CheckpointDoc::decode(&enc).unwrap();
         assert_eq!(dec, doc);
     }
@@ -341,5 +356,9 @@ mod tests {
         let dec = CheckpointDoc::decode(payload).unwrap();
         assert!(dec.specs.is_empty());
         assert_eq!(dec.epoch, 1);
+        assert_eq!(
+            dec.encode(),
+            r#"{"epoch":1,"next_container":2,"nodes":[],"groups":[],"allocs":[],"specs":[]}"#
+        );
     }
 }

@@ -254,68 +254,92 @@ pub(crate) fn decode_string_arr(items: &[JsonValue]) -> Result<Vec<String>, Stri
 mod tests {
     use super::*;
 
-    fn round_trip(rec: JournalRecord) {
+    /// `golden` is the exact encoding: journals on disk must keep
+    /// replaying, so the bytes are part of the contract.
+    fn round_trip(rec: JournalRecord, golden: &str) {
         let enc = rec.encode();
+        assert_eq!(enc, golden);
         let dec = JournalRecord::decode(&enc).unwrap();
         assert_eq!(dec, rec, "payload: {enc}");
     }
 
     #[test]
     fn all_ops_round_trip() {
-        round_trip(JournalRecord {
-            epoch: 12,
-            op: JournalOp::Place {
-                container: u64::MAX,
-                app: 3,
-                node: 17,
-                memory_mb: 2048,
-                vcores: 4,
-                long_running: true,
-                tags: vec!["hbase".into(), "appid:3".into(), "we\"ird\\tag".into()],
+        round_trip(
+            JournalRecord {
+                epoch: 12,
+                op: JournalOp::Place {
+                    container: u64::MAX,
+                    app: 3,
+                    node: 17,
+                    memory_mb: 2048,
+                    vcores: 4,
+                    long_running: true,
+                    tags: vec!["hbase".into(), "appid:3".into(), "we\"ird\\tag".into()],
+                },
             },
-        });
-        round_trip(JournalRecord {
-            epoch: 0,
-            op: JournalOp::Release { container: 5 },
-        });
-        round_trip(JournalRecord {
-            epoch: 9,
-            op: JournalOp::NodeTagAdd {
-                node: 0,
-                tag: "fault-domain".into(),
+            r#"{"epoch":12,"op":{"type":"place","container":18446744073709551615,"app":3,"node":17,"mem":2048,"vcores":4,"lr":true,"tags":["hbase","appid:3","we\"ird\\tag"]}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 0,
+                op: JournalOp::Release { container: 5 },
             },
-        });
-        round_trip(JournalRecord {
-            epoch: 10,
-            op: JournalOp::NodeTagRemove {
-                node: 4,
-                tag: "fault-domain".into(),
+            r#"{"epoch":0,"op":{"type":"release","container":5}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 9,
+                op: JournalOp::NodeTagAdd {
+                    node: 0,
+                    tag: "fault-domain".into(),
+                },
             },
-        });
-        round_trip(JournalRecord {
-            epoch: 11,
-            op: JournalOp::SetAvailable {
-                node: 7,
-                available: false,
+            r#"{"epoch":9,"op":{"type":"tag_add","node":0,"tag":"fault-domain"}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 10,
+                op: JournalOp::NodeTagRemove {
+                    node: 4,
+                    tag: "fault-domain".into(),
+                },
             },
-        });
-        round_trip(JournalRecord {
-            epoch: 13,
-            op: JournalOp::RegisterGroup {
-                group: "service-unit".into(),
-                sets: vec![vec![0, 1], vec![2, 3], vec![]],
+            r#"{"epoch":10,"op":{"type":"tag_remove","node":4,"tag":"fault-domain"}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 11,
+                op: JournalOp::SetAvailable {
+                    node: 7,
+                    available: false,
+                },
             },
-        });
-        round_trip(JournalRecord {
-            epoch: 14,
-            op: JournalOp::AppSpec {
-                app: 42,
-                replicas: 10,
-                version: 3,
-                budget: 2,
-                retired: false,
+            r#"{"epoch":11,"op":{"type":"set_available","node":7,"available":false}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 13,
+                op: JournalOp::RegisterGroup {
+                    group: "service-unit".into(),
+                    sets: vec![vec![0, 1], vec![2, 3], vec![]],
+                },
             },
-        });
+            r#"{"epoch":13,"op":{"type":"register_group","group":"service-unit","sets":[[0,1],[2,3],[]]}}"#,
+        );
+        round_trip(
+            JournalRecord {
+                epoch: 14,
+                op: JournalOp::AppSpec {
+                    app: 42,
+                    replicas: 10,
+                    version: 3,
+                    budget: 2,
+                    retired: false,
+                },
+            },
+            r#"{"epoch":14,"op":{"type":"app_spec","app":42,"replicas":10,"version":3,"budget":2,"retired":false}}"#,
+        );
     }
 
     #[test]

@@ -917,8 +917,21 @@ mod tests {
                 version: 3,
             },
         ];
-        for req in reqs {
+        // Exact bytes, in case order: the wire format is a contract.
+        let golden = [
+            r#"{"type":"place","id":1,"tenant":"acme \"quoted\"","app":18446744073709551615,"containers":[{"count":3,"memory_mb":2048,"vcores":2,"tags":["hb","mem\ncache"]}],"constraints":["{hb, {hb, 0, 1}, node}"]}"#,
+            r#"{"type":"release","id":2,"tenant":"t","app":9}"#,
+            r#"{"type":"query","id":3,"app":9}"#,
+            r#"{"type":"metrics","id":4}"#,
+            r#"{"type":"status","id":5}"#,
+            r#"{"type":"shutdown","id":6}"#,
+            r#"{"type":"scale","id":7,"tenant":"acme","app":9,"replicas":12}"#,
+            r#"{"type":"upgrade","id":8,"tenant":"acme","app":9,"version":3}"#,
+        ];
+        assert_eq!(reqs.len(), golden.len());
+        for (req, golden) in reqs.into_iter().zip(golden) {
             let enc = req.encode();
+            assert_eq!(enc, golden);
             assert_eq!(Request::decode(&enc).unwrap(), req, "payload: {enc}");
         }
     }
@@ -975,8 +988,23 @@ mod tests {
                 message: "trailing garbage at byte 3".to_string(),
             },
         ];
-        for resp in resps {
+        // Exact bytes, in case order: the wire format is a contract.
+        let golden = [
+            r#"{"type":"accepted","id":1,"app":2,"queue_depth":3}"#,
+            r#"{"type":"overloaded","id":2,"reason":"queue_full","retry_after_ms":50}"#,
+            r#"{"type":"released","id":3,"app":4}"#,
+            r#"{"type":"scale_ack","id":3,"app":4,"replicas":16}"#,
+            r#"{"type":"upgrade_ack","id":3,"app":4,"version":2}"#,
+            r#"{"type":"app_status","id":4,"app":5,"phase":"placed","nodes":[0,7,7],"attempts":2}"#,
+            r#"{"type":"metrics","id":5,"body":"{\"series\":[{\"p50\":1.5}]}"}"#,
+            r#"{"type":"status","id":6,"deployed":1,"dropped":0,"conflicts":0,"cycles":0,"queue_depth":0,"containers":0,"nodes_available":0,"nodes_total":0,"lost":2,"replaced":1,"unplaceable":1,"pending_recovery":0,"shed":0,"admitted":0}"#,
+            r#"{"type":"shutdown_ack","id":7}"#,
+            r#"{"type":"error","id":0,"code":"bad_json","message":"trailing garbage at byte 3"}"#,
+        ];
+        assert_eq!(resps.len(), golden.len());
+        for (resp, golden) in resps.into_iter().zip(golden) {
             let enc = resp.encode();
+            assert_eq!(enc, golden);
             assert_eq!(Response::decode(&enc).unwrap(), resp, "payload: {enc}");
         }
     }
