@@ -7,10 +7,8 @@
 //! rebuilds `ClusterState` (allocation maps, tag multisets, index, and
 //! group γ caches) from it on restore.
 
-use std::fmt::Write as _;
-
-use crate::json::{write_escaped, JsonValue};
-use crate::record::decode_string_arr;
+use crate::json::{encode, JsonValue};
+use crate::json_codec;
 
 /// One node's durable description.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,179 +96,36 @@ pub struct CheckpointDoc {
     pub specs: Vec<CheckpointSpec>,
 }
 
+json_codec! { struct CheckpointNode {
+    node: "id", hostname: "host", memory_mb: "mem", vcores: "vcores",
+    available: "available", static_tags: "static_tags", tags: "tags",
+} }
+
+json_codec! { struct CheckpointGroup { group: "name", sets: "sets", } }
+
+json_codec! { struct CheckpointAlloc {
+    container: "container", app: "app", node: "node", memory_mb: "mem",
+    vcores: "vcores", long_running: "lr", tags: "tags",
+} }
+
+json_codec! { struct CheckpointSpec {
+    app: "app", replicas: "replicas", version: "version", budget: "budget",
+} }
+
+json_codec! { struct CheckpointDoc {
+    epoch: "epoch", next_container: "next_container", nodes: "nodes",
+    groups: "groups", allocs: "allocs", specs: "specs" = [],
+} }
+
 impl CheckpointDoc {
     /// Encodes the document as a single-line JSON payload (unframed).
     pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(256 + self.nodes.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"epoch\":{},\"next_container\":{},\"nodes\":[",
-            self.epoch, self.next_container
-        );
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"id\":{},\"host\":", n.node);
-            write_escaped(&mut out, &n.hostname);
-            let _ = write!(
-                out,
-                ",\"mem\":{},\"vcores\":{},\"available\":{},\"static_tags\":[",
-                n.memory_mb, n.vcores, n.available
-            );
-            for (j, t) in n.static_tags.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                write_escaped(&mut out, t);
-            }
-            out.push_str("],\"tags\":[");
-            for (j, (t, c)) in n.tags.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                write_escaped(&mut out, t);
-                let _ = write!(out, ",{c}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"groups\":[");
-        for (i, g) in self.groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            write_escaped(&mut out, &g.group);
-            out.push_str(",\"sets\":[");
-            for (j, set) in g.sets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, n) in set.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{n}");
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"allocs\":[");
-        for (i, a) in self.allocs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"container\":{},\"app\":{},\"node\":{},\"mem\":{},\"vcores\":{},\"lr\":{},\"tags\":[",
-                a.container, a.app, a.node, a.memory_mb, a.vcores, a.long_running
-            );
-            for (j, t) in a.tags.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                write_escaped(&mut out, t);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"specs\":[");
-        for (i, s) in self.specs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"app\":{},\"replicas\":{},\"version\":{},\"budget\":{}}}",
-                s.app, s.replicas, s.version, s.budget
-            );
-        }
-        out.push_str("]}");
-        out
+        encode(self)
     }
 
     /// Decodes a document from an unframed JSON payload.
     pub fn decode(payload: &str) -> Result<CheckpointDoc, String> {
-        let doc = JsonValue::parse(payload)?;
-        let mut nodes = Vec::new();
-        for n in doc.req_arr("nodes")? {
-            let mut tags = Vec::new();
-            for pair in n.req_arr("tags")? {
-                let pair = pair
-                    .as_arr()
-                    .ok_or_else(|| "non-array tag-count pair".to_string())?;
-                let (t, c) = match pair {
-                    [t, c] => (t, c),
-                    _ => return Err("tag-count pair arity != 2".to_string()),
-                };
-                tags.push((
-                    t.as_str()
-                        .ok_or_else(|| "non-string tag".to_string())?
-                        .to_string(),
-                    c.as_u32().ok_or_else(|| "non-u32 tag count".to_string())?,
-                ));
-            }
-            nodes.push(CheckpointNode {
-                node: n.req_u32("id")?,
-                hostname: n.req_str("host")?.to_string(),
-                memory_mb: n.req_u64("mem")?,
-                vcores: n.req_u32("vcores")?,
-                static_tags: decode_string_arr(n.req_arr("static_tags")?)?,
-                tags,
-                available: n.req_bool("available")?,
-            });
-        }
-        let mut groups = Vec::new();
-        for g in doc.req_arr("groups")? {
-            let sets = g
-                .req_arr("sets")?
-                .iter()
-                .map(|s| {
-                    s.as_arr()
-                        .ok_or_else(|| "non-array group set".to_string())?
-                        .iter()
-                        .map(|n| n.as_u32().ok_or_else(|| "non-u32 node id".to_string()))
-                        .collect()
-                })
-                .collect::<Result<Vec<Vec<u32>>, String>>()?;
-            groups.push(CheckpointGroup {
-                group: g.req_str("name")?.to_string(),
-                sets,
-            });
-        }
-        let mut allocs = Vec::new();
-        for a in doc.req_arr("allocs")? {
-            allocs.push(CheckpointAlloc {
-                container: a.req_u64("container")?,
-                app: a.req_u64("app")?,
-                node: a.req_u32("node")?,
-                memory_mb: a.req_u64("mem")?,
-                vcores: a.req_u32("vcores")?,
-                long_running: a.req_bool("lr")?,
-                tags: decode_string_arr(a.req_arr("tags")?)?,
-            });
-        }
-        let mut specs = Vec::new();
-        if let Some(JsonValue::Arr(items)) = doc.get("specs") {
-            for s in items {
-                specs.push(CheckpointSpec {
-                    app: s.req_u64("app")?,
-                    replicas: s.req_u64("replicas")?,
-                    version: s.req_u64("version")?,
-                    budget: s.req_u64("budget")?,
-                });
-            }
-        }
-        Ok(CheckpointDoc {
-            epoch: doc.req_u64("epoch")?,
-            next_container: doc.req_u64("next_container")?,
-            nodes,
-            groups,
-            allocs,
-            specs,
-        })
+        JsonValue::parse(payload)?.to()
     }
 }
 

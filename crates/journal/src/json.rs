@@ -1,15 +1,27 @@
-//! Minimal JSON reader/writer for journal payloads.
+//! The one JSON codec: journal records, checkpoints and (through
+//! `medea-server`) wire messages are all written and read here.
 //!
 //! The workspace is hermetic (no external crates), so the journal ships
-//! its own JSON layer in the same spirit as `medea-obs`: hand-rolled
-//! writers on [`std::fmt::Write`] plus a small recursive-descent parser
-//! for the subset the journal actually emits — objects, arrays,
-//! strings, booleans, `null`, and **unsigned integers**. Floats and
-//! negative numbers are rejected on read: every numeric field in the
-//! journal format is a `u64`/`u32`, and parsing through `f64` would
-//! silently round container ids above 2^53.
+//! its own JSON layer. The subset is what those formats need — objects,
+//! arrays, strings, booleans, `null`, and **unsigned integers**. Floats
+//! and negative numbers are rejected on read: every numeric field is a
+//! `u64`/`u32`, and parsing through `f64` would silently round container
+//! ids above 2^53. Documents nest at most [`MAX_DEPTH`] deep; the parser
+//! recurses per level, so the bound is what keeps a frame of `[[[[…`
+//! from overflowing the stack of the thread that reads it.
+//!
+//! A message type states its fields once, in [`json_codec!`](crate::json_codec):
+//! the macro writes its [`ToJson`] (through [`JsonWriter`], which owns
+//! commas, quoting, escaping and key order) and its [`FromJson`] (through
+//! the typed [`JsonValue::get`]). Encodings are compact and keys keep
+//! declaration order, so the bytes are a function of the value alone.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The deepest document the system writes, a checkpoint's
+/// `nodes[].tags[][tag, count]`, nests 5.
+pub const MAX_DEPTH: usize = 16;
 
 /// A parsed JSON value (journal subset: integers only).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +47,8 @@ impl JsonValue {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
-        p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -45,110 +57,339 @@ impl JsonValue {
         Ok(v)
     }
 
-    /// The value as `u64`, if it is a number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as `u32`, if it is a number that fits.
-    pub fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|n| u32::try_from(n).ok())
-    }
-
-    /// The value as `bool`, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Looks up a key, if the value is an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
+    /// Reads field `key` as a `T`. The error names the key, so a corrupt
+    /// record reports *what* is wrong, not just *that*. An absent key is
+    /// an error unless `T` is an `Option`.
+    pub fn get<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        let field = match self {
             JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
+        };
+        T::read(field, key)
     }
 
-    /// Mandatory-field helpers: error out with the missing key's name so
-    /// corrupt records report *what* is wrong, not just *that*.
-    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-    }
-
-    /// Mandatory `u32` field.
-    pub fn req_u32(&self, key: &str) -> Result<u32, String> {
-        self.get(key)
-            .and_then(JsonValue::as_u32)
-            .ok_or_else(|| format!("missing or out-of-range u32 field `{key}`"))
-    }
-
-    /// Mandatory boolean field.
-    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
-        self.get(key)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("missing or non-boolean field `{key}`"))
-    }
-
-    /// Mandatory string field.
-    pub fn req_str(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("missing or non-string field `{key}`"))
-    }
-
-    /// Mandatory array field.
-    pub fn req_arr(&self, key: &str) -> Result<&[JsonValue], String> {
-        self.get(key)
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| format!("missing or non-array field `{key}`"))
+    /// Reads the whole document as a `T`.
+    pub fn to<T: FromJson>(&self) -> Result<T, String> {
+        T::read(Some(self), "document")
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A type with a JSON encoding.
+pub trait ToJson {
+    /// Appends the value to `w`.
+    fn write(&self, w: &mut JsonWriter);
+}
+
+/// A type readable from a [`JsonValue`].
+pub trait FromJson: Sized {
+    /// Reads the value of field `key`; `v` is `None` when the field is
+    /// absent. Errors name `key`.
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String>;
+}
+
+/// Encodes `value` as one compact line.
+pub fn encode<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter {
+        out: String::with_capacity(128),
+        comma: false,
+    };
+    value.write(&mut w);
+    w.out
+}
+
+/// Builds one compact JSON document. Callers say what comes next; the
+/// writer places the commas.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next item in the open container needs a `,` first.
+    comma: bool,
+}
+
+impl JsonWriter {
+    fn item(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Opens an object (`'{'`) or array (`'['`).
+    pub fn open(&mut self, bracket: char) {
+        self.item();
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    /// Closes the innermost object (`'}'`) or array (`']'`).
+    pub fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+
+    /// Writes `"key":value` into the open object. Keys are the literals
+    /// of [`json_codec!`](crate::json_codec) and need no escaping.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.item();
+        let _ = write!(self.out, "\"{key}\":");
+        self.comma = false;
+        value.write(self);
+    }
+
+    fn atom(&mut self, v: impl std::fmt::Display) {
+        self.item();
+        let _ = write!(self.out, "{v}");
+    }
+
+    fn string(&mut self, s: &str) {
+        self.item();
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
             }
-            c => out.push(c),
+        }
+        self.out.push('"');
+    }
+}
+
+fn misfit(what: &str, key: &str) -> String {
+    format!("missing or {what} field `{key}`")
+}
+
+impl ToJson for u64 {
+    fn write(&self, w: &mut JsonWriter) {
+        w.atom(self);
+    }
+}
+
+impl FromJson for u64 {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            Some(JsonValue::Num(n)) => Ok(*n),
+            _ => Err(misfit("non-integer", key)),
         }
     }
-    out.push('"');
+}
+
+impl ToJson for u32 {
+    fn write(&self, w: &mut JsonWriter) {
+        w.atom(self);
+    }
+}
+
+impl FromJson for u32 {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        let n = match v {
+            Some(JsonValue::Num(n)) => u32::try_from(*n).ok(),
+            _ => None,
+        };
+        n.ok_or_else(|| misfit("out-of-range u32", key))
+    }
+}
+
+impl ToJson for bool {
+    fn write(&self, w: &mut JsonWriter) {
+        w.atom(self);
+    }
+}
+
+impl FromJson for bool {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            Some(JsonValue::Bool(b)) => Ok(*b),
+            _ => Err(misfit("non-boolean", key)),
+        }
+    }
+}
+
+impl ToJson for str {
+    fn write(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
+impl ToJson for String {
+    fn write(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
+impl FromJson for String {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            Some(JsonValue::Str(s)) => Ok(s.clone()),
+            _ => Err(misfit("non-string", key)),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write(&self, w: &mut JsonWriter) {
+        w.open('[');
+        for item in self {
+            item.write(w);
+        }
+        w.close(']');
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            Some(JsonValue::Arr(items)) => items.iter().map(|i| T::read(Some(i), key)).collect(),
+            _ => Err(misfit("non-array", key)),
+        }
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write(&self, w: &mut JsonWriter) {
+        w.open('[');
+        self.0.write(w);
+        self.1.write(w);
+        w.close(']');
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            Some(JsonValue::Arr(items)) if items.len() == 2 => {
+                Ok((A::read(items.first(), key)?, B::read(items.last(), key)?))
+            }
+            _ => Err(misfit("non-pair", key)),
+        }
+    }
+}
+
+/// An absent field reads as `None`; a present one must be a `T`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn read(v: Option<&JsonValue>, key: &str) -> Result<Self, String> {
+        match v {
+            None => Ok(None),
+            some => T::read(some, key).map(Some),
+        }
+    }
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for a message type from one
+/// list of `field: "key",` pairs, written in encoding order.
+///
+/// * `struct Name { field: "key", … }` — an object.
+/// * `enum Name { "tag" => Variant { field: "key", … }, … }` — an object
+///   whose first key, `"type"`, selects the variant.
+/// * `field: "key" = [],` — the key may be absent on read, which gives the
+///   field's `Default` (an empty list).
+/// * a variant's list may end with `..field`: that field is a struct
+///   whose keys are written into, and read from, the variant's own
+///   object.
+///
+/// ```
+/// use medea_journal::{encode, JsonValue};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Limits { count: u32, names: Vec<String> }
+/// medea_journal::json_codec! { struct Limits { count: "n", names: "names" = [], } }
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Ping { id: u64 }, Set { id: u64, limits: Limits } }
+/// medea_journal::json_codec! { enum Msg {
+///     "ping" => Ping { id: "id", },
+///     "set" => Set { id: "id", ..limits },
+/// } }
+///
+/// let msg = Msg::Set { id: 7, limits: Limits { count: 2, names: vec![] } };
+/// let text = encode(&msg);
+/// assert_eq!(text, r#"{"type":"set","id":7,"n":2,"names":[]}"#);
+/// assert_eq!(JsonValue::parse(&text).unwrap().to::<Msg>().unwrap(), msg);
+/// let short = JsonValue::parse(r#"{"type":"set","id":7,"n":2}"#).unwrap();
+/// assert_eq!(short.to::<Msg>().unwrap(), msg);
+/// let err = JsonValue::parse(r#"{"type":"ping"}"#).unwrap().to::<Msg>().unwrap_err();
+/// assert_eq!(err, "missing or non-integer field `id`");
+/// ```
+#[macro_export]
+macro_rules! json_codec {
+    (struct $name:ident { $($field:ident: $key:literal $(= $empty:tt)?,)* }) => {
+        impl $name {
+            /// Writes the fields into the object open in `w`.
+            #[doc(hidden)]
+            pub fn write_fields(&self, w: &mut $crate::JsonWriter) {
+                $(w.field($key, &self.$field);)*
+            }
+        }
+
+        impl $crate::ToJson for $name {
+            fn write(&self, w: &mut $crate::JsonWriter) {
+                w.open('{');
+                self.write_fields(w);
+                w.close('}');
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn read(v: Option<&$crate::JsonValue>, key: &str) -> Result<Self, String> {
+                let v = v.ok_or_else(|| format!("missing field `{key}`"))?;
+                Ok($name {
+                    $($field: $crate::json_codec!(@get v, $key $(, $empty)?),)*
+                })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $variant:ident {
+            $($field:ident: $key:literal $(= $empty:tt)?,)* $(..$flat:ident)?
+        },)*
+    }) => {
+        impl $crate::ToJson for $name {
+            fn write(&self, w: &mut $crate::JsonWriter) {
+                w.open('{');
+                match self {
+                    $($name::$variant { $($field,)* $($flat)? } => {
+                        w.field("type", $tag);
+                        $(w.field($key, $field);)*
+                        $($flat.write_fields(w);)?
+                    })*
+                }
+                w.close('}');
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn read(v: Option<&$crate::JsonValue>, key: &str) -> Result<Self, String> {
+                let v = v.ok_or_else(|| format!("missing field `{key}`"))?;
+                match v.get::<String>("type")?.as_str() {
+                    $($tag => Ok($name::$variant {
+                        $($field: $crate::json_codec!(@get v, $key $(, $empty)?),)*
+                        $($flat: $crate::FromJson::read(Some(v), key)?,)?
+                    }),)*
+                    other => Err(format!("unknown {} type `{other}`", stringify!($name))),
+                }
+            }
+        }
+    };
+    (@get $v:ident, $key:literal) => {
+        $v.get($key)?
+    };
+    (@get $v:ident, $key:literal, []) => {
+        $v.get::<Option<_>>($key)?.unwrap_or_default()
+    };
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -187,8 +428,14 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => Ok(JsonValue::Obj(self.items(b'}', |p| {
+                p.skip_ws();
+                let key = p.string()?;
+                p.skip_ws();
+                p.expect(b':')?;
+                Ok((key, p.value()?))
+            })?)),
+            Some(b'[') => Ok(JsonValue::Arr(self.items(b']', Parser::value)?)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_lit("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_lit("false") => Ok(JsonValue::Bool(false)),
@@ -294,57 +541,43 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
+    /// The comma-separated items of an array or object, from its opening
+    /// bracket (at `pos`) through `close`.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        self.pos += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
+        if self.peek() != Some(close) {
+            loop {
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => {
+                        return Err(format!(
+                            "expected `,` or `{}` at byte {}",
+                            char::from(close),
+                            self.pos
+                        ))
+                    }
                 }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 }
 
@@ -354,25 +587,68 @@ mod tests {
 
     #[test]
     fn parses_journal_shapes() {
-        let v = JsonValue::parse(r#"{"epoch":7,"op":{"type":"release","container":18446744073709551615},"ok":true,"tags":["a","b:c"],"none":null}"#).unwrap();
-        assert_eq!(v.req_u64("epoch").unwrap(), 7);
-        let op = v.get("op").unwrap();
-        assert_eq!(op.req_str("type").unwrap(), "release");
+        let v = JsonValue::parse(r#"{"epoch":7,"op":{"type":"release","container":18446744073709551615},"ok":true,"tags":["a","b:c"],"pairs":[["a",1]],"none":null}"#).unwrap();
+        assert_eq!(v.get::<u64>("epoch").unwrap(), 7);
+        let op: JsonValue = match &v {
+            JsonValue::Obj(fields) => fields[1].1.clone(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(op.get::<String>("type").unwrap(), "release");
         // u64::MAX survives exactly (an f64 round-trip would corrupt it).
-        assert_eq!(op.req_u64("container").unwrap(), u64::MAX);
-        assert!(v.req_bool("ok").unwrap());
-        assert_eq!(v.req_arr("tags").unwrap().len(), 2);
-        assert_eq!(v.get("none"), Some(&JsonValue::Null));
+        assert_eq!(op.get::<u64>("container").unwrap(), u64::MAX);
+        assert!(v.get::<bool>("ok").unwrap());
+        assert_eq!(v.get::<Vec<String>>("tags").unwrap(), ["a", "b:c"]);
+        let pairs: Vec<(String, u32)> = v.get("pairs").unwrap();
+        assert_eq!(pairs, [("a".to_string(), 1)]);
+        assert_eq!(v.get::<Option<u64>>("absent").unwrap(), None);
+        assert_eq!(v.get::<Option<u64>>("epoch").unwrap(), Some(7));
+    }
+
+    #[test]
+    fn typed_reads_name_the_field() {
+        let v = JsonValue::parse(r#"{"n":4294967296,"s":"x","tags":["a",1]}"#).unwrap();
+        assert_eq!(
+            v.get::<u64>("gone").unwrap_err(),
+            "missing or non-integer field `gone`"
+        );
+        assert_eq!(
+            v.get::<u32>("n").unwrap_err(),
+            "missing or out-of-range u32 field `n`"
+        );
+        assert_eq!(
+            v.get::<bool>("s").unwrap_err(),
+            "missing or non-boolean field `s`"
+        );
+        assert_eq!(
+            v.get::<Vec<String>>("tags").unwrap_err(),
+            "missing or non-string field `tags`"
+        );
+        assert_eq!(
+            v.get::<(u32, u32)>("tags").unwrap_err(),
+            "missing or out-of-range u32 field `tags`"
+        );
+        assert_eq!(
+            v.get::<(String, String)>("s").unwrap_err(),
+            "missing or non-pair field `s`"
+        );
+        assert!(v.get::<Option<String>>("n").is_err());
     }
 
     #[test]
     fn escape_round_trip() {
         let nasty = "quote\" back\\slash \n tab\t unicode\u{1F600}ctrl\u{0001}";
-        let mut doc = String::from("{\"s\":");
-        write_escaped(&mut doc, nasty);
-        doc.push('}');
+        let doc = encode(&vec![nasty.to_string()]);
         let v = JsonValue::parse(&doc).unwrap();
-        assert_eq!(v.req_str("s").unwrap(), nasty);
+        assert_eq!(v.to::<Vec<String>>().unwrap(), [nasty]);
+    }
+
+    #[test]
+    fn writer_places_commas() {
+        let nested: Vec<Vec<u32>> = vec![vec![0, 1], vec![], vec![2]];
+        assert_eq!(encode(&nested), "[[0,1],[],[2]]");
+        let pairs = vec![("a".to_string(), 1u32), ("b".to_string(), 2)];
+        assert_eq!(encode(&pairs), r#"[["a",1],["b",2]]"#);
+        assert_eq!(encode(&Vec::<bool>::new()), "[]");
     }
 
     #[test]
@@ -382,15 +658,37 @@ mod tests {
         assert!(JsonValue::parse("-2").is_err());
         assert!(JsonValue::parse("{}x").is_err());
         assert!(JsonValue::parse("{\"a\":}").is_err());
+        assert!(JsonValue::parse("[1,]").is_err());
+        assert!(JsonValue::parse("[1 2]").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("18446744073709551616").is_err()); // u64::MAX + 1
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Objects count too, and siblings do not accumulate depth.
+        let objs = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objs).is_err());
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 64].join(","));
+        assert!(JsonValue::parse(&wide).is_ok());
+        // A whole frame of open brackets is a parse error, not a stack
+        // overflow (this aborted the process before the bound existed).
+        assert!(JsonValue::parse(&"[".repeat(256 * 1024)).is_err());
     }
 
     #[test]
     fn surrogate_pairs_decode() {
         let escaped = "\"\\ud83d\\ude00\"";
         let v = JsonValue::parse(escaped).unwrap();
-        assert_eq!(v.as_str().unwrap(), "\u{1F600}");
+        assert_eq!(v, JsonValue::Str("\u{1F600}".to_string()));
         assert!(JsonValue::parse(r#""\ud83d""#).is_err());
     }
 }

@@ -40,7 +40,7 @@ pub use checkpoint::{
     CheckpointAlloc, CheckpointDoc, CheckpointGroup, CheckpointNode, CheckpointSpec,
 };
 pub use frame::{fnv1a64, frame, unframe};
-pub use json::{write_escaped, JsonValue};
+pub use json::{encode, FromJson, JsonValue, JsonWriter, ToJson, MAX_DEPTH};
 pub use record::{JournalOp, JournalRecord};
 pub use storage::{FileStorage, JournalStorage, MemoryStorage};
 pub use wal::{JournalStats, Wal};

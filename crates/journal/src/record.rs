@@ -5,9 +5,8 @@
 //! on-disk format is decoupled from in-memory representations; the
 //! cluster layer owns the conversion in both directions.
 
-use std::fmt::Write as _;
-
-use crate::json::{write_escaped, JsonValue};
+use crate::json::{encode, JsonValue};
+use crate::json_codec;
 
 /// A single durable state mutation.
 ///
@@ -97,157 +96,34 @@ pub struct JournalRecord {
     pub op: JournalOp,
 }
 
+json_codec! { enum JournalOp {
+    "place" => Place {
+        container: "container", app: "app", node: "node", memory_mb: "mem",
+        vcores: "vcores", long_running: "lr", tags: "tags",
+    },
+    "release" => Release { container: "container", },
+    "tag_add" => NodeTagAdd { node: "node", tag: "tag", },
+    "tag_remove" => NodeTagRemove { node: "node", tag: "tag", },
+    "set_available" => SetAvailable { node: "node", available: "available", },
+    "register_group" => RegisterGroup { group: "group", sets: "sets", },
+    "app_spec" => AppSpec {
+        app: "app", replicas: "replicas", version: "version", budget: "budget",
+        retired: "retired",
+    },
+} }
+
+json_codec! { struct JournalRecord { epoch: "epoch", op: "op", } }
+
 impl JournalRecord {
     /// Encodes the record as a single-line JSON payload (unframed).
     pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"epoch\":{},\"op\":{{", self.epoch);
-        match &self.op {
-            JournalOp::Place {
-                container,
-                app,
-                node,
-                memory_mb,
-                vcores,
-                long_running,
-                tags,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"place\",\"container\":{container},\"app\":{app},\"node\":{node},\
-                     \"mem\":{memory_mb},\"vcores\":{vcores},\"lr\":{long_running},\"tags\":["
-                );
-                for (i, t) in tags.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(&mut out, t);
-                }
-                out.push(']');
-            }
-            JournalOp::Release { container } => {
-                let _ = write!(out, "\"type\":\"release\",\"container\":{container}");
-            }
-            JournalOp::NodeTagAdd { node, tag } => {
-                let _ = write!(out, "\"type\":\"tag_add\",\"node\":{node},\"tag\":");
-                write_escaped(&mut out, tag);
-            }
-            JournalOp::NodeTagRemove { node, tag } => {
-                let _ = write!(out, "\"type\":\"tag_remove\",\"node\":{node},\"tag\":");
-                write_escaped(&mut out, tag);
-            }
-            JournalOp::SetAvailable { node, available } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"set_available\",\"node\":{node},\"available\":{available}"
-                );
-            }
-            JournalOp::RegisterGroup { group, sets } => {
-                out.push_str("\"type\":\"register_group\",\"group\":");
-                write_escaped(&mut out, group);
-                out.push_str(",\"sets\":[");
-                for (i, set) in sets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    for (j, n) in set.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{n}");
-                    }
-                    out.push(']');
-                }
-                out.push(']');
-            }
-            JournalOp::AppSpec {
-                app,
-                replicas,
-                version,
-                budget,
-                retired,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"app_spec\",\"app\":{app},\"replicas\":{replicas},\
-                     \"version\":{version},\"budget\":{budget},\"retired\":{retired}"
-                );
-            }
-        }
-        out.push_str("}}");
-        out
+        encode(self)
     }
 
     /// Decodes a record from an unframed JSON payload.
     pub fn decode(payload: &str) -> Result<JournalRecord, String> {
-        let doc = JsonValue::parse(payload)?;
-        let epoch = doc.req_u64("epoch")?;
-        let op = doc
-            .get("op")
-            .ok_or_else(|| "missing field `op`".to_string())?;
-        let kind = op.req_str("type")?;
-        let op = match kind {
-            "place" => JournalOp::Place {
-                container: op.req_u64("container")?,
-                app: op.req_u64("app")?,
-                node: op.req_u32("node")?,
-                memory_mb: op.req_u64("mem")?,
-                vcores: op.req_u32("vcores")?,
-                long_running: op.req_bool("lr")?,
-                tags: decode_string_arr(op.req_arr("tags")?)?,
-            },
-            "release" => JournalOp::Release {
-                container: op.req_u64("container")?,
-            },
-            "tag_add" => JournalOp::NodeTagAdd {
-                node: op.req_u32("node")?,
-                tag: op.req_str("tag")?.to_string(),
-            },
-            "tag_remove" => JournalOp::NodeTagRemove {
-                node: op.req_u32("node")?,
-                tag: op.req_str("tag")?.to_string(),
-            },
-            "set_available" => JournalOp::SetAvailable {
-                node: op.req_u32("node")?,
-                available: op.req_bool("available")?,
-            },
-            "register_group" => JournalOp::RegisterGroup {
-                group: op.req_str("group")?.to_string(),
-                sets: op
-                    .req_arr("sets")?
-                    .iter()
-                    .map(|s| {
-                        s.as_arr()
-                            .ok_or_else(|| "non-array group set".to_string())?
-                            .iter()
-                            .map(|n| n.as_u32().ok_or_else(|| "non-u32 node id".to_string()))
-                            .collect()
-                    })
-                    .collect::<Result<Vec<Vec<u32>>, String>>()?,
-            },
-            "app_spec" => JournalOp::AppSpec {
-                app: op.req_u64("app")?,
-                replicas: op.req_u64("replicas")?,
-                version: op.req_u64("version")?,
-                budget: op.req_u64("budget")?,
-                retired: op.req_bool("retired")?,
-            },
-            other => return Err(format!("unknown op type `{other}`")),
-        };
-        Ok(JournalRecord { epoch, op })
+        JsonValue::parse(payload)?.to()
     }
-}
-
-pub(crate) fn decode_string_arr(items: &[JsonValue]) -> Result<Vec<String>, String> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "non-string array element".to_string())
-        })
-        .collect()
 }
 
 #[cfg(test)]

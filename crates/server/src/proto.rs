@@ -17,7 +17,7 @@
 
 use std::io::{self, Read, Write};
 
-use medea_journal::{write_escaped, JsonValue};
+use medea_journal::{encode, json_codec, FromJson, JsonValue};
 
 /// Default cap on one frame's payload size. An advertised length above
 /// the cap is rejected *before* any allocation, so a hostile prefix
@@ -196,6 +196,10 @@ pub struct ContainerSpec {
     pub tags: Vec<String>,
 }
 
+json_codec! { struct ContainerSpec {
+    count: "count", memory_mb: "memory_mb", vcores: "vcores", tags: "tags" = [],
+} }
+
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -294,205 +298,58 @@ impl Request {
 
     /// Serializes to a JSON payload (no frame prefix).
     pub fn encode(&self) -> String {
-        let mut s = String::new();
-        match self {
-            Request::Place {
-                id,
-                tenant,
-                app,
-                containers,
-                constraints,
-            } => {
-                s.push_str("{\"type\":\"place\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"tenant\":");
-                write_escaped(&mut s, tenant);
-                s.push_str(",\"app\":");
-                s.push_str(&app.to_string());
-                s.push_str(",\"containers\":[");
-                for (i, c) in containers.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"count\":{},\"memory_mb\":{},\"vcores\":{},\"tags\":[",
-                        c.count, c.memory_mb, c.vcores
-                    ));
-                    for (j, t) in c.tags.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        write_escaped(&mut s, t);
-                    }
-                    s.push_str("]}");
-                }
-                s.push_str("],\"constraints\":[");
-                for (i, c) in constraints.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    write_escaped(&mut s, c);
-                }
-                s.push_str("]}");
-            }
-            Request::Release { id, tenant, app } => {
-                s.push_str("{\"type\":\"release\",\"id\":");
-                s.push_str(&id.to_string());
-                s.push_str(",\"tenant\":");
-                write_escaped(&mut s, tenant);
-                s.push_str(",\"app\":");
-                s.push_str(&app.to_string());
-                s.push('}');
-            }
-            Request::Scale {
-                id,
-                tenant,
-                app,
-                replicas,
-            } => {
-                s.push_str(&format!("{{\"type\":\"scale\",\"id\":{id},\"tenant\":"));
-                write_escaped(&mut s, tenant);
-                s.push_str(&format!(",\"app\":{app},\"replicas\":{replicas}}}"));
-            }
-            Request::Upgrade {
-                id,
-                tenant,
-                app,
-                version,
-            } => {
-                s.push_str(&format!("{{\"type\":\"upgrade\",\"id\":{id},\"tenant\":"));
-                write_escaped(&mut s, tenant);
-                s.push_str(&format!(",\"app\":{app},\"version\":{version}}}"));
-            }
-            Request::Query { id, app } => {
-                s.push_str(&format!("{{\"type\":\"query\",\"id\":{id},\"app\":{app}}}"));
-            }
-            Request::Metrics { id } => {
-                s.push_str(&format!("{{\"type\":\"metrics\",\"id\":{id}}}"));
-            }
-            Request::Status { id } => {
-                s.push_str(&format!("{{\"type\":\"status\",\"id\":{id}}}"));
-            }
-            Request::Shutdown { id } => {
-                s.push_str(&format!("{{\"type\":\"shutdown\",\"id\":{id}}}"));
-            }
-        }
-        s
+        encode(self)
     }
 
     /// Parses a payload. `payload` must already be UTF-8 (the transport
     /// layer maps invalid UTF-8 to a `bad_utf8` error itself).
     pub fn decode(payload: &str) -> Result<Request, ProtoError> {
-        let v = JsonValue::parse(payload).map_err(|e| ProtoError::new("bad_json", e))?;
-        let ty = v
-            .req_str("type")
-            .map_err(|e| ProtoError::new("bad_request", e))?;
-        let id = v
-            .req_u64("id")
-            .map_err(|e| ProtoError::new("bad_request", e))?;
-        let bad = |e: String| ProtoError::new("bad_request", e);
-        match ty {
-            "place" => {
-                let tenant = v.req_str("tenant").map_err(bad)?.to_string();
-                let app = v.req_u64("app").map_err(bad)?;
-                let mut containers = Vec::new();
-                let mut total: u64 = 0;
-                for c in v.req_arr("containers").map_err(bad)? {
-                    let count = c.req_u32("count").map_err(bad)?;
-                    let memory_mb = c.req_u64("memory_mb").map_err(bad)?;
-                    let vcores = c.req_u32("vcores").map_err(bad)?;
-                    let tags = match c.get("tags") {
-                        Some(JsonValue::Arr(ts)) => ts
-                            .iter()
-                            .map(|t| {
-                                t.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| bad("non-string tag".to_string()))
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        None => Vec::new(),
-                        Some(_) => return Err(bad("`tags` must be an array".to_string())),
-                    };
-                    total += count as u64;
-                    containers.push(ContainerSpec {
-                        count,
-                        memory_mb,
-                        vcores,
-                        tags,
-                    });
-                }
+        let req = decode(payload)?;
+        let cap = MAX_CONTAINERS_PER_REQUEST as u64;
+        let refuse = |message| Err(ProtoError::new("bad_request", message));
+        match &req {
+            Request::Place { containers, .. } => {
+                let total: u64 = containers.iter().map(|c| u64::from(c.count)).sum();
                 if total == 0 {
-                    return Err(bad("place request with zero containers".to_string()));
+                    return refuse("place request with zero containers".to_string());
                 }
-                if total > MAX_CONTAINERS_PER_REQUEST as u64 {
-                    return Err(bad(format!(
-                        "{total} containers exceeds per-request cap {MAX_CONTAINERS_PER_REQUEST}"
-                    )));
+                if total > cap {
+                    return refuse(format!("{total} containers exceeds per-request cap {cap}"));
                 }
-                let constraints = match v.get("constraints") {
-                    Some(JsonValue::Arr(cs)) => cs
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| bad("non-string constraint".to_string()))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => Vec::new(),
-                    Some(_) => return Err(bad("`constraints` must be an array".to_string())),
-                };
-                Ok(Request::Place {
-                    id,
-                    tenant,
-                    app,
-                    containers,
-                    constraints,
-                })
             }
-            "release" => Ok(Request::Release {
-                id,
-                tenant: v.req_str("tenant").map_err(bad)?.to_string(),
-                app: v.req_u64("app").map_err(bad)?,
-            }),
-            "scale" => {
-                let replicas = v.req_u64("replicas").map_err(bad)?;
-                if replicas > MAX_CONTAINERS_PER_REQUEST as u64 {
-                    return Err(bad(format!(
-                        "{replicas} replicas exceeds per-app cap {MAX_CONTAINERS_PER_REQUEST}"
-                    )));
-                }
-                Ok(Request::Scale {
-                    id,
-                    tenant: v.req_str("tenant").map_err(bad)?.to_string(),
-                    app: v.req_u64("app").map_err(bad)?,
-                    replicas,
-                })
+            Request::Scale { replicas, .. } if *replicas > cap => {
+                return refuse(format!("{replicas} replicas exceeds per-app cap {cap}"));
             }
-            "upgrade" => {
-                let version = v.req_u64("version").map_err(bad)?;
-                if version == 0 {
-                    return Err(bad("upgrade to version 0 (versions start at 1)".to_string()));
-                }
-                Ok(Request::Upgrade {
-                    id,
-                    tenant: v.req_str("tenant").map_err(bad)?.to_string(),
-                    app: v.req_u64("app").map_err(bad)?,
-                    version,
-                })
+            Request::Upgrade { version: 0, .. } => {
+                return refuse("upgrade to version 0 (versions start at 1)".to_string());
             }
-            "query" => Ok(Request::Query {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-            }),
-            "metrics" => Ok(Request::Metrics { id }),
-            "status" => Ok(Request::Status { id }),
-            "shutdown" => Ok(Request::Shutdown { id }),
-            other => Err(ProtoError::new(
-                "bad_request",
-                format!("unknown request type `{other}`"),
-            )),
+            _ => {}
         }
+        Ok(req)
     }
+}
+
+json_codec! { enum Request {
+    "place" => Place {
+        id: "id", tenant: "tenant", app: "app", containers: "containers",
+        constraints: "constraints" = [],
+    },
+    "release" => Release { id: "id", tenant: "tenant", app: "app", },
+    "scale" => Scale { id: "id", tenant: "tenant", app: "app", replicas: "replicas", },
+    "upgrade" => Upgrade { id: "id", tenant: "tenant", app: "app", version: "version", },
+    "query" => Query { id: "id", app: "app", },
+    "metrics" => Metrics { id: "id", },
+    "status" => Status { id: "id", },
+    "shutdown" => Shutdown { id: "id", },
+} }
+
+/// Parses a payload as a message: unparseable text is `bad_json`, a
+/// document that is not a `T` is `bad_request`.
+fn decode<T: FromJson>(payload: &str) -> Result<T, ProtoError> {
+    JsonValue::parse(payload)
+        .map_err(|e| ProtoError::new("bad_json", e))?
+        .to()
+        .map_err(|e| ProtoError::new("bad_request", e))
 }
 
 /// Ledger/status counters answered to a [`Request::Status`].
@@ -527,6 +384,14 @@ pub struct StatusReply {
     /// Place requests admitted so far.
     pub admitted: u64,
 }
+
+json_codec! { struct StatusReply {
+    deployed: "deployed", dropped: "dropped", conflicts: "conflicts", cycles: "cycles",
+    queue_depth: "queue_depth", containers: "containers",
+    nodes_available: "nodes_available", nodes_total: "nodes_total", lost: "lost",
+    replaced: "replaced", unplaceable: "unplaceable", pending_recovery: "pending_recovery",
+    shed: "shed", admitted: "admitted",
+} }
 
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -643,187 +508,29 @@ impl Response {
 
     /// Serializes to a JSON payload (no frame prefix).
     pub fn encode(&self) -> String {
-        let mut s = String::new();
-        match self {
-            Response::Accepted {
-                id,
-                app,
-                queue_depth,
-            } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"accepted\",\"id\":{id},\"app\":{app},\"queue_depth\":{queue_depth}}}"
-                ));
-            }
-            Response::Overloaded {
-                id,
-                reason,
-                retry_after_ms,
-            } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"overloaded\",\"id\":{id},\"reason\":"
-                ));
-                write_escaped(&mut s, reason);
-                s.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}}}"));
-            }
-            Response::Released { id, app } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"released\",\"id\":{id},\"app\":{app}}}"
-                ));
-            }
-            Response::ScaleAck { id, app, replicas } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"scale_ack\",\"id\":{id},\"app\":{app},\"replicas\":{replicas}}}"
-                ));
-            }
-            Response::UpgradeAck { id, app, version } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"upgrade_ack\",\"id\":{id},\"app\":{app},\"version\":{version}}}"
-                ));
-            }
-            Response::AppStatus {
-                id,
-                app,
-                phase,
-                nodes,
-                attempts,
-            } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"app_status\",\"id\":{id},\"app\":{app},\"phase\":"
-                ));
-                write_escaped(&mut s, phase);
-                s.push_str(",\"nodes\":[");
-                for (i, n) in nodes.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&n.to_string());
-                }
-                s.push_str(&format!("],\"attempts\":{attempts}}}"));
-            }
-            Response::Metrics { id, body } => {
-                s.push_str(&format!("{{\"type\":\"metrics\",\"id\":{id},\"body\":"));
-                write_escaped(&mut s, body);
-                s.push('}');
-            }
-            Response::Status { id, reply } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"status\",\"id\":{id},\"deployed\":{},\"dropped\":{},\
-                     \"conflicts\":{},\"cycles\":{},\"queue_depth\":{},\"containers\":{},\
-                     \"nodes_available\":{},\"nodes_total\":{},\"lost\":{},\"replaced\":{},\
-                     \"unplaceable\":{},\"pending_recovery\":{},\"shed\":{},\"admitted\":{}}}",
-                    reply.deployed,
-                    reply.dropped,
-                    reply.conflicts,
-                    reply.cycles,
-                    reply.queue_depth,
-                    reply.containers,
-                    reply.nodes_available,
-                    reply.nodes_total,
-                    reply.lost,
-                    reply.replaced,
-                    reply.unplaceable,
-                    reply.pending_recovery,
-                    reply.shed,
-                    reply.admitted,
-                ));
-            }
-            Response::ShutdownAck { id } => {
-                s.push_str(&format!("{{\"type\":\"shutdown_ack\",\"id\":{id}}}"));
-            }
-            Response::Error { id, code, message } => {
-                s.push_str(&format!("{{\"type\":\"error\",\"id\":{id},\"code\":"));
-                write_escaped(&mut s, code);
-                s.push_str(",\"message\":");
-                write_escaped(&mut s, message);
-                s.push('}');
-            }
-        }
-        s
+        encode(self)
     }
 
     /// Parses a payload.
     pub fn decode(payload: &str) -> Result<Response, ProtoError> {
-        let v = JsonValue::parse(payload).map_err(|e| ProtoError::new("bad_json", e))?;
-        let ty = v
-            .req_str("type")
-            .map_err(|e| ProtoError::new("bad_request", e))?;
-        let id = v
-            .req_u64("id")
-            .map_err(|e| ProtoError::new("bad_request", e))?;
-        let bad = |e: String| ProtoError::new("bad_request", e);
-        match ty {
-            "accepted" => Ok(Response::Accepted {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-                queue_depth: v.req_u64("queue_depth").map_err(bad)?,
-            }),
-            "overloaded" => Ok(Response::Overloaded {
-                id,
-                reason: v.req_str("reason").map_err(bad)?.to_string(),
-                retry_after_ms: v.req_u64("retry_after_ms").map_err(bad)?,
-            }),
-            "released" => Ok(Response::Released {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-            }),
-            "scale_ack" => Ok(Response::ScaleAck {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-                replicas: v.req_u64("replicas").map_err(bad)?,
-            }),
-            "upgrade_ack" => Ok(Response::UpgradeAck {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-                version: v.req_u64("version").map_err(bad)?,
-            }),
-            "app_status" => Ok(Response::AppStatus {
-                id,
-                app: v.req_u64("app").map_err(bad)?,
-                phase: v.req_str("phase").map_err(bad)?.to_string(),
-                nodes: v
-                    .req_arr("nodes")
-                    .map_err(bad)?
-                    .iter()
-                    .map(|n| n.as_u32().ok_or_else(|| bad("non-u32 node id".to_string())))
-                    .collect::<Result<Vec<_>, _>>()?,
-                attempts: v.req_u32("attempts").map_err(bad)?,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                id,
-                body: v.req_str("body").map_err(bad)?.to_string(),
-            }),
-            "status" => Ok(Response::Status {
-                id,
-                reply: StatusReply {
-                    deployed: v.req_u64("deployed").map_err(bad)?,
-                    dropped: v.req_u64("dropped").map_err(bad)?,
-                    conflicts: v.req_u64("conflicts").map_err(bad)?,
-                    cycles: v.req_u64("cycles").map_err(bad)?,
-                    queue_depth: v.req_u64("queue_depth").map_err(bad)?,
-                    containers: v.req_u64("containers").map_err(bad)?,
-                    nodes_available: v.req_u64("nodes_available").map_err(bad)?,
-                    nodes_total: v.req_u64("nodes_total").map_err(bad)?,
-                    lost: v.req_u64("lost").map_err(bad)?,
-                    replaced: v.req_u64("replaced").map_err(bad)?,
-                    unplaceable: v.req_u64("unplaceable").map_err(bad)?,
-                    pending_recovery: v.req_u64("pending_recovery").map_err(bad)?,
-                    shed: v.req_u64("shed").map_err(bad)?,
-                    admitted: v.req_u64("admitted").map_err(bad)?,
-                },
-            }),
-            "shutdown_ack" => Ok(Response::ShutdownAck { id }),
-            "error" => Ok(Response::Error {
-                id,
-                code: v.req_str("code").map_err(bad)?.to_string(),
-                message: v.req_str("message").map_err(bad)?.to_string(),
-            }),
-            other => Err(ProtoError::new(
-                "bad_request",
-                format!("unknown response type `{other}`"),
-            )),
-        }
+        decode(payload)
     }
 }
+
+json_codec! { enum Response {
+    "accepted" => Accepted { id: "id", app: "app", queue_depth: "queue_depth", },
+    "overloaded" => Overloaded { id: "id", reason: "reason", retry_after_ms: "retry_after_ms", },
+    "released" => Released { id: "id", app: "app", },
+    "scale_ack" => ScaleAck { id: "id", app: "app", replicas: "replicas", },
+    "upgrade_ack" => UpgradeAck { id: "id", app: "app", version: "version", },
+    "app_status" => AppStatus {
+        id: "id", app: "app", phase: "phase", nodes: "nodes", attempts: "attempts",
+    },
+    "metrics" => Metrics { id: "id", body: "body", },
+    "status" => Status { id: "id", ..reply },
+    "shutdown_ack" => ShutdownAck { id: "id", },
+    "error" => Error { id: "id", code: "code", message: "message", },
+} }
 
 #[cfg(test)]
 mod tests {

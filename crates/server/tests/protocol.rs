@@ -398,6 +398,26 @@ fn malformed_spec_frames_yield_typed_errors_and_keep_the_connection() {
     handle.shutdown(true);
 }
 
+/// One maximum-size frame of `[` once overflowed the connection thread's
+/// stack inside the parser and aborted the whole daemon. It is a parse
+/// error like any other, and the connection keeps serving.
+#[test]
+fn a_frame_of_open_brackets_is_bad_json_not_a_dead_server() {
+    let handle = start(4, AdmissionConfig::default());
+    let mut c = Client::connect(handle.addr());
+
+    c.send_raw(&frame(&vec![b'['; MAX_FRAME_BYTES]));
+    match c.recv() {
+        Response::Error { code, .. } => assert_eq!(code, "bad_json"),
+        other => panic!("expected error, got {other:?}"),
+    }
+    assert!(matches!(
+        c.place(1, "alice", 1, 1),
+        Response::Accepted { .. }
+    ));
+    handle.shutdown(true);
+}
+
 /// Frames raw bytes with the 4-byte big-endian length prefix.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 4);
