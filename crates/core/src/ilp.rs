@@ -362,22 +362,17 @@ pub(crate) fn solve(
     // placement that anchored the candidate set rather than rejecting the
     // whole batch — the two-scheduler design prefers a heuristic-quality
     // placement now over no placement at all.
-    let fallback = |reason: &str| {
-        if let Some(m) = metrics {
-            m.arm.heuristic_fallbacks.inc();
-        }
-        if std::env::var_os("MEDEA_SOLVER_DEBUG").is_some() {
-            eprintln!("ilp: falling back to heuristic placement ({reason})");
-        }
-        BatchPlacement {
-            degraded: true,
-            ..heuristic.clone().into()
-        }
-    };
     let sol = match &solution {
-        Err(_) => return fallback("problem validation error"),
-        Ok(sol) if !sol.has_solution() => return fallback("no incumbent within limits"),
-        Ok(sol) => sol,
+        Ok(sol) if sol.has_solution() => sol,
+        _ => {
+            if let Some(m) = metrics {
+                m.arm.heuristic_fallbacks.inc();
+            }
+            return BatchPlacement {
+                degraded: true,
+                ..heuristic.clone().into()
+            };
+        }
     };
     if let (Some(cache), Some(basis)) = (cache, &sol.root_basis) {
         cache.store(skeleton, basis.clone());

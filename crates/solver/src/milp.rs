@@ -298,12 +298,6 @@ impl<'a> Milp<'a> {
                 let obj = sign * p.objective_value(point);
                 incumbent = Some((point.clone(), obj));
                 self.emit(SolveEvent::IncumbentImproved);
-            } else if std::env::var_os("MEDEA_SOLVER_DEBUG").is_some() {
-                eprintln!(
-                    "milp: rejected infeasible incumbent point (len {} vs {})",
-                    point.len(),
-                    p.num_vars()
-                );
             }
         }
 
