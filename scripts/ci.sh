@@ -28,6 +28,7 @@ step "cargo build --release --offline (all targets)" \
     cargo build --release --offline --workspace --benches --tests
 step "cargo test (debug)" cargo test --offline --workspace -q
 step "cargo test (release)" cargo test --release --offline --workspace -q
+step "non-test lines (the count CHANGES entries quote)" scripts/loc.sh
 
 # The benchmark package has its own manifest and lock file; building and
 # testing it here makes an API break against it fail CI, not the pipeline.
