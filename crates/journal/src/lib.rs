@@ -16,13 +16,14 @@
 //!   and the simulator, [`FileStorage`] for real runs and benches,
 //! * the [`Wal`] front end: framed, FNV-1a-checksummed lines; `load()`
 //!   returns `(checkpoint, log tail)` and refuses corrupt or torn
-//!   input outright.
+//!   input outright,
+//! * the JSON codec those are written in ([`json_codec!`],
+//!   [`JsonValue`]), which `medea-server`'s wire protocol shares.
 //!
 //! Restore itself lives in `medea-cluster` (`ClusterState::restore`),
 //! which replays the checkpoint and log tail back into a full state,
 //! index and γ caches included. This crate is intentionally
-//! zero-dependency and speaks only primitives, in the same hermetic
-//! hand-rolled-JSON style as `medea-obs`.
+//! zero-dependency and speaks only primitives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
 //! The wire protocol: length-prefixed JSON frames.
 //!
 //! Every message is one frame: a 4-byte big-endian length prefix followed
-//! by that many bytes of UTF-8 JSON. The JSON subset is the journal's
-//! (`medea-journal`): objects, arrays, strings, booleans, `null`, and
-//! unsigned integers — no floats, so ids round-trip exactly.
+//! by that many bytes of UTF-8 JSON. The JSON subset and the codec are
+//! the journal's (`medea_journal::json_codec!`): objects, arrays,
+//! strings, booleans, `null`, and unsigned integers — no floats, so ids
+//! round-trip exactly — nested at most `medea_journal::MAX_DEPTH` deep.
 //!
 //! Robustness contract (enforced by `tests/protocol.rs`): a malformed
 //! frame never panics the server and never blocks the accept loop.

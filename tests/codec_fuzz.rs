@@ -39,7 +39,7 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
         3 => {
             let stray = *rng.choose(b"[]{}\",:\\0-e.").expect("non-empty");
             let run = rng.random_range(1..40usize);
-            bytes.splice(at..at, std::iter::repeat(stray).take(run));
+            bytes.splice(at..at, std::iter::repeat_n(stray, run));
         }
         4 => {
             // Widen the digit run at or after `at` past u64::MAX.
@@ -299,7 +299,7 @@ fn checkpoints_survive_mutation() {
             budget: 1,
         }],
     };
-    let corpus = corpus(&[doc.clone()], CheckpointDoc::encode);
+    let corpus = corpus(std::slice::from_ref(&doc), CheckpointDoc::encode);
     assert_eq!(CheckpointDoc::decode(&corpus[0]).unwrap(), doc);
     fuzz(&corpus, CheckpointDoc::decode, CheckpointDoc::encode);
 }
