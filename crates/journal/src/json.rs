@@ -131,7 +131,9 @@ impl JsonWriter {
     /// of [`json_codec!`](crate::json_codec) and need no escaping.
     pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
         self.item();
-        let _ = write!(self.out, "\"{key}\":");
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
         self.comma = false;
         value.write(self);
     }

@@ -56,16 +56,22 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
     }
 }
 
-/// Runs the two properties over mutations of `corpus`.
-fn fuzz<T, E>(corpus: &[String], decode: fn(&str) -> Result<T, E>, encode: fn(&T) -> String)
+/// Runs the two properties over mutations of the encodings of `values`.
+fn fuzz<T, E>(values: &[T], decode: fn(&str) -> Result<T, E>, encode: fn(&T) -> String)
 where
     T: PartialEq + Debug + UnwindSafe,
     E: Debug + UnwindSafe,
 {
+    // Every starting point must itself decode, or the mutations would
+    // only ever exercise the error paths.
+    let corpus: Vec<String> = values.iter().map(encode).collect();
+    for (text, value) in corpus.iter().zip(values) {
+        assert_eq!(&decode(text).expect("corpus entry decodes"), value);
+    }
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..CASES_PER_SEED {
-            let mut bytes = rng.choose(corpus).expect("non-empty").clone().into_bytes();
+            let mut bytes = rng.choose(&corpus).expect("non-empty").clone().into_bytes();
             for _ in 0..rng.random_range(1..4u32) {
                 mutate(&mut rng, &mut bytes);
             }
@@ -91,12 +97,6 @@ where
             }
         }
     }
-}
-
-/// Every corpus entry must itself decode, or the fuzzer would only ever
-/// exercise the error paths.
-fn corpus<T>(values: &[T], encode: fn(&T) -> String) -> Vec<String> {
-    values.iter().map(encode).collect()
 }
 
 #[test]
@@ -145,11 +145,7 @@ fn requests_survive_mutation() {
         Request::Status { id: 7 },
         Request::Shutdown { id: 8 },
     ];
-    let corpus = corpus(&values, Request::encode);
-    for (text, value) in corpus.iter().zip(&values) {
-        assert_eq!(&Request::decode(text).unwrap(), value);
-    }
-    fuzz(&corpus, Request::decode, Request::encode);
+    fuzz(&values, Request::decode, Request::encode);
 }
 
 #[test]
@@ -205,11 +201,7 @@ fn responses_survive_mutation() {
             message: "trailing garbage at byte 3\t\u{1}".to_string(),
         },
     ];
-    let corpus = corpus(&values, Response::encode);
-    for (text, value) in corpus.iter().zip(&values) {
-        assert_eq!(&Response::decode(text).unwrap(), value);
-    }
-    fuzz(&corpus, Response::decode, Response::encode);
+    fuzz(&values, Response::decode, Response::encode);
 }
 
 #[test]
@@ -254,11 +246,7 @@ fn journal_records_survive_mutation() {
         .zip(10u64..)
         .map(|(op, epoch)| JournalRecord { epoch, op })
         .collect();
-    let corpus = corpus(&values, JournalRecord::encode);
-    for (text, value) in corpus.iter().zip(&values) {
-        assert_eq!(&JournalRecord::decode(text).unwrap(), value);
-    }
-    fuzz(&corpus, JournalRecord::decode, JournalRecord::encode);
+    fuzz(&values, JournalRecord::decode, JournalRecord::encode);
 }
 
 #[test]
@@ -299,7 +287,5 @@ fn checkpoints_survive_mutation() {
             budget: 1,
         }],
     };
-    let corpus = corpus(std::slice::from_ref(&doc), CheckpointDoc::encode);
-    assert_eq!(CheckpointDoc::decode(&corpus[0]).unwrap(), doc);
-    fuzz(&corpus, CheckpointDoc::decode, CheckpointDoc::encode);
+    fuzz(&[doc], CheckpointDoc::decode, CheckpointDoc::encode);
 }
