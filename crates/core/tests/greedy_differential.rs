@@ -1,0 +1,257 @@
+//! Greedy-engine differential: `HeuristicScheduler::place` against a
+//! naive reference greedy written here, on public `Scorer` calls only.
+//!
+//! The reference is §5.3 read literally: score every allowed node for
+//! every container, keep the first maximum, and — for node candidates —
+//! recount `Nc` over every node for each remaining container that shares
+//! a tag with the one just placed. It is the oracle for any engine that
+//! avoids that work: outcomes must be equal node for node on every
+//! seeded instance and ordering.
+//!
+//! Instances cover node-, rack- and `zone`-scoped affinity,
+//! anti-affinity, at-most and at-least constraints (`zone` is a second
+//! registered group whose sets overlap each other and leave the last
+//! node in none), app-scoped subjects and targets, deployed constraints,
+//! background allocations, an unavailable node, and `allowed` = every
+//! other node.
+
+use medea_cluster::{
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
+    Tag,
+};
+use medea_constraints::{Cardinality, PlacementConstraint, TagExpr};
+use medea_core::{
+    HeuristicScheduler, LraPlacement, LraRequest, ObjectiveWeights, Ordering, PlacementOutcome,
+    Scorer,
+};
+use medea_rand::rngs::StdRng;
+use medea_rand::{RngExt, SeedableRng};
+
+const SEEDS: u64 = 400;
+const TAGS: [&str; 4] = ["a", "b", "c", "d"];
+
+struct Instance {
+    state: ClusterState,
+    requests: Vec<LraRequest>,
+    deployed: Vec<PlacementConstraint>,
+    allowed: Option<Vec<NodeId>>,
+}
+
+/// Best-scoring feasible node in scan order (first maximum wins).
+fn best_node(
+    scorer: &Scorer,
+    work: &mut ClusterState,
+    app: ApplicationId,
+    c: &ContainerRequest,
+    nodes: &[NodeId],
+) -> Option<NodeId> {
+    let mut best: Option<(NodeId, f64)> = None;
+    for &n in nodes {
+        if let Some(s) = scorer.score(work, app, c, n) {
+            if best.is_none_or(|(_, b)| s.total_cmp(&b) == std::cmp::Ordering::Greater) {
+                best = Some((n, s));
+            }
+        }
+    }
+    best.map(|(n, _)| n)
+}
+
+/// The naive greedy: no caching, no classes, every pair probed afresh.
+fn reference_place(inst: &Instance, ordering: Ordering) -> Vec<PlacementOutcome> {
+    let mut work = inst.state.clone();
+    let mut constraints = inst.deployed.clone();
+    for r in &inst.requests {
+        constraints.extend(r.constraints.iter().cloned());
+    }
+    let scorer = Scorer::new(ObjectiveWeights::default(), constraints);
+    let nodes: Vec<NodeId> = match &inst.allowed {
+        Some(a) => a.clone(),
+        None => work.node_ids().collect(),
+    };
+    // (request, container) pairs in submission order.
+    let mut items: Vec<(usize, usize)> = Vec::new();
+    for (ri, r) in inst.requests.iter().enumerate() {
+        items.extend((0..r.containers.len()).map(|ci| (ri, ci)));
+    }
+    let app = |i: (usize, usize)| inst.requests[i.0].app;
+    let cont = |i: (usize, usize)| &inst.requests[i.0].containers[i.1];
+    if ordering == Ordering::TagPopularity {
+        let popularity = |t: &Tag| {
+            let mentions = |c: &&PlacementConstraint| c.mentioned_tags().contains(t);
+            scorer.constraints.iter().filter(mentions).count() as i64
+        };
+        items.sort_by_key(|&i| -cont(i).tags.iter().map(popularity).sum::<i64>());
+    }
+    let mut placed: Vec<Vec<Option<NodeId>>> = inst
+        .requests
+        .iter()
+        .map(|r| vec![None; r.containers.len()])
+        .collect();
+    let mut place = |work: &mut ClusterState, i: (usize, usize)| {
+        let node = best_node(&scorer, work, app(i), cont(i), &nodes)?;
+        work.allocate(app(i), node, cont(i), ExecutionKind::LongRunning)
+            .ok()?;
+        placed[i.0][i.1] = Some(node);
+        Some(())
+    };
+    if ordering == Ordering::NodeCandidates {
+        let count = |work: &mut ClusterState, i: (usize, usize)| {
+            let free = |n: &&NodeId| scorer.is_violation_free(work, app(i), cont(i), **n);
+            nodes.iter().filter(free).count()
+        };
+        let mut nc: Vec<usize> = items.iter().map(|&i| count(&mut work, i)).collect();
+        let mut remaining: Vec<usize> = (0..items.len()).collect();
+        while let Some((pos, &idx)) = remaining.iter().enumerate().min_by_key(|(_, &i)| nc[i]) {
+            remaining.swap_remove(pos);
+            if place(&mut work, items[idx]).is_none() {
+                continue;
+            }
+            for &other in &remaining {
+                let tags = &cont(items[other]).tags;
+                if tags.iter().any(|t| cont(items[idx]).tags.contains(t)) {
+                    nc[other] = count(&mut work, items[other]);
+                }
+            }
+        }
+    } else {
+        for &i in &items {
+            place(&mut work, i);
+        }
+    }
+    inst.requests
+        .iter()
+        .zip(placed)
+        .map(
+            |(r, nodes)| match nodes.into_iter().collect::<Option<Vec<_>>>() {
+                Some(nodes) => PlacementOutcome::Placed(LraPlacement { app: r.app, nodes }),
+                None => PlacementOutcome::Unplaced { app: r.app },
+            },
+        )
+        .collect()
+}
+
+fn zone() -> NodeGroupId {
+    NodeGroupId::new("zone")
+}
+
+fn random_constraint(rng: &mut StdRng, app: ApplicationId) -> PlacementConstraint {
+    // A third of the tag expressions are scoped to the submitting app.
+    let expr = |rng: &mut StdRng| {
+        let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+        if rng.random_bool(0.33) {
+            TagExpr::and([tag, Tag::app_id(app)])
+        } else {
+            TagExpr::tag(tag)
+        }
+    };
+    let subject = expr(rng);
+    let target = expr(rng);
+    let cardinality = match rng.random_range(0..5u32) {
+        0 => Cardinality::affinity(),
+        1 => Cardinality::anti_affinity(),
+        2 => Cardinality::at_most(rng.random_range(1..3u32)),
+        3 => Cardinality::at_least(rng.random_range(1..3u32)),
+        _ => Cardinality::range(1, 2),
+    };
+    let group = match rng.random_range(0..3u32) {
+        0 => NodeGroupId::node(),
+        1 => NodeGroupId::rack(),
+        _ => zone(),
+    };
+    let weight = *rng.choose(&[0.5, 1.0, 2.0]).unwrap();
+    let c = PlacementConstraint::new(subject, target, cardinality, group).with_weight(weight);
+    if rng.random_bool(0.15) {
+        c.hard()
+    } else {
+        c
+    }
+}
+
+fn random_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x6EED);
+    let n = rng.random_range(6..20usize);
+    let racks = rng.random_range(2..5usize);
+    let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
+    // Three zones, each reaching two nodes into the next; the last node
+    // belongs to none.
+    let third = (n - 1) / 3;
+    let zones = (0..3)
+        .map(|z| {
+            let end = ((z + 1) * third + 2).min(n - 1);
+            (z * third..end).map(|i| NodeId(i as u32)).collect()
+        })
+        .collect();
+    state.register_group(zone(), zones);
+
+    // Background allocations of apps 100..=102; deployed constraints are
+    // scoped to app 100 where they are app-scoped at all.
+    for i in 0..rng.random_range(0..2 * n) {
+        let node = NodeId(rng.random_range(0..n as u32));
+        let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+        let req = ContainerRequest::new(Resources::new(1024, 1), [tag]);
+        let app = ApplicationId(100 + (i % 3) as u64);
+        let _ = state.allocate(app, node, &req, ExecutionKind::LongRunning);
+    }
+    state
+        .set_available(NodeId(rng.random_range(0..n as u32)), false)
+        .unwrap();
+
+    let mut requests = Vec::new();
+    for ri in 0..rng.random_range(1..4u64) {
+        let app = ApplicationId(ri + 1);
+        let mut containers = Vec::new();
+        for _ in 0..rng.random_range(1..3usize) {
+            let mut tags = vec![Tag::new(*rng.choose(&TAGS).unwrap())];
+            if rng.random_bool(0.4) {
+                tags.push(Tag::new(*rng.choose(&TAGS).unwrap()));
+                tags.dedup();
+            }
+            let mem = *rng.choose(&[1024u64, 2048, 3072, 7168]).unwrap();
+            let req = ContainerRequest::new(Resources::new(mem, 1), tags);
+            containers.extend(vec![req; rng.random_range(1..4usize)]);
+        }
+        let constraints = (0..rng.random_range(0..4usize))
+            .map(|_| random_constraint(&mut rng, app))
+            .collect();
+        requests.push(LraRequest::new(app, containers, constraints));
+    }
+    let deployed = (0..rng.random_range(0..3usize))
+        .map(|_| random_constraint(&mut rng, ApplicationId(100)))
+        .collect();
+    let allowed = rng
+        .random_bool(0.5)
+        .then(|| (0..n as u32).step_by(2).map(NodeId).collect());
+    Instance {
+        state,
+        requests,
+        deployed,
+        allowed,
+    }
+}
+
+#[test]
+fn engine_matches_naive_reference_on_seeded_instances() {
+    let mut placed = 0usize;
+    let mut unplaced = 0usize;
+    for seed in 0..SEEDS {
+        let inst = random_instance(seed);
+        for ordering in [
+            Ordering::NodeCandidates,
+            Ordering::TagPopularity,
+            Ordering::Submission,
+        ] {
+            let expected = reference_place(&inst, ordering);
+            let got = HeuristicScheduler::new(ordering).place(
+                &inst.state,
+                &inst.requests,
+                &inst.deployed,
+                inst.allowed.as_deref(),
+            );
+            assert_eq!(got, expected, "seed {seed}, {ordering:?}");
+            placed += got.iter().filter(|o| o.placement().is_some()).count();
+            unplaced += got.iter().filter(|o| o.placement().is_none()).count();
+        }
+    }
+    // The generator must exercise both outcomes, or equality proves little.
+    assert!(placed > 1_000 && unplaced > 20, "{placed} / {unplaced}");
+}
