@@ -6,13 +6,23 @@
 //! objective model the ILP optimizes); they differ only in the *order* in
 //! which containers are considered — which is exactly the comparison the
 //! paper draws between them.
+//!
+//! The engine ([`Greedy`]) scores each (container class, node) pair once:
+//! containers of one app with the same tags and demand share a class, a
+//! class keeps one cached violation delta per node, and a placement
+//! marks dirty only the cells it can have changed. Score and `Nc` are
+//! both read off the cached delta and the node's live free resources, so
+//! the outcome is the one a scan of every pair after every placement
+//! gives (DESIGN.md §5.3; `tests/greedy_differential.rs` holds the scan).
 
 use std::collections::HashMap;
 
-use medea_cluster::{ClusterState, ContainerRequest, NodeId, Tag};
+use medea_cluster::{
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Tag,
+};
 use medea_constraints::PlacementConstraint;
 
-use crate::objective::{ObjectiveWeights, Scorer};
+use crate::objective::{ObjectiveWeights, Relevant, Scorer, CLEAN_DELTA};
 use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
 
 /// Container ordering strategy of the greedy engine.
@@ -31,11 +41,10 @@ pub enum Ordering {
 }
 
 /// A unit of greedy work: one container of one request.
-#[derive(Debug, Clone)]
 struct Item {
     req_idx: usize,
     cont_idx: usize,
-    request: ContainerRequest,
+    class: usize,
 }
 
 /// Greedy heuristic LRA scheduler.
@@ -77,12 +86,25 @@ impl HeuristicScheduler {
         deployed_constraints: &[PlacementConstraint],
         allowed: Option<&[NodeId]>,
     ) -> Vec<PlacementOutcome> {
-        let mut work = state.clone();
+        self.place_counted(state, requests, deployed_constraints, allowed)
+            .0
+    }
+
+    /// [`HeuristicScheduler::place`], also returning how many tentative
+    /// allocations (probes) the round made.
+    pub(crate) fn place_counted(
+        &self,
+        state: &ClusterState,
+        requests: &[LraRequest],
+        deployed_constraints: &[PlacementConstraint],
+        allowed: Option<&[NodeId]>,
+    ) -> (Vec<PlacementOutcome>, u64) {
         let mut constraints: Vec<PlacementConstraint> = deployed_constraints.to_vec();
         for r in requests {
             constraints.extend(r.constraints.iter().cloned());
         }
         let scorer = Scorer::new(self.weights, constraints);
+        let mut engine = Greedy::new(&scorer, state, allowed);
 
         // Flatten items.
         let mut items: Vec<Item> = Vec::new();
@@ -91,174 +113,242 @@ impl HeuristicScheduler {
                 items.push(Item {
                     req_idx: ri,
                     cont_idx: ci,
-                    request: c.clone(),
+                    class: engine.class_of(r.app, c),
                 });
             }
         }
 
-        // Order the batch.
-        match self.ordering {
-            Ordering::Submission => {}
-            Ordering::TagPopularity => {
-                let popularity = tag_popularity(&scorer.constraints);
-                items.sort_by_key(|it| {
-                    let p: i64 = it
-                        .request
-                        .tags
-                        .iter()
-                        .map(|t| popularity.get(t).copied().unwrap_or(0) as i64)
-                        .sum();
-                    -p
-                });
-            }
-            Ordering::NodeCandidates => {
-                // Initial Nc per item; kept approximately fresh below.
-            }
+        if self.ordering == Ordering::TagPopularity {
+            let popularity = tag_popularity(&scorer.constraints);
+            items.sort_by_key(|it| {
+                let p: i64 = engine
+                    .tags(it.class)
+                    .iter()
+                    .map(|t| popularity.get(t).copied().unwrap_or(0) as i64)
+                    .sum();
+                -p
+            });
         }
 
-        let nodes: Vec<NodeId> = match allowed {
-            Some(a) => a.to_vec(),
-            None => work.node_ids().collect(),
-        };
         let mut placements: Vec<Vec<Option<NodeId>>> = requests
             .iter()
             .map(|r| vec![None; r.containers.len()])
             .collect();
-        let mut placed_ids: Vec<Vec<Option<medea_cluster::ContainerId>>> = requests
-            .iter()
-            .map(|r| vec![None; r.containers.len()])
-            .collect();
-
         if self.ordering == Ordering::NodeCandidates {
             // Node-candidates: repeatedly pick the unplaced item with the
-            // smallest Nc. Nc values are recomputed only for items whose
-            // placement opportunities may have changed (same-tag items or
-            // constraint-related tags — approximated by recomputing items
-            // sharing any tag with the last placed container, per §5.3).
-            let mut nc: Vec<Option<usize>> = items
-                .iter()
-                .map(|it| {
-                    Some(count_candidates(
-                        &scorer,
-                        &mut work,
-                        requests[it.req_idx].app,
-                        &it.request,
-                        &nodes,
-                    ))
-                })
-                .collect();
+            // smallest Nc. An item's recorded Nc is refreshed only when its
+            // placement opportunities may have changed — approximated, per
+            // §5.3, by items sharing any tag with the last placed container.
+            let mut nc: Vec<usize> = items.iter().map(|it| engine.candidates(it.class)).collect();
             let mut remaining: Vec<usize> = (0..items.len()).collect();
-            while !remaining.is_empty() {
-                // Pick the remaining item with the smallest Nc.
-                let Some((pos, &item_idx)) = remaining
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &i)| nc.get(i).copied().flatten().unwrap_or(usize::MAX))
-                else {
-                    break;
-                };
+            while let Some((pos, &idx)) = remaining.iter().enumerate().min_by_key(|(_, &i)| nc[i]) {
                 remaining.swap_remove(pos);
-                let it = &items[item_idx];
-                let app = requests[it.req_idx].app;
-                if let Some((node, id)) = place_best(&scorer, &mut work, app, &it.request, &nodes) {
-                    placements[it.req_idx][it.cont_idx] = Some(node);
-                    placed_ids[it.req_idx][it.cont_idx] = Some(id);
-                    // Lazy recompute: only items sharing a tag with the
-                    // placed container.
-                    for &other in &remaining {
-                        let shares = items[other]
-                            .request
-                            .tags
-                            .iter()
-                            .any(|t| it.request.tags.contains(t));
-                        if shares {
-                            let oit = &items[other];
-                            nc[other] = Some(count_candidates(
-                                &scorer,
-                                &mut work,
-                                requests[oit.req_idx].app,
-                                &oit.request,
-                                &nodes,
-                            ));
-                        }
+                let it = &items[idx];
+                let Some(node) = engine.place(it.class) else {
+                    continue;
+                };
+                placements[it.req_idx][it.cont_idx] = Some(node);
+                for &other in &remaining {
+                    let class = items[other].class;
+                    let placed_tags = engine.tags(it.class);
+                    if engine.tags(class).iter().any(|t| placed_tags.contains(t)) {
+                        nc[other] = engine.candidates(class);
                     }
                 }
             }
         } else {
             for it in &items {
-                let app = requests[it.req_idx].app;
-                if let Some((node, id)) = place_best(&scorer, &mut work, app, &it.request, &nodes) {
-                    placements[it.req_idx][it.cont_idx] = Some(node);
-                    placed_ids[it.req_idx][it.cont_idx] = Some(id);
-                }
+                placements[it.req_idx][it.cont_idx] = engine.place(it.class);
             }
         }
 
-        // All-or-nothing per LRA: roll back partially placed apps.
-        let mut outcomes = Vec::with_capacity(requests.len());
-        for (ri, r) in requests.iter().enumerate() {
-            if placements[ri].iter().all(|p| p.is_some()) {
-                outcomes.push(PlacementOutcome::Placed(LraPlacement {
-                    app: r.app,
-                    nodes: placements[ri].iter().filter_map(|p| *p).collect(),
-                }));
-            } else {
-                for id in placed_ids[ri].iter().flatten() {
-                    let _ = work.release(*id);
-                }
-                outcomes.push(PlacementOutcome::Unplaced { app: r.app });
-            }
-        }
-        outcomes
+        // All-or-nothing per LRA: a partially placed app is unplaced.
+        let outcomes = requests
+            .iter()
+            .zip(placements)
+            .map(|(r, nodes)| match nodes.into_iter().collect() {
+                Some(nodes) => PlacementOutcome::Placed(LraPlacement { app: r.app, nodes }),
+                None => PlacementOutcome::Unplaced { app: r.app },
+            })
+            .collect();
+        (outcomes, engine.probes)
     }
 }
 
-/// Places one container on the best-scoring feasible node of the working
-/// state; returns the node and the tentative container id.
-fn place_best(
-    scorer: &Scorer,
-    work: &mut ClusterState,
-    app: medea_cluster::ApplicationId,
-    request: &ContainerRequest,
-    nodes: &[NodeId],
-) -> Option<(NodeId, medea_cluster::ContainerId)> {
-    let mut best: Option<(NodeId, f64)> = None;
-    for &n in nodes {
-        if let Some(s) = scorer.score(work, app, request, n) {
-            // total_cmp keeps the argmax well-defined for every score the
-            // scorer can emit (scores are finite by contract, but a partial
-            // comparison here would silently mis-order if that ever broke);
-            // strict Greater keeps first-wins tie-breaking in scan order.
-            if best.is_none_or(|(_, bs)| s.total_cmp(&bs) == std::cmp::Ordering::Greater) {
-                best = Some((n, s));
-            }
+/// The containers of one app with the same tags and demand: they score
+/// alike on every node, so they share one row of cached deltas.
+struct Class<'a> {
+    app: ApplicationId,
+    request: &'a ContainerRequest,
+    /// The constraints that can see the class, computed once per round.
+    relevant: Relevant,
+    /// Non-`node` groups those constraints range over: where a placement
+    /// elsewhere than on a node can change the class's delta on it.
+    groups: Vec<&'a NodeGroupId>,
+}
+
+/// The greedy engine: a working copy of the state plus, per class, the
+/// violation delta of every node probed so far.
+struct Greedy<'a> {
+    scorer: &'a Scorer,
+    work: ClusterState,
+    /// Candidate hosts in scan order.
+    nodes: Vec<NodeId>,
+    classes: Vec<Class<'a>>,
+    /// `cells[class * num_nodes + node]`: the class's violation delta on
+    /// the node, `None` while unprobed or dirty.
+    cells: Vec<Option<f64>>,
+    /// Tentative allocations made so far.
+    probes: u64,
+}
+
+impl<'a> Greedy<'a> {
+    fn new(scorer: &'a Scorer, state: &ClusterState, allowed: Option<&[NodeId]>) -> Self {
+        Greedy {
+            scorer,
+            work: state.clone(),
+            nodes: match allowed {
+                Some(a) => a.to_vec(),
+                None => state.node_ids().collect(),
+            },
+            classes: Vec::new(),
+            cells: Vec::new(),
+            probes: 0,
         }
     }
-    let (node, _) = best?;
-    let id = work
-        .allocate(
+
+    /// The class of a container, created on first sight.
+    fn class_of(&mut self, app: ApplicationId, request: &'a ContainerRequest) -> usize {
+        let known = |c: &Class| c.app == app && c.request == request;
+        if let Some(class) = self.classes.iter().position(known) {
+            return class;
+        }
+        let scorer = self.scorer;
+        let relevant = scorer.relevant(app, request);
+        let mut groups: Vec<&NodeGroupId> = Vec::new();
+        for ci in relevant.indices() {
+            let group = &scorer.constraints[ci].group;
+            if !group.is_node() && !groups.contains(&group) {
+                groups.push(group);
+            }
+        }
+        self.classes.push(Class {
             app,
-            node,
             request,
-            medea_cluster::ExecutionKind::LongRunning,
-        )
-        .ok()?;
-    Some((node, id))
-}
+            relevant,
+            groups,
+        });
+        self.cells
+            .resize(self.classes.len() * self.work.num_nodes(), None);
+        self.classes.len() - 1
+    }
 
-/// Number of nodes on which the container can be placed without any new
-/// violation (`Nc` of §5.3).
-fn count_candidates(
-    scorer: &Scorer,
-    work: &mut ClusterState,
-    app: medea_cluster::ApplicationId,
-    request: &ContainerRequest,
-    nodes: &[NodeId],
-) -> usize {
-    nodes
-        .iter()
-        .filter(|&&n| scorer.is_violation_free(work, app, request, n))
-        .count()
+    fn tags(&self, class: usize) -> &[Tag] {
+        &self.classes[class].request.tags
+    }
+
+    /// The class's violation delta on a feasible node: cached, or probed
+    /// now. A class no constraint can see never probes.
+    fn delta(&mut self, class: usize, node: NodeId) -> f64 {
+        let cell = class * self.work.num_nodes() + node.index();
+        if let Some(delta) = self.cells[cell] {
+            return delta;
+        }
+        let c = &self.classes[class];
+        let delta = if c.relevant.is_empty() {
+            0.0
+        } else {
+            self.probes += 1;
+            self.scorer
+                .violation_delta_among(&mut self.work, c.app, c.request, node, &c.relevant)
+        };
+        self.cells[cell] = Some(delta);
+        delta
+    }
+
+    /// Number of nodes on which a container of the class can be placed
+    /// without any new violation (`Nc` of §5.3).
+    fn candidates(&mut self, class: usize) -> usize {
+        let request = self.classes[class].request;
+        let mut count = 0;
+        for i in 0..self.nodes.len() {
+            let node = self.nodes[i];
+            if self.scorer.is_feasible(&self.work, node, request)
+                && self.delta(class, node) <= CLEAN_DELTA
+            {
+                count += 1;
+            }
+        }
+        count
+    }
+
+    /// Places one container of the class on the best-scoring feasible
+    /// node of the working state.
+    fn place(&mut self, class: usize) -> Option<NodeId> {
+        let (app, request) = (self.classes[class].app, self.classes[class].request);
+        let mut best: Option<(NodeId, f64)> = None;
+        for i in 0..self.nodes.len() {
+            let node = self.nodes[i];
+            if !self.scorer.is_feasible(&self.work, node, request) {
+                continue;
+            }
+            let viol = self.delta(class, node);
+            if let Some(s) = self
+                .scorer
+                .score_from_delta(&self.work, request, node, viol)
+            {
+                // total_cmp keeps the argmax well-defined for every score the
+                // scorer can emit (scores are finite by contract, but a partial
+                // comparison here would silently mis-order if that ever broke);
+                // strict Greater keeps first-wins tie-breaking in scan order.
+                if best.is_none_or(|(_, bs)| s.total_cmp(&bs) == std::cmp::Ordering::Greater) {
+                    best = Some((node, s));
+                }
+            }
+        }
+        let (node, _) = best?;
+        self.work
+            .allocate(app, node, request, ExecutionKind::LongRunning)
+            .ok()?;
+        self.invalidate(node);
+        Some(node)
+    }
+
+    /// Marks dirty every cell a container newly placed on `placed` can
+    /// have changed. A constraint is evaluated on the sets of its group
+    /// that contain the subject's node, so a class's delta on node `n`
+    /// reads counts on `n` itself and, per non-`node` group its
+    /// constraints name, on the members of the sets containing `n` — and,
+    /// where a group's sets overlap, of the other sets containing those
+    /// members (a subject there is judged on all its sets).
+    fn invalidate(&mut self, placed: NodeId) {
+        let num_nodes = self.work.num_nodes();
+        let groups = self.work.groups();
+        for (class, row) in self.classes.iter().zip(self.cells.chunks_mut(num_nodes)) {
+            // A registered set may name nodes the cluster does not have.
+            let mut dirty = |members: &[NodeId]| {
+                for n in members {
+                    if let Some(cell) = row.get_mut(n.index()) {
+                        *cell = None;
+                    }
+                }
+            };
+            dirty(&[placed]);
+            for &group in &class.groups {
+                let sets = groups.sets_containing_ref(group, placed).unwrap_or(&[]);
+                for &set in sets {
+                    let members = groups.set_members_ref(group, set).unwrap_or(&[]);
+                    dirty(members);
+                    for &host in members {
+                        let host_sets = groups.sets_containing_ref(group, host).unwrap_or(&[]);
+                        for &other in host_sets.iter().filter(|s| !sets.contains(s)) {
+                            dirty(groups.set_members_ref(group, other).unwrap_or(&[]));
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Counts, per tag, how many constraints mention it (§5.3 tag popularity).
@@ -440,6 +530,70 @@ mod tests {
             let pl = out[0].placement().unwrap();
             assert_eq!(pl.nodes, vec![NodeId(1)], "{ordering:?}");
         }
+    }
+
+    /// The §7.1 HBase instance: 8 region servers plus master, thrift and
+    /// secondary, with the paper's four constraints.
+    fn hbase(app: u64) -> LraRequest {
+        use medea_constraints::{Cardinality, TagExpr};
+        let app = ApplicationId(app);
+        let role = |count: usize, memory_mb: u64, role: &str| {
+            let tags = [Tag::new("hb"), Tag::new(role)];
+            vec![ContainerRequest::new(Resources::new(memory_mb, 1), tags); count]
+        };
+        let scoped = |role: &str| TagExpr::and([Tag::new(role), Tag::app_id(app)]);
+        let containers = [
+            role(8, 2048, "hb_rs"),
+            role(1, 1024, "hb_m"),
+            role(1, 1024, "hb_thrift"),
+            role(1, 1024, "hb_sec"),
+        ]
+        .concat();
+        let constraints = vec![
+            PlacementConstraint::affinity(scoped("hb_rs"), scoped("hb_rs"), NodeGroupId::rack()),
+            PlacementConstraint::new(
+                "hb_rs",
+                "hb_rs",
+                Cardinality::at_most(1),
+                NodeGroupId::node(),
+            ),
+            PlacementConstraint::affinity(scoped("hb_m"), scoped("hb_thrift"), NodeGroupId::node()),
+            PlacementConstraint::anti_affinity(
+                scoped("hb_m"),
+                scoped("hb_sec"),
+                NodeGroupId::node(),
+            ),
+        ];
+        LraRequest::new(app, containers, constraints)
+    }
+
+    /// Probes are a count, not a timing: a burst of three HBase instances
+    /// on 500 nodes is 12 classes, so the round probes each (class, node)
+    /// once plus what placements dirty — 297,000 when every container
+    /// re-scored every node after every placement.
+    #[test]
+    fn probes_grow_with_classes_not_containers_squared() {
+        let state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
+        let burst = [hbase(1), hbase(2), hbase(3)];
+        let nc = HeuristicScheduler::new(Ordering::NodeCandidates);
+        let (out, probes) = nc.place_counted(&state, &burst, &[], None);
+        assert!(out.iter().all(|o| o.placement().is_some()));
+        assert!(
+            (12 * 500..=20_000).contains(&probes),
+            "{probes} probes for 33 containers in 12 classes on 500 nodes"
+        );
+
+        // A container no constraint can see is placed without a probe.
+        let plain = LraRequest::uniform(
+            ApplicationId(9),
+            1,
+            Resources::new(1024, 1),
+            vec![Tag::new("plain")],
+            vec![],
+        );
+        let (out, probes) = nc.place_counted(&state, &[plain], &burst[0].constraints, None);
+        assert!(out[0].placement().is_some());
+        assert_eq!(probes, 0);
     }
 
     #[test]

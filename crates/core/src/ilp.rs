@@ -172,6 +172,7 @@ pub(crate) fn prepare(
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
+    metrics: Option<&PlacerMetrics>,
 ) -> Prep {
     if requests.is_empty() {
         return Prep::Trivial(Vec::new());
@@ -232,12 +233,17 @@ pub(crate) fn prepare(
     // provably contains the heuristic solution), and its placement becomes
     // the initial incumbent — making the solve anytime: with any deadline
     // the result is heuristic-or-better.
-    let heuristic = HeuristicScheduler::new(Ordering::NodeCandidates).place(
+    let t_anchor = Instant::now();
+    let (heuristic, probes) = HeuristicScheduler::new(Ordering::NodeCandidates).place_counted(
         state,
         requests,
         deployed_constraints,
         allowed,
     );
+    if let Some(m) = metrics {
+        m.arm.prepare_anchor_us.record_duration(t_anchor.elapsed());
+        m.arm.anchor_probes.add(probes);
+    }
     let heuristic_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = heuristic
             .iter()
@@ -252,6 +258,7 @@ pub(crate) fn prepare(
     // Make sure the candidate budget can at least hold the heuristic's
     // node set (a fully spread placement uses one node per container).
     let max_candidates = cfg.max_candidates.max((t_total + 4).min(96));
+    let t_candidates = Instant::now();
     let candidates = select_candidates(
         state,
         &new_containers,
@@ -261,6 +268,11 @@ pub(crate) fn prepare(
         t_total,
         allowed,
     );
+    if let Some(m) = metrics {
+        m.arm
+            .prepare_candidates_us
+            .record_duration(t_candidates.elapsed());
+    }
     if candidates.is_empty() {
         // No usable node can host even the smallest container: the batch
         // is unplaceable regardless of algorithm — not a solver failure.
@@ -272,7 +284,11 @@ pub(crate) fn prepare(
         );
     }
 
+    let t_model = Instant::now();
     let model = build_model(state, requests, &new_containers, &candidates, &active, cfg);
+    if let Some(m) = metrics {
+        m.arm.prepare_model_us.record_duration(t_model.elapsed());
+    }
     Prep::Ready(Box::new(Prepared {
         new_containers,
         active,
@@ -306,7 +322,7 @@ pub(crate) fn solve(
     cache: Option<&IlpBasisCache>,
     metrics: Option<&PlacerMetrics>,
 ) -> BatchPlacement {
-    let prepared = match prepare(state, requests, deployed_constraints, cfg, allowed) {
+    let prepared = match prepare(state, requests, deployed_constraints, cfg, allowed, metrics) {
         Prep::Trivial(outcomes) => return outcomes.into(),
         Prep::Ready(p) => p,
     };

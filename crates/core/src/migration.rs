@@ -156,6 +156,7 @@ impl MigrationController {
                 if state.release(cid).is_err() {
                     continue;
                 }
+                let relevant = scorer.relevant(alloc.app, &request);
                 // Tightest node, strictly below the source in the
                 // ordering, that fits without new violations.
                 let mut dest: Option<(NodeId, f64)> = None;
@@ -163,7 +164,8 @@ impl MigrationController {
                     if !state.is_available(target) || !scorer.is_feasible(state, target, &request) {
                         continue;
                     }
-                    let delta = scorer.violation_delta(state, alloc.app, &request, target);
+                    let delta =
+                        scorer.violation_delta_among(state, alloc.app, &request, target, &relevant);
                     if delta > 1e-9 {
                         continue;
                     }
@@ -238,6 +240,7 @@ impl MigrationController {
             }
             // Try relocations: remove, score alternatives, restore.
             let removed = state.release(cid).ok()?;
+            let relevant = scorer.relevant(app, &request);
             for &n in &nodes {
                 if n == from || !state.is_available(n) {
                     continue;
@@ -246,7 +249,7 @@ impl MigrationController {
                     if !scorer.is_feasible(state, n, &request) {
                         continue;
                     }
-                    scorer.violation_delta(state, app, &request, n)
+                    scorer.violation_delta_among(state, app, &request, n, &relevant)
                 };
                 // Improvement: old extent minus the violation the
                 // container would cause at the new node.

@@ -8,6 +8,7 @@
 
 use medea_cluster::{
     ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind, NodeId, Resources,
+    Tag,
 };
 use medea_constraints::{check_container, PlacementConstraint};
 
@@ -37,6 +38,35 @@ impl Default for ObjectiveWeights {
             w3: 0.25,
             rmin: Resources::new(2048, 1),
         }
+    }
+}
+
+/// Largest violation delta that still counts as "no new violation".
+pub(crate) const CLEAN_DELTA: f64 = 1e-9;
+
+/// The sub-lists of a [`Scorer`]'s constraints one container class — an
+/// app and a tag list — can touch, as ascending indices into
+/// [`Scorer::constraints`]. Built by [`Scorer::relevant`].
+#[derive(Debug, Default)]
+pub(crate) struct Relevant {
+    /// Constraints the class is a subject of (matched on its effective
+    /// tags: the request's plus the automatic `appid:`).
+    own: Vec<usize>,
+    /// Constraints with a leaf target naming one of the class's tags: a
+    /// new container of the class moves the counts their subjects see.
+    targeted: Vec<usize>,
+}
+
+impl Relevant {
+    /// No constraint can see a container of this class: its violation
+    /// delta is zero on every node.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.own.is_empty() && self.targeted.is_empty()
+    }
+
+    /// Every constraint index in either sub-list.
+    pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.own.iter().chain(&self.targeted).copied()
     }
 }
 
@@ -71,8 +101,34 @@ impl Scorer {
                 .unwrap_or(false)
     }
 
+    /// The constraints a container of `app` carrying `req`'s tags can
+    /// touch. It depends on the app and the tags only, so a round computes
+    /// it once per container class and probes against the sub-lists.
+    pub(crate) fn relevant(&self, app: ApplicationId, req: &ContainerRequest) -> Relevant {
+        let mut tags = req.tags.clone();
+        let auto = Tag::app_id(app);
+        if !tags.contains(&auto) {
+            tags.push(auto);
+        }
+        let mut relevant = Relevant::default();
+        for (ci, c) in self.constraints.iter().enumerate() {
+            if c.subject.matches_tags(&tags) {
+                relevant.own.push(ci);
+            }
+            let targeted = c
+                .expr
+                .leaves()
+                .any(|l| l.target.tags().iter().any(|t| req.tags.contains(t)));
+            if targeted {
+                relevant.targeted.push(ci);
+            }
+        }
+        relevant
+    }
+
     /// Computes the weighted violation extent *delta* caused by placing the
-    /// container on the node, by temporarily allocating it.
+    /// container on the node, by temporarily allocating it; infinite when
+    /// the node cannot host it.
     ///
     /// The delta accounts for (i) the placed container's own constraints
     /// and (ii) the effect of the new container on existing subjects in
@@ -84,27 +140,38 @@ impl Scorer {
         req: &ContainerRequest,
         node: NodeId,
     ) -> f64 {
-        let affected = self.affected_subjects(state, req, node);
+        self.violation_delta_among(state, app, req, node, &self.relevant(app, req))
+    }
+
+    /// [`Scorer::violation_delta`] against a precomputed
+    /// [`Scorer::relevant`] of the same `(app, req)`. Both sub-lists are in
+    /// constraint order, so every sum has the terms, in the order, a walk
+    /// over all constraints would give it.
+    pub(crate) fn violation_delta_among(
+        &self,
+        state: &mut ClusterState,
+        app: ApplicationId,
+        req: &ContainerRequest,
+        node: NodeId,
+        relevant: &Relevant,
+    ) -> f64 {
+        let affected = self.affected_subjects(state, node, &relevant.targeted);
         let before = self.extent_of(state, &affected);
         let Ok(placed) = state.probe_allocate(app, node, req, ExecutionKind::LongRunning) else {
             return f64::INFINITY;
         };
         // The new container's own constraint extents plus the deltas it
-        // induces on previously placed subjects. One allocation lookup
-        // serves every constraint; no per-call collection.
-        let own: f64 = if let Ok(a) = state.allocation(placed) {
-            self.constraints
-                .iter()
-                .filter(|c| c.subject.matches_allocation(a))
-                .map(|c| {
-                    check_container(state, c, placed)
-                        .map(|ck| ck.extent * c.weight)
-                        .unwrap_or(0.0)
-                })
-                .sum()
-        } else {
-            0.0
-        };
+        // induces on previously placed subjects.
+        let own: f64 = relevant
+            .own
+            .iter()
+            .map(|&ci| {
+                let c = &self.constraints[ci];
+                check_container(state, c, placed)
+                    .map(|ck| ck.extent * c.weight)
+                    .unwrap_or(0.0)
+            })
+            .sum();
         let after = self.extent_of(state, &affected);
         state
             .probe_release(placed)
@@ -125,6 +192,19 @@ impl Scorer {
             return None;
         }
         let viol = self.violation_delta(state, app, req, node);
+        self.score_from_delta(state, req, node, viol)
+    }
+
+    /// The score of a feasible `(req, node)` pair whose violation delta is
+    /// `viol`: the part of [`Scorer::score`] that reads the node's live
+    /// free resources, so a cached delta is scored against today's node.
+    pub(crate) fn score_from_delta(
+        &self,
+        state: &ClusterState,
+        req: &ContainerRequest,
+        node: NodeId,
+        viol: f64,
+    ) -> Option<f64> {
         if !viol.is_finite() {
             return None;
         }
@@ -157,7 +237,7 @@ impl Scorer {
         if !self.is_feasible(state, node, req) {
             return false;
         }
-        self.violation_delta(state, app, req, node) <= 1e-9
+        self.violation_delta(state, app, req, node) <= CLEAN_DELTA
     }
 
     /// Fragmentation delta of Eq. 5: +1 if the node becomes fragmented by
@@ -173,25 +253,19 @@ impl Scorer {
         (after_frag as i32 - before_frag as i32) as f64
     }
 
-    /// Subjects whose constraint status can change when a container with
-    /// `req`'s tags lands on `node`: existing subject containers in any
-    /// node set (of each constraint's group) containing `node`, for
-    /// constraints whose target mentions one of the new container's tags.
+    /// Subjects whose constraint status can change when a container of
+    /// the class lands on `node`: existing subject containers in any node
+    /// set (of each constraint's group) containing `node`, for the
+    /// constraints (`targeted`) whose target mentions one of its tags.
     fn affected_subjects(
         &self,
         state: &ClusterState,
-        req: &ContainerRequest,
         node: NodeId,
+        targeted: &[usize],
     ) -> Vec<(usize, ContainerId)> {
         let mut out = Vec::new();
-        for (ci, c) in self.constraints.iter().enumerate() {
-            let target_overlaps = c
-                .expr
-                .leaves()
-                .any(|l| l.target.tags().iter().any(|t| req.tags.contains(t)));
-            if !target_overlaps {
-                continue;
-            }
+        for &ci in targeted {
+            let c = &self.constraints[ci];
             if c.group.is_node() {
                 // Singleton sets: only containers on `node` itself share one.
                 let Ok(containers) = state.containers_on(node) else {

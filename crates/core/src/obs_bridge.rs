@@ -26,17 +26,22 @@ medea_obs::metric_handles! {
 }
 
 medea_obs::metric_handles! {
-    /// Pre-resolved series of the two solver arms (`core.ilp_*`,
-    /// `core.relax_*`), looked up once when a registry is attached to
-    /// the [`crate::LraScheduler`].
+    /// Pre-resolved series of the two solver arms (`core.prepare_*`,
+    /// `core.ilp_*`, `core.relax_*`), looked up once when a registry is
+    /// attached to the [`crate::LraScheduler`].
     #[derive(Debug)]
     pub(crate) struct ArmMetrics {
+        pub(crate) prepare_anchor_us: Histogram = "core.prepare_anchor_us",
+        pub(crate) anchor_probes: Counter = "core.anchor_probes_total",
+        pub(crate) prepare_candidates_us: Histogram = "core.prepare_candidates_us",
+        pub(crate) prepare_model_us: Histogram = "core.prepare_model_us",
         pub(crate) ilp_solve_us: Histogram = "core.ilp_solve_us",
         pub(crate) ilp_warm_start_hits: Counter = "core.ilp_warm_start_hits_total",
         pub(crate) heuristic_fallbacks: Counter = "core.heuristic_fallback_total",
         pub(crate) relax_lp_us: Histogram = "core.relax_lp_us",
         pub(crate) relax_round_us: Histogram = "core.relax_round_us",
         pub(crate) relax_residue_us: Histogram = "core.relax_residue_us",
+        pub(crate) relax_validate_us: Histogram = "core.relax_validate_us",
         pub(crate) relax_warm_start_hits: Counter = "core.relax_warm_start_hits_total",
         pub(crate) relax_fallbacks: Counter = "core.relax_fallback_total",
         pub(crate) relax_residue_solves: Counter = "core.relax_residue_solves_total",

@@ -162,7 +162,8 @@ pub(crate) fn solve(
             relax: Some(report),
         }
     };
-    let prepared = match ilp::prepare(state, requests, deployed_constraints, cfg, allowed) {
+    let prepared = match ilp::prepare(state, requests, deployed_constraints, cfg, allowed, metrics)
+    {
         Prep::Trivial(outcomes) => {
             return BatchPlacement {
                 relax: Some(report),
@@ -222,6 +223,7 @@ pub(crate) fn solve(
         if let Some(m) = metrics {
             m.arm.relax_fallbacks.inc();
         }
+        let t_validate = Instant::now();
         let outcomes = validate_outcomes(
             state,
             requests,
@@ -231,6 +233,11 @@ pub(crate) fn solve(
             new_containers,
             &mut report,
         );
+        if let Some(m) = metrics {
+            m.arm
+                .relax_validate_us
+                .record_duration(t_validate.elapsed());
+        }
         return finish(outcomes, true, report);
     }
     report.lp_optimal = true;
@@ -487,6 +494,7 @@ pub(crate) fn solve(
     // The residue MILP emulates hard constraints through weights, so its
     // incumbent — or the anchoring heuristic it may fall back to — can
     // still carry a hard violation; evict such requests outright.
+    let t_validate = Instant::now();
     for ri in 0..requests.len() {
         let Some(t) = placed[ri].as_ref() else {
             continue;
@@ -547,6 +555,11 @@ pub(crate) fn solve(
             cfg,
         );
         report.incumbent_objective = Some(model.problem.objective_value(&point));
+    }
+    if let Some(m) = metrics {
+        m.arm
+            .relax_validate_us
+            .record_duration(t_validate.elapsed());
     }
 
     finish(outcomes, degraded, report)
