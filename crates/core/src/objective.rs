@@ -52,8 +52,9 @@ pub(crate) struct Relevant {
     /// Constraints the class is a subject of (matched on its effective
     /// tags: the request's plus the automatic `appid:`).
     own: Vec<usize>,
-    /// Constraints with a leaf target naming one of the class's tags: a
-    /// new container of the class moves the counts their subjects see.
+    /// Constraints with a leaf target the class matches (effective tags
+    /// again): a new container of the class moves the counts their
+    /// subjects see.
     targeted: Vec<usize>,
 }
 
@@ -115,11 +116,9 @@ impl Scorer {
             if c.subject.matches_tags(&tags) {
                 relevant.own.push(ci);
             }
-            let targeted = c
-                .expr
-                .leaves()
-                .any(|l| l.target.tags().iter().any(|t| req.tags.contains(t)));
-            if targeted {
+            // Exactly when a new container of the class moves a count the
+            // constraint's subjects see: it matches a leaf's whole target.
+            if c.expr.leaves().any(|l| l.target.matches_tags(&tags)) {
                 relevant.targeted.push(ci);
             }
         }
@@ -256,7 +255,7 @@ impl Scorer {
     /// Subjects whose constraint status can change when a container of
     /// the class lands on `node`: existing subject containers in any node
     /// set (of each constraint's group) containing `node`, for the
-    /// constraints (`targeted`) whose target mentions one of its tags.
+    /// constraints (`targeted`) with a leaf target the class matches.
     fn affected_subjects(
         &self,
         state: &ClusterState,
@@ -438,6 +437,36 @@ mod tests {
         let elsewhere =
             scorer.violation_delta(&mut state, ApplicationId(2), &req(&["noisy"]), NodeId(1));
         assert!(elsewhere.abs() < 1e-9);
+    }
+
+    #[test]
+    fn app_scoped_target_is_charged_to_existing_subjects() {
+        // §4.1 app-level anti-affinity: `srv` wants no container of app 7
+        // beside it. The new container carries `appid:7` only as the
+        // automatic tag, which the request's own tag list does not hold.
+        let mut state = cluster();
+        state
+            .allocate(
+                ApplicationId(1),
+                NodeId(0),
+                &req(&["srv"]),
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        let scorer = Scorer::new(
+            ObjectiveWeights::default(),
+            vec![PlacementConstraint::anti_affinity(
+                "srv",
+                Tag::app_id(ApplicationId(7)),
+                NodeGroupId::node(),
+            )],
+        );
+        let beside = scorer.violation_delta(&mut state, ApplicationId(7), &req(&["x"]), NodeId(0));
+        assert!((beside - 1.0).abs() < 1e-9, "delta {beside}");
+        for (app, node) in [(7, NodeId(1)), (8, NodeId(0))] {
+            let d = scorer.violation_delta(&mut state, ApplicationId(app), &req(&["x"]), node);
+            assert!(d.abs() < 1e-9, "app {app} on {node:?}: {d}");
+        }
     }
 
     #[test]
