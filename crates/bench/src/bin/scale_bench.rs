@@ -13,9 +13,6 @@
 //!   in indexed and scan mode (the same pass, so directly comparable);
 //! - incremental index maintenance cost (ops during populate, and
 //!   nanoseconds per allocate/release maintenance op);
-//! - the pre-index scan-engine median recorded on this machine right
-//!   before the index layer landed (same workload, same seeds), so the
-//!   JSON carries its own speedup denominator;
 //! - full sharded-vs-unsharded scheduler rounds (10 LRAs × 8 containers
 //!   through [`MedeaScheduler::tick`]): the same batch placed by one
 //!   monolithic solve and by per-shard solves over service-unit shards.
@@ -25,7 +22,9 @@
 //!   round (enforced here, so CI catches regressions).
 //!
 //! Usage: `cargo run --release -p medea-bench --bin scale_bench`
-//! (`--smoke` runs the 500- and 20000-node scales only, for CI).
+//! (`--smoke` runs the 500- and 20000-node scales only, for CI, and the
+//! candidate-selection pass at 500 nodes only: in scan mode it visits
+//! nodes² × containers entries — 80 s of an 82 s smoke run at 20000).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,17 +54,13 @@ struct ScaleResult {
     mean_us: u64,
     populate_us: u64,
     /// Node entries visited by index queries during one
-    /// candidate-selection pass, indexed mode.
-    nodes_touched_indexed: u64,
-    /// Same pass with the index disabled (every query scans all nodes).
-    nodes_touched_scan: u64,
+    /// candidate-selection pass, (indexed mode, index disabled — every
+    /// query scans all nodes); `None` where a smoke run skips the pass.
+    nodes_touched: Option<(u64, u64)>,
     /// Incremental index maintenance ops performed while populating.
     index_update_ops_populate: u64,
     /// Mean maintenance cost per allocate/release index op.
     index_update_ns_per_op: u64,
-    /// Median of the pre-index scan-based engine at this scale, when
-    /// recorded (see `pre_index_baseline`).
-    pre_index_baseline_us: Option<u64>,
     /// Median full-scheduler round (propose + commit of 10 LRAs × 8
     /// containers), monolithic solve.
     unsharded_round_us: u64,
@@ -194,18 +189,6 @@ fn index_update_cost_ns(state: &ClusterState) -> u64 {
     elapsed_ns / ops
 }
 
-/// Pre-index medians of the scan-based engine, recorded on this machine
-/// immediately before the incremental index layer landed (same workload,
-/// same seeds; see DESIGN.md "Cluster-scale index layer").
-fn pre_index_baseline(nodes: usize) -> Option<u64> {
-    match nodes {
-        500 => Some(425_987),
-        2_000 => Some(3_393_465),
-        5_000 => Some(17_512_941),
-        _ => None,
-    }
-}
-
 /// Outcome of the sharded-vs-unsharded scheduler-round comparison.
 struct ShardCompare {
     unsharded_round_us: u64,
@@ -288,8 +271,7 @@ fn time_rounds<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Vec<u64> {
 }
 
 struct PassStats {
-    nodes_touched_indexed: u64,
-    nodes_touched_scan: u64,
+    nodes_touched: Option<(u64, u64)>,
     index_update_ops_populate: u64,
     index_update_ns_per_op: u64,
 }
@@ -299,7 +281,6 @@ fn summarize(
     mut samples: Vec<u64>,
     populate_us: u64,
     pass: PassStats,
-    pre_index_baseline_us: Option<u64>,
     compare: ShardCompare,
 ) -> ScaleResult {
     samples.sort_unstable();
@@ -313,11 +294,9 @@ fn summarize(
         p99_us: samples[p99_idx],
         mean_us: samples.iter().sum::<u64>() / iters as u64,
         populate_us,
-        nodes_touched_indexed: pass.nodes_touched_indexed,
-        nodes_touched_scan: pass.nodes_touched_scan,
+        nodes_touched: pass.nodes_touched,
         index_update_ops_populate: pass.index_update_ops_populate,
         index_update_ns_per_op: pass.index_update_ns_per_op,
-        pre_index_baseline_us,
         unsharded_round_us: compare.unsharded_round_us,
         sharded_round_us: compare.sharded_round_us,
         shards: compare.shards,
@@ -328,27 +307,20 @@ fn summarize(
 fn row_json(r: &ScaleResult) -> String {
     let mut row = format!(
         "\"nodes\": {}, \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
-         \"mean_us\": {}, \"populate_us\": {}, \
-         \"nodes_touched_indexed\": {}, \"nodes_touched_scan\": {}, \
-         \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}",
-        r.nodes,
-        r.iters,
-        r.median_us,
-        r.p99_us,
-        r.mean_us,
-        r.populate_us,
-        r.nodes_touched_indexed,
-        r.nodes_touched_scan,
-        r.index_update_ops_populate,
-        r.index_update_ns_per_op,
+         \"mean_us\": {}, \"populate_us\": {}",
+        r.nodes, r.iters, r.median_us, r.p99_us, r.mean_us, r.populate_us,
     );
-    if let Some(b) = r.pre_index_baseline_us {
-        let speedup = b as f64 / r.median_us.max(1) as f64;
+    if let Some((indexed, scan)) = r.nodes_touched {
         let _ = write!(
             row,
-            ", \"pre_index_baseline_us\": {b}, \"speedup_vs_scan\": {speedup:.2}"
+            ", \"nodes_touched_indexed\": {indexed}, \"nodes_touched_scan\": {scan}"
         );
     }
+    let _ = write!(
+        row,
+        ", \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}",
+        r.index_update_ops_populate, r.index_update_ns_per_op,
+    );
     let shard_speedup = r.unsharded_round_us as f64 / r.sharded_round_us.max(1) as f64;
     let _ = write!(
         row,
@@ -384,19 +356,14 @@ fn main() {
             scale_round(&state, &deployed, app);
             app += 1;
         });
+        let touched = |config| candidate_pass_nodes_touched(&state, &deployed, app, config);
         let pass = PassStats {
-            nodes_touched_indexed: candidate_pass_nodes_touched(
-                &state,
-                &deployed,
-                app,
-                IndexConfig::enabled(),
-            ),
-            nodes_touched_scan: candidate_pass_nodes_touched(
-                &state,
-                &deployed,
-                app,
-                IndexConfig::disabled(),
-            ),
+            nodes_touched: (!smoke || nodes <= 500).then(|| {
+                (
+                    touched(IndexConfig::enabled()),
+                    touched(IndexConfig::disabled()),
+                )
+            }),
             index_update_ops_populate,
             index_update_ns_per_op: index_update_cost_ns(&state),
         };
@@ -411,25 +378,18 @@ fn main() {
                 nodes,
             );
         }
-        let r = summarize(
-            nodes,
-            samples,
-            populate_us,
-            pass,
-            pre_index_baseline(nodes),
-            compare,
-        );
+        let r = summarize(nodes, samples, populate_us, pass, compare);
         println!(
             "{:>5} nodes: iters {:>2} median {:>10} us p99 {:>10} us populate {:>8} us \
-             touched {:>8}/{:>8} (indexed/scan) index {:>5} ns/op \
+             touched {} (indexed/scan) index {:>5} ns/op \
              round {:>9}/{:>9} us (unsharded/sharded x{})",
             r.nodes,
             r.iters,
             r.median_us,
             r.p99_us,
             r.populate_us,
-            r.nodes_touched_indexed,
-            r.nodes_touched_scan,
+            r.nodes_touched
+                .map_or("skipped".to_string(), |(i, s)| format!("{i}/{s}")),
             r.index_update_ns_per_op,
             r.unsharded_round_us,
             r.sharded_round_us,
