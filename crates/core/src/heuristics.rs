@@ -13,7 +13,7 @@
 //! marks dirty only the cells it can have changed. Score and `Nc` are
 //! both read off the cached delta and the node's live free resources, so
 //! the outcome is the one a scan of every pair after every placement
-//! gives (DESIGN.md §5.3; `tests/greedy_differential.rs` holds the scan).
+//! gives (DESIGN.md §6; `tests/greedy_differential.rs` holds the scan).
 
 use std::collections::HashMap;
 
