@@ -26,7 +26,7 @@ use medea_constraints::{PlacementConstraint, TagConstraint};
 use medea_solver::{Basis, Cmp, Milp, Problem, VarId, VarKind};
 
 use crate::heuristics::{HeuristicScheduler, Ordering};
-use crate::objective::ObjectiveWeights;
+use crate::objective::{effective_tags, ObjectiveWeights};
 use crate::obs_bridge::PlacerMetrics;
 use crate::relax::PlacerMode;
 use crate::request::{BatchPlacement, LraPlacement, LraRequest, PlacementOutcome};
@@ -182,15 +182,10 @@ pub(crate) fn prepare(
     let mut new_containers: Vec<NewContainer> = Vec::new();
     for (ri, r) in requests.iter().enumerate() {
         for (ci, c) in r.containers.iter().enumerate() {
-            let mut tags = c.tags.clone();
-            let auto = medea_cluster::Tag::app_id(r.app);
-            if !tags.contains(&auto) {
-                tags.push(auto);
-            }
             new_containers.push(NewContainer {
                 req_idx: ri,
                 cont_idx: ci,
-                tags,
+                tags: effective_tags(r.app, c),
                 resources: c.resources,
             });
         }

@@ -41,6 +41,17 @@ impl Default for ObjectiveWeights {
     }
 }
 
+/// The tags a container of `app` carries once allocated: the request's
+/// plus the automatic `appid:` tag.
+pub(crate) fn effective_tags(app: ApplicationId, req: &ContainerRequest) -> Vec<Tag> {
+    let mut tags = req.tags.clone();
+    let auto = Tag::app_id(app);
+    if !tags.contains(&auto) {
+        tags.push(auto);
+    }
+    tags
+}
+
 /// Largest violation delta that still counts as "no new violation".
 pub(crate) const CLEAN_DELTA: f64 = 1e-9;
 
@@ -106,11 +117,7 @@ impl Scorer {
     /// touch. It depends on the app and the tags only, so a round computes
     /// it once per container class and probes against the sub-lists.
     pub(crate) fn relevant(&self, app: ApplicationId, req: &ContainerRequest) -> Relevant {
-        let mut tags = req.tags.clone();
-        let auto = Tag::app_id(app);
-        if !tags.contains(&auto) {
-            tags.push(auto);
-        }
+        let tags = effective_tags(app, req);
         let mut relevant = Relevant::default();
         for (ci, c) in self.constraints.iter().enumerate() {
             if c.subject.matches_tags(&tags) {
