@@ -5,14 +5,24 @@
 //! (§5.1); a serving front-end closes batches on *pressure* instead:
 //! whichever comes first of
 //!
-//! - **size** — `batch_max_size` requests are waiting, or
+//! - **size** — `batch_max_size` requests are waiting,
 //! - **deadline** — the oldest waiting request has aged
-//!   `batch_max_wait_ms`,
+//!   `batch_max_wait_ms` (the upper bound on any wait), or
+//! - **quiet** — no request was admitted for one *quiet gap*: the wall
+//!   time of the batcher's last cycle that carried a batch, capped at
+//!   `batch_max_wait_ms`.
 //!
-//! so a burst fills a batch immediately while a trickle still sees
-//! bounded latency. Admission is strictly non-blocking: a full queue or
-//! an over-quota tenant is **shed** with a typed reason — the caller
-//! replies `overloaded` and the client retries — never parked.
+//! The gap is a round's cost because company can save a waiting request
+//! at most one round: holding the batch open longer than a round takes
+//! costs more than solving the latecomer separately. After a 1 ms round
+//! a lone request waits ~1 ms; after a 100 ms round the gap is the cap,
+//! the head's deadline fires first and a burst closes as one joint solve
+//! exactly as under size-or-deadline. The gap is measured, never
+//! configured; until a batch-carrying cycle has run it is the cap.
+//!
+//! Admission is strictly non-blocking: a full queue or an over-quota
+//! tenant is **shed** with a typed reason — the caller replies
+//! `overloaded` and the client retries — never parked.
 //!
 //! This module is deliberately free of sockets and threads so the shed
 //! boundary, fairness quota, and batch-close rules are unit-testable
@@ -54,7 +64,8 @@ pub struct AdmissionConfig {
     pub tenant_quota: usize,
     /// Batch closes when this many requests are waiting.
     pub batch_max_size: usize,
-    /// Batch closes when the oldest request has waited this long.
+    /// Batch closes at the latest when the oldest request has waited
+    /// this long; also the cap on the quiet gap.
     pub batch_max_wait_ms: u64,
     /// Retry hint attached to `overloaded` replies.
     pub retry_after_ms: u64,
@@ -79,8 +90,19 @@ pub struct PlaceWork {
     pub tenant: String,
     /// The LRA to place.
     pub request: LraRequest,
-    /// Admission time (server-relative ms).
-    pub enqueued_ms: u64,
+    /// Admission time (server-relative µs).
+    pub enqueued_us: u64,
+}
+
+/// Which rule closed a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchClose {
+    /// `batch_max_size` requests were waiting.
+    Size,
+    /// The oldest request had aged `batch_max_wait_ms`.
+    Deadline,
+    /// No request was admitted for one quiet gap.
+    Quiet,
 }
 
 /// Cumulative shed counters, by reason.
@@ -107,6 +129,11 @@ pub struct AdmissionQueue {
     cfg: AdmissionConfig,
     queue: VecDeque<PlaceWork>,
     per_tenant: HashMap<String, usize>,
+    /// When the youngest request was admitted (µs).
+    last_arrival_us: u64,
+    /// Wall time (µs) of the batcher's last cycle that carried a batch;
+    /// `u64::MAX` until one has run.
+    round_us: u64,
     closed: bool,
     admitted: u64,
     shed: ShedStats,
@@ -119,6 +146,8 @@ impl AdmissionQueue {
             cfg,
             queue: VecDeque::new(),
             per_tenant: HashMap::new(),
+            last_arrival_us: 0,
+            round_us: u64::MAX,
             closed: false,
             admitted: 0,
             shed: ShedStats::default(),
@@ -172,7 +201,7 @@ impl AdmissionQueue {
         &mut self,
         tenant: &str,
         request: LraRequest,
-        now_ms: u64,
+        now_us: u64,
     ) -> Result<usize, ShedReason> {
         if self.closed {
             self.shed.shutting_down += 1;
@@ -192,8 +221,9 @@ impl AdmissionQueue {
         self.queue.push_back(PlaceWork {
             tenant: tenant.to_string(),
             request,
-            enqueued_ms: now_ms,
+            enqueued_us: now_us,
         });
+        self.last_arrival_us = now_us;
         Ok(self.queue.len())
     }
 
@@ -223,29 +253,54 @@ impl AdmissionQueue {
         before - self.queue.len()
     }
 
-    /// Whether a batch should close now: size bound reached, or the
-    /// oldest waiting request has hit the deadline.
-    pub fn batch_ready(&self, now_ms: u64) -> bool {
-        if self.queue.len() >= self.cfg.batch_max_size {
-            return true;
-        }
-        match self.queue.front() {
-            Some(w) => now_ms.saturating_sub(w.enqueued_ms) >= self.cfg.batch_max_wait_ms,
-            None => false,
+    /// The batcher reports a finished cycle: `carried` requests
+    /// submitted, `wall_us` spent. Only a cycle that carried a batch
+    /// says what a round costs; release-only and reconcile-only cycles
+    /// leave the gap alone.
+    pub fn cycle_done(&mut self, carried: usize, wall_us: u64) {
+        if carried > 0 {
+            self.round_us = wall_us;
         }
     }
 
-    /// Absolute ms timestamp at which the current head would hit its
-    /// deadline (`None` when empty) — the batcher's condvar wait bound.
-    pub fn next_deadline_ms(&self) -> Option<u64> {
-        self.queue
-            .front()
-            .map(|w| w.enqueued_ms + self.cfg.batch_max_wait_ms)
+    /// The rule that closes a batch now, if any.
+    pub fn batch_close(&self, now_us: u64) -> Option<BatchClose> {
+        let (deadline, quiet) = self.close_times_us()?;
+        if self.queue.len() >= self.cfg.batch_max_size {
+            Some(BatchClose::Size)
+        } else if now_us >= deadline {
+            Some(BatchClose::Deadline)
+        } else if now_us >= quiet {
+            Some(BatchClose::Quiet)
+        } else {
+            None
+        }
+    }
+
+    /// Absolute µs timestamp at which the waiting requests close on
+    /// deadline or quiet if nothing else arrives (`None` when empty) —
+    /// the batcher's condvar wait bound.
+    pub fn next_close_us(&self) -> Option<u64> {
+        self.close_times_us()
+            .map(|(deadline, quiet)| deadline.min(quiet))
+    }
+
+    /// When the head hits its deadline and when the quiet gap after the
+    /// youngest arrival ends. The gap is the last batch-carrying cycle's
+    /// wall time capped at `batch_max_wait_ms`, so quiet can tie with
+    /// the deadline but never postpone it.
+    fn close_times_us(&self) -> Option<(u64, u64)> {
+        let head = self.queue.front()?;
+        let cap = self.cfg.batch_max_wait_ms.saturating_mul(1000);
+        Some((
+            head.enqueued_us.saturating_add(cap),
+            self.last_arrival_us.saturating_add(self.round_us.min(cap)),
+        ))
     }
 
     /// Takes the next batch (up to `batch_max_size`, FIFO), releasing
-    /// the tenants' quota slots. Call when [`AdmissionQueue::batch_ready`]
-    /// or when force-draining at shutdown.
+    /// the tenants' quota slots. Call when [`AdmissionQueue::batch_close`]
+    /// names a rule or when force-draining at shutdown.
     pub fn take_batch(&mut self) -> Vec<PlaceWork> {
         let n = self.queue.len().min(self.cfg.batch_max_size);
         let mut batch = Vec::with_capacity(n);

@@ -8,6 +8,11 @@
 //!             [--allow-remote-shutdown]
 //! ```
 //!
+//! A batch closes when `--batch-max` requests wait, when the oldest has
+//! waited `--batch-wait-ms`, or when arrivals pause for as long as the
+//! last scheduling round took — `--batch-wait-ms` is the upper bound on
+//! a wait, not the wait.
+//!
 //! Builds a homogeneous cluster, optionally attaches a file-backed WAL
 //! (restoring from it if one exists), and serves the wire protocol until
 //! SIGINT-equivalent (a `shutdown` request) arrives, then drains.
@@ -84,7 +89,10 @@ fn parse_opts() -> Result<Opts, String> {
                     "medea-serve: scheduler-as-a-service daemon\n\
                      flags: --addr --nodes --mem-mb --vcores --racks --interval\n\
                      \x20      --batch-max --batch-wait-ms --queue-capacity --tenant-quota\n\
-                     \x20      --journal-dir --checkpoint-every --allow-remote-shutdown"
+                     \x20      --journal-dir --checkpoint-every --allow-remote-shutdown\n\
+                     a batch closes at --batch-max requests, when the oldest has waited\n\
+                     --batch-wait-ms (the upper bound, not the wait), or when arrivals\n\
+                     pause for as long as the last scheduling round took"
                 );
                 std::process::exit(0);
             }
@@ -142,7 +150,7 @@ fn main() {
         }
     };
     println!(
-        "medea-serve: listening on {} ({} nodes, batch<= {}, wait {}ms{})",
+        "medea-serve: listening on {} ({} nodes, batch<= {}, wait<= {}ms{})",
         handle.addr(),
         opts.nodes,
         opts.admission.batch_max_size,

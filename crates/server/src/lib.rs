@@ -32,7 +32,9 @@ pub mod admission;
 pub mod proto;
 pub mod server;
 
-pub use admission::{AdmissionConfig, AdmissionQueue, PlaceWork, ShedReason, ShedStats};
+pub use admission::{
+    AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats,
+};
 pub use proto::{
     write_frame, ContainerSpec, FrameError, FrameReader, ProtoError, Request, Response,
     StatusReply, MAX_CONTAINERS_PER_REQUEST, MAX_FRAME_BYTES,

@@ -61,97 +61,81 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame and flushes. Prefix and payload leave in a single
+/// `write_all`: on a `TCP_NODELAY` socket two writes are two segments
+/// and two wake-ups of the peer's reader.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Incremental frame reader that tolerates read timeouts.
 ///
-/// [`FrameReader::poll`] makes as much progress as the transport allows
-/// and returns `Ok(None)` on a read timeout (`WouldBlock`/`TimedOut`),
-/// keeping partial state so the caller can re-poll after checking its
-/// shutdown flag — a connection thread is therefore never stuck in a
-/// blocking read it cannot leave.
+/// [`FrameReader::poll`] reads whatever the transport holds into one
+/// buffer and cuts frames out of it — one `read` per frame when the
+/// frame is whole in the socket, none when it arrived behind the last
+/// one. It returns `Ok(None)` on a read timeout
+/// (`WouldBlock`/`TimedOut`), keeping the bytes it has so the caller can
+/// re-poll after checking its shutdown flag — a connection thread is
+/// therefore never stuck in a blocking read it cannot leave.
 #[derive(Debug)]
 pub struct FrameReader {
     max: usize,
-    prefix: [u8; 4],
-    got: usize,
-    payload: Vec<u8>,
-    /// `None` while reading the prefix; `Some(len)` while reading the
-    /// payload.
-    need: Option<usize>,
+    /// Bytes read and not yet handed out: zero or more whole frames
+    /// followed by at most one partial frame.
+    buf: Vec<u8>,
 }
+
+/// Bytes asked of the transport per `read`.
+const READ_CHUNK: usize = 4096;
 
 impl FrameReader {
     /// Creates a reader enforcing the given frame cap.
     pub fn new(max: usize) -> Self {
         FrameReader {
             max,
-            prefix: [0; 4],
-            got: 0,
-            payload: Vec::new(),
-            need: None,
+            buf: Vec::new(),
         }
     }
 
-    /// Whether a frame is partially read (EOF now would be `Truncated`).
+    /// Whether bytes of an undelivered frame are held (EOF now would be
+    /// `Truncated` once the whole frames before it are delivered).
     pub fn mid_frame(&self) -> bool {
-        self.got > 0 || self.need.is_some()
+        !self.buf.is_empty()
     }
 
     /// Advances the read state. Returns a complete payload, `Ok(None)`
     /// on timeout (poll again), or a terminal [`FrameError`].
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
         loop {
-            match self.need {
-                None => {
-                    // Length prefix.
-                    match r.read(&mut self.prefix[self.got..4]) {
-                        Ok(0) => {
-                            return Err(if self.mid_frame() {
-                                FrameError::Truncated
-                            } else {
-                                FrameError::Closed
-                            });
-                        }
-                        Ok(n) => {
-                            self.got += n;
-                            if self.got == 4 {
-                                let len = u32::from_be_bytes(self.prefix) as usize;
-                                if len > self.max {
-                                    return Err(FrameError::TooLarge {
-                                        advertised: len as u64,
-                                        max: self.max,
-                                    });
-                                }
-                                self.got = 0;
-                                self.need = Some(len);
-                                self.payload.clear();
-                                self.payload.reserve(len);
-                            }
-                        }
-                        Err(e) => return map_read_err(e),
-                    }
+            if let Some(prefix) = self.buf.first_chunk::<4>() {
+                let len = u32::from_be_bytes(*prefix) as usize;
+                if len > self.max {
+                    return Err(FrameError::TooLarge {
+                        advertised: len as u64,
+                        max: self.max,
+                    });
                 }
-                Some(len) => {
-                    if self.payload.len() == len {
-                        self.need = None;
-                        return Ok(Some(std::mem::take(&mut self.payload)));
-                    }
-                    let mut chunk = [0u8; 4096];
-                    let want = (len - self.payload.len()).min(chunk.len());
-                    match r.read(&mut chunk[..want]) {
-                        Ok(0) => return Err(FrameError::Truncated),
-                        Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
-                        Err(e) => return map_read_err(e),
-                    }
+                if let Some(payload) = self.buf.get(4..4 + len) {
+                    let payload = payload.to_vec();
+                    self.buf.drain(..4 + len);
+                    return Ok(Some(payload));
                 }
+            }
+            let held = self.buf.len();
+            self.buf.resize(held + READ_CHUNK, 0);
+            let read = r.read(&mut self.buf[held..]);
+            self.buf.truncate(held + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) if held == 0 => return Err(FrameError::Closed),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(_) => {}
+                Err(e) => return map_read_err(e),
             }
         }
     }

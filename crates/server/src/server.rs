@@ -13,7 +13,8 @@
 //!   the published [`StatusBoard`] without touching the scheduler.
 //!   Reads use a timeout so every thread re-checks the shutdown flag.
 //! - **Batcher thread**: the *single writer*. Waits for pressure
-//!   (batch-size or deadline close, releases, shutdown), then takes the
+//!   (size, deadline or quiet batch close, releases, shutdown), timing
+//!   its own cycle — the quiet gap — and then takes the
 //!   writer lock once per cycle: apply releases, submit the batch, run
 //!   `tick` (propose/commit), publish a fresh board. Journal checkpoints
 //!   ride the scheduler's own cadence plus one final checkpoint at
@@ -59,7 +60,7 @@ use medea_core::{
 };
 use medea_obs::MetricsRegistry;
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, PlaceWork};
+use crate::admission::{AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork};
 use crate::proto::{
     write_frame, FrameError, FrameReader, Request, Response, StatusReply, MAX_FRAME_BYTES,
 };
@@ -245,6 +246,10 @@ medea_obs::metric_handles! {
         protocol_errors: Counter = "server.protocol_errors_total",
         batches: Counter = "server.batches_total",
         batch_size: Histogram = "server.batch_size",
+        batch_wait_us: Histogram = "server.batch_wait_us",
+        close_size: Counter = "server.batch_close_size_total",
+        close_quiet: Counter = "server.batch_close_quiet_total",
+        close_deadline: Counter = "server.batch_close_deadline_total",
         admission_us: Histogram = "server.admission_us",
         connections: Gauge = "server.connections",
         connections_rejected: Counter = "server.connections_rejected_total",
@@ -270,8 +275,9 @@ struct Inner {
 }
 
 impl Inner {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+    /// The one clock of enqueue stamps, the deadline and the quiet gap.
+    fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
     }
 }
 
@@ -707,10 +713,9 @@ fn handle_place(
         apps.insert_active(app, tenant.clone());
     }
 
-    let now_ms = inner.now_ms();
     let offered = {
         let mut ws = lock_unwrap(&inner.work);
-        ws.queue.offer(&tenant, request, now_ms)
+        ws.queue.offer(&tenant, request, inner.now_us())
     };
     match offered {
         Ok(depth) => {
@@ -929,21 +934,27 @@ fn batcher_loop(inner: &Arc<Inner>) {
                     let spec_ops = std::mem::take(&mut ws.spec_ops);
                     break (all, releases, spec_ops, ws.shutdown);
                 }
-                let now = inner.now_ms();
-                if !ws.releases.is_empty() || !ws.spec_ops.is_empty() || ws.queue.batch_ready(now) {
+                let now = inner.now_us();
+                let close = ws.queue.batch_close(now);
+                if !ws.releases.is_empty() || !ws.spec_ops.is_empty() || close.is_some() {
+                    match close {
+                        Some(BatchClose::Size) => inner.metrics.close_size.inc(),
+                        Some(BatchClose::Deadline) => inner.metrics.close_deadline.inc(),
+                        Some(BatchClose::Quiet) => inner.metrics.close_quiet.inc(),
+                        None => {}
+                    }
                     let batch = ws.queue.take_batch();
                     let releases = std::mem::take(&mut ws.releases);
                     let spec_ops = std::mem::take(&mut ws.spec_ops);
                     break (batch, releases, spec_ops, None);
                 }
-                let wait_ms = ws
+                let wait_us = ws
                     .queue
-                    .next_deadline_ms()
-                    .map(|d| d.saturating_sub(now).clamp(1, 20))
-                    .unwrap_or(20);
+                    .next_close_us()
+                    .map_or(20_000, |t| t.saturating_sub(now).clamp(1, 20_000));
                 let (guard, _timeout) = inner
                     .wake
-                    .wait_timeout(ws, Duration::from_millis(wait_ms))
+                    .wait_timeout(ws, Duration::from_micros(wait_us))
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 ws = guard;
                 if converging {
@@ -957,6 +968,13 @@ fn batcher_loop(inner: &Arc<Inner>) {
             }
         };
 
+        let cycle_start_us = inner.now_us();
+        if let Some(head) = batch.first() {
+            inner
+                .metrics
+                .batch_wait_us
+                .record(cycle_start_us.saturating_sub(head.enqueued_us));
+        }
         if !batch.is_empty() || !releases.is_empty() || !spec_ops.is_empty() || converging {
             // Final release gate: an app released after `take_batch` has
             // its meta flipped off Active before the release reaches
@@ -1021,6 +1039,11 @@ fn batcher_loop(inner: &Arc<Inner>) {
             inner.metrics.batches.inc();
             inner.metrics.batch_size.record(batch_len as u64);
             inner.sched.publish(tick);
+            // What this round cost is the next quiet gap.
+            let wall_us = inner.now_us().saturating_sub(cycle_start_us);
+            lock_unwrap(&inner.work)
+                .queue
+                .cycle_done(batch_len, wall_us);
         }
 
         if let Some(drain) = shutdown {

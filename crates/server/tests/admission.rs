@@ -2,7 +2,7 @@
 //!
 //! The first half drives [`AdmissionQueue`] directly with a fake clock
 //! (no sockets, no threads): the shed boundary, the per-tenant fairness
-//! quota, and batch-close on size vs deadline are exact. The second
+//! quota, and batch-close on size, deadline and quiet are exact. The second
 //! half checks the same behaviors through a live server, plus the
 //! graceful-shutdown flush.
 
@@ -11,7 +11,7 @@ mod common;
 use common::{start, Client};
 use medea_cluster::{ApplicationId, Resources, Tag};
 use medea_core::LraRequest;
-use medea_server::{AdmissionConfig, AdmissionQueue, Request, Response, ShedReason};
+use medea_server::{AdmissionConfig, AdmissionQueue, BatchClose, Request, Response, ShedReason};
 
 fn req(app: u64) -> LraRequest {
     LraRequest::uniform(
@@ -78,27 +78,150 @@ fn batch_closes_on_size_before_deadline() {
     let mut q = AdmissionQueue::new(cfg());
     q.offer("a", req(1), 0).unwrap();
     q.offer("b", req(2), 0).unwrap();
-    assert!(!q.batch_ready(0), "2 < batch_max_size and no age yet");
+    assert_eq!(q.batch_close(0), None, "2 < batch_max_size and no age yet");
     q.offer("c", req(3), 0).unwrap();
-    assert!(q.batch_ready(0), "size bound reached closes immediately");
+    assert_eq!(
+        q.batch_close(0),
+        Some(BatchClose::Size),
+        "size bound reached closes immediately"
+    );
     let batch = q.take_batch();
     assert_eq!(batch.len(), 3);
-    assert!(!q.batch_ready(0), "queue drained");
+    assert_eq!(q.batch_close(0), None, "queue drained");
 }
+
+/// The fake clock counts µs; `cfg()`'s `batch_max_wait_ms` = 10.
+const CAP_US: u64 = 10_000;
 
 #[test]
 fn batch_closes_on_deadline_for_a_trickle() {
     let mut q = AdmissionQueue::new(cfg());
-    q.offer("a", req(1), 100).unwrap();
-    assert!(!q.batch_ready(100));
-    assert!(!q.batch_ready(109), "one tick before the deadline");
-    assert_eq!(q.next_deadline_ms(), Some(110));
-    assert!(q.batch_ready(110), "oldest request aged out");
+    q.offer("a", req(1), 100_000).unwrap();
+    assert_eq!(q.batch_close(100_000), None);
+    assert_eq!(q.batch_close(109_999), None, "one µs before the deadline");
+    assert_eq!(q.next_close_us(), Some(110_000));
+    assert_eq!(
+        q.batch_close(110_000),
+        Some(BatchClose::Deadline),
+        "the head aged exactly batch_max_wait_ms, not a whole ms more"
+    );
     // A second, younger request does not postpone the head's deadline.
-    q.offer("b", req(2), 108).unwrap();
-    assert_eq!(q.next_deadline_ms(), Some(110));
+    q.offer("b", req(2), 108_000).unwrap();
+    assert_eq!(q.batch_close(109_999), None);
+    assert_eq!(q.next_close_us(), Some(110_000));
+    assert_eq!(q.batch_close(110_000), Some(BatchClose::Deadline));
     assert_eq!(q.take_batch().len(), 2);
-    assert_eq!(q.next_deadline_ms(), None);
+    assert_eq!(q.next_close_us(), None);
+}
+
+/// The quiet gap as the queue applies it: how long after a lone arrival
+/// on an empty queue the batch closes.
+fn quiet_gap_us(q: &mut AdmissionQueue) -> u64 {
+    assert!(q.is_empty());
+    q.offer("probe", req(u64::MAX), 1_000_000).unwrap();
+    let close = q.next_close_us().expect("one request waits");
+    q.take_batch();
+    close - 1_000_000
+}
+
+#[test]
+fn before_any_batch_carrying_cycle_the_gap_is_the_cap() {
+    let mut q = AdmissionQueue::new(cfg());
+    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    // Release-only and reconcile-only cycles carry no batch and say
+    // nothing about what a round costs, however long they took.
+    q.cycle_done(0, 50);
+    q.cycle_done(0, 5_000_000);
+    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    q.cycle_done(2, 1_200);
+    assert_eq!(quiet_gap_us(&mut q), 1_200);
+    q.cycle_done(0, 7);
+    assert_eq!(quiet_gap_us(&mut q), 1_200, "an empty cycle leaves the gap");
+    q.cycle_done(1, 900);
+    assert_eq!(
+        quiet_gap_us(&mut q),
+        900,
+        "the last batch-carrying cycle wins"
+    );
+}
+
+#[test]
+fn a_lone_request_closes_one_gap_after_itself() {
+    let mut q = AdmissionQueue::new(cfg());
+    q.cycle_done(1, 1_000);
+    q.offer("a", req(1), 50_000).unwrap();
+    assert_eq!(q.batch_close(50_000), None);
+    assert_eq!(q.batch_close(50_999), None);
+    assert_eq!(q.next_close_us(), Some(51_000));
+    assert_eq!(q.batch_close(51_000), Some(BatchClose::Quiet));
+}
+
+#[test]
+fn arrivals_spaced_under_the_gap_stay_one_batch() {
+    let mut q = AdmissionQueue::new(AdmissionConfig {
+        queue_capacity: 64,
+        tenant_quota: 64,
+        batch_max_size: 64,
+        ..cfg()
+    });
+    q.cycle_done(3, 1_000);
+    // Eight arrivals 900 µs apart: each lands before the gap after the
+    // one before it ran out, so nothing closes in between.
+    let mut now = 20_000;
+    for app in 0..8 {
+        q.offer("a", req(app), now).unwrap();
+        assert_eq!(q.batch_close(now), None);
+        assert_eq!(q.batch_close(now + 899), None);
+        assert_eq!(q.next_close_us(), Some(now + 1_000));
+        now += 900;
+    }
+    // One gap after the last (admitted at 26_300) the eight close as one.
+    let last = now - 900;
+    assert_eq!(q.batch_close(last + 999), None);
+    assert_eq!(q.batch_close(last + 1_000), Some(BatchClose::Quiet));
+    assert_eq!(q.take_batch().len(), 8);
+}
+
+#[test]
+fn the_gap_never_exceeds_the_cap_nor_postpones_the_deadline() {
+    let mut q = AdmissionQueue::new(AdmissionConfig {
+        batch_max_size: 4,
+        ..cfg()
+    });
+    // A 130 ms round: the gap is the 10 ms cap, not the round.
+    q.cycle_done(3, 130_000);
+    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    q.offer("a", req(1), 0).unwrap();
+    q.offer("b", req(2), 40).unwrap();
+    assert_eq!(
+        q.next_close_us(),
+        Some(CAP_US),
+        "head + cap, not last + cap"
+    );
+    assert_eq!(q.batch_close(CAP_US - 1), None);
+    assert_eq!(q.batch_close(CAP_US), Some(BatchClose::Deadline));
+    q.take_batch();
+
+    // A short gap with a steady trickle under it: quiet never fires, the
+    // head's deadline still does, exactly on time.
+    q.cycle_done(2, 4_000);
+    q.offer("a", req(3), 100_000).unwrap();
+    q.offer("b", req(4), 103_000).unwrap();
+    assert_eq!(q.next_close_us(), Some(107_000));
+    q.offer("c", req(5), 106_500).unwrap();
+    assert_eq!(q.batch_close(109_999), None);
+    assert_eq!(q.next_close_us(), Some(110_000), "the deadline bounds it");
+    assert_eq!(q.batch_close(110_000), Some(BatchClose::Deadline));
+}
+
+#[test]
+fn size_still_wins_immediately_under_a_short_gap() {
+    let mut q = AdmissionQueue::new(cfg());
+    q.cycle_done(1, 1_000);
+    for app in 0..3 {
+        q.offer(&format!("t{app}"), req(app), 5_000).unwrap();
+    }
+    assert_eq!(q.batch_close(5_000), Some(BatchClose::Size));
 }
 
 #[test]
