@@ -8,11 +8,6 @@
 //!             [--allow-remote-shutdown]
 //! ```
 //!
-//! A batch closes when `--batch-max` requests wait, when the oldest has
-//! waited `--batch-wait-ms`, or when arrivals pause for as long as the
-//! last scheduling round took — `--batch-wait-ms` is the upper bound on
-//! a wait, not the wait.
-//!
 //! Builds a homogeneous cluster, optionally attaches a file-backed WAL
 //! (restoring from it if one exists), and serves the wire protocol until
 //! SIGINT-equivalent (a `shutdown` request) arrives, then drains.

@@ -86,12 +86,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 #[derive(Debug)]
 pub struct FrameReader {
     max: usize,
-    /// Bytes read and not yet handed out: zero or more whole frames
-    /// followed by at most one partial frame.
+    /// `buf[..held]` are bytes read and not yet handed out — zero or more
+    /// whole frames, then at most one partial frame; the rest is room
+    /// for the next `read`.
     buf: Vec<u8>,
+    held: usize,
 }
 
-/// Bytes asked of the transport per `read`.
+/// Least room offered to a `read`.
 const READ_CHUNK: usize = 4096;
 
 impl FrameReader {
@@ -100,20 +102,22 @@ impl FrameReader {
         FrameReader {
             max,
             buf: Vec::new(),
+            held: 0,
         }
     }
 
     /// Whether bytes of an undelivered frame are held (EOF now would be
     /// `Truncated` once the whole frames before it are delivered).
     pub fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
+        self.held > 0
     }
 
     /// Advances the read state. Returns a complete payload, `Ok(None)`
     /// on timeout (poll again), or a terminal [`FrameError`].
     pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
         loop {
-            if let Some(prefix) = self.buf.first_chunk::<4>() {
+            let pending = &self.buf[..self.held];
+            if let Some(prefix) = pending.first_chunk::<4>() {
                 let len = u32::from_be_bytes(*prefix) as usize;
                 if len > self.max {
                     return Err(FrameError::TooLarge {
@@ -121,20 +125,20 @@ impl FrameReader {
                         max: self.max,
                     });
                 }
-                if let Some(payload) = self.buf.get(4..4 + len) {
+                if let Some(payload) = pending.get(4..4 + len) {
                     let payload = payload.to_vec();
-                    self.buf.drain(..4 + len);
+                    self.buf.copy_within(4 + len..self.held, 0);
+                    self.held -= 4 + len;
                     return Ok(Some(payload));
                 }
             }
-            let held = self.buf.len();
-            self.buf.resize(held + READ_CHUNK, 0);
-            let read = r.read(&mut self.buf[held..]);
-            self.buf.truncate(held + *read.as_ref().unwrap_or(&0));
-            match read {
-                Ok(0) if held == 0 => return Err(FrameError::Closed),
+            if self.buf.len() < self.held + READ_CHUNK {
+                self.buf.resize(self.held + READ_CHUNK, 0);
+            }
+            match r.read(&mut self.buf[self.held..]) {
+                Ok(0) if self.held == 0 => return Err(FrameError::Closed),
                 Ok(0) => return Err(FrameError::Truncated),
-                Ok(_) => {}
+                Ok(n) => self.held += n,
                 Err(e) => return map_read_err(e),
             }
         }

@@ -13,12 +13,11 @@
 //!   the published [`StatusBoard`] without touching the scheduler.
 //!   Reads use a timeout so every thread re-checks the shutdown flag.
 //! - **Batcher thread**: the *single writer*. Waits for pressure
-//!   (size, deadline or quiet batch close, releases, shutdown), timing
-//!   its own cycle — the quiet gap — and then takes the
-//!   writer lock once per cycle: apply releases, submit the batch, run
-//!   `tick` (propose/commit), publish a fresh board. Journal checkpoints
-//!   ride the scheduler's own cadence plus one final checkpoint at
-//!   drain.
+//!   (size, deadline or quiet batch close, releases, shutdown), then
+//!   takes the writer lock once per cycle: apply releases, submit the
+//!   batch, run `tick` (propose/commit), publish a fresh board. What the
+//!   cycle took is the next quiet gap. Journal checkpoints ride the
+//!   scheduler's own cadence plus one final checkpoint at drain.
 //!
 //! Shutdown (`ServerHandle::shutdown(drain)`) rejects new connections
 //! and admissions, and with `drain = true` finishes queued and in-flight

@@ -36,6 +36,12 @@ step "benchmark package build (--locked)" \
     cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 step "benchmark package tests (--locked)" \
     cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+# Building it is not running it: the benchmark's own output checks (every
+# burst in one batch, the audit, responses == requests, generator lag)
+# are what the pipeline judges a change by, so a change that breaks one
+# must fail here first. All four workloads, 3 s windows, traced.
+step "benchmark run (--quick --traced; exits nonzero on any failed check)" \
+    benchmark/run.sh --quick --traced
 
 # The committed BENCH_*.json are full-mode results; a smoke run writes
 # under target/bench-smoke/ and must never replace one.
