@@ -1,17 +1,15 @@
 //! Differential property suite for the incremental index layer.
 //!
-//! Two cluster states — one with the index enabled, one with
-//! [`IndexConfig::disabled()`] — replay the same random sequence of
+//! A cluster state replays a random sequence of
 //! allocate/release/retag/crash/recover operations, driven by fixed
 //! `medea-rand` seeds. After every step, every index-backed query is
-//! checked three ways:
+//! checked two ways:
 //!
 //! 1. against a naive full-scan oracle recomputed in this file from the
-//!    public per-node accessors (`gamma`, `free`, `node_ids`),
-//! 2. against the disabled-index twin (scan fallback must be
-//!    bit-identical to the indexed path, including ordering), and
-//! 3. against [`ClusterState::check_index_consistency`], which
-//!    recomputes the postings, free orderings, and γ_𝒮 caches from
+//!    public per-node accessors (`gamma`, `free`, `node_ids`) — the
+//!    scans are the reference, and they live here, not in the library;
+//! 2. against [`ClusterState::check_index_consistency`], which
+//!    recomputes the postings, free ordering, and γ_𝒮 caches from
 //!    scratch.
 
 use medea_cluster::{
@@ -87,9 +85,8 @@ fn random_op(rng: &mut StdRng) -> Op {
     }
 }
 
-fn build_state(config: IndexConfig) -> ClusterState {
-    let mut state = ClusterState::homogeneous(NODES as usize, Resources::new(16 * 1024, 64), 3)
-        .with_index_config(config);
+fn build_state() -> ClusterState {
+    let mut state = ClusterState::homogeneous(NODES as usize, Resources::new(16 * 1024, 64), 3);
     // Overlapping custom group: exercises multi-membership γ_𝒮 updates.
     state.register_group(
         NodeGroupId::new("zone"),
@@ -101,9 +98,7 @@ fn build_state(config: IndexConfig) -> ClusterState {
     state
 }
 
-/// Applies one op; returns released container ids (for `live` upkeep).
-/// The evolution is fully determined by the op and prior state, so the
-/// enabled and disabled twins stay in lockstep.
+/// Applies one op, keeping `live` (the releasable container ids) current.
 fn apply(state: &mut ClusterState, op: &Op, live: &mut Vec<ContainerId>) {
     match op {
         Op::Alloc {
@@ -172,106 +167,61 @@ fn oracle_by_free_memory(s: &ClusterState) -> Vec<NodeId> {
     keyed.into_iter().rev().map(|(_, _, n)| NodeId(n)).collect()
 }
 
-fn oracle_free_at_least(s: &ClusterState, min: u64) -> Vec<NodeId> {
-    s.node_ids()
-        .filter(|&n| s.free(n).unwrap().memory_mb >= min)
-        .collect()
-}
-
-/// Every query family, checked against the oracle and the twin.
-fn check_step(seed: u64, step: usize, on: &ClusterState, off: &ClusterState) {
+/// Every query family of the indexed state, checked against the oracles.
+fn check_step(seed: u64, step: usize, s: &ClusterState) {
     let ctx = |q: &str| format!("seed {seed} step {step}: {q}");
 
-    on.check_index_consistency().unwrap_or_else(|e| {
+    s.check_index_consistency().unwrap_or_else(|e| {
         panic!("{}: {e}", ctx("index consistency"));
-    });
-    off.check_index_consistency().unwrap_or_else(|e| {
-        panic!("{}: {e}", ctx("disabled-index consistency"));
     });
 
     // Tag queries: the fixed tag universe plus every app-id tag.
     let mut tags: Vec<Tag> = (0..TAG_UNIVERSE).map(tag_name).collect();
     tags.extend((0..5).map(|a| Tag::app_id(ApplicationId(a))));
     for t in &tags {
-        let expected = oracle_nodes_with_tag(on, t);
-        assert_eq!(on.nodes_with_tag(t), expected, "{}", ctx("nodes_with_tag"));
         assert_eq!(
-            off.nodes_with_tag(t),
-            expected,
+            s.nodes_with_tag(t),
+            oracle_nodes_with_tag(s, t),
             "{}",
-            ctx("nodes_with_tag off")
+            ctx("nodes_with_tag")
         );
-        // Per-node cardinality (γ window) must agree across modes.
-        for n in on.node_ids() {
-            assert_eq!(on.gamma(n, t), off.gamma(n, t), "{}", ctx("gamma"));
-        }
     }
 
     // Conjunctive tag queries over pairs (including same-tag pairs).
     for pair in [[0u8, 1], [1, 1], [2, 4], [3, 5]] {
         let q: Vec<Tag> = pair.iter().map(|&t| tag_name(t)).collect();
-        let expected = oracle_nodes_with_all_tags(on, &q);
-        assert_eq!(on.nodes_with_all_tags(&q), expected, "{}", ctx("all_tags"));
         assert_eq!(
-            off.nodes_with_all_tags(&q),
-            expected,
+            s.nodes_with_all_tags(&q),
+            oracle_nodes_with_all_tags(s, &q),
             "{}",
-            ctx("all_tags off")
+            ctx("all_tags")
         );
     }
     assert_eq!(
-        on.nodes_with_all_tags(&[]),
-        on.node_ids().collect::<Vec<_>>(),
+        s.nodes_with_all_tags(&[]),
+        s.node_ids().collect::<Vec<_>>(),
         "{}",
         ctx("all_tags empty")
     );
 
-    // Free-capacity ordering and range queries.
+    // Free-capacity ordering.
     assert_eq!(
-        on.nodes_by_free_memory(),
-        oracle_by_free_memory(on),
+        s.nodes_by_free_memory(),
+        oracle_by_free_memory(s),
         "{}",
         ctx("by_free")
     );
-    assert_eq!(
-        off.nodes_by_free_memory(),
-        oracle_by_free_memory(on),
-        "{}",
-        ctx("by_free off")
-    );
-    for min in [0u64, 1, 1024, 8 * 1024, 16 * 1024, 20 * 1024] {
-        let expected = oracle_free_at_least(on, min);
-        assert_eq!(
-            on.nodes_with_free_memory_at_least(min),
-            expected,
-            "{}",
-            ctx("free_at_least")
-        );
-        assert_eq!(
-            off.nodes_with_free_memory_at_least(min),
-            expected,
-            "{}",
-            ctx("free_at_least off")
-        );
-    }
 
     // Group-membership cardinalities: cached γ_𝒮 vs a member scan.
     for group in [NodeGroupId::rack(), NodeGroupId::new("zone")] {
-        let sets = on.groups().sets_of(&group).unwrap();
+        let sets = s.groups().sets_of(&group).unwrap();
         for (si, members) in sets.iter().enumerate() {
             for t in &tags {
-                let scanned = on.gamma_set(members, t);
                 assert_eq!(
-                    on.gamma_in_set(&group, si, t),
-                    scanned,
+                    s.gamma_in_set(&group, si, t),
+                    s.gamma_set(members, t),
                     "{}",
                     ctx("gamma_in_set")
-                );
-                assert_eq!(
-                    off.gamma_in_set(&group, si, t),
-                    scanned,
-                    "{}",
-                    ctx("gamma_in_set off")
                 );
             }
         }
@@ -280,13 +230,45 @@ fn check_step(seed: u64, step: usize, on: &ClusterState, off: &ClusterState) {
 
 /// Tentpole differential property: over ≥50 fixed seeds of random
 /// allocate/release/retag/crash/recover sequences, every index query
-/// equals the full-scan oracle after each step, in both index modes.
+/// equals the full-scan oracle after each step.
 #[test]
 fn index_matches_scan_oracle_under_random_ops() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(0x1D1F ^ seed);
-        let mut on = build_state(IndexConfig::enabled());
-        let mut off = build_state(IndexConfig::disabled());
+        let mut state = build_state();
+        let mut live: Vec<ContainerId> = Vec::new();
+
+        for step in 0..OPS_PER_SEED {
+            let op = random_op(&mut rng);
+            apply(&mut state, &op, &mut live);
+            check_step(seed, step, &state);
+        }
+
+        // Draining the survivors restores a pristine, consistent index.
+        for id in live {
+            state.release(id).unwrap();
+        }
+        assert_eq!(state.num_containers(), 0);
+        state.check_index_consistency().unwrap();
+    }
+}
+
+// ---- The runtime toggle's own tests; they go when the toggle does ----
+
+fn oracle_free_at_least(s: &ClusterState, min: u64) -> Vec<NodeId> {
+    s.node_ids()
+        .filter(|&n| s.free(n).unwrap().memory_mb >= min)
+        .collect()
+}
+
+/// The disabled-index twin replays the same ops and must answer every
+/// query exactly as the oracle (and so as the indexed state) does.
+#[test]
+fn disabled_twin_matches_scan_oracle_under_random_ops() {
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0x1D1F ^ seed);
+        let mut on = build_state();
+        let mut off = build_state().with_index_config(IndexConfig::disabled());
         assert!(on.index_enabled() && !off.index_enabled());
         let mut live_on: Vec<ContainerId> = Vec::new();
         let mut live_off: Vec<ContainerId> = Vec::new();
@@ -299,15 +281,13 @@ fn index_matches_scan_oracle_under_random_ops() {
                 live_on, live_off,
                 "seed {seed} step {step}: container id drift"
             );
-            check_step(seed, step, &on, &off);
+            check_step(seed, step, &off);
+            for min in [0u64, 1, 1024, 8 * 1024, 16 * 1024, 20 * 1024] {
+                let expected = oracle_free_at_least(&on, min);
+                assert_eq!(on.nodes_with_free_memory_at_least(min), expected);
+                assert_eq!(off.nodes_with_free_memory_at_least(min), expected);
+            }
         }
-
-        // Draining the survivors restores a pristine, consistent index.
-        for id in live_on {
-            on.release(id).unwrap();
-        }
-        assert_eq!(on.num_containers(), 0);
-        on.check_index_consistency().unwrap();
     }
 }
 
@@ -317,7 +297,7 @@ fn index_matches_scan_oracle_under_random_ops() {
 fn reenabling_index_rebuilds_exactly() {
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(0x7EB1 ^ seed);
-        let mut state = build_state(IndexConfig::enabled());
+        let mut state = build_state();
         let mut live: Vec<ContainerId> = Vec::new();
         for _ in 0..40 {
             let op = random_op(&mut rng);

@@ -19,7 +19,9 @@
 //!
 //! ~50 fixed `medea-rand` seeds keep the suite deterministic.
 
-use medea_cluster::{ApplicationId, ClusterState, IndexConfig, NodeGroupId, Resources, Tag};
+use medea_cluster::{
+    ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
+};
 use medea_constraints::{Cardinality, PlacementConstraint};
 use medea_core::{
     HeuristicScheduler, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights,
@@ -380,13 +382,64 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
     }
 }
 
-/// Metamorphic property: the incremental index is a pure acceleration
-/// structure, so running the same workload with indexes enabled vs
-/// disabled ([`IndexConfig::disabled()`]) must produce identical
-/// placements, container by container, for every seed — through both
-/// the greedy heuristic and the gap-0 ILP.
+/// Commits `outcomes` onto a copy of the instance's cluster, then holds
+/// the index to the naive scan: `check_index_consistency`, and the two
+/// index queries the schedulers make — `nodes_with_all_tags` over every
+/// tag in use (singly, and as each container's full tag set) and
+/// `nodes_by_free_memory` — recomputed from per-node accessors.
+fn assert_index_matches_naive_scan(seed: u64, instance: &Instance, outcomes: &[PlacementOutcome]) {
+    let mut state = instance.state.clone();
+    for (r, out) in instance.requests.iter().zip(outcomes) {
+        let Some(pl) = out.placement() else { continue };
+        for (c, &n) in r.containers.iter().zip(&pl.nodes) {
+            state
+                .allocate(r.app, n, c, ExecutionKind::LongRunning)
+                .unwrap_or_else(|e| panic!("seed {seed}: placement does not commit: {e}"));
+        }
+    }
+    state
+        .check_index_consistency()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+
+    let per_container = effective_tags(&instance.requests);
+    let mut queries: Vec<Vec<Tag>> = vec![Vec::new()];
+    for tags in &per_container {
+        queries.extend(tags.iter().map(|t| vec![t.clone()]));
+        queries.push(tags.clone());
+    }
+    for q in &queries {
+        let naive: Vec<NodeId> = state
+            .node_ids()
+            .filter(|&n| q.iter().all(|t| state.gamma(n, t) > 0))
+            .collect();
+        assert_eq!(
+            state.nodes_with_all_tags(q),
+            naive,
+            "seed {seed}: nodes_with_all_tags({q:?})"
+        );
+    }
+
+    let mut by_free: Vec<(u64, u32, u32)> = state
+        .node_ids()
+        .map(|n| {
+            let f = state.free(n).unwrap();
+            (f.memory_mb, f.vcores, n.0)
+        })
+        .collect();
+    by_free.sort_unstable();
+    let naive: Vec<NodeId> = by_free.into_iter().rev().map(|k| NodeId(k.2)).collect();
+    assert_eq!(
+        state.nodes_by_free_memory(),
+        naive,
+        "seed {seed}: nodes_by_free_memory"
+    );
+}
+
+/// The incremental index is a pure acceleration structure: whatever the
+/// greedy heuristic or the gap-0 ILP places, once committed the index
+/// answers exactly what a scan of the nodes answers, for every seed.
 #[test]
-fn index_mode_never_changes_placements() {
+fn index_answers_match_naive_scan_after_placements() {
     let weights = ObjectiveWeights {
         w3: 0.0,
         ..ObjectiveWeights::default()
@@ -404,47 +457,16 @@ fn index_mode_never_changes_placements() {
 
     for seed in 0..SEEDS {
         let instance = random_instance(seed);
-        let indexed = instance
-            .state
-            .clone()
-            .with_index_config(IndexConfig::enabled());
-        let scanned = instance
-            .state
-            .clone()
-            .with_index_config(IndexConfig::disabled());
-        assert!(indexed.index_enabled() && !scanned.index_enabled());
+        let mut heuristic = HeuristicScheduler::new(Ordering::NodeCandidates);
+        heuristic.weights = weights;
+        let placed = heuristic.place(&instance.state, &instance.requests, &[], None);
+        assert_index_matches_naive_scan(seed, &instance, &placed);
 
-        let mut h_on = HeuristicScheduler::new(Ordering::NodeCandidates);
-        h_on.weights = weights;
-        let mut h_off = HeuristicScheduler::new(Ordering::NodeCandidates);
-        h_off.weights = weights;
-        let a = assignment_of(
-            &instance.requests,
-            &h_on.place(&indexed, &instance.requests, &[], None),
-        );
-        let b = assignment_of(
-            &instance.requests,
-            &h_off.place(&scanned, &instance.requests, &[], None),
-        );
-        assert_eq!(
-            a, b,
-            "seed {seed}: heuristic placements diverge by index mode"
-        );
-
-        // The ILP path (candidate selection + warm starts) every few
-        // seeds: identical candidates in, identical solution out.
+        // The ILP path (candidate selection through the index) every
+        // few seeds.
         if seed % 5 == 0 {
-            let on = exact.place_on(&indexed, &instance.requests, &[], None, None, None);
-            let off = exact.place_on(&scanned, &instance.requests, &[], None, None, None);
-            assert_eq!(
-                on.degraded, off.degraded,
-                "seed {seed}: ILP status diverges"
-            );
-            assert_eq!(
-                assignment_of(&instance.requests, &on.outcomes),
-                assignment_of(&instance.requests, &off.outcomes),
-                "seed {seed}: ILP placements diverge by index mode"
-            );
+            let placed = exact.place_on(&instance.state, &instance.requests, &[], None, None, None);
+            assert_index_matches_naive_scan(seed, &instance, &placed.outcomes);
         }
     }
 }
