@@ -4,27 +4,36 @@
 //! Invariants checked:
 //! - every request gets exactly one response (none lost, none
 //!   duplicated), with the client-chosen id echoed verbatim;
-//! - pipelined requests on one connection are answered in order;
+//! - pipelined requests on one connection are answered in order, also
+//!   under full-duplex traffic (one thread writing frames while another
+//!   drains the replies on the same connection);
+//! - the server counts zero protocol errors and answers no typed error;
 //! - after the storm and a graceful drain, the scheduler's invariant
 //!   audit passes and the recovery ledger satisfies
 //!   `lost = replaced + unplaceable + pending`.
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{start, Client};
-use medea_server::{AdmissionConfig, ContainerSpec, Request, Response};
+use medea_server::{
+    AdmissionConfig, ContainerSpec, FrameReader, Request, Response, MAX_FRAME_BYTES,
+};
 
 const CLIENTS: u64 = 8;
 const APPS_PER_CLIENT: u64 = 6;
+/// Frames each client writes in the full-duplex phase: 7 places to 1
+/// query, closed by a sentinel query.
+const DUPLEX_FRAMES: u64 = 100;
+const DUPLEX_PLACES: u64 = DUPLEX_FRAMES - DUPLEX_FRAMES / 8;
 
 #[test]
 fn eight_clients_interleaved_place_release_query() {
     // Generous queue so nothing sheds: the invariant under test is
     // response integrity, not backpressure (that's tests/admission.rs).
     let handle = start(
-        16,
+        64,
         AdmissionConfig {
             queue_capacity: 4096,
             tenant_quota: 1024,
@@ -116,6 +125,84 @@ fn eight_clients_interleaved_place_release_query() {
                         other => panic!("client {t}: expected app status, got {other:?}"),
                     }
                 }
+
+                // Phase 5: full duplex. This thread writes frames without
+                // waiting while a receiver on the same connection drains
+                // the replies; the sentinel query closes the stream.
+                let mut recv_stream = c.stream.try_clone().expect("clone stream");
+                let receiver = std::thread::spawn(move || {
+                    let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+                    let mut got: Vec<u64> = Vec::new();
+                    let mut last_progress = Instant::now();
+                    loop {
+                        match reader.poll(&mut recv_stream) {
+                            Ok(Some(payload)) => {
+                                let text = std::str::from_utf8(&payload).expect("reply is UTF-8");
+                                let resp = Response::decode(text).expect("reply decodes");
+                                assert!(
+                                    matches!(
+                                        resp,
+                                        Response::Accepted { .. } | Response::AppStatus { .. }
+                                    ),
+                                    "client {t}: clean duplex traffic got {resp:?}"
+                                );
+                                got.push(resp.id());
+                                last_progress = Instant::now();
+                                if resp.id() == u64::MAX {
+                                    return got;
+                                }
+                            }
+                            Ok(None) => assert!(
+                                last_progress.elapsed() < Duration::from_secs(30),
+                                "client {t}: duplex receiver starved for 30s"
+                            ),
+                            Err(e) => panic!("client {t}: duplex receiver: {e}"),
+                        }
+                    }
+                });
+                let mut sent: Vec<u64> = Vec::new();
+                for k in 0..DUPLEX_FRAMES {
+                    let id = 100_000 * (t + 1) + k;
+                    let app = duplex_app_id(t, k);
+                    c.send(&if k % 8 == 7 {
+                        Request::Query { id, app: app - 1 }
+                    } else {
+                        Request::Place {
+                            id,
+                            tenant: tenant.clone(),
+                            app,
+                            containers: vec![ContainerSpec {
+                                count: 1,
+                                memory_mb: 512,
+                                vcores: 1,
+                                tags: vec![format!("duplex{t}")],
+                            }],
+                            constraints: vec![],
+                        }
+                    });
+                    sent.push(id);
+                }
+                c.send(&Request::Query {
+                    id: u64::MAX,
+                    app: 0,
+                });
+                sent.push(u64::MAX);
+                let got = receiver.join().expect("duplex receiver must not panic");
+                assert_eq!(
+                    got, sent,
+                    "client {t}: every duplex id answered exactly once, in order"
+                );
+                responses += got.len() as u64;
+                // Placement is asynchronous; settle it so the server-side
+                // counts below are exact.
+                for k in (0..DUPLEX_FRAMES).filter(|k| k % 8 != 7) {
+                    common::await_phase(
+                        &mut c,
+                        duplex_app_id(t, k),
+                        "placed",
+                        Duration::from_secs(30),
+                    );
+                }
                 responses
             })
         })
@@ -126,7 +213,8 @@ fn eight_clients_interleaved_place_release_query() {
         total_responses += w.join().expect("client thread must not panic");
     }
     // Every client accounted for every response it was owed.
-    let expected_min = CLIENTS * (APPS_PER_CLIENT * 2 + APPS_PER_CLIENT + APPS_PER_CLIENT / 2);
+    let expected_min =
+        CLIENTS * (APPS_PER_CLIENT * 2 + APPS_PER_CLIENT + APPS_PER_CLIENT / 2 + DUPLEX_FRAMES + 1);
     assert!(
         total_responses >= expected_min,
         "response count {total_responses} < {expected_min}"
@@ -138,12 +226,19 @@ fn eight_clients_interleaved_place_release_query() {
     match c.call(&Request::Status { id: 1 }) {
         Response::Status { reply, .. } => {
             assert_eq!(reply.shed, 0, "no request may have been shed");
-            assert_eq!(reply.admitted, CLIENTS * APPS_PER_CLIENT);
-            assert_eq!(reply.deployed, CLIENTS * APPS_PER_CLIENT);
+            assert_eq!(reply.admitted, CLIENTS * (APPS_PER_CLIENT + DUPLEX_PLACES));
+            assert_eq!(reply.deployed, CLIENTS * (APPS_PER_CLIENT + DUPLEX_PLACES));
             assert_eq!(reply.dropped, 0);
         }
         other => panic!("expected status, got {other:?}"),
     }
+
+    let protocol_errors = handle
+        .registry()
+        .snapshot()
+        .counter("server.protocol_errors_total")
+        .unwrap_or(0);
+    assert_eq!(protocol_errors, 0, "clean traffic is no protocol error");
 
     let sched = handle.scheduler();
     let report = handle.shutdown(true);
@@ -156,11 +251,19 @@ fn eight_clients_interleaved_place_release_query() {
         .expect("post-drain invariant audit");
     let board = sched.status();
     assert!(board.ledger_intact(), "recovery ledger violated");
-    // Half the apps were released; the other half still hold containers.
+    // Half the two-container apps were released; the other half and every
+    // one-container duplex app still hold their containers.
     let live_apps = CLIENTS * APPS_PER_CLIENT / 2;
-    assert_eq!(board.containers, (live_apps * 2) as usize);
+    assert_eq!(
+        board.containers,
+        (live_apps * 2 + CLIENTS * DUPLEX_PLACES) as usize
+    );
 }
 
 fn app_id(client: u64, k: u64) -> u64 {
     1 + client * APPS_PER_CLIENT + k
+}
+
+fn duplex_app_id(client: u64, k: u64) -> u64 {
+    1000 + client * DUPLEX_FRAMES + k
 }
