@@ -9,8 +9,6 @@
 //! constraints plus a population of deployed anti-affinity constraints.
 //!
 //! Beyond round latency, each scale reports:
-//! - nodes touched by the index queries of one candidate-selection pass,
-//!   in indexed and scan mode (the same pass, so directly comparable);
 //! - incremental index maintenance cost (ops during populate, and
 //!   nanoseconds per allocate/release maintenance op);
 //! - full sharded-vs-unsharded scheduler rounds (10 LRAs × 8 containers
@@ -22,23 +20,17 @@
 //!   round (enforced here, so CI catches regressions).
 //!
 //! Usage: `cargo run --release -p medea-bench --bin scale_bench`
-//! (`--smoke` runs the 500- and 20000-node scales only, for CI, and the
-//! candidate-selection pass at 500 nodes only: in scan mode it visits
-//! nodes² × containers entries — 80 s of an 82 s smoke run at 20000).
+//! (`--smoke` runs the 500- and 20000-node scales only, for CI).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use medea_bench::BenchJson;
 use medea_cluster::{
-    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, IndexConfig, NodeGroupId, NodeId,
-    Resources, ShardConfig, Tag,
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
+    ShardConfig, Tag,
 };
 use medea_constraints::PlacementConstraint;
-use medea_core::{
-    HeuristicScheduler, LraAlgorithm, LraRequest, MedeaScheduler, ObjectiveWeights, Ordering,
-    Scorer,
-};
+use medea_core::{HeuristicScheduler, LraAlgorithm, LraRequest, MedeaScheduler, Ordering};
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
 
@@ -53,10 +45,6 @@ struct ScaleResult {
     p99_us: u64,
     mean_us: u64,
     populate_us: u64,
-    /// Node entries visited by index queries during one
-    /// candidate-selection pass, (indexed mode, index disabled — every
-    /// query scans all nodes); `None` where a smoke run skips the pass.
-    nodes_touched: Option<(u64, u64)>,
     /// Incremental index maintenance ops performed while populating.
     index_update_ops_populate: u64,
     /// Mean maintenance cost per allocate/release index op.
@@ -131,37 +119,6 @@ fn scale_round(state: &ClusterState, deployed: &[PlacementConstraint], app: u64)
         out.iter().all(|o| o.placement().is_some()),
         "bench round must place its batch"
     );
-}
-
-/// Node entries visited by index queries during one candidate-selection
-/// pass (every batch item × every node through
-/// [`Scorer::is_violation_free`] — the initial `Nc` computation of the
-/// NodeCandidates heuristic), measured on a working copy in the given
-/// index mode. In scan mode every query charges the full node count, so
-/// the two figures quantify exactly what the index avoids.
-fn candidate_pass_nodes_touched(
-    state: &ClusterState,
-    deployed: &[PlacementConstraint],
-    app: u64,
-    config: IndexConfig,
-) -> u64 {
-    let mut work = state.clone().with_index_config(config);
-    let reqs = vec![medea_sim::apps::hbase_like(ApplicationId(app), 8, 6)];
-    let mut constraints: Vec<PlacementConstraint> = deployed.to_vec();
-    for r in &reqs {
-        constraints.extend(r.constraints.iter().cloned());
-    }
-    let scorer = Scorer::new(ObjectiveWeights::default(), constraints);
-    let nodes: Vec<NodeId> = work.node_ids().collect();
-    let before = work.index_stats().nodes_visited;
-    for r in &reqs {
-        for c in &r.containers {
-            for &n in &nodes {
-                scorer.is_violation_free(&mut work, r.app, c, n);
-            }
-        }
-    }
-    work.index_stats().nodes_visited - before
 }
 
 /// Mean incremental-maintenance cost per index op, via timed
@@ -271,7 +228,6 @@ fn time_rounds<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Vec<u64> {
 }
 
 struct PassStats {
-    nodes_touched: Option<(u64, u64)>,
     index_update_ops_populate: u64,
     index_update_ns_per_op: u64,
 }
@@ -294,7 +250,6 @@ fn summarize(
         p99_us: samples[p99_idx],
         mean_us: samples.iter().sum::<u64>() / iters as u64,
         populate_us,
-        nodes_touched: pass.nodes_touched,
         index_update_ops_populate: pass.index_update_ops_populate,
         index_update_ns_per_op: pass.index_update_ns_per_op,
         unsharded_round_us: compare.unsharded_round_us,
@@ -305,30 +260,25 @@ fn summarize(
 
 /// The inside of one `scales` row of `BENCH_scale.json`.
 fn row_json(r: &ScaleResult) -> String {
-    let mut row = format!(
-        "\"nodes\": {}, \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
-         \"mean_us\": {}, \"populate_us\": {}",
-        r.nodes, r.iters, r.median_us, r.p99_us, r.mean_us, r.populate_us,
-    );
-    if let Some((indexed, scan)) = r.nodes_touched {
-        let _ = write!(
-            row,
-            ", \"nodes_touched_indexed\": {indexed}, \"nodes_touched_scan\": {scan}"
-        );
-    }
-    let _ = write!(
-        row,
-        ", \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}",
-        r.index_update_ops_populate, r.index_update_ns_per_op,
-    );
     let shard_speedup = r.unsharded_round_us as f64 / r.sharded_round_us.max(1) as f64;
-    let _ = write!(
-        row,
-        ", \"unsharded_round_us\": {}, \"sharded_round_us\": {}, \
+    format!(
+        "\"nodes\": {}, \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
+         \"mean_us\": {}, \"populate_us\": {}, \
+         \"index_update_ops_populate\": {}, \"index_update_ns_per_op\": {}, \
+         \"unsharded_round_us\": {}, \"sharded_round_us\": {}, \
          \"shards\": {}, \"shard_speedup\": {shard_speedup:.2}",
-        r.unsharded_round_us, r.sharded_round_us, r.shards,
-    );
-    row
+        r.nodes,
+        r.iters,
+        r.median_us,
+        r.p99_us,
+        r.mean_us,
+        r.populate_us,
+        r.index_update_ops_populate,
+        r.index_update_ns_per_op,
+        r.unsharded_round_us,
+        r.sharded_round_us,
+        r.shards,
+    )
 }
 
 fn main() {
@@ -356,14 +306,7 @@ fn main() {
             scale_round(&state, &deployed, app);
             app += 1;
         });
-        let touched = |config| candidate_pass_nodes_touched(&state, &deployed, app, config);
         let pass = PassStats {
-            nodes_touched: (!smoke || nodes <= 500).then(|| {
-                (
-                    touched(IndexConfig::enabled()),
-                    touched(IndexConfig::disabled()),
-                )
-            }),
             index_update_ops_populate,
             index_update_ns_per_op: index_update_cost_ns(&state),
         };
@@ -381,15 +324,13 @@ fn main() {
         let r = summarize(nodes, samples, populate_us, pass, compare);
         println!(
             "{:>5} nodes: iters {:>2} median {:>10} us p99 {:>10} us populate {:>8} us \
-             touched {} (indexed/scan) index {:>5} ns/op \
+             index {:>5} ns/op \
              round {:>9}/{:>9} us (unsharded/sharded x{})",
             r.nodes,
             r.iters,
             r.median_us,
             r.p99_us,
             r.populate_us,
-            r.nodes_touched
-                .map_or("skipped".to_string(), |(i, s)| format!("{i}/{s}")),
             r.index_update_ns_per_op,
             r.unsharded_round_us,
             r.sharded_round_us,

@@ -2,21 +2,25 @@
 //! machine-readable JSON (`BENCH_solver.json`) so successive PRs can
 //! compare solve-time medians on identical instances.
 //!
-//! Three instance families:
+//! Four instance families:
 //!
 //! 1. **`lp_relaxation/*`** — cold simplex solves of the assignment-shaped
 //!    placement models the LRA scheduler emits (Fig. 6-scale batches).
 //! 2. **`milp_exact/*`** — full branch-and-bound solves of the same
 //!    shapes (the Fig. 9-shaped ILP instances the acceptance criteria
-//!    track); identical to the `benches/solver_bench.rs` instances so the
-//!    numbers line up with `cargo bench`.
-//! 3. **`ilp_round/*`** — end-to-end scheduler rounds placing HBase-like
-//!    batches (the Fig. 9a workload), once with the cross-round basis
-//!    cache disabled (`cold`) and once with it shared across rounds
-//!    (`warm`). Round time is dominated by model building, so the two
-//!    typically sit within noise; the cache's per-solve effect shows in
-//!    the `milp_exact` warm-start counts and the
-//!    `core.ilp_warm_start_hits_total` metric.
+//!    track).
+//! 3. **`relaxed_round/prefill64_{cold,warm}`** — what the cross-round
+//!    basis slot ([`IlpBasisCache`]) buys, where it buys it: 16 relaxed-arm
+//!    rounds of 64 one-container LRAs on 500 homogeneous nodes, each batch
+//!    committed before the next — the shape of the benchmark's
+//!    `steady_tiny` set-up load, whose `setup_s` more than doubles without
+//!    the slot. `cold` hands every round no slot, `warm` hands all of them
+//!    one: every batch has the previous batch's skeleton, so after the
+//!    first round the LP starts from an optimal basis and needs almost no
+//!    pivots. Pivots and hits are read from the scheduler's own metrics
+//!    (`solver.simplex_pivots_total`, `core.relax_warm_start_hits_total`),
+//!    and the run *asserts* the count that cannot be noisy: warm pivots
+//!    after round 1 are at most a tenth of cold.
 //! 4. **`placer_frontier/*`** — the quality-vs-latency frontier of the
 //!    placer arms (exact ILP, LP-relaxation fast path, heuristic) on
 //!    capacity-tight batches from 8 containers up to 2048 (smoke: up to
@@ -32,10 +36,6 @@
 //!    arm other than the heuristic ever commits a hard-constraint
 //!    violation.
 //!
-//! Reference medians of the pre-eta-file dense solver (recorded on this
-//! machine immediately before the sparse rewrite landed) are embedded in
-//! the JSON under `"dense_baseline_us"` for the `milp_exact` instances.
-//!
 //! Usage: `cargo run --release -p medea-bench --bin solver_bench`
 //! (`--smoke` runs a fast, low-iteration variant for CI; its JSON says
 //! `"mode": "smoke"` and lands under `target/bench-smoke/`, never on the
@@ -45,7 +45,7 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use medea_bench::{placement_model, BenchJson};
+use medea_bench::BenchJson;
 use medea_cluster::{
     ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
 };
@@ -53,7 +53,8 @@ use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
     IlpBasisCache, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, PlacementOutcome, PlacerMode,
 };
-use medea_solver::{Milp, Simplex, SolveEvent, SolveInstrumentation};
+use medea_obs::MetricsRegistry;
+use medea_solver::{Cmp, Milp, Problem, Simplex, SolveEvent, SolveInstrumentation};
 
 /// Accumulates solver events across repeated solves of one instance.
 #[derive(Default)]
@@ -86,16 +87,9 @@ struct InstanceResult {
     pivots_per_solve: u64,
     refactorizations_per_solve: u64,
     warm_starts_per_solve: f64,
-    /// Median of the pre-PR dense solver on this instance, when recorded.
-    dense_baseline_us: Option<u64>,
 }
 
-fn summarize(
-    name: &str,
-    mut samples: Vec<u64>,
-    tally: &Tally,
-    dense_baseline_us: Option<u64>,
-) -> InstanceResult {
+fn summarize(name: &str, mut samples: Vec<u64>, tally: &Tally) -> InstanceResult {
     samples.sort_unstable();
     let iters = samples.len();
     let median_us = samples[iters / 2];
@@ -111,7 +105,6 @@ fn summarize(
         pivots_per_solve: tally.pivots.get() / iters as u64,
         refactorizations_per_solve: tally.refactorizations.get() / iters as u64,
         warm_starts_per_solve: tally.warm_starts.get() as f64 / iters as f64,
-        dense_baseline_us,
     }
 }
 
@@ -129,35 +122,105 @@ fn time_solves<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Vec<u64> {
     samples
 }
 
-/// Dense-solver medians recorded immediately before the sparse eta-file
-/// rewrite, on the instances that still exist verbatim (see DESIGN.md).
-fn dense_baseline(name: &str) -> Option<u64> {
-    match name {
-        "lp_relaxation/10x16" => Some(136),
-        "lp_relaxation/20x32" => Some(1_599),
-        "lp_relaxation/26x48" => Some(5_671),
-        "milp_exact/8x12" => Some(17_783),
-        "milp_exact/12x16" => Some(319_870),
-        _ => None,
+/// An assignment-like placement model: `containers` binaries per
+/// `nodes` candidates with capacity rows and an anti-affinity-style cap —
+/// the shape the LRA scheduler emits for a batch placement (the solver
+/// side of the paper's Fig. 6/Fig. 9 workloads).
+fn placement_model(containers: usize, nodes: usize) -> Problem {
+    let mut p = Problem::maximize();
+    let x: Vec<Vec<_>> = (0..containers)
+        .map(|i| {
+            (0..nodes)
+                .map(|n| p.add_binary(0.0, format!("x{i}_{n}")))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let s = p.add_binary(1.0, "s");
+    // Each container at most once; all-or-nothing.
+    let mut all = Vec::new();
+    for row in &x {
+        p.add_constraint(row.iter().map(|&v| (v, 1.0)), Cmp::Le, 1.0);
+        all.extend(row.iter().map(|&v| (v, 1.0)));
     }
+    all.push((s, -(containers as f64)));
+    p.add_constraint(all, Cmp::Eq, 0.0);
+    // Capacity: at most 2 containers per node (`n` walks the transposed
+    // node dimension of `x`, hence the index loop).
+    #[allow(clippy::needless_range_loop)]
+    for n in 0..nodes {
+        p.add_constraint(x.iter().map(|row| (row[n], 1.0)), Cmp::Le, 2.0);
+    }
+    // Symmetry breaking like the scheduler's.
+    for w in x.windows(2) {
+        let mut terms = Vec::new();
+        for (n, (&va, &vb)) in w[0].iter().zip(w[1].iter()).enumerate() {
+            terms.push((va, (n + 1) as f64));
+            terms.push((vb, -((n + 1) as f64)));
+        }
+        p.add_constraint(terms, Cmp::Le, 0.0);
+    }
+    p
 }
 
-/// A Fig. 9a-shaped scheduling round: a batch of HBase-like instances
-/// (8 workers, 6-per-node cardinality cap) against a fixed cluster.
-fn ilp_round(
-    state: &ClusterState,
-    scheduler: &LraScheduler,
-    cache: Option<&IlpBasisCache>,
-    first_app: u64,
-) {
-    let reqs: Vec<_> = (0..2)
-        .map(|i| medea_sim::apps::hbase_like(ApplicationId(first_app + i), 8, 6))
-        .collect();
-    let out = scheduler.place_on(state, &reqs, &[], None, None, cache);
-    assert!(
-        out.outcomes.iter().all(|o| o.placement().is_some()),
-        "bench round must place its batch"
+/// Rounds and batch size of the `relaxed_round/prefill64_*` rows.
+const PREFILL_ROUNDS: u64 = 16;
+const PREFILL_BATCH: u64 = 64;
+
+/// Family 3: [`PREFILL_ROUNDS`] relaxed-arm rounds of [`PREFILL_BATCH`]
+/// one-container LRAs on 500 homogeneous nodes, each batch committed
+/// before the next; `warm` hands every round the same basis slot, cold
+/// hands none. Returns the row and the simplex pivots of each round.
+fn prefill_rounds(warm: bool) -> (InstanceResult, Vec<u64>) {
+    let registry = MetricsRegistry::new();
+    let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+    scheduler.ilp.mode = PlacerMode::Relaxed;
+    scheduler.set_metrics(&registry);
+    let pivots = registry.counter("solver.simplex_pivots_total");
+    let cache = warm.then(IlpBasisCache::default);
+
+    let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
+    let mut samples = Vec::new();
+    let mut pivots_per_round = Vec::new();
+    for round in 0..PREFILL_ROUNDS {
+        let batch: Vec<LraRequest> = (0..PREFILL_BATCH)
+            .map(|k| {
+                let app = 1 + round * PREFILL_BATCH + k;
+                LraRequest::uniform(
+                    ApplicationId(app),
+                    1,
+                    Resources::new(512, 1),
+                    vec![Tag::new(format!("tiny{}", app % 97))],
+                    Vec::new(),
+                )
+            })
+            .collect();
+        let pivots_before = pivots.get();
+        let t = Instant::now();
+        let placed = scheduler.place_on(&state, &batch, &[], None, None, cache.as_ref());
+        samples.push(t.elapsed().as_micros() as u64);
+        pivots_per_round.push(pivots.get() - pivots_before);
+        for (r, out) in batch.iter().zip(&placed.outcomes) {
+            let pl = out.placement().expect("prefill round must place its batch");
+            for (c, &n) in r.containers.iter().zip(&pl.nodes) {
+                state
+                    .allocate(r.app, n, c, ExecutionKind::LongRunning)
+                    .expect("prefill round committed an infeasible placement");
+            }
+        }
+    }
+    let tally = Tally::default();
+    tally.pivots.set(pivots.get());
+    tally
+        .refactorizations
+        .set(registry.counter("solver.refactorizations_total").get());
+    tally
+        .warm_starts
+        .set(registry.counter("core.relax_warm_start_hits_total").get());
+    let name = format!(
+        "relaxed_round/prefill64_{}",
+        if warm { "warm" } else { "cold" }
     );
+    (summarize(&name, samples, &tally), pivots_per_round)
 }
 
 /// One quality-vs-latency frontier row: an arm at a batch size.
@@ -377,7 +440,7 @@ fn json_escape_free(s: &str) -> &str {
 
 /// The inside of one `instances` row of `BENCH_solver.json`.
 fn instance_json(r: &InstanceResult) -> String {
-    let mut row = format!(
+    format!(
         "\"name\": \"{}\", \"iters\": {}, \"median_us\": {}, \"p99_us\": {}, \
          \"mean_us\": {}, \"pivots_per_solve\": {}, \"refactorizations_per_solve\": {}, \
          \"warm_starts_per_solve\": {:.2}",
@@ -389,15 +452,7 @@ fn instance_json(r: &InstanceResult) -> String {
         r.pivots_per_solve,
         r.refactorizations_per_solve,
         r.warm_starts_per_solve,
-    );
-    if let Some(b) = r.dense_baseline_us {
-        let speedup = b as f64 / r.median_us.max(1) as f64;
-        let _ = write!(
-            row,
-            ", \"dense_baseline_us\": {b}, \"speedup_vs_dense\": {speedup:.2}"
-        );
-    }
-    row
+    )
 }
 
 /// The inside of one `frontier` row.
@@ -422,7 +477,7 @@ fn frontier_json(r: &FrontierRow) -> String {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (lp_iters, milp_iters, rounds) = if smoke { (5, 3, 4) } else { (30, 10, 12) };
+    let (lp_iters, milp_iters) = if smoke { (5, 3) } else { (30, 10) };
     let mut results: Vec<InstanceResult> = Vec::new();
 
     // Family 1: LP relaxations (cold simplex).
@@ -435,7 +490,7 @@ fn main() {
             tally.record(SolveEvent::SimplexPivots(sol.iterations as u64));
             tally.record(SolveEvent::Refactorizations(sol.refactorizations as u64));
         });
-        results.push(summarize(&name, samples, &tally, dense_baseline(&name)));
+        results.push(summarize(&name, samples, &tally));
     }
 
     // Family 2: exact MILP solves (the acceptance-tracked instances).
@@ -449,24 +504,20 @@ fn main() {
                 .solve()
                 .expect("bench model must validate");
         });
-        results.push(summarize(&name, samples, &tally, dense_baseline(&name)));
+        results.push(summarize(&name, samples, &tally));
     }
 
-    // Family 3: scheduler rounds, cold vs cross-round warm cache. The
-    // state is held fixed so every round solves the same skeleton — the
-    // steady state the cache targets.
-    let state = ClusterState::homogeneous(30, Resources::new(16 * 1024, 16), 3);
-    for warm in [false, true] {
-        let name = format!("ilp_round/fig9_{}", if warm { "warm" } else { "cold" });
-        let scheduler = LraScheduler::new(LraAlgorithm::Ilp);
-        let cache = warm.then(IlpBasisCache::default);
-        let mut app = 1u64;
-        let samples = time_solves(1, rounds, || {
-            ilp_round(&state, &scheduler, cache.as_ref(), app);
-            app += 100;
-        });
-        results.push(summarize(&name, samples, &Tally::default(), None));
-    }
+    // Family 3: the prefill rounds, without and with the basis slot.
+    let (cold, cold_pivots) = prefill_rounds(false);
+    let (warm, warm_pivots) = prefill_rounds(true);
+    let after_first = |pivots: &[u64]| pivots[1..].iter().sum::<u64>();
+    assert!(
+        after_first(&warm_pivots) * 10 <= after_first(&cold_pivots),
+        "basis slot gate: warm pivots after round 1 ({}) must be at most a tenth of cold ({})",
+        after_first(&warm_pivots),
+        after_first(&cold_pivots),
+    );
+    results.extend([cold, warm]);
 
     // Family 4: the placer quality-vs-latency frontier (asserts its own
     // >=10x-at-large-batch and zero-hard-violation contract).
@@ -478,12 +529,12 @@ fn main() {
     let frontier = run_frontier(batches);
 
     println!(
-        "{:<24} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6}",
+        "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6}",
         "instance", "iters", "median_us", "p99_us", "mean_us", "pivots", "refac", "warm"
     );
     for r in &results {
         println!(
-            "{:<24} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6.2}",
+            "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6.2}",
             r.name,
             r.iters,
             r.median_us,
@@ -493,15 +544,6 @@ fn main() {
             r.refactorizations_per_solve,
             r.warm_starts_per_solve,
         );
-        if let Some(b) = r.dense_baseline_us {
-            println!(
-                "{:<24} {:>6} {:>10} (dense baseline; {:.2}x)",
-                "",
-                "",
-                b,
-                b as f64 / r.median_us.max(1) as f64
-            );
-        }
     }
     println!(
         "\n{:<28} {:>6} {:>10} {:>10} {:>8} {:>6} {:>8}",

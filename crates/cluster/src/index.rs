@@ -1,8 +1,8 @@
 //! Incremental cluster indexes: inverted tag→node postings with per-node
-//! cardinality counts, and per-resource free-capacity orderings.
+//! cardinality counts, and the free-memory ordering of the nodes.
 //!
 //! Every scheduling round used to answer "which nodes carry tag `t`?" and
-//! "which nodes have at least `r` free?" by scanning all nodes (or all
+//! "which nodes have the most free?" by scanning all nodes (or all
 //! allocations), making a round O(nodes × constraints) — the §6 evaluation
 //! runs at 400 nodes, but production clusters (§2.1, Fig. 1) are tens of
 //! thousands of machines. [`ClusterIndex`] maintains those answers
@@ -12,10 +12,9 @@
 //!
 //! Determinism contract: every query must return *exactly* what the naive
 //! full scan returns, in the same order (node ids ascending, or the
-//! documented free-capacity order). `ClusterState` enforces this by
-//! routing queries through scan fallbacks when the index is disabled via
-//! [`IndexConfig::disabled`]; the differential suite in
-//! `tests/index_differential.rs` checks equality after every mutation.
+//! documented free-capacity order). The scans themselves are the oracles
+//! of `tests/index_differential.rs`, which checks equality after every
+//! random mutation; the library has one path per query, this one.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,66 +22,31 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::resources::Resources;
 use crate::tags::{Tag, TagMultiset};
 
-/// Enables or disables the incremental index layer of a cluster state.
-///
-/// Disabled mode is an escape hatch for differential testing (and for
-/// ruling the index out when debugging a placement): all queries fall
-/// back to naive full scans that return identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexConfig {
-    /// Whether the incremental indexes are maintained and queried.
-    pub enabled: bool,
-}
-
-impl IndexConfig {
-    /// Indexes maintained incrementally and used for queries (default).
-    pub fn enabled() -> Self {
-        IndexConfig { enabled: true }
-    }
-
-    /// No index maintenance; queries use naive full scans.
-    pub fn disabled() -> Self {
-        IndexConfig { enabled: false }
-    }
-}
-
-impl Default for IndexConfig {
-    fn default() -> Self {
-        IndexConfig::enabled()
-    }
-}
-
 /// Counters describing index maintenance and query work, exposed as the
 /// `cluster.index_*` metrics and by the scale benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexStats {
-    /// Whether the index is enabled.
-    pub enabled: bool,
     /// Distinct tags currently holding at least one posting.
     pub distinct_tags: usize,
     /// Incremental posting/ordering mutations applied since creation.
     pub update_ops: u64,
-    /// Full rebuilds (creation, re-enabling, group re-registration).
+    /// Full rebuilds: one, at construction (a restore constructs anew).
     pub rebuilds: u64,
-    /// Nodes visited by index queries (posting entries walked, or nodes
-    /// scanned by the disabled-mode fallbacks).
+    /// Posting and ordering entries walked by index queries.
     pub nodes_visited: u64,
 }
 
 /// The incremental index structures of a [`crate::ClusterState`].
 ///
 /// All maps are ordered (`BTreeMap`/`BTreeSet`) so query iteration order
-/// is deterministic and matches the scan fallbacks.
+/// is deterministic and matches a scan of the nodes.
 #[derive(Debug, Default)]
 pub(crate) struct ClusterIndex {
-    enabled: bool,
     /// Inverted tag index: tag → node id → tag cardinality `γ_n(t)`.
     /// Only nodes with `γ_n(t) > 0` appear.
     tag_nodes: HashMap<Tag, BTreeMap<u32, u32>>,
-    /// Free-memory ordering: `(free_memory_mb, free_vcores, node)`.
+    /// Free-memory ordering: (free memory MB, free vcores, node).
     free_mem: BTreeSet<(u64, u32, u32)>,
-    /// Free-vcore ordering: `(free_vcores, free_memory_mb, node)`.
-    free_vcores: BTreeSet<(u32, u64, u32)>,
     update_ops: u64,
     rebuilds: u64,
     /// Query-side work counter; atomic because queries take `&self` and
@@ -97,10 +61,8 @@ pub(crate) struct ClusterIndex {
 impl Clone for ClusterIndex {
     fn clone(&self) -> Self {
         ClusterIndex {
-            enabled: self.enabled,
             tag_nodes: self.tag_nodes.clone(),
             free_mem: self.free_mem.clone(),
-            free_vcores: self.free_vcores.clone(),
             update_ops: self.update_ops,
             rebuilds: self.rebuilds,
             nodes_visited: AtomicU64::new(self.nodes_visited.load(Ordering::Relaxed)),
@@ -109,22 +71,8 @@ impl Clone for ClusterIndex {
 }
 
 impl ClusterIndex {
-    /// Creates an index in the given mode; call [`ClusterIndex::rebuild`]
-    /// afterwards when enabled.
-    pub(crate) fn new(config: IndexConfig) -> Self {
-        ClusterIndex {
-            enabled: config.enabled,
-            ..ClusterIndex::default()
-        }
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn stats(&self) -> IndexStats {
         IndexStats {
-            enabled: self.enabled,
             distinct_tags: self.tag_nodes.len(),
             update_ops: self.update_ops,
             rebuilds: self.rebuilds,
@@ -143,36 +91,17 @@ impl ClusterIndex {
     ) {
         self.tag_nodes.clear();
         self.free_mem.clear();
-        self.free_vcores.clear();
         self.rebuilds += 1;
-        if !self.enabled {
-            return;
-        }
         for (node, tags, free) in nodes {
             for (t, c) in tags.iter() {
                 self.tag_nodes.entry(t.clone()).or_default().insert(node, c);
             }
             self.free_mem.insert((free.memory_mb, free.vcores, node));
-            self.free_vcores.insert((free.vcores, free.memory_mb, node));
         }
-    }
-
-    /// Switches modes, rebuilding (when enabling) or dropping (when
-    /// disabling) the structures.
-    pub(crate) fn set_config<'a>(
-        &mut self,
-        config: IndexConfig,
-        nodes: impl Iterator<Item = (u32, &'a TagMultiset, Resources)>,
-    ) {
-        self.enabled = config.enabled;
-        self.rebuild(nodes);
     }
 
     /// Registers one more occurrence of `tag` on `node`.
     pub(crate) fn tag_added(&mut self, node: u32, tag: &Tag) {
-        if !self.enabled {
-            return;
-        }
         self.update_ops += 1;
         *self
             .tag_nodes
@@ -185,9 +114,6 @@ impl ClusterIndex {
     /// Removes one occurrence of `tag` from `node`; postings that reach
     /// zero are dropped so no stale entries survive.
     pub(crate) fn tag_removed(&mut self, node: u32, tag: &Tag) {
-        if !self.enabled {
-            return;
-        }
         self.update_ops += 1;
         let Some(postings) = self.tag_nodes.get_mut(tag) else {
             return;
@@ -204,16 +130,14 @@ impl ClusterIndex {
         }
     }
 
-    /// Moves `node` from `old` to `new` in the free-capacity orderings.
+    /// Moves `node` from `old` to `new` in the free-capacity ordering.
     pub(crate) fn free_changed(&mut self, node: u32, old: Resources, new: Resources) {
-        if !self.enabled || old == new {
+        if old == new {
             return;
         }
         self.update_ops += 1;
         self.free_mem.remove(&(old.memory_mb, old.vcores, node));
         self.free_mem.insert((new.memory_mb, new.vcores, node));
-        self.free_vcores.remove(&(old.vcores, old.memory_mb, node));
-        self.free_vcores.insert((new.vcores, new.memory_mb, node));
     }
 
     /// `γ_n(t)` according to the postings (0 when absent).
@@ -254,24 +178,11 @@ impl ClusterIndex {
 
     /// Nodes ordered by free memory descending; ties broken by free
     /// vcores descending, then node id descending (the exact reverse of
-    /// the ascending `(mem, vcores, node)` ordering, so the scan fallback
-    /// can reproduce it).
+    /// the ascending `(mem, vcores, node)` ordering, which a sort of the
+    /// nodes reproduces).
     pub(crate) fn nodes_by_free_memory(&self) -> Vec<u32> {
         self.note_visited(self.free_mem.len() as u64);
         self.free_mem.iter().rev().map(|&(_, _, n)| n).collect()
-    }
-
-    /// Nodes whose free memory is at least `min_mem`, ascending by node
-    /// id (order-normalized so the scan fallback matches trivially).
-    pub(crate) fn nodes_with_free_memory_at_least(&self, min_mem: u64) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .free_mem
-            .range((min_mem, 0, 0)..)
-            .map(|&(_, _, n)| n)
-            .collect();
-        self.note_visited(out.len() as u64);
-        out.sort_unstable();
-        out
     }
 
     /// Verifies the index against ground truth; returns the first
@@ -280,18 +191,13 @@ impl ClusterIndex {
         &self,
         nodes: impl Iterator<Item = (u32, &'a TagMultiset, Resources)> + Clone,
     ) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
         let mut expected_tags: HashMap<Tag, BTreeMap<u32, u32>> = HashMap::new();
         let mut expected_mem: BTreeSet<(u64, u32, u32)> = BTreeSet::new();
-        let mut expected_vc: BTreeSet<(u32, u64, u32)> = BTreeSet::new();
         for (node, tags, free) in nodes {
             for (t, c) in tags.iter() {
                 expected_tags.entry(t.clone()).or_default().insert(node, c);
             }
             expected_mem.insert((free.memory_mb, free.vcores, node));
-            expected_vc.insert((free.vcores, free.memory_mb, node));
         }
         for (t, postings) in &self.tag_nodes {
             if postings.is_empty() {
@@ -314,9 +220,6 @@ impl ClusterIndex {
         if self.free_mem != expected_mem {
             return Err("free-memory ordering diverged from node state".to_string());
         }
-        if self.free_vcores != expected_vc {
-            return Err("free-vcore ordering diverged from node state".to_string());
-        }
         Ok(())
     }
 }
@@ -335,7 +238,7 @@ mod tests {
 
     #[test]
     fn postings_add_remove_roundtrip() {
-        let mut ix = ClusterIndex::new(IndexConfig::enabled());
+        let mut ix = ClusterIndex::default();
         ix.tag_added(3, &t("hb"));
         ix.tag_added(3, &t("hb"));
         ix.tag_added(5, &t("hb"));
@@ -351,7 +254,7 @@ mod tests {
 
     #[test]
     fn intersection_starts_from_rarest() {
-        let mut ix = ClusterIndex::new(IndexConfig::enabled());
+        let mut ix = ClusterIndex::default();
         for n in 0..100 {
             ix.tag_added(n, &t("common"));
         }
@@ -368,7 +271,7 @@ mod tests {
 
     #[test]
     fn free_orderings_follow_updates() {
-        let mut ix = ClusterIndex::new(IndexConfig::enabled());
+        let mut ix = ClusterIndex::default();
         ix.rebuild(
             [
                 (0u32, &TagMultiset::new(), r(4096, 4)),
@@ -380,22 +283,11 @@ mod tests {
         assert_eq!(ix.nodes_by_free_memory(), vec![1, 0, 2]);
         ix.free_changed(1, r(8192, 8), r(1024, 8));
         assert_eq!(ix.nodes_by_free_memory(), vec![0, 2, 1]);
-        assert_eq!(ix.nodes_with_free_memory_at_least(4096), vec![0, 2]);
-    }
-
-    #[test]
-    fn disabled_index_stays_empty() {
-        let mut ix = ClusterIndex::new(IndexConfig::disabled());
-        ix.tag_added(0, &t("x"));
-        ix.free_changed(0, r(10, 1), r(5, 1));
-        assert_eq!(ix.stats().update_ops, 0);
-        assert_eq!(ix.stats().distinct_tags, 0);
-        assert!(ix.check_consistency(std::iter::empty()).is_ok());
     }
 
     #[test]
     fn consistency_detects_staleness() {
-        let mut ix = ClusterIndex::new(IndexConfig::enabled());
+        let mut ix = ClusterIndex::default();
         let tags: TagMultiset = [t("a")].into_iter().collect();
         ix.rebuild([(0u32, &tags, r(100, 1))].into_iter());
         assert!(ix

@@ -27,7 +27,7 @@ mod tags;
 
 pub use container::{ApplicationId, ContainerId, ContainerRequest, ExecutionKind};
 pub use groups::{GroupError, NodeGroupId, NodeGroups, NodeSetIndex};
-pub use index::{IndexConfig, IndexStats};
+pub use index::IndexStats;
 pub use node::{Node, NodeId};
 pub use resources::Resources;
 pub use restore::RestoreError;

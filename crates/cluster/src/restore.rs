@@ -155,9 +155,8 @@ impl ClusterState {
     }
 
     /// Rebuilds a full `ClusterState` from a checkpoint document. The
-    /// restored state has no journal attached (re-attach explicitly)
-    /// and index mode enabled per the default config; use
-    /// [`ClusterState::set_index_config`] afterwards to change it.
+    /// restored state has no journal attached (re-attach explicitly);
+    /// its index is built from the restored nodes.
     pub fn from_checkpoint(doc: &CheckpointDoc) -> Result<ClusterState, RestoreError> {
         // Nodes must be the dense 0..n range, ascending.
         for (i, n) in doc.nodes.iter().enumerate() {

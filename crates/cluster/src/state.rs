@@ -13,7 +13,7 @@ use medea_journal::{JournalOp, JournalRecord, Wal};
 
 use crate::container::{ApplicationId, ContainerId, ContainerRequest, ExecutionKind};
 use crate::groups::{NodeGroupId, NodeGroups};
-use crate::index::{ClusterIndex, IndexConfig, IndexStats};
+use crate::index::{ClusterIndex, IndexStats};
 use crate::node::{Node, NodeId};
 use crate::resources::Resources;
 use crate::tags::{Tag, TagMultiset};
@@ -215,7 +215,7 @@ impl ClusterState {
             app_containers: HashMap::new(),
             next_container: 0,
             group_tags: HashMap::new(),
-            index: ClusterIndex::new(IndexConfig::default()),
+            index: ClusterIndex::default(),
             last_app_tag: None,
             epoch: 0,
             node_generation: vec![0; num_nodes],
@@ -335,30 +335,6 @@ impl ClusterState {
             .filter(|&(_, &g)| g > since)
             .map(|(i, _)| NodeId(i as u32))
             .collect()
-    }
-
-    /// Switches the index layer on or off (see [`IndexConfig`]); enabling
-    /// rebuilds from current state, disabling drops the structures and
-    /// routes every query through its naive full-scan fallback.
-    pub fn set_index_config(&mut self, config: IndexConfig) {
-        self.index.set_config(
-            config,
-            self.node_state
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, &s.tags, s.free)),
-        );
-    }
-
-    /// Builder form of [`ClusterState::set_index_config`].
-    pub fn with_index_config(mut self, config: IndexConfig) -> Self {
-        self.set_index_config(config);
-        self
-    }
-
-    /// Whether the incremental indexes are enabled.
-    pub fn index_enabled(&self) -> bool {
-        self.index.is_enabled()
     }
 
     /// Maintenance/query counters of the index layer (the `cluster.index_*`
@@ -595,86 +571,42 @@ impl ClusterState {
         set.iter().map(|&n| self.gamma(n, tag)).sum()
     }
 
-    /// Nodes with `γ_n(t) > 0`, in ascending node-id order. Indexed:
-    /// O(result) via the tag postings; disabled: full scan with identical
-    /// output.
+    /// Nodes with `γ_n(t) > 0`, in ascending node-id order: O(result) via
+    /// the tag postings.
     pub fn nodes_with_tag(&self, tag: &Tag) -> Vec<NodeId> {
-        if self.index.is_enabled() {
-            let Some(postings) = self.index.postings(tag) else {
-                return Vec::new();
-            };
-            self.index.note_visited(postings.len() as u64);
-            return postings.keys().map(|&n| NodeId(n)).collect();
-        }
-        self.index.note_visited(self.nodes.len() as u64);
-        self.node_ids()
-            .filter(|&n| self.gamma(n, tag) > 0)
-            .collect()
+        let Some(postings) = self.index.postings(tag) else {
+            return Vec::new();
+        };
+        self.index.note_visited(postings.len() as u64);
+        postings.keys().map(|&n| NodeId(n)).collect()
     }
 
     /// Nodes carrying at least one occurrence of *every* given tag, in
     /// ascending node-id order; an empty tag list matches all nodes.
-    /// Indexed queries walk only the rarest tag's postings.
+    /// Walks only the rarest tag's postings.
     pub fn nodes_with_all_tags(&self, tags: &[Tag]) -> Vec<NodeId> {
         if tags.is_empty() {
             return self.node_ids().collect();
         }
-        if self.index.is_enabled() {
-            return self
-                .index
-                .nodes_with_all_tags(tags)
-                .into_iter()
-                .map(NodeId)
-                .collect();
-        }
-        self.index.note_visited(self.nodes.len() as u64);
-        self.node_ids()
-            .filter(|&n| tags.iter().all(|t| self.gamma(n, t) > 0))
+        self.index
+            .nodes_with_all_tags(tags)
+            .into_iter()
+            .map(NodeId)
             .collect()
     }
 
     /// All nodes ordered by free memory descending, ties broken by free
-    /// vcores descending then node id descending (identical in both index
-    /// modes).
+    /// vcores descending then node id descending.
     pub fn nodes_by_free_memory(&self) -> Vec<NodeId> {
-        if self.index.is_enabled() {
-            return self
-                .index
-                .nodes_by_free_memory()
-                .into_iter()
-                .map(NodeId)
-                .collect();
-        }
-        self.index.note_visited(self.nodes.len() as u64);
-        let mut keyed: Vec<(u64, u32, u32)> = self
-            .node_state
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.free.memory_mb, s.free.vcores, i as u32))
-            .collect();
-        keyed.sort_unstable();
-        keyed.into_iter().rev().map(|(_, _, n)| NodeId(n)).collect()
-    }
-
-    /// Nodes with at least `min_memory_mb` free, ascending by node id.
-    /// Indexed: a range walk of the free-capacity ordering.
-    pub fn nodes_with_free_memory_at_least(&self, min_memory_mb: u64) -> Vec<NodeId> {
-        if self.index.is_enabled() {
-            return self
-                .index
-                .nodes_with_free_memory_at_least(min_memory_mb)
-                .into_iter()
-                .map(NodeId)
-                .collect();
-        }
-        self.index.note_visited(self.nodes.len() as u64);
-        self.node_ids()
-            .filter(|&n| self.node_state[n.index()].free.memory_mb >= min_memory_mb)
+        self.index
+            .nodes_by_free_memory()
+            .into_iter()
+            .map(NodeId)
             .collect()
     }
 
-    /// Verifies every incremental structure — tag postings, free-capacity
-    /// orderings, and the per-group `γ_𝒮` caches — against a full
+    /// Verifies every incremental structure — tag postings, the
+    /// free-memory ordering, and the per-group `γ_𝒮` caches — against a full
     /// recomputation from node state. Returns the first discrepancy; used
     /// by the differential/chaos test suites as the state invariant.
     pub fn check_index_consistency(&self) -> Result<(), String> {

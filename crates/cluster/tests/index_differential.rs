@@ -13,8 +13,8 @@
 //!    scratch.
 
 use medea_cluster::{
-    ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind, IndexConfig,
-    NodeGroupId, NodeId, Resources, Tag,
+    ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind, NodeGroupId, NodeId,
+    Resources, Tag,
 };
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -250,80 +250,5 @@ fn index_matches_scan_oracle_under_random_ops() {
         }
         assert_eq!(state.num_containers(), 0);
         state.check_index_consistency().unwrap();
-    }
-}
-
-// ---- The runtime toggle's own tests; they go when the toggle does ----
-
-fn oracle_free_at_least(s: &ClusterState, min: u64) -> Vec<NodeId> {
-    s.node_ids()
-        .filter(|&n| s.free(n).unwrap().memory_mb >= min)
-        .collect()
-}
-
-/// The disabled-index twin replays the same ops and must answer every
-/// query exactly as the oracle (and so as the indexed state) does.
-#[test]
-fn disabled_twin_matches_scan_oracle_under_random_ops() {
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(0x1D1F ^ seed);
-        let mut on = build_state();
-        let mut off = build_state().with_index_config(IndexConfig::disabled());
-        assert!(on.index_enabled() && !off.index_enabled());
-        let mut live_on: Vec<ContainerId> = Vec::new();
-        let mut live_off: Vec<ContainerId> = Vec::new();
-
-        for step in 0..OPS_PER_SEED {
-            let op = random_op(&mut rng);
-            apply(&mut on, &op, &mut live_on);
-            apply(&mut off, &op, &mut live_off);
-            assert_eq!(
-                live_on, live_off,
-                "seed {seed} step {step}: container id drift"
-            );
-            check_step(seed, step, &off);
-            for min in [0u64, 1, 1024, 8 * 1024, 16 * 1024, 20 * 1024] {
-                let expected = oracle_free_at_least(&on, min);
-                assert_eq!(on.nodes_with_free_memory_at_least(min), expected);
-                assert_eq!(off.nodes_with_free_memory_at_least(min), expected);
-            }
-        }
-    }
-}
-
-/// Toggling the index off and on mid-stream rebuilds it exactly: a
-/// rebuilt index must answer identically to one maintained throughout.
-#[test]
-fn reenabling_index_rebuilds_exactly() {
-    for seed in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(0x7EB1 ^ seed);
-        let mut state = build_state();
-        let mut live: Vec<ContainerId> = Vec::new();
-        for _ in 0..40 {
-            let op = random_op(&mut rng);
-            apply(&mut state, &op, &mut live);
-        }
-        let before = state.index_stats().rebuilds;
-        state.set_index_config(IndexConfig::disabled());
-        // Mutations while disabled must not poison a later rebuild.
-        for _ in 0..40 {
-            let op = random_op(&mut rng);
-            apply(&mut state, &op, &mut live);
-        }
-        state.set_index_config(IndexConfig::enabled());
-        assert!(
-            state.index_stats().rebuilds > before,
-            "seed {seed}: no rebuild"
-        );
-        state.check_index_consistency().unwrap();
-        for t in 0..TAG_UNIVERSE {
-            let tag = tag_name(t);
-            assert_eq!(
-                state.nodes_with_tag(&tag),
-                oracle_nodes_with_tag(&state, &tag),
-                "seed {seed}: rebuilt postings diverge"
-            );
-        }
-        assert_eq!(state.nodes_by_free_memory(), oracle_by_free_memory(&state));
     }
 }

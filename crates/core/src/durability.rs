@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use medea_cluster::{
-    ApplicationId, ClusterState, ContainerId, ExecutionKind, IndexConfig, NodeId, RestoreError,
+    ApplicationId, ClusterState, ContainerId, ExecutionKind, NodeId, RestoreError,
 };
 use medea_journal::{
     CheckpointDoc, CheckpointSpec, JournalError, JournalOp, JournalRecord, JournalStats, Wal,
@@ -340,15 +340,6 @@ impl MedeaScheduler {
             report.restore_us = t0.elapsed().as_micros() as u64;
             report.replayed_ops = replayed;
             report.restored_from_journal = true;
-            // The index configuration is operator state, not cluster
-            // state: carry the live setting over to the rebuilt state.
-            if restored.index_enabled() != self.state.index_enabled() {
-                restored.set_index_config(if self.state.index_enabled() {
-                    IndexConfig::enabled()
-                } else {
-                    IndexConfig::disabled()
-                });
-            }
             restored.attach_wal(wal);
             self.state = restored;
         }

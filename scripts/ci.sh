@@ -25,7 +25,7 @@ step "cargo fmt --check" cargo fmt --all -- --check
 step "cargo clippy (warnings denied)" \
     cargo clippy --workspace --all-targets --offline -- -D warnings
 step "cargo build --release --offline (all targets)" \
-    cargo build --release --offline --workspace --benches --tests
+    cargo build --release --offline --workspace --tests
 step "cargo test (debug)" cargo test --offline --workspace -q
 step "cargo test (release)" cargo test --release --offline --workspace -q
 step "non-test lines (the count CHANGES entries quote)" scripts/loc.sh
@@ -53,10 +53,28 @@ no_committed_smoke() {
 }
 step "no committed BENCH_*.json in smoke mode" no_committed_smoke
 
-# Each smoke run exits nonzero when its own gate fails (serve: protocol
-# errors or dropped responses; lifecycle: hard violations, budget
+# A committed result without the binary that writes it can only go stale,
+# and a binary without a committed result has no trajectory.
+no_orphan_bench() {
+    local f b status=0
+    for f in BENCH_*.json; do
+        b=${f#BENCH_}
+        b=crates/bench/src/bin/${b%.json}_bench.rs
+        [ -f "$b" ] || { echo "error: $f has no $b" >&2; status=1; }
+    done
+    for b in crates/bench/src/bin/*_bench.rs; do
+        f=$(basename "$b" _bench.rs)
+        f=BENCH_$f.json
+        [ -f "$f" ] || { echo "error: $b has no committed $f" >&2; status=1; }
+    done
+    return $status
+}
+step "every BENCH_<x>.json has its <x>_bench binary and vice versa" no_orphan_bench
+
+# Each smoke run exits nonzero when its own gate fails (solver: the
+# frontier and basis-slot contracts; lifecycle: hard violations, budget
 # overruns, broken ledger).
-for bench in solver scale pipeline recovery serve lifecycle; do
+for bench in solver scale pipeline recovery lifecycle; do
     step "$bench benchmark smoke (writes target/bench-smoke/BENCH_$bench.json)" \
         bench_smoke "${bench}_bench"
 done
