@@ -56,6 +56,15 @@ impl Client {
         }
     }
 
+    /// A second handle on the same connection with its own read buffer,
+    /// for a thread that drains replies while this one writes.
+    pub fn try_clone(&self) -> Client {
+        Client {
+            stream: self.stream.try_clone().expect("clone stream"),
+            reader: FrameReader::new(MAX_FRAME_BYTES),
+        }
+    }
+
     /// Sends one request frame.
     pub fn send(&mut self, req: &Request) {
         write_frame(&mut self.stream, req.encode().as_bytes()).expect("send frame");

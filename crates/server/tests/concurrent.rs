@@ -14,12 +14,10 @@
 
 mod common;
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use common::{start, Client};
-use medea_server::{
-    AdmissionConfig, ContainerSpec, FrameReader, Request, Response, MAX_FRAME_BYTES,
-};
+use medea_server::{AdmissionConfig, ContainerSpec, Request, Response};
 
 const CLIENTS: u64 = 8;
 const APPS_PER_CLIENT: u64 = 6;
@@ -129,34 +127,18 @@ fn eight_clients_interleaved_place_release_query() {
                 // Phase 5: full duplex. This thread writes frames without
                 // waiting while a receiver on the same connection drains
                 // the replies; the sentinel query closes the stream.
-                let mut recv_stream = c.stream.try_clone().expect("clone stream");
+                let mut rx = c.try_clone();
                 let receiver = std::thread::spawn(move || {
-                    let mut reader = FrameReader::new(MAX_FRAME_BYTES);
                     let mut got: Vec<u64> = Vec::new();
-                    let mut last_progress = Instant::now();
                     loop {
-                        match reader.poll(&mut recv_stream) {
-                            Ok(Some(payload)) => {
-                                let text = std::str::from_utf8(&payload).expect("reply is UTF-8");
-                                let resp = Response::decode(text).expect("reply decodes");
-                                assert!(
-                                    matches!(
-                                        resp,
-                                        Response::Accepted { .. } | Response::AppStatus { .. }
-                                    ),
-                                    "client {t}: clean duplex traffic got {resp:?}"
-                                );
-                                got.push(resp.id());
-                                last_progress = Instant::now();
-                                if resp.id() == u64::MAX {
-                                    return got;
-                                }
-                            }
-                            Ok(None) => assert!(
-                                last_progress.elapsed() < Duration::from_secs(30),
-                                "client {t}: duplex receiver starved for 30s"
-                            ),
-                            Err(e) => panic!("client {t}: duplex receiver: {e}"),
+                        let resp = rx.recv();
+                        assert!(
+                            matches!(resp, Response::Accepted { .. } | Response::AppStatus { .. }),
+                            "client {t}: clean duplex traffic got {resp:?}"
+                        );
+                        got.push(resp.id());
+                        if resp.id() == u64::MAX {
+                            return got;
                         }
                     }
                 });
