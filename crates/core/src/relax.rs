@@ -746,4 +746,70 @@ mod tests {
         assert_eq!(snap.counter("solver.warm_starts_total"), Some(1));
         assert_eq!(snap.counter("core.relax_warm_start_hits_total"), Some(1));
     }
+
+    /// The LP-fallback exit has no public trigger: hand `validate_outcomes`
+    /// a placement with one hard violation and one over-capacity request.
+    #[test]
+    fn validation_evicts_violating_and_unallocatable_requests() {
+        let mut state = ClusterState::homogeneous(2, Resources::new(4096, 4), 1);
+        let request = |app, mem, tag: &str, constraints| {
+            LraRequest::uniform(
+                ApplicationId(app),
+                1,
+                Resources::new(mem, 1),
+                vec![Tag::new(tag)],
+                constraints,
+            )
+        };
+        let spread = PlacementConstraint::anti_affinity("x", "x", NodeGroupId::node()).hard();
+        let requests = [
+            request(1, 1024, "x", vec![spread.clone()]),
+            request(2, 8192, "y", vec![]),
+            request(3, 1024, "y", vec![]),
+            request(4, 1024, "y", vec![]),
+        ];
+        state
+            .allocate(
+                ApplicationId(9),
+                NodeId(0),
+                &requests[0].containers[0],
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        let on = |app, node| {
+            PlacementOutcome::Placed(LraPlacement {
+                app: ApplicationId(app),
+                nodes: vec![NodeId(node)],
+            })
+        };
+        let unplaced = |app| PlacementOutcome::Unplaced {
+            app: ApplicationId(app),
+        };
+        let new_containers: Vec<ilp::NewContainer> = requests
+            .iter()
+            .enumerate()
+            .map(|(ri, r)| ilp::NewContainer {
+                req_idx: ri,
+                cont_idx: 0,
+                tags: r.containers[0].tags.clone(),
+                resources: r.containers[0].resources,
+            })
+            .collect();
+        let subject_of = vec![vec![true], vec![false], vec![false], vec![false]];
+        let mut report = RelaxReport::default();
+        let before = state.digest();
+        let out = validate_outcomes(
+            &state,
+            &requests,
+            // Next to the deployed `x`; larger than any node; fine; not placed.
+            vec![on(1, 0), on(2, 1), on(3, 1), unplaced(4)],
+            &[&spread],
+            &subject_of,
+            &new_containers,
+            &mut report,
+        );
+        assert_eq!(out, vec![unplaced(1), unplaced(2), on(3, 1), unplaced(4)]);
+        assert_eq!(report.evicted_lras, 2);
+        assert_eq!(state.digest(), before);
+    }
 }

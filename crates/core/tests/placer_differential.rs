@@ -24,7 +24,8 @@
 use std::time::Duration;
 
 use medea_cluster::{
-    ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
+    Tag,
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
@@ -456,6 +457,96 @@ fn entry_points_agree_for_every_arm() {
                     mode.name()
                 );
             }
+        }
+    }
+}
+
+/// Every other node, ascending: a shard-like restriction.
+fn every_other_node(state: &ClusterState) -> Vec<NodeId> {
+    state.node_ids().step_by(2).collect()
+}
+
+/// `random_instance` with a deployed container on every node that the
+/// batch's constraints can see, so a stage that let go of (or kept) the
+/// wrong container shows in the digest.
+fn deployed_instance(seed: u64) -> Instance {
+    let Instance {
+        mut state,
+        requests,
+    } = random_instance(seed);
+    for (i, n) in state.node_ids().enumerate().collect::<Vec<_>>() {
+        let tag = Tag::new(["a", "b", "c"][i % 3]);
+        let deployed = ContainerRequest::new(Resources::new(512, 1), [tag]);
+        state
+            .allocate(ApplicationId(900), n, &deployed, ExecutionKind::LongRunning)
+            .unwrap();
+    }
+    Instance { state, requests }
+}
+
+/// Placing is a pure function of the state it is handed: for every arm,
+/// over the whole cluster and over a node subset, two calls on the same
+/// state give the same outcomes and leave its digest as found. The
+/// relaxed arm must reach its optimal-LP exit both with every request
+/// rounded and with a residue handed to the exact arm.
+#[test]
+fn placing_twice_is_identical_and_leaves_the_state_as_found() {
+    let (mut empty_residue, mut with_residue) = (0usize, 0usize);
+    for seed in 0..SEEDS {
+        let Instance { state, requests } = deployed_instance(seed);
+        let subset = every_other_node(&state);
+        let before = state.digest();
+        for (alg, mode) in dispatch_table() {
+            for allowed in [None, Some(subset.as_slice())] {
+                let first = fresh(alg, mode).place_on(&state, &requests, &[], allowed, None, None);
+                let second = fresh(alg, mode).place_on(&state, &requests, &[], allowed, None, None);
+                let label = format!("seed {seed} {alg}/{} allowed={allowed:?}", mode.name());
+                assert_eq!(
+                    first.outcomes, second.outcomes,
+                    "{label}: second call differs"
+                );
+                assert_eq!(state.digest(), before, "{label}: state not left as found");
+                if let Some(report) = first.relax.filter(|r| r.lp_optimal) {
+                    if report.residue_lras > 0 {
+                        with_residue += 1;
+                    } else {
+                        empty_residue += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(empty_residue > 0, "no relaxed run rounded every request");
+    assert!(
+        with_residue > 0,
+        "no relaxed run handed a residue to the exact arm"
+    );
+}
+
+/// A node restriction handed to the baselines is the same placement as
+/// masking the other nodes unavailable by hand (both scan ascending ids,
+/// so first-maximum ties cannot move).
+#[test]
+fn restricted_baselines_match_masking_by_hand() {
+    for seed in 0..SEEDS {
+        let Instance { state, requests } = deployed_instance(seed);
+        let subset = every_other_node(&state);
+        let mut masked = state.clone();
+        for n in state.node_ids().filter(|n| !subset.contains(n)) {
+            masked.set_available(n, false).unwrap();
+        }
+        for alg in [
+            LraAlgorithm::JKube,
+            LraAlgorithm::JKubePlusPlus,
+            LraAlgorithm::Yarn,
+        ] {
+            let scheduler = LraScheduler::new(alg);
+            let restricted = scheduler.place_on(&state, &requests, &[], Some(&subset), None, None);
+            let by_hand = scheduler.place_on(&masked, &requests, &[], None, None, None);
+            assert_eq!(
+                restricted.outcomes, by_hand.outcomes,
+                "seed {seed} {alg}: restricted != masked by hand"
+            );
         }
     }
 }
