@@ -196,7 +196,7 @@ fn prefill_rounds(warm: bool) -> (InstanceResult, Vec<u64>) {
             .collect();
         let pivots_before = pivots.get();
         let t = Instant::now();
-        let placed = scheduler.place_on(&state, &batch, &[], None, None, cache.as_ref());
+        let placed = scheduler.place_on(&mut state, &batch, &[], None, None, cache.as_ref());
         samples.push(t.elapsed().as_micros() as u64);
         pivots_per_round.push(pivots.get() - pivots_before);
         for (r, out) in batch.iter().zip(&placed.outcomes) {
@@ -346,7 +346,7 @@ fn run_round(
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut gaps = Vec::new();
     for (chunk, part) in chunks.iter().zip(&parts) {
-        let placed = scheduler.place_on(&work, chunk, &deployed, Some(part), Some(arm), None);
+        let placed = scheduler.place_on(&mut work, chunk, &deployed, Some(part), Some(arm), None);
         gaps.extend(placed.relax.and_then(|report| report.relative_gap()));
         let outs = placed.outcomes;
         for (r, out) in chunk.iter().zip(&outs) {

@@ -30,8 +30,6 @@ pub struct IndexStats {
     pub distinct_tags: usize,
     /// Incremental posting/ordering mutations applied since creation.
     pub update_ops: u64,
-    /// Full rebuilds: one, at construction (a restore constructs anew).
-    pub rebuilds: u64,
     /// Posting and ordering entries walked by index queries.
     pub nodes_visited: u64,
 }
@@ -48,7 +46,6 @@ pub(crate) struct ClusterIndex {
     /// Free-memory ordering: (free memory MB, free vcores, node).
     free_mem: BTreeSet<(u64, u32, u32)>,
     update_ops: u64,
-    rebuilds: u64,
     /// Query-side work counter; atomic because queries take `&self` and
     /// snapshot queries may run concurrently on reader threads (the
     /// server's query path shares a frozen [`crate::ClusterSnapshot`]
@@ -64,7 +61,6 @@ impl Clone for ClusterIndex {
             tag_nodes: self.tag_nodes.clone(),
             free_mem: self.free_mem.clone(),
             update_ops: self.update_ops,
-            rebuilds: self.rebuilds,
             nodes_visited: AtomicU64::new(self.nodes_visited.load(Ordering::Relaxed)),
         }
     }
@@ -75,7 +71,6 @@ impl ClusterIndex {
         IndexStats {
             distinct_tags: self.tag_nodes.len(),
             update_ops: self.update_ops,
-            rebuilds: self.rebuilds,
             nodes_visited: self.nodes_visited.load(Ordering::Relaxed),
         }
     }
@@ -91,7 +86,6 @@ impl ClusterIndex {
     ) {
         self.tag_nodes.clear();
         self.free_mem.clear();
-        self.rebuilds += 1;
         for (node, tags, free) in nodes {
             for (t, c) in tags.iter() {
                 self.tag_nodes.entry(t.clone()).or_default().insert(node, c);

@@ -33,5 +33,5 @@ pub use resources::Resources;
 pub use restore::RestoreError;
 pub use shard::{ShardConfig, ShardPlan};
 pub use snapshot::ClusterSnapshot;
-pub use state::{Allocation, ClusterError, ClusterState, UtilizationStats};
+pub use state::{state_clones, Allocation, ClusterError, ClusterState, Scratch, UtilizationStats};
 pub use tags::{Tag, TagMultiset};

@@ -57,9 +57,10 @@ impl ClusterSnapshot {
         &self.state
     }
 
-    /// Mutable access to the frozen state: the propose phase applies the
-    /// solver's own placements here to establish the commit-time
-    /// validation baseline. Mutations affect only the snapshot.
+    /// Mutable access to the frozen state: the round's solver stages and
+    /// its commit-time validation baseline place on it tentatively, each
+    /// under a [`crate::Scratch`] guard that leaves it as captured.
+    /// Mutations never reach the live state.
     pub fn state_mut(&mut self) -> &mut ClusterState {
         &mut self.state
     }

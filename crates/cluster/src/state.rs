@@ -5,8 +5,10 @@
 //! performs *all* actual allocations against it, which is how Medea avoids
 //! the conflicting-placement problem of multi-level schedulers.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
 
 use medea_journal::{JournalOp, JournalRecord, Wal};
@@ -117,9 +119,13 @@ pub struct UtilizationStats {
 /// ```
 #[derive(Debug)]
 pub struct ClusterState {
-    pub(crate) nodes: Vec<Node>,
+    /// Static node descriptions: never mutated after construction, so
+    /// copies share them.
+    pub(crate) nodes: Arc<[Node]>,
     pub(crate) node_state: Vec<NodeState>,
-    pub(crate) groups: NodeGroups,
+    /// Mutated only by [`ClusterState::register_group`] (copy-on-write
+    /// there); copies share it.
+    pub(crate) groups: Arc<NodeGroups>,
     pub(crate) allocations: HashMap<ContainerId, Allocation>,
     pub(crate) app_containers: HashMap<ApplicationId, Vec<ContainerId>>,
     pub(crate) next_container: u64,
@@ -151,13 +157,31 @@ pub struct ClusterState {
     /// scratch state whose mutations must never reach the log — only the
     /// live state journals.
     pub(crate) journal: Option<Arc<Mutex<Wal>>>,
+    /// Containers allocated under the open [`Scratch`] guards, oldest
+    /// first; empty whenever none is open.
+    scratch_log: Vec<ContainerId>,
+    /// `Some(mark)` while a [`Scratch`] guard is open: `allocate` and
+    /// `release` are then tentative, and `scratch_log[mark..]` is what
+    /// the innermost guard still has to release.
+    scratch_open: Option<usize>,
     /// Threshold below which a non-idle node counts as fragmented
     /// (default: 2 GB / 1 core, the paper's §7.4 definition).
     pub fragmentation_threshold: Resources,
 }
 
+thread_local! {
+    static STATE_CLONES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`ClusterState`] deep copies this thread has made so far, counted where
+/// they happen: "copies per scheduling round" is an exact difference.
+pub fn state_clones() -> u64 {
+    STATE_CLONES.with(Cell::get)
+}
+
 impl Clone for ClusterState {
     fn clone(&self) -> Self {
+        STATE_CLONES.with(|n| n.set(n.get() + 1));
         ClusterState {
             nodes: self.nodes.clone(),
             node_state: self.node_state.clone(),
@@ -176,8 +200,61 @@ impl Clone for ClusterState {
             // state (snapshot, what-if copy) and journaling its mutations
             // would corrupt the durable history of the live state.
             journal: None,
+            // A copy is its own base: whatever a guard holds on the
+            // original is plain content here.
+            scratch_log: Vec::new(),
+            scratch_open: None,
             fragmentation_threshold: self.fragmentation_threshold,
         }
+    }
+}
+
+/// A rollback guard over a [`ClusterState`]: the solver stages place
+/// containers tentatively on the round's one snapshot and leave it
+/// exactly as found.
+///
+/// Reads are the state's own API (through `Deref`). While the guard is
+/// open, [`ClusterState::allocate`] and [`ClusterState::release`] are
+/// *tentative*: they maintain everything a placer reads (free resources,
+/// `γ`, the indexes, the per-app lists) but bump neither the epoch nor
+/// the change log, never reach an attached journal, and are logged.
+/// Dropping the guard — on any path, early return included — releases
+/// what is still allocated, newest first, and restores the container-id
+/// counter, so [`ClusterState::digest`] reads byte for byte what it read
+/// before. Guards nest ([`ClusterState::scratch`] on a guard): the inner
+/// one rolls back to where it was opened. A guard can release only what
+/// it allocated, and rolls back nothing but allocations: availability,
+/// node tags and groups must not change under one.
+#[derive(Debug)]
+pub struct Scratch<'a> {
+    state: &'a mut ClusterState,
+    /// The enclosing guard's mark (`None`: this is the outermost).
+    outer: Option<usize>,
+    next_container: u64,
+}
+
+impl Deref for Scratch<'_> {
+    type Target = ClusterState;
+
+    fn deref(&self) -> &ClusterState {
+        self.state
+    }
+}
+
+impl DerefMut for Scratch<'_> {
+    fn deref_mut(&mut self) -> &mut ClusterState {
+        self.state
+    }
+}
+
+impl Drop for Scratch<'_> {
+    fn drop(&mut self) {
+        let mark = self.state.scratch_open.unwrap_or(0);
+        for id in self.state.scratch_log.split_off(mark).into_iter().rev() {
+            let _ = self.state.release_inner(id, false);
+        }
+        self.state.next_container = self.next_container;
+        self.state.scratch_open = self.outer;
     }
 }
 
@@ -208,9 +285,9 @@ impl ClusterState {
             .collect();
         let num_nodes = nodes.len();
         let mut state = ClusterState {
-            nodes,
+            nodes: nodes.into(),
             node_state,
-            groups,
+            groups: Arc::new(groups),
             allocations: HashMap::new(),
             app_containers: HashMap::new(),
             next_container: 0,
@@ -222,6 +299,8 @@ impl ClusterState {
             change_log: VecDeque::new(),
             change_log_floor: 0,
             journal: None,
+            scratch_log: Vec::new(),
+            scratch_open: None,
             fragmentation_threshold: Resources::new(2048, 1),
         };
         state.rebuild_group_tags();
@@ -259,6 +338,10 @@ impl ClusterState {
     /// Records a mutation of `node`: bumps the global epoch, stamps the
     /// node's generation, and appends to the bounded change log.
     fn touch(&mut self, node: NodeId) {
+        debug_assert!(
+            self.scratch_open.is_none(),
+            "a Scratch guard rolls back allocations only"
+        );
         self.epoch += 1;
         if let Some(g) = self.node_generation.get_mut(node.index()) {
             *g = self.epoch;
@@ -276,6 +359,10 @@ impl ClusterState {
     /// Records a mutation affecting every node (group topology changes):
     /// one epoch bump, all generations stamped, change log reset.
     fn touch_all(&mut self) {
+        debug_assert!(
+            self.scratch_open.is_none(),
+            "a Scratch guard rolls back allocations only"
+        );
         self.epoch += 1;
         for g in &mut self.node_generation {
             *g = self.epoch;
@@ -298,6 +385,16 @@ impl ClusterState {
     /// [`crate::ClusterSnapshot::capture`]).
     pub fn snapshot(&self) -> crate::ClusterSnapshot {
         crate::ClusterSnapshot::capture(self)
+    }
+
+    /// Opens a rollback guard: until it drops, `allocate` / `release`
+    /// are tentative and undone on drop (see [`Scratch`]).
+    pub fn scratch(&mut self) -> Scratch<'_> {
+        Scratch {
+            outer: self.scratch_open.replace(self.scratch_log.len()),
+            next_container: self.next_container,
+            state: self,
+        }
     }
 
     /// Nodes mutated after epoch `since`, ascending and deduplicated.
@@ -354,7 +451,7 @@ impl ClusterState {
                 .map(|set| set.iter().map(|n| n.0).collect())
                 .collect(),
         });
-        self.groups.register(group, node_sets);
+        Arc::make_mut(&mut self.groups).register(group, node_sets);
         self.rebuild_group_tags();
         // Group topology feeds every γ_𝒮 query: snapshots taken before
         // this point must see the whole cluster as changed.
@@ -684,7 +781,11 @@ impl ClusterState {
         request: &ContainerRequest,
         kind: ExecutionKind,
     ) -> Result<ContainerId, ClusterError> {
-        self.allocate_inner(app, node, request, kind, false)
+        let id = self.allocate_inner(app, node, request, kind, false)?;
+        if self.scratch_open.is_some() {
+            self.scratch_log.push(id);
+        }
+        Ok(id)
     }
 
     /// Tentative allocation for scorers: identical checks, γ multisets,
@@ -750,9 +851,13 @@ impl ClusterState {
         // Maintain the incremental indexes (skipped for probes: nothing a
         // constraint check reads lives there, and the probe is rolled back
         // before any index query runs). Probes also leave the mutation
-        // epoch untouched — they are net no-ops by contract.
+        // epoch untouched — they are net no-ops by contract, as is
+        // everything under a `Scratch` guard once it drops.
+        let tentative = self.scratch_open.is_some();
         if !probe {
-            self.touch(node);
+            if !tentative {
+                self.touch(node);
+            }
             for t in &tags {
                 self.index.tag_added(node.0, t);
             }
@@ -788,7 +893,7 @@ impl ClusterState {
         );
         if !probe {
             self.app_containers.entry(app).or_default().push(id);
-            if self.journal.is_some() {
+            if self.journal.is_some() && !tentative {
                 if let Some(alloc) = self.allocations.get(&id) {
                     self.record(JournalOp::Place {
                         container: id.0,
@@ -806,7 +911,15 @@ impl ClusterState {
     }
 
     /// Releases a container, returning its resources and removing its tags.
+    /// Under a [`Scratch`] guard only a container that guard allocated can
+    /// be released — undo is by release, so anything else could not be put
+    /// back.
     pub fn release(&mut self, id: ContainerId) -> Result<Allocation, ClusterError> {
+        if let Some(mark) = self.scratch_open {
+            let own = self.scratch_log[mark..].iter().rposition(|&c| c == id);
+            let pos = own.ok_or(ClusterError::UnknownContainer(id))?;
+            self.scratch_log.remove(mark + pos);
+        }
         self.release_inner(id, false)
     }
 
@@ -862,8 +975,11 @@ impl ClusterState {
         }
         let new_free = state.free;
         // Maintain the incremental indexes.
+        let tentative = self.scratch_open.is_some();
         if !probe {
-            self.touch(alloc.node);
+            if !tentative {
+                self.touch(alloc.node);
+            }
             match &removed {
                 None => {
                     for t in &alloc.tags {
@@ -898,7 +1014,9 @@ impl ClusterState {
                     self.app_containers.remove(&alloc.app);
                 }
             }
-            self.record(JournalOp::Release { container: id.0 });
+            if !tentative {
+                self.record(JournalOp::Release { container: id.0 });
+            }
         }
         Ok(alloc)
     }

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use medea_cluster::{
-    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Tag,
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Scratch, Tag,
 };
 use medea_constraints::PlacementConstraint;
 
@@ -64,11 +64,12 @@ impl HeuristicScheduler {
         }
     }
 
-    /// Places a batch of LRAs greedily on a working copy of the state.
+    /// Places a batch of LRAs greedily on a copy of the state (the one
+    /// copy; the engine itself works under a rollback guard).
     ///
     /// Like the ILP, the heuristics consider *multiple* container requests
     /// within a scheduling interval (unlike J-Kube): ordering is computed
-    /// across the whole batch, and the working copy accumulates tentative
+    /// across the whole batch, and the working state accumulates tentative
     /// placements so later decisions see earlier ones.
     ///
     /// `allowed` restricts candidate hosts to a node list (a shard's
@@ -86,15 +87,16 @@ impl HeuristicScheduler {
         deployed_constraints: &[PlacementConstraint],
         allowed: Option<&[NodeId]>,
     ) -> Vec<PlacementOutcome> {
-        self.place_counted(state, requests, deployed_constraints, allowed)
+        self.place_counted(&mut state.clone(), requests, deployed_constraints, allowed)
             .0
     }
 
-    /// [`HeuristicScheduler::place`], also returning how many tentative
-    /// allocations (probes) the round made.
+    /// [`HeuristicScheduler::place`] on the caller's state, which is left
+    /// as found; also returns how many tentative allocations (probes) the
+    /// round made.
     pub(crate) fn place_counted(
         &self,
-        state: &ClusterState,
+        state: &mut ClusterState,
         requests: &[LraRequest],
         deployed_constraints: &[PlacementConstraint],
         allowed: Option<&[NodeId]>,
@@ -187,11 +189,11 @@ struct Class<'a> {
     groups: Vec<&'a NodeGroupId>,
 }
 
-/// The greedy engine: a working copy of the state plus, per class, the
-/// violation delta of every node probed so far.
+/// The greedy engine: the state under a rollback guard plus, per class,
+/// the violation delta of every node probed so far.
 struct Greedy<'a> {
     scorer: &'a Scorer,
-    work: ClusterState,
+    work: Scratch<'a>,
     /// Candidate hosts in scan order.
     nodes: Vec<NodeId>,
     classes: Vec<Class<'a>>,
@@ -203,14 +205,11 @@ struct Greedy<'a> {
 }
 
 impl<'a> Greedy<'a> {
-    fn new(scorer: &'a Scorer, state: &ClusterState, allowed: Option<&[NodeId]>) -> Self {
+    fn new(scorer: &'a Scorer, state: &'a mut ClusterState, allowed: Option<&[NodeId]>) -> Self {
         Greedy {
             scorer,
-            work: state.clone(),
-            nodes: match allowed {
-                Some(a) => a.to_vec(),
-                None => state.node_ids().collect(),
-            },
+            nodes: candidate_hosts(state, allowed),
+            work: state.scratch(),
             classes: Vec::new(),
             cells: Vec::new(),
             probes: 0,
@@ -348,6 +347,15 @@ impl<'a> Greedy<'a> {
                 }
             }
         }
+    }
+}
+
+/// Candidate hosts in scan order: `allowed` as given (ascending by
+/// contract), or every node.
+pub(crate) fn candidate_hosts(state: &ClusterState, allowed: Option<&[NodeId]>) -> Vec<NodeId> {
+    match allowed {
+        Some(a) => a.to_vec(),
+        None => state.node_ids().collect(),
     }
 }
 
@@ -573,10 +581,10 @@ mod tests {
     /// re-scored every node after every placement.
     #[test]
     fn probes_grow_with_classes_not_containers_squared() {
-        let state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
+        let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
         let burst = [hbase(1), hbase(2), hbase(3)];
         let nc = HeuristicScheduler::new(Ordering::NodeCandidates);
-        let (out, probes) = nc.place_counted(&state, &burst, &[], None);
+        let (out, probes) = nc.place_counted(&mut state, &burst, &[], None);
         assert!(out.iter().all(|o| o.placement().is_some()));
         assert!(
             (12 * 500..=20_000).contains(&probes),
@@ -591,7 +599,7 @@ mod tests {
             vec![Tag::new("plain")],
             vec![],
         );
-        let (out, probes) = nc.place_counted(&state, &[plain], &burst[0].constraints, None);
+        let (out, probes) = nc.place_counted(&mut state, &[plain], &burst[0].constraints, None);
         assert!(out[0].placement().is_some());
         assert_eq!(probes, 0);
     }

@@ -165,9 +165,10 @@ pub(crate) enum Prep {
 
 /// Builds the state both arms share: flattens the new containers,
 /// relevance-filters and dedupes the constraints, runs the heuristic
-/// anchor, selects candidates, and builds the Fig. 5 model.
+/// anchor (tentatively on `state`, which is left as found), selects
+/// candidates, and builds the Fig. 5 model.
 pub(crate) fn prepare(
-    state: &ClusterState,
+    state: &mut ClusterState,
     requests: &[LraRequest],
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
@@ -309,7 +310,7 @@ pub(crate) fn prepare(
 /// `cache` is the warm-start slot to read and refill (`None`: cold
 /// solve, nothing remembered).
 pub(crate) fn solve(
-    state: &ClusterState,
+    state: &mut ClusterState,
     requests: &[LraRequest],
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
@@ -1160,7 +1161,16 @@ mod tests {
         deployed: &[PlacementConstraint],
         cfg: &IlpConfig,
     ) -> Vec<PlacementOutcome> {
-        solve(state, requests, deployed, cfg, None, None, None).outcomes
+        solve(
+            &mut state.clone(),
+            requests,
+            deployed,
+            cfg,
+            None,
+            None,
+            None,
+        )
+        .outcomes
     }
 
     fn cluster(n: usize, racks: usize) -> ClusterState {
@@ -1543,7 +1553,7 @@ mod tests {
         let metrics = PlacerMetrics::new(&registry);
         let cfg = IlpConfig::default();
         let cache = IlpBasisCache::default();
-        let state = cluster(6, 2);
+        let mut state = cluster(6, 2);
         let request = |app: u64| {
             LraRequest::uniform(
                 ApplicationId(app),
@@ -1557,9 +1567,9 @@ mod tests {
                 )],
             )
         };
-        let traced = |r: &LraRequest| {
+        let mut traced = |r: &LraRequest| {
             solve(
-                &state,
+                &mut state,
                 std::slice::from_ref(r),
                 &[],
                 &cfg,
@@ -1598,7 +1608,7 @@ mod tests {
         let registry = medea_obs::MetricsRegistry::new();
         let metrics = PlacerMetrics::new(&registry);
         let cfg = IlpConfig::default();
-        let state = cluster(4, 2);
+        let mut state = cluster(4, 2);
         for app in 1u64..=2 {
             let req = LraRequest::uniform(
                 ApplicationId(app),
@@ -1607,7 +1617,7 @@ mod tests {
                 vec![Tag::new("x")],
                 vec![],
             );
-            let out = solve(&state, &[req], &[], &cfg, None, None, Some(&metrics)).outcomes;
+            let out = solve(&mut state, &[req], &[], &cfg, None, None, Some(&metrics)).outcomes;
             assert!(out[0].placement().is_some());
         }
         let snap = registry.snapshot();

@@ -11,6 +11,7 @@
 use medea_cluster::{ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeId};
 use medea_constraints::{Cardinality, PlacementConstraint};
 
+use crate::heuristics::candidate_hosts;
 use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
 
 /// Kubernetes-style one-at-a-time scheduler.
@@ -37,15 +38,18 @@ impl JKubeScheduler {
     }
 
     /// Places a batch of LRAs, container by container, in submission
-    /// order, scoring each container against every node.
+    /// order, scoring each container against every node of `allowed`
+    /// (ascending; `None`: all nodes). Works on `state` under a rollback
+    /// guard and leaves it as found.
     pub fn place(
         &self,
-        state: &ClusterState,
+        state: &mut ClusterState,
         requests: &[LraRequest],
         deployed_constraints: &[PlacementConstraint],
+        allowed: Option<&[NodeId]>,
     ) -> Vec<PlacementOutcome> {
-        let mut work = state.clone();
-        let nodes: Vec<NodeId> = work.node_ids().collect();
+        let mut work = state.scratch();
+        let nodes = candidate_hosts(&work, allowed);
         let mut outcomes = Vec::with_capacity(requests.len());
 
         for r in requests {
@@ -55,44 +59,32 @@ impl JKubeScheduler {
             relevant.extend(r.constraints.iter());
 
             let mut placed_nodes = Vec::with_capacity(r.containers.len());
-            let mut placed_ids = Vec::with_capacity(r.containers.len());
-            let mut ok = true;
-            for c in &r.containers {
-                match self.place_one(&mut work, r.app, c, &relevant, &nodes) {
-                    Some((node, id)) => {
-                        placed_nodes.push(node);
-                        placed_ids.push(id);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                outcomes.push(PlacementOutcome::Placed(LraPlacement {
+            let ids = r.allocate_all(&mut work, |work, k| {
+                let node = self.pick_node(work, r.app, &r.containers[k], &relevant, &nodes)?;
+                placed_nodes.push(node);
+                Some(node)
+            });
+            outcomes.push(match ids {
+                Some(_) => PlacementOutcome::Placed(LraPlacement {
                     app: r.app,
                     nodes: placed_nodes,
-                }));
-            } else {
-                for id in placed_ids {
-                    let _ = work.release(id);
-                }
-                outcomes.push(PlacementOutcome::Unplaced { app: r.app });
-            }
+                }),
+                None => PlacementOutcome::Unplaced { app: r.app },
+            });
         }
         outcomes
     }
 
-    /// Filter + score one pod over all nodes (the Kubernetes cycle).
-    fn place_one(
+    /// Filter + score one pod over the candidate nodes (the Kubernetes
+    /// cycle); first maximum in scan order.
+    fn pick_node(
         &self,
         work: &mut ClusterState,
         app: ApplicationId,
         request: &ContainerRequest,
         constraints: &[&PlacementConstraint],
         nodes: &[NodeId],
-    ) -> Option<(NodeId, medea_cluster::ContainerId)> {
+    ) -> Option<NodeId> {
         let mut best: Option<(NodeId, f64)> = None;
         for &n in nodes {
             // Feasibility filter: resources and availability only.
@@ -108,11 +100,7 @@ impl JKubeScheduler {
                 best = Some((n, score));
             }
         }
-        let (node, _) = best?;
-        let id = work
-            .allocate(app, node, request, ExecutionKind::LongRunning)
-            .ok()?;
-        Some((node, id))
+        best.map(|(node, _)| node)
     }
 
     /// Kubernetes-style scoring: per-constraint match bonuses/penalties
@@ -208,7 +196,7 @@ mod tests {
 
     #[test]
     fn places_within_capacity() {
-        let state = cluster(3, 1);
+        let mut state = cluster(3, 1);
         let req = LraRequest::uniform(
             ApplicationId(1),
             6,
@@ -216,14 +204,14 @@ mod tests {
             vec![Tag::new("p")],
             vec![],
         );
-        let out = JKubeScheduler::jkube().place(&state, &[req], &[]);
+        let out = JKubeScheduler::jkube().place(&mut state, &[req], &[], None);
         assert!(out[0].placement().is_some());
     }
 
     #[test]
     fn anti_affinity_honoured_by_both() {
         for sched in [JKubeScheduler::jkube(), JKubeScheduler::jkube_plus_plus()] {
-            let state = cluster(6, 2);
+            let mut state = cluster(6, 2);
             let caa = PlacementConstraint::anti_affinity("w", "w", NodeGroupId::node());
             let req = LraRequest::uniform(
                 ApplicationId(1),
@@ -232,7 +220,7 @@ mod tests {
                 vec![Tag::new("w")],
                 vec![caa.clone()],
             );
-            let out = sched.place(&state, std::slice::from_ref(&req), &[]);
+            let out = sched.place(&mut state, std::slice::from_ref(&req), &[], None);
             let mut st = cluster(6, 2);
             commit(&mut st, &[req], &out);
             let stats = violation_stats(&st, [&caa]);
@@ -255,14 +243,19 @@ mod tests {
             vec![card.clone()],
         );
 
-        let state = cluster(4, 2);
-        let out_pp =
-            JKubeScheduler::jkube_plus_plus().place(&state, std::slice::from_ref(&req), &[]);
+        let mut state = cluster(4, 2);
+        let out_pp = JKubeScheduler::jkube_plus_plus().place(
+            &mut state,
+            std::slice::from_ref(&req),
+            &[],
+            None,
+        );
         let mut st_pp = cluster(4, 2);
         commit(&mut st_pp, std::slice::from_ref(&req), &out_pp);
         let v_pp = violation_stats(&st_pp, [&card]);
 
-        let out_jk = JKubeScheduler::jkube().place(&state, std::slice::from_ref(&req), &[]);
+        let out_jk =
+            JKubeScheduler::jkube().place(&mut state, std::slice::from_ref(&req), &[], None);
         let mut st_jk = cluster(4, 2);
         commit(&mut st_jk, &[req], &out_jk);
         let v_jk = violation_stats(&st_jk, [&card]);
@@ -283,7 +276,7 @@ mod tests {
             vec![Tag::new("w")],
             vec![],
         );
-        let out_free = JKubeScheduler::jkube().place(&state, &[free_req], &[]);
+        let out_free = JKubeScheduler::jkube().place(&mut state, &[free_req], &[], None);
         assert_eq!(
             out_jk[0].placement().unwrap().nodes,
             out_free[0].placement().unwrap().nodes,
@@ -298,7 +291,7 @@ mod tests {
         // cannot see the future producer, so the affinity is satisfied
         // only by luck; batch-aware schedulers handle this (see the
         // heuristics tests). Here we only assert J-Kube still places both.
-        let state = cluster(4, 2);
+        let mut state = cluster(4, 2);
         let caf = PlacementConstraint::affinity("consumer", "producer", NodeGroupId::node());
         let consumer = LraRequest::uniform(
             ApplicationId(1),
@@ -314,13 +307,13 @@ mod tests {
             vec![Tag::new("producer")],
             vec![],
         );
-        let out = JKubeScheduler::jkube().place(&state, &[consumer, producer], &[]);
+        let out = JKubeScheduler::jkube().place(&mut state, &[consumer, producer], &[], None);
         assert!(out.iter().all(|o| o.placement().is_some()));
     }
 
     #[test]
     fn rollback_on_partial_failure() {
-        let state = cluster(1, 1);
+        let mut state = cluster(1, 1);
         let req = LraRequest::uniform(
             ApplicationId(1),
             2,
@@ -328,7 +321,7 @@ mod tests {
             vec![],
             vec![],
         );
-        let out = JKubeScheduler::jkube().place(&state, &[req], &[]);
+        let out = JKubeScheduler::jkube().place(&mut state, &[req], &[], None);
         assert!(matches!(out[0], PlacementOutcome::Unplaced { .. }));
     }
 
@@ -351,7 +344,7 @@ mod tests {
             vec![Tag::new("storm")],
             vec![caf],
         );
-        let out = JKubeScheduler::jkube().place(&state, &[req], &[]);
+        let out = JKubeScheduler::jkube().place(&mut state, &[req], &[], None);
         assert_eq!(out[0].placement().unwrap().nodes, vec![NodeId(2)]);
     }
 }

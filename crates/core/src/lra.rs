@@ -111,7 +111,7 @@ impl LraScheduler {
         deployed_constraints: &[PlacementConstraint],
     ) -> Vec<PlacementOutcome> {
         self.place_on(
-            state,
+            &mut state.clone(),
             requests,
             deployed_constraints,
             None,
@@ -121,7 +121,10 @@ impl LraScheduler {
         .outcomes
     }
 
-    /// The one placement entry point, in full detail.
+    /// The one placement entry point, in full detail. `state` is the
+    /// working state: every arm places tentatively on it under a
+    /// [`medea_cluster::Scratch`] guard and leaves it as found (the round
+    /// hands its one snapshot here, sub-solve after sub-solve).
     ///
     /// - `allowed` restricts candidate hosts to a node list (a shard's
     ///   nodes, ascending); `None` means all nodes. Scoring and `γ`
@@ -135,79 +138,55 @@ impl LraScheduler {
     ///   other). `None` solves cold.
     pub fn place_on(
         &self,
-        state: &ClusterState,
+        state: &mut ClusterState,
         requests: &[LraRequest],
         deployed_constraints: &[PlacementConstraint],
         allowed: Option<&[NodeId]>,
         arm: Option<PlacerMode>,
         cache: Option<&IlpBasisCache>,
     ) -> BatchPlacement {
-        let metrics = self.metrics.as_ref();
-        let greedy = |ordering| {
-            HeuristicScheduler::new(ordering).place(state, requests, deployed_constraints, allowed)
+        let greedy = |state: &mut ClusterState, ordering| {
+            HeuristicScheduler::new(ordering)
+                .place_counted(state, requests, deployed_constraints, allowed)
+                .0
         };
-        let by_mode = |mode| match mode {
-            PlacerMode::Ilp => ilp::solve(
+        let by_mode = |state: &mut ClusterState, mode| {
+            let solve = match mode {
+                PlacerMode::Ilp => ilp::solve,
+                PlacerMode::Relaxed => relax::solve,
+                PlacerMode::Heuristic => return greedy(state, Ordering::NodeCandidates).into(),
+            };
+            solve(
                 state,
                 requests,
                 deployed_constraints,
                 &self.ilp,
                 allowed,
                 cache,
-                metrics,
-            ),
-            PlacerMode::Relaxed => relax::solve(
-                state,
-                requests,
-                deployed_constraints,
-                &self.ilp,
-                allowed,
-                cache,
-                metrics,
-            ),
-            PlacerMode::Heuristic => greedy(Ordering::NodeCandidates).into(),
+                self.metrics.as_ref(),
+            )
         };
         if let Some(mode) = arm {
-            return by_mode(mode);
+            return by_mode(state, mode);
         }
         match self.algorithm {
-            LraAlgorithm::Ilp => return by_mode(self.ilp.mode),
-            LraAlgorithm::NodeCandidates => greedy(Ordering::NodeCandidates),
-            LraAlgorithm::TagPopularity => greedy(Ordering::TagPopularity),
-            LraAlgorithm::Serial => greedy(Ordering::Submission),
-            // The J-Kube and YARN baselines pick nodes internally; the
-            // restriction is applied by masking availability on a working
-            // copy (every placer honors node availability).
-            LraAlgorithm::JKube => JKubeScheduler::jkube().place(
-                masked(state, allowed).as_ref().unwrap_or(state),
-                requests,
-                deployed_constraints,
-            ),
+            LraAlgorithm::Ilp => return by_mode(state, self.ilp.mode),
+            LraAlgorithm::NodeCandidates => greedy(state, Ordering::NodeCandidates),
+            LraAlgorithm::TagPopularity => greedy(state, Ordering::TagPopularity),
+            LraAlgorithm::Serial => greedy(state, Ordering::Submission),
+            LraAlgorithm::JKube => {
+                JKubeScheduler::jkube().place(state, requests, deployed_constraints, allowed)
+            }
             LraAlgorithm::JKubePlusPlus => JKubeScheduler::jkube_plus_plus().place(
-                masked(state, allowed).as_ref().unwrap_or(state),
+                state,
                 requests,
                 deployed_constraints,
+                allowed,
             ),
-            LraAlgorithm::Yarn => YarnScheduler::new()
-                .place(masked(state, allowed).as_ref().unwrap_or(state), requests),
+            LraAlgorithm::Yarn => YarnScheduler::new().place(state, requests, allowed),
         }
         .into()
     }
-}
-
-/// Working copy of `state` with every node outside `allowed` marked
-/// unavailable; `None` when no restriction applies.
-fn masked(state: &ClusterState, allowed: Option<&[NodeId]>) -> Option<ClusterState> {
-    let allowed = allowed?;
-    let mut work = state.clone();
-    let set: std::collections::HashSet<NodeId> = allowed.iter().copied().collect();
-    let ids: Vec<NodeId> = work.node_ids().collect();
-    for n in ids {
-        if !set.contains(&n) {
-            let _ = work.set_available(n, false);
-        }
-    }
-    Some(work)
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ medea_obs::metric_handles! {
         pub(super) shard_solve_us: Histogram = "core.shard_solve_us",
         pub(super) index_update_ops: Gauge = "cluster.index_update_ops",
         pub(super) index_distinct_tags: Gauge = "cluster.index_distinct_tags",
-        pub(super) index_rebuilds: Gauge = "cluster.index_rebuilds",
+        pub(super) state_clones: Counter = "cluster.state_clones_total",
         pub(super) restarts: Counter = "core.restart_total",
         pub(super) restart_restore_us: Histogram = "core.restart_restore_us",
         pub(super) restart_replayed_ops: Histogram = "core.restart_replayed_ops",

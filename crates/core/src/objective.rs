@@ -84,8 +84,9 @@ impl Relevant {
 
 /// Greedy node scorer over the active constraints.
 ///
-/// Scoring a tentative `(container, node)` pair allocates the container on
-/// the scheduler's *working copy* of the cluster state, measures the change
+/// Scoring a tentative `(container, node)` pair probe-allocates the
+/// container on the state it is handed (the round's snapshot under a
+/// rollback guard, or the migration planner's live state), measures the change
 /// in weighted violation extent, fragmentation, and load, then releases it.
 #[derive(Debug)]
 pub struct Scorer {

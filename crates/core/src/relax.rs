@@ -9,7 +9,8 @@
 //!    [`crate::IlpBasisCache`] slot (the MILP's root LP is the identical
 //!    problem, so the two arms share warmth across rounds);
 //! 2. **Round** — turn the fractional solution into an integral
-//!    placement by seeded randomized rounding: requests are processed in
+//!    placement by seeded randomized rounding, tentatively on the
+//!    caller's state under a rollback guard: requests are processed in
 //!    a canonical order (descending `S_i`, then application id), each
 //!    container samples a candidate node proportionally to its
 //!    fractional `X` mass among capacity-feasible candidates;
@@ -21,7 +22,7 @@
 //!    state (the residue is typically a small fraction of the batch, so
 //!    the exact solve is cheap);
 //! 5. **Validate** — every returned placement was actually allocated on
-//!    a working copy of the state (capacity-checked by construction) and
+//!    the guarded state (capacity-checked by construction) and
 //!    re-checked against every hard constraint; a request that cannot be
 //!    made clean is returned [`PlacementOutcome::Unplaced`] — an
 //!    infeasible placement is *never* committed.
@@ -144,8 +145,9 @@ struct Tentative {
 /// degraded (LP unusable, or rounding failures the residue MILP could not
 /// absorb), and the [`RelaxReport`] quality accounting. `allowed` and
 /// `cache` as for the exact arm; the residue re-solve always runs cold.
+/// `state` is mutated tentatively and left as found.
 pub(crate) fn solve(
-    state: &ClusterState,
+    state: &mut ClusterState,
     requests: &[LraRequest],
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
@@ -244,13 +246,13 @@ pub(crate) fn solve(
     report.lp_bound = Some(sol.objective);
     let value = |vid: medea_solver::VarId| sol.values.get(vid.index()).copied().unwrap_or(0.0);
 
-    // --- 2. Randomized rounding on a working copy of the state. ---
+    // --- 2. Randomized rounding on the state, under a rollback guard. ---
     // The PRNG is seeded from the model skeleton: same instance, same
     // draws — byte-identical placements across runs (the determinism
     // suite depends on this).
     let t_round = Instant::now();
     let mut rng = StdRng::seed_from_u64(0x52454C4158 ^ skeleton ^ new_containers.len() as u64);
-    let mut work = state.clone();
+    let mut work = state.scratch();
 
     // Canonical processing order: descending S_i mass, application id
     // breaking ties — invariant under request permutation when the LP
@@ -281,43 +283,18 @@ pub(crate) fn solve(
         }
         attempted[ri] = true;
         let mut nodes = Vec::with_capacity(r.containers.len());
-        let mut ids: Vec<ContainerId> = Vec::with_capacity(r.containers.len());
-        let mut ok = true;
-        for (k, &gci) in gcis_of[ri].iter().enumerate() {
+        let ids = r.allocate_all(&mut work, |work, k| {
+            let gci = gcis_of[ri][k];
             let resources = new_containers[gci].resources;
-            let pick = sample_candidate(
-                &mut rng,
-                &work,
-                candidates,
-                &model.x_vars[gci],
-                value,
-                |n| {
+            let node =
+                sample_candidate(&mut rng, work, candidates, &model.x_vars[gci], value, |n| {
                     work.free(n).map(|f| resources.fits_in(&f)).unwrap_or(false)
                         && work.is_available(n)
-                },
-            );
-            let Some(node) = pick else {
-                ok = false;
-                break;
-            };
-            match work.allocate(r.app, node, &r.containers[k], ExecutionKind::LongRunning) {
-                Ok(id) => {
-                    nodes.push(node);
-                    ids.push(id);
-                }
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            placed[ri] = Some(Tentative { nodes, ids });
-        } else {
-            for id in ids {
-                let _ = work.release(id);
-            }
-        }
+                })?;
+            nodes.push(node);
+            Some(node)
+        });
+        placed[ri] = ids.map(|ids| Tentative { nodes, ids });
     }
 
     // --- 3. Bounded hard-constraint repair passes. ---
@@ -450,7 +427,7 @@ pub(crate) fn solve(
         // round.
         let t_residue = Instant::now();
         let sub = ilp::solve(
-            &work,
+            &mut work,
             &sub_requests,
             &sub_deployed,
             cfg,
@@ -466,27 +443,11 @@ pub(crate) fn solve(
             let Some(pl) = out.placement() else {
                 continue;
             };
-            let mut ids = Vec::with_capacity(pl.nodes.len());
-            let mut ok = true;
-            for (c, &n) in requests[ri].containers.iter().zip(&pl.nodes) {
-                match work.allocate(requests[ri].app, n, c, ExecutionKind::LongRunning) {
-                    Ok(id) => ids.push(id),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                placed[ri] = Some(Tentative {
-                    nodes: pl.nodes.clone(),
-                    ids,
-                });
-            } else {
-                for id in ids {
-                    let _ = work.release(id);
-                }
-            }
+            let ids = requests[ri].allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
+            placed[ri] = ids.map(|ids| Tentative {
+                nodes: pl.nodes.clone(),
+                ids,
+            });
         }
     }
 
@@ -514,6 +475,9 @@ pub(crate) fn solve(
             }
         }
     }
+
+    // The incumbent below is evaluated against the state as found.
+    drop(work);
 
     // Assemble outcomes.
     let outcomes: Vec<PlacementOutcome> = requests
@@ -628,11 +592,11 @@ fn violates_hard(
     })
 }
 
-/// Validates a ready-made placement (the heuristic fallback) on a fresh
-/// working copy: capacity via live allocation, then hard constraints;
-/// violating or unallocatable requests become `Unplaced`.
+/// Validates a ready-made placement (the heuristic fallback) on the
+/// state, under a rollback guard: capacity via live allocation, then hard
+/// constraints; violating or unallocatable requests become `Unplaced`.
 fn validate_outcomes(
-    state: &ClusterState,
+    state: &mut ClusterState,
     requests: &[LraRequest],
     outcomes: Vec<PlacementOutcome>,
     hard: &[&PlacementConstraint],
@@ -640,7 +604,7 @@ fn validate_outcomes(
     new_containers: &[ilp::NewContainer],
     report: &mut RelaxReport,
 ) -> Vec<PlacementOutcome> {
-    let mut work = state.clone();
+    let mut work = state.scratch();
     let mut gcis_of: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
     for (gci, nc) in new_containers.iter().enumerate() {
         gcis_of[nc.req_idx].push(gci);
@@ -649,37 +613,24 @@ fn validate_outcomes(
         .into_iter()
         .enumerate()
         .map(|(ri, out)| {
-            let nodes = match out.placement() {
-                Some(pl) => pl.nodes.clone(),
-                None => return out,
+            let Some(pl) = out.placement() else {
+                return out;
             };
-            let mut ids = Vec::with_capacity(nodes.len());
-            let mut ok = true;
-            for (c, &n) in requests[ri].containers.iter().zip(&nodes) {
-                match work.allocate(requests[ri].app, n, c, ExecutionKind::LongRunning) {
-                    Ok(id) => ids.push(id),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
+            let ids = requests[ri].allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
+            let clean = ids.as_ref().is_some_and(|ids| {
+                !ids.iter()
+                    .zip(&gcis_of[ri])
+                    .any(|(&id, &gci)| violates_hard(&work, hard, &subject_of[gci], id))
+            });
+            if clean {
+                return out;
             }
-            if ok {
-                ok = !ids
-                    .iter()
-                    .enumerate()
-                    .any(|(k, &id)| violates_hard(&work, hard, &subject_of[gcis_of[ri][k]], id));
+            for id in ids.into_iter().flatten() {
+                let _ = work.release(id);
             }
-            if ok {
-                out
-            } else {
-                for id in ids {
-                    let _ = work.release(id);
-                }
-                report.evicted_lras += 1;
-                PlacementOutcome::Unplaced {
-                    app: requests[ri].app,
-                }
+            report.evicted_lras += 1;
+            PlacementOutcome::Unplaced {
+                app: requests[ri].app,
             }
         })
         .collect()
@@ -715,7 +666,7 @@ mod tests {
         let metrics = PlacerMetrics::new(&registry);
         let cfg = IlpConfig::default();
         let cache = IlpBasisCache::default();
-        let state = ClusterState::homogeneous(6, Resources::new(8192, 8), 2);
+        let mut state = ClusterState::homogeneous(6, Resources::new(8192, 8), 2);
         let request = |app: u64| {
             LraRequest::uniform(
                 ApplicationId(app),
@@ -729,8 +680,17 @@ mod tests {
                 )],
             )
         };
-        let relaxed = |r: LraRequest| {
-            solve(&state, &[r], &[], &cfg, None, Some(&cache), Some(&metrics)).outcomes
+        let mut relaxed = |r: LraRequest| {
+            solve(
+                &mut state,
+                &[r],
+                &[],
+                &cfg,
+                None,
+                Some(&cache),
+                Some(&metrics),
+            )
+            .outcomes
         };
         let out = relaxed(request(1));
         assert!(out[0].placement().is_some());
@@ -797,9 +757,9 @@ mod tests {
             .collect();
         let subject_of = vec![vec![true], vec![false], vec![false], vec![false]];
         let mut report = RelaxReport::default();
-        let before = state.digest();
+        let (before, clones) = (state.digest(), medea_cluster::state_clones());
         let out = validate_outcomes(
-            &state,
+            &mut state,
             &requests,
             // Next to the deployed `x`; larger than any node; fine; not placed.
             vec![on(1, 0), on(2, 1), on(3, 1), unplaced(4)],
@@ -811,5 +771,6 @@ mod tests {
         assert_eq!(out, vec![unplaced(1), unplaced(2), on(3, 1), unplaced(4)]);
         assert_eq!(report.evicted_lras, 2);
         assert_eq!(state.digest(), before);
+        assert_eq!(medea_cluster::state_clones(), clones);
     }
 }

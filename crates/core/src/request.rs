@@ -6,7 +6,10 @@
 //! task-based scheduler — this routing is the essence of the two-scheduler
 //! design.
 
-use medea_cluster::{ApplicationId, ContainerRequest, NodeId, Resources, Tag};
+use medea_cluster::{
+    ApplicationId, ClusterState, ContainerId, ContainerRequest, ExecutionKind, NodeId, Resources,
+    Tag,
+};
 use medea_constraints::PlacementConstraint;
 
 use crate::relax::RelaxReport;
@@ -59,6 +62,33 @@ impl LraRequest {
     /// Total resources requested.
     pub fn total_resources(&self) -> Resources {
         self.containers.iter().map(|c| c.resources).sum()
+    }
+
+    /// Allocates every container on the node `node_of` picks for it — in
+    /// container order, each pick seeing the earlier ones allocated — or
+    /// none: the first missing pick or refused allocation releases the
+    /// earlier ones.
+    pub(crate) fn allocate_all(
+        &self,
+        state: &mut ClusterState,
+        mut node_of: impl FnMut(&mut ClusterState, usize) -> Option<NodeId>,
+    ) -> Option<Vec<ContainerId>> {
+        let mut ids = Vec::with_capacity(self.containers.len());
+        for (k, c) in self.containers.iter().enumerate() {
+            let allocated = node_of(state, k).and_then(|n| {
+                state
+                    .allocate(self.app, n, c, ExecutionKind::LongRunning)
+                    .ok()
+            });
+            let Some(id) = allocated else {
+                for id in ids {
+                    let _ = state.release(id);
+                }
+                return None;
+            };
+            ids.push(id);
+        }
+        Some(ids)
     }
 }
 

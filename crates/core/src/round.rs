@@ -12,8 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use medea_cluster::{
-    ApplicationId, ClusterSnapshot, ClusterState, ContainerId, ExecutionKind, NodeId, ShardConfig,
-    ShardPlan,
+    ApplicationId, ClusterSnapshot, ClusterState, ContainerId, NodeId, ShardConfig, ShardPlan,
 };
 use medea_constraints::{ConstraintSource, PlacementConstraint};
 
@@ -296,9 +295,11 @@ impl MedeaScheduler {
                 .collect()
         };
 
-        // One snapshot per round, shared by every sub-solve: solves only
-        // read it (their working copies are restricted to shard nodes),
-        // and baseline bookkeeping is undone per sub-batch.
+        // One snapshot per round — the round's only copy of the cluster —
+        // shared by every sub-solve: each solver stage and the baseline
+        // bookkeeping place on it tentatively under a rollback guard and
+        // leave it as found, so sub-solves run one after another.
+        let clones_before = medea_cluster::state_clones();
         let mut snapshot = self.state.snapshot();
 
         let shard = self.placer.shard;
@@ -333,6 +334,8 @@ impl MedeaScheduler {
         }
         if let Some(m) = &self.metrics {
             m.solve_inflight.set(self.inflight.len() as i64);
+            m.state_clones
+                .add(medea_cluster::state_clones() - clones_before);
         }
         solves
     }
@@ -400,7 +403,7 @@ impl MedeaScheduler {
     /// Returns outcomes and baselines per entry plus the algorithm time.
     ///
     /// Baselines accumulate *within* the sub-batch (commit replays the
-    /// same order on live state) but are undone before returning, so
+    /// same order on live state) under a rollback guard, so
     /// every sub-batch's baseline is computed on the pristine snapshot.
     /// This is load-bearing for conflict detection: if a later shard's
     /// baseline saw an earlier shard's tentative placements, cross-shard
@@ -416,7 +419,7 @@ impl MedeaScheduler {
         let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
 
         let t0 = Instant::now();
-        let outcomes = self.place_batch_on(snapshot.state(), &requests, deployed, shard);
+        let outcomes = self.place_batch_on(snapshot.state_mut(), &requests, deployed, shard);
         let algorithm_time = t0.elapsed();
         if let Some(m) = &self.metrics {
             m.place_us.record_duration(algorithm_time);
@@ -429,30 +432,29 @@ impl MedeaScheduler {
         // proposed placements to the snapshot in batch order and count
         // each entry's violated constraint checks right after its own
         // allocation. Commit replays the same sequence on live state; a
-        // higher live count means the cluster drifted mid-solve.
-        let mut baselines: Vec<Option<usize>> = Vec::with_capacity(batch.len());
-        let mut applied: Vec<ContainerId> = Vec::new();
-        for (pending, outcome) in batch.iter().zip(&outcomes) {
-            // No baseline for an unplaced entry, nor for a proposal the
-            // snapshot itself rejects (commit will fail it on capacity).
-            let ids = outcome.placement().and_then(|placement| {
-                Self::allocate_all(snapshot.state_mut(), &pending.request, &placement.nodes)
-            });
-            baselines.push(ids.as_ref().map(|ids| {
-                Self::violated_checks(
-                    snapshot.state(),
+        // higher live count means the cluster drifted mid-solve. The
+        // guard's drop restores the snapshot for the round's next
+        // sub-batch (see the method doc: baselines must be pristine per
+        // sub-batch).
+        let mut work = snapshot.state_mut().scratch();
+        let baselines = batch
+            .iter()
+            .zip(&outcomes)
+            .map(|(pending, outcome)| {
+                // No baseline for an unplaced entry, nor for a proposal the
+                // snapshot itself rejects (commit will fail it on capacity).
+                let nodes = &outcome.placement()?.nodes;
+                let ids = pending
+                    .request
+                    .allocate_all(&mut work, |_, k| nodes.get(k).copied())?;
+                Some(Self::violated_checks(
+                    &work,
                     &pending.request.constraints,
                     deployed,
-                    ids,
-                )
-            }));
-            applied.extend(ids.into_iter().flatten());
-        }
-        // Restore the snapshot for the round's next sub-batch (see the
-        // method doc: baselines must be pristine per sub-batch).
-        for id in applied.into_iter().rev() {
-            let _ = snapshot.state_mut().release(id);
-        }
+                    &ids,
+                ))
+            })
+            .collect();
         (outcomes, baselines, algorithm_time)
     }
 
@@ -588,7 +590,6 @@ impl MedeaScheduler {
             let idx = self.state.index_stats();
             m.index_update_ops.set(idx.update_ops as i64);
             m.index_distinct_tags.set(idx.distinct_tags as i64);
-            m.index_rebuilds.set(idx.rebuilds as i64);
         }
         deployed_out
     }
@@ -630,7 +631,7 @@ impl MedeaScheduler {
     /// after a cool-down, restoring the higher arm on a successful probe.
     fn place_batch_on(
         &mut self,
-        state: &ClusterState,
+        state: &mut ClusterState,
         requests: &[LraRequest],
         deployed: &[PlacementConstraint],
         shard: Option<(usize, &[NodeId])>,
@@ -695,28 +696,6 @@ impl MedeaScheduler {
         placed.outcomes
     }
 
-    /// Allocates every container of `request` on its proposed node, or
-    /// none: the first failure rolls the earlier ones back.
-    fn allocate_all(
-        state: &mut ClusterState,
-        request: &LraRequest,
-        nodes: &[NodeId],
-    ) -> Option<Vec<ContainerId>> {
-        let mut ids = Vec::with_capacity(nodes.len());
-        for (c, &n) in request.containers.iter().zip(nodes) {
-            match state.allocate(request.app, n, c, ExecutionKind::LongRunning) {
-                Ok(id) => ids.push(id),
-                Err(_) => {
-                    for id in ids {
-                        let _ = state.release(id);
-                    }
-                    return None;
-                }
-            }
-        }
-        Some(ids)
-    }
-
     /// Commits a placement against the live state with commit-time
     /// re-validation; on any failure all of the LRA's containers are
     /// rolled back (§5.4 conflict handling) and `None` is returned.
@@ -734,7 +713,7 @@ impl MedeaScheduler {
         baseline: Option<usize>,
         deployed: &[PlacementConstraint],
     ) -> Option<Vec<ContainerId>> {
-        let ids = Self::allocate_all(&mut self.state, request, nodes)?;
+        let ids = request.allocate_all(&mut self.state, |_, k| nodes.get(k).copied())?;
         if let Some(base) = baseline {
             let live = Self::violated_checks(&self.state, &request.constraints, deployed, &ids);
             if live > base {

@@ -6,8 +6,9 @@
 //! without locality; placement constraints are simply not consulted, so
 //! "some constraints are randomly satisfied for some LRAs" (§7.2).
 
-use medea_cluster::{ClusterState, ExecutionKind, NodeId};
+use medea_cluster::{ClusterState, NodeId};
 
+use crate::heuristics::candidate_hosts;
 use crate::request::{LraPlacement, LraRequest, PlacementOutcome};
 
 /// Constraint-unaware least-allocated scheduler.
@@ -20,23 +21,28 @@ impl YarnScheduler {
         YarnScheduler
     }
 
-    /// Places requests container by container on the least-allocated node.
-    pub fn place(&self, state: &ClusterState, requests: &[LraRequest]) -> Vec<PlacementOutcome> {
-        let mut work = state.clone();
-        let nodes: Vec<NodeId> = work.node_ids().collect();
+    /// Places requests container by container on the least-allocated node
+    /// of `allowed` (ascending; `None`: all nodes). Works on `state` under
+    /// a rollback guard and leaves it as found.
+    pub fn place(
+        &self,
+        state: &mut ClusterState,
+        requests: &[LraRequest],
+        allowed: Option<&[NodeId]>,
+    ) -> Vec<PlacementOutcome> {
+        let mut work = state.scratch();
+        let nodes = candidate_hosts(&work, allowed);
         let mut outcomes = Vec::with_capacity(requests.len());
         for r in requests {
             let mut placed_nodes = Vec::with_capacity(r.containers.len());
-            let mut placed_ids = Vec::with_capacity(r.containers.len());
-            let mut ok = true;
-            for c in &r.containers {
+            let ids = r.allocate_all(&mut work, |work, k| {
                 let mut best: Option<(NodeId, f64)> = None;
                 for &n in &nodes {
                     if !work.is_available(n) {
                         continue;
                     }
                     let Ok(free) = work.free(n) else { continue };
-                    if !c.resources.fits_in(&free) {
+                    if !r.containers[k].resources.fits_in(&free) {
                         continue;
                     }
                     let cap = work.node(n).map(|x| x.capacity).unwrap_or_default();
@@ -45,31 +51,17 @@ impl YarnScheduler {
                         best = Some((n, score));
                     }
                 }
-                match best {
-                    Some((node, _)) => {
-                        let id = work
-                            .allocate(r.app, node, c, ExecutionKind::LongRunning)
-                            .expect("feasibility checked");
-                        placed_nodes.push(node);
-                        placed_ids.push(id);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                outcomes.push(PlacementOutcome::Placed(LraPlacement {
+                let (node, _) = best?;
+                placed_nodes.push(node);
+                Some(node)
+            });
+            outcomes.push(match ids {
+                Some(_) => PlacementOutcome::Placed(LraPlacement {
                     app: r.app,
                     nodes: placed_nodes,
-                }));
-            } else {
-                for id in placed_ids {
-                    let _ = work.release(id);
-                }
-                outcomes.push(PlacementOutcome::Unplaced { app: r.app });
-            }
+                }),
+                None => PlacementOutcome::Unplaced { app: r.app },
+            });
         }
         outcomes
     }
@@ -82,7 +74,7 @@ mod tests {
 
     #[test]
     fn spreads_by_least_allocated() {
-        let state = ClusterState::homogeneous(4, Resources::new(8 * 1024, 8), 2);
+        let mut state = ClusterState::homogeneous(4, Resources::new(8 * 1024, 8), 2);
         let req = LraRequest::uniform(
             ApplicationId(1),
             4,
@@ -90,7 +82,7 @@ mod tests {
             vec![Tag::new("x")],
             vec![],
         );
-        let out = YarnScheduler::new().place(&state, &[req]);
+        let out = YarnScheduler::new().place(&mut state, &[req], None);
         let pl = out[0].placement().unwrap();
         let mut nodes = pl.nodes.clone();
         nodes.sort();
@@ -103,7 +95,7 @@ mod tests {
     fn constraints_are_ignored() {
         use medea_cluster::NodeGroupId;
         use medea_constraints::PlacementConstraint;
-        let state = ClusterState::homogeneous(2, Resources::new(8 * 1024, 8), 1);
+        let mut state = ClusterState::homogeneous(2, Resources::new(8 * 1024, 8), 1);
         let caa = PlacementConstraint::anti_affinity("w", "w", NodeGroupId::node());
         let with = LraRequest::uniform(
             ApplicationId(1),
@@ -119,8 +111,8 @@ mod tests {
             vec![Tag::new("w")],
             vec![],
         );
-        let o1 = YarnScheduler::new().place(&state, &[with]);
-        let o2 = YarnScheduler::new().place(&state, &[without]);
+        let o1 = YarnScheduler::new().place(&mut state, &[with], None);
+        let o2 = YarnScheduler::new().place(&mut state, &[without], None);
         assert_eq!(
             o1[0].placement().unwrap().nodes,
             o2[0].placement().unwrap().nodes
@@ -129,9 +121,9 @@ mod tests {
 
     #[test]
     fn unplaceable_is_reported() {
-        let state = ClusterState::homogeneous(1, Resources::new(1024, 1), 1);
+        let mut state = ClusterState::homogeneous(1, Resources::new(1024, 1), 1);
         let req = LraRequest::uniform(ApplicationId(1), 2, Resources::new(1024, 1), vec![], vec![]);
-        let out = YarnScheduler::new().place(&state, &[req]);
+        let out = YarnScheduler::new().place(&mut state, &[req], None);
         assert!(matches!(out[0], PlacementOutcome::Unplaced { .. }));
     }
 }

@@ -336,7 +336,14 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
         let best = brute_force_best(&instance, &weights, &tags, &active);
         assert!(best.is_finite(), "seed {seed}: all-unplaced is feasible");
 
-        let placed = exact.place_on(&instance.state, &instance.requests, &[], None, None, None);
+        let placed = exact.place_on(
+            &mut instance.state.clone(),
+            &instance.requests,
+            &[],
+            None,
+            None,
+            None,
+        );
         assert!(
             !placed.degraded,
             "seed {seed}: ILP must not degrade on tiny instances"
@@ -465,7 +472,14 @@ fn index_answers_match_naive_scan_after_placements() {
         // The ILP path (candidate selection through the index) every
         // few seeds.
         if seed % 5 == 0 {
-            let placed = exact.place_on(&instance.state, &instance.requests, &[], None, None, None);
+            let placed = exact.place_on(
+                &mut instance.state.clone(),
+                &instance.requests,
+                &[],
+                None,
+                None,
+                None,
+            );
             assert_index_matches_naive_scan(seed, &instance, &placed.outcomes);
         }
     }

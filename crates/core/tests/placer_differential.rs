@@ -301,7 +301,7 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
         // Every arm solves cold (no basis slot): the arms stay independent.
         let arm = |mode| {
             scheduler.place_on(
-                &instance.state,
+                &mut instance.state.clone(),
                 &instance.requests,
                 &[],
                 None,
@@ -432,7 +432,7 @@ fn entry_points_agree_for_every_arm() {
         for (alg, mode) in dispatch_table() {
             let on = |allowed, arm| {
                 fresh(alg, mode)
-                    .place_on(&state, &requests, &[], allowed, arm, None)
+                    .place_on(&mut state.clone(), &requests, &[], allowed, arm, None)
                     .outcomes
             };
             let whole = fresh(alg, mode).place(&state, &requests, &[]);
@@ -493,13 +493,18 @@ fn deployed_instance(seed: u64) -> Instance {
 fn placing_twice_is_identical_and_leaves_the_state_as_found() {
     let (mut empty_residue, mut with_residue) = (0usize, 0usize);
     for seed in 0..SEEDS {
-        let Instance { state, requests } = deployed_instance(seed);
+        let Instance {
+            mut state,
+            requests,
+        } = deployed_instance(seed);
         let subset = every_other_node(&state);
         let before = state.digest();
         for (alg, mode) in dispatch_table() {
             for allowed in [None, Some(subset.as_slice())] {
-                let first = fresh(alg, mode).place_on(&state, &requests, &[], allowed, None, None);
-                let second = fresh(alg, mode).place_on(&state, &requests, &[], allowed, None, None);
+                let first =
+                    fresh(alg, mode).place_on(&mut state, &requests, &[], allowed, None, None);
+                let second =
+                    fresh(alg, mode).place_on(&mut state, &requests, &[], allowed, None, None);
                 let label = format!("seed {seed} {alg}/{} allowed={allowed:?}", mode.name());
                 assert_eq!(
                     first.outcomes, second.outcomes,
@@ -529,7 +534,10 @@ fn placing_twice_is_identical_and_leaves_the_state_as_found() {
 #[test]
 fn restricted_baselines_match_masking_by_hand() {
     for seed in 0..SEEDS {
-        let Instance { state, requests } = deployed_instance(seed);
+        let Instance {
+            mut state,
+            requests,
+        } = deployed_instance(seed);
         let subset = every_other_node(&state);
         let mut masked = state.clone();
         for n in state.node_ids().filter(|n| !subset.contains(n)) {
@@ -541,8 +549,9 @@ fn restricted_baselines_match_masking_by_hand() {
             LraAlgorithm::Yarn,
         ] {
             let scheduler = LraScheduler::new(alg);
-            let restricted = scheduler.place_on(&state, &requests, &[], Some(&subset), None, None);
-            let by_hand = scheduler.place_on(&masked, &requests, &[], None, None, None);
+            let restricted =
+                scheduler.place_on(&mut state, &requests, &[], Some(&subset), None, None);
+            let by_hand = scheduler.place_on(&mut masked, &requests, &[], None, None, None);
             assert_eq!(
                 restricted.outcomes, by_hand.outcomes,
                 "seed {seed} {alg}: restricted != masked by hand"

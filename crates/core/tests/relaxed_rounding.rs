@@ -193,7 +193,14 @@ fn cfg() -> IlpConfig {
 fn run(instance: &Instance) -> (Vec<PlacementOutcome>, RelaxReport) {
     let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
     scheduler.ilp = cfg();
-    let placed = scheduler.place_on(&instance.state, &instance.requests, &[], None, None, None);
+    let placed = scheduler.place_on(
+        &mut instance.state.clone(),
+        &instance.requests,
+        &[],
+        None,
+        None,
+        None,
+    );
     let report = placed.relax.expect("the relaxed arm reports its quality");
     (placed.outcomes, report)
 }
