@@ -10,8 +10,10 @@
 //! operations — logged allocations, releases of the guard's own
 //! containers, scorer probes, nested guards, an early return with
 //! containers still allocated — and every observation must read after
-//! the drop what it read before.
+//! the drop what it read before. The same holds when a panic unwinds
+//! through two open guards.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use medea_cluster::{
@@ -189,5 +191,51 @@ fn guard_leaves_every_observation_as_found() {
             .allocate(ApplicationId(1), node, &small, ExecutionKind::LongRunning)
             .unwrap();
         assert_eq!((state.epoch(), appended()), (epoch + 1, 1), "seed {seed}");
+    }
+}
+
+/// Random tentative allocations and releases of `own` containers.
+fn allocate_or_release(
+    state: &mut ClusterState,
+    rng: &mut StdRng,
+    own: &mut Vec<ContainerId>,
+    ops: usize,
+) {
+    for _ in 0..ops {
+        if own.is_empty() || rng.random_bool(0.7) {
+            let app = ApplicationId(rng.random_range(0..8u64));
+            let node = NodeId(rng.random_range(0..NODES));
+            let request = random_request(rng);
+            own.extend(state.allocate(app, node, &request, ExecutionKind::LongRunning));
+        } else {
+            let id = own.swap_remove(rng.random_range(0..own.len()));
+            state
+                .release(id)
+                .expect("a guard releases what it allocated");
+        }
+    }
+}
+
+#[test]
+fn a_panic_unwinds_every_open_guard() {
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0x0DD5 ^ seed);
+        let (mut state, _, wal) = base_state(&mut rng);
+        let before = observe(&state);
+
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let mut outer = state.scratch();
+            let mut own = Vec::new();
+            allocate_or_release(&mut outer, &mut rng, &mut own, 60);
+            let mut inner = outer.scratch();
+            let mut inner_own = Vec::new();
+            allocate_or_release(&mut inner, &mut rng, &mut inner_own, 30);
+            panic!("a solver stage panicked with two guards open");
+        }));
+
+        assert!(caught.is_err(), "seed {seed}: the closure must panic");
+        assert_eq!(observe(&state), before, "seed {seed}");
+        let appended = wal.lock().unwrap().stats().records_appended;
+        assert_eq!(appended, 0, "seed {seed}: tentative work was journaled");
     }
 }
