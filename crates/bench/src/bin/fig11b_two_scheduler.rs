@@ -6,10 +6,11 @@
 //! single-scheduler strawman: the solve runs on the heartbeat path, so
 //! every task due while it runs waits — task latency inflates with the
 //! deadline. The asynchronous pipeline is Medea's design: the solve
-//! elapses off the critical path against a snapshot, and the cost shows
-//! up instead as commit-time conflicts (stale placements invalidated and
-//! resubmitted, §5.4), which grow with the deadline but never touch the
-//! task path. Both runs are on the simulated clock and must drain.
+//! elapses off the critical path on the state it started from, and the
+//! cost shows up instead as commit-time conflicts (stale placements
+//! invalidated and resubmitted, §5.4), which grow with the deadline but
+//! never touch the task path. Both runs are on the simulated clock and
+//! must drain.
 
 use medea_bench::{f2, f3, run_pipeline, PipelineScenario, Report};
 use medea_sim::{box_stats, PipelineMode, SolveLatencyModel};

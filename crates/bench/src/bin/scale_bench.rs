@@ -15,12 +15,12 @@
 //!   through [`MedeaScheduler::tick`]): the same batch placed by one
 //!   monolithic solve and by per-shard solves over service-unit shards.
 //!   The speedup is purely algorithmic — a single thread runs the shard
-//!   solves back-to-back on the round's one snapshot, each scanning only
-//!   its shard's nodes. At 20000+ nodes the sharded round must be at most
-//!   a quarter of the unsharded round (enforced here, so CI catches
-//!   regressions: a state copy per shard solve alone breaks it), and
-//!   every row reports how many copies of the cluster a sharded round
-//!   made.
+//!   solves back-to-back on the live state under a rollback guard, each
+//!   scanning only its shard's nodes. At 20000+ nodes the sharded round
+//!   must be at most a quarter of the unsharded round (enforced here, so
+//!   CI catches regressions: a state copy per shard solve alone breaks
+//!   it), every round of both runs must copy the cluster zero times
+//!   (also enforced), and every row reports the sharded round's count.
 //!
 //! Usage: `cargo run --release -p medea-bench --bin scale_bench`
 //! (`--smoke` runs the 500- and 20000-node scales only, for CI).
@@ -204,6 +204,7 @@ fn sharded_comparison(state: &ClusterState, nodes: usize, iters: usize) -> Shard
             let deployed = m.tick(now);
             samples.push(t.elapsed().as_micros() as u64);
             clones = state_clones() - clones_before;
+            assert_eq!(clones, 0, "a scheduling round must not copy the cluster");
             assert_eq!(deployed.len(), 10, "comparison round must deploy its batch");
         }
         assert_eq!(

@@ -1,8 +1,7 @@
 //! Checkpoint/restore of [`ClusterState`] over the `medea-journal` WAL.
 //!
 //! The durable history of a cluster is `checkpoint + log tail`:
-//! [`ClusterState::checkpoint_doc`] serializes the full state (taken
-//! from a consistent snapshot by the scheduler layer) into a
+//! [`ClusterState::checkpoint_doc`] serializes the full live state into a
 //! [`CheckpointDoc`], and every subsequent non-probe mutation appends
 //! one epoch-stamped [`JournalRecord`]. Restore inverts both:
 //! [`ClusterState::from_checkpoint`] rebuilds the base state — nodes,
@@ -271,16 +270,8 @@ impl ClusterState {
                 .map_err(|e| RestoreError::Invalid(format!("node {}: {e}", n.node)))?;
         }
 
-        // Pin the mutation clock to the checkpoint epoch. Per-node
-        // generations collapse to the checkpoint epoch (conservative:
-        // a snapshot diff against an older epoch reports every node as
-        // changed) and the change log restarts empty at that floor.
+        // Pin the mutation clock to the checkpoint epoch.
         state.epoch = doc.epoch;
-        for g in &mut state.node_generation {
-            *g = doc.epoch;
-        }
-        state.change_log.clear();
-        state.change_log_floor = doc.epoch;
         Ok(state)
     }
 
@@ -405,9 +396,8 @@ impl ClusterState {
     /// per-node free/availability/tags/containers, every allocation,
     /// per-app container lists, the id counter, the group γ caches, and
     /// the mutation epoch. Two states with equal digests place
-    /// identically under every scheduler policy. Performance metadata
-    /// (change log, per-node generations, index counters) is excluded —
-    /// restore collapses those conservatively.
+    /// identically under every scheduler policy. The index's work
+    /// counters are excluded: they measure effort, not state.
     pub fn digest(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

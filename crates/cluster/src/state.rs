@@ -6,7 +6,7 @@
 //! the conflicting-placement problem of multi-level schedulers.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
@@ -140,17 +140,10 @@ pub struct ClusterState {
     /// One-entry memo of the last `appid:` tag built by `allocate`.
     last_app_tag: Option<(ApplicationId, Tag)>,
     /// Global mutation epoch: incremented by every state-changing
-    /// operation (allocate, release, tag/availability changes). Snapshots
-    /// record it at capture so the commit path can measure staleness.
+    /// operation (allocate, release, tag/availability/group changes).
+    /// Each journal record carries the epoch it was appended at, which
+    /// is how restore orders the log tail after a checkpoint.
     pub(crate) epoch: u64,
-    /// Per-node generation stamp: the epoch of the node's last mutation.
-    pub(crate) node_generation: Vec<u64>,
-    /// Bounded log of recent `(epoch, node)` mutations, newest at the
-    /// back, enabling O(changed) snapshot diffs.
-    pub(crate) change_log: VecDeque<(u64, u32)>,
-    /// Smallest `since` epoch the change log still answers exactly;
-    /// diffs older than this fall back to the generation scan.
-    pub(crate) change_log_floor: u64,
     /// Attached write-ahead journal, if any (see [`crate::restore`]).
     /// Every *non-probe* mutation appends one epoch-stamped record.
     /// Deliberately absent from clones: snapshots and other copies are
@@ -193,9 +186,6 @@ impl Clone for ClusterState {
             index: self.index.clone(),
             last_app_tag: self.last_app_tag.clone(),
             epoch: self.epoch,
-            node_generation: self.node_generation.clone(),
-            change_log: self.change_log.clone(),
-            change_log_floor: self.change_log_floor,
             // The journal is intentionally NOT cloned: a clone is scratch
             // state (snapshot, what-if copy) and journaling its mutations
             // would corrupt the durable history of the live state.
@@ -209,28 +199,31 @@ impl Clone for ClusterState {
     }
 }
 
-/// A rollback guard over a [`ClusterState`]: the solver stages place
-/// containers tentatively on the round's one snapshot and leave it
+/// A rollback guard over a [`ClusterState`]: a scheduling round's solver
+/// stages place containers tentatively on the live state and leave it
 /// exactly as found.
 ///
 /// Reads are the state's own API (through `Deref`). While the guard is
 /// open, [`ClusterState::allocate`] and [`ClusterState::release`] are
 /// *tentative*: they maintain everything a placer reads (free resources,
-/// `γ`, the indexes, the per-app lists) but bump neither the epoch nor
-/// the change log, never reach an attached journal, and are logged.
-/// Dropping the guard — on any path, early return included — releases
-/// what is still allocated, newest first, and restores the container-id
-/// counter, so [`ClusterState::digest`] reads byte for byte what it read
-/// before. Guards nest ([`ClusterState::scratch`] on a guard): the inner
-/// one rolls back to where it was opened. A guard can release only what
-/// it allocated, and rolls back nothing but allocations: availability,
-/// node tags and groups must not change under one.
+/// `γ`, the indexes, the per-app lists) but do not bump the epoch, never
+/// reach an attached journal, and are logged. Dropping the guard — on
+/// any path, early return and panic unwinding included — releases what
+/// is still allocated, newest first, and restores the container-id
+/// counter and the index's `update_ops`, so [`ClusterState::digest`]
+/// reads byte for byte what it read before and tentative work does not
+/// count as index upkeep. Guards nest ([`ClusterState::scratch`] on a
+/// guard): the inner one rolls back to where it was opened. A guard can
+/// release only what it allocated, and rolls back nothing but
+/// allocations: availability, node tags and groups must not change under
+/// one.
 #[derive(Debug)]
 pub struct Scratch<'a> {
     state: &'a mut ClusterState,
     /// The enclosing guard's mark (`None`: this is the outermost).
     outer: Option<usize>,
     next_container: u64,
+    update_ops: u64,
 }
 
 impl Deref for Scratch<'_> {
@@ -254,13 +247,10 @@ impl Drop for Scratch<'_> {
             let _ = self.state.release_inner(id, false);
         }
         self.state.next_container = self.next_container;
+        self.state.index.update_ops = self.update_ops;
         self.state.scratch_open = self.outer;
     }
 }
-
-/// Retained change-log entries; beyond this, old entries are trimmed and
-/// diffs older than the trimmed range degrade to an O(nodes) scan.
-const CHANGE_LOG_CAP: usize = 4096;
 
 impl ClusterState {
     /// Creates a cluster from nodes, registering a `rack` partition with
@@ -283,7 +273,6 @@ impl ClusterState {
                 available: true,
             })
             .collect();
-        let num_nodes = nodes.len();
         let mut state = ClusterState {
             nodes: nodes.into(),
             node_state,
@@ -295,9 +284,6 @@ impl ClusterState {
             index: ClusterIndex::default(),
             last_app_tag: None,
             epoch: 0,
-            node_generation: vec![0; num_nodes],
-            change_log: VecDeque::new(),
-            change_log_floor: 0,
             journal: None,
             scratch_log: Vec::new(),
             scratch_open: None,
@@ -335,53 +321,21 @@ impl ClusterState {
         );
     }
 
-    /// Records a mutation of `node`: bumps the global epoch, stamps the
-    /// node's generation, and appends to the bounded change log.
-    fn touch(&mut self, node: NodeId) {
+    /// Records one mutation: bumps the global epoch.
+    fn touch(&mut self) {
         debug_assert!(
             self.scratch_open.is_none(),
             "a Scratch guard rolls back allocations only"
         );
         self.epoch += 1;
-        if let Some(g) = self.node_generation.get_mut(node.index()) {
-            *g = self.epoch;
-        }
-        self.change_log.push_back((self.epoch, node.0));
-        while self.change_log.len() > CHANGE_LOG_CAP {
-            if let Some((e, _)) = self.change_log.pop_front() {
-                // Entries at epoch <= e are gone: only diffs since >= e
-                // remain exact.
-                self.change_log_floor = e;
-            }
-        }
     }
 
-    /// Records a mutation affecting every node (group topology changes):
-    /// one epoch bump, all generations stamped, change log reset.
-    fn touch_all(&mut self) {
-        debug_assert!(
-            self.scratch_open.is_none(),
-            "a Scratch guard rolls back allocations only"
-        );
-        self.epoch += 1;
-        for g in &mut self.node_generation {
-            *g = self.epoch;
-        }
-        self.change_log.clear();
-        self.change_log_floor = self.epoch;
-    }
-
-    /// The global mutation epoch (see [`crate::ClusterSnapshot`]).
+    /// The global mutation epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The epoch of a node's last mutation (0 = never mutated).
-    pub fn node_generation(&self, node: NodeId) -> u64 {
-        self.node_generation.get(node.index()).copied().unwrap_or(0)
-    }
-
-    /// Captures a versioned snapshot of this state (see
+    /// A deep copy of this state, detached from its journal (see
     /// [`crate::ClusterSnapshot::capture`]).
     pub fn snapshot(&self) -> crate::ClusterSnapshot {
         crate::ClusterSnapshot::capture(self)
@@ -393,45 +347,9 @@ impl ClusterState {
         Scratch {
             outer: self.scratch_open.replace(self.scratch_log.len()),
             next_container: self.next_container,
+            update_ops: self.index.update_ops,
             state: self,
         }
-    }
-
-    /// Nodes mutated after epoch `since`, ascending and deduplicated.
-    /// O(changed) via the change log while it covers `since`; O(nodes)
-    /// generation comparison once the log has been trimmed past it.
-    pub fn nodes_changed_since(&self, since: u64) -> Vec<NodeId> {
-        if since >= self.epoch {
-            return Vec::new();
-        }
-        // `since >= floor` (not `>`) is exact, including at the boundary
-        // where an overflow pop just set `change_log_floor` to the popped
-        // entry's epoch: epochs are unique (every `touch` bumps the global
-        // epoch before logging), so the popped entry is the only one at
-        // epoch == floor, and a query at `since == floor` only needs
-        // entries with epoch > floor — all of which are still in the log.
-        // After `touch_all` the log is empty with floor == epoch, and
-        // `since == floor` is already handled by the early return above.
-        // Only `since < floor` can have lost entries and must fall back to
-        // the generation scan.
-        if since >= self.change_log_floor {
-            let mut out: Vec<u32> = self
-                .change_log
-                .iter()
-                .rev()
-                .take_while(|&&(e, _)| e > since)
-                .map(|&(_, n)| n)
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            return out.into_iter().map(NodeId).collect();
-        }
-        self.node_generation
-            .iter()
-            .enumerate()
-            .filter(|&(_, &g)| g > since)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
     }
 
     /// Maintenance/query counters of the index layer (the `cluster.index_*`
@@ -453,9 +371,7 @@ impl ClusterState {
         });
         Arc::make_mut(&mut self.groups).register(group, node_sets);
         self.rebuild_group_tags();
-        // Group topology feeds every γ_𝒮 query: snapshots taken before
-        // this point must see the whole cluster as changed.
-        self.touch_all();
+        self.touch();
         if let Some(op) = journal_op {
             self.record(op);
         }
@@ -554,7 +470,7 @@ impl ClusterState {
             .ok_or(ClusterError::UnknownNode(id))?;
         if state.available != available {
             state.available = available;
-            self.touch(id);
+            self.touch();
             self.record(JournalOp::SetAvailable {
                 node: id.0,
                 available,
@@ -574,7 +490,7 @@ impl ClusterState {
             .get_mut(node.index())
             .ok_or(ClusterError::UnknownNode(node))?;
         state.tags.add(tag.clone());
-        self.touch(node);
+        self.touch();
         self.record(JournalOp::NodeTagAdd {
             node: node.0,
             tag: tag.as_str().to_string(),
@@ -607,7 +523,7 @@ impl ClusterState {
         if !state.tags.remove(tag) {
             return Ok(());
         }
-        self.touch(node);
+        self.touch();
         self.record(JournalOp::NodeTagRemove {
             node: node.0,
             tag: tag.as_str().to_string(),
@@ -856,7 +772,7 @@ impl ClusterState {
         let tentative = self.scratch_open.is_some();
         if !probe {
             if !tentative {
-                self.touch(node);
+                self.touch();
             }
             for t in &tags {
                 self.index.tag_added(node.0, t);
@@ -978,7 +894,7 @@ impl ClusterState {
         let tentative = self.scratch_open.is_some();
         if !probe {
             if !tentative {
-                self.touch(alloc.node);
+                self.touch();
             }
             match &removed {
                 None => {
@@ -1132,50 +1048,6 @@ mod tests {
             c.release(id),
             Err(ClusterError::UnknownContainer(_))
         ));
-    }
-
-    #[test]
-    fn change_log_floor_boundary_is_exact() {
-        // After overflow pops, `change_log_floor` is the epoch of the
-        // last popped entry. A diff at exactly `since == floor` takes the
-        // fast path; because epochs are unique, every entry it needs
-        // (epoch > floor) is still in the log, so the fast path must
-        // agree exactly with the O(nodes) generation scan — not merely
-        // return a superset.
-        let mut c = ClusterState::homogeneous(8, Resources::new(8192, 8), 2);
-        let zero = ContainerRequest::new(Resources::new(0, 0), Vec::<Tag>::new());
-        // Epochs 1..=5 touch only node 7; epochs 6..=CAP+5 touch 0..=6.
-        for _ in 0..5 {
-            c.allocate(ApplicationId(1), NodeId(7), &zero, ExecutionKind::Task)
-                .unwrap();
-        }
-        for i in 0..CHANGE_LOG_CAP {
-            c.allocate(
-                ApplicationId(1),
-                NodeId((i % 7) as u32),
-                &zero,
-                ExecutionKind::Task,
-            )
-            .unwrap();
-        }
-        assert_eq!(c.epoch(), (CHANGE_LOG_CAP + 5) as u64);
-        let floor = 5u64; // epochs 1..=5 were popped to keep CAP entries
-        let ground_truth = |since: u64| -> Vec<NodeId> {
-            (0..8u32)
-                .map(NodeId)
-                .filter(|&n| c.node_generation(n) > since)
-                .collect()
-        };
-        // Exactly at the floor: node 7 (last touched at epoch 5) must be
-        // excluded and nodes 0..=6 included, same as the generation scan.
-        let fast = c.nodes_changed_since(floor);
-        assert_eq!(fast, ground_truth(floor));
-        assert_eq!(fast, (0..7u32).map(NodeId).collect::<Vec<_>>());
-        // One epoch below the floor the log has lost an entry, so the
-        // slow path must report node 7's epoch-5 mutation too.
-        let below = c.nodes_changed_since(floor - 1);
-        assert_eq!(below, ground_truth(floor - 1));
-        assert!(below.contains(&NodeId(7)));
     }
 
     #[test]
@@ -1349,6 +1221,46 @@ mod tests {
         assert_eq!(c.free(NodeId(0)).unwrap(), Resources::new(8192, 8));
         assert_eq!(c.gamma(NodeId(0), &Tag::new("svc")), 0);
         assert!(c.release_node(NodeId(42)).is_err());
+    }
+
+    #[test]
+    fn probes_do_not_advance_the_epoch() {
+        let mut c = small_cluster();
+        let before = c.epoch();
+        let id = c
+            .probe_allocate(
+                ApplicationId(1),
+                NodeId(0),
+                &req(256, &["s"]),
+                ExecutionKind::Task,
+            )
+            .unwrap();
+        c.probe_release(id).unwrap();
+        assert_eq!(c.epoch(), before);
+    }
+
+    #[test]
+    fn no_op_marks_are_not_mutations() {
+        let mut c = small_cluster();
+        c.set_available(NodeId(1), false).unwrap();
+        c.add_node_tag(NodeId(2), Tag::new("fault_domain")).unwrap();
+        let e = c.epoch();
+        assert_eq!(e, 2, "each real change is one epoch");
+        // Re-marking the same availability is not a mutation.
+        c.set_available(NodeId(1), false).unwrap();
+        assert_eq!(c.epoch(), e);
+        // Neither is removing a tag the node does not carry.
+        c.remove_node_tag(NodeId(0), &Tag::new("ghost")).unwrap();
+        assert_eq!(c.epoch(), e);
+    }
+
+    #[test]
+    fn states_and_snapshots_are_shareable_across_threads() {
+        // A compile-time contract: the index's query counter must stay
+        // atomic, not `Cell`.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ClusterState>();
+        assert_send_sync::<crate::ClusterSnapshot>();
     }
 
     #[test]

@@ -209,8 +209,8 @@ fn restore_reproduces_state_exactly_64_seeds() {
 fn snapshot_clones_never_journal() {
     let (mut state, wal, _storage) = journaled_state();
     let before = wal.lock().unwrap().stats().records_appended;
-    // Mutating a snapshot's state (what the solve pipeline does with
-    // placement baselines) must leave the journal untouched.
+    // Mutating a snapshot's state (a detached copy) must leave the
+    // journal untouched.
     let mut snap = state.snapshot();
     let req = ContainerRequest::new(Resources::new(512, 1), [Tag::new("scratch")]);
     snap.state_mut()

@@ -175,15 +175,14 @@ impl MedeaScheduler {
     }
 
     /// Installs a checkpoint of the current cluster state, truncating
-    /// the replay tail. The document is serialized from a
-    /// [`medea_cluster::ClusterSnapshot`] — the same frozen view the
-    /// solve pipeline uses — so checkpointing composes with in-flight
-    /// solves. No-op without a journal.
+    /// the replay tail. The document is serialized straight from the
+    /// live state: in-flight solves hold proposals, not cluster state,
+    /// so checkpointing composes with them. No-op without a journal.
     pub fn checkpoint(&mut self, now: u64) -> Result<(), JournalError> {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        let doc = self.checkpoint_doc(self.state.snapshot().state());
+        let doc = self.checkpoint_doc(&self.state);
         journal.lock().install_checkpoint(&doc)?;
         if let Some(journal) = &mut self.journal {
             journal.next_checkpoint = now.saturating_add(journal.checkpoint_interval.max(1));

@@ -67,7 +67,7 @@ impl fmt::Display for LraAlgorithm {
 }
 
 /// The LRA scheduler of Fig. 4: places batches of LRAs using the
-/// configured algorithm against a snapshot of the cluster state.
+/// configured algorithm, tentatively, on the cluster state it is handed.
 pub struct LraScheduler {
     /// Selected algorithm.
     pub algorithm: LraAlgorithm,
@@ -124,7 +124,7 @@ impl LraScheduler {
     /// The one placement entry point, in full detail. `state` is the
     /// working state: every arm places tentatively on it under a
     /// [`medea_cluster::Scratch`] guard and leaves it as found (the round
-    /// hands its one snapshot here, sub-solve after sub-solve).
+    /// hands the live state here, sub-solve after sub-solve).
     ///
     /// - `allowed` restricts candidate hosts to a node list (a shard's
     ///   nodes, ascending); `None` means all nodes. Scoring and `γ`

@@ -736,7 +736,7 @@ impl MedeaScheduler {
     ///
     /// The synchronous pipeline: [`MedeaScheduler::propose_all`]
     /// followed immediately by [`MedeaScheduler::commit`] at the same
-    /// tick, so the solve never observes a stale snapshot. The
+    /// tick, so nothing mutates the live state between the two. The
     /// asynchronous pipeline calls the two phases itself with simulated
     /// solve latency in between.
     ///

@@ -85,8 +85,8 @@ impl Relevant {
 /// Greedy node scorer over the active constraints.
 ///
 /// Scoring a tentative `(container, node)` pair probe-allocates the
-/// container on the state it is handed (the round's snapshot under a
-/// rollback guard, or the migration planner's live state), measures the change
+/// container on the state it is handed (the live state, under the round's
+/// rollback guard or the migration planner's), measures the change
 /// in weighted violation extent, fragmentation, and load, then releases it.
 #[derive(Debug)]
 pub struct Scorer {

@@ -1,7 +1,7 @@
 //! The one scheduling round (§3, §5.4, Fig. 6): batch the eligible
-//! pending LRAs at the interval, solve them against a snapshot off the
-//! critical path ([`MedeaScheduler::propose_all`]), and hand each
-//! placement back to the single writer, which commits it or — on
+//! pending LRAs at the interval, solve them tentatively on the live state
+//! under a rollback guard ([`MedeaScheduler::propose_all`]), and hand
+//! each placement back to the single writer, which commits it or — on
 //! conflict — resubmits it ([`MedeaScheduler::commit`]).
 //!
 //! Owns the **in-flight table**: the entries of every proposed-but-
@@ -11,14 +11,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use medea_cluster::{
-    ApplicationId, ClusterSnapshot, ClusterState, ContainerId, NodeId, ShardConfig, ShardPlan,
-};
+use medea_cluster::{ApplicationId, ClusterState, ContainerId, NodeId, ShardConfig, ShardPlan};
 use medea_constraints::{ConstraintSource, PlacementConstraint};
 
 use crate::ilp::IlpBasisCache;
 use crate::lra::{LraAlgorithm, LraScheduler};
-use crate::medea::{LraDeployment, MedeaScheduler, PendingLra};
+use crate::medea::{CoreMetrics, LraDeployment, MedeaScheduler, PendingLra};
 use crate::recovery::{DegradationLadder, RecoveryConfig};
 use crate::relax::PlacerMode;
 use crate::request::{LraRequest, PlacementOutcome};
@@ -39,12 +37,12 @@ enum EntryRoute {
 /// consumed by [`MedeaScheduler::commit`].
 ///
 /// Holds what the solver produced: the placements the algorithm proposed
-/// against a [`medea_cluster::ClusterSnapshot`] of the cluster, and the
-/// per-entry *violation baseline* — the number of violated constraint
-/// checks each placement had on the snapshot itself. At commit time the
-/// same count is re-evaluated on live state: a higher count means the
-/// cluster drifted under the solve (γ-cardinality drift) and the entry is
-/// conflicted rather than committed.
+/// on the cluster as it stood at propose time, and the per-entry
+/// *violation baseline* — the number of violated constraint checks each
+/// placement had on that state. At commit time the same count is
+/// re-evaluated on live state: a higher count means the cluster drifted
+/// under the solve (γ-cardinality drift) and the entry is conflicted
+/// rather than committed.
 ///
 /// The batch entries stay on the scheduler's in-flight table, keyed by
 /// this solve's id: dropping an `InflightSolve` leaves them in flight
@@ -54,10 +52,10 @@ enum EntryRoute {
 pub struct InflightSolve {
     id: u64,
     outcomes: Vec<PlacementOutcome>,
-    /// Violated-check count per batch entry on the snapshot right after
-    /// its own placement was applied (`None` for unplaced entries or
-    /// placements the snapshot itself rejected — those skip the γ-drift
-    /// comparison; the live allocation still validates capacity).
+    /// Violated-check count per batch entry at propose time, right after
+    /// its own placement was tentatively applied (`None` for unplaced
+    /// entries or placements that state itself rejected — those skip the
+    /// γ-drift comparison; the live allocation still validates capacity).
     baselines: Vec<Option<usize>>,
     /// Constraints of already-deployed LRAs + operator at propose time,
     /// shared by every solve of the round.
@@ -210,13 +208,152 @@ impl Placer {
             shard_caches: Vec::new(),
         }
     }
+
+    /// Runs the placement algorithm for one sub-batch of the round —
+    /// restricted to one shard's nodes for a shard solve — and computes
+    /// its commit-validation baselines, both tentatively on `state` (the
+    /// live state, under the round's guard). Returns outcomes and
+    /// baselines per entry plus the algorithm time.
+    ///
+    /// Baselines accumulate *within* the sub-batch (commit replays the
+    /// same order on live state) under a rollback guard, so every
+    /// sub-batch's baseline is computed on the state as the round found
+    /// it. This is load-bearing for conflict detection: if a later shard's
+    /// baseline saw an earlier shard's tentative placements, cross-shard
+    /// γ-drift would be absorbed into the baseline and never surface as a
+    /// commit conflict.
+    fn solve_sub_batch(
+        &mut self,
+        state: &mut ClusterState,
+        batch: &[PendingLra],
+        deployed: &[PlacementConstraint],
+        shard: Option<(usize, &[NodeId])>,
+        metrics: Option<&CoreMetrics>,
+    ) -> (Vec<PlacementOutcome>, Vec<Option<usize>>, Duration) {
+        let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
+
+        let t0 = Instant::now();
+        let outcomes = self.place_batch_on(state, &requests, deployed, shard, metrics);
+        let algorithm_time = t0.elapsed();
+        if let Some(m) = metrics {
+            m.place_us.record_duration(algorithm_time);
+            if shard.is_some() {
+                m.shard_solve_us.record_duration(algorithm_time);
+            }
+        }
+
+        // Establish the commit-time validation baseline: apply the
+        // proposed placements tentatively in batch order and count each
+        // entry's violated constraint checks right after its own
+        // allocation. Commit replays the same sequence for real; a
+        // higher count then means the cluster drifted mid-solve. The
+        // guard's drop restores the state for the round's next sub-batch
+        // (see the method doc: baselines must not see other sub-batches).
+        let mut work = state.scratch();
+        let baselines = batch
+            .iter()
+            .zip(&outcomes)
+            .map(|(pending, outcome)| {
+                // No baseline for an unplaced entry, nor for a proposal the
+                // state itself rejects (commit will fail it on capacity).
+                let nodes = &outcome.placement()?.nodes;
+                let ids = pending
+                    .request
+                    .allocate_all(&mut work, |_, k| nodes.get(k).copied())?;
+                Some(MedeaScheduler::violated_checks(
+                    &work,
+                    &pending.request.constraints,
+                    deployed,
+                    &ids,
+                ))
+            })
+            .collect();
+        (outcomes, baselines, algorithm_time)
+    }
+
+    /// Runs the placement algorithm for one batch — restricted to the
+    /// shard's nodes, warm-started from the shard's own basis slot, when
+    /// solving a shard — routing the solver arms through the degradation
+    /// ladder: injected stalls and solver degradations count as failures
+    /// against the breaker of the arm that served, demoting service
+    /// `Ilp → Relaxed → Heuristic`; each breaker probes its arm again
+    /// after a cool-down, restoring the higher arm on a successful probe.
+    fn place_batch_on(
+        &mut self,
+        state: &mut ClusterState,
+        requests: &[LraRequest],
+        deployed: &[PlacementConstraint],
+        shard: Option<(usize, &[NodeId])>,
+        metrics: Option<&CoreMetrics>,
+    ) -> Vec<PlacementOutcome> {
+        let Placer {
+            lra,
+            ladder,
+            stall_cycles_remaining,
+            shard_caches,
+            ..
+        } = self;
+        let allowed = shard.map(|(_, nodes)| nodes);
+        let cache = match shard {
+            Some((s, _)) => {
+                if shard_caches.len() <= s {
+                    shard_caches.resize_with(s + 1, IlpBasisCache::default);
+                }
+                &shard_caches[s]
+            }
+            None => &lra.cache,
+        };
+        if lra.algorithm != LraAlgorithm::Ilp {
+            return lra
+                .place_on(state, requests, deployed, allowed, None, Some(cache))
+                .outcomes;
+        }
+        let opened_before = ladder.ilp_breaker().opened_total();
+        let closed_before = ladder.ilp_breaker().closed_total();
+        let relax_opened_before = ladder.relaxed_breaker().opened_total();
+        let relax_closed_before = ladder.relaxed_breaker().closed_total();
+        let arm = ladder.select(lra.ilp.mode);
+        // An injected stall fails whichever solver arm would have served
+        // and the batch is carried by the heuristic.
+        let stalled = *stall_cycles_remaining > 0;
+        if stalled {
+            *stall_cycles_remaining -= 1;
+        }
+        let serving = if stalled { PlacerMode::Heuristic } else { arm };
+        let placed = lra.place_on(
+            state,
+            requests,
+            deployed,
+            allowed,
+            Some(serving),
+            Some(cache),
+        );
+        ladder.on_outcome(arm, !stalled && !placed.degraded);
+        if let Some(m) = metrics {
+            m.breaker_opened
+                .add(ladder.ilp_breaker().opened_total() - opened_before);
+            m.breaker_closed
+                .add(ladder.ilp_breaker().closed_total() - closed_before);
+            m.breaker_state.set(ladder.ilp_breaker().state_code());
+            m.relax_breaker_opened
+                .add(ladder.relaxed_breaker().opened_total() - relax_opened_before);
+            m.relax_breaker_closed
+                .add(ladder.relaxed_breaker().closed_total() - relax_closed_before);
+            m.relax_breaker_state
+                .set(ladder.relaxed_breaker().state_code());
+            m.placer_mode.set(arm.code());
+        }
+        placed.outcomes
+    }
 }
 
 impl MedeaScheduler {
     /// Phase 1 of the placement pipeline (§5.3: the LRA scheduler runs
-    /// off the critical path): freezes a [`medea_cluster::ClusterSnapshot`]
-    /// of the cluster, runs the placement algorithm for the eligible
-    /// pending batch against it, and returns the proposals for a later
+    /// off the critical path): runs the placement algorithm for the
+    /// eligible pending batch on the live state under one
+    /// [`medea_cluster::Scratch`] guard — every tentative placement is
+    /// rolled back before this returns, and no copy of the cluster is
+    /// made — and returns the proposals for a later
     /// [`MedeaScheduler::commit`]. The live state is free to mutate —
     /// task containers, crashes, completions — while the solves are
     /// conceptually in flight.
@@ -241,11 +378,12 @@ impl MedeaScheduler {
     /// - no footprint → round-robin across shards, freest shard first
     ///   (the `ClusterIndex` free-memory ordering).
     ///
-    /// Every solve runs against the same snapshot with its baseline
-    /// computed on the *pristine* snapshot, so interactions between
-    /// shards (e.g. a deployed cardinality constraint spanning two
-    /// shards) surface as γ-drift commit conflicts and are reconciled by
-    /// the usual §5.4 rollback + resubmission path.
+    /// Every solve and its baseline run on the state as it stood when the
+    /// round opened (each sub-solve's tentative placements are rolled
+    /// back before the next starts), so interactions between shards
+    /// (e.g. a deployed cardinality constraint spanning two shards)
+    /// surface as γ-drift commit conflicts and are reconciled by the
+    /// usual §5.4 rollback + resubmission path.
     pub fn propose_all(&mut self, now: u64) -> Vec<InflightSolve> {
         // Durability cadence runs ahead of the scheduling gates: a quiet
         // queue must not starve checkpoints.
@@ -295,13 +433,6 @@ impl MedeaScheduler {
                 .collect()
         };
 
-        // One snapshot per round — the round's only copy of the cluster —
-        // shared by every sub-solve: each solver stage and the baseline
-        // bookkeeping place on it tentatively under a rollback guard and
-        // leave it as found, so sub-solves run one after another.
-        let clones_before = medea_cluster::state_clones();
-        let mut snapshot = self.state.snapshot();
-
         let shard = self.placer.shard;
         let plan = shard
             .enabled()
@@ -316,11 +447,23 @@ impl MedeaScheduler {
             m.shards_active.set(active as i64);
         }
 
+        // Every sub-solve places on the live state, one after another,
+        // under this one guard; each solver stage and the baseline
+        // bookkeeping also nest their own. The guard drops before the
+        // round returns, so the live state is as found and no copy of the
+        // cluster is made.
+        let clones_before = medea_cluster::state_clones();
+        let mut work = self.state.scratch();
         let mut solves = Vec::with_capacity(jobs.len());
         for (shard, sub) in jobs {
             let restricted = shard.zip(plan.as_ref()).map(|(s, p)| (s, p.nodes(s)));
-            let (outcomes, baselines, algorithm_time) =
-                self.solve_sub_batch(&sub, &deployed, &mut snapshot, restricted);
+            let (outcomes, baselines, algorithm_time) = self.placer.solve_sub_batch(
+                &mut work,
+                &sub,
+                &deployed,
+                restricted,
+                self.metrics.as_ref(),
+            );
             let containers = sub.iter().map(|p| p.request.num_containers()).sum();
             solves.push(InflightSolve {
                 id: self.inflight.insert(sub, plan.is_some()),
@@ -332,6 +475,7 @@ impl MedeaScheduler {
                 containers,
             });
         }
+        drop(work);
         if let Some(m) = &self.metrics {
             m.solve_inflight.set(self.inflight.len() as i64);
             m.state_clones
@@ -397,67 +541,6 @@ impl MedeaScheduler {
             .collect()
     }
 
-    /// Runs the placement algorithm for one sub-batch of the round —
-    /// restricted to one shard's nodes for a shard solve — and computes
-    /// its commit-validation baselines against the shared round snapshot.
-    /// Returns outcomes and baselines per entry plus the algorithm time.
-    ///
-    /// Baselines accumulate *within* the sub-batch (commit replays the
-    /// same order on live state) under a rollback guard, so
-    /// every sub-batch's baseline is computed on the pristine snapshot.
-    /// This is load-bearing for conflict detection: if a later shard's
-    /// baseline saw an earlier shard's tentative placements, cross-shard
-    /// γ-drift would be absorbed into the baseline and never surface as a
-    /// commit conflict.
-    fn solve_sub_batch(
-        &mut self,
-        batch: &[PendingLra],
-        deployed: &[PlacementConstraint],
-        snapshot: &mut ClusterSnapshot,
-        shard: Option<(usize, &[NodeId])>,
-    ) -> (Vec<PlacementOutcome>, Vec<Option<usize>>, Duration) {
-        let requests: Vec<LraRequest> = batch.iter().map(|p| p.request.clone()).collect();
-
-        let t0 = Instant::now();
-        let outcomes = self.place_batch_on(snapshot.state_mut(), &requests, deployed, shard);
-        let algorithm_time = t0.elapsed();
-        if let Some(m) = &self.metrics {
-            m.place_us.record_duration(algorithm_time);
-            if shard.is_some() {
-                m.shard_solve_us.record_duration(algorithm_time);
-            }
-        }
-
-        // Establish the commit-time validation baseline: apply the
-        // proposed placements to the snapshot in batch order and count
-        // each entry's violated constraint checks right after its own
-        // allocation. Commit replays the same sequence on live state; a
-        // higher live count means the cluster drifted mid-solve. The
-        // guard's drop restores the snapshot for the round's next
-        // sub-batch (see the method doc: baselines must be pristine per
-        // sub-batch).
-        let mut work = snapshot.state_mut().scratch();
-        let baselines = batch
-            .iter()
-            .zip(&outcomes)
-            .map(|(pending, outcome)| {
-                // No baseline for an unplaced entry, nor for a proposal the
-                // snapshot itself rejects (commit will fail it on capacity).
-                let nodes = &outcome.placement()?.nodes;
-                let ids = pending
-                    .request
-                    .allocate_all(&mut work, |_, k| nodes.get(k).copied())?;
-                Some(Self::violated_checks(
-                    &work,
-                    &pending.request.constraints,
-                    deployed,
-                    &ids,
-                ))
-            })
-            .collect();
-        (outcomes, baselines, algorithm_time)
-    }
-
     /// Routes one batch entry by its constraint footprint (see
     /// [`MedeaScheduler::propose_all`]). Only the entry's *own*
     /// constraints pin or residualize it; interactions with deployed
@@ -473,7 +556,7 @@ impl MedeaScheduler {
                 // Only minimum-cardinality (affinity-like) leaves pin the
                 // entry near their targets; anti-affinity leaves have
                 // nothing to co-locate with, and their violations are
-                // scored against the full snapshot from any shard.
+                // scored against the full state from any shard.
                 if leaf.cardinality.min == 0 {
                     continue;
                 }
@@ -620,80 +703,6 @@ impl MedeaScheduler {
             }
         }
         violated
-    }
-
-    /// Runs the placement algorithm for one batch — restricted to the
-    /// shard's nodes, warm-started from the shard's own basis slot, when
-    /// solving a shard — routing the solver arms through the degradation
-    /// ladder: injected stalls and solver degradations count as failures
-    /// against the breaker of the arm that served, demoting service
-    /// `Ilp → Relaxed → Heuristic`; each breaker probes its arm again
-    /// after a cool-down, restoring the higher arm on a successful probe.
-    fn place_batch_on(
-        &mut self,
-        state: &mut ClusterState,
-        requests: &[LraRequest],
-        deployed: &[PlacementConstraint],
-        shard: Option<(usize, &[NodeId])>,
-    ) -> Vec<PlacementOutcome> {
-        let Placer {
-            lra,
-            ladder,
-            stall_cycles_remaining,
-            shard_caches,
-            ..
-        } = &mut self.placer;
-        let allowed = shard.map(|(_, nodes)| nodes);
-        let cache = match shard {
-            Some((s, _)) => {
-                if shard_caches.len() <= s {
-                    shard_caches.resize_with(s + 1, IlpBasisCache::default);
-                }
-                &shard_caches[s]
-            }
-            None => &lra.cache,
-        };
-        if lra.algorithm != LraAlgorithm::Ilp {
-            return lra
-                .place_on(state, requests, deployed, allowed, None, Some(cache))
-                .outcomes;
-        }
-        let opened_before = ladder.ilp_breaker().opened_total();
-        let closed_before = ladder.ilp_breaker().closed_total();
-        let relax_opened_before = ladder.relaxed_breaker().opened_total();
-        let relax_closed_before = ladder.relaxed_breaker().closed_total();
-        let arm = ladder.select(lra.ilp.mode);
-        // An injected stall fails whichever solver arm would have served
-        // and the batch is carried by the heuristic.
-        let stalled = *stall_cycles_remaining > 0;
-        if stalled {
-            *stall_cycles_remaining -= 1;
-        }
-        let serving = if stalled { PlacerMode::Heuristic } else { arm };
-        let placed = lra.place_on(
-            state,
-            requests,
-            deployed,
-            allowed,
-            Some(serving),
-            Some(cache),
-        );
-        ladder.on_outcome(arm, !stalled && !placed.degraded);
-        if let Some(m) = &self.metrics {
-            m.breaker_opened
-                .add(ladder.ilp_breaker().opened_total() - opened_before);
-            m.breaker_closed
-                .add(ladder.ilp_breaker().closed_total() - closed_before);
-            m.breaker_state.set(ladder.ilp_breaker().state_code());
-            m.relax_breaker_opened
-                .add(ladder.relaxed_breaker().opened_total() - relax_opened_before);
-            m.relax_breaker_closed
-                .add(ladder.relaxed_breaker().closed_total() - relax_closed_before);
-            m.relax_breaker_state
-                .set(ladder.relaxed_breaker().state_code());
-            m.placer_mode.set(arm.code());
-        }
-        placed.outcomes
     }
 
     /// Commits a placement against the live state with commit-time

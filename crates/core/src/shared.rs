@@ -5,9 +5,9 @@
 //!
 //! The scheduler itself is deliberately single-threaded (its
 //! propose/validate/commit pipeline already models concurrency through
-//! snapshots and conflict re-validation, §5.3–5.4). What a request-serving
-//! front-end needs is not a concurrent scheduler but a concurrency
-//! *boundary*:
+//! propose-time baselines and commit-time re-validation, §5.3–5.4). What
+//! a request-serving front-end needs is not a concurrent scheduler but a
+//! concurrency *boundary*:
 //!
 //! - **Single writer.** All mutations — submissions, releases, scheduling
 //!   cycles, checkpoints — go through [`SharedScheduler::with_writer`],
@@ -20,8 +20,8 @@
 //!   deployments, the recovery ledger, and utilization into an immutable
 //!   [`StatusBoard`] swapped behind an `RwLock<Arc<_>>`. Readers clone the
 //!   `Arc` (microseconds, never blocking on the writer) and answer
-//!   queries against a consistent point-in-time view — the same
-//!   freeze-and-read idiom as [`medea_cluster::ClusterSnapshot`].
+//!   queries against a consistent point-in-time view; only the writer
+//!   reads the cluster state, to build the board.
 //!
 //! Readers therefore observe bounded staleness (at most one batch), which
 //! is exactly the semantics the async placement pipeline already gives

@@ -1,8 +1,8 @@
 //! Commit-time conflict tests for the propose/validate/commit pipeline.
 //!
-//! The LRA solve runs against a frozen snapshot while the live cluster
-//! keeps mutating (§5.3); at commit time every proposed placement is
-//! re-validated (§5.4). These tests drive the two phases by hand and
+//! The LRA solve sees the cluster as of propose time while the live
+//! cluster keeps mutating (§5.3); at commit time every proposed placement
+//! is re-validated (§5.4). These tests drive the two phases by hand and
 //! mutate the live state in between, covering the three drift classes:
 //! capacity consumed by task containers, node crashes, and γ-cardinality
 //! drift — each must re-queue exactly the conflicted entries and keep the
@@ -101,7 +101,7 @@ fn task_capacity_consumed_mid_solve_conflicts_exactly_the_victim() {
     assert_ne!(placements[1].1[0], victim_node, "one LRA per node");
 
     // A task container grabs the victim node while the solve is in
-    // flight (live state mutates; the snapshot the solver used did not).
+    // flight (live state mutates after the solver saw it).
     let task = m
         .state_mut()
         .allocate(

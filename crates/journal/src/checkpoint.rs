@@ -3,7 +3,7 @@
 //! base image.
 //!
 //! Like log records, the document speaks primitives only. The cluster
-//! layer serializes into this shape from a consistent snapshot and
+//! layer serializes into this shape from its live state and
 //! rebuilds `ClusterState` (allocation maps, tag multisets, index, and
 //! group γ caches) from it on restore.
 

@@ -9,9 +9,9 @@
 //!   ([`JournalRecord`]: place / release / retag / availability /
 //!   group registration, each stamped with the cluster mutation epoch
 //!   it produced),
-//! * **checkpoint documents** ([`CheckpointDoc`]) serialized from a
-//!   consistent snapshot, installed atomically, after which the log is
-//!   truncated,
+//! * **checkpoint documents** ([`CheckpointDoc`]) serialized from the
+//!   live state between mutations, installed atomically, after which the
+//!   log is truncated,
 //! * pluggable [`JournalStorage`] sinks — [`MemoryStorage`] for tests
 //!   and the simulator, [`FileStorage`] for real runs and benches,
 //! * the [`Wal`] front end: framed, FNV-1a-checksummed lines; `load()`

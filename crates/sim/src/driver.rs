@@ -140,7 +140,7 @@ pub enum PipelineMode {
     /// the monolithic scheduler the paper argues against.
     #[default]
     Sync,
-    /// Medea's pipeline: propose captures a snapshot at the tick, the
+    /// Medea's pipeline: propose solves on the state at the tick, the
     /// solve latency elapses on the sim clock while heartbeats, task
     /// allocations, and chaos events keep interleaving, and a
     /// [`SimEvent::LraPlacementReady`] commits the proposal against live

@@ -3,7 +3,7 @@
 //! With **zero concurrent task load** the live cluster cannot drift
 //! while a solve is in flight, so the async pipeline must produce
 //! *exactly* the placements of the synchronous compatibility mode — the
-//! snapshot the solver sees is the state the commit lands on. 32 fixed
+//! state the solver sees is the state the commit lands on. 32 fixed
 //! seeds sweep batch shapes and constraint mixes. On top of that,
 //! same-seed async runs must be byte-identical: the pipeline introduces
 //! no hidden nondeterminism (no wall clock feeds simulated decisions).
