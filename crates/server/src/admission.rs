@@ -12,13 +12,8 @@
 //!   time of the batcher's last cycle that carried a batch, capped at
 //!   `batch_max_wait_ms`.
 //!
-//! The gap is a round's cost because company can save a waiting request
-//! at most one round: holding the batch open longer than a round takes
-//! costs more than solving the latecomer separately. After a 1 ms round
-//! a lone request waits ~1 ms; after a 100 ms round the gap is the cap,
-//! the head's deadline fires first and a burst closes as one joint solve
-//! exactly as under size-or-deadline. The gap is measured, never
-//! configured; until a batch-carrying cycle has run it is the cap.
+//! The gap is measured, never configured; until a batch-carrying cycle
+//! has run it is the cap. Why it is one round's cost: DESIGN.md §7f.
 //!
 //! Admission is strictly non-blocking: a full queue or an over-quota
 //! tenant is **shed** with a typed reason — the caller replies
@@ -154,11 +149,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// Requests currently queued.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -211,8 +201,7 @@ impl AdmissionQueue {
             self.shed.queue_full += 1;
             return Err(ShedReason::QueueFull);
         }
-        let depth = self.per_tenant.get(tenant).copied().unwrap_or(0);
-        if depth >= self.cfg.tenant_quota {
+        if self.tenant_depth(tenant) >= self.cfg.tenant_quota {
             self.shed.tenant_quota += 1;
             return Err(ShedReason::TenantQuota);
         }
@@ -232,25 +221,28 @@ impl AdmissionQueue {
     /// release path calls this so an app released while still waiting
     /// for its batch never reaches the scheduler at all.
     pub fn remove_app(&mut self, app: medea_cluster::ApplicationId) -> usize {
-        let before = self.queue.len();
-        let mut removed_tenants: Vec<String> = Vec::new();
+        let mut removed = Vec::new();
         self.queue.retain(|w| {
-            if w.request.app == app {
-                removed_tenants.push(w.tenant.clone());
-                false
-            } else {
-                true
+            let hit = w.request.app == app;
+            if hit {
+                removed.push(w.tenant.clone());
             }
+            !hit
         });
-        for tenant in removed_tenants {
-            if let Some(d) = self.per_tenant.get_mut(&tenant) {
-                *d = d.saturating_sub(1);
-                if *d == 0 {
-                    self.per_tenant.remove(&tenant);
-                }
+        for tenant in &removed {
+            self.free_slot(tenant);
+        }
+        removed.len()
+    }
+
+    /// Returns one of `tenant`'s quota slots.
+    fn free_slot(&mut self, tenant: &str) {
+        if let Some(d) = self.per_tenant.get_mut(tenant) {
+            *d = d.saturating_sub(1);
+            if *d == 0 {
+                self.per_tenant.remove(tenant);
             }
         }
-        before - self.queue.len()
     }
 
     /// The batcher reports a finished cycle: `carried` requests
@@ -303,18 +295,9 @@ impl AdmissionQueue {
     /// names a rule or when force-draining at shutdown.
     pub fn take_batch(&mut self) -> Vec<PlaceWork> {
         let n = self.queue.len().min(self.cfg.batch_max_size);
-        let mut batch = Vec::with_capacity(n);
-        for _ in 0..n {
-            let Some(w) = self.queue.pop_front() else {
-                break;
-            };
-            if let Some(d) = self.per_tenant.get_mut(&w.tenant) {
-                *d = d.saturating_sub(1);
-                if *d == 0 {
-                    self.per_tenant.remove(&w.tenant);
-                }
-            }
-            batch.push(w);
+        let batch: Vec<PlaceWork> = self.queue.drain(..n).collect();
+        for w in &batch {
+            self.free_slot(&w.tenant);
         }
         batch
     }

@@ -21,10 +21,10 @@ use medea_cluster::{ClusterState, Resources};
 use medea_core::{LraAlgorithm, MedeaScheduler};
 use medea_journal::{FileStorage, Wal};
 use medea_obs::MetricsRegistry;
-use medea_server::{AdmissionConfig, MedeaServer, ServerConfig};
+use medea_server::{MedeaServer, ServerConfig};
 
+/// The cluster to build, the journal, and the server's own config.
 struct Opts {
-    addr: String,
     nodes: usize,
     mem_mb: u64,
     vcores: u32,
@@ -32,53 +32,44 @@ struct Opts {
     interval: u64,
     journal_dir: Option<String>,
     checkpoint_every: u64,
-    admission: AdmissionConfig,
-    allow_remote_shutdown: bool,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            addr: "127.0.0.1:7654".to_string(),
-            nodes: 256,
-            mem_mb: 16 * 1024,
-            vcores: 16,
-            racks: 8,
-            interval: 10,
-            journal_dir: None,
-            checkpoint_every: 64,
-            admission: AdmissionConfig::default(),
-            allow_remote_shutdown: false,
-        }
-    }
+    server: ServerConfig,
 }
 
 fn parse_opts() -> Result<Opts, String> {
-    let mut opts = Opts::default();
+    let mut opts = Opts {
+        nodes: 256,
+        mem_mb: 16 * 1024,
+        vcores: 16,
+        racks: 8,
+        interval: 10,
+        journal_dir: None,
+        checkpoint_every: 64,
+        server: ServerConfig {
+            addr: "127.0.0.1:7654".to_string(),
+            ..ServerConfig::default()
+        },
+    };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut val = |name: &str| {
+        let mut val = || {
             args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
+        let admission = &mut opts.server.admission;
         match flag.as_str() {
-            "--addr" => opts.addr = val("--addr")?,
-            "--nodes" => opts.nodes = num(&val("--nodes")?)? as usize,
-            "--mem-mb" => opts.mem_mb = num(&val("--mem-mb")?)?,
-            "--vcores" => opts.vcores = num(&val("--vcores")?)? as u32,
-            "--racks" => opts.racks = num(&val("--racks")?)? as usize,
-            "--interval" => opts.interval = num(&val("--interval")?)?,
-            "--batch-max" => opts.admission.batch_max_size = num(&val("--batch-max")?)? as usize,
-            "--batch-wait-ms" => opts.admission.batch_max_wait_ms = num(&val("--batch-wait-ms")?)?,
-            "--queue-capacity" => {
-                opts.admission.queue_capacity = num(&val("--queue-capacity")?)? as usize
-            }
-            "--tenant-quota" => {
-                opts.admission.tenant_quota = num(&val("--tenant-quota")?)? as usize
-            }
-            "--journal-dir" => opts.journal_dir = Some(val("--journal-dir")?),
-            "--checkpoint-every" => opts.checkpoint_every = num(&val("--checkpoint-every")?)?,
-            "--allow-remote-shutdown" => opts.allow_remote_shutdown = true,
+            "--addr" => opts.server.addr = val()?,
+            "--nodes" => opts.nodes = num(&val()?)? as usize,
+            "--mem-mb" => opts.mem_mb = num(&val()?)?,
+            "--vcores" => opts.vcores = num(&val()?)? as u32,
+            "--racks" => opts.racks = num(&val()?)? as usize,
+            "--interval" => opts.interval = num(&val()?)?,
+            "--batch-max" => admission.batch_max_size = num(&val()?)? as usize,
+            "--batch-wait-ms" => admission.batch_max_wait_ms = num(&val()?)?,
+            "--queue-capacity" => admission.queue_capacity = num(&val()?)? as usize,
+            "--tenant-quota" => admission.tenant_quota = num(&val()?)? as usize,
+            "--journal-dir" => opts.journal_dir = Some(val()?),
+            "--checkpoint-every" => opts.checkpoint_every = num(&val()?)?,
+            "--allow-remote-shutdown" => opts.server.allow_remote_shutdown = true,
             "--help" | "-h" => {
                 println!(
                     "medea-serve: scheduler-as-a-service daemon\n\
@@ -101,15 +92,13 @@ fn num(s: &str) -> Result<u64, String> {
     s.parse::<u64>().map_err(|e| format!("bad number {s}: {e}"))
 }
 
-fn main() {
-    let opts = match parse_opts() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("medea-serve: {e}");
-            std::process::exit(2);
-        }
-    };
+fn fail(code: i32, message: String) -> ! {
+    eprintln!("medea-serve: {message}");
+    std::process::exit(code)
+}
 
+fn main() {
+    let opts = parse_opts().unwrap_or_else(|e| fail(2, e));
     let state = ClusterState::homogeneous(
         opts.nodes,
         Resources::new(opts.mem_mb, opts.vcores),
@@ -117,44 +106,27 @@ fn main() {
     );
     let mut scheduler = MedeaScheduler::new(state, LraAlgorithm::Ilp, opts.interval);
     if let Some(dir) = &opts.journal_dir {
-        let storage = match FileStorage::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("medea-serve: cannot open journal dir {dir}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let storage = FileStorage::open(dir)
+            .unwrap_or_else(|e| fail(1, format!("cannot open journal dir {dir}: {e}")));
         if let Err(e) = scheduler.attach_journal(Wal::new(storage), opts.checkpoint_every) {
-            eprintln!("medea-serve: cannot attach journal: {e}");
-            std::process::exit(1);
+            fail(1, format!("cannot attach journal: {e}"));
         }
     }
 
-    let cfg = ServerConfig {
-        addr: opts.addr.clone(),
-        admission: opts.admission.clone(),
-        allow_remote_shutdown: opts.allow_remote_shutdown,
-        ..ServerConfig::default()
-    };
-    let registry = MetricsRegistry::new();
-    let handle = match MedeaServer::start(scheduler, cfg, registry) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("medea-serve: cannot bind {}: {e}", opts.addr);
-            std::process::exit(1);
-        }
+    let (addr, admission) = (opts.server.addr.clone(), opts.server.admission.clone());
+    let handle = MedeaServer::start(scheduler, opts.server, MetricsRegistry::new())
+        .unwrap_or_else(|e| fail(1, format!("cannot bind {addr}: {e}")));
+    let journaled = if opts.journal_dir.is_some() {
+        ", journaled"
+    } else {
+        ""
     };
     println!(
-        "medea-serve: listening on {} ({} nodes, batch<= {}, wait<= {}ms{})",
+        "medea-serve: listening on {} ({} nodes, batch<= {}, wait<= {}ms{journaled})",
         handle.addr(),
         opts.nodes,
-        opts.admission.batch_max_size,
-        opts.admission.batch_max_wait_ms,
-        if opts.journal_dir.is_some() {
-            ", journaled"
-        } else {
-            ""
-        },
+        admission.batch_max_size,
+        admission.batch_max_wait_ms,
     );
 
     // Serve until a wire-level `shutdown` request flips the drain flag;

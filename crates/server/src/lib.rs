@@ -6,7 +6,9 @@
 //! ([`proto`]), coalescing concurrent tenants' placement requests into
 //! ILP batches driven by real arrival pressure ([`admission`]), and
 //! sharing one scheduler between a single writer thread and concurrent
-//! status readers ([`server`], via `medea_core::SharedScheduler`).
+//! status readers ([`server`], via `medea_core::SharedScheduler`). What
+//! that writer decides and does is two clock-free functions
+//! ([`batcher`]), which a test or a replay drives without a socket.
 //!
 //! Guarantees, each backed by a test suite:
 //!
@@ -24,19 +26,24 @@
 //!   flushes in-flight batches and checkpoints through `medea-journal`,
 //!   so a restarted server passes the work-preserving restart audit;
 //!   a crash mid-serve restores from the WAL tail.
+//! - **Determinism** (`tests/served_transcripts.rs`): four seeded
+//!   request streams through the batcher's functions on a fake clock
+//!   reproduce pinned transcript hashes in both build profiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod batcher;
 pub mod proto;
 pub mod server;
 
 pub use admission::{
     AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats,
 };
+pub use batcher::DrainReport;
 pub use proto::{
     write_frame, ContainerSpec, FrameError, FrameReader, ProtoError, Request, Response,
     StatusReply, MAX_CONTAINERS_PER_REQUEST, MAX_FRAME_BYTES,
 };
-pub use server::{DrainReport, MedeaServer, ServerConfig, ServerHandle};
+pub use server::{MedeaServer, ServerConfig, ServerHandle};

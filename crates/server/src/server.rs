@@ -1,6 +1,6 @@
 //! The `medea-server` daemon: TCP front-end over a [`SharedScheduler`].
 //!
-//! # Threading model (DESIGN.md §8)
+//! # Threading model (DESIGN.md §7f)
 //!
 //! - **Listener thread**: non-blocking accept loop. Never does protocol
 //!   work, so a slow or hostile client cannot block new connections. At
@@ -12,19 +12,28 @@
 //!   away — placement itself is asynchronous. Queries are answered from
 //!   the published [`StatusBoard`] without touching the scheduler.
 //!   Reads use a timeout so every thread re-checks the shutdown flag.
-//! - **Batcher thread**: the *single writer*. Waits for pressure
-//!   (size, deadline or quiet batch close, releases, shutdown), then
-//!   takes the writer lock once per cycle: apply releases, submit the
-//!   batch, run `tick` (propose/commit), publish a fresh board. What the
-//!   cycle took is the next quiet gap. Journal checkpoints ride the
-//!   scheduler's own cadence plus one final checkpoint at drain.
+//! - **Batcher thread**: the *single writer*. It only locks the
+//!   [`PendingWork`], asks [`PendingWork::next_step`], waits and calls:
+//!   a cycle is [`run_cycle`] under the writer lock, a graceful end is
+//!   [`run_drain`]. The release gate, the board publish and the metrics
+//!   stay on the thread. The steps, first match wins:
 //!
-//! Shutdown (`ServerHandle::shutdown(drain)`) rejects new connections
-//! and admissions, and with `drain = true` finishes queued and in-flight
-//! batches via [`MedeaScheduler::run_to_drain`] and checkpoints through
-//! `medea-journal`, so a restarted server passes the work-preserving
-//! restart audit. `drain = false` abandons volatile state on purpose —
-//! the crash path used by the failover regression tests.
+//!   | step | when |
+//!   |---|---|
+//!   | `Finish { drain: false }` | a crash was requested: stop dead, abandoning queued admissions, releases and spec changes. It wins over every other step. |
+//!   | `Cycle { Converge }` | the last cycle left the reconciler converging and the thread was just woken, by a notify or at its 20 ms bound |
+//!   | `Finish { drain: true }` | a graceful shutdown was requested: take everything queued as the sweep, then `run_drain` |
+//!   | `Cycle { Close(rule) }` | the admission queue closes a batch on size, deadline or quiet |
+//!   | `Cycle { Wake }` | releases or spec changes are waiting |
+//!   | `Wait { until_us }` | otherwise: until the queue's next close time, at most 20 ms |
+//!
+//!   A cycle takes the next batch (up to `batch_max_size`), every
+//!   release and every spec change. What a batch-carrying cycle took is
+//!   the next quiet gap. Every batch-carrying cycle is counted under its
+//!   close rule or, for the other three reasons, as forced. Journal
+//!   checkpoints ride the scheduler's own cadence plus one final
+//!   checkpoint at drain, so a restarted server passes the
+//!   work-preserving restart audit.
 //!
 //! # Release semantics
 //!
@@ -47,19 +56,21 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use medea_cluster::{ApplicationId, ContainerRequest, Resources, Tag};
 use medea_constraints::parse_constraint;
-use medea_core::{
-    AppPhase, LifecyclePhase, LraRequest, MedeaScheduler, SharedScheduler, StatusBoard,
-};
-use medea_obs::MetricsRegistry;
+use medea_core::{AppPhase, LraRequest, MedeaScheduler, SharedScheduler, StatusBoard};
+use medea_obs::{Counter, MetricsRegistry};
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork};
+use crate::admission::{AdmissionConfig, BatchClose, ShedReason};
+use crate::batcher::{
+    run_cycle, run_drain, CycleInput, CycleOutcome, CycleReason, DrainReport, PendingWork, SpecOp,
+    Step,
+};
 use crate::proto::{
     write_frame, FrameError, FrameReader, Request, Response, StatusReply, MAX_FRAME_BYTES,
 };
@@ -85,10 +96,7 @@ pub struct ServerConfig {
     /// oldest age out; bounds the meta table on a long-running daemon.
     pub terminal_apps_cap: usize,
     /// Whether a wire `shutdown` request from a non-loopback peer is
-    /// honoured. Off by default: the protocol is unauthenticated, so on
-    /// a non-loopback `--addr` any client that can connect could
-    /// otherwise drain and stop the daemon. Loopback peers may always
-    /// shut the server down.
+    /// honoured; off by default (see the module docs' trust model).
     pub allow_remote_shutdown: bool,
 }
 
@@ -105,26 +113,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
         }
     }
-}
-
-/// What the shutdown path did.
-#[derive(Debug, Clone, Default)]
-pub struct DrainReport {
-    /// Whether a graceful drain ran (false on the crash path).
-    pub drained: bool,
-    /// Whether the drain fully emptied queue + in-flight solves within
-    /// the cycle budget.
-    pub drain_complete: bool,
-    /// LRAs deployed by drain cycles.
-    pub deployed_during_drain: usize,
-    /// Scheduler queue depth left after the drain budget.
-    pub final_queue_depth: usize,
-    /// Whether a final checkpoint was installed.
-    pub checkpointed: bool,
-    /// Place requests shed over the server's lifetime.
-    pub shed_total: u64,
-    /// Place requests admitted over the server's lifetime.
-    pub admitted_total: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,22 +157,39 @@ impl AppTable {
         self.map.get(&app).map(|m| m.phase)
     }
 
-    fn get(&self, app: u64) -> Option<&AppMeta> {
-        self.map.get(&app)
-    }
-
-    fn insert_active(&mut self, app: u64, tenant: String) {
+    /// Marks `app` active under `tenant`; returns the record it replaced
+    /// (a released or rejected one) for [`AppTable::restore`].
+    fn insert_active(&mut self, app: u64, tenant: String) -> Option<AppMeta> {
         self.map.insert(
             app,
             AppMeta {
                 tenant,
                 phase: MetaPhase::Active,
             },
-        );
+        )
     }
 
-    fn remove(&mut self, app: u64) {
-        self.map.remove(&app);
+    /// Undoes [`AppTable::insert_active`] for a request that never
+    /// entered the system: the app is what it was before.
+    fn restore(&mut self, app: u64, previous: Option<AppMeta>) {
+        match previous {
+            Some(meta) => self.map.insert(app, meta),
+            None => self.map.remove(&app),
+        };
+    }
+
+    /// Whether `tenant` may release or respecify `app`: it must be active
+    /// and theirs.
+    fn check_owner(&self, id: u64, tenant: &str, app: u64) -> Result<(), Response> {
+        match self.map.get(&app) {
+            Some(meta) if meta.phase == MetaPhase::Active && meta.tenant == tenant => Ok(()),
+            Some(meta) if meta.phase == MetaPhase::Active => Err(error(
+                id,
+                "wrong_tenant",
+                format!("app {app} belongs to another tenant"),
+            )),
+            _ => Err(error(id, "unknown_app", format!("app {app} is not active"))),
+        }
     }
 
     /// Flips an app's phase; terminal transitions enter the aging queue
@@ -213,26 +218,6 @@ impl AppTable {
     }
 }
 
-/// A desired-state change accepted on a connection thread and applied
-/// by the batcher (the single writer) on its next cycle.
-#[derive(Debug, Clone, Copy)]
-enum SpecOp {
-    /// Set the desired replica count.
-    Scale { app: u64, replicas: usize },
-    /// Set the desired version (rolling upgrade).
-    Upgrade { app: u64, version: u64 },
-}
-
-struct WorkState {
-    queue: AdmissionQueue,
-    /// Releases accepted but not yet applied by the batcher.
-    releases: Vec<u64>,
-    /// Scale/upgrade spec changes accepted but not yet applied.
-    spec_ops: Vec<SpecOp>,
-    /// `Some(drain)` once shutdown was requested.
-    shutdown: Option<bool>,
-}
-
 medea_obs::metric_handles! {
     struct ServerMetrics {
         requests: Counter = "server.requests_total",
@@ -249,27 +234,40 @@ medea_obs::metric_handles! {
         close_size: Counter = "server.batch_close_size_total",
         close_quiet: Counter = "server.batch_close_quiet_total",
         close_deadline: Counter = "server.batch_close_deadline_total",
+        close_forced: Counter = "server.batch_close_forced_total",
         admission_us: Histogram = "server.admission_us",
         connections: Gauge = "server.connections",
         connections_rejected: Counter = "server.connections_rejected_total",
     }
 }
 
+impl ServerMetrics {
+    /// The one counter a batch-carrying cycle is booked under: its close
+    /// rule, or forced when a wake, a convergence tick or the drain
+    /// sweep took the batch.
+    fn close_counter(&self, reason: CycleReason) -> &Counter {
+        match reason {
+            CycleReason::Close(BatchClose::Size) => &self.close_size,
+            CycleReason::Close(BatchClose::Deadline) => &self.close_deadline,
+            CycleReason::Close(BatchClose::Quiet) => &self.close_quiet,
+            CycleReason::Wake | CycleReason::Converge | CycleReason::Drain => &self.close_forced,
+        }
+    }
+}
+
 struct Inner {
     cfg: ServerConfig,
     sched: SharedScheduler,
-    work: Mutex<WorkState>,
+    work: Mutex<PendingWork>,
     wake: Condvar,
     /// No new connections, no new admissions.
     stop_accepting: AtomicBool,
     /// Connection threads exit at their next poll timeout.
     stop_conns: AtomicBool,
-    batcher_done: AtomicBool,
-    drain_report: Mutex<Option<DrainReport>>,
     apps: Mutex<AppTable>,
     registry: Arc<MetricsRegistry>,
     metrics: ServerMetrics,
-    conns: AtomicUsize,
+    conns: AtomicI64,
     start: Instant,
 }
 
@@ -278,6 +276,42 @@ impl Inner {
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
+
+    /// Moves the open-connection count by `delta` and sets its gauge.
+    fn count_connection(&self, delta: i64) {
+        let open = self.conns.fetch_add(delta, Ordering::SeqCst) + delta;
+        self.metrics.connections.set(open);
+    }
+
+    /// Stops admissions and asks the batcher to finish; the first request
+    /// decides whether it drains.
+    fn request_shutdown(&self, drain: bool) {
+        self.stop_accepting.store(true, Ordering::SeqCst);
+        {
+            let mut work = lock_unwrap(&self.work);
+            work.queue.close();
+            work.shutdown.get_or_insert(drain);
+        }
+        self.wake.notify_all();
+    }
+
+    /// A typed `overloaded` reply.
+    fn overloaded(&self, id: u64, reason: ShedReason) -> Response {
+        Response::Overloaded {
+            id,
+            reason: reason.code().to_string(),
+            retry_after_ms: self.cfg.admission.retry_after_ms,
+        }
+    }
+
+    /// Once shutdown began, new work is shed as `shutting_down`.
+    fn shed_if_stopping(&self, id: u64) -> Option<Response> {
+        if !self.stop_accepting.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.metrics.shed.inc();
+        Some(self.overloaded(id, ShedReason::ShuttingDown))
+    }
 }
 
 /// A running server. Dropping the handle without calling
@@ -285,9 +319,8 @@ impl Inner {
 pub struct ServerHandle {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    listener: JoinHandle<()>,
+    batcher: JoinHandle<DrainReport>,
 }
 
 /// The server entry point.
@@ -311,29 +344,19 @@ impl MedeaServer {
         sched.set_dropped_cap(cfg.terminal_apps_cap);
         sched.publish(0);
         let metrics = ServerMetrics::new(&registry);
-        let cfg_terminal_cap = cfg.terminal_apps_cap;
         let inner = Arc::new(Inner {
-            work: Mutex::new(WorkState {
-                queue: AdmissionQueue::new(cfg.admission.clone()),
-                releases: Vec::new(),
-                spec_ops: Vec::new(),
-                shutdown: None,
-            }),
+            work: Mutex::new(PendingWork::new(cfg.admission.clone())),
+            apps: Mutex::new(AppTable::new(cfg.terminal_apps_cap)),
             cfg,
             sched,
             wake: Condvar::new(),
             stop_accepting: AtomicBool::new(false),
             stop_conns: AtomicBool::new(false),
-            batcher_done: AtomicBool::new(false),
-            drain_report: Mutex::new(None),
-            apps: Mutex::new(AppTable::new(cfg_terminal_cap)),
             registry,
             metrics,
-            conns: AtomicUsize::new(0),
+            conns: AtomicI64::new(0),
             start: Instant::now(),
         });
-
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let batcher = {
             let inner = Arc::clone(&inner);
@@ -341,20 +364,17 @@ impl MedeaServer {
                 .name("medea-batcher".to_string())
                 .spawn(move || batcher_loop(&inner))?
         };
-        let listener_thread = {
+        let listener = {
             let inner = Arc::clone(&inner);
-            let conn_threads = Arc::clone(&conn_threads);
             std::thread::Builder::new()
                 .name("medea-listener".to_string())
-                .spawn(move || listener_loop(listener, &inner, &conn_threads))?
+                .spawn(move || listener_loop(listener, &inner))?
         };
-
         Ok(ServerHandle {
             inner,
             addr,
-            listener: Some(listener_thread),
-            batcher: Some(batcher),
-            conn_threads,
+            listener,
+            batcher,
         })
     }
 }
@@ -384,7 +404,7 @@ impl ServerHandle {
     /// then tears the server down and returns the report — the main-loop
     /// body of the `medea-serve` binary.
     pub fn serve_until_shutdown(self) -> DrainReport {
-        while !self.inner.batcher_done.load(Ordering::SeqCst) {
+        while !self.batcher.is_finished() {
             std::thread::sleep(Duration::from_millis(20));
         }
         self.shutdown(true)
@@ -394,35 +414,27 @@ impl ServerHandle {
     /// and in-flight batches, checkpoint, then stop — the graceful path.
     /// `drain = false`: stop immediately, abandoning queued work and the
     /// journal tail — the simulated-crash path.
-    pub fn shutdown(mut self, drain: bool) -> DrainReport {
-        self.inner.stop_accepting.store(true, Ordering::SeqCst);
-        {
-            let mut ws = lock_unwrap(&self.inner.work);
-            ws.queue.close();
-            if ws.shutdown.is_none() {
-                ws.shutdown = Some(drain);
-            }
-        }
-        self.inner.wake.notify_all();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
+    pub fn shutdown(self, drain: bool) -> DrainReport {
+        self.inner.request_shutdown(drain);
+        let report = self.batcher.join().unwrap_or_default();
         self.inner.stop_conns.store(true, Ordering::SeqCst);
-        if let Some(l) = self.listener.take() {
-            let _ = l.join();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_unwrap(&self.conn_threads));
-        for h in handles {
-            let _ = h.join();
-        }
-        lock_unwrap(&self.inner.drain_report)
-            .take()
-            .unwrap_or_default()
+        // The listener joins its connection threads before it returns.
+        let _ = self.listener.join();
+        report
     }
 }
 
 fn lock_unwrap<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A typed error reply.
+fn error(id: u64, code: &str, message: String) -> Response {
+    Response::Error {
+        id,
+        code: code.to_string(),
+        message,
+    }
 }
 
 /// Whether a wire `shutdown` request from this peer is honoured (the
@@ -431,86 +443,58 @@ fn shutdown_allowed(peer_is_loopback: bool, allow_remote: bool) -> bool {
     peer_is_loopback || allow_remote
 }
 
-/// Drops handles of connection threads that have already exited, so a
-/// long-running daemon's handle list tracks live connections instead of
-/// growing with every connection ever accepted. (A finished thread's
-/// handle can be dropped safely — there is nothing left to join.)
-fn reap_finished(conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    lock_unwrap(conn_threads).retain(|h| !h.is_finished());
-}
-
-fn listener_loop(
-    listener: TcpListener,
-    inner: &Arc<Inner>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if inner.stop_accepting.load(Ordering::SeqCst) {
-            return;
-        }
+/// Accepts until shutdown, then waits for its connection threads, which
+/// keep answering queries until the drain is over (`stop_conns`).
+fn listener_loop(listener: TcpListener, inner: &Arc<Inner>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    while !inner.stop_accepting.load(Ordering::SeqCst) {
+        // A finished thread has nothing left to join: the list tracks live
+        // connections, not every connection ever accepted.
+        threads.retain(|h| !h.is_finished());
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                reap_finished(conn_threads);
+            Ok((mut stream, _peer)) => {
                 if inner.stop_accepting.load(Ordering::SeqCst) {
-                    return;
+                    break;
                 }
-                if inner.conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
+                if inner.conns.load(Ordering::SeqCst) >= inner.cfg.max_connections as i64 {
+                    // At the cap: a best-effort `overloaded`, then close.
                     inner.metrics.connections_rejected.inc();
-                    refuse(stream);
+                    let busy = Response::Overloaded {
+                        id: 0,
+                        reason: "server_busy".to_string(),
+                        retry_after_ms: 100,
+                    };
+                    let _ = write_frame(&mut stream, busy.encode().as_bytes());
                     continue;
                 }
-                inner.conns.fetch_add(1, Ordering::SeqCst);
-                inner
-                    .metrics
-                    .connections
-                    .set(inner.conns.load(Ordering::SeqCst) as i64);
+                inner.count_connection(1);
                 let inner2 = Arc::clone(inner);
                 match std::thread::Builder::new()
                     .name("medea-conn".to_string())
                     .spawn(move || {
                         connection_loop(stream, &inner2);
-                        inner2.conns.fetch_sub(1, Ordering::SeqCst);
-                        inner2
-                            .metrics
-                            .connections
-                            .set(inner2.conns.load(Ordering::SeqCst) as i64);
+                        inner2.count_connection(-1);
                     }) {
-                    Ok(h) => lock_unwrap(conn_threads).push(h),
-                    Err(_) => {
-                        // Thread spawn failure: shed the connection, the
-                        // accept loop must survive.
-                        inner.conns.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    Ok(h) => threads.push(h),
+                    // Thread spawn failure: shed the connection, the
+                    // accept loop must survive.
+                    Err(_) => inner.count_connection(-1),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                reap_finished(conn_threads);
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing to accept (or a transient error): poll again.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-}
-
-/// Best-effort `overloaded` reply for a refused connection.
-fn refuse(mut stream: TcpStream) {
-    let resp = Response::Overloaded {
-        id: 0,
-        reason: "server_busy".to_string(),
-        retry_after_ms: 100,
-    };
-    let _ = write_frame(&mut stream, resp.encode().as_bytes());
+    for h in threads {
+        let _ = h.join();
+    }
 }
 
 fn connection_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
     let _ = stream.set_nodelay(true);
-    let peer_is_loopback = stream
-        .peer_addr()
-        .map(|a| a.ip().is_loopback())
-        .unwrap_or(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        inner.cfg.read_timeout_ms.max(1),
-    )));
+    let peer_is_loopback = stream.peer_addr().is_ok_and(|a| a.ip().is_loopback());
+    let timeout = Duration::from_millis(inner.cfg.read_timeout_ms.max(1));
+    let _ = stream.set_read_timeout(Some(timeout));
     let mut reader = FrameReader::new(inner.cfg.max_frame_bytes);
     loop {
         match reader.poll(&mut stream) {
@@ -524,40 +508,22 @@ fn connection_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
             Ok(Some(payload)) => {
                 let t0 = Instant::now();
                 inner.metrics.requests.inc();
-                let (reply, fatal) = match std::str::from_utf8(&payload) {
-                    Err(_) => {
+                let decoded = std::str::from_utf8(&payload)
+                    .map_err(|_| error(0, "bad_utf8", "frame payload is not UTF-8".to_string()))
+                    .and_then(|text| {
+                        Request::decode(text).map_err(|e| error(0, e.code, e.message))
+                    });
+                let reply = match decoded {
+                    Ok(req) => dispatch(inner, req, t0, peer_is_loopback),
+                    Err(refused) => {
                         inner.metrics.protocol_errors.inc();
-                        (
-                            Response::Error {
-                                id: 0,
-                                code: "bad_utf8".to_string(),
-                                message: "frame payload is not UTF-8".to_string(),
-                            },
-                            false,
-                        )
+                        refused
                     }
-                    Ok(text) => match Request::decode(text) {
-                        Err(e) => {
-                            inner.metrics.protocol_errors.inc();
-                            (
-                                Response::Error {
-                                    id: 0,
-                                    code: e.code.to_string(),
-                                    message: e.message,
-                                },
-                                false,
-                            )
-                        }
-                        Ok(req) => (dispatch(inner, req, t0, peer_is_loopback), false),
-                    },
                 };
                 if write_frame(&mut stream, reply.encode().as_bytes()).is_err() {
                     return;
                 }
                 inner.metrics.responses.inc();
-                if fatal {
-                    return;
-                }
             }
             Err(FrameError::Closed) => return,
             Err(FrameError::Truncated) => {
@@ -565,13 +531,9 @@ fn connection_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
                 inner.metrics.protocol_errors.inc();
                 return;
             }
-            Err(FrameError::TooLarge { advertised, max }) => {
+            Err(e @ FrameError::TooLarge { .. }) => {
                 inner.metrics.protocol_errors.inc();
-                let resp = Response::Error {
-                    id: 0,
-                    code: "frame_too_large".to_string(),
-                    message: format!("frame of {advertised} bytes exceeds cap {max}"),
-                };
+                let resp = error(0, "frame_too_large", e.to_string());
                 let _ = write_frame(&mut stream, resp.encode().as_bytes());
                 let _ = stream.flush();
                 return;
@@ -591,10 +553,7 @@ fn dispatch(inner: &Arc<Inner>, req: Request, t0: Instant, peer_is_loopback: boo
             constraints,
         } => {
             let resp = handle_place(inner, id, tenant, app, containers, constraints);
-            inner
-                .metrics
-                .admission_us
-                .record(t0.elapsed().as_micros() as u64);
+            inner.metrics.admission_us.record_duration(t0.elapsed());
             resp
         }
         Request::Release { id, tenant, app } => handle_release(inner, id, &tenant, app),
@@ -629,27 +588,12 @@ fn dispatch(inner: &Arc<Inner>, req: Request, t0: Instant, peer_is_loopback: boo
         },
         Request::Status { id } => handle_status(inner, id),
         Request::Shutdown { id } => {
-            // The wire protocol is unauthenticated; see the trust-model
-            // note in the module docs. Loopback peers may always stop
-            // the daemon; remote peers only when explicitly allowed.
             if !shutdown_allowed(peer_is_loopback, inner.cfg.allow_remote_shutdown) {
-                return Response::Error {
-                    id,
-                    code: "shutdown_denied".to_string(),
-                    message: "shutdown is restricted to loopback peers \
-                              (start with allow_remote_shutdown to permit remote stops)"
-                        .to_string(),
-                };
+                let message = "shutdown is restricted to loopback peers \
+                               (start with allow_remote_shutdown to permit remote stops)";
+                return error(id, "shutdown_denied", message.to_string());
             }
-            inner.stop_accepting.store(true, Ordering::SeqCst);
-            {
-                let mut ws = lock_unwrap(&inner.work);
-                ws.queue.close();
-                if ws.shutdown.is_none() {
-                    ws.shutdown = Some(true);
-                }
-            }
-            inner.wake.notify_all();
+            inner.request_shutdown(true);
             Response::ShutdownAck { id }
         }
     }
@@ -663,59 +607,39 @@ fn handle_place(
     containers: Vec<crate::proto::ContainerSpec>,
     constraints: Vec<String>,
 ) -> Response {
-    if inner.stop_accepting.load(Ordering::SeqCst) {
-        inner.metrics.shed.inc();
-        return Response::Overloaded {
-            id,
-            reason: "shutting_down".to_string(),
-            retry_after_ms: inner.cfg.admission.retry_after_ms,
-        };
+    if let Some(shed) = inner.shed_if_stopping(id) {
+        return shed;
     }
     // Semantic validation that needs no scheduler state happens here, on
     // the connection thread, so the writer never sees garbage.
-    let mut parsed = Vec::with_capacity(constraints.len());
-    for c in &constraints {
-        match parse_constraint(c) {
-            Ok(pc) => parsed.push(pc),
-            Err(e) => {
-                return Response::Error {
-                    id,
-                    code: "bad_constraint".to_string(),
-                    message: format!("`{c}`: {e}"),
-                }
-            }
-        }
-    }
-    let mut reqs = Vec::new();
-    for spec in &containers {
+    let parsed = constraints
+        .iter()
+        .map(|c| parse_constraint(c).map_err(|e| format!("`{c}`: {e}")))
+        .collect::<Result<Vec<_>, _>>();
+    let parsed = match parsed {
+        Ok(parsed) => parsed,
+        Err(message) => return error(id, "bad_constraint", message),
+    };
+    let reqs = containers.iter().flat_map(|spec| {
         let tags: Vec<Tag> = spec.tags.iter().map(Tag::new).collect();
-        for _ in 0..spec.count {
-            reqs.push(ContainerRequest::new(
-                Resources::new(spec.memory_mb, spec.vcores),
-                tags.clone(),
-            ));
-        }
-    }
-    let request = LraRequest::new(ApplicationId(app), reqs, parsed);
+        let one = ContainerRequest::new(Resources::new(spec.memory_mb, spec.vcores), tags);
+        std::iter::repeat_n(one, spec.count as usize)
+    });
+    let request = LraRequest::new(ApplicationId(app), reqs.collect(), parsed);
 
-    {
+    let previous = {
         let mut apps = lock_unwrap(&inner.apps);
         // Released and Rejected are both terminal: the id is free again
         // (a rejected client resubmits its corrected request under it).
         if apps.phase(app) == Some(MetaPhase::Active) {
-            return Response::Error {
-                id,
-                code: "duplicate_app".to_string(),
-                message: format!("app {app} is already active"),
-            };
+            return error(id, "duplicate_app", format!("app {app} is already active"));
         }
-        apps.insert_active(app, tenant.clone());
-    }
-
-    let offered = {
-        let mut ws = lock_unwrap(&inner.work);
-        ws.queue.offer(&tenant, request, inner.now_us())
+        apps.insert_active(app, tenant.clone())
     };
+
+    let offered = lock_unwrap(&inner.work)
+        .queue
+        .offer(&tenant, request, inner.now_us());
     match offered {
         Ok(depth) => {
             inner.metrics.accepted.inc();
@@ -728,13 +652,10 @@ fn handle_place(
         }
         Err(reason) => {
             inner.metrics.shed.inc();
-            // Roll the meta entry back: the app never entered the system.
-            lock_unwrap(&inner.apps).remove(app);
-            Response::Overloaded {
-                id,
-                reason: reason.code().to_string(),
-                retry_after_ms: inner.cfg.admission.retry_after_ms,
-            }
+            // Roll the meta entry back: the request never entered the
+            // system, and a released id stays released.
+            lock_unwrap(&inner.apps).restore(app, previous);
+            inner.overloaded(id, reason)
         }
     }
 }
@@ -742,38 +663,18 @@ fn handle_place(
 fn handle_release(inner: &Arc<Inner>, id: u64, tenant: &str, app: u64) -> Response {
     {
         let mut apps = lock_unwrap(&inner.apps);
-        match apps.get(app) {
-            Some(meta) if meta.phase == MetaPhase::Active => {
-                if meta.tenant != tenant {
-                    return Response::Error {
-                        id,
-                        code: "wrong_tenant".to_string(),
-                        message: format!("app {app} belongs to another tenant"),
-                    };
-                }
-                apps.set_phase(app, MetaPhase::Released);
-            }
-            _ => {
-                return Response::Error {
-                    id,
-                    code: "unknown_app".to_string(),
-                    message: format!("app {app} is not active"),
-                };
-            }
+        if let Err(refused) = apps.check_owner(id, tenant, app) {
+            return refused;
         }
+        apps.set_phase(app, MetaPhase::Released);
     }
     {
-        let mut ws = lock_unwrap(&inner.work);
-        // Still waiting in the admission queue: pull it out directly
-        // (freeing the tenant's quota slot) so it never reaches the
-        // scheduler. Otherwise hand it to the batcher, whose
-        // `cancel_lra` purges it wherever the scheduler holds it —
-        // deployed, queued, or inside an in-flight solve. The batcher
-        // additionally refuses to submit batch entries whose meta is no
-        // longer Active, covering a release that lands between
-        // `take_batch` and submission.
-        if ws.queue.remove_app(ApplicationId(app)) == 0 {
-            ws.releases.push(app);
+        let mut work = lock_unwrap(&inner.work);
+        // Still queued for a batch: pulled out here, freeing the quota
+        // slot. Otherwise the next cycle's `cancel_lra` purges it (see
+        // the module docs' release semantics).
+        if work.queue.remove_app(ApplicationId(app)) == 0 {
+            work.releases.push(app);
         }
     }
     inner.metrics.released.inc();
@@ -781,45 +682,17 @@ fn handle_release(inner: &Arc<Inner>, id: u64, tenant: &str, app: u64) -> Respon
     Response::Released { id, app }
 }
 
-/// Validates and enqueues a scale/upgrade request. Desired-state
-/// changes follow the place path's asynchronous shape: tenant/app
-/// validation happens here on the connection thread, the spec itself is
-/// applied by the batcher (the single writer) on its next cycle, and
-/// the reconciler converges over subsequent scheduling rounds.
+/// Validates a scale/upgrade here and hands it to the batcher, which
+/// applies it on its next cycle; the reconciler converges over the rounds
+/// after that.
 fn handle_spec_op(inner: &Arc<Inner>, id: u64, tenant: &str, app: u64, op: SpecOp) -> Response {
-    if inner.stop_accepting.load(Ordering::SeqCst) {
-        inner.metrics.shed.inc();
-        return Response::Overloaded {
-            id,
-            reason: "shutting_down".to_string(),
-            retry_after_ms: inner.cfg.admission.retry_after_ms,
-        };
+    if let Some(shed) = inner.shed_if_stopping(id) {
+        return shed;
     }
-    {
-        let apps = lock_unwrap(&inner.apps);
-        match apps.get(app) {
-            Some(meta) if meta.phase == MetaPhase::Active => {
-                if meta.tenant != tenant {
-                    return Response::Error {
-                        id,
-                        code: "wrong_tenant".to_string(),
-                        message: format!("app {app} belongs to another tenant"),
-                    };
-                }
-            }
-            _ => {
-                return Response::Error {
-                    id,
-                    code: "unknown_app".to_string(),
-                    message: format!("app {app} is not active"),
-                };
-            }
-        }
+    if let Err(refused) = lock_unwrap(&inner.apps).check_owner(id, tenant, app) {
+        return refused;
     }
-    {
-        let mut ws = lock_unwrap(&inner.work);
-        ws.spec_ops.push(op);
-    }
+    lock_unwrap(&inner.work).spec_ops.push(op);
     inner.metrics.spec_updates.inc();
     inner.wake.notify_all();
     match op {
@@ -833,50 +706,44 @@ fn handle_spec_op(inner: &Arc<Inner>, id: u64, tenant: &str, app: u64, op: SpecO
 }
 
 fn handle_query(inner: &Arc<Inner>, id: u64, app: u64) -> Response {
-    let meta = lock_unwrap(&inner.apps).get(app).cloned();
-    let mk = |phase: &str, nodes: Vec<u32>, attempts: u32| Response::AppStatus {
+    let meta = lock_unwrap(&inner.apps).phase(app);
+    let board = inner.sched.status();
+    let on_board = board.app(ApplicationId(app));
+    // Lifecycle-managed apps (anything scaled or upgraded) report their
+    // reconciler phase — `scaling`, `upgrading`, `steady`, … — which
+    // subsumes the plain placed/pending split.
+    let lifecycle = board.app_lifecycle(ApplicationId(app));
+    let (phase, attempts) = match (meta, lifecycle, on_board) {
+        (None, ..) => ("unknown", 0),
+        (Some(MetaPhase::Released), ..) => ("released", 0),
+        (Some(MetaPhase::Rejected), ..) => ("rejected", 0),
+        (_, Some(lc), _) => (lc.phase.name(), 0),
+        (_, _, Some(AppPhase::Placed { .. })) => ("placed", 0),
+        (_, _, Some(AppPhase::Pending { attempts, .. })) => ("pending", *attempts),
+        (_, _, Some(AppPhase::Dropped)) => ("dropped", 0),
+        // Admitted but not yet on a published board.
+        (_, _, None) => ("pending", 0),
+    };
+    let nodes = match on_board {
+        Some(AppPhase::Placed { nodes }) if meta == Some(MetaPhase::Active) => {
+            nodes.iter().map(|n| n.0).collect()
+        }
+        _ => vec![],
+    };
+    Response::AppStatus {
         id,
         app,
         phase: phase.to_string(),
         nodes,
         attempts,
-    };
-    match meta {
-        None => mk("unknown", vec![], 0),
-        Some(m) if m.phase == MetaPhase::Released => mk("released", vec![], 0),
-        Some(m) if m.phase == MetaPhase::Rejected => mk("rejected", vec![], 0),
-        Some(_) => {
-            let board = inner.sched.status();
-            // Lifecycle-managed apps (anything scaled or upgraded)
-            // report their reconciler phase — `scaling`, `upgrading`,
-            // `steady`, … — which subsumes the plain placed/pending
-            // split; the hosting nodes still come from the deployment
-            // map.
-            if let Some(lc) = board.app_lifecycle(ApplicationId(app)) {
-                let nodes = match board.app(ApplicationId(app)) {
-                    Some(AppPhase::Placed { nodes }) => nodes.iter().map(|n| n.0).collect(),
-                    _ => vec![],
-                };
-                return mk(lc.phase.name(), nodes, 0);
-            }
-            match board.app(ApplicationId(app)) {
-                Some(AppPhase::Placed { nodes }) => {
-                    mk("placed", nodes.iter().map(|n| n.0).collect(), 0)
-                }
-                Some(AppPhase::Pending { attempts, .. }) => mk("pending", vec![], *attempts),
-                Some(AppPhase::Dropped) => mk("dropped", vec![], 0),
-                // Admitted but not yet on a published board.
-                None => mk("pending", vec![], 0),
-            }
-        }
     }
 }
 
 fn handle_status(inner: &Arc<Inner>, id: u64) -> Response {
     let board = inner.sched.status();
     let (admitted, shed) = {
-        let ws = lock_unwrap(&inner.work);
-        (ws.queue.admitted(), ws.queue.shed_stats().total())
+        let work = lock_unwrap(&inner.work);
+        (work.queue.admitted(), work.queue.shed_stats().total())
     };
     Response::Status {
         id,
@@ -899,184 +766,178 @@ fn handle_status(inner: &Arc<Inner>, id: u64) -> Response {
     }
 }
 
-fn batcher_loop(inner: &Arc<Inner>) {
+/// The batcher thread: lock, ask, wait, call. What it decides is
+/// [`PendingWork::next_step`]; what it does to the scheduler is
+/// [`run_cycle`] or [`run_drain`].
+fn batcher_loop(inner: &Inner) -> DrainReport {
     let interval = inner.sched.with_writer(|m| m.interval().max(1));
-    let mut tick: u64 = 0;
-    // Whether lifecycle reconciliation is still converging (some managed
-    // app off its desired state). While true the batcher ticks on its
-    // own wait-timeout cadence instead of waiting for client pressure —
-    // a rolling upgrade walks one upgrade domain per round and must not
-    // stall between domains just because no new work arrived.
-    let mut converging = false;
-    loop {
-        // Wait for pressure: a ready batch, releases, spec changes, or
-        // shutdown.
-        let (batch, releases, spec_ops, shutdown) = {
-            let mut ws = lock_unwrap(&inner.work);
-            loop {
-                if let Some(drain) = ws.shutdown {
-                    if !drain {
-                        // Simulated crash: stop dead, abandoning queued
-                        // admissions and pending releases on purpose.
-                        break (Vec::new(), Vec::new(), Vec::new(), ws.shutdown);
-                    }
-                    // Final sweep: force-close everything still queued.
-                    let mut all = Vec::new();
-                    loop {
-                        let b = ws.queue.take_batch();
-                        if b.is_empty() {
-                            break;
-                        }
-                        all.extend(b);
-                    }
-                    let releases = std::mem::take(&mut ws.releases);
-                    let spec_ops = std::mem::take(&mut ws.spec_ops);
-                    break (all, releases, spec_ops, ws.shutdown);
-                }
-                let now = inner.now_us();
-                let close = ws.queue.batch_close(now);
-                if !ws.releases.is_empty() || !ws.spec_ops.is_empty() || close.is_some() {
-                    match close {
-                        Some(BatchClose::Size) => inner.metrics.close_size.inc(),
-                        Some(BatchClose::Deadline) => inner.metrics.close_deadline.inc(),
-                        Some(BatchClose::Quiet) => inner.metrics.close_quiet.inc(),
-                        None => {}
-                    }
-                    let batch = ws.queue.take_batch();
-                    let releases = std::mem::take(&mut ws.releases);
-                    let spec_ops = std::mem::take(&mut ws.spec_ops);
-                    break (batch, releases, spec_ops, None);
-                }
-                let wait_us = ws
-                    .queue
-                    .next_close_us()
-                    .map_or(20_000, |t| t.saturating_sub(now).clamp(1, 20_000));
-                let (guard, _timeout) = inner
-                    .wake
-                    .wait_timeout(ws, Duration::from_micros(wait_us))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                ws = guard;
-                if converging {
-                    // Reconciliation in progress: run a round with
-                    // whatever is queued (possibly nothing).
-                    let batch = ws.queue.take_batch();
-                    let releases = std::mem::take(&mut ws.releases);
-                    let spec_ops = std::mem::take(&mut ws.spec_ops);
-                    break (batch, releases, spec_ops, None);
-                }
-            }
+    let (mut tick, mut converging) = (0u64, false);
+    let mut report = loop {
+        let Some((reason, mut input)) = inner.next_cycle(converging) else {
+            break DrainReport::default();
         };
-
         let cycle_start_us = inner.now_us();
-        if let Some(head) = batch.first() {
-            inner
-                .metrics
-                .batch_wait_us
-                .record(cycle_start_us.saturating_sub(head.enqueued_us));
+        // Book the batch as taken (its head's wait, the one counter its
+        // reason names), then the release gate: an app released after
+        // `take` is no longer Active, so it never reaches the scheduler.
+        if let Some(head) = input.batch.first() {
+            let waited = cycle_start_us.saturating_sub(head.enqueued_us);
+            inner.metrics.batch_wait_us.record(waited);
+            inner.metrics.close_counter(reason).inc();
         }
-        if !batch.is_empty() || !releases.is_empty() || !spec_ops.is_empty() || converging {
-            // Final release gate: an app released after `take_batch` has
-            // its meta flipped off Active before the release reaches
-            // `ws.releases`, so a point-in-time phase check here is
-            // enough to keep it out of the scheduler. (Releases that
-            // arrive after this check are cancelled by `cancel_lra` on
-            // the next cycle.)
-            let batch: Vec<PlaceWork> = {
-                let apps = lock_unwrap(&inner.apps);
-                batch
-                    .into_iter()
-                    .filter(|w| apps.phase(w.request.app.0) == Some(MetaPhase::Active))
-                    .collect()
-            };
-            let batch_len = batch.len();
-            let (rejected, still_converging) = inner.sched.with_writer(|m| {
-                let mut rejected = Vec::new();
-                for app in releases {
-                    // Cancels everywhere the scheduler may hold the app:
-                    // deployed containers, the pending queue, and
-                    // in-flight solves — release of an admitted-but-
-                    // unplaced app must never leak a later placement.
-                    m.cancel_lra(ApplicationId(app));
-                }
-                for PlaceWork { request, .. } in batch {
-                    let app = request.app;
-                    if m.submit_lra(request, tick).is_err() {
-                        rejected.push(app.0);
-                    }
-                }
-                // Spec changes apply after submissions so a scale that
-                // raced its own place request still finds the app
-                // queued (the scheduler adopts it into lifecycle
-                // management). A `false` return means the app vanished
-                // in between — released concurrently — and the change
-                // is moot.
-                for op in spec_ops {
-                    match op {
-                        SpecOp::Scale { app, replicas } => {
-                            let _ = m.set_replicas(ApplicationId(app), replicas);
-                        }
-                        SpecOp::Upgrade { app, version } => {
-                            let _ = m.set_version(ApplicationId(app), version);
-                        }
-                    }
-                }
-                let _ = m.tick(tick);
-                let converging = m
-                    .lifecycles()
-                    .iter()
-                    .any(|l| !matches!(l.phase, LifecyclePhase::Steady | LifecyclePhase::Retired));
-                (rejected, converging)
-            });
-            converging = still_converging;
-            tick = tick.saturating_add(interval);
-            if !rejected.is_empty() {
-                let mut apps = lock_unwrap(&inner.apps);
-                for app in rejected {
-                    apps.set_phase(app, MetaPhase::Rejected);
-                }
+        {
+            let apps = lock_unwrap(&inner.apps);
+            input
+                .batch
+                .retain(|w| apps.phase(w.request.app.0) == Some(MetaPhase::Active));
+        }
+        let carried = input.batch.len();
+        if reason == CycleReason::Drain {
+            let budget = inner.cfg.drain_max_cycles;
+            let drained = inner
+                .sched
+                .with_writer(|m| run_drain(m, input, converging, tick, budget));
+            if let Some(sweep) = drained.sweep {
+                inner.cycle_ran(sweep, carried);
             }
-            inner.metrics.batches.inc();
-            inner.metrics.batch_size.record(batch_len as u64);
-            inner.sched.publish(tick);
-            // What this round cost is the next quiet gap.
-            let wall_us = inner.now_us().saturating_sub(cycle_start_us);
-            lock_unwrap(&inner.work)
-                .queue
-                .cycle_done(batch_len, wall_us);
+            inner.sched.publish(drained.tick);
+            break drained.report;
         }
+        let outcome = inner.sched.with_writer(|m| run_cycle(m, input, tick));
+        converging = outcome.converging;
+        tick = tick.saturating_add(interval);
+        inner.cycle_ran(outcome, carried);
+        inner.sched.publish(tick);
+        // What this round cost is the next quiet gap.
+        let wall_us = inner.now_us().saturating_sub(cycle_start_us);
+        lock_unwrap(&inner.work).queue.cycle_done(carried, wall_us);
+    };
+    let work = lock_unwrap(&inner.work);
+    report.shed_total = work.queue.shed_stats().total();
+    report.admitted_total = work.queue.admitted();
+    report
+}
 
-        if let Some(drain) = shutdown {
-            let mut report = DrainReport::default();
-            {
-                let ws = lock_unwrap(&inner.work);
-                report.shed_total = ws.queue.shed_stats().total();
-                report.admitted_total = ws.queue.admitted();
-            }
-            if drain {
-                let budget = inner.cfg.drain_max_cycles;
-                let (deployed, complete, end, checkpointed, depth) = inner.sched.with_writer(|m| {
-                    let (deployed, complete, end) = m.run_to_drain(tick, budget);
-                    let checkpointed = m.journal_attached() && m.checkpoint(end).is_ok();
-                    (deployed, complete, end, checkpointed, m.pending_lras())
-                });
-                tick = end;
-                report.drained = true;
-                report.drain_complete = complete;
-                report.deployed_during_drain = deployed.len();
-                report.checkpointed = checkpointed;
-                report.final_queue_depth = depth;
-                inner.sched.publish(tick);
-            }
-            *lock_unwrap(&inner.drain_report) = Some(report);
-            inner.batcher_done.store(true, Ordering::SeqCst);
-            return;
+impl Inner {
+    /// Holds the pending work until its step is a cycle or the end, and
+    /// takes that step's input. `None` is the crash: stop dead,
+    /// abandoning queued admissions, releases and spec changes on purpose.
+    fn next_cycle(&self, converging: bool) -> Option<(CycleReason, CycleInput)> {
+        let mut work = lock_unwrap(&self.work);
+        let mut woken = false;
+        loop {
+            let now = self.now_us();
+            let reason = match work.next_step(now, converging, woken) {
+                Step::Wait { until_us } => {
+                    let wait = Duration::from_micros(until_us.saturating_sub(now));
+                    work = self
+                        .wake
+                        .wait_timeout(work, wait)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .0;
+                    woken = true;
+                    continue;
+                }
+                Step::Cycle { reason } => reason,
+                Step::Finish { drain: true } => CycleReason::Drain,
+                Step::Finish { drain: false } => return None,
+            };
+            return Some((reason, work.take(reason)));
         }
+    }
+
+    /// The thread's side of a finished cycle that submitted `carried`
+    /// requests: refused apps turn `rejected`, the batch is counted.
+    fn cycle_ran(&self, outcome: CycleOutcome, carried: usize) {
+        let mut apps = lock_unwrap(&self.apps);
+        for app in outcome.rejected {
+            apps.set_phase(app, MetaPhase::Rejected);
+        }
+        self.metrics.batches.inc();
+        self.metrics.batch_size.record(carried as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::shutdown_allowed;
+    use super::*;
+
+    /// Every step that takes a non-empty batch books it under exactly
+    /// one of the four close counters: its rule, or forced.
+    #[test]
+    fn every_batch_carrying_cycle_is_booked_under_one_reason() {
+        let registry = MetricsRegistry::new();
+        let metrics = ServerMetrics::new(&registry);
+        let mut work = PendingWork::new(AdmissionConfig {
+            batch_max_size: 2,
+            ..AdmissionConfig::default()
+        });
+        let mut next_app = 0;
+        let mut offer = |work: &mut PendingWork, now_us| {
+            next_app += 1;
+            let req = LraRequest::uniform(
+                ApplicationId(next_app),
+                1,
+                Resources::new(1024, 1),
+                vec![Tag::new("t")],
+                vec![],
+            );
+            work.queue.offer("t", req, now_us).expect("admitted");
+        };
+        let mut carrying = 0;
+        let mut run = |work: &mut PendingWork, now_us, converging, woken| {
+            let reason = match work.next_step(now_us, converging, woken) {
+                Step::Cycle { reason } => reason,
+                Step::Finish { drain: true } => CycleReason::Drain,
+                other => panic!("expected a cycle, got {other:?}"),
+            };
+            if !work.take(reason).batch.is_empty() {
+                metrics.close_counter(reason).inc();
+                carrying += 1;
+            }
+            reason
+        };
+
+        offer(&mut work, 0);
+        offer(&mut work, 0);
+        assert_eq!(
+            run(&mut work, 0, false, false),
+            CycleReason::Close(BatchClose::Size)
+        );
+        offer(&mut work, 100);
+        assert_eq!(
+            run(&mut work, 10_100, false, true),
+            CycleReason::Close(BatchClose::Deadline)
+        );
+        work.queue.cycle_done(1, 500);
+        offer(&mut work, 20_000);
+        assert_eq!(
+            run(&mut work, 20_500, false, true),
+            CycleReason::Close(BatchClose::Quiet)
+        );
+        offer(&mut work, 30_000);
+        work.releases.push(1);
+        assert_eq!(run(&mut work, 30_000, false, true), CycleReason::Wake);
+        offer(&mut work, 40_000);
+        assert_eq!(run(&mut work, 40_000, true, true), CycleReason::Converge);
+        work.releases.push(2);
+        assert_eq!(run(&mut work, 40_000, false, false), CycleReason::Wake);
+        for _ in 0..3 {
+            offer(&mut work, 50_000);
+        }
+        work.shutdown = Some(true);
+        assert_eq!(run(&mut work, 50_000, false, false), CycleReason::Drain);
+
+        let counts = [
+            &metrics.close_size,
+            &metrics.close_deadline,
+            &metrics.close_quiet,
+            &metrics.close_forced,
+        ]
+        .map(|c| c.get());
+        assert_eq!(counts, [1, 1, 1, 3]);
+        assert_eq!(counts.iter().sum::<u64>(), carrying);
+    }
 
     #[test]
     fn shutdown_gated_to_loopback_by_default() {

@@ -286,6 +286,35 @@ fn server_sheds_queue_full_with_typed_overloaded() {
     assert_eq!(board.stats.lras_deployed, 2, "queued work flushed at drain");
 }
 
+/// Shedding a re-placed id rolls its record back to `released`, not to
+/// `unknown`: the shed request never entered the system, the release
+/// did.
+#[test]
+fn shedding_a_replaced_id_keeps_its_release() {
+    let handle = start(4, frozen_batcher(2, 10));
+    let mut c = Client::connect(handle.addr());
+    assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
+    assert!(matches!(
+        c.call(&Request::Release {
+            id: 2,
+            tenant: "a".to_string(),
+            app: 1,
+        }),
+        Response::Released { .. }
+    ));
+    assert!(matches!(c.place(3, "a", 2, 1), Response::Accepted { .. }));
+    assert!(matches!(c.place(4, "a", 3, 1), Response::Accepted { .. }));
+    match c.place(5, "a", 1, 1) {
+        Response::Overloaded { reason, .. } => assert_eq!(reason, "queue_full"),
+        other => panic!("expected overloaded, got {other:?}"),
+    }
+    match c.query(6, 1) {
+        Response::AppStatus { phase, .. } => assert_eq!(phase, "released"),
+        other => panic!("expected app status, got {other:?}"),
+    }
+    handle.shutdown(true);
+}
+
 #[test]
 fn server_sheds_over_quota_tenant_but_serves_others() {
     let handle = start(4, frozen_batcher(100, 1));
