@@ -153,14 +153,14 @@ impl NodeGroups {
 
     /// Returns `true` if the group is known (including `node`).
     pub fn is_registered(&self, group: &NodeGroupId) -> bool {
-        group == &NodeGroupId::node() || self.sets.contains_key(group)
+        group.is_node() || self.sets.contains_key(group)
     }
 
     /// Returns the node sets of a group.
     ///
     /// The `node` group is synthesized on the fly as singletons.
     pub fn sets_of(&self, group: &NodeGroupId) -> Result<Vec<Vec<NodeId>>, GroupError> {
-        if group == &NodeGroupId::node() {
+        if group.is_node() {
             return Ok((0..self.num_nodes)
                 .map(|i| vec![NodeId(i as u32)])
                 .collect());
@@ -177,7 +177,7 @@ impl NodeGroups {
         group: &NodeGroupId,
         node: NodeId,
     ) -> Result<Vec<NodeSetIndex>, GroupError> {
-        if group == &NodeGroupId::node() {
+        if group.is_node() {
             return Ok(vec![node.0 as usize]);
         }
         let member = self
@@ -193,7 +193,7 @@ impl NodeGroups {
         group: &NodeGroupId,
         set: NodeSetIndex,
     ) -> Result<Vec<NodeId>, GroupError> {
-        if group == &NodeGroupId::node() {
+        if group.is_node() {
             return Ok(vec![NodeId(set as u32)]);
         }
         let sets = self
@@ -228,7 +228,7 @@ impl NodeGroups {
 
     /// Number of sets in a group.
     pub fn num_sets(&self, group: &NodeGroupId) -> Result<usize, GroupError> {
-        if group == &NodeGroupId::node() {
+        if group.is_node() {
             return Ok(self.num_nodes);
         }
         self.sets

@@ -2,8 +2,8 @@
 //!
 //! The durable history of a cluster is `checkpoint + log tail`:
 //! [`ClusterState::checkpoint_doc`] serializes the full live state into a
-//! [`CheckpointDoc`], and every subsequent non-probe mutation appends
-//! one epoch-stamped [`JournalRecord`]. Restore inverts both:
+//! [`CheckpointDoc`], and every subsequent mutation outside a
+//! [`crate::Scratch`] guard appends one epoch-stamped [`JournalRecord`]. Restore inverts both:
 //! [`ClusterState::from_checkpoint`] rebuilds the base state — nodes,
 //! groups, allocations replayed in container-id order so per-node and
 //! per-app insertion orders reproduce, node tag multisets diffed back
@@ -63,8 +63,8 @@ impl From<JournalError> for RestoreError {
 }
 
 impl ClusterState {
-    /// Attaches a shared write-ahead journal: from now on every
-    /// non-probe mutation appends one epoch-stamped record. The caller
+    /// Attaches a shared write-ahead journal: from now on every mutation
+    /// outside a [`crate::Scratch`] guard appends one epoch-stamped record. The caller
     /// (normally the scheduler layer) is responsible for installing a
     /// checkpoint covering the state *as of attachment* — mutations
     /// before the attach are not in the log.

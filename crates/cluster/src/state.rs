@@ -137,15 +137,14 @@ pub struct ClusterState {
     /// Incremental tag/free-capacity indexes (see [`crate::index`]),
     /// maintained in O(Δ) on every allocate/release/retag.
     index: ClusterIndex,
-    /// One-entry memo of the last `appid:` tag built by `allocate`.
-    last_app_tag: Option<(ApplicationId, Tag)>,
     /// Global mutation epoch: incremented by every state-changing
     /// operation (allocate, release, tag/availability/group changes).
     /// Each journal record carries the epoch it was appended at, which
     /// is how restore orders the log tail after a checkpoint.
     pub(crate) epoch: u64,
     /// Attached write-ahead journal, if any (see [`crate::restore`]).
-    /// Every *non-probe* mutation appends one epoch-stamped record.
+    /// Every mutation outside a [`Scratch`] guard appends one
+    /// epoch-stamped record.
     /// Deliberately absent from clones: snapshots and other copies are
     /// scratch state whose mutations must never reach the log — only the
     /// live state journals.
@@ -184,7 +183,6 @@ impl Clone for ClusterState {
             next_container: self.next_container,
             group_tags: self.group_tags.clone(),
             index: self.index.clone(),
-            last_app_tag: self.last_app_tag.clone(),
             epoch: self.epoch,
             // The journal is intentionally NOT cloned: a clone is scratch
             // state (snapshot, what-if copy) and journaling its mutations
@@ -244,7 +242,7 @@ impl Drop for Scratch<'_> {
     fn drop(&mut self) {
         let mark = self.state.scratch_open.unwrap_or(0);
         for id in self.state.scratch_log.split_off(mark).into_iter().rev() {
-            let _ = self.state.release_inner(id, false);
+            let _ = self.state.release_inner(id);
         }
         self.state.next_container = self.next_container;
         self.state.index.update_ops = self.update_ops;
@@ -282,7 +280,6 @@ impl ClusterState {
             next_container: 0,
             group_tags: HashMap::new(),
             index: ClusterIndex::default(),
-            last_app_tag: None,
             epoch: 0,
             journal: None,
             scratch_log: Vec::new(),
@@ -403,7 +400,7 @@ impl ClusterState {
     /// (falls back to scanning the set's members otherwise). The implicit
     /// `node` group delegates to [`ClusterState::gamma`].
     pub fn gamma_in_set(&self, group: &NodeGroupId, set_idx: usize, tag: &Tag) -> u32 {
-        if group == &NodeGroupId::node() {
+        if group.is_node() {
             return self.gamma(NodeId(set_idx as u32), tag);
         }
         if let Some(sets) = self.group_tags.get(group) {
@@ -697,28 +694,11 @@ impl ClusterState {
         request: &ContainerRequest,
         kind: ExecutionKind,
     ) -> Result<ContainerId, ClusterError> {
-        let id = self.allocate_inner(app, node, request, kind, false)?;
+        let id = self.allocate_inner(app, node, request, kind)?;
         if self.scratch_open.is_some() {
             self.scratch_log.push(id);
         }
         Ok(id)
-    }
-
-    /// Tentative allocation for scorers: identical checks, γ multisets,
-    /// and group caches as [`ClusterState::allocate`] — so every
-    /// constraint-cardinality query sees the container — but skips the
-    /// structures no constraint check reads (tag postings, free-capacity
-    /// orderings, per-app container list). Those stay consistent with the
-    /// *pre-probe* state, so the probe MUST be undone with
-    /// [`ClusterState::probe_release`] before any index query runs.
-    pub fn probe_allocate(
-        &mut self,
-        app: ApplicationId,
-        node: NodeId,
-        request: &ContainerRequest,
-        kind: ExecutionKind,
-    ) -> Result<ContainerId, ClusterError> {
-        self.allocate_inner(app, node, request, kind, true)
     }
 
     fn allocate_inner(
@@ -727,7 +707,6 @@ impl ClusterState {
         node: NodeId,
         request: &ContainerRequest,
         kind: ExecutionKind,
-        probe: bool,
     ) -> Result<ContainerId, ClusterError> {
         let state = self
             .node_state
@@ -744,16 +723,7 @@ impl ClusterState {
             });
         }
         let mut tags = request.tags.clone();
-        // Memoized: scoring probes allocate for the same app thousands of
-        // times per round, and `Tag::app_id` formats a fresh string.
-        let auto = match &self.last_app_tag {
-            Some((a, t)) if *a == app => t.clone(),
-            _ => {
-                let t = Tag::app_id(app);
-                self.last_app_tag = Some((app, t.clone()));
-                t
-            }
-        };
+        let auto = Tag::app_id(app);
         if !tags.contains(&auto) {
             tags.push(auto);
         }
@@ -764,21 +734,17 @@ impl ClusterState {
             .expect("fits_in checked above");
         state.tags.add_all(tags.iter().cloned());
         let new_free = state.free;
-        // Maintain the incremental indexes (skipped for probes: nothing a
-        // constraint check reads lives there, and the probe is rolled back
-        // before any index query runs). Probes also leave the mutation
-        // epoch untouched — they are net no-ops by contract, as is
-        // everything under a `Scratch` guard once it drops.
+        // Maintain the incremental indexes. Work under a `Scratch` guard
+        // leaves the mutation epoch untouched: it is a net no-op once the
+        // guard drops.
         let tentative = self.scratch_open.is_some();
-        if !probe {
-            if !tentative {
-                self.touch();
-            }
-            for t in &tags {
-                self.index.tag_added(node.0, t);
-            }
-            self.index.free_changed(node.0, old_free, new_free);
+        if !tentative {
+            self.touch();
         }
+        for t in &tags {
+            self.index.tag_added(node.0, t);
+        }
+        self.index.free_changed(node.0, old_free, new_free);
         // Maintain the per-group γ caches.
         for (g, sets) in self.group_tags.iter_mut() {
             if let Some(indices) = self.groups.sets_containing_ref(g, node) {
@@ -807,20 +773,18 @@ impl ClusterState {
                 kind,
             },
         );
-        if !probe {
-            self.app_containers.entry(app).or_default().push(id);
-            if self.journal.is_some() && !tentative {
-                if let Some(alloc) = self.allocations.get(&id) {
-                    self.record(JournalOp::Place {
-                        container: id.0,
-                        app: app.0,
-                        node: node.0,
-                        memory_mb: alloc.resources.memory_mb,
-                        vcores: alloc.resources.vcores,
-                        long_running: matches!(kind, ExecutionKind::LongRunning),
-                        tags: alloc.tags.iter().map(|t| t.as_str().to_string()).collect(),
-                    });
-                }
+        self.app_containers.entry(app).or_default().push(id);
+        if self.journal.is_some() && !tentative {
+            if let Some(alloc) = self.allocations.get(&id) {
+                self.record(JournalOp::Place {
+                    container: id.0,
+                    app: app.0,
+                    node: node.0,
+                    memory_mb: alloc.resources.memory_mb,
+                    vcores: alloc.resources.vcores,
+                    long_running: matches!(kind, ExecutionKind::LongRunning),
+                    tags: alloc.tags.iter().map(|t| t.as_str().to_string()).collect(),
+                });
             }
         }
         Ok(id)
@@ -836,16 +800,10 @@ impl ClusterState {
             let pos = own.ok_or(ClusterError::UnknownContainer(id))?;
             self.scratch_log.remove(mark + pos);
         }
-        self.release_inner(id, false)
+        self.release_inner(id)
     }
 
-    /// Undoes a [`ClusterState::probe_allocate`], restoring every
-    /// structure the probe touched.
-    pub fn probe_release(&mut self, id: ContainerId) -> Result<Allocation, ClusterError> {
-        self.release_inner(id, true)
-    }
-
-    fn release_inner(&mut self, id: ContainerId, probe: bool) -> Result<Allocation, ClusterError> {
+    fn release_inner(&mut self, id: ContainerId) -> Result<Allocation, ClusterError> {
         let alloc = self
             .allocations
             .remove(&id)
@@ -858,8 +816,7 @@ impl ClusterState {
         // occurrences already, and decrementing the group caches or the
         // postings for a tag the node no longer carries would steal an
         // occurrence contributed by a sibling node. `missing` stays an
-        // unallocated empty Vec in the common (and every probe's) case,
-        // keeping the scoring hot path allocation-free.
+        // unallocated empty Vec in the common case.
         let mut missing: Vec<&Tag> = Vec::new();
         for t in &alloc.tags {
             if !state.tags.remove(t) {
@@ -882,8 +839,7 @@ impl ClusterState {
             }
             Some(out)
         };
-        // Probes always release the most recent allocation on the node, so
-        // this is normally an O(1) pop.
+        // A guard rolls back newest first, so this is normally an O(1) pop.
         if state.containers.last() == Some(&id) {
             state.containers.pop();
         } else {
@@ -892,24 +848,22 @@ impl ClusterState {
         let new_free = state.free;
         // Maintain the incremental indexes.
         let tentative = self.scratch_open.is_some();
-        if !probe {
-            if !tentative {
-                self.touch();
-            }
-            match &removed {
-                None => {
-                    for t in &alloc.tags {
-                        self.index.tag_removed(alloc.node.0, t);
-                    }
-                }
-                Some(r) => {
-                    for &t in r {
-                        self.index.tag_removed(alloc.node.0, t);
-                    }
-                }
-            }
-            self.index.free_changed(alloc.node.0, old_free, new_free);
+        if !tentative {
+            self.touch();
         }
+        match &removed {
+            None => {
+                for t in &alloc.tags {
+                    self.index.tag_removed(alloc.node.0, t);
+                }
+            }
+            Some(r) => {
+                for &t in r {
+                    self.index.tag_removed(alloc.node.0, t);
+                }
+            }
+        }
+        self.index.free_changed(alloc.node.0, old_free, new_free);
         // Maintain the per-group γ caches.
         for (g, sets) in self.group_tags.iter_mut() {
             if let Some(indices) = self.groups.sets_containing_ref(g, alloc.node) {
@@ -923,16 +877,14 @@ impl ClusterState {
                 }
             }
         }
-        if !probe {
-            if let Some(v) = self.app_containers.get_mut(&alloc.app) {
-                v.retain(|&c| c != id);
-                if v.is_empty() {
-                    self.app_containers.remove(&alloc.app);
-                }
+        if let Some(v) = self.app_containers.get_mut(&alloc.app) {
+            v.retain(|&c| c != id);
+            if v.is_empty() {
+                self.app_containers.remove(&alloc.app);
             }
-            if !tentative {
-                self.record(JournalOp::Release { container: id.0 });
-            }
+        }
+        if !tentative {
+            self.record(JournalOp::Release { container: id.0 });
         }
         Ok(alloc)
     }
@@ -1221,22 +1173,6 @@ mod tests {
         assert_eq!(c.free(NodeId(0)).unwrap(), Resources::new(8192, 8));
         assert_eq!(c.gamma(NodeId(0), &Tag::new("svc")), 0);
         assert!(c.release_node(NodeId(42)).is_err());
-    }
-
-    #[test]
-    fn probes_do_not_advance_the_epoch() {
-        let mut c = small_cluster();
-        let before = c.epoch();
-        let id = c
-            .probe_allocate(
-                ApplicationId(1),
-                NodeId(0),
-                &req(256, &["s"]),
-                ExecutionKind::Task,
-            )
-            .unwrap();
-        c.probe_release(id).unwrap();
-        assert_eq!(c.epoch(), before);
     }
 
     #[test]

@@ -222,18 +222,6 @@ fn snapshot_clones_never_journal() {
         )
         .unwrap();
     assert_eq!(wal.lock().unwrap().stats().records_appended, before);
-    // Probes on the live state are epoch-neutral no-ops by contract and
-    // must not journal either.
-    let id = state
-        .probe_allocate(
-            ApplicationId(9),
-            NodeId(0),
-            &req,
-            ExecutionKind::LongRunning,
-        )
-        .unwrap();
-    state.probe_release(id).unwrap();
-    assert_eq!(wal.lock().unwrap().stats().records_appended, before);
     // A real mutation journals exactly one record.
     state
         .allocate(

@@ -8,7 +8,7 @@
 //! containers, an unavailable node and a node tag removal that consumed
 //! a container's occurrence goes through 200 random tentative
 //! operations — logged allocations, releases of the guard's own
-//! containers, scorer probes, nested guards, an early return with
+//! containers, nested guards, an early return with
 //! containers still allocated — and every observation must read after
 //! the drop what it read before. The same holds when a panic unwinds
 //! through two open guards.
@@ -144,13 +144,6 @@ fn tentative_run(
                 // What was there before the guard is not the guard's to undo.
                 let id = deployed[rng.random_range(0..deployed.len())];
                 assert!(work.release(id).is_err(), "released a deployed container");
-            }
-            14..=16 => {
-                let request = random_request(rng);
-                if let Ok(id) = work.probe_allocate(app, node, &request, ExecutionKind::LongRunning)
-                {
-                    work.probe_release(id).unwrap();
-                }
             }
             17..=18 if depth < 2 => {
                 let outer = observe(&work);

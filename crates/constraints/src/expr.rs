@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use medea_cluster::{Allocation, ClusterState, NodeId, Tag};
+use medea_cluster::{Allocation, ClusterState, ContainerId, NodeGroupId, NodeId, Tag};
 
 /// A conjunction of tags; matches containers carrying all of them.
 ///
@@ -71,7 +71,7 @@ impl TagExpr {
         &self,
         state: &ClusterState,
         node: NodeId,
-        exclude: Option<medea_cluster::ContainerId>,
+        exclude: Option<ContainerId>,
     ) -> u32 {
         if self.tags.len() == 1 && exclude.is_none() {
             return state.gamma(node, &self.tags[0]);
@@ -81,6 +81,11 @@ impl TagExpr {
         if self.tags.iter().any(|t| state.gamma(node, t) == 0) {
             return 0;
         }
+        self.walk(state, node, exclude)
+    }
+
+    /// Matching containers on a node by walking them, whatever γ says.
+    fn walk(&self, state: &ClusterState, node: NodeId, exclude: Option<ContainerId>) -> u32 {
         let Ok(containers) = state.containers_on(node) else {
             return 0;
         };
@@ -90,8 +95,7 @@ impl TagExpr {
             .filter(|&&c| {
                 state
                     .allocation(c)
-                    .map(|a| self.matches_allocation(a))
-                    .unwrap_or(false)
+                    .is_ok_and(|a| self.matches_allocation(a))
             })
             .count() as u32
     }
@@ -102,7 +106,7 @@ impl TagExpr {
         &self,
         state: &ClusterState,
         set: &[NodeId],
-        exclude: Option<medea_cluster::ContainerId>,
+        exclude: Option<ContainerId>,
     ) -> u32 {
         set.iter()
             .map(|&n| self.cardinality_on_node(state, n, exclude))
@@ -116,49 +120,109 @@ impl TagExpr {
     pub fn cardinality_in_group_set(
         &self,
         state: &ClusterState,
-        group: &medea_cluster::NodeGroupId,
+        group: &NodeGroupId,
         set_idx: usize,
-        exclude: Option<medea_cluster::ContainerId>,
+        exclude: Option<ContainerId>,
     ) -> u32 {
+        self.counts_in_group_set(state, group, set_idx, exclude, None)
+            .0
+    }
+
+    /// [`TagExpr::cardinality_in_group_set`] as the state stands and with
+    /// an arrival allocated on a node the set lists `hits` times, from one
+    /// count. The arrival counts toward a target it matches unless it is
+    /// the subject (`exclude` is `None`), which its own counts leave out.
+    ///
+    /// It can also add containers already there. The conjunction counts
+    /// skip a node (and a set) whose γ lacks one of the tags, before
+    /// walking any container, and once `remove_node_tag` has consumed an
+    /// occurrence a container contributed, γ can lack a tag a container on
+    /// the node carries. An arrival supplying every tag γ lacks on its node
+    /// lifts that skip, so only then is that one node re-walked.
+    pub(crate) fn counts_in_group_set(
+        &self,
+        state: &ClusterState,
+        group: &NodeGroupId,
+        set_idx: usize,
+        exclude: Option<ContainerId>,
+        arrival: Option<(Arrival<'_>, u32)>,
+    ) -> (u32, u32) {
+        let arrival = arrival.filter(|&(_, hits)| hits > 0);
         if self.tags.len() == 1 {
-            let mut count = state.gamma_in_set(group, set_idx, &self.tags[0]);
-            if let Some(x) = exclude {
-                if let Ok(a) = state.allocation(x) {
-                    let in_set = state
-                        .groups()
-                        .sets_containing(group, a.node)
-                        .map(|v| v.contains(&set_idx))
-                        .unwrap_or(false);
-                    if in_set && self.matches_allocation(a) {
-                        count = count.saturating_sub(1);
-                    }
-                }
-            }
-            return count;
+            let tag = &self.tags[0];
+            let gamma = state.gamma_in_set(group, set_idx, tag);
+            let excluded = exclude.is_some_and(|x| {
+                state.allocation(x).is_ok_and(|a| {
+                    let in_set = if group.is_node() {
+                        a.node.index() == set_idx
+                    } else {
+                        state
+                            .groups()
+                            .sets_containing_ref(group, a.node)
+                            .is_some_and(|v| v.contains(&set_idx))
+                    };
+                    in_set && self.matches_allocation(a)
+                })
+            });
+            let before = gamma.saturating_sub(u32::from(excluded));
+            let Some((a, hits)) = arrival else {
+                return (before, before);
+            };
+            // γ gains every occurrence the arrival carries.
+            let occurrences = a.tags.iter().filter(|&t| t == tag).count() as u32;
+            let left_out = u32::from(excluded) + u32::from(exclude.is_none() && occurrences > 0);
+            return (
+                before,
+                (gamma + hits * occurrences).saturating_sub(left_out),
+            );
         }
-        if group.is_node() {
+        let before = if group.is_node() {
             // The implicit `node` group's set `i` is the singleton {node i}.
-            return self.cardinality_on_node(state, NodeId(set_idx as u32), exclude);
-        }
-        // Conjunction over a registered group: the per-set γ caches give a
-        // free upper bound — if any tag is absent from the whole set, no
-        // container in it can match.
-        if self
+            self.cardinality_on_node(state, NodeId(set_idx as u32), exclude)
+        } else if self
             .tags
             .iter()
             .any(|t| state.gamma_in_set(group, set_idx, t) == 0)
         {
-            return 0;
+            // Conjunction over a registered group: the per-set γ caches
+            // give a free upper bound — if any tag is absent from the whole
+            // set, no container in it can match.
+            0
+        } else {
+            state
+                .groups()
+                .set_members_ref(group, set_idx)
+                .map_or(0, |members| {
+                    self.cardinality_on_set(state, members, exclude)
+                })
+        };
+        let Some((a, hits)) = arrival else {
+            return (before, before);
+        };
+        let mut lacks = false;
+        for t in &self.tags {
+            if state.gamma(a.node, t) == 0 {
+                if !a.tags.contains(t) {
+                    // Still skipped, and the arrival cannot match either.
+                    return (before, before);
+                }
+                lacks = true;
+            }
         }
-        if let Some(members) = state.groups().set_members_ref(group, set_idx) {
-            return self.cardinality_on_set(state, members, exclude);
-        }
-        let members = state
-            .groups()
-            .set_members(group, set_idx)
-            .unwrap_or_default();
-        self.cardinality_on_set(state, &members, exclude)
+        let hidden = lacks.then(|| self.walk(state, a.node, exclude));
+        let adds = u32::from(exclude.is_some() && self.matches_tags(a.tags));
+        (before, before + hits * (hidden.unwrap_or(0) + adds))
     }
+}
+
+/// A container that is not allocated yet: the node it would join and the
+/// tags it would carry there (the request's plus the automatic `appid:`).
+#[derive(Debug, Clone, Copy)]
+pub struct Arrival<'a> {
+    /// The node it would be allocated on.
+    pub node: NodeId,
+    /// Its effective tags.
+    pub tags: &'a [Tag],
 }
 
 impl fmt::Display for TagExpr {

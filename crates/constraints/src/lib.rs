@@ -27,12 +27,12 @@ mod violation;
 pub use constraint::{
     Cardinality, PlacementConstraint, TagConstraint, TagConstraintExpr, HARD_WEIGHT,
 };
-pub use expr::TagExpr;
+pub use expr::{Arrival, TagExpr};
 pub use manager::{
     validate_constraint, ConstraintError, ConstraintManager, ConstraintSource, StoredConstraint,
 };
 pub use parse::{parse_constraint, ParseError};
 pub use violation::{
-    check_container, evaluate_constraint, violation_stats, ConstraintReport, ContainerCheck,
-    ViolationStats,
+    check_container, evaluate_constraint, subject_extents, violation_stats, ConstraintReport,
+    ContainerCheck, ViolationStats,
 };

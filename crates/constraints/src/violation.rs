@@ -10,9 +10,10 @@
 
 use std::collections::HashSet;
 
-use medea_cluster::{ClusterState, ContainerId};
+use medea_cluster::{ClusterState, ContainerId, NodeGroupId};
 
 use crate::constraint::{PlacementConstraint, TagConstraint};
+use crate::expr::Arrival;
 
 /// Outcome of checking one subject container against one constraint.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,37 +74,48 @@ impl ViolationStats {
 }
 
 /// Evaluates one conjunct (all leaves must hold) on one set of a node
-/// group; returns the summed violation extent (0 means satisfied).
-fn conjunct_extent(
+/// group, as the state stands and with the arrival; returns the summed
+/// violation extents (0 means satisfied).
+fn conjunct_extents(
     state: &ClusterState,
     conjunct: &[TagConstraint],
-    group: &medea_cluster::NodeGroupId,
+    group: &NodeGroupId,
     set_idx: usize,
-    exclude: ContainerId,
-) -> f64 {
+    exclude: Option<ContainerId>,
+    arrival: Option<(Arrival<'_>, u32)>,
+) -> (f64, f64) {
     conjunct
         .iter()
         .map(|leaf| {
-            let count = leaf
+            let (before, after) = leaf
                 .target
-                .cardinality_in_group_set(state, group, set_idx, Some(exclude));
-            leaf.cardinality.violation_extent(count)
+                .counts_in_group_set(state, group, set_idx, exclude, arrival);
+            let extent = |count| leaf.cardinality.violation_extent(count);
+            (extent(before), extent(after))
         })
-        .sum()
+        .fold((-0.0, -0.0), |(b, a), (x, y)| (b + x, a + y))
 }
 
-/// Checks one subject container against a constraint.
+/// A subject's violation extent under a constraint as the state stands and
+/// with `arrival` allocated, from one count per leaf and without
+/// allocating anything. The subject is the live container `subject` or,
+/// when that is `None`, the arrival itself (whose first extent then means
+/// nothing). `None` if the container does not exist or neither is given.
 ///
-/// Returns `None` if the container no longer exists. A container whose
-/// node belongs to no set of the constraint's group is reported as a full
-/// violation with extent 1 (the constraint cannot be satisfied there).
-pub fn check_container(
+/// A subject whose node belongs to no set of the constraint's group is a
+/// full violation with extent 1 (the constraint cannot be satisfied
+/// there); under an unknown group it is satisfied (validation is the
+/// place where unknown groups are rejected).
+pub fn subject_extents(
     state: &ClusterState,
     constraint: &PlacementConstraint,
-    container: ContainerId,
-) -> Option<ContainerCheck> {
-    let alloc = state.allocation(container).ok()?;
-    let node = alloc.node;
+    subject: Option<ContainerId>,
+    arrival: Option<Arrival<'_>>,
+) -> Option<(f64, f64)> {
+    let node = match subject {
+        Some(c) => state.allocation(c).ok()?.node,
+        None => arrival?.node,
+    };
     let group = &constraint.group;
     let node_singleton = [node.index()];
     let set_indices: &[usize] = if group.is_node() {
@@ -111,55 +123,57 @@ pub fn check_container(
     } else {
         match state.groups().sets_containing_ref(group, node) {
             Some(s) => s,
-            // Unknown group: treat as trivially satisfied (validation is
-            // the place where unknown groups are rejected). A live
-            // allocation's node is always in range, so `None` cannot mean
-            // out-of-range here.
-            None => {
-                return Some(ContainerCheck {
-                    container,
-                    satisfied: true,
-                    extent: 0.0,
-                })
-            }
+            None => return Some((0.0, 0.0)),
         }
     };
     if constraint.expr.is_trivial() {
-        return Some(ContainerCheck {
-            container,
-            satisfied: true,
-            extent: 0.0,
-        });
+        return Some((0.0, 0.0));
     }
     if set_indices.is_empty() {
-        return Some(ContainerCheck {
-            container,
-            satisfied: false,
-            extent: 1.0,
-        });
+        return Some((1.0, 1.0));
     }
-    let mut best = f64::INFINITY;
+    // The sets the arrival joins, to count how often each lists its node.
+    let arrival_singleton = [arrival.map_or(0, |a| a.node.index())];
+    let arrival_sets: &[usize] = match arrival {
+        None => &[],
+        Some(_) if group.is_node() => &arrival_singleton,
+        Some(a) => state
+            .groups()
+            .sets_containing_ref(group, a.node)
+            .unwrap_or(&[]),
+    };
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for &si in set_indices {
+        let hits = arrival_sets.iter().filter(|&&s| s == si).count() as u32;
+        let arrival = arrival.map(|a| (a, hits));
         for conj in &constraint.expr.conjuncts {
-            let e = conjunct_extent(state, conj, group, si, container);
-            if e < best {
-                best = e;
-            }
-            if best == 0.0 {
+            let (before, after) = conjunct_extents(state, conj, group, si, subject, arrival);
+            best.0 = if before < best.0 { before } else { best.0 };
+            best.1 = if after < best.1 { after } else { best.1 };
+            if best == (0.0, 0.0) {
                 break;
             }
         }
-        if best == 0.0 {
+        if best == (0.0, 0.0) {
             break;
         }
     }
-    if !best.is_finite() {
-        best = 1.0;
-    }
+    let bounded = |e: f64| if e.is_finite() { e } else { 1.0 };
+    Some((bounded(best.0), bounded(best.1)))
+}
+
+/// Checks one subject container against a constraint (see
+/// [`subject_extents`]); `None` if the container no longer exists.
+pub fn check_container(
+    state: &ClusterState,
+    constraint: &PlacementConstraint,
+    container: ContainerId,
+) -> Option<ContainerCheck> {
+    let (extent, _) = subject_extents(state, constraint, Some(container), None)?;
     Some(ContainerCheck {
         container,
-        satisfied: best == 0.0,
-        extent: best,
+        satisfied: extent == 0.0,
+        extent,
     })
 }
 

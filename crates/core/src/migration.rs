@@ -164,8 +164,7 @@ impl MigrationController {
                     if !state.is_available(target) || !scorer.is_feasible(state, target, &request) {
                         continue;
                     }
-                    let delta =
-                        scorer.violation_delta_among(state, alloc.app, &request, target, &relevant);
+                    let delta = scorer.violation_delta_among(state, &request, target, &relevant);
                     if delta > 1e-9 {
                         continue;
                     }
@@ -234,7 +233,7 @@ impl MigrationController {
                 continue; // Not violating: leave it alone.
             }
             // A container stranded on an unavailable node cannot be
-            // restored after probing; leave it to the recovery pipeline.
+            // restored after scoring; leave it to the recovery pipeline.
             if !state.is_available(from) {
                 continue;
             }
@@ -249,7 +248,7 @@ impl MigrationController {
                     if !scorer.is_feasible(state, n, &request) {
                         continue;
                     }
-                    scorer.violation_delta_among(state, app, &request, n, &relevant)
+                    scorer.violation_delta_among(state, &request, n, &relevant)
                 };
                 // Improvement: old extent minus the violation the
                 // container would cause at the new node.
@@ -262,7 +261,7 @@ impl MigrationController {
             }
             // Restore the container where it was. Restoration can only
             // fail if the node changed underneath us (e.g. crashed
-            // mid-probe); park the container on any available node that
+            // mid-scan); park the container on any available node that
             // fits rather than panic, dropping it as a move candidate.
             match state.allocate(app, from, &request, ExecutionKind::LongRunning) {
                 Ok(restored) => {
