@@ -371,7 +371,7 @@ fn tag_popularity(constraints: &[PlacementConstraint]) -> HashMap<Tag, usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use medea_cluster::{ApplicationId, NodeGroupId, Resources};
     use medea_constraints::violation_stats;
@@ -541,7 +541,7 @@ mod tests {
 
     /// The §7.1 HBase instance: 8 region servers plus master, thrift and
     /// secondary, with the paper's four constraints.
-    fn hbase(app: u64) -> LraRequest {
+    pub(crate) fn hbase(app: u64) -> LraRequest {
         use medea_constraints::{Cardinality, TagExpr};
         let app = ApplicationId(app);
         let role = |count: usize, memory_mb: u64, role: &str| {
