@@ -175,10 +175,13 @@ impl ClusterIndex {
     /// Nodes ordered by free memory descending; ties broken by free
     /// vcores descending, then node id descending (the exact reverse of
     /// the ascending `(mem, vcores, node)` ordering, which a sort of the
-    /// nodes reproduces).
-    pub(crate) fn nodes_by_free_memory(&self) -> Vec<u32> {
-        self.note_visited(self.free_mem.len() as u64);
-        self.free_mem.iter().rev().map(|&(_, _, n)| n).collect()
+    /// nodes reproduces). Lazy: an entry counts as visited when it is
+    /// walked, so a caller that stops early pays only for what it read.
+    pub(crate) fn nodes_by_free_memory(&self) -> impl Iterator<Item = u32> + '_ {
+        self.free_mem.iter().rev().map(|&(_, _, n)| {
+            self.note_visited(1);
+            n
+        })
     }
 
     /// Verifies the index against ground truth; returns the first
@@ -276,9 +279,14 @@ mod tests {
             ]
             .into_iter(),
         );
-        assert_eq!(ix.nodes_by_free_memory(), vec![1, 0, 2]);
+        let by_free = |ix: &ClusterIndex| ix.nodes_by_free_memory().collect::<Vec<_>>();
+        assert_eq!(by_free(&ix), vec![1, 0, 2]);
         ix.free_changed(1, r(8192, 8), r(1024, 8));
-        assert_eq!(ix.nodes_by_free_memory(), vec![0, 2, 1]);
+        assert_eq!(by_free(&ix), vec![0, 2, 1]);
+        // Only the entries walked are counted.
+        let before = ix.stats().nodes_visited;
+        assert_eq!(ix.nodes_by_free_memory().next(), Some(0));
+        assert_eq!(ix.stats().nodes_visited - before, 1);
     }
 
     #[test]

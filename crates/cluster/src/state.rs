@@ -606,13 +606,10 @@ impl ClusterState {
     }
 
     /// All nodes ordered by free memory descending, ties broken by free
-    /// vcores descending then node id descending.
-    pub fn nodes_by_free_memory(&self) -> Vec<NodeId> {
-        self.index
-            .nodes_by_free_memory()
-            .into_iter()
-            .map(NodeId)
-            .collect()
+    /// vcores descending then node id descending. Lazy: only the entries
+    /// walked count as visited in [`IndexStats::nodes_visited`].
+    pub fn nodes_by_free_memory(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.index.nodes_by_free_memory().map(NodeId)
     }
 
     /// Verifies every incremental structure — tag postings, the

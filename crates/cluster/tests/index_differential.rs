@@ -206,7 +206,7 @@ fn check_step(seed: u64, step: usize, s: &ClusterState) {
 
     // Free-capacity ordering.
     assert_eq!(
-        s.nodes_by_free_memory(),
+        s.nodes_by_free_memory().collect::<Vec<_>>(),
         oracle_by_free_memory(s),
         "{}",
         ctx("by_free")

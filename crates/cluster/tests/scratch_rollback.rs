@@ -97,7 +97,7 @@ fn observe(state: &ClusterState) -> Observed {
     tags.dedup();
     Observed {
         digest: state.digest(),
-        by_free_memory: state.nodes_by_free_memory(),
+        by_free_memory: state.nodes_by_free_memory().collect(),
         hosts_per_tag: tags
             .into_iter()
             .map(|t| {

@@ -125,7 +125,7 @@ impl MigrationController {
     ) -> Option<Migration> {
         // Most-free first: sources are walked from the emptiest end,
         // targets from the tightest.
-        let ordering: Vec<NodeId> = state.nodes_by_free_memory();
+        let ordering: Vec<NodeId> = state.nodes_by_free_memory().collect();
         for (si, &source) in ordering.iter().enumerate() {
             if !state.is_available(source) {
                 continue;

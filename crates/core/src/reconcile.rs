@@ -306,7 +306,6 @@ impl MedeaScheduler {
         let rank: HashMap<NodeId, usize> = self
             .state
             .nodes_by_free_memory()
-            .into_iter()
             .enumerate()
             .map(|(i, node)| (node, i))
             .collect();

@@ -502,10 +502,10 @@ impl MedeaScheduler {
         let order: Vec<usize> = self
             .state
             .nodes_by_free_memory()
-            .into_iter()
             .filter_map(|n| plan.shard_of(n))
             .chain(0..k)
             .filter(|&s| !std::mem::replace(&mut seen[s], true))
+            .take(k)
             .collect();
         let mut rr = 0usize;
         for p in batch {

@@ -436,7 +436,7 @@ fn assert_index_matches_naive_scan(seed: u64, instance: &Instance, outcomes: &[P
     by_free.sort_unstable();
     let naive: Vec<NodeId> = by_free.into_iter().rev().map(|k| NodeId(k.2)).collect();
     assert_eq!(
-        state.nodes_by_free_memory(),
+        state.nodes_by_free_memory().collect::<Vec<_>>(),
         naive,
         "seed {seed}: nodes_by_free_memory"
     );

@@ -137,7 +137,7 @@ fn live_view(m: &MedeaScheduler) -> (String, u64, Vec<NodeId>, u64) {
     (
         s.digest(),
         s.index_stats().update_ops,
-        s.nodes_by_free_memory(),
+        s.nodes_by_free_memory().collect(),
         m.journal_stats().records_appended,
     )
 }
