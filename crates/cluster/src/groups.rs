@@ -226,17 +226,6 @@ impl NodeGroups {
         self.sets.get(group)?.get(set).map(|v| v.as_slice())
     }
 
-    /// Number of sets in a group.
-    pub fn num_sets(&self, group: &NodeGroupId) -> Result<usize, GroupError> {
-        if group.is_node() {
-            return Ok(self.num_nodes);
-        }
-        self.sets
-            .get(group)
-            .map(|s| s.len())
-            .ok_or_else(|| GroupError::UnknownGroup(group.clone()))
-    }
-
     /// Lists all registered group ids (excluding the implicit `node`).
     pub fn group_ids(&self) -> impl Iterator<Item = &NodeGroupId> {
         self.sets.keys()
@@ -251,7 +240,7 @@ mod tests {
     fn node_group_is_implicit() {
         let g = NodeGroups::new(3);
         assert!(g.is_registered(&NodeGroupId::node()));
-        assert_eq!(g.num_sets(&NodeGroupId::node()).unwrap(), 3);
+        assert_eq!(g.sets_of(&NodeGroupId::node()).unwrap().len(), 3);
         assert_eq!(
             g.sets_containing(&NodeGroupId::node(), NodeId(2)).unwrap(),
             vec![2]
@@ -306,6 +295,6 @@ mod tests {
         let mut g = NodeGroups::new(4);
         g.register_partition(NodeGroupId::rack(), 2);
         g.register_partition(NodeGroupId::rack(), 4);
-        assert_eq!(g.num_sets(&NodeGroupId::rack()).unwrap(), 4);
+        assert_eq!(g.sets_of(&NodeGroupId::rack()).unwrap().len(), 4);
     }
 }
