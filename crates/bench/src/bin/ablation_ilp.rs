@@ -3,10 +3,8 @@
 //!
 //! 1. **MIP start** — seeding branch and bound with the greedy heuristic
 //!    placement (anytime behaviour);
-//! 2. **Symmetry breaking** — lexicographic rows over identical
-//!    containers;
-//! 3. **Candidate cap** — the equivalence-class candidate budget.
-//! 4. **Relaxed arm** — the LP-relaxation fast-path placer on the same
+//! 2. **Candidate cap** — the equivalence-class candidate budget.
+//! 3. **Relaxed arm** — the LP-relaxation fast-path placer on the same
 //!    batches (placement quality relative to exact branch and bound).
 //!
 //! Each variant deploys the same HBase batch sequence; we report wall
@@ -68,13 +66,6 @@ fn main() {
             },
         ),
         (
-            "no-symmetry",
-            IlpConfig {
-                symmetry_breaking: false,
-                ..IlpConfig::default()
-            },
-        ),
-        (
             "candidates=16",
             IlpConfig {
                 max_candidates: 16,
@@ -115,7 +106,6 @@ fn main() {
     println!(
         "\nExpected: removing the MIP start costs time and/or quality \
          (branch and bound must find an incumbent from scratch within the \
-         deadline); removing symmetry breaking inflates the search; the \
-         candidate cap trades solve time against placement quality."
+         deadline); the candidate cap trades solve time against placement quality."
     );
 }

@@ -12,8 +12,9 @@
 //!    placement by seeded randomized rounding, tentatively on the
 //!    caller's state under a rollback guard: requests are processed in
 //!    a canonical order (descending `S_i`, then application id), each
-//!    container samples a candidate node proportionally to its
-//!    fractional `X` mass among capacity-feasible candidates;
+//!    container samples a candidate node proportionally to its share of
+//!    its class's fractional `x` row among capacity-feasible candidates
+//!    (a systematic split: on an integral row no draw decides anything);
 //! 3. **Repair** — bounded passes move containers that violate a *hard*
 //!    constraint (cardinality/γ, affinity, anti-affinity) to the best
 //!    alternative candidate that is capacity-feasible and clean;
@@ -84,7 +85,7 @@ impl PlacerMode {
 /// Bounded number of hard-constraint repair sweeps over the batch.
 const MAX_REPAIR_PASSES: usize = 3;
 
-/// Fractional mass below which an `X` value is treated as zero when
+/// Fractional mass below which an `x` share is treated as zero when
 /// sampling.
 const X_TOL: f64 = 1e-9;
 
@@ -175,7 +176,7 @@ pub(crate) fn solve(
         Prep::Ready(p) => p,
     };
     let Prepared {
-        new_containers,
+        classes,
         active,
         heuristic,
         candidates,
@@ -204,18 +205,18 @@ pub(crate) fn solve(
         cache.store(skeleton, b.clone());
     }
 
-    // Per-container hard-constraint applicability, precomputed from the
-    // effective tags (stable — does not depend on where the container
-    // lands).
+    // Per-class hard-constraint applicability, precomputed from the
+    // effective tags (stable — does not depend on where a member lands).
     let hard: Vec<&PlacementConstraint> = active.iter().filter(|c| c.is_hard()).collect();
-    let subject_of: Vec<Vec<bool>> = new_containers
+    let subject_of: Vec<Vec<bool>> = classes
         .iter()
-        .map(|nc| {
+        .map(|k| {
             hard.iter()
-                .map(|c| c.subject.matches_tags(&nc.tags))
+                .map(|c| c.subject.matches_tags(&k.tags))
                 .collect()
         })
         .collect();
+    let slots = member_slots(requests, classes);
 
     if sol.status != LpStatus::Optimal {
         // The relaxation itself is unusable (iteration limit or an
@@ -232,7 +233,7 @@ pub(crate) fn solve(
             heuristic.clone(),
             &hard,
             &subject_of,
-            new_containers,
+            &slots,
             &mut report,
         );
         if let Some(m) = metrics {
@@ -251,7 +252,8 @@ pub(crate) fn solve(
     // draws — byte-identical placements across runs (the determinism
     // suite depends on this).
     let t_round = Instant::now();
-    let mut rng = StdRng::seed_from_u64(0x52454C4158 ^ skeleton ^ new_containers.len() as u64);
+    let t_total: usize = requests.iter().map(|r| r.containers.len()).sum();
+    let mut rng = StdRng::seed_from_u64(0x52454C4158 ^ skeleton ^ t_total as u64);
     let mut work = state.scratch();
 
     // Canonical processing order: descending S_i mass, application id
@@ -264,11 +266,12 @@ pub(crate) fn solve(
             .then_with(|| requests[a].app.cmp(&requests[b].app))
     });
 
-    // Global container indices per request, in container order.
-    let mut gcis_of: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
-    for (gci, nc) in new_containers.iter().enumerate() {
-        gcis_of[nc.req_idx].push(gci);
-    }
+    // Each class's fractional row, in candidate order.
+    let class_rows: Vec<Vec<f64>> = model
+        .x_vars
+        .iter()
+        .map(|x_row| x_row.iter().map(|&x| value(x)).collect())
+        .collect();
 
     let mut placed: Vec<Option<Tentative>> = (0..requests.len()).map(|_| None).collect();
     let mut attempted = vec![false; requests.len()];
@@ -284,13 +287,12 @@ pub(crate) fn solve(
         attempted[ri] = true;
         let mut nodes = Vec::with_capacity(r.containers.len());
         let ids = r.allocate_all(&mut work, |work, k| {
-            let gci = gcis_of[ri][k];
-            let resources = new_containers[gci].resources;
-            let node =
-                sample_candidate(&mut rng, work, candidates, &model.x_vars[gci], value, |n| {
-                    work.free(n).map(|f| resources.fits_in(&f)).unwrap_or(false)
-                        && work.is_available(n)
-                })?;
+            let (ci, rank) = slots[ri][k];
+            let resources = classes[ci].resources;
+            let row = member_share(&class_rows[ci], rank);
+            let node = sample_candidate(&mut rng, work, candidates, &row, |n| {
+                work.free(n).map(|f| resources.fits_in(&f)).unwrap_or(false) && work.is_available(n)
+            })?;
             nodes.push(node);
             Some(node)
         });
@@ -305,19 +307,20 @@ pub(crate) fn solve(
             let Some(t) = placed[ri].as_mut() else {
                 continue;
             };
-            for (k, &gci) in gcis_of[ri].iter().enumerate() {
+            for (k, &(ci, _)) in slots[ri].iter().enumerate() {
                 let id = t.ids[k];
-                if !violates_hard(&work, &hard, &subject_of[gci], id) {
+                if !violates_hard(&work, &hard, &subject_of[ci], id) {
                     continue;
                 }
                 any_violation = true;
                 // Free the offender, then try alternatives in descending
-                // fractional-mass order (current node excluded).
+                // order of its class's fractional mass (current node
+                // excluded).
                 let Ok(alloc) = work.release(id) else {
                     continue;
                 };
                 let from = alloc.node;
-                let resources = new_containers[gci].resources;
+                let resources = classes[ci].resources;
                 let mut alternatives: Vec<(usize, f64)> = candidates
                     .iter()
                     .enumerate()
@@ -326,7 +329,7 @@ pub(crate) fn solve(
                             && work.is_available(n)
                             && work.free(n).map(|f| resources.fits_in(&f)).unwrap_or(false)
                     })
-                    .map(|(ni, _)| (ni, value(model.x_vars[gci][ni])))
+                    .map(|(ni, _)| (ni, class_rows[ci][ni]))
                     .collect();
                 alternatives.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
                 let mut moved = false;
@@ -340,7 +343,7 @@ pub(crate) fn solve(
                     ) else {
                         continue;
                     };
-                    if violates_hard(&work, &hard, &subject_of[gci], new_id) {
+                    if violates_hard(&work, &hard, &subject_of[ci], new_id) {
                         let _ = work.release(new_id);
                         continue;
                     }
@@ -383,9 +386,9 @@ pub(crate) fn solve(
         let Some(t) = placed[ri].as_ref() else {
             continue;
         };
-        let dirty = gcis_of[ri].iter().enumerate().any(|(k, &gci)| {
+        let dirty = slots[ri].iter().enumerate().any(|(k, &(ci, _))| {
             work.allocation(t.ids[k]).is_err()
-                || violates_hard(&work, &hard, &subject_of[gci], t.ids[k])
+                || violates_hard(&work, &hard, &subject_of[ci], t.ids[k])
         });
         if dirty {
             for &id in &t.ids {
@@ -460,10 +463,10 @@ pub(crate) fn solve(
         let Some(t) = placed[ri].as_ref() else {
             continue;
         };
-        let dirty = gcis_of[ri]
+        let dirty = slots[ri]
             .iter()
             .enumerate()
-            .any(|(k, &gci)| violates_hard(&work, &hard, &subject_of[gci], t.ids[k]));
+            .any(|(k, &(ci, _))| violates_hard(&work, &hard, &subject_of[ci], t.ids[k]));
         if dirty {
             for &id in &t.ids {
                 let _ = work.release(id);
@@ -506,15 +509,14 @@ pub(crate) fn solve(
             u => u.clone(),
         })
         .collect();
-    if let Some((assignment, placed_flags)) =
-        ilp::assignment_from_outcomes(requests, &mappable, candidates)
+    if let Some((counts, placed_flags)) = ilp::counts_from_outcomes(classes, &mappable, candidates)
     {
         let point = ilp::initial_point(
             model,
             state,
             candidates,
-            new_containers,
-            &assignment,
+            classes,
+            &counts,
             &placed_flags,
             cfg,
         );
@@ -529,24 +531,58 @@ pub(crate) fn solve(
     finish(outcomes, degraded, report)
 }
 
-/// Samples a candidate index for one container: roulette over the
-/// container's fractional `X` mass restricted to usable candidates;
-/// when no fractional mass survives the filter, the usable candidate
-/// with the most free memory is taken deterministically.
+/// `(class, rank among the class's members)` of every container,
+/// indexed `[request][container]`.
+fn member_slots(
+    requests: &[LraRequest],
+    classes: &[ilp::ContainerClass],
+) -> Vec<Vec<(usize, usize)>> {
+    let mut slots: Vec<Vec<(usize, usize)>> = requests
+        .iter()
+        .map(|r| vec![(0, 0); r.containers.len()])
+        .collect();
+    for (ci, class) in classes.iter().enumerate() {
+        for (rank, &k) in class.members.iter().enumerate() {
+            slots[class.req_idx][k] = (ci, rank);
+        }
+    }
+    slots
+}
+
+/// The class member of rank `rank`'s share of its class's fractional
+/// row: the row's mass laid out in candidate order, cut to
+/// `[rank, rank + 1)`. On an integral row every member gets one
+/// candidate outright, in non-decreasing candidate order.
+fn member_share(class_row: &[f64], rank: usize) -> Vec<f64> {
+    let (lo, hi) = (rank as f64, rank as f64 + 1.0);
+    let mut start = 0.0;
+    class_row
+        .iter()
+        .map(|&x| {
+            let end = start + x.max(0.0);
+            let share = (end.min(hi) - f64::max(start, lo)).max(0.0);
+            start = end;
+            share
+        })
+        .collect()
+}
+
+/// Samples a candidate for one container: roulette over the container's
+/// fractional `row` (one entry per candidate) restricted to usable
+/// candidates; when no fractional mass survives the filter, the usable
+/// candidate with the most free memory is taken deterministically.
 fn sample_candidate(
     rng: &mut StdRng,
     work: &ClusterState,
     candidates: &[NodeId],
-    x_row: &[medea_solver::VarId],
-    value: impl Fn(medea_solver::VarId) -> f64,
+    row: &[f64],
     usable: impl Fn(NodeId) -> bool,
 ) -> Option<NodeId> {
     let viable: Vec<(NodeId, f64)> = candidates
         .iter()
-        .zip(x_row)
-        .filter(|&(&n, _)| usable(n))
-        .map(|(&n, &v)| (n, value(v)))
-        .filter(|&(_, x)| x > X_TOL)
+        .zip(row)
+        .filter(|&(&n, &x)| x > X_TOL && usable(n))
+        .map(|(&n, &x)| (n, x))
         .collect();
     if !viable.is_empty() {
         let total: f64 = viable.iter().map(|&(_, x)| x).sum();
@@ -601,14 +637,10 @@ fn validate_outcomes(
     outcomes: Vec<PlacementOutcome>,
     hard: &[&PlacementConstraint],
     subject_of: &[Vec<bool>],
-    new_containers: &[ilp::NewContainer],
+    slots: &[Vec<(usize, usize)>],
     report: &mut RelaxReport,
 ) -> Vec<PlacementOutcome> {
     let mut work = state.scratch();
-    let mut gcis_of: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
-    for (gci, nc) in new_containers.iter().enumerate() {
-        gcis_of[nc.req_idx].push(gci);
-    }
     outcomes
         .into_iter()
         .enumerate()
@@ -619,8 +651,8 @@ fn validate_outcomes(
             let ids = requests[ri].allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
             let clean = ids.as_ref().is_some_and(|ids| {
                 !ids.iter()
-                    .zip(&gcis_of[ri])
-                    .any(|(&id, &gci)| violates_hard(&work, hard, &subject_of[gci], id))
+                    .zip(&slots[ri])
+                    .any(|(&id, &(ci, _))| violates_hard(&work, hard, &subject_of[ci], id))
             });
             if clean {
                 return out;
@@ -707,6 +739,40 @@ mod tests {
         assert_eq!(snap.counter("core.relax_warm_start_hits_total"), Some(1));
     }
 
+    /// An integral class row gives each member one candidate outright, in
+    /// candidate order, whatever the draw; on a fractional row each
+    /// member's row is its share of the class row.
+    #[test]
+    fn members_split_their_class_row_systematically() {
+        let state = ClusterState::homogeneous(4, Resources::new(4096, 4), 1);
+        let candidates: Vec<NodeId> = state.node_ids().collect();
+        let integral = [1.0, 0.0, 1.0, 1.0];
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nodes: Vec<NodeId> = (0..3)
+                .map(|rank| {
+                    let row = member_share(&integral, rank);
+                    sample_candidate(&mut rng, &state, &candidates, &row, |_| true).unwrap()
+                })
+                .collect();
+            assert_eq!(nodes, [NodeId(0), NodeId(2), NodeId(3)], "seed {seed}");
+        }
+
+        let fractional = [0.5, 1.25, 0.0, 0.75];
+        let shares: Vec<Vec<f64>> = (0..3).map(|rank| member_share(&fractional, rank)).collect();
+        assert_eq!(
+            shares,
+            [
+                vec![0.5, 0.5, 0.0, 0.0],
+                vec![0.0, 0.75, 0.0, 0.25],
+                vec![0.0, 0.0, 0.0, 0.5]
+            ]
+        );
+        for (ni, &x) in fractional.iter().enumerate() {
+            assert_eq!(shares.iter().map(|s| s[ni]).sum::<f64>(), x);
+        }
+    }
+
     /// The LP-fallback exit has no public trigger: hand `validate_outcomes`
     /// a placement with one hard violation and one over-capacity request.
     #[test]
@@ -745,16 +811,7 @@ mod tests {
         let unplaced = |app| PlacementOutcome::Unplaced {
             app: ApplicationId(app),
         };
-        let new_containers: Vec<ilp::NewContainer> = requests
-            .iter()
-            .enumerate()
-            .map(|(ri, r)| ilp::NewContainer {
-                req_idx: ri,
-                cont_idx: 0,
-                tags: r.containers[0].tags.clone(),
-                resources: r.containers[0].resources,
-            })
-            .collect();
+        let slots = member_slots(&requests, &ilp::container_classes(&requests));
         let subject_of = vec![vec![true], vec![false], vec![false], vec![false]];
         let mut report = RelaxReport::default();
         let (before, clones) = (state.digest(), medea_cluster::state_clones());
@@ -765,7 +822,7 @@ mod tests {
             vec![on(1, 0), on(2, 1), on(3, 1), unplaced(4)],
             &[&spread],
             &subject_of,
-            &new_containers,
+            &slots,
             &mut report,
         );
         assert_eq!(out, vec![unplaced(1), unplaced(2), on(3, 1), unplaced(4)]);
