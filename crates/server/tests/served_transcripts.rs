@@ -546,9 +546,9 @@ fn churn_restart(seed: u64) -> (ClusterState, usize, Stream) {
 const SEED: u64 = 7;
 
 const PINNED_STEADY_TINY: u64 = 0xf0be_2ad5_a8f9_ed01;
-const PINNED_BURST_HBASE: u64 = 0x17a3_d4cc_36f5_6cf0;
-const PINNED_SCALE_SHARDED: u64 = 0xddd0_9572_603d_9c11;
-const PINNED_CHURN_RESTART: u64 = 0x85ef_4b65_ad43_62cd;
+const PINNED_BURST_HBASE: u64 = 0xbe8e_7345_eb4d_2e53;
+const PINNED_SCALE_SHARDED: u64 = 0xa16f_4f73_74e9_6d96;
+const PINNED_CHURN_RESTART: u64 = 0x32ce_e00a_e24f_6677;
 
 fn check(stream: (ClusterState, usize, Stream), pinned: u64, name: &str) -> Reasons {
     let (hash, reasons) = run(stream);
