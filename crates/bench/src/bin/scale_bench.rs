@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use medea_bench::BenchJson;
+use medea_bench::{time_iters, BenchJson, Summary};
 use medea_cluster::{
     state_clones, ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId,
     NodeId, Resources, ShardConfig, Tag,
@@ -225,19 +225,6 @@ fn sharded_comparison(state: &ClusterState, nodes: usize, iters: usize) -> Shard
     }
 }
 
-fn time_rounds<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Vec<u64> {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_micros() as u64);
-    }
-    samples
-}
-
 struct PassStats {
     index_update_ops_populate: u64,
     index_update_ns_per_op: u64,
@@ -250,16 +237,18 @@ fn summarize(
     pass: PassStats,
     compare: ShardCompare,
 ) -> ScaleResult {
-    samples.sort_unstable();
-    let iters = samples.len();
-    let median_us = samples[iters / 2];
-    let p99_idx = ((iters as f64 * 0.99).ceil() as usize).clamp(1, iters) - 1;
+    let Summary {
+        iters,
+        median_us,
+        p99_us,
+        mean_us,
+    } = Summary::of(&mut samples);
     ScaleResult {
         nodes,
         iters,
         median_us,
-        p99_us: samples[p99_idx],
-        mean_us: samples.iter().sum::<u64>() / iters as u64,
+        p99_us,
+        mean_us,
         populate_us,
         index_update_ops_populate: pass.index_update_ops_populate,
         index_update_ns_per_op: pass.index_update_ns_per_op,
@@ -316,7 +305,7 @@ fn main() {
         let populate_us = t.elapsed().as_micros() as u64;
         let index_update_ops_populate = state.index_stats().update_ops;
         let mut app = 500_000u64;
-        let samples = time_rounds(warmup, iters, || {
+        let samples = time_iters(warmup, iters, || {
             scale_round(&state, &deployed, app);
             app += 1;
         });

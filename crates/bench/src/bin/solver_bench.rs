@@ -45,7 +45,7 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use medea_bench::BenchJson;
+use medea_bench::{time_iters, BenchJson, Summary};
 use medea_cluster::{
     ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
 };
@@ -90,12 +90,12 @@ struct InstanceResult {
 }
 
 fn summarize(name: &str, mut samples: Vec<u64>, tally: &Tally) -> InstanceResult {
-    samples.sort_unstable();
-    let iters = samples.len();
-    let median_us = samples[iters / 2];
-    let p99_idx = ((iters as f64 * 0.99).ceil() as usize).clamp(1, iters) - 1;
-    let p99_us = samples[p99_idx];
-    let mean_us = samples.iter().sum::<u64>() / iters as u64;
+    let Summary {
+        iters,
+        median_us,
+        p99_us,
+        mean_us,
+    } = Summary::of(&mut samples);
     InstanceResult {
         name: name.to_string(),
         iters,
@@ -106,20 +106,6 @@ fn summarize(name: &str, mut samples: Vec<u64>, tally: &Tally) -> InstanceResult
         refactorizations_per_solve: tally.refactorizations.get() / iters as u64,
         warm_starts_per_solve: tally.warm_starts.get() as f64 / iters as f64,
     }
-}
-
-/// Times `f` for `iters` iterations after `warmup` untimed runs.
-fn time_solves<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Vec<u64> {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_micros() as u64);
-    }
-    samples
 }
 
 /// An assignment-like placement model: `containers` binaries per
@@ -391,7 +377,7 @@ fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
                 ..IlpConfig::default()
             };
             let mut last: Option<(Vec<PlacementOutcome>, Option<f64>)> = None;
-            let mut samples = time_solves(warmup, iters, || {
+            let mut samples = time_iters(warmup, iters, || {
                 last = Some(run_round(arm, &state, &requests, &scheduler));
             });
             samples.sort_unstable();
@@ -485,7 +471,7 @@ fn main() {
         let name = format!("lp_relaxation/{containers}x{nodes}");
         let p = placement_model(containers, nodes);
         let tally = Tally::default();
-        let samples = time_solves(2, lp_iters, || {
+        let samples = time_iters(2, lp_iters, || {
             let sol = Simplex::new(&p).solve();
             tally.record(SolveEvent::SimplexPivots(sol.iterations as u64));
             tally.record(SolveEvent::Refactorizations(sol.refactorizations as u64));
@@ -498,7 +484,7 @@ fn main() {
         let name = format!("milp_exact/{containers}x{nodes}");
         let p = placement_model(containers, nodes);
         let tally = Tally::default();
-        let samples = time_solves(1, milp_iters, || {
+        let samples = time_iters(1, milp_iters, || {
             Milp::new(&p)
                 .with_instrumentation(&tally)
                 .solve()

@@ -11,9 +11,11 @@
 mod output;
 mod pipeline;
 mod scenarios;
+mod timing;
 
 pub use output::{f2, f3, pct, BenchJson, Report};
 pub use pipeline::{paper_solve_model, run_pipeline, PipelineRun, PipelineScenario};
 pub use scenarios::{
     deploy_lras, deploy_lras_with_metrics, hbase_count_for_utilization, lra_mix, DeployResult,
 };
+pub use timing::{time_iters, Summary};

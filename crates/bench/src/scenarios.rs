@@ -30,15 +30,6 @@ impl DeployResult {
     pub fn violations(&self) -> ViolationStats {
         violation_stats(&self.state, self.constraints.iter())
     }
-
-    /// Mean per-LRA scheduling latency (batch time / batch size).
-    pub fn mean_lra_latency(&self) -> Duration {
-        if self.batch_times.is_empty() {
-            return Duration::ZERO;
-        }
-        let total: Duration = self.batch_times.iter().sum();
-        total / self.batch_times.len() as u32
-    }
 }
 
 /// Deploys `requests` onto `cluster` in batches of `batch_size` (the
