@@ -528,6 +528,54 @@ fn placing_twice_is_identical_and_leaves_the_state_as_found() {
     );
 }
 
+/// LRAs the relaxed arm places and requests its final validation evicts,
+/// summed over every seed of the plain and the deployed instance, whole
+/// cluster and every other node. A change to the arm's fix-up path may
+/// raise the first and lower the second, never the reverse.
+const RELAXED_PLACED_FLOOR: usize = 192;
+const RELAXED_EVICTED_CEILING: usize = 3;
+
+#[test]
+fn relaxed_arm_quality_holds_its_floor() {
+    let (mut placed, mut evicted) = (0usize, 0usize);
+    for seed in 0..SEEDS {
+        for Instance {
+            mut state,
+            requests,
+        } in [random_instance(seed), deployed_instance(seed)]
+        {
+            let subset = every_other_node(&state);
+            for allowed in [None, Some(subset.as_slice())] {
+                let out = fresh(LraAlgorithm::Ilp, PlacerMode::Relaxed).place_on(
+                    &mut state,
+                    &requests,
+                    &[],
+                    allowed,
+                    None,
+                    None,
+                );
+                placed += out
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.placement().is_some())
+                    .count();
+                evicted += out
+                    .relax
+                    .expect("the relaxed arm reports its quality")
+                    .evicted_lras;
+            }
+        }
+    }
+    assert!(
+        placed >= RELAXED_PLACED_FLOOR,
+        "relaxed arm placed {placed} LRAs, below its floor {RELAXED_PLACED_FLOOR}"
+    );
+    assert!(
+        evicted <= RELAXED_EVICTED_CEILING,
+        "relaxed arm evicted {evicted} requests, above its ceiling {RELAXED_EVICTED_CEILING}"
+    );
+}
+
 /// A node restriction handed to the baselines is the same placement as
 /// masking the other nodes unavailable by hand (both scan ascending ids,
 /// so first-maximum ties cannot move).
