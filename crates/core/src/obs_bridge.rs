@@ -46,7 +46,6 @@ medea_obs::metric_handles! {
         pub(crate) relax_fallbacks: Counter = "core.relax_fallback_total",
         pub(crate) relax_residue_solves: Counter = "core.relax_residue_solves_total",
         pub(crate) relax_evictions: Counter = "core.relax_evictions_total",
-        pub(crate) relax_repair_passes: Histogram = "core.relax_repair_passes",
         pub(crate) relax_residue_containers: Histogram = "core.relax_residue_containers",
         pub(crate) relax_objective_gap_permille: Histogram = "core.relax_objective_gap_permille",
     }

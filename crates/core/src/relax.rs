@@ -15,27 +15,27 @@
 //!    container samples a candidate node proportionally to its share of
 //!    its class's fractional `x` row among capacity-feasible candidates
 //!    (a systematic split: on an integral row no draw decides anything);
-//! 3. **Repair** — bounded passes move containers that violate a *hard*
-//!    constraint (cardinality/γ, affinity, anti-affinity) to the best
-//!    alternative candidate that is capacity-feasible and clean;
-//! 4. **Residue** — requests that still cannot be rounded feasibly are
+//!    a rounded request whose containers break a *hard* constraint
+//!    (cardinality/γ, affinity, anti-affinity) is released again;
+//! 3. **Residue** — requests that could not be rounded feasibly are
 //!    re-solved with the exact MILP against the partially-placed working
 //!    state (the residue is typically a small fraction of the batch, so
 //!    the exact solve is cheap);
-//! 5. **Validate** — every returned placement was actually allocated on
+//! 4. **Validate** — every returned placement was actually allocated on
 //!    the guarded state (capacity-checked by construction) and
 //!    re-checked against every hard constraint; a request that cannot be
 //!    made clean is returned [`PlacementOutcome::Unplaced`] — an
 //!    infeasible placement is *never* committed.
 //!
-//! The arm reports `core.relax_*` metrics (LP/rounding/residue time,
-//! repair passes, residue size, objective gap), a [`RelaxReport`], and
-//! whether it degraded, so the scheduler's degradation ladder can demote
-//! it to the heuristic on repeated rounding failure.
+//! The same eviction routine (`evict_violating`) ends steps 2 and 4. The
+//! arm reports `core.relax_*` metrics (LP/rounding/residue time, residue
+//! size, objective gap), a [`RelaxReport`], and whether it degraded, so
+//! the scheduler's degradation ladder can demote it to the heuristic on
+//! repeated rounding failure.
 
 use std::time::Instant;
 
-use medea_cluster::{ClusterState, ContainerId, ExecutionKind, NodeId};
+use medea_cluster::{ClusterState, ContainerId, NodeId};
 use medea_constraints::{check_container, PlacementConstraint};
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngCore, SeedableRng};
@@ -82,9 +82,6 @@ impl PlacerMode {
     }
 }
 
-/// Bounded number of hard-constraint repair sweeps over the batch.
-const MAX_REPAIR_PASSES: usize = 3;
-
 /// Fractional mass below which an `x` share is treated as zero when
 /// sampling.
 const X_TOL: f64 = 1e-9;
@@ -101,14 +98,12 @@ pub struct RelaxReport {
     /// Model objective of the returned integral placement (evaluated on
     /// the model's own feasible-point construction).
     pub incumbent_objective: Option<f64>,
-    /// Hard-constraint repair sweeps that ran (≤ the bounded maximum).
-    pub repair_passes: usize,
     /// Requests that could not be rounded and went to the exact MILP.
     pub residue_lras: usize,
     /// Containers in those residue requests.
     pub residue_containers: usize,
     /// Requests evicted by final validation (still hard-violating after
-    /// rounding, repair, and residue re-solve) — returned `Unplaced`.
+    /// rounding and residue re-solve) — returned `Unplaced`.
     pub evicted_lras: usize,
     /// The LP was unusable and the whole batch fell back to the
     /// (validated) heuristic placement.
@@ -299,109 +294,13 @@ pub(crate) fn solve(
         placed[ri] = ids.map(|ids| Tentative { nodes, ids });
     }
 
-    // --- 3. Bounded hard-constraint repair passes. ---
-    for _pass in 0..MAX_REPAIR_PASSES {
-        let mut any_violation = false;
-        let mut any_move = false;
-        for &ri in &order {
-            let Some(t) = placed[ri].as_mut() else {
-                continue;
-            };
-            for (k, &(ci, _)) in slots[ri].iter().enumerate() {
-                let id = t.ids[k];
-                if !violates_hard(&work, &hard, &subject_of[ci], id) {
-                    continue;
-                }
-                any_violation = true;
-                // Free the offender, then try alternatives in descending
-                // order of its class's fractional mass (current node
-                // excluded).
-                let Ok(alloc) = work.release(id) else {
-                    continue;
-                };
-                let from = alloc.node;
-                let resources = classes[ci].resources;
-                let mut alternatives: Vec<(usize, f64)> = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &n)| {
-                        n != from
-                            && work.is_available(n)
-                            && work.free(n).map(|f| resources.fits_in(&f)).unwrap_or(false)
-                    })
-                    .map(|(ni, _)| (ni, class_rows[ci][ni]))
-                    .collect();
-                alternatives.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                let mut moved = false;
-                for (ni, _) in alternatives {
-                    let node = candidates[ni];
-                    let Ok(new_id) = work.allocate(
-                        requests[ri].app,
-                        node,
-                        &requests[ri].containers[k],
-                        ExecutionKind::LongRunning,
-                    ) else {
-                        continue;
-                    };
-                    if violates_hard(&work, &hard, &subject_of[ci], new_id) {
-                        let _ = work.release(new_id);
-                        continue;
-                    }
-                    t.nodes[k] = node;
-                    t.ids[k] = new_id;
-                    moved = true;
-                    any_move = true;
-                    break;
-                }
-                if !moved {
-                    // Put it back where it was; final validation decides
-                    // whether the whole request goes to the residue.
-                    match work.allocate(
-                        requests[ri].app,
-                        from,
-                        &requests[ri].containers[k],
-                        ExecutionKind::LongRunning,
-                    ) {
-                        Ok(new_id) => t.ids[k] = new_id,
-                        Err(_) => {
-                            // Restoration failed (should not happen —
-                            // capacity was just freed); drop the whole
-                            // request to the residue below.
-                            t.ids[k] = id; // stale; request evicted next
-                        }
-                    }
-                }
-            }
-        }
-        if any_violation {
-            report.repair_passes += 1;
-        }
-        if !any_violation || !any_move {
-            break;
-        }
-    }
-
-    // Requests still hard-violating after repair join the residue.
-    for &ri in &order {
-        let Some(t) = placed[ri].as_ref() else {
-            continue;
-        };
-        let dirty = slots[ri].iter().enumerate().any(|(k, &(ci, _))| {
-            work.allocation(t.ids[k]).is_err()
-                || violates_hard(&work, &hard, &subject_of[ci], t.ids[k])
-        });
-        if dirty {
-            for &id in &t.ids {
-                let _ = work.release(id);
-            }
-            placed[ri] = None;
-        }
-    }
+    // Requests whose rounding breaks a hard constraint join the residue.
+    evict_violating(&mut work, &mut placed, &order, &hard, &subject_of, &slots);
     if let Some(m) = metrics {
         m.arm.relax_round_us.record_duration(t_round.elapsed());
     }
 
-    // --- 4. Exact MILP over the violated residue. ---
+    // --- 3. Exact MILP over the violated residue. ---
     let residue: Vec<usize> = (0..requests.len())
         .filter(|&ri| attempted[ri] && placed[ri].is_none())
         .collect();
@@ -454,46 +353,19 @@ pub(crate) fn solve(
         }
     }
 
-    // --- 5. Final hard-constraint validation (never commit infeasible).
+    // --- 4. Final hard-constraint validation (never commit infeasible).
     // The residue MILP emulates hard constraints through weights, so its
     // incumbent — or the anchoring heuristic it may fall back to — can
     // still carry a hard violation; evict such requests outright.
     let t_validate = Instant::now();
-    for ri in 0..requests.len() {
-        let Some(t) = placed[ri].as_ref() else {
-            continue;
-        };
-        let dirty = slots[ri]
-            .iter()
-            .enumerate()
-            .any(|(k, &(ci, _))| violates_hard(&work, &hard, &subject_of[ci], t.ids[k]));
-        if dirty {
-            for &id in &t.ids {
-                let _ = work.release(id);
-            }
-            placed[ri] = None;
-            report.evicted_lras += 1;
-            if attempted[ri] {
-                degraded = true;
-            }
-        }
+    for ri in evict_violating(&mut work, &mut placed, &order, &hard, &subject_of, &slots) {
+        report.evicted_lras += 1;
+        degraded |= attempted[ri];
     }
 
     // The incumbent below is evaluated against the state as found.
     drop(work);
-
-    // Assemble outcomes.
-    let outcomes: Vec<PlacementOutcome> = requests
-        .iter()
-        .enumerate()
-        .map(|(ri, r)| match placed[ri].take() {
-            Some(t) => PlacementOutcome::Placed(LraPlacement {
-                app: r.app,
-                nodes: t.nodes,
-            }),
-            None => PlacementOutcome::Unplaced { app: r.app },
-        })
-        .collect();
+    let outcomes = assemble(requests, placed);
 
     // Incumbent objective: evaluate the final placement as a feasible
     // point of the model. Requests placed outside the candidate set by
@@ -628,6 +500,61 @@ fn violates_hard(
     })
 }
 
+/// Releases, in `order`, every placed request with a container that
+/// breaks an applicable hard constraint. Each request is released at
+/// once, so the checks after it see the state without it, and passes
+/// repeat until one releases nothing: a request that passed before a
+/// later release (an affinity whose target went) is checked again, so
+/// every kept request is clean on the final state. Releases only remove
+/// requests, so the loop ends. Returns the released indices in release
+/// order.
+fn evict_violating(
+    work: &mut ClusterState,
+    placed: &mut [Option<Tentative>],
+    order: &[usize],
+    hard: &[&PlacementConstraint],
+    subject_of: &[Vec<bool>],
+    slots: &[Vec<(usize, usize)>],
+) -> Vec<usize> {
+    let mut released = Vec::new();
+    loop {
+        let before = released.len();
+        for &ri in order {
+            let Some(t) = placed[ri].take_if(|t| {
+                t.ids
+                    .iter()
+                    .zip(&slots[ri])
+                    .any(|(&id, &(ci, _))| violates_hard(work, hard, &subject_of[ci], id))
+            }) else {
+                continue;
+            };
+            for id in t.ids {
+                let _ = work.release(id);
+            }
+            released.push(ri);
+        }
+        if released.len() == before {
+            return released;
+        }
+    }
+}
+
+/// The batch's outcomes: each request on its tentative nodes, or
+/// unplaced.
+fn assemble(requests: &[LraRequest], placed: Vec<Option<Tentative>>) -> Vec<PlacementOutcome> {
+    requests
+        .iter()
+        .zip(placed)
+        .map(|(r, t)| match t {
+            Some(t) => PlacementOutcome::Placed(LraPlacement {
+                app: r.app,
+                nodes: t.nodes,
+            }),
+            None => PlacementOutcome::Unplaced { app: r.app },
+        })
+        .collect()
+}
+
 /// Validates a ready-made placement (the heuristic fallback) on the
 /// state, under a rollback guard: capacity via live allocation, then hard
 /// constraints; violating or unallocatable requests become `Unplaced`.
@@ -641,31 +568,23 @@ fn validate_outcomes(
     report: &mut RelaxReport,
 ) -> Vec<PlacementOutcome> {
     let mut work = state.scratch();
-    outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(ri, out)| {
-            let Some(pl) = out.placement() else {
-                return out;
-            };
-            let ids = requests[ri].allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
-            let clean = ids.as_ref().is_some_and(|ids| {
-                !ids.iter()
-                    .zip(&slots[ri])
-                    .any(|(&id, &(ci, _))| violates_hard(&work, hard, &subject_of[ci], id))
-            });
-            if clean {
-                return out;
-            }
-            for id in ids.into_iter().flatten() {
-                let _ = work.release(id);
-            }
-            report.evicted_lras += 1;
-            PlacementOutcome::Unplaced {
-                app: requests[ri].app,
-            }
+    let mut placed: Vec<Option<Tentative>> = requests
+        .iter()
+        .zip(&outcomes)
+        .map(|(r, out)| {
+            let pl = out.placement()?;
+            let ids = r.allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
+            report.evicted_lras += usize::from(ids.is_none());
+            ids.map(|ids| Tentative {
+                nodes: pl.nodes.clone(),
+                ids,
+            })
         })
-        .collect()
+        .collect();
+    let order: Vec<usize> = (0..requests.len()).collect();
+    report.evicted_lras +=
+        evict_violating(&mut work, &mut placed, &order, hard, subject_of, slots).len();
+    assemble(requests, placed)
 }
 
 /// Records the report's quality numbers to the attached registry.
@@ -673,7 +592,6 @@ fn record_quality(metrics: Option<&PlacerMetrics>, report: &RelaxReport) {
     let Some(m) = metrics.map(|m| &m.arm) else {
         return;
     };
-    m.relax_repair_passes.record(report.repair_passes as u64);
     m.relax_residue_containers
         .record(report.residue_containers as u64);
     if report.evicted_lras > 0 {
@@ -688,7 +606,9 @@ fn record_quality(metrics: Option<&PlacerMetrics>, report: &RelaxReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medea_cluster::{ApplicationId, NodeGroupId, Resources, Tag};
+    use medea_cluster::{
+        ApplicationId, ContainerRequest, ExecutionKind, NodeGroupId, Resources, Tag,
+    };
 
     /// The relaxed arm's LP runs outside `Milp`; its solver effort must
     /// still reach the `solver.*` series when a registry is attached.
@@ -771,6 +691,115 @@ mod tests {
         for (ni, &x) in fractional.iter().enumerate() {
             assert_eq!(shares.iter().map(|s| s[ni]).sum::<f64>(), x);
         }
+    }
+
+    /// A violator and its follower on a 2-node state: request `x`+`m`
+    /// breaks a hard anti-affinity against a deployed `x` on node 0, and
+    /// request `y` has a hard affinity to `m`, which only the violator
+    /// holds. Returns the two requests in the order `follower_first`
+    /// asks for, the hard constraints and their per-class subjects.
+    fn violator_and_follower(
+        follower_first: bool,
+    ) -> (
+        ClusterState,
+        Vec<LraRequest>,
+        [PlacementConstraint; 2],
+        Vec<Vec<bool>>,
+    ) {
+        let mut state = ClusterState::homogeneous(2, Resources::new(4096, 4), 1);
+        let spread = PlacementConstraint::anti_affinity("x", "x", NodeGroupId::node()).hard();
+        let near = PlacementConstraint::affinity("y", "m", NodeGroupId::node()).hard();
+        let request = |app, tags: &[&str], c: &PlacementConstraint| {
+            LraRequest::uniform(
+                ApplicationId(app),
+                1,
+                Resources::new(1024, 1),
+                tags.iter().map(Tag::new).collect(),
+                vec![c.clone()],
+            )
+        };
+        let mut requests = vec![request(1, &["x", "m"], &spread), request(2, &["y"], &near)];
+        if follower_first {
+            requests.reverse();
+        }
+        let subject_of = ilp::container_classes(&requests)
+            .iter()
+            .map(|k| {
+                [&spread, &near]
+                    .iter()
+                    .map(|c| c.subject.matches_tags(&k.tags))
+                    .collect()
+            })
+            .collect();
+        state
+            .allocate(
+                ApplicationId(9),
+                NodeId(0),
+                &ContainerRequest::new(Resources::new(1024, 1), [Tag::new("x")]),
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        (state, requests, [spread, near], subject_of)
+    }
+
+    /// A pass sees the releases before it, and passes repeat until one
+    /// releases nothing: the follower of a released violator goes with
+    /// it whether the violator is visited first or last.
+    #[test]
+    fn eviction_rechecks_requests_kept_before_a_later_release() {
+        let (mut work, requests, [spread, near], subject_of) = violator_and_follower(false);
+        let hard = [&spread, &near];
+        let slots = member_slots(&requests, &ilp::container_classes(&requests));
+        let mut evict = |order: [usize; 2]| {
+            let mut placed: Vec<Option<Tentative>> = requests
+                .iter()
+                .map(|r| {
+                    let ids = r.allocate_all(&mut work, |_, _| Some(NodeId(0)));
+                    ids.map(|ids| Tentative {
+                        nodes: vec![NodeId(0)],
+                        ids,
+                    })
+                })
+                .collect();
+            let released =
+                evict_violating(&mut work, &mut placed, &order, &hard, &subject_of, &slots);
+            for t in placed.into_iter().flatten() {
+                for id in t.ids {
+                    work.release(id).unwrap();
+                }
+            }
+            released
+        };
+        assert_eq!(evict([0, 1]), [0, 1]);
+        assert_eq!(evict([1, 0]), [0, 1]);
+    }
+
+    /// `validate_outcomes` checks in index order; a follower at a lower
+    /// index than its violator passes the first pass and must still go.
+    #[test]
+    fn validation_evicts_a_follower_checked_before_its_violator() {
+        let (mut state, requests, [spread, near], subject_of) = violator_and_follower(true);
+        let slots = member_slots(&requests, &ilp::container_classes(&requests));
+        let on_node_0 = |r: &LraRequest| {
+            PlacementOutcome::Placed(LraPlacement {
+                app: r.app,
+                nodes: vec![NodeId(0)],
+            })
+        };
+        let mut report = RelaxReport::default();
+        let before = state.digest();
+        let out = validate_outcomes(
+            &mut state,
+            &requests,
+            requests.iter().map(on_node_0).collect(),
+            &[&spread, &near],
+            &subject_of,
+            &slots,
+            &mut report,
+        );
+        assert!(out.iter().all(|o| o.placement().is_none()), "{out:?}");
+        assert_eq!(report.evicted_lras, 2);
+        assert_eq!(state.digest(), before);
     }
 
     /// The LP-fallback exit has no public trigger: hand `validate_outcomes`

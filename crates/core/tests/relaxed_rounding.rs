@@ -34,7 +34,7 @@ struct Instance {
 
 /// Random instances larger than the brute-force differential suite can
 /// afford (up to 12 nodes / 4 requests / ~12 containers), mixing soft
-/// and hard constraints so both the repair passes and the final
+/// and hard constraints so both the post-rounding eviction and the final
 /// validation sweep have real work.
 fn random_instance(seed: u64) -> Instance {
     random_instance_scaled(seed, 1)
@@ -87,8 +87,9 @@ fn random_instance_scaled(seed: u64, scale: u64) -> Instance {
             NodeGroupId::rack()
         };
         let c = PlacementConstraint::new(subject, target, cardinality, group);
-        // Half the constraints are hard: these are the ones the rounding
-        // repair passes and the final validation must enforce exactly.
+        // Half the constraints are hard: these are the ones the
+        // post-rounding eviction and the final validation must enforce
+        // exactly.
         let c = if rng.random_bool(0.5) {
             c.hard()
         } else {
@@ -242,10 +243,6 @@ fn rounded_placements_are_feasible_and_gap_is_sound() {
             gap_sum += report.relative_gap().unwrap();
             gap_count += 1;
         }
-        assert!(
-            report.repair_passes <= 3,
-            "seed {seed}: repair passes must stay bounded"
-        );
     }
     // Not vacuous: the arm must actually place work, and the rounding
     // must stay tight on average (most instances round near the bound).

@@ -1,6 +1,6 @@
 //! Copies of the cluster per scheduling round, as a count: none,
 //! whatever the arm, however many shard solves, and with a checkpoint
-//! due. Every solver stage (anchor, rounding, repair, residue re-solve,
+//! due. Every solver stage (anchor, rounding, residue re-solve,
 //! validation, baselines) places on the live state tentatively under a
 //! `medea_cluster::Scratch` guard and leaves it as found, so
 //! re-introducing a round, per-stage or per-shard copy fails here rather

@@ -116,7 +116,7 @@ fn same_seed_runs_are_byte_identical_with_concurrent_solves() {
 /// The LP-relaxation placer arm must be exactly as deterministic as the
 /// rest of the pipeline: its rounding PRNG is seeded from the model
 /// skeleton (never the wall clock), so two full sharded async runs of
-/// the same seed — LP solves, randomized rounding, repair passes,
+/// the same seed — LP solves, randomized rounding, evictions,
 /// residue MILPs and all — must produce byte-identical transcripts.
 #[test]
 fn relaxed_arm_same_seed_runs_are_byte_identical() {
