@@ -16,7 +16,7 @@ use crate::lifecycle::{
     LifecycleStats, ManagedApp,
 };
 use crate::medea::{MedeaScheduler, PendingLra};
-use crate::migration::{Migration, MigrationController};
+use crate::migration::{consolidate, Migration};
 use crate::request::LraRequest;
 
 impl MedeaScheduler {
@@ -437,8 +437,7 @@ impl MedeaScheduler {
             .iter()
             .map(|(&app, m)| (app, m.spec.headroom(self.state.app_containers(app).len())))
             .collect();
-        let controller = MigrationController::new(self.migration);
-        let moves = controller.consolidate(&mut self.state, &constraints, &mut allowance);
+        let moves = consolidate(&mut self.state, &constraints, &mut allowance);
         self.lifecycle_stats.migrations += moves.len();
         if let Some(m) = &self.metrics {
             m.migrations.add(moves.len() as u64);

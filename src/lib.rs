@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use medea_core::{
         IlpConfig, Locality, LraAlgorithm, LraDeployment, LraRequest, LraScheduler, MedeaScheduler,
-        MigrationConfig, MigrationController, ObjectiveWeights, PlacementOutcome, QueueConfig,
-        QueuePolicy, TaskJobRequest, TaskScheduler,
+        ObjectiveWeights, PlacementOutcome, QueueConfig, QueuePolicy, TaskJobRequest,
+        TaskScheduler,
     };
 }

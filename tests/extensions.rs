@@ -1,6 +1,6 @@
-//! Integration tests for the §5.4/§6 extensions: container migration,
-//! task-job constraints, the fair queue policy, and the constraint parser
-//! — all through the public facade API.
+//! Integration tests for the §5.4/§6 extensions: task-job constraints,
+//! the fair queue policy, and the constraint parser — all through the
+//! public facade API.
 
 use medea::prelude::*;
 use medea::scheduler::QueuePolicy;
@@ -43,33 +43,6 @@ fn parsed_constraints_drive_real_placements() {
     assert_eq!(deployed.len(), 2);
     let stats = violation_stats(medea.state(), [&caf]);
     assert_eq!(stats.containers_violating, 0);
-}
-
-#[test]
-fn migration_repairs_after_churn() {
-    // Deploy cleanly, then simulate churn by force-packing new containers
-    // next to a constrained service; the migration controller restores
-    // the constraint.
-    let mut state = ClusterState::homogeneous(6, Resources::new(16 * 1024, 16), 2);
-    let caa = parse_constraint("{svc, {svc, 0, 0}, node}").unwrap();
-    for n in [0u32, 0, 1] {
-        state
-            .allocate(
-                ApplicationId(1),
-                medea_cluster::NodeId(n),
-                &ContainerRequest::new(Resources::new(1024, 1), [Tag::new("svc")]),
-                ExecutionKind::LongRunning,
-            )
-            .unwrap();
-    }
-    let before = violation_stats(&state, [&caa]);
-    assert!(before.containers_violating > 0);
-
-    let moves = MigrationController::new(MigrationConfig::default())
-        .rebalance(&mut state, std::slice::from_ref(&caa));
-    assert!(!moves.is_empty());
-    let after = violation_stats(&state, [&caa]);
-    assert_eq!(after.containers_violating, 0);
 }
 
 #[test]
