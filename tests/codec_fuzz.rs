@@ -1,6 +1,7 @@
-//! Seeded mutation fuzzer for the JSON decoders that read bytes from
-//! outside the process: wire frames (`Request`, `Response`) and the
-//! journal (`JournalRecord`, `CheckpointDoc`).
+//! Seeded mutation fuzzer for the decoders that read bytes from outside
+//! the process: wire frames (`Request`, `Response`), the journal
+//! (`JournalRecord`, `CheckpointDoc`), and the constraint syntax every
+//! wire `place` carries (`parse_constraint`).
 //!
 //! Every case starts from a valid encoding — one per message variant —
 //! and damages it the way a hostile client or a torn disk would: flipped
@@ -14,6 +15,7 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, UnwindSafe};
 
+use medea_constraints::{parse_constraint, PlacementConstraint};
 use medea_journal::{
     CheckpointAlloc, CheckpointDoc, CheckpointGroup, CheckpointNode, CheckpointSpec, JournalOp,
     JournalRecord,
@@ -288,4 +290,20 @@ fn checkpoints_survive_mutation() {
         }],
     };
     fuzz(&[doc], CheckpointDoc::decode, CheckpointDoc::encode);
+}
+
+#[test]
+fn constraints_survive_mutation() {
+    // The paper's §4.2 examples: affinity, anti-affinity, cardinality and
+    // group cardinality.
+    let values: Vec<PlacementConstraint> = [
+        "{storm, {hb ∧ mem, 1, ∞}, node}",
+        "{storm, {hb, 0, 0}, upgrade_domain}",
+        "{storm, {spark, 0, 5}, rack}",
+        "{spark, {spark, 3, 10}, rack}",
+    ]
+    .into_iter()
+    .map(|text| parse_constraint(text).expect("paper example parses"))
+    .collect();
+    fuzz(&values, parse_constraint, PlacementConstraint::to_string);
 }
