@@ -413,11 +413,6 @@ impl MedeaScheduler {
         if let Some(m) = &self.metrics {
             m.cycles.inc();
         }
-        if self.audit_interval > 0 && (self.stats.cycles as u64).is_multiple_of(self.audit_interval)
-        {
-            self.run_audit();
-        }
-
         // Constraints of deployed LRAs + operator, minus the new batch's
         // own (those travel with the requests).
         let deployed: Arc<[PlacementConstraint]> = {

@@ -62,9 +62,10 @@ pub struct AdmissionConfig {
     /// Batch closes at the latest when the oldest request has waited
     /// this long; also the cap on the quiet gap.
     pub batch_max_wait_ms: u64,
-    /// Retry hint attached to `overloaded` replies.
-    pub retry_after_ms: u64,
 }
+
+/// Retry hint attached to `overloaded` replies.
+pub const RETRY_AFTER_MS: u64 = 50;
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
@@ -73,7 +74,6 @@ impl Default for AdmissionConfig {
             tenant_quota: 256,
             batch_max_size: 64,
             batch_max_wait_ms: 10,
-            retry_after_ms: 50,
         }
     }
 }

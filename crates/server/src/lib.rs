@@ -39,11 +39,13 @@ pub mod proto;
 pub mod server;
 
 pub use admission::{
-    AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats,
+    AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats, RETRY_AFTER_MS,
 };
 pub use batcher::DrainReport;
 pub use proto::{
     write_frame, ContainerSpec, FrameError, FrameReader, ProtoError, Request, Response,
     StatusReply, MAX_CONTAINERS_PER_REQUEST, MAX_FRAME_BYTES,
 };
-pub use server::{MedeaServer, ServerConfig, ServerHandle};
+pub use server::{
+    MedeaServer, ServerConfig, ServerHandle, DRAIN_MAX_CYCLES, MAX_CONNECTIONS, READ_TIMEOUT_MS,
+};

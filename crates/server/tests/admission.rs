@@ -11,7 +11,9 @@ mod common;
 use common::{start, Client};
 use medea_cluster::{ApplicationId, Resources, Tag};
 use medea_core::LraRequest;
-use medea_server::{AdmissionConfig, AdmissionQueue, BatchClose, Request, Response, ShedReason};
+use medea_server::{
+    AdmissionConfig, AdmissionQueue, BatchClose, Request, Response, ShedReason, RETRY_AFTER_MS,
+};
 
 fn req(app: u64) -> LraRequest {
     LraRequest::uniform(
@@ -29,7 +31,6 @@ fn cfg() -> AdmissionConfig {
         tenant_quota: 2,
         batch_max_size: 3,
         batch_max_wait_ms: 10,
-        retry_after_ms: 50,
     }
 }
 
@@ -249,7 +250,6 @@ fn frozen_batcher(queue_capacity: usize, tenant_quota: usize) -> AdmissionConfig
         tenant_quota,
         batch_max_size: 10_000,
         batch_max_wait_ms: 3_600_000,
-        retry_after_ms: 25,
     }
 }
 
@@ -267,7 +267,7 @@ fn server_sheds_queue_full_with_typed_overloaded() {
         } => {
             assert_eq!(id, 3);
             assert_eq!(reason, "queue_full");
-            assert_eq!(retry_after_ms, 25);
+            assert_eq!(retry_after_ms, RETRY_AFTER_MS);
         }
         other => panic!("expected overloaded, got {other:?}"),
     }

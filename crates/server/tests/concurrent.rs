@@ -37,7 +37,6 @@ fn eight_clients_interleaved_place_release_query() {
             tenant_quota: 1024,
             batch_max_size: 16,
             batch_max_wait_ms: 5,
-            ..AdmissionConfig::default()
         },
     );
     let addr = handle.addr();
