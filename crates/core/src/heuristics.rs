@@ -574,6 +574,25 @@ pub(crate) mod tests {
         LraRequest::new(app, containers, constraints)
     }
 
+    /// Three [`hbase`] requests as tenants may list them: from app id
+    /// `first_app` up, each one's containers and constraints shuffled by
+    /// `seed` (`None` keeps [`hbase`]'s order).
+    pub(crate) fn hbase3(first_app: u64, seed: Option<u64>) -> Vec<LraRequest> {
+        use medea_rand::rngs::StdRng;
+        use medea_rand::{RngExt, SeedableRng};
+        (first_app..first_app + 3)
+            .map(|app| {
+                let mut r = hbase(app);
+                if let Some(seed) = seed {
+                    let mut rng = StdRng::seed_from_u64(seed ^ app);
+                    rng.shuffle(&mut r.containers);
+                    rng.shuffle(&mut r.constraints);
+                }
+                r
+            })
+            .collect()
+    }
+
     /// Probes are a count, not a timing: a burst of three HBase instances
     /// on 500 nodes is 12 classes, so the round scores each (class, node)
     /// once plus what placements dirty — 297,000 when every container

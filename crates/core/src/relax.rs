@@ -659,6 +659,60 @@ mod tests {
         assert_eq!(snap.counter("core.relax_warm_start_hits_total"), Some(1));
     }
 
+    /// Two 3 x HBase bursts, listed in different orders under different
+    /// app ids, share one slot: the first is committed, then released
+    /// and replaced by the second, whose LP must start from the first's
+    /// basis and need next to no pivots.
+    #[test]
+    fn reordered_hbase_bursts_reuse_the_warm_basis() {
+        use crate::heuristics::tests::hbase3;
+        let registry = medea_obs::MetricsRegistry::new();
+        let metrics = PlacerMetrics::new(&registry);
+        let cfg = IlpConfig::default();
+        let cache = IlpBasisCache::default();
+        let mut state = ClusterState::homogeneous(60, Resources::new(16 * 1024, 16), 3);
+        let count = |name| registry.snapshot().counter(name).unwrap_or(0);
+
+        let first = hbase3(1, Some(1));
+        let out = solve(
+            &mut state,
+            &first,
+            &[],
+            &cfg,
+            None,
+            Some(&cache),
+            Some(&metrics),
+        );
+        for (r, o) in first.iter().zip(&out.outcomes) {
+            let pl = o.placement().expect("the first burst places");
+            for (c, &n) in r.containers.iter().zip(&pl.nodes) {
+                state
+                    .allocate(r.app, n, c, ExecutionKind::LongRunning)
+                    .unwrap();
+            }
+        }
+        for r in &first {
+            state.release_app(r.app);
+        }
+        let cold = count("solver.simplex_pivots_total");
+        assert_eq!(count("core.relax_warm_start_hits_total"), 0);
+
+        let second = hbase3(20, Some(2));
+        let out = solve(
+            &mut state,
+            &second,
+            &[],
+            &cfg,
+            None,
+            Some(&cache),
+            Some(&metrics),
+        );
+        assert!(out.outcomes.iter().all(|o| o.placement().is_some()));
+        assert_eq!(count("core.relax_warm_start_hits_total"), 1);
+        let warm = count("solver.simplex_pivots_total") - cold;
+        assert!(warm <= 10, "{warm} pivots after {cold} cold");
+    }
+
     /// An integral class row gives each member one candidate outright, in
     /// candidate order, whatever the draw; on a fractional row each
     /// member's row is its share of the class row.
