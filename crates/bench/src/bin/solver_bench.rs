@@ -9,18 +9,19 @@
 //! 2. **`milp_exact/*`** — full branch-and-bound solves of the same
 //!    shapes (the Fig. 9-shaped ILP instances the acceptance criteria
 //!    track).
-//! 3. **`relaxed_round/prefill64_{cold,warm}`** — what the cross-round
-//!    basis slot ([`IlpBasisCache`]) buys, where it buys it: 16 relaxed-arm
-//!    rounds of 64 one-container LRAs on 500 homogeneous nodes, each batch
-//!    committed before the next — the shape of the benchmark's
-//!    `steady_tiny` set-up load, whose `setup_s` more than doubles without
-//!    the slot. `cold` hands every round no slot, `warm` hands all of them
-//!    one: every batch has the previous batch's skeleton, so after the
-//!    first round the LP starts from an optimal basis and needs almost no
-//!    pivots. Pivots and hits are read from the scheduler's own metrics
-//!    (`solver.simplex_pivots_total`, `core.relax_warm_start_hits_total`),
-//!    and the run *asserts* the count that cannot be noisy: warm pivots
-//!    after round 1 are at most a tenth of cold.
+//! 3. **`relaxed_round/{prefill64,hbase3}_{cold,warm}`** — what the
+//!    cross-round basis slot ([`IlpBasisCache`]) buys: 16 relaxed-arm
+//!    rounds on 500 homogeneous nodes, of 64 one-container LRAs committed
+//!    round after round (`steady_tiny`'s set-up load), or of three HBase
+//!    LRAs committed and released, each listed in a new order under new
+//!    app ids (`burst_hbase`'s bursts). `cold` hands every round no slot,
+//!    `warm` hands all of them one: every batch has the previous batch's
+//!    skeleton, so after the first round the LP starts from an optimal
+//!    basis and needs almost no pivots. Pivots and hits are read from the
+//!    scheduler's own metrics (`solver.simplex_pivots_total`,
+//!    `core.relax_warm_start_hits_total`), and the run *asserts* the
+//!    count that cannot be noisy: warm pivots after round 1 are at most a
+//!    tenth of cold.
 //! 4. **`placer_frontier/*`** — the quality-vs-latency frontier of the
 //!    placer arms (exact ILP, LP-relaxation fast path, heuristic) on
 //!    capacity-tight batches from 8 containers up to 2048 (smoke: up to
@@ -54,6 +55,9 @@ use medea_core::{
     IlpBasisCache, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, PlacementOutcome, PlacerMode,
 };
 use medea_obs::MetricsRegistry;
+use medea_rand::rngs::StdRng;
+use medea_rand::{RngExt, SeedableRng};
+use medea_sim::apps::hbase_instance;
 use medea_solver::{Cmp, Milp, Problem, Simplex, SolveEvent, SolveInstrumentation};
 
 /// Accumulates solver events across repeated solves of one instance.
@@ -148,15 +152,48 @@ fn placement_model(containers: usize, nodes: usize) -> Problem {
     p
 }
 
-/// Rounds and batch size of the `relaxed_round/prefill64_*` rows.
-const PREFILL_ROUNDS: u64 = 16;
-const PREFILL_BATCH: u64 = 64;
+/// Rounds of each `relaxed_round/*` row.
+const RELAXED_ROUNDS: u64 = 16;
 
-/// Family 3: [`PREFILL_ROUNDS`] relaxed-arm rounds of [`PREFILL_BATCH`]
-/// one-container LRAs on 500 homogeneous nodes, each batch committed
-/// before the next; `warm` hands every round the same basis slot, cold
-/// hands none. Returns the row and the simplex pivots of each round.
-fn prefill_rounds(warm: bool) -> (InstanceResult, Vec<u64>) {
+/// A `relaxed_round/*` family: its name, its batch for a round, and
+/// whether a round's batch is released after it is committed.
+type Family = (&'static str, fn(u64) -> Vec<LraRequest>, bool);
+const FAMILIES: [Family; 2] = [("prefill64", prefill64, false), ("hbase3", hbase3, true)];
+
+/// `prefill64`'s round `round`: 64 one-container LRAs.
+fn prefill64(round: u64) -> Vec<LraRequest> {
+    (0..64)
+        .map(|k| {
+            let app = 1 + round * 64 + k;
+            LraRequest::uniform(
+                ApplicationId(app),
+                1,
+                Resources::new(512, 1),
+                vec![Tag::new(format!("tiny{}", app % 97))],
+                Vec::new(),
+            )
+        })
+        .collect()
+}
+
+/// `hbase3`'s round `round`: three §7.1 HBase LRAs under fresh app ids,
+/// each listing its containers and constraints in its own order.
+fn hbase3(round: u64) -> Vec<LraRequest> {
+    let mut rng = StdRng::seed_from_u64(round);
+    (1..=3)
+        .map(|k| {
+            let mut r = hbase_instance(ApplicationId(round * 3 + k), 8);
+            rng.shuffle(&mut r.containers);
+            rng.shuffle(&mut r.constraints);
+            r
+        })
+        .collect()
+}
+
+/// Family 3: [`RELAXED_ROUNDS`] relaxed-arm rounds of a [`Family`]'s
+/// batches on 500 nodes, with one basis slot if `warm`. Returns the row
+/// and each round's simplex pivots.
+fn relaxed_rounds((name, batch, release): Family, warm: bool) -> (InstanceResult, Vec<u64>) {
     let registry = MetricsRegistry::new();
     let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
     scheduler.ilp.mode = PlacerMode::Relaxed;
@@ -167,43 +204,35 @@ fn prefill_rounds(warm: bool) -> (InstanceResult, Vec<u64>) {
     let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
     let mut samples = Vec::new();
     let mut pivots_per_round = Vec::new();
-    for round in 0..PREFILL_ROUNDS {
-        let batch: Vec<LraRequest> = (0..PREFILL_BATCH)
-            .map(|k| {
-                let app = 1 + round * PREFILL_BATCH + k;
-                LraRequest::uniform(
-                    ApplicationId(app),
-                    1,
-                    Resources::new(512, 1),
-                    vec![Tag::new(format!("tiny{}", app % 97))],
-                    Vec::new(),
-                )
-            })
-            .collect();
+    for round in 0..RELAXED_ROUNDS {
+        let batch = batch(round);
         let pivots_before = pivots.get();
         let t = Instant::now();
         let placed = scheduler.place_on(&mut state, &batch, &[], None, None, cache.as_ref());
         samples.push(t.elapsed().as_micros() as u64);
         pivots_per_round.push(pivots.get() - pivots_before);
         for (r, out) in batch.iter().zip(&placed.outcomes) {
-            let pl = out.placement().expect("prefill round must place its batch");
+            let pl = out.placement().expect("a round must place its batch");
             for (c, &n) in r.containers.iter().zip(&pl.nodes) {
                 state
                     .allocate(r.app, n, c, ExecutionKind::LongRunning)
-                    .expect("prefill round committed an infeasible placement");
+                    .expect("a round committed an infeasible placement");
+            }
+        }
+        if release {
+            for r in &batch {
+                state.release_app(r.app);
             }
         }
     }
-    let tally = Tally::default();
-    tally.pivots.set(pivots.get());
-    tally
-        .refactorizations
-        .set(registry.counter("solver.refactorizations_total").get());
-    tally
-        .warm_starts
-        .set(registry.counter("core.relax_warm_start_hits_total").get());
+    let count = |name| Cell::new(registry.counter(name).get());
+    let tally = Tally {
+        pivots: Cell::new(pivots.get()),
+        refactorizations: count("solver.refactorizations_total"),
+        warm_starts: count("core.relax_warm_start_hits_total"),
+    };
     let name = format!(
-        "relaxed_round/prefill64_{}",
+        "relaxed_round/{name}_{}",
         if warm { "warm" } else { "cold" }
     );
     (summarize(&name, samples, &tally), pivots_per_round)
@@ -493,17 +522,20 @@ fn main() {
         results.push(summarize(&name, samples, &tally));
     }
 
-    // Family 3: the prefill rounds, without and with the basis slot.
-    let (cold, cold_pivots) = prefill_rounds(false);
-    let (warm, warm_pivots) = prefill_rounds(true);
+    // Family 3: relaxed rounds, without and with the basis slot.
     let after_first = |pivots: &[u64]| pivots[1..].iter().sum::<u64>();
-    assert!(
-        after_first(&warm_pivots) * 10 <= after_first(&cold_pivots),
-        "basis slot gate: warm pivots after round 1 ({}) must be at most a tenth of cold ({})",
-        after_first(&warm_pivots),
-        after_first(&cold_pivots),
-    );
-    results.extend([cold, warm]);
+    for family in FAMILIES {
+        let (cold, cold_pivots) = relaxed_rounds(family, false);
+        let (warm, warm_pivots) = relaxed_rounds(family, true);
+        assert!(
+            after_first(&warm_pivots) * 10 <= after_first(&cold_pivots),
+            "{} basis slot gate: warm pivots after round 1 ({}) must be at most a tenth of cold ({})",
+            family.0,
+            after_first(&warm_pivots),
+            after_first(&cold_pivots),
+        );
+        results.extend([cold, warm]);
+    }
 
     // Family 4: the placer quality-vs-latency frontier (asserts its own
     // >=10x-at-large-batch and zero-hard-violation contract).
