@@ -9,6 +9,7 @@
 use medea_cluster::{ApplicationId, ClusterState, NodeGroupId, Resources, ShardConfig, Tag};
 use medea_constraints::{PlacementConstraint, TagExpr};
 use medea_core::{LraAlgorithm, LraRequest, PlacerMode};
+use medea_obs::MetricsRegistry;
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
 use medea_sim::{PipelineMode, SimDriver, SimEvent, SolveLatencyModel};
@@ -311,4 +312,18 @@ fn transcripts_match_their_pinned_hashes() {
         PINNED_LIFECYCLE,
         "lifecycle transcripts"
     );
+}
+
+/// Observation never steers a decision: with a registry attached, the
+/// chaos and relaxed-arm runs hash to the same pins as above.
+#[test]
+fn attached_metrics_leave_the_pinned_transcripts_unchanged() {
+    let traced = |sim: SimDriver| transcript_of(sim.with_metrics(MetricsRegistry::new())).0;
+    let chaos: String = [0u64, 7, 42].iter().map(|&s| traced(build(s))).collect();
+    assert_eq!(fnv1a(chaos.as_bytes()), PINNED_CHAOS, "traced chaos");
+    let relaxed: String = [0u64, 42]
+        .iter()
+        .map(|&s| traced(build_with(s, LraAlgorithm::Ilp, PlacerMode::Relaxed)))
+        .collect();
+    assert_eq!(fnv1a(relaxed.as_bytes()), PINNED_RELAXED, "traced relaxed");
 }
