@@ -238,7 +238,7 @@ pub(crate) fn prepare(
     deployed_constraints: &[PlacementConstraint],
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
-    metrics: Option<&PlacerMetrics>,
+    metrics: &PlacerMetrics,
 ) -> Prep {
     if requests.is_empty() {
         return Prep::Trivial(Vec::new());
@@ -287,6 +287,7 @@ pub(crate) fn prepare(
     // provably contains the heuristic solution), and its placement becomes
     // the initial incumbent — making the solve anytime: with any deadline
     // the result is heuristic-or-better.
+    let arm = &metrics.arm;
     let t_anchor = Instant::now();
     let (heuristic, probes) = HeuristicScheduler::new(Ordering::NodeCandidates).place_counted(
         state,
@@ -294,10 +295,11 @@ pub(crate) fn prepare(
         deployed_constraints,
         allowed,
     );
-    if let Some(m) = metrics {
-        m.arm.prepare_anchor_us.record_duration(t_anchor.elapsed());
-        m.arm.anchor_probes.add(probes);
-    }
+    metrics
+        .arm
+        .prepare_anchor_us
+        .record_duration(t_anchor.elapsed());
+    arm.anchor_probes.add(probes);
     let heuristic_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = heuristic
             .iter()
@@ -322,11 +324,10 @@ pub(crate) fn prepare(
         t_total,
         allowed,
     );
-    if let Some(m) = metrics {
-        m.arm
-            .prepare_candidates_us
-            .record_duration(t_candidates.elapsed());
-    }
+    metrics
+        .arm
+        .prepare_candidates_us
+        .record_duration(t_candidates.elapsed());
     if candidates.is_empty() {
         // No usable node can host even the smallest container: the batch
         // is unplaceable regardless of algorithm — not a solver failure.
@@ -340,9 +341,10 @@ pub(crate) fn prepare(
 
     let t_model = Instant::now();
     let model = build_model(state, requests, &classes, &candidates, &active, cfg);
-    if let Some(m) = metrics {
-        m.arm.prepare_model_us.record_duration(t_model.elapsed());
-    }
+    metrics
+        .arm
+        .prepare_model_us
+        .record_duration(t_model.elapsed());
     Prep::Ready(Box::new(Prepared {
         classes,
         active,
@@ -374,7 +376,7 @@ pub(crate) fn solve(
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
     cache: Option<&IlpBasisCache>,
-    metrics: Option<&PlacerMetrics>,
+    metrics: &PlacerMetrics,
 ) -> BatchPlacement {
     let prepared = match prepare(state, requests, deployed_constraints, cfg, allowed, metrics) {
         Prep::Trivial(outcomes) => return outcomes.into(),
@@ -391,31 +393,26 @@ pub(crate) fn solve(
     let mut milp = Milp::new(&model.problem)
         .time_limit(cfg.time_limit)
         .node_limit(cfg.node_limit)
-        .gap(cfg.gap);
+        .gap(cfg.gap)
+        .with_instrumentation(&metrics.solver);
     if cfg.mip_start {
         if let Some((counts, placed)) = counts_from_outcomes(&classes, &heuristic, &candidates) {
             let point = initial_point(&model, state, &candidates, &classes, &counts, &placed, cfg);
             milp = milp.with_incumbent(point);
         }
     }
-    if let Some(m) = metrics {
-        milp = milp.with_instrumentation(&m.solver);
-    }
     // Cross-round warm start: reuse the previous round's optimal basis
     // when the constraint skeleton is unchanged (same rows over the same
     // variables — only capacities/demands/weights moved).
+    let arm = &metrics.arm;
     let skeleton = model.problem.skeleton_hash();
     if let Some(basis) = cache.and_then(|cache| cache.take_if(skeleton)) {
-        if let Some(m) = metrics {
-            m.arm.ilp_warm_start_hits.inc();
-        }
+        arm.ilp_warm_start_hits.inc();
         milp = milp.with_warm_basis(basis);
     }
     let t_solve = Instant::now();
     let solution = milp.solve();
-    if let Some(m) = metrics {
-        m.arm.ilp_solve_us.record_duration(t_solve.elapsed());
-    }
+    arm.ilp_solve_us.record_duration(t_solve.elapsed());
 
     // Anytime degradation: if the MILP produced nothing usable (an error
     // or a limit hit before any incumbent), fall back to the heuristic
@@ -425,9 +422,7 @@ pub(crate) fn solve(
     let sol = match &solution {
         Ok(sol) if sol.has_solution() => sol,
         _ => {
-            if let Some(m) = metrics {
-                m.arm.heuristic_fallbacks.inc();
-            }
+            arm.heuristic_fallbacks.inc();
             return BatchPlacement {
                 degraded: true,
                 ..heuristic.clone().into()
@@ -1180,7 +1175,24 @@ mod tests {
     };
     use medea_constraints::Cardinality;
 
-    /// One cold, unrestricted, untraced solve.
+    /// Prepares a batch with no deployed constraints.
+    fn prepare_alone(
+        state: &mut ClusterState,
+        requests: &[LraRequest],
+        cfg: &IlpConfig,
+        allowed: Option<&[NodeId]>,
+    ) -> Prep {
+        prepare(
+            state,
+            requests,
+            &[],
+            cfg,
+            allowed,
+            &PlacerMetrics::default(),
+        )
+    }
+
+    /// One cold, unrestricted solve.
     fn place(
         state: &ClusterState,
         requests: &[LraRequest],
@@ -1194,7 +1206,7 @@ mod tests {
             cfg,
             None,
             None,
-            None,
+            &PlacerMetrics::default(),
         )
         .outcomes
     }
@@ -1600,7 +1612,7 @@ mod tests {
                 &cfg,
                 None,
                 Some(&cache),
-                Some(&metrics),
+                &metrics,
             )
             .outcomes
         };
@@ -1642,7 +1654,7 @@ mod tests {
                 vec![Tag::new("x")],
                 vec![],
             );
-            let out = solve(&mut state, &[req], &[], &cfg, None, None, Some(&metrics)).outcomes;
+            let out = solve(&mut state, &[req], &[], &cfg, None, None, &metrics).outcomes;
             assert!(out[0].placement().is_some());
         }
         let snap = registry.snapshot();
@@ -1922,8 +1934,7 @@ mod tests {
         ];
         for (name, mut state, requests, allowed, pinned) in cases {
             let cfg = IlpConfig::default();
-            let Prep::Ready(p) =
-                prepare(&mut state, &requests, &[], &cfg, allowed.as_deref(), None)
+            let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, allowed.as_deref())
             else {
                 panic!("{name}: nothing to model");
             };
@@ -1951,7 +1962,7 @@ mod tests {
         let cfg = IlpConfig::default();
         let shape = |requests: &[LraRequest]| {
             let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
-            let Prep::Ready(p) = prepare(&mut state, requests, &[], &cfg, None, None) else {
+            let Prep::Ready(p) = prepare_alone(&mut state, requests, &cfg, None) else {
                 panic!("nothing to model");
             };
             let problem = &p.model.problem;
@@ -2035,7 +2046,7 @@ mod tests {
         let containers = vec![small.clone(), large, small.clone(), small];
         let requests = [LraRequest::new(ApplicationId(1), containers, vec![])];
         let cfg = IlpConfig::default();
-        let Prep::Ready(p) = prepare(&mut state, &requests, &[], &cfg, None, None) else {
+        let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, None) else {
             panic!("nothing to model");
         };
         assert_eq!(p.candidates, (0..4).map(NodeId).collect::<Vec<_>>());
@@ -2202,7 +2213,7 @@ mod tests {
         };
         for (seed, &(optimum, bound)) in PINNED_OBJECTIVES.iter().enumerate() {
             let (mut state, requests) = small_instance(seed as u64);
-            let Prep::Ready(p) = prepare(&mut state, &requests, &[], &cfg, None, None) else {
+            let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, None) else {
                 panic!("seed {seed}: nothing to model");
             };
             let milp = Milp::new(&p.model.problem)

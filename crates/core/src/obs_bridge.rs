@@ -27,8 +27,8 @@ medea_obs::metric_handles! {
 
 medea_obs::metric_handles! {
     /// Pre-resolved series of the two solver arms (`core.prepare_*`,
-    /// `core.ilp_*`, `core.relax_*`), looked up once when a registry is
-    /// attached to the [`crate::LraScheduler`].
+    /// `core.ilp_*`, `core.relax_*`), looked up once against the
+    /// [`crate::LraScheduler`]'s registry.
     #[derive(Debug)]
     pub(crate) struct ArmMetrics {
         pub(crate) prepare_anchor_us: Histogram = "core.prepare_anchor_us",
@@ -65,6 +65,13 @@ impl PlacerMetrics {
             arm: ArmMetrics::new(registry),
             solver: SolverMetricsBridge::new(registry),
         }
+    }
+}
+
+/// Handles on a registry of their own, until one is attached.
+impl Default for PlacerMetrics {
+    fn default() -> Self {
+        PlacerMetrics::new(&MetricsRegistry::new())
     }
 }
 

@@ -205,9 +205,7 @@ impl MedeaScheduler {
             return;
         }
         self.lifecycle_stats.reconciles += 1;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_reconciles.inc();
-        }
+        self.metrics.lifecycle_reconciles.inc();
         let apps: Vec<ApplicationId> = self.specs.keys().copied().collect();
         for app in apps {
             let spec = self.specs.get(&app).map(|m| m.spec).expect("key from map");
@@ -216,9 +214,7 @@ impl MedeaScheduler {
             if spec.replicas == 0 {
                 let released = self.cancel_lra(app).released_containers;
                 self.lifecycle_stats.scale_down_containers += released;
-                if let Some(m) = &self.metrics {
-                    m.lifecycle_scale_downs.add(released as u64);
-                }
+                self.metrics.lifecycle_scale_downs.add(released as u64);
                 continue;
             }
             let total = running + incoming;
@@ -227,9 +223,7 @@ impl MedeaScheduler {
                     let delta = spec.replicas - total;
                     if self.push_lifecycle_entry(app, delta, now) {
                         self.lifecycle_stats.scale_up_containers += delta;
-                        if let Some(m) = &self.metrics {
-                            m.lifecycle_scale_ups.add(delta as u64);
-                        }
+                        self.metrics.lifecycle_scale_ups.add(delta as u64);
                     }
                 }
                 std::cmp::Ordering::Greater => {
@@ -247,9 +241,7 @@ impl MedeaScheduler {
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(self.pending.len() as i64);
-        }
+        self.publish_gauges();
     }
 
     /// Queues one reconciler-emitted delta of `count` template clones
@@ -344,9 +336,7 @@ impl MedeaScheduler {
             }
         }
         self.lifecycle_stats.scale_down_containers += released;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_scale_downs.add(released as u64);
-        }
+        self.metrics.lifecycle_scale_downs.add(released as u64);
     }
 
     /// One rolling-upgrade step: finds the first upgrade domain (falling
@@ -378,9 +368,7 @@ impl MedeaScheduler {
         let headroom = spec.headroom(running);
         if headroom == 0 {
             self.lifecycle_stats.budget_denials += 1;
-            if let Some(m) = &self.metrics {
-                m.disruption_budget_denials.inc();
-            }
+            self.metrics.disruption_budget_denials.inc();
             return;
         }
         let domains: Vec<Vec<NodeId>> = {
@@ -416,9 +404,7 @@ impl MedeaScheduler {
         }
         self.push_lifecycle_entry(app, taken, now);
         self.lifecycle_stats.upgraded_containers += taken;
-        if let Some(m) = &self.metrics {
-            m.lifecycle_upgraded.add(taken as u64);
-        }
+        self.metrics.lifecycle_upgraded.add(taken as u64);
     }
 
     /// Runs one defragmentation pass: consolidates managed-app LRA
@@ -439,9 +425,7 @@ impl MedeaScheduler {
             .collect();
         let moves = consolidate(&mut self.state, &constraints, &mut allowance);
         self.lifecycle_stats.migrations += moves.len();
-        if let Some(m) = &self.metrics {
-            m.migrations.add(moves.len() as u64);
-        }
+        self.metrics.migrations.add(moves.len() as u64);
         moves
     }
 }

@@ -149,7 +149,7 @@ pub(crate) fn solve(
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
     cache: Option<&IlpBasisCache>,
-    metrics: Option<&PlacerMetrics>,
+    metrics: &PlacerMetrics,
 ) -> BatchPlacement {
     let mut report = RelaxReport::default();
     let finish = |outcomes, degraded, report: RelaxReport| {
@@ -183,18 +183,15 @@ pub(crate) fn solve(
     let warm = cache.and_then(|cache| cache.take_if(skeleton));
     let t_lp = Instant::now();
     let (sol, basis) = Simplex::new(&model.problem).solve_warm(None, warm.as_ref());
-    if let Some(m) = metrics {
-        m.arm.relax_lp_us.record_duration(t_lp.elapsed());
-        // This LP runs outside `Milp`, which reports its own solves: feed
-        // the same `solver.*` series, so the counters cover both arms.
-        m.solver
-            .record(SolveEvent::SimplexPivots(sol.iterations as u64));
-        m.solver
-            .record(SolveEvent::Refactorizations(sol.refactorizations as u64));
-        if warm.is_some() {
-            m.arm.relax_warm_start_hits.inc();
-            m.solver.record(SolveEvent::WarmStartUsed);
-        }
+    let (arm, solver) = (&metrics.arm, &metrics.solver);
+    arm.relax_lp_us.record_duration(t_lp.elapsed());
+    // This LP runs outside `Milp`, which reports its own solves: feed
+    // the same `solver.*` series, so the counters cover both arms.
+    solver.record(SolveEvent::SimplexPivots(sol.iterations as u64));
+    solver.record(SolveEvent::Refactorizations(sol.refactorizations as u64));
+    if warm.is_some() {
+        arm.relax_warm_start_hits.inc();
+        solver.record(SolveEvent::WarmStartUsed);
     }
     if let (Some(cache), Some(b)) = (cache, &basis) {
         cache.store(skeleton, b.clone());
@@ -218,9 +215,7 @@ pub(crate) fn solve(
         // infeasible model): serve the validated heuristic placement and
         // report degradation so the ladder can react.
         report.fallback = true;
-        if let Some(m) = metrics {
-            m.arm.relax_fallbacks.inc();
-        }
+        arm.relax_fallbacks.inc();
         let t_validate = Instant::now();
         let outcomes = validate_outcomes(
             state,
@@ -231,11 +226,7 @@ pub(crate) fn solve(
             &slots,
             &mut report,
         );
-        if let Some(m) = metrics {
-            m.arm
-                .relax_validate_us
-                .record_duration(t_validate.elapsed());
-        }
+        arm.relax_validate_us.record_duration(t_validate.elapsed());
         return finish(outcomes, true, report);
     }
     report.lp_optimal = true;
@@ -296,9 +287,7 @@ pub(crate) fn solve(
 
     // Requests whose rounding breaks a hard constraint join the residue.
     evict_violating(&mut work, &mut placed, &order, &hard, &subject_of, &slots);
-    if let Some(m) = metrics {
-        m.arm.relax_round_us.record_duration(t_round.elapsed());
-    }
+    arm.relax_round_us.record_duration(t_round.elapsed());
 
     // --- 3. Exact MILP over the violated residue. ---
     let residue: Vec<usize> = (0..requests.len())
@@ -311,9 +300,7 @@ pub(crate) fn solve(
             .iter()
             .map(|&ri| requests[ri].num_containers())
             .sum();
-        if let Some(m) = metrics {
-            m.arm.relax_residue_solves.inc();
-        }
+        arm.relax_residue_solves.inc();
         let sub_requests: Vec<LraRequest> =
             residue.iter().map(|&ri| requests[ri].clone()).collect();
         // Constraints of successfully rounded batch-mates are now
@@ -337,9 +324,7 @@ pub(crate) fn solve(
             None,
             metrics,
         );
-        if let Some(m) = metrics {
-            m.arm.relax_residue_us.record_duration(t_residue.elapsed());
-        }
+        arm.relax_residue_us.record_duration(t_residue.elapsed());
         degraded |= sub.degraded;
         for (&ri, out) in residue.iter().zip(&sub.outcomes) {
             let Some(pl) = out.placement() else {
@@ -394,11 +379,7 @@ pub(crate) fn solve(
         );
         report.incumbent_objective = Some(model.problem.objective_value(&point));
     }
-    if let Some(m) = metrics {
-        m.arm
-            .relax_validate_us
-            .record_duration(t_validate.elapsed());
-    }
+    arm.relax_validate_us.record_duration(t_validate.elapsed());
 
     finish(outcomes, degraded, report)
 }
@@ -588,10 +569,8 @@ fn validate_outcomes(
 }
 
 /// Records the report's quality numbers to the attached registry.
-fn record_quality(metrics: Option<&PlacerMetrics>, report: &RelaxReport) {
-    let Some(m) = metrics.map(|m| &m.arm) else {
-        return;
-    };
+fn record_quality(metrics: &PlacerMetrics, report: &RelaxReport) {
+    let m = &metrics.arm;
     m.relax_residue_containers
         .record(report.residue_containers as u64);
     if report.evicted_lras > 0 {
@@ -633,16 +612,7 @@ mod tests {
             )
         };
         let mut relaxed = |r: LraRequest| {
-            solve(
-                &mut state,
-                &[r],
-                &[],
-                &cfg,
-                None,
-                Some(&cache),
-                Some(&metrics),
-            )
-            .outcomes
+            solve(&mut state, &[r], &[], &cfg, None, Some(&cache), &metrics).outcomes
         };
         let out = relaxed(request(1));
         assert!(out[0].placement().is_some());
@@ -674,15 +644,7 @@ mod tests {
         let count = |name| registry.snapshot().counter(name).unwrap_or(0);
 
         let first = hbase3(1, Some(1));
-        let out = solve(
-            &mut state,
-            &first,
-            &[],
-            &cfg,
-            None,
-            Some(&cache),
-            Some(&metrics),
-        );
+        let out = solve(&mut state, &first, &[], &cfg, None, Some(&cache), &metrics);
         for (r, o) in first.iter().zip(&out.outcomes) {
             let pl = o.placement().expect("the first burst places");
             for (c, &n) in r.containers.iter().zip(&pl.nodes) {
@@ -698,15 +660,7 @@ mod tests {
         assert_eq!(count("core.relax_warm_start_hits_total"), 0);
 
         let second = hbase3(20, Some(2));
-        let out = solve(
-            &mut state,
-            &second,
-            &[],
-            &cfg,
-            None,
-            Some(&cache),
-            Some(&metrics),
-        );
+        let out = solve(&mut state, &second, &[], &cfg, None, Some(&cache), &metrics);
         assert!(out.outcomes.iter().all(|o| o.placement().is_some()));
         assert_eq!(count("core.relax_warm_start_hits_total"), 1);
         let warm = count("solver.simplex_pivots_total") - cold;

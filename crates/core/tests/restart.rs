@@ -10,6 +10,7 @@ use medea_core::{
     NodeReport, TaskJobRequest,
 };
 use medea_journal::{JournalError, JournalStorage, MemoryStorage, Wal};
+use medea_obs::MetricsRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -411,4 +412,42 @@ fn restart_reads_the_journal_once() {
         assert_eq!(log_reads.load(Ordering::Relaxed), k as usize);
         assert_eq!(checkpoint_reads.load(Ordering::Relaxed), k as usize);
     }
+}
+
+/// The `journal.*` gauges follow the cluster's own appends, not only
+/// checkpoints: after a placing tick, a cancel and a node loss they read
+/// what `journal_stats()` reads.
+#[test]
+fn journal_gauges_follow_every_append() {
+    let registry = MetricsRegistry::new();
+    let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::NodeCandidates, 10)
+        .with_metrics(Arc::clone(&registry));
+    m.attach_journal(Wal::new(MemoryStorage::new()), 0).unwrap();
+    let mut appended = 0;
+    let mut check = |m: &MedeaScheduler, step: &str| {
+        let stats = m.journal_stats();
+        assert!(stats.records_appended > appended, "{step} appends");
+        appended = stats.records_appended;
+        let snap = registry.snapshot();
+        let gauges = (snap.gauge("journal.appends"), snap.gauge("journal.bytes"));
+        let want = (
+            Some(stats.records_appended as i64),
+            Some(stats.bytes_appended as i64),
+        );
+        assert_eq!(gauges, want, "{step}");
+    };
+
+    m.submit_lra(lra(1, 3, 1024, "a"), 0).unwrap();
+    m.submit_lra(lra(2, 2, 1024, "b"), 0).unwrap();
+    assert_eq!(m.tick(0).len(), 2);
+    check(&m, "placing tick");
+    m.cancel_lra(ApplicationId(1));
+    check(&m, "cancel_lra");
+    let node = m
+        .state()
+        .node_ids()
+        .find(|&n| m.state().containers_on(n).is_ok_and(|c| !c.is_empty()))
+        .expect("app 2 is deployed");
+    m.node_lost(node, 1);
+    check(&m, "node_lost");
 }
