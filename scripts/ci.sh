@@ -30,6 +30,16 @@ step "cargo test (debug)" cargo test --offline --workspace -q
 step "cargo test (release)" cargo test --release --offline --workspace -q
 step "non-test lines (the count CHANGES entries quote)" scripts/loc.sh
 
+# The examples are documentation that asserts: each must still run to
+# completion against the current API.
+run_examples() {
+    local e
+    for e in examples/*.rs; do
+        cargo run --release --offline -q --example "$(basename "$e" .rs)" >/dev/null
+    done
+}
+step "examples (each runs to exit 0)" run_examples
+
 # The benchmark package has its own manifest and lock file; building and
 # testing it here makes an API break against it fail CI, not the pipeline.
 step "benchmark package build (--locked)" \
