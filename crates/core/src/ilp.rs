@@ -137,6 +137,18 @@ impl Default for IlpConfig {
     }
 }
 
+impl IlpConfig {
+    /// The node-candidates heuristic scoring with these weights: the
+    /// model's anchor (MIP start, relaxed fallback and `S_i` guard) and
+    /// the degradation ladder's heuristic arm.
+    pub(crate) fn anchor(&self) -> HeuristicScheduler {
+        HeuristicScheduler {
+            ordering: Ordering::NodeCandidates,
+            weights: self.weights,
+        }
+    }
+}
+
 /// One class of interchangeable new containers: the containers of one
 /// request with equal resources and equal effective tags. The model
 /// gives a class one integer column per candidate node.
@@ -289,12 +301,9 @@ pub(crate) fn prepare(
     // the result is heuristic-or-better.
     let arm = &metrics.arm;
     let t_anchor = Instant::now();
-    let (heuristic, probes) = HeuristicScheduler::new(Ordering::NodeCandidates).place_counted(
-        state,
-        requests,
-        deployed_constraints,
-        allowed,
-    );
+    let (heuristic, probes) =
+        cfg.anchor()
+            .place_counted(state, requests, deployed_constraints, allowed);
     metrics
         .arm
         .prepare_anchor_us
@@ -1472,6 +1481,62 @@ mod tests {
         let out = place(&state, &[req], &[], &IlpConfig::default());
         let pl = out[0].placement().expect("soft constraints must not block");
         assert_eq!(pl.nodes.len(), 4);
+    }
+
+    /// The anchor and the ladder's heuristic arm score with
+    /// `IlpConfig::weights`. Node 0 is 3/4 full; node 1 is empty but has
+    /// one core, so a container there fragments it. The default `w3`
+    /// prefers node 0, `w3 = 0` leaves only the balance term: node 1.
+    #[test]
+    fn anchor_and_heuristic_arm_use_the_configured_weights() {
+        let mut state = ClusterState::new(
+            [
+                medea_cluster::Node::new(NodeId(0), Resources::new(16 * 1024, 16)),
+                medea_cluster::Node::new(NodeId(1), Resources::new(16 * 1024, 1)),
+            ],
+            1,
+        );
+        let fill = ContainerRequest::new(Resources::new(12 * 1024, 1), vec![]);
+        state
+            .allocate(
+                ApplicationId(9),
+                NodeId(0),
+                &fill,
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        let batch = [LraRequest::uniform(
+            ApplicationId(1),
+            1,
+            Resources::new(2048, 1),
+            vec![Tag::new("w")],
+            vec![],
+        )];
+        let node_of = |out: &[PlacementOutcome]| out[0].placement().unwrap().nodes[0];
+        for (w3, want) in [(0.25, NodeId(0)), (0.0, NodeId(1))] {
+            let cfg = IlpConfig {
+                weights: ObjectiveWeights {
+                    w3,
+                    ..ObjectiveWeights::default()
+                },
+                ..IlpConfig::default()
+            };
+            let Prep::Ready(p) = prepare_alone(&mut state, &batch, &cfg, None) else {
+                panic!("the batch needs a model");
+            };
+            assert_eq!(node_of(&p.heuristic), want, "anchor, w3 = {w3}");
+            let mut arm = crate::LraScheduler::new(crate::LraAlgorithm::Ilp);
+            arm.ilp = cfg;
+            let out = arm.place_on(
+                &mut state,
+                &batch,
+                &[],
+                None,
+                Some(PlacerMode::Heuristic),
+                None,
+            );
+            assert_eq!(node_of(&out.outcomes), want, "heuristic arm, w3 = {w3}");
+        }
     }
 
     #[test]

@@ -145,8 +145,8 @@ impl LraScheduler {
         arm: Option<PlacerMode>,
         cache: Option<&IlpBasisCache>,
     ) -> BatchPlacement {
-        let greedy = |state: &mut ClusterState, ordering| {
-            HeuristicScheduler::new(ordering)
+        let greedy = |state: &mut ClusterState, heuristic: HeuristicScheduler| {
+            heuristic
                 .place_counted(state, requests, deployed_constraints, allowed)
                 .0
         };
@@ -154,7 +154,7 @@ impl LraScheduler {
             let solve = match mode {
                 PlacerMode::Ilp => ilp::solve,
                 PlacerMode::Relaxed => relax::solve,
-                PlacerMode::Heuristic => return greedy(state, Ordering::NodeCandidates).into(),
+                PlacerMode::Heuristic => return greedy(state, self.ilp.anchor()).into(),
             };
             solve(
                 state,
@@ -171,9 +171,13 @@ impl LraScheduler {
         }
         match self.algorithm {
             LraAlgorithm::Ilp => return by_mode(state, self.ilp.mode),
-            LraAlgorithm::NodeCandidates => greedy(state, Ordering::NodeCandidates),
-            LraAlgorithm::TagPopularity => greedy(state, Ordering::TagPopularity),
-            LraAlgorithm::Serial => greedy(state, Ordering::Submission),
+            LraAlgorithm::NodeCandidates => {
+                greedy(state, HeuristicScheduler::new(Ordering::NodeCandidates))
+            }
+            LraAlgorithm::TagPopularity => {
+                greedy(state, HeuristicScheduler::new(Ordering::TagPopularity))
+            }
+            LraAlgorithm::Serial => greedy(state, HeuristicScheduler::new(Ordering::Submission)),
             LraAlgorithm::JKube => {
                 JKubeScheduler::jkube().place(state, requests, deployed_constraints, allowed)
             }
