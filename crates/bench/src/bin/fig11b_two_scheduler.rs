@@ -11,6 +11,11 @@
 //! invalidated and resubmitted, §5.4), which grow with the deadline but
 //! never touch the task path. Both runs are on the simulated clock and
 //! must drain.
+//!
+//! The binary asserts the shape it prints, row by row: the sync run sees
+//! zero commit conflicts; the sync task p50 and the async conflict count
+//! never fall as the deadline grows; the async task p50 stays within
+//! ±10% of the deadline-0 row.
 
 use medea_bench::{f2, f3, run_pipeline, PipelineScenario, Report};
 use medea_sim::{box_stats, PipelineMode, SolveLatencyModel};
@@ -56,7 +61,9 @@ fn main() {
             "conflict_rate",
         ],
     );
-    let mut max_conflicts = 0usize;
+    // (sync p50, async p50, async conflicts) per deadline, for the shape
+    // assertions below.
+    let mut shape: Vec<(f64, f64, usize)> = Vec::new();
     for &d in &deadlines {
         let lat = SolveLatencyModel::fixed(d);
         let (sync_lat, sync_conflicts, _) = pooled(&scenario, PipelineMode::Sync, lat, &seeds);
@@ -69,7 +76,7 @@ fn main() {
         let bs = box_stats(&sync_lat);
         let ba = box_stats(&async_lat);
         let attempts = deployments + conflicts;
-        max_conflicts = max_conflicts.max(conflicts);
+        shape.push((bs.p50, ba.p50, conflicts));
         report.push(vec![
             d.to_string(),
             f2(bs.p50),
@@ -83,6 +90,30 @@ fn main() {
         eprintln!("fig11b: deadline {d} done");
     }
     report.finish();
+
+    let async_p50_at_0 = shape[0].1.max(1e-9);
+    let max_conflicts = shape[shape.len() - 1].2;
+    for (w, &d) in shape.windows(2).zip(&deadlines[1..]) {
+        let ((sync_before, _, conflicts_before), (sync_p50, _, conflicts)) = (w[0], w[1]);
+        assert!(
+            sync_p50 >= sync_before,
+            "the sync task p50 must not fall as the deadline grows \
+             ({sync_before:.1} -> {sync_p50:.1} ms at deadline {d})"
+        );
+        assert!(
+            conflicts >= conflicts_before,
+            "async commit conflicts must not fall as the deadline grows \
+             ({conflicts_before} -> {conflicts} at deadline {d})"
+        );
+    }
+    for (&(_, async_p50, _), &d) in shape.iter().zip(&deadlines) {
+        let pct = (async_p50 / async_p50_at_0 - 1.0) * 100.0;
+        assert!(
+            pct.abs() <= 10.0,
+            "the async task p50 must stay within 10% of the deadline-0 row \
+             (got {pct:+.1}% at deadline {d})"
+        );
+    }
 
     println!(
         "\nPaper claim: putting the solver on the task path (the \

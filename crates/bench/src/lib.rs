@@ -15,7 +15,5 @@ mod timing;
 
 pub use output::{f2, f3, pct, BenchJson, Report};
 pub use pipeline::{paper_solve_model, run_pipeline, PipelineRun, PipelineScenario};
-pub use scenarios::{
-    deploy_lras, deploy_lras_with_metrics, hbase_count_for_utilization, lra_mix, DeployResult,
-};
+pub use scenarios::{deploy_lras, deploy_lras_with_metrics, lra_mix, DeployResult};
 pub use timing::{time_iters, Summary};

@@ -1,7 +1,7 @@
 //! Experiment output: formatted tables on stdout, CSV files under
 //! `target/experiments/`, and the `BENCH_<name>.json` documents.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -34,11 +34,6 @@ impl Report {
     /// Appends a row.
     pub fn push(&mut self, row: Vec<String>) {
         self.rows.push(row);
-    }
-
-    /// Appends a row of displayable values.
-    pub fn push_display(&mut self, row: &[&dyn std::fmt::Display]) {
-        self.rows.push(row.iter().map(|v| v.to_string()).collect());
     }
 
     /// Prints the aligned table to stdout.
@@ -136,27 +131,11 @@ impl BenchJson {
         BenchJson { path, body }
     }
 
-    /// Adds a top-level scalar `"key": value`.
-    pub fn field(&mut self, key: &str, value: impl Display) {
-        let _ = write!(self.body, ",\n  \"{key}\": {value}");
-    }
-
     /// Adds `"key": [{row}, ...]`, one row per line; each row is the
     /// inside of its object (`"k": v, ...`).
     pub fn rows(&mut self, key: &str, rows: impl IntoIterator<Item = String>) {
         let rows: Vec<String> = rows.into_iter().map(|r| format!("    {{{r}}}")).collect();
         let _ = write!(self.body, ",\n  \"{key}\": [\n{}\n  ]", rows.join(",\n"));
-    }
-
-    /// Adds `"key": {entry, ...}`, one entry per line; each entry is a
-    /// complete `"k": v` member.
-    pub fn object(&mut self, key: &str, entries: impl IntoIterator<Item = String>) {
-        let entries: Vec<String> = entries.into_iter().map(|e| format!("    {e}")).collect();
-        let _ = write!(
-            self.body,
-            ",\n  \"{key}\": {{\n{}\n  }}",
-            entries.join(",\n")
-        );
     }
 
     /// Writes the document and prints where it went.
@@ -194,7 +173,7 @@ mod tests {
     fn report_roundtrip() {
         let mut r = Report::new("test_report", "Test", &["x", "y"]);
         r.push(vec!["1".into(), "2".into()]);
-        r.push_display(&[&3, &4.5]);
+        r.push(vec!["3".into(), "4.5".into()]);
         assert_eq!(r.rows.len(), 2);
         let path = r.write_csv().expect("csv written");
         let body = std::fs::read_to_string(path).unwrap();
@@ -204,9 +183,7 @@ mod tests {
     #[test]
     fn bench_json_shape_and_smoke_path() {
         let mut doc = BenchJson::new("unit", true);
-        doc.field("errors", 0);
         doc.rows("rows", ["\"a\": 1".to_string(), "\"a\": 2".to_string()]);
-        doc.object("named", ["\"x\": {\"p50\": 1.0}".to_string()]);
         assert_eq!(
             doc.path,
             Path::new("target/bench-smoke/BENCH_unit.json"),
@@ -215,10 +192,9 @@ mod tests {
         assert!(doc.body.starts_with(
             "{\n  \"bench\": \"unit_bench\",\n  \"mode\": \"smoke\",\n  \"commit\": \""
         ));
-        assert!(doc.body.ends_with(
-            ",\n  \"errors\": 0,\n  \"rows\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ],\n  \
-             \"named\": {\n    \"x\": {\"p50\": 1.0}\n  }"
-        ));
+        assert!(doc
+            .body
+            .ends_with(",\n  \"rows\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ]"));
         assert_eq!(
             BenchJson::new("unit", false).path,
             Path::new("BENCH_unit.json")

@@ -1,13 +1,14 @@
-//! Shared scenario for the placement-pipeline experiments (Fig. 11b/11c
-//! and `pipeline_bench`): a Google-trace-like task stream on the
-//! heartbeat path with a rolling LRA churn on the solver path, run under
-//! either placement pipeline ([`PipelineMode::Sync`] blocks the simulated
-//! resource manager for the whole solve; [`PipelineMode::Async`] lets the
-//! solve elapse on the sim clock and commits against live state).
+//! Shared scenario for the placement-pipeline figures, Figs. 11b and
+//! 11c: a Google-trace-like task stream on the heartbeat path with a
+//! rolling LRA churn on the solver path, run under either placement
+//! pipeline ([`PipelineMode::Sync`] blocks the simulated resource manager
+//! for the whole solve; [`PipelineMode::Async`] lets the solve elapse on
+//! the sim clock and commits against live state).
 //!
 //! Everything is measured on the simulated clock, so runs are
-//! deterministic per seed — the bench JSON records reproducible numbers,
-//! not wall-clock noise.
+//! deterministic per seed: the two figure binaries assert their
+//! two-scheduler claims on exact numbers, not on wall-clock noise, and
+//! run at full size in CI.
 
 use medea_cluster::{ApplicationId, ClusterState, NodeGroupId, Resources, Tag};
 use medea_constraints::{Cardinality, PlacementConstraint};
@@ -90,15 +91,6 @@ impl PipelineScenario {
             interval: 10_000,
             horizon: 600_000,
         }
-    }
-
-    /// Scales a scenario down for CI smoke runs (fewer jobs and waves,
-    /// same shape).
-    pub fn smoke(mut self) -> Self {
-        self.jobs /= 3;
-        self.lra_waves /= 2;
-        self.horizon = 400_000;
-        self
     }
 }
 

@@ -138,16 +138,6 @@ pub fn lra_mix(n: usize, hbase_fraction: f64, first_app_id: u64) -> Vec<LraReque
         .collect()
 }
 
-/// How many HBase instances (10 workers + 3 aux ≈ 23.25 GB each) fit a
-/// target fraction of the cluster's memory.
-pub fn hbase_count_for_utilization(cluster: &ClusterState, fraction: f64) -> usize {
-    let per_instance = apps::hbase_instance(ApplicationId(0), 10)
-        .total_resources()
-        .memory_mb;
-    let budget = cluster.total_capacity().memory_mb as f64 * fraction;
-    (budget / per_instance as f64).floor() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,14 +168,6 @@ mod tests {
             .histogram("bench.place_batch_us")
             .expect("series exists");
         assert_eq!(hist.count, 2);
-    }
-
-    #[test]
-    fn utilization_sizing() {
-        let cluster = ClusterState::homogeneous(100, Resources::new(16 * 1024, 16), 10);
-        let n = hbase_count_for_utilization(&cluster, 0.5);
-        // 100 * 16 GB * 0.5 = 800 GB; instance = 23.25 GB -> 34.
-        assert!((30..40).contains(&n), "got {n}");
     }
 
     #[test]

@@ -84,10 +84,22 @@ step "every BENCH_<x>.json has its <x>_bench binary and vice versa" no_orphan_be
 # Each smoke run exits nonzero when its own gate fails (solver: the
 # frontier and basis-slot contracts; lifecycle: hard violations, budget
 # overruns, broken ledger).
-for bench in solver scale pipeline recovery lifecycle; do
+for bench in solver scale recovery lifecycle; do
     step "$bench benchmark smoke (writes target/bench-smoke/BENCH_$bench.json)" \
         bench_smoke "${bench}_bench"
 done
 step "chaos smoke (fixed-seed fault injection + recovery)" bench_smoke fig8_resilience
+
+# The two-scheduler figures run at full size (about a second each, on the
+# simulated clock) and exit nonzero when a claim they print fails: zero
+# sync conflicts, monotone sync latency and async conflicts against the
+# solve deadline (11b); async within 10% of YARN, sync above async (11c).
+two_scheduler_figures() {
+    local bin
+    for bin in fig11b_two_scheduler fig11c_task_latency; do
+        cargo run --release --offline -q -p medea-bench --bin "$bin" >/dev/null
+    done
+}
+step "two-scheduler figures 11b/11c (full size, their assertions)" two_scheduler_figures
 
 echo "CI gate passed in $((SECONDS - gate_start))s."
