@@ -157,23 +157,24 @@ impl Scorer {
         req: &ContainerRequest,
         node: NodeId,
     ) -> f64 {
-        self.violation_delta_among(state, req, node, &self.relevant(app, req))
+        if !self.is_feasible(state, node, req) {
+            return f64::INFINITY;
+        }
+        self.violation_delta_among(state, node, &self.relevant(app, req))
     }
 
-    /// [`Scorer::violation_delta`] against a precomputed
-    /// [`Scorer::relevant`] of the same `(app, req)`. Both sub-lists are in
+    /// [`Scorer::violation_delta`] on a node the caller found feasible,
+    /// against a precomputed [`Scorer::relevant`] of the same `(app,
+    /// req)`. It reads no capacity, so one cached delta can stand for
+    /// nodes with different free resources. Both sub-lists are in
     /// constraint order, so every sum has the terms, in the order, a walk
     /// over all constraints would give it.
     pub(crate) fn violation_delta_among(
         &self,
         state: &ClusterState,
-        req: &ContainerRequest,
         node: NodeId,
         relevant: &Relevant,
     ) -> f64 {
-        if !self.is_feasible(state, node, req) {
-            return f64::INFINITY;
-        }
         let arrival = Arrival {
             node,
             tags: &relevant.tags,
