@@ -13,7 +13,12 @@
 //! registered group whose sets overlap each other and leave the last
 //! node in none), app-scoped subjects and targets, deployed constraints,
 //! background allocations, an unavailable node, and `allowed` = every
-//! other node.
+//! other node. A second family ([`plain_instance`], its own seeds) is
+//! built for the engine's shared cells: 30–60 nodes that are mostly
+//! plain for most classes (no constrained tag on them), catch-all
+//! subjects and targets, nodes carrying one half of an app-scoped
+//! conjunction, a tag occurrence consumed by `remove_node_tag`, and many
+//! items per class.
 
 use medea_cluster::{
     ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
@@ -28,6 +33,8 @@ use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
 
 const SEEDS: u64 = 400;
+/// Seeds of the second family ([`plain_instance`]).
+const PLAIN_SEEDS: u64 = 120;
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
 struct Instance {
@@ -134,6 +141,18 @@ fn zone() -> NodeGroupId {
     NodeGroupId::new("zone")
 }
 
+/// Three zones over `n` nodes, each reaching two nodes into the next;
+/// the last node belongs to none.
+fn zones(n: usize) -> Vec<Vec<NodeId>> {
+    let third = (n - 1) / 3;
+    (0..3)
+        .map(|z| {
+            let end = ((z + 1) * third + 2).min(n - 1);
+            (z * third..end).map(|i| NodeId(i as u32)).collect()
+        })
+        .collect()
+}
+
 fn random_constraint(rng: &mut StdRng, app: ApplicationId) -> PlacementConstraint {
     // A third of the tag expressions are scoped to the submitting app.
     let expr = |rng: &mut StdRng| {
@@ -167,21 +186,124 @@ fn random_constraint(rng: &mut StdRng, app: ApplicationId) -> PlacementConstrain
     }
 }
 
+/// [`random_constraint`] for the second family: a tenth of subjects and
+/// of targets are catch-alls (`TagExpr::and([])`, every container).
+fn wide_constraint(rng: &mut StdRng, app: ApplicationId) -> PlacementConstraint {
+    let expr = |rng: &mut StdRng| {
+        let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+        match rng.random_range(0..10u32) {
+            0 => TagExpr::and([]),
+            1..=3 => TagExpr::and([tag, Tag::app_id(app)]),
+            _ => TagExpr::tag(tag),
+        }
+    };
+    let subject = expr(rng);
+    let target = expr(rng);
+    let cardinality = match rng.random_range(0..4u32) {
+        0 => Cardinality::affinity(),
+        1 => Cardinality::anti_affinity(),
+        2 => Cardinality::at_most(rng.random_range(1..3u32)),
+        _ => Cardinality::at_least(rng.random_range(1..3u32)),
+    };
+    let group = match rng.random_range(0..3u32) {
+        0 => NodeGroupId::node(),
+        1 => NodeGroupId::rack(),
+        _ => zone(),
+    };
+    let weight = *rng.choose(&[0.5, 1.0, 2.0]).unwrap();
+    let c = PlacementConstraint::new(subject, target, cardinality, group).with_weight(weight);
+    if rng.random_bool(0.15) {
+        c.hard()
+    } else {
+        c
+    }
+}
+
+/// The second family, on its own seeds: clusters of 30–60 nodes where
+/// most nodes are plain for most classes, so the engine shares cells
+/// across them. Background is sparse and on `bg`, a tag no constraint
+/// names, except a few containers that carry one half of an app-scoped
+/// conjunction: a requesting app's `appid:` without a constrained tag,
+/// or a constrained tag under another app. Background sizes vary, so
+/// nodes of one signature differ in free resources. Requests repeat each
+/// container two to six times, so node candidates refreshes `Nc` for
+/// many items of one class.
+fn plain_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ 0x91A1);
+    let n = rng.random_range(30..61usize);
+    let racks = rng.random_range(2..6usize);
+    let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
+    state.register_group(zone(), zones(n));
+    let allocate = |state: &mut ClusterState, rng: &mut StdRng, app: u64, tag: Tag| {
+        let node = NodeId(rng.random_range(0..n as u32));
+        let mem = *rng.choose(&[1024u64, 1024, 4096, 7168]).unwrap();
+        let req = ContainerRequest::new(Resources::new(mem, 1), [tag]);
+        let _ = state.allocate(ApplicationId(app), node, &req, ExecutionKind::LongRunning);
+    };
+    for i in 0..rng.random_range(n / 6..n / 3) {
+        allocate(&mut state, &mut rng, 100 + (i % 3) as u64, Tag::new("bg"));
+    }
+    for _ in 0..rng.random_range(1..4usize) {
+        if rng.random_bool(0.5) {
+            let app = rng.random_range(1..4u64);
+            allocate(&mut state, &mut rng, app, Tag::new("bg"));
+        } else {
+            let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+            allocate(&mut state, &mut rng, 100, tag);
+        }
+    }
+    // A requesting app's container whose constrained tag γ no longer
+    // counts (`remove_node_tag` consumed it): only a container walk sees
+    // it there.
+    let (app, node) = (rng.random_range(1..4u64), rng.random_range(0..n as u32));
+    let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+    let req = ContainerRequest::new(Resources::new(1024, 1), [tag.clone()]);
+    let kind = ExecutionKind::LongRunning;
+    if state
+        .allocate(ApplicationId(app), NodeId(node), &req, kind)
+        .is_ok()
+    {
+        state.remove_node_tag(NodeId(node), &tag).unwrap();
+    }
+    state
+        .set_available(NodeId(rng.random_range(0..n as u32)), false)
+        .unwrap();
+
+    let mut requests = Vec::new();
+    for ri in 0..rng.random_range(1..4u64) {
+        let app = ApplicationId(ri + 1);
+        let mut containers = Vec::new();
+        for _ in 0..rng.random_range(1..3usize) {
+            let tags = [Tag::new(*rng.choose(&TAGS).unwrap())];
+            let mem = *rng.choose(&[1024u64, 2048, 7168]).unwrap();
+            let req = ContainerRequest::new(Resources::new(mem, 1), tags);
+            containers.extend(vec![req; rng.random_range(2..7usize)]);
+        }
+        let constraints = (0..rng.random_range(1..4usize))
+            .map(|_| wide_constraint(&mut rng, app))
+            .collect();
+        requests.push(LraRequest::new(app, containers, constraints));
+    }
+    let deployed = (0..rng.random_range(0..3usize))
+        .map(|_| wide_constraint(&mut rng, ApplicationId(100)))
+        .collect();
+    let allowed = rng
+        .random_bool(0.5)
+        .then(|| (0..n as u32).step_by(2).map(NodeId).collect());
+    Instance {
+        state,
+        requests,
+        deployed,
+        allowed,
+    }
+}
+
 fn random_instance(seed: u64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x6EED);
     let n = rng.random_range(6..20usize);
     let racks = rng.random_range(2..5usize);
     let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
-    // Three zones, each reaching two nodes into the next; the last node
-    // belongs to none.
-    let third = (n - 1) / 3;
-    let zones = (0..3)
-        .map(|z| {
-            let end = ((z + 1) * third + 2).min(n - 1);
-            (z * third..end).map(|i| NodeId(i as u32)).collect()
-        })
-        .collect();
-    state.register_group(zone(), zones);
+    state.register_group(zone(), zones(n));
 
     // Background allocations of apps 100..=102; deployed constraints are
     // scoped to app 100 where they are app-scoped at all.
@@ -254,4 +376,30 @@ fn engine_matches_naive_reference_on_seeded_instances() {
     }
     // The generator must exercise both outcomes, or equality proves little.
     assert!(placed > 1_000 && unplaced > 20, "{placed} / {unplaced}");
+}
+
+#[test]
+fn engine_matches_naive_reference_where_most_nodes_are_plain() {
+    let mut placed = 0usize;
+    let mut unplaced = 0usize;
+    for seed in 0..PLAIN_SEEDS {
+        let inst = plain_instance(seed);
+        for ordering in [
+            Ordering::NodeCandidates,
+            Ordering::TagPopularity,
+            Ordering::Submission,
+        ] {
+            let expected = reference_place(&inst, ordering);
+            let got = HeuristicScheduler::new(ordering).place(
+                &inst.state,
+                &inst.requests,
+                &inst.deployed,
+                inst.allowed.as_deref(),
+            );
+            assert_eq!(got, expected, "plain seed {seed}, {ordering:?}");
+            placed += got.iter().filter(|o| o.placement().is_some()).count();
+            unplaced += got.iter().filter(|o| o.placement().is_none()).count();
+        }
+    }
+    assert!(placed > 500 && unplaced > 0, "{placed} / {unplaced}");
 }
