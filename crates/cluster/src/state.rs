@@ -84,6 +84,7 @@ pub(crate) struct NodeState {
     pub(crate) tags: TagMultiset,
     pub(crate) containers: Vec<ContainerId>,
     pub(crate) available: bool,
+    pub(crate) tags_removed: bool,
 }
 
 /// Aggregate utilization metrics used by the global-objective experiments
@@ -269,6 +270,7 @@ impl ClusterState {
                 tags: n.static_tags.iter().cloned().collect(),
                 containers: Vec::new(),
                 available: true,
+                tags_removed: false,
             })
             .collect();
         let mut state = ClusterState {
@@ -520,6 +522,7 @@ impl ClusterState {
         if !state.tags.remove(tag) {
             return Ok(());
         }
+        state.tags_removed = true;
         self.touch();
         self.record(JournalOp::NodeTagRemove {
             node: node.0,
@@ -566,6 +569,13 @@ impl ClusterState {
             .get(id.index())
             .map(|s| &s.tags)
             .ok_or(ClusterError::UnknownNode(id))
+    }
+
+    /// `true` once [`ClusterState::remove_node_tag`] has removed an
+    /// occurrence from the node: until then γ counts every tag of every
+    /// container on it (a removal may take one a container contributed).
+    pub fn tags_removed(&self, id: NodeId) -> bool {
+        matches!(self.node_state.get(id.index()), Some(s) if s.tags_removed)
     }
 
     /// Tag cardinality `γ_n(t)` on a node (0 for unknown nodes).
