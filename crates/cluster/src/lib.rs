@@ -33,5 +33,8 @@ pub use resources::Resources;
 pub use restore::RestoreError;
 pub use shard::{ShardConfig, ShardPlan};
 pub use snapshot::ClusterSnapshot;
-pub use state::{state_clones, Allocation, ClusterError, ClusterState, Scratch, UtilizationStats};
+pub use state::{
+    state_clones, Allocation, ClusterError, ClusterState, Scratch, UtilizationStats,
+    CHANGED_APPS_CAP,
+};
 pub use tags::{Tag, TagMultiset};

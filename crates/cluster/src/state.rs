@@ -157,10 +157,20 @@ pub struct ClusterState {
     /// `release` are then tentative, and `scratch_log[mark..]` is what
     /// the innermost guard still has to release.
     scratch_open: Option<usize>,
+    /// Apps whose live container list changed since the last
+    /// [`ClusterState::take_changed_apps`], repeats in a row folded.
+    /// `None` while unknown: on a fresh, cloned or restored state, until
+    /// the first drain (nothing is recorded for a state nobody drains),
+    /// and once the log outgrew [`CHANGED_APPS_CAP`].
+    changed_apps: Option<Vec<ApplicationId>>,
     /// Threshold below which a non-idle node counts as fragmented
     /// (default: 2 GB / 1 core, the paper's §7.4 definition).
     pub fragmentation_threshold: Resources,
 }
+
+/// Bound on the changed-apps log between two drains: past it the log
+/// is dropped and the next drain answers "unknown".
+pub const CHANGED_APPS_CAP: usize = 4096;
 
 thread_local! {
     static STATE_CLONES: Cell<u64> = const { Cell::new(0) };
@@ -193,6 +203,8 @@ impl Clone for ClusterState {
             // original is plain content here.
             scratch_log: Vec::new(),
             scratch_open: None,
+            // Nobody drains a copy's changes: unknown until someone does.
+            changed_apps: None,
             fragmentation_threshold: self.fragmentation_threshold,
         }
     }
@@ -286,6 +298,7 @@ impl ClusterState {
             journal: None,
             scratch_log: Vec::new(),
             scratch_open: None,
+            changed_apps: None,
             fragmentation_threshold: Resources::new(2048, 1),
         };
         state.rebuild_group_tags();
@@ -675,6 +688,36 @@ impl ClusterState {
             .unwrap_or(&[])
     }
 
+    /// Every app with at least one live container, in arbitrary order.
+    pub fn apps(&self) -> impl Iterator<Item = ApplicationId> + '_ {
+        self.app_containers.keys().copied()
+    }
+
+    /// Drains the apps whose live container list changed since the last
+    /// call, in change order (an app may repeat). `None` means unknown —
+    /// treat every app as changed: the state is fresh, cloned or
+    /// restored, has never been drained, or changed more apps than
+    /// [`CHANGED_APPS_CAP`] since the last drain. Each call starts a new
+    /// log; tentative work under a [`Scratch`] guard is never in it.
+    pub fn take_changed_apps(&mut self) -> Option<Vec<ApplicationId>> {
+        self.changed_apps.replace(Vec::new())
+    }
+
+    /// Notes a non-tentative change to `app`'s container list.
+    fn app_changed(&mut self, app: ApplicationId) {
+        let Some(log) = &mut self.changed_apps else {
+            return;
+        };
+        if log.last() == Some(&app) {
+            return;
+        }
+        if log.len() < CHANGED_APPS_CAP {
+            log.push(app);
+        } else {
+            self.changed_apps = None;
+        }
+    }
+
     /// Looks up a live allocation.
     pub fn allocation(&self, id: ContainerId) -> Result<&Allocation, ClusterError> {
         self.allocations
@@ -781,6 +824,9 @@ impl ClusterState {
             },
         );
         self.app_containers.entry(app).or_default().push(id);
+        if !tentative {
+            self.app_changed(app);
+        }
         if self.journal.is_some() && !tentative {
             if let Some(alloc) = self.allocations.get(&id) {
                 self.record(JournalOp::Place {
@@ -891,6 +937,7 @@ impl ClusterState {
             }
         }
         if !tentative {
+            self.app_changed(alloc.app);
             self.record(JournalOp::Release { container: id.0 });
         }
         Ok(alloc)
@@ -984,6 +1031,47 @@ mod tests {
         assert_eq!(c.gamma(NodeId(0), &Tag::new("appid:1")), 1);
         assert_eq!(c.containers_on(NodeId(0)).unwrap(), &[id]);
         assert_eq!(c.app_containers(ApplicationId(1)), &[id]);
+    }
+
+    #[test]
+    fn changed_apps_are_logged_only_once_drained_and_within_the_bound() {
+        let mut c = small_cluster();
+        let r = req(16, &[]);
+        let lr = ExecutionKind::LongRunning;
+        for app in 0..8 {
+            c.allocate(ApplicationId(app), NodeId(0), &r, lr).unwrap();
+        }
+        assert!(
+            c.changed_apps.is_none(),
+            "an undrained state records nothing"
+        );
+        assert_eq!(c.take_changed_apps(), None);
+
+        let id = c.allocate(ApplicationId(1), NodeId(1), &r, lr).unwrap();
+        c.allocate(ApplicationId(1), NodeId(2), &r, lr).unwrap();
+        c.release(id).unwrap();
+        c.allocate(ApplicationId(2), NodeId(1), &r, lr).unwrap();
+        {
+            let mut g = c.scratch();
+            let t = g.allocate(ApplicationId(3), NodeId(3), &r, lr).unwrap();
+            g.release(t).unwrap();
+            g.allocate(ApplicationId(4), NodeId(3), &r, lr).unwrap();
+        }
+        assert_eq!(
+            c.take_changed_apps(),
+            Some(vec![ApplicationId(1), ApplicationId(2)]),
+            "repeats in a row fold; tentative work is not a change"
+        );
+        assert_eq!(c.clone().take_changed_apps(), None, "a copy starts unknown");
+
+        // Alternating apps never fold: one entry per allocate+release.
+        for i in 0..=CHANGED_APPS_CAP as u64 {
+            let id = c.allocate(ApplicationId(i % 2), NodeId(3), &r, lr).unwrap();
+            c.release(id).unwrap();
+        }
+        assert!(c.changed_apps.is_none(), "past the bound the log is gone");
+        assert_eq!(c.take_changed_apps(), None);
+        assert_eq!(c.take_changed_apps(), Some(Vec::new()));
     }
 
     #[test]
