@@ -408,6 +408,12 @@ impl MedeaScheduler {
         std::mem::take(&mut self.dropped_log)
     }
 
+    /// The apps [`MedeaScheduler::take_dropped`] would drain now, oldest
+    /// drop first, left in place.
+    pub fn dropped_apps(&self) -> &[ApplicationId] {
+        &self.dropped_log
+    }
+
     /// Runs scheduling cycles until the LRA queue and in-flight solves
     /// are fully drained (every entry deployed, dropped, or recorded
     /// unplaceable) or `max_cycles` cycles elapse — the bounded-shutdown

@@ -234,6 +234,7 @@ medea_obs::metric_handles! {
         close_deadline: Counter = "server.batch_close_deadline_total",
         close_forced: Counter = "server.batch_close_forced_total",
         admission_us: Histogram = "server.admission_us",
+        publish_us: Histogram = "server.publish_us",
         connections: Gauge = "server.connections",
         connections_rejected: Counter = "server.connections_rejected_total",
     }
@@ -807,14 +808,14 @@ fn batcher_loop(inner: &Inner) -> DrainReport {
             if let Some(sweep) = drained.sweep {
                 inner.cycle_ran(sweep, carried);
             }
-            inner.sched.publish(drained.tick);
+            inner.publish(drained.tick);
             break drained.report;
         }
         let outcome = inner.sched.with_writer(|m| run_cycle(m, input, tick));
         converging = outcome.converging;
         tick = tick.saturating_add(interval);
         inner.cycle_ran(outcome, carried);
-        inner.sched.publish(tick);
+        inner.publish(tick);
         // What this round cost is the next quiet gap.
         let wall_us = inner.now_us().saturating_sub(cycle_start_us);
         lock_unwrap(&inner.work).queue.cycle_done(carried, wall_us);
@@ -826,6 +827,13 @@ fn batcher_loop(inner: &Inner) -> DrainReport {
 }
 
 impl Inner {
+    /// Publishes the board for `tick`, timed as `server.publish_us`.
+    fn publish(&self, tick: u64) {
+        let t0 = Instant::now();
+        self.sched.publish(tick);
+        self.metrics.publish_us.record_duration(t0.elapsed());
+    }
+
     /// Holds the pending work until its step is a cycle or the end, and
     /// takes that step's input. `None` is the crash: stop dead,
     /// abandoning queued admissions, releases and spec changes on purpose.
