@@ -4,6 +4,8 @@
 
 #![allow(dead_code)]
 
+pub mod board;
+
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 

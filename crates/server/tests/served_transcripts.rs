@@ -8,7 +8,9 @@
 //! soft checks summed over every published board, so a re-pin says what
 //! it did to placement quality, and the relaxed LP's warm-slot hits and
 //! simplex pivots, so it says what it did to solver effort; a hard
-//! violation on any board fails the run. A refactor of the served path
+//! violation on any board fails the run, and so does a board whose
+//! entries differ from a full rebuild ([`common::board::BoardOracle`]):
+//! publication patches the previous board. A refactor of the served path
 //! must leave all four unchanged in both profiles; a deliberate
 //! behaviour change re-pins them in its own commit and says why.
 //!
@@ -37,6 +39,9 @@ use medea_server::batcher::{
     run_cycle, run_drain, CycleInput, CycleReason, PendingWork, SpecOp, Step,
 };
 use medea_server::{AdmissionConfig, BatchClose, ServerConfig, DRAIN_MAX_CYCLES};
+
+mod common;
+use common::board::BoardOracle;
 
 // ---------------------------------------------------------------------
 // The fake-clock driver.
@@ -115,6 +120,8 @@ struct Served {
     transcript: String,
     /// Violated soft checks, summed over every published board.
     soft_violations: usize,
+    /// The full rebuild every published board is compared with.
+    oracle: BoardOracle,
 }
 
 impl Served {
@@ -132,7 +139,8 @@ impl Served {
             .expect("attach journal");
         let interval = m.interval().max(1);
         let shared = SharedScheduler::new(m);
-        shared.set_dropped_cap(ServerConfig::default().terminal_apps_cap);
+        let cap = ServerConfig::default().terminal_apps_cap;
+        shared.set_dropped_cap(cap);
         shared.publish(0);
         Served {
             pending: PendingWork::new(AdmissionConfig::default()),
@@ -147,6 +155,7 @@ impl Served {
             reasons: BTreeMap::new(),
             transcript: String::new(),
             soft_violations: 0,
+            oracle: BoardOracle::new(cap),
         }
     }
 
@@ -267,11 +276,14 @@ impl Served {
     /// Publishes the board at the current tick and appends every app on
     /// it: placed apps with their nodes in container order, pending and
     /// dropped ones by phase, managed apps with their lifecycle phase.
+    /// The board must equal the full rebuild.
     fn publish(&mut self) {
+        let expected = self.shared.with_writer(|m| self.oracle.rebuild(m));
         let board = self.shared.publish(self.tick);
+        assert_eq!(board.apps, expected, "the board at tick {}", self.tick);
         for (app, phase) in &board.apps {
             let _ = write!(self.transcript, " {}", app.0);
-            match phase {
+            match &**phase {
                 AppPhase::Placed { nodes } => {
                     for n in nodes {
                         let _ = write!(self.transcript, ",{}", n.0);
