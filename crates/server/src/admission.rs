@@ -9,11 +9,12 @@
 //! - **deadline** — the oldest waiting request has aged
 //!   `batch_max_wait_ms` (the upper bound on any wait), or
 //! - **quiet** — no request was admitted for one *quiet gap*: the wall
-//!   time of the batcher's last cycle that carried a batch, capped at
-//!   `batch_max_wait_ms`.
+//!   time of the batcher's last cycle that carried a batch, at most
+//!   [`QUIET_MAX_US`].
 //!
 //! The gap is measured, never configured; until a batch-carrying cycle
-//! has run it is the cap. Why it is one round's cost: DESIGN.md §7f.
+//! has run it is the bound. Why it is one round's cost, and the sweep
+//! that chose the bound: DESIGN.md §7f.
 //!
 //! Admission is strictly non-blocking: a full queue or an over-quota
 //! tenant is **shed** with a typed reason — the caller replies
@@ -60,12 +61,19 @@ pub struct AdmissionConfig {
     /// Batch closes when this many requests are waiting.
     pub batch_max_size: usize,
     /// Batch closes at the latest when the oldest request has waited
-    /// this long; also the cap on the quiet gap.
+    /// this long.
     pub batch_max_wait_ms: u64,
 }
 
 /// Retry hint attached to `overloaded` replies.
 pub const RETRY_AFTER_MS: u64 = 50;
+
+/// Upper bound (µs) on the quiet gap, so a burst that has stopped
+/// arriving closes this long after its last request however long a
+/// round takes. Chosen by the fake-clock sweep in `tests/quiet_sweep.rs`
+/// (DESIGN.md §7f): the smallest bound that keeps every burst one batch
+/// without raising a served stream's soft violations.
+pub const QUIET_MAX_US: u64 = 250;
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
@@ -126,9 +134,10 @@ pub struct AdmissionQueue {
     per_tenant: HashMap<String, usize>,
     /// When the youngest request was admitted (µs).
     last_arrival_us: u64,
-    /// Wall time (µs) of the batcher's last cycle that carried a batch;
-    /// `u64::MAX` until one has run.
-    round_us: u64,
+    /// The quiet gap (µs): the batcher's last batch-carrying cycle's
+    /// wall time, at most `quiet_max_us`; `quiet_max_us` until one ran.
+    gap_us: u64,
+    quiet_max_us: u64,
     closed: bool,
     admitted: u64,
     shed: ShedStats,
@@ -137,12 +146,21 @@ pub struct AdmissionQueue {
 impl AdmissionQueue {
     /// Creates an empty queue with the given config.
     pub fn new(cfg: AdmissionConfig) -> Self {
+        AdmissionQueue::with_quiet_max(cfg, QUIET_MAX_US)
+    }
+
+    /// An empty queue whose quiet gap is bounded by `quiet_max_us`
+    /// instead of [`QUIET_MAX_US`]; `u64::MAX` leaves only the deadline
+    /// above it, the rule before the bound. The server always uses
+    /// [`AdmissionQueue::new`]; the other bounds are the sweep's.
+    pub fn with_quiet_max(cfg: AdmissionConfig, quiet_max_us: u64) -> Self {
         AdmissionQueue {
             cfg,
             queue: VecDeque::new(),
             per_tenant: HashMap::new(),
             last_arrival_us: 0,
-            round_us: u64::MAX,
+            gap_us: quiet_max_us,
+            quiet_max_us,
             closed: false,
             admitted: 0,
             shed: ShedStats::default(),
@@ -251,7 +269,7 @@ impl AdmissionQueue {
     /// leave the gap alone.
     pub fn cycle_done(&mut self, carried: usize, wall_us: u64) {
         if carried > 0 {
-            self.round_us = wall_us;
+            self.gap_us = wall_us.min(self.quiet_max_us);
         }
     }
 
@@ -278,15 +296,14 @@ impl AdmissionQueue {
     }
 
     /// When the head hits its deadline and when the quiet gap after the
-    /// youngest arrival ends. The gap is the last batch-carrying cycle's
-    /// wall time capped at `batch_max_wait_ms`, so quiet can tie with
-    /// the deadline but never postpone it.
+    /// youngest arrival ends. A gap past `batch_max_wait_ms` ends after
+    /// the head's deadline, so the deadline stays the bound on any wait.
     fn close_times_us(&self) -> Option<(u64, u64)> {
         let head = self.queue.front()?;
         let cap = self.cfg.batch_max_wait_ms.saturating_mul(1000);
         Some((
             head.enqueued_us.saturating_add(cap),
-            self.last_arrival_us.saturating_add(self.round_us.min(cap)),
+            self.last_arrival_us.saturating_add(self.gap_us),
         ))
     }
 

@@ -252,6 +252,7 @@ pub fn run_drain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::QUIET_MAX_US;
     use medea_cluster::{Resources, Tag};
     use medea_core::LraRequest;
 
@@ -265,7 +266,7 @@ mod tests {
         )
     }
 
-    /// Batches of at most 3, a 10 ms cap.
+    /// Batches of at most 3, a 10 ms deadline.
     fn pending() -> PendingWork {
         PendingWork::new(AdmissionConfig {
             batch_max_size: 3,
@@ -299,26 +300,26 @@ mod tests {
     fn a_queued_request_waits_until_its_close_then_closes() {
         let mut p = pending();
         offer(&mut p, 1, 1_000);
-        // Before any batch-carrying cycle the gap is the 10 ms cap, so
-        // deadline and quiet tie and the deadline names it.
+        // Before any batch-carrying cycle the gap is its bound.
+        let quiet = 1_000 + QUIET_MAX_US;
         assert_eq!(
             p.next_step(1_000, false, false),
-            Step::Wait { until_us: 11_000 }
+            Step::Wait { until_us: quiet }
         );
         assert_eq!(
-            p.next_step(11_000, false, true),
-            cycle(CycleReason::Close(BatchClose::Deadline))
+            p.next_step(quiet, false, true),
+            cycle(CycleReason::Close(BatchClose::Quiet))
         );
-        // After a 1 ms round a lone request closes 1 ms after itself.
-        p.take(CycleReason::Close(BatchClose::Deadline));
-        p.queue.cycle_done(1, 1_000);
+        // After a 0.2 ms round a lone request closes 0.2 ms after itself.
+        p.take(CycleReason::Close(BatchClose::Quiet));
+        p.queue.cycle_done(1, 200);
         offer(&mut p, 2, 20_000);
         assert_eq!(
-            p.next_step(20_500, false, false),
-            Step::Wait { until_us: 21_000 }
+            p.next_step(20_100, false, false),
+            Step::Wait { until_us: 20_200 }
         );
         assert_eq!(
-            p.next_step(21_000, false, true),
+            p.next_step(20_200, false, true),
             cycle(CycleReason::Close(BatchClose::Quiet))
         );
     }

@@ -39,7 +39,8 @@ pub mod proto;
 pub mod server;
 
 pub use admission::{
-    AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats, RETRY_AFTER_MS,
+    AdmissionConfig, AdmissionQueue, BatchClose, PlaceWork, ShedReason, ShedStats, QUIET_MAX_US,
+    RETRY_AFTER_MS,
 };
 pub use batcher::DrainReport;
 pub use proto::{

@@ -8,11 +8,12 @@
 
 mod common;
 
-use common::{start, Client};
+use common::{parked, start, Client, PARK_APPS};
 use medea_cluster::{ApplicationId, Resources, Tag};
 use medea_core::LraRequest;
 use medea_server::{
-    AdmissionConfig, AdmissionQueue, BatchClose, Request, Response, ShedReason, RETRY_AFTER_MS,
+    AdmissionConfig, AdmissionQueue, BatchClose, Request, Response, ShedReason, QUIET_MAX_US,
+    RETRY_AFTER_MS,
 };
 
 fn req(app: u64) -> LraRequest {
@@ -94,24 +95,37 @@ fn batch_closes_on_size_before_deadline() {
 /// The fake clock counts µs; `cfg()`'s `batch_max_wait_ms` = 10.
 const CAP_US: u64 = 10_000;
 
+/// `cfg()` with room for a long trickle: only quiet and the deadline
+/// close it.
+fn roomy() -> AdmissionConfig {
+    AdmissionConfig {
+        queue_capacity: 64,
+        tenant_quota: 64,
+        batch_max_size: 64,
+        ..cfg()
+    }
+}
+
 #[test]
 fn batch_closes_on_deadline_for_a_trickle() {
-    let mut q = AdmissionQueue::new(cfg());
-    q.offer("a", req(1), 100_000).unwrap();
-    assert_eq!(q.batch_close(100_000), None);
+    let mut q = AdmissionQueue::new(roomy());
+    // Arrivals every 0.2 ms, under the quiet bound: quiet never fires,
+    // and the head's deadline closes them at exactly 10 ms.
+    const { assert!(200 < QUIET_MAX_US) };
+    let mut now = 100_000;
+    while now < 100_000 + CAP_US {
+        q.offer("a", req(now), now).unwrap();
+        assert_eq!(q.batch_close(now), None);
+        now += 200;
+    }
+    assert_eq!(q.next_close_us(), Some(110_000), "the deadline bounds it");
     assert_eq!(q.batch_close(109_999), None, "one µs before the deadline");
-    assert_eq!(q.next_close_us(), Some(110_000));
     assert_eq!(
         q.batch_close(110_000),
         Some(BatchClose::Deadline),
         "the head aged exactly batch_max_wait_ms, not a whole ms more"
     );
-    // A second, younger request does not postpone the head's deadline.
-    q.offer("b", req(2), 108_000).unwrap();
-    assert_eq!(q.batch_close(109_999), None);
-    assert_eq!(q.next_close_us(), Some(110_000));
-    assert_eq!(q.batch_close(110_000), Some(BatchClose::Deadline));
-    assert_eq!(q.take_batch().len(), 2);
+    assert_eq!(q.take_batch().len(), 50);
     assert_eq!(q.next_close_us(), None);
 }
 
@@ -126,93 +140,107 @@ fn quiet_gap_us(q: &mut AdmissionQueue) -> u64 {
 }
 
 #[test]
-fn before_any_batch_carrying_cycle_the_gap_is_the_cap() {
+fn before_any_batch_carrying_cycle_the_gap_is_the_bound() {
     let mut q = AdmissionQueue::new(cfg());
-    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    assert_eq!(quiet_gap_us(&mut q), QUIET_MAX_US, "a cold queue");
     // Release-only and reconcile-only cycles carry no batch and say
     // nothing about what a round costs, however long they took.
     q.cycle_done(0, 50);
     q.cycle_done(0, 5_000_000);
-    assert_eq!(quiet_gap_us(&mut q), CAP_US);
-    q.cycle_done(2, 1_200);
-    assert_eq!(quiet_gap_us(&mut q), 1_200);
+    assert_eq!(quiet_gap_us(&mut q), QUIET_MAX_US);
+    q.cycle_done(2, 200);
+    assert_eq!(quiet_gap_us(&mut q), 200, "a round under the bound");
     q.cycle_done(0, 7);
-    assert_eq!(quiet_gap_us(&mut q), 1_200, "an empty cycle leaves the gap");
-    q.cycle_done(1, 900);
+    assert_eq!(quiet_gap_us(&mut q), 200, "an empty cycle leaves the gap");
+    q.cycle_done(1, 150);
     assert_eq!(
         quiet_gap_us(&mut q),
-        900,
+        150,
         "the last batch-carrying cycle wins"
     );
+    q.cycle_done(1, 30_000);
+    assert_eq!(quiet_gap_us(&mut q), QUIET_MAX_US, "a round over it");
+}
+
+#[test]
+fn after_a_long_round_a_finished_burst_closes_one_bound_after_its_last_request() {
+    let mut q = AdmissionQueue::new(roomy());
+    q.cycle_done(3, 30_000);
+    for (app, at) in [(1, 50_000), (2, 50_020), (3, 50_040)] {
+        q.offer("a", req(app), at).unwrap();
+        assert_eq!(q.batch_close(at), None);
+    }
+    let close = 50_040 + QUIET_MAX_US;
+    assert_eq!(q.next_close_us(), Some(close));
+    assert_eq!(q.batch_close(close - 1), None);
+    assert_eq!(q.batch_close(close), Some(BatchClose::Quiet));
+    assert_eq!(q.take_batch().len(), 3, "the burst is one batch");
 }
 
 #[test]
 fn a_lone_request_closes_one_gap_after_itself() {
     let mut q = AdmissionQueue::new(cfg());
-    q.cycle_done(1, 1_000);
+    q.cycle_done(1, 200);
     q.offer("a", req(1), 50_000).unwrap();
     assert_eq!(q.batch_close(50_000), None);
-    assert_eq!(q.batch_close(50_999), None);
-    assert_eq!(q.next_close_us(), Some(51_000));
-    assert_eq!(q.batch_close(51_000), Some(BatchClose::Quiet));
+    assert_eq!(q.batch_close(50_199), None);
+    assert_eq!(q.next_close_us(), Some(50_200));
+    assert_eq!(q.batch_close(50_200), Some(BatchClose::Quiet));
 }
 
 #[test]
 fn arrivals_spaced_under_the_gap_stay_one_batch() {
-    let mut q = AdmissionQueue::new(AdmissionConfig {
-        queue_capacity: 64,
-        tenant_quota: 64,
-        batch_max_size: 64,
-        ..cfg()
-    });
-    q.cycle_done(3, 1_000);
-    // Eight arrivals 900 µs apart: each lands before the gap after the
+    let mut q = AdmissionQueue::new(roomy());
+    q.cycle_done(3, 200);
+    // Eight arrivals 180 µs apart: each lands before the gap after the
     // one before it ran out, so nothing closes in between.
     let mut now = 20_000;
     for app in 0..8 {
         q.offer("a", req(app), now).unwrap();
         assert_eq!(q.batch_close(now), None);
-        assert_eq!(q.batch_close(now + 899), None);
-        assert_eq!(q.next_close_us(), Some(now + 1_000));
-        now += 900;
+        assert_eq!(q.batch_close(now + 179), None);
+        assert_eq!(q.next_close_us(), Some(now + 200));
+        now += 180;
     }
-    // One gap after the last (admitted at 26_300) the eight close as one.
-    let last = now - 900;
-    assert_eq!(q.batch_close(last + 999), None);
-    assert_eq!(q.batch_close(last + 1_000), Some(BatchClose::Quiet));
+    // One gap after the last (admitted at 21_260) the eight close as one.
+    let last = now - 180;
+    assert_eq!(q.batch_close(last + 199), None);
+    assert_eq!(q.batch_close(last + 200), Some(BatchClose::Quiet));
     assert_eq!(q.take_batch().len(), 8);
 }
 
 #[test]
-fn the_gap_never_exceeds_the_cap_nor_postpones_the_deadline() {
+fn the_gap_never_exceeds_its_bound_nor_postpones_the_deadline() {
     let mut q = AdmissionQueue::new(AdmissionConfig {
         batch_max_size: 4,
         ..cfg()
     });
-    // A 130 ms round: the gap is the 10 ms cap, not the round.
+    // A 130 ms round: the gap is the bound, not the round.
     q.cycle_done(3, 130_000);
-    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    assert_eq!(quiet_gap_us(&mut q), QUIET_MAX_US);
     q.offer("a", req(1), 0).unwrap();
     q.offer("b", req(2), 40).unwrap();
-    assert_eq!(
-        q.next_close_us(),
-        Some(CAP_US),
-        "head + cap, not last + cap"
-    );
-    assert_eq!(q.batch_close(CAP_US - 1), None);
-    assert_eq!(q.batch_close(CAP_US), Some(BatchClose::Deadline));
+    let close = 40 + QUIET_MAX_US;
+    assert_eq!(q.next_close_us(), Some(close), "last + bound");
+    assert_eq!(q.batch_close(close - 1), None);
+    assert_eq!(q.batch_close(close), Some(BatchClose::Quiet));
     q.take_batch();
 
-    // A short gap with a steady trickle under it: quiet never fires, the
-    // head's deadline still does, exactly on time.
-    q.cycle_done(2, 4_000);
+    // Unbounded (the rule before the bound), a gap longer than the
+    // deadline's wait does not postpone it: cold, and after a 130 ms
+    // round, the head's deadline closes the batch exactly on time.
+    let mut q = AdmissionQueue::with_quiet_max(cfg(), u64::MAX);
+    assert_eq!(quiet_gap_us(&mut q), CAP_US);
+    q.cycle_done(3, 130_000);
     q.offer("a", req(3), 100_000).unwrap();
-    q.offer("b", req(4), 103_000).unwrap();
-    assert_eq!(q.next_close_us(), Some(107_000));
-    q.offer("c", req(5), 106_500).unwrap();
-    assert_eq!(q.batch_close(109_999), None);
-    assert_eq!(q.next_close_us(), Some(110_000), "the deadline bounds it");
-    assert_eq!(q.batch_close(110_000), Some(BatchClose::Deadline));
+    q.offer("b", req(4), 100_040).unwrap();
+    assert_eq!(
+        q.next_close_us(),
+        Some(100_000 + CAP_US),
+        "head + cap, not last + round"
+    );
+    assert_eq!(q.batch_close(100_000 + CAP_US - 1), None);
+    assert_eq!(q.batch_close(100_000 + CAP_US), Some(BatchClose::Deadline));
 }
 
 #[test]
@@ -242,48 +270,52 @@ fn closed_queue_sheds_as_shutting_down_but_stays_drainable() {
 // The same behaviors through a live server.
 // ---------------------------------------------------------------------
 
-/// A config whose batches never close on their own (huge size bound and
-/// deadline), so the test controls exactly what sits in the queue.
-fn frozen_batcher(queue_capacity: usize, tenant_quota: usize) -> AdmissionConfig {
+/// Default batching with the given queue bounds.
+fn bounded(queue_capacity: usize, tenant_quota: usize) -> AdmissionConfig {
     AdmissionConfig {
         queue_capacity,
         tenant_quota,
-        batch_max_size: 10_000,
-        batch_max_wait_ms: 3_600_000,
+        ..AdmissionConfig::default()
     }
 }
 
 #[test]
 fn server_sheds_queue_full_with_typed_overloaded() {
-    let handle = start(4, frozen_batcher(2, 10));
+    let handle = start(4, bounded(2, 10));
+    let (registry, sched) = (handle.registry(), handle.scheduler());
     let mut c = Client::connect(handle.addr());
-    assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
-    assert!(matches!(c.place(2, "a", 2, 1), Response::Accepted { .. }));
-    match c.place(3, "a", 3, 1) {
-        Response::Overloaded {
-            id,
-            reason,
-            retry_after_ms,
-        } => {
-            assert_eq!(id, 3);
-            assert_eq!(reason, "queue_full");
-            assert_eq!(retry_after_ms, RETRY_AFTER_MS);
+    parked(&registry, &sched, &mut c, |c| {
+        assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
+        assert!(matches!(c.place(2, "a", 2, 1), Response::Accepted { .. }));
+        match c.place(3, "a", 3, 1) {
+            Response::Overloaded {
+                id,
+                reason,
+                retry_after_ms,
+            } => {
+                assert_eq!(id, 3);
+                assert_eq!(reason, "queue_full");
+                assert_eq!(retry_after_ms, RETRY_AFTER_MS);
+            }
+            other => panic!("expected overloaded, got {other:?}"),
         }
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-    // The shed app never entered the system.
-    match c.query(4, 3) {
-        Response::AppStatus { phase, .. } => assert_eq!(phase, "unknown"),
-        other => panic!("expected app status, got {other:?}"),
-    }
+        // The shed app never entered the system.
+        match c.query(4, 3) {
+            Response::AppStatus { phase, .. } => assert_eq!(phase, "unknown"),
+            other => panic!("expected app status, got {other:?}"),
+        }
+    });
     // Graceful shutdown still flushes the two queued requests.
-    let sched = handle.scheduler();
     let report = handle.shutdown(true);
     assert!(report.drained && report.drain_complete);
     assert_eq!(report.shed_total, 1);
-    assert_eq!(report.admitted_total, 2);
+    assert_eq!(report.admitted_total, 2 + PARK_APPS as u64);
     let board = sched.status();
-    assert_eq!(board.stats.lras_deployed, 2, "queued work flushed at drain");
+    assert_eq!(
+        board.stats.lras_deployed,
+        2 + PARK_APPS,
+        "queued work flushed at drain"
+    );
 }
 
 /// Shedding a re-placed id rolls its record back to `released`, not to
@@ -291,46 +323,52 @@ fn server_sheds_queue_full_with_typed_overloaded() {
 /// did.
 #[test]
 fn shedding_a_replaced_id_keeps_its_release() {
-    let handle = start(4, frozen_batcher(2, 10));
+    let handle = start(4, bounded(2, 10));
+    let (registry, sched) = (handle.registry(), handle.scheduler());
     let mut c = Client::connect(handle.addr());
-    assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
-    assert!(matches!(
-        c.call(&Request::Release {
-            id: 2,
-            tenant: "a".to_string(),
-            app: 1,
-        }),
-        Response::Released { .. }
-    ));
-    assert!(matches!(c.place(3, "a", 2, 1), Response::Accepted { .. }));
-    assert!(matches!(c.place(4, "a", 3, 1), Response::Accepted { .. }));
-    match c.place(5, "a", 1, 1) {
-        Response::Overloaded { reason, .. } => assert_eq!(reason, "queue_full"),
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-    match c.query(6, 1) {
-        Response::AppStatus { phase, .. } => assert_eq!(phase, "released"),
-        other => panic!("expected app status, got {other:?}"),
-    }
+    parked(&registry, &sched, &mut c, |c| {
+        assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
+        assert!(matches!(
+            c.call(&Request::Release {
+                id: 2,
+                tenant: "a".to_string(),
+                app: 1,
+            }),
+            Response::Released { .. }
+        ));
+        assert!(matches!(c.place(3, "a", 2, 1), Response::Accepted { .. }));
+        assert!(matches!(c.place(4, "a", 3, 1), Response::Accepted { .. }));
+        match c.place(5, "a", 1, 1) {
+            Response::Overloaded { reason, .. } => assert_eq!(reason, "queue_full"),
+            other => panic!("expected overloaded, got {other:?}"),
+        }
+        match c.query(6, 1) {
+            Response::AppStatus { phase, .. } => assert_eq!(phase, "released"),
+            other => panic!("expected app status, got {other:?}"),
+        }
+    });
     handle.shutdown(true);
 }
 
 #[test]
 fn server_sheds_over_quota_tenant_but_serves_others() {
-    let handle = start(4, frozen_batcher(100, 1));
+    let handle = start(4, bounded(100, 1));
+    let (registry, sched) = (handle.registry(), handle.scheduler());
     let mut c = Client::connect(handle.addr());
-    assert!(matches!(
-        c.place(1, "noisy", 1, 1),
-        Response::Accepted { .. }
-    ));
-    match c.place(2, "noisy", 2, 1) {
-        Response::Overloaded { reason, .. } => assert_eq!(reason, "tenant_quota"),
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-    assert!(matches!(
-        c.place(3, "polite", 3, 1),
-        Response::Accepted { .. }
-    ));
+    parked(&registry, &sched, &mut c, |c| {
+        assert!(matches!(
+            c.place(1, "noisy", 1, 1),
+            Response::Accepted { .. }
+        ));
+        match c.place(2, "noisy", 2, 1) {
+            Response::Overloaded { reason, .. } => assert_eq!(reason, "tenant_quota"),
+            other => panic!("expected overloaded, got {other:?}"),
+        }
+        assert!(matches!(
+            c.place(3, "polite", 3, 1),
+            Response::Accepted { .. }
+        ));
+    });
     handle.shutdown(true);
 }
 

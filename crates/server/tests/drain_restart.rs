@@ -7,7 +7,8 @@ mod common;
 
 use std::time::Duration;
 
-use common::{start_with, Client};
+use common::{parked, start_with, Client, PARK_APPS};
+use medea_cluster::ApplicationId;
 use medea_core::{MedeaScheduler, NodeReport};
 use medea_journal::{MemoryStorage, Wal};
 use medea_server::{AdmissionConfig, Request, Response};
@@ -146,7 +147,7 @@ fn crash_during_serve_restores_from_wal_tail() {
 
 #[test]
 fn crash_with_queued_admissions_loses_only_unacked_queue_state() {
-    // Freeze the batcher so admitted-but-unbatched work exists at the
+    // Park the batcher so admitted-but-unbatched work exists at the
     // crash, then check the restart does not resurrect it: admission is
     // an ack of *queueing*, durability starts at submission to the
     // scheduler (which is journaled).
@@ -154,19 +155,25 @@ fn crash_with_queued_admissions_loses_only_unacked_queue_state() {
     let mut m = common::scheduler(8);
     m.attach_journal(Wal::new(store.clone()), 64)
         .expect("attach journal");
-    let handle = start_with(
-        m,
-        AdmissionConfig {
-            batch_max_size: 10_000,
-            batch_max_wait_ms: 3_600_000,
-            ..AdmissionConfig::default()
-        },
-    );
+    let handle = start_with(m, AdmissionConfig::default());
+    let (registry, sched) = (handle.registry(), handle.scheduler());
     let mut c = Client::connect(handle.addr());
-    assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
-
-    let sched = handle.scheduler();
-    let report = handle.shutdown(false);
+    let report = std::thread::scope(|s| {
+        let crash = parked(&registry, &sched, &mut c, |c| {
+            assert!(matches!(c.place(1, "a", 1, 1), Response::Accepted { .. }));
+            // The crash joins the batcher, so it waits on its own thread;
+            // it has been requested once admission sheds as shutting down.
+            let crash = s.spawn(move || handle.shutdown(false));
+            for id in 2.. {
+                match c.place(id, "a", id, 1) {
+                    Response::Overloaded { reason, .. } if reason == "shutting_down" => break,
+                    _ => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+            crash
+        });
+        crash.join().expect("the crash returns")
+    });
     assert!(!report.drained);
 
     let restart = sched.with_writer(|m| {
@@ -176,6 +183,13 @@ fn crash_with_queued_admissions_loses_only_unacked_queue_state() {
     assert!(restart.audit_error.is_none());
     sched.publish(50);
     let board = sched.status();
-    assert_eq!(board.containers, 0, "unsubmitted work is not resurrected");
+    assert!(
+        !board.apps.contains_key(&ApplicationId(1)),
+        "unsubmitted work is not resurrected"
+    );
+    assert_eq!(
+        board.containers, PARK_APPS,
+        "the submitted park requests are"
+    );
     assert!(board.ledger_intact());
 }
