@@ -18,14 +18,24 @@
 //! two tags), conjunctions of plain tags, DNF compound constraints,
 //! catch-all (tag-less) subjects, an over-capacity node and an
 //! unavailable node.
+//!
+//! Every delta must also equal, bit for bit, the per-subject evaluation
+//! written here ([`per_subject`]): each (constraint, subject) term
+//! evaluated on its own and summed in constraint order. A second family
+//! ([`listed_instance`], its own seeds and hash) is built for scorers
+//! that share one evaluation between equal terms: three apps list the
+//! same constraints, several subjects share each rack and zone, and a
+//! subject whose `y` occurrence was consumed sits on a node under an
+//! `x ∧ y` target, so a subject on the arrival node and one beside it
+//! count differently.
 
 use medea_cluster::{
     ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
     Tag,
 };
 use medea_constraints::{
-    evaluate_constraint, Cardinality, PlacementConstraint, TagConstraint, TagConstraintExpr,
-    TagExpr,
+    evaluate_constraint, subject_extents, Arrival, Cardinality, PlacementConstraint, TagConstraint,
+    TagConstraintExpr, TagExpr,
 };
 use medea_core::{ObjectiveWeights, Scorer};
 use medea_rand::rngs::StdRng;
@@ -36,6 +46,10 @@ const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
 /// FNV-1a over the bits of every delta the seeded instances produce.
 const PINNED_DELTA_BITS: u64 = 0x3350_ee87_15aa_ecf9;
+/// Seeds of the second family ([`listed_instance`]).
+const LISTED_SEEDS: u64 = 200;
+/// [`PINNED_DELTA_BITS`] of the second family.
+const PINNED_LISTED_BITS: u64 = 0x8396_3e9a_460c_9686;
 
 fn fnv(mut hash: u64, word: u64) -> u64 {
     for byte in word.to_le_bytes() {
@@ -129,13 +143,10 @@ fn random_tags(rng: &mut StdRng) -> Vec<Tag> {
     tags
 }
 
-fn random_instance(seed: u64) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5C0E);
-    let n = rng.random_range(6..20usize);
-    let racks = rng.random_range(2..5usize);
-    let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
-    // Three zones, each reaching two nodes into the next; the last node
-    // belongs to none.
+/// Three zones, each reaching two nodes into the next; the last node
+/// belongs to none.
+fn register_zones(state: &mut ClusterState) {
+    let n = state.num_nodes();
     let third = (n - 1) / 3;
     let zones = (0..3)
         .map(|z| {
@@ -144,6 +155,14 @@ fn random_instance(seed: u64) -> Instance {
         })
         .collect();
     state.register_group(zone(), zones);
+}
+
+fn random_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5C0E);
+    let n = rng.random_range(6..20usize);
+    let racks = rng.random_range(2..5usize);
+    let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
+    register_zones(&mut state);
 
     // Background allocations of apps 100..=102, some carrying two tags so
     // that conjunction targets match them.
@@ -223,6 +242,103 @@ fn random_instance(seed: u64) -> Instance {
     }
 }
 
+/// The second family: the constraints of a base list, each listed by
+/// three apps (every third copy at weight 2) as HBase bursts list
+/// `{hb_rs, {hb_rs, 0, 1}, node}`; subjects `{s}`, `{s, x}` and
+/// `{s, x, y}` spread so that several share each rack and zone; and on
+/// one node two `{s, x, y}` containers whose `y` occurrences were both
+/// consumed. Classes carry `{x, y}` (lifting the consumed `y` on that
+/// node), `{s, x, y}`, `{s}`, `{x}` or `{y}`.
+fn listed_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x7157);
+    let n = rng.random_range(6..16usize);
+    let racks = rng.random_range(2..4usize);
+    let mut state = ClusterState::homogeneous(n, Resources::new(16384, 16), racks);
+    register_zones(&mut state);
+    let tags = |names: &[&str]| names.iter().map(|t| Tag::new(*t)).collect::<Vec<_>>();
+    let subjects = [tags(&["s"]), tags(&["s", "x"]), tags(&["s", "x", "y"])];
+    for i in 0..rng.random_range(n..2 * n) {
+        let node = NodeId(rng.random_range(0..n as u32));
+        let req = ContainerRequest::new(
+            Resources::new(512, 1),
+            rng.choose(&subjects).unwrap().clone(),
+        );
+        let app = ApplicationId(100 + (i % 3) as u64);
+        state
+            .allocate(app, node, &req, ExecutionKind::LongRunning)
+            .unwrap();
+    }
+    let consumed = NodeId(rng.random_range(0..n as u32));
+    let sxy = ContainerRequest::new(Resources::new(512, 1), subjects[2].clone());
+    for _ in 0..2 {
+        state
+            .allocate(
+                ApplicationId(100),
+                consumed,
+                &sxy,
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        state.remove_node_tag(consumed, &Tag::new("y")).unwrap();
+    }
+    let groups = [NodeGroupId::node(), NodeGroupId::rack(), zone()];
+    let xy = || TagExpr::and(tags(&["x", "y"]));
+    let mut base = vec![PlacementConstraint::new(
+        "s",
+        "s",
+        Cardinality::at_most(1),
+        NodeGroupId::node(),
+    )];
+    for _ in 0..rng.random_range(2..5usize) {
+        let subject = match rng.random_range(0..4u32) {
+            0 => TagExpr::and(tags(&["s", "x"])),
+            _ => TagExpr::tag("s"),
+        };
+        let target = match rng.random_range(0..3u32) {
+            0 => TagExpr::tag("x"),
+            _ => xy(),
+        };
+        let group = rng.choose(&groups).unwrap().clone();
+        let cardinality = random_cardinality(&mut rng);
+        base.push(PlacementConstraint::new(
+            subject,
+            target,
+            cardinality,
+            group,
+        ));
+    }
+    rng.shuffle(&mut base);
+    let mut constraints = Vec::new();
+    for copy in 0..3 {
+        let weight = if copy == 2 { 2.0 } else { 1.0 };
+        constraints.extend(base.iter().map(|c| c.clone().with_weight(weight)));
+    }
+    let class_tags = [
+        tags(&["x", "y"]),
+        tags(&["s", "x", "y"]),
+        tags(&["s"]),
+        tags(&["x"]),
+        tags(&["y"]),
+    ];
+    let classes = (1..=3)
+        .flat_map(|app| {
+            class_tags.iter().map(move |t| {
+                let req = ContainerRequest::new(Resources::new(1024, 1), t.clone());
+                (ApplicationId(app), req)
+            })
+        })
+        .collect();
+    // No node is full or down here: point both at the consumed node, which
+    // stays feasible.
+    Instance {
+        state,
+        classes,
+        constraints,
+        full: consumed,
+        down: consumed,
+    }
+}
+
 /// Weighted violation extent over every constraint.
 fn weighted_extent(state: &ClusterState, constraints: &[PlacementConstraint]) -> f64 {
     constraints
@@ -245,6 +361,76 @@ fn oracle(
         Ok(_) => weighted_extent(&work, constraints) - before,
         Err(_) => f64::INFINITY,
     }
+}
+
+/// The per-subject evaluation: the new container's own extent under
+/// every constraint it is a subject of, plus the before/after extents of
+/// each existing subject in a set it joins under a constraint with a
+/// leaf target it matches (on the hosts the tag index lists), every term
+/// evaluated on its own and summed in constraint order (subjects sorted
+/// by container id). A scorer that
+/// shares evaluations between equal terms must reproduce its bits.
+fn per_subject(
+    scorer: &Scorer,
+    state: &ClusterState,
+    app: ApplicationId,
+    req: &ContainerRequest,
+    node: NodeId,
+) -> f64 {
+    if !scorer.is_feasible(state, node, req) {
+        return f64::INFINITY;
+    }
+    let mut tags = req.tags.clone();
+    if !tags.contains(&Tag::app_id(app)) {
+        tags.push(Tag::app_id(app));
+    }
+    let arrival = Arrival { node, tags: &tags };
+    let constraints = &scorer.constraints;
+    let own: f64 = constraints
+        .iter()
+        .filter(|c| c.subject.matches_tags(&tags))
+        .map(|c| subject_extents(state, c, None, Some(arrival)).map_or(0.0, |(_, a)| a) * c.weight)
+        .sum();
+    let groups = state.groups();
+    let mut affected = Vec::new();
+    for (ci, c) in constraints.iter().enumerate() {
+        if !c.expr.leaves().any(|l| l.target.matches_tags(&tags)) {
+            continue;
+        }
+        let hosts = if c.group.is_node() {
+            vec![node]
+        } else {
+            let Some(sets) = groups.sets_containing_ref(&c.group, node) else {
+                continue;
+            };
+            // Hosts as the tag index lists them: a subject whose tag γ
+            // lacks on its node (consumed) is not enumerated.
+            let mut hosts = state.nodes_with_all_tags(c.subject.tags());
+            hosts.retain(|h| {
+                let of = groups.sets_containing_ref(&c.group, *h).unwrap_or(&[]);
+                of.iter().any(|s| sets.contains(s))
+            });
+            hosts
+        };
+        for host in hosts {
+            for &cid in state.containers_on(host).unwrap_or(&[]) {
+                if c.subject.matches_allocation(state.allocation(cid).unwrap()) {
+                    affected.push((ci, cid));
+                }
+            }
+        }
+    }
+    affected.sort();
+    affected.dedup();
+    let (before, after) = affected
+        .into_iter()
+        .map(|(ci, cid)| {
+            let c = &constraints[ci];
+            let (b, a) = subject_extents(state, c, Some(cid), Some(arrival)).unwrap_or((0.0, 0.0));
+            (b * c.weight, a * c.weight)
+        })
+        .fold((-0.0, -0.0), |(b, a), (x, y)| (b + x, a + y));
+    own + (after - before)
 }
 
 /// Tags γ lacks on `node` although a container there carries them: the
@@ -296,6 +482,8 @@ fn violation_delta_matches_a_scratch_allocation_oracle() {
             for node in state.node_ids().collect::<Vec<_>>() {
                 let delta = scorer.violation_delta(state, *app, req, node);
                 hash = fnv(hash, delta.to_bits());
+                let terms = per_subject(&scorer, state, *app, req, node);
+                assert_eq!(delta.to_bits(), terms.to_bits(), "seed {seed} on {node:?}");
                 if node == inst.full || node == inst.down {
                     assert_eq!(delta, f64::INFINITY, "seed {seed} on {node:?}");
                 }
@@ -329,6 +517,44 @@ fn violation_delta_matches_a_scratch_allocation_oracle() {
     );
     assert_eq!(
         hash, PINNED_DELTA_BITS,
+        "delta bits moved: 0x{hash:016x} (re-pin only in a commit that says why)"
+    );
+}
+
+/// The second family: every delta equals the per-subject evaluation bit
+/// for bit, and one hash pins them all. The family must put subjects on
+/// the arrival node and beside it, in the same sets, under one term.
+#[test]
+fn equal_terms_listed_by_several_apps_keep_every_bit() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let (mut judged, mut lifting) = (0, 0);
+    for seed in 0..LISTED_SEEDS {
+        let inst = listed_instance(seed);
+        let scorer = Scorer::new(ObjectiveWeights::default(), inst.constraints.clone());
+        let state = &inst.state;
+        for (app, req) in &inst.classes {
+            for node in state.node_ids() {
+                let delta = scorer.violation_delta(state, *app, req, node);
+                hash = fnv(hash, delta.to_bits());
+                let terms = per_subject(&scorer, state, *app, req, node);
+                assert_eq!(
+                    delta.to_bits(),
+                    terms.to_bits(),
+                    "seed {seed}, app {app:?} {:?} on {node:?}: scorer {delta}, terms {terms}",
+                    req.tags
+                );
+                judged += 1;
+                let lifts = node == inst.full && req.tags.contains(&Tag::new("y"));
+                lifting += usize::from(lifts && delta != 0.0);
+            }
+        }
+    }
+    assert!(
+        lifting > LISTED_SEEDS as usize,
+        "{judged} judged, {lifting} lifting"
+    );
+    assert_eq!(
+        hash, PINNED_LISTED_BITS,
         "delta bits moved: 0x{hash:016x} (re-pin only in a commit that says why)"
     );
 }
