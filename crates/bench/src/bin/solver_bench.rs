@@ -22,7 +22,8 @@
 //!    `core.relax_warm_start_hits_total`, `core.anchor_probes_total`), and
 //!    the run *asserts* the counts that cannot be noisy: warm pivots after
 //!    round 1 are at most a tenth of cold, and `hbase3`'s anchor scores at
-//!    most 2,271 cells a round (a quarter of one per node).
+//!    most 2,271 cells a round (a quarter of one per node). `anchor_us`,
+//!    the p50 of `core.prepare_anchor_us`, is shown, not gated.
 //! 4. **`placer_frontier/*`** — the quality-vs-latency frontier of the
 //!    placer arms (exact ILP, LP-relaxation fast path, heuristic) on
 //!    capacity-tight batches from 8 containers up to 2048 (smoke: up to
@@ -92,8 +93,9 @@ struct InstanceResult {
     pivots_per_solve: u64,
     refactorizations_per_solve: u64,
     warm_starts_per_solve: f64,
-    /// Cells the anchor scored per round (`relaxed_round/*` rows only).
-    anchor_probes_per_solve: Option<u64>,
+    /// Cells the anchor scored per round and the p50 of
+    /// `core.prepare_anchor_us` (`relaxed_round/*` rows only).
+    anchor: Option<(u64, u64)>,
 }
 
 fn summarize(name: &str, mut samples: Vec<u64>, tally: &Tally) -> InstanceResult {
@@ -112,7 +114,7 @@ fn summarize(name: &str, mut samples: Vec<u64>, tally: &Tally) -> InstanceResult
         pivots_per_solve: tally.pivots.get() / iters as u64,
         refactorizations_per_solve: tally.refactorizations.get() / iters as u64,
         warm_starts_per_solve: tally.warm_starts.get() as f64 / iters as f64,
-        anchor_probes_per_solve: None,
+        anchor: None,
     }
 }
 
@@ -241,7 +243,8 @@ fn relaxed_rounds((name, batch, release): Family, warm: bool) -> (InstanceResult
     );
     let mut row = summarize(&name, samples, &tally);
     let probes = registry.counter("core.anchor_probes_total").get();
-    row.anchor_probes_per_solve = Some(probes / RELAXED_ROUNDS);
+    let anchor_us = registry.histogram("core.prepare_anchor_us").quantile(0.5);
+    row.anchor = Some((probes / RELAXED_ROUNDS, anchor_us.round() as u64));
     (row, pivots_per_round)
 }
 
@@ -475,8 +478,9 @@ fn instance_json(r: &InstanceResult) -> String {
         r.refactorizations_per_solve,
         r.warm_starts_per_solve,
     );
-    if let Some(probes) = r.anchor_probes_per_solve {
+    if let Some((probes, us)) = r.anchor {
         let _ = write!(row, ", \"anchor_probes_per_solve\": {probes}");
+        let _ = write!(row, ", \"anchor_us\": {us}");
     }
     row
 }
@@ -545,7 +549,7 @@ fn main() {
             after_first(&warm_pivots),
             after_first(&cold_pivots),
         );
-        let probes = warm.anchor_probes_per_solve.unwrap_or(0); // cold scores the same
+        let (probes, _) = warm.anchor.unwrap_or_default(); // cold scores the same
         assert!(
             family.0 != "hbase3" || probes <= 2_271,
             "hbase3's anchor scored {probes} cells a round (at most 2,271)"
@@ -563,12 +567,12 @@ fn main() {
     let frontier = run_frontier(batches);
 
     println!(
-        "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6} {:>7}",
+        "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6} {:>7} anchor_us",
         "instance", "iters", "median_us", "p99_us", "mean_us", "pivots", "refac", "warm", "probes"
     );
     for r in &results {
         println!(
-            "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6.2} {:>7}",
+            "{:<30} {:>6} {:>10} {:>10} {:>10} {:>8} {:>6} {:>6.2} {:>7} {:>9}",
             r.name,
             r.iters,
             r.median_us,
@@ -577,7 +581,8 @@ fn main() {
             r.pivots_per_solve,
             r.refactorizations_per_solve,
             r.warm_starts_per_solve,
-            r.anchor_probes_per_solve.unwrap_or(0),
+            r.anchor.unwrap_or_default().0,
+            r.anchor.unwrap_or_default().1,
         );
     }
     println!(

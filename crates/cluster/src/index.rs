@@ -166,9 +166,10 @@ impl ClusterIndex {
             return Vec::new();
         };
         self.note_visited(base.len() as u64);
+        let others: Vec<&Tag> = tags.iter().filter(|&t| t != smallest).collect();
         base.keys()
             .copied()
-            .filter(|&n| tags.iter().all(|t| self.tag_count(n, t) > 0))
+            .filter(|&n| others.iter().all(|t| self.tag_count(n, t) > 0))
             .collect()
     }
 

@@ -614,6 +614,16 @@ impl ClusterState {
         postings.keys().map(|&n| NodeId(n)).collect()
     }
 
+    /// [`ClusterState::nodes_with_tag`] of the rarest of `tags`, a superset
+    /// of the nodes carrying them all found without probing them; none for
+    /// an empty list.
+    pub fn nodes_with_rarest_tag(&self, tags: &[Tag]) -> Vec<NodeId> {
+        let rarest = tags
+            .iter()
+            .min_by_key(|t| self.index.postings(t).map_or(0, |p| p.len()));
+        rarest.map_or_else(Vec::new, |t| self.nodes_with_tag(t))
+    }
+
     /// Nodes carrying at least one occurrence of *every* given tag, in
     /// ascending node-id order; an empty tag list matches all nodes.
     /// Walks only the rarest tag's postings.

@@ -115,8 +115,8 @@ impl TagExpr {
 
     /// Counts matching containers in set `set_idx` of a registered node
     /// group — O(1) for single-tag expressions via the cluster's
-    /// incrementally-maintained per-set `γ` caches, falling back to a
-    /// member scan for conjunctions.
+    /// incrementally-maintained per-set `γ` caches; a conjunction walks
+    /// the containers of the set's nodes that carry all its tags.
     pub fn cardinality_in_group_set(
         &self,
         state: &ClusterState,
@@ -188,13 +188,25 @@ impl TagExpr {
             // give a free upper bound — if any tag is absent from the whole
             // set, no container in it can match.
             0
-        } else {
+        } else if self.tags.is_empty() {
             state
                 .groups()
                 .set_members_ref(group, set_idx)
                 .map_or(0, |members| {
                     self.cardinality_on_set(state, members, exclude)
                 })
+        } else {
+            // Only nodes where γ has every tag count: the rarest tag's, as
+            // often as the set lists them; a walk where γ was never cut.
+            let groups = state.groups();
+            let listed = |n| groups.sets_containing_ref(group, n).unwrap_or(&[]);
+            let count = |n| match listed(n).iter().filter(|&&s| s == set_idx).count() as u32 {
+                0 => 0,
+                hits if state.tags_removed(n) => hits * self.cardinality_on_node(state, n, exclude),
+                hits => hits * self.walk(state, n, exclude),
+            };
+            let nodes = state.nodes_with_rarest_tag(&self.tags);
+            nodes.into_iter().map(count).sum()
         };
         let Some((a, hits)) = arrival else {
             return (before, before);

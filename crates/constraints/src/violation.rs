@@ -136,6 +136,7 @@ pub fn subject_extents(
     let arrival_singleton = [arrival.map_or(0, |a| a.node.index())];
     let arrival_sets: &[usize] = match arrival {
         None => &[],
+        Some(a) if a.node == node => set_indices,
         Some(_) if group.is_node() => &arrival_singleton,
         Some(a) => state
             .groups()

@@ -301,14 +301,14 @@ pub(crate) fn prepare(
     // the result is heuristic-or-better.
     let arm = &metrics.arm;
     let t_anchor = Instant::now();
-    let (heuristic, probes) =
+    let (heuristic, effort) =
         cfg.anchor()
             .place_counted(state, requests, deployed_constraints, allowed);
     metrics
         .arm
         .prepare_anchor_us
         .record_duration(t_anchor.elapsed());
-    arm.anchor_probes.add(probes);
+    arm.anchor_probes.add(effort.probes);
     let heuristic_nodes: Vec<NodeId> = {
         let mut v: Vec<NodeId> = heuristic
             .iter()

@@ -103,7 +103,7 @@ fn consolidation_move(
             let dest = ordering[si + 1..].iter().rev().copied().find(|&target| {
                 state.is_available(target)
                     && scorer.is_feasible(state, target, &request)
-                    && scorer.violation_delta_among(state, target, &relevant) <= 1e-9
+                    && scorer.violation_delta_among(state, target, &relevant).0 <= 1e-9
             });
             if let Some(target) = dest {
                 if let Ok(new_id) =

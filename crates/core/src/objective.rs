@@ -7,7 +7,7 @@
 //! *algorithm* (ordering and lookahead) rather than the scoring model.
 
 use medea_cluster::{
-    ApplicationId, ClusterState, ContainerId, ContainerRequest, NodeId, Resources, Tag,
+    Allocation, ApplicationId, ClusterState, ContainerRequest, NodeId, Resources, Tag,
 };
 use medea_constraints::{subject_extents, Arrival, PlacementConstraint};
 
@@ -56,20 +56,28 @@ pub(crate) const CLEAN_DELTA: f64 = 1e-9;
 
 /// What a [`Scorer`] needs to know about one container class — an app and
 /// a tag list: its effective tags, and the sub-lists of the constraints it
-/// can touch, as ascending indices into [`Scorer::constraints`]. Built by
-/// [`Scorer::relevant`].
+/// can touch, as ascending indices into [`Scorer::constraints`], each
+/// paired with the position in its sub-list of the first constraint equal
+/// to it but for the weight. Built by [`Scorer::relevant`].
 #[derive(Debug, Default)]
 pub(crate) struct Relevant {
     /// The tags a container of the class carries once allocated: the
     /// request's plus the automatic `appid:`.
     tags: Vec<Tag>,
     /// Constraints the class is a subject of (matched on `tags`).
-    own: Vec<usize>,
+    own: Vec<(usize, usize)>,
     /// Constraints with a leaf target the class matches (on `tags`
     /// again): a new container of the class moves the counts their
     /// subjects see.
-    targeted: Vec<usize>,
+    targeted: Vec<(usize, usize)>,
 }
+
+/// What an existing subject's extents under a constraint read besides the
+/// state, the constraint and the arrival: its sets, its tags and, where
+/// the node itself matters (the `node` group, or γ cut by
+/// `remove_node_tag`, which conjunction counts and the arrival node's
+/// `hidden` walk read), its node. The new container's extents: `None`.
+type Term<'s> = Option<(Option<&'s [usize]>, Option<NodeId>, &'s [Tag])>;
 
 impl Relevant {
     /// No constraint can see a container of this class: its violation
@@ -80,7 +88,7 @@ impl Relevant {
 
     /// Every constraint index in either sub-list.
     pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.own.iter().chain(&self.targeted).copied()
+        self.own.iter().chain(&self.targeted).map(|&(ci, _)| ci)
     }
 }
 
@@ -127,9 +135,15 @@ impl Scorer {
             tags: effective_tags(app, req),
             ..Relevant::default()
         };
-        for (ci, c) in self.constraints.iter().enumerate() {
+        let cs = &self.constraints;
+        let key = |ci: usize| (&cs[ci].subject, &cs[ci].expr, &cs[ci].group);
+        let push = |list: &mut Vec<(usize, usize)>, ci: usize| {
+            let first = list.iter().position(|&(f, _)| key(f) == key(ci));
+            list.push((ci, first.unwrap_or(list.len())));
+        };
+        for (ci, c) in cs.iter().enumerate() {
             if c.subject.matches_tags(&relevant.tags) {
-                relevant.own.push(ci);
+                push(&mut relevant.own, ci);
             }
             // When a new container of the class moves a count the
             // constraint's subjects see: it matches a leaf's whole target.
@@ -137,7 +151,7 @@ impl Scorer {
                 .leaves()
                 .any(|l| l.target.matches_tags(&relevant.tags))
             {
-                relevant.targeted.push(ci);
+                push(&mut relevant.targeted, ci);
             }
         }
         relevant
@@ -161,46 +175,61 @@ impl Scorer {
             return f64::INFINITY;
         }
         self.violation_delta_among(state, node, &self.relevant(app, req))
+            .0
     }
 
     /// [`Scorer::violation_delta`] on a node the caller found feasible,
     /// against a precomputed [`Scorer::relevant`] of the same `(app,
-    /// req)`. It reads no capacity, so one cached delta can stand for
-    /// nodes with different free resources. Both sub-lists are in
-    /// constraint order, so every sum has the terms, in the order, a walk
-    /// over all constraints would give it.
-    pub(crate) fn violation_delta_among(
+    /// req)`, and the terms it evaluated. It reads no capacity, so one
+    /// cached delta can stand for nodes with different free resources.
+    /// Both sub-lists are in constraint order, so every sum has the terms,
+    /// in the order, a walk over all constraints would give it; a term
+    /// equal to an earlier one (constraint and [`Term`]) is not evaluated.
+    pub(crate) fn violation_delta_among<'s>(
         &self,
-        state: &ClusterState,
+        state: &'s ClusterState,
         node: NodeId,
         relevant: &Relevant,
-    ) -> f64 {
+    ) -> (f64, u64) {
         let arrival = Arrival {
             node,
             tags: &relevant.tags,
+        };
+        let groups = state.groups();
+        let mut memo: Vec<(usize, Term<'s>, (f64, f64))> = Vec::new();
+        let mut extents = |ci: usize, first: usize, subject: Option<&'s Allocation>| {
+            let c = &self.constraints[ci];
+            let term = subject.map(|a| {
+                let alone = c.group.is_node() || state.tags_removed(a.node);
+                let sets = groups.sets_containing_ref(&c.group, a.node);
+                (sets, alone.then_some(a.node), &a.tags[..])
+            });
+            if let Some(&(.., extents)) = memo.iter().find(|m| (m.0, m.1) == (first, term)) {
+                return extents;
+            }
+            let extents = subject_extents(state, c, subject.map(|a| a.id), Some(arrival));
+            memo.push((first, term, extents.unwrap_or((0.0, 0.0))));
+            extents.unwrap_or((0.0, 0.0))
         };
         // The new container's own constraint extents plus the deltas it
         // induces on previously placed subjects, each summed separately.
         let own: f64 = relevant
             .own
             .iter()
-            .map(|&ci| {
-                let c = &self.constraints[ci];
-                subject_extents(state, c, None, Some(arrival)).map_or(0.0, |(_, after)| after)
-                    * c.weight
-            })
+            .map(|&(ci, first)| extents(ci, first, None).1 * self.constraints[ci].weight)
             .sum();
-        let (before, after) = self
-            .affected_subjects(state, node, &relevant.targeted)
-            .into_iter()
-            .map(|(ci, cid)| {
-                let c = &self.constraints[ci];
-                let (before, after) =
-                    subject_extents(state, c, Some(cid), Some(arrival)).unwrap_or((0.0, 0.0));
-                (before * c.weight, after * c.weight)
-            })
-            .fold((-0.0, -0.0), |(b, a), (x, y)| (b + x, a + y));
-        own + (after - before)
+        let mut subjects: Vec<Vec<&Allocation>> = Vec::new();
+        let (mut before, mut after) = (-0.0, -0.0);
+        for (at, &(ci, first)) in relevant.targeted.iter().enumerate() {
+            let c = &self.constraints[ci];
+            let listed = (at == first).then(|| self.affected_subjects(state, node, c));
+            subjects.push(listed.unwrap_or_default());
+            for &a in &subjects[first] {
+                let (b, x) = extents(ci, first, Some(a));
+                (before, after) = (before + b * c.weight, after + x * c.weight);
+            }
+        }
+        (own + (after - before), memo.len() as u64)
     }
 
     /// Scores placing `req` on `node`; higher is better; `None` when the
@@ -277,51 +306,41 @@ impl Scorer {
         (after_frag as i32 - before_frag as i32) as f64
     }
 
-    /// Subjects whose constraint status can change when a container of
-    /// the class lands on `node`: existing subject containers in any node
-    /// set (of each constraint's group) containing `node`, for the
-    /// constraints (`targeted`) with a leaf target the class matches.
-    fn affected_subjects(
+    /// Existing subjects of `c` whose status can change when a container
+    /// the constraint targets lands on `node`: its subject containers in
+    /// any set of its group containing `node`, by container id.
+    fn affected_subjects<'s>(
         &self,
-        state: &ClusterState,
+        state: &'s ClusterState,
         node: NodeId,
-        targeted: &[usize],
-    ) -> Vec<(usize, ContainerId)> {
+        c: &PlacementConstraint,
+    ) -> Vec<&'s Allocation> {
         let groups = state.groups();
-        let mut out = Vec::new();
-        for &ci in targeted {
-            let c = &self.constraints[ci];
-            let hosts = if c.group.is_node() {
-                // Singleton sets: only containers on `node` itself share one.
-                vec![node]
-            } else {
-                let Some(node_sets) = groups.sets_containing_ref(&c.group, node) else {
-                    continue;
-                };
-                // Seed candidate hosts from the tag index: a node hosting a
-                // matching subject carries all the subject's tags, so the
-                // postings intersection (every node for a catch-all
-                // subject) is a superset of the hosts.
-                let mut hosts = state.nodes_with_all_tags(c.subject.tags());
-                hosts.retain(|&host| {
-                    let sets = groups.sets_containing_ref(&c.group, host);
-                    sets.is_some_and(|sets| sets.iter().any(|s| node_sets.contains(s)))
-                });
-                hosts
+        let hosts = if c.group.is_node() {
+            // Singleton sets: only containers on `node` itself share one.
+            vec![node]
+        } else {
+            let Some(node_sets) = groups.sets_containing_ref(&c.group, node) else {
+                return Vec::new();
             };
-            for host in hosts {
-                for &cid in state.containers_on(host).unwrap_or(&[]) {
-                    if state
-                        .allocation(cid)
-                        .is_ok_and(|a| c.subject.matches_allocation(a))
-                    {
-                        out.push((ci, cid));
-                    }
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
+            // Seed candidate hosts from the tag index: a node hosting a
+            // matching subject carries all the subject's tags, so the
+            // postings intersection (every node for a catch-all
+            // subject) is a superset of the hosts.
+            let mut hosts = state.nodes_with_all_tags(c.subject.tags());
+            hosts.retain(|&host| {
+                let sets = groups.sets_containing_ref(&c.group, host);
+                sets.is_some_and(|sets| sets.iter().any(|s| node_sets.contains(s)))
+            });
+            hosts
+        };
+        let mut out: Vec<&Allocation> = hosts
+            .into_iter()
+            .flat_map(|host| state.containers_on(host).unwrap_or(&[]))
+            .filter_map(|&cid| state.allocation(cid).ok())
+            .filter(|a| c.subject.matches_allocation(a))
+            .collect();
+        out.sort_by_key(|a| a.id);
         out
     }
 }
