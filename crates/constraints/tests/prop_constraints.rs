@@ -1,8 +1,12 @@
 //! Randomized tests for the constraint language: parser/printer round
-//! trips, cardinality algebra, and violation-extent invariants, driven by
-//! the workspace's deterministic PRNG (`medea-rand`).
+//! trips, cardinality algebra, violation-extent invariants, and counts in
+//! registered node sets, driven by the workspace's deterministic PRNG
+//! (`medea-rand`).
 
-use medea_cluster::{NodeGroupId, Tag};
+use medea_cluster::{
+    ApplicationId, ClusterState, ContainerRequest, ExecutionKind, NodeGroupId, NodeId, Resources,
+    Tag,
+};
 use medea_constraints::{
     parse_constraint, Cardinality, PlacementConstraint, TagConstraint, TagConstraintExpr, TagExpr,
 };
@@ -186,4 +190,91 @@ fn tag_expr_is_canonical() {
         let b = TagExpr::and(tags);
         assert_eq!(a, b, "case {case}");
     }
+}
+
+/// A conjunction's count in a set of a registered group (which walks only
+/// the nodes of the rarest tag's postings that the set lists) equals a
+/// scan of the set's members (`cardinality_on_set`) on seeded states:
+/// overlapping sets, a node listed twice and one the cluster lacks,
+/// occurrences consumed by `remove_node_tag`, a tag added to a node with
+/// no container carrying it, and the subject excluded, a non-matching
+/// container excluded, or none.
+#[test]
+fn conjunction_counts_in_a_set_match_a_member_scan() {
+    let zone = NodeGroupId::new("zone");
+    let tag = |t: &str| Tag::new(t);
+    let exprs = [
+        TagExpr::and([tag("a"), tag("b")]),
+        TagExpr::and([tag("a"), tag("b"), tag("c")]),
+        TagExpr::and([tag("c"), tag("b")]),
+        TagExpr::and([tag("a"), Tag::app_id(ApplicationId(2))]),
+    ];
+    let (mut counted, mut excluded, mut consumed) = (0, 0, 0);
+    for case in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0C0 ^ case);
+        let n = rng.random_range(4..16usize);
+        let mut state = ClusterState::homogeneous(n, Resources::new(1 << 16, 1 << 10), 2);
+        let mut sets: Vec<Vec<NodeId>> = (0..rng.random_range(2..5usize))
+            .map(|_| {
+                let mut set: Vec<NodeId> = (0..n as u32)
+                    .filter(|_| rng.random_bool(0.5))
+                    .map(NodeId)
+                    .collect();
+                if let Some(&first) = set.first().filter(|_| rng.random_bool(0.3)) {
+                    set.push(first);
+                }
+                set
+            })
+            .collect();
+        sets[0].push(NodeId(n as u32));
+        state.register_group(zone.clone(), sets.clone());
+        let mut ids = Vec::new();
+        for i in 0..rng.random_range(n..4 * n) {
+            let node = NodeId(rng.random_range(0..n as u32));
+            let tags = ["a", "b", "c"].into_iter().filter(|_| rng.random_bool(0.6));
+            let req = ContainerRequest::new(Resources::new(64, 1), tags.map(tag));
+            let app = ApplicationId(1 + (i % 2) as u64);
+            ids.push(
+                state
+                    .allocate(app, node, &req, ExecutionKind::LongRunning)
+                    .unwrap(),
+            );
+        }
+        for _ in 0..rng.random_range(0..4usize) {
+            let alloc = state.allocation(*rng.choose(&ids).unwrap()).unwrap();
+            if let Some(t) = rng.choose(&alloc.tags).cloned() {
+                state.remove_node_tag(alloc.node, &t).unwrap();
+            }
+        }
+        let bare = NodeId(rng.random_range(0..n as u32));
+        state.add_node_tag(bare, tag("c")).unwrap();
+        consumed += (0..n as u32)
+            .filter(|&i| state.tags_removed(NodeId(i)))
+            .count();
+        for expr in &exprs {
+            let matching: Vec<_> = ids
+                .iter()
+                .copied()
+                .filter(|&id| expr.matches_allocation(state.allocation(id).unwrap()))
+                .collect();
+            let subject = rng.choose(&matching).copied();
+            let other = ids.iter().copied().find(|id| !matching.contains(id));
+            for (si, set) in sets.iter().enumerate() {
+                for exclude in [None, subject, other] {
+                    let scan = expr.cardinality_on_set(&state, set, exclude);
+                    let walked = expr.cardinality_in_group_set(&state, &zone, si, exclude);
+                    assert_eq!(
+                        walked, scan,
+                        "case {case}: {expr} in set {si}, excluding {exclude:?}"
+                    );
+                    counted += usize::from(scan > 0);
+                    excluded += usize::from(scan > 0 && exclude.is_some() && exclude == subject);
+                }
+            }
+        }
+    }
+    assert!(
+        counted > 1_000 && excluded > 300 && consumed > 200,
+        "{counted} nonzero counts, {excluded} with the subject excluded, {consumed} cut nodes"
+    );
 }
