@@ -74,7 +74,7 @@ pub use recovery::{
     fault_domain_tag, BreakerState, CircuitBreaker, DegradationLadder, NodeLossReport,
     RecoveryConfig, RecoveryReport, FAULT_DOMAIN_TAG,
 };
-pub use relax::{PlacerMode, RelaxReport};
+pub use relax::{AnchorServed, PlacerMode, RelaxReport};
 pub use request::{
     BatchPlacement, Locality, LraPlacement, LraRequest, PlacementOutcome, TaskJobRequest,
 };

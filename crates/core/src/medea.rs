@@ -771,24 +771,34 @@ mod tests {
     }
 
     /// Attaching a registry declares every series; rounds under either
-    /// solver arm add none (nothing is resolved by name mid-solve).
+    /// solver arm add none (nothing is resolved by name mid-solve). The
+    /// relaxed arm runs a clean round (its anchor is served) and one whose
+    /// five anti-affine containers on four nodes send it to the LP.
     #[test]
     fn traced_rounds_register_exactly_the_declared_series() {
         use crate::obs_bridge::{ArmMetrics, SolverMetricsBridge};
         use crate::task_scheduler::TaskMetrics;
+        use crate::PlacerMode::{Ilp, Relaxed};
         use std::collections::BTreeSet;
 
         let registry = MetricsRegistry::new();
         let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::Ilp, 10)
             .with_metrics(Arc::clone(&registry));
-        for (round, mode) in [crate::PlacerMode::Ilp, crate::PlacerMode::Relaxed]
-            .into_iter()
-            .enumerate()
-        {
+        let mut spread = lra(3, 5, 1024, "s");
+        spread.constraints = vec![PlacementConstraint::anti_affinity(
+            "s",
+            "s",
+            NodeGroupId::node(),
+        )];
+        let rounds = [
+            (Ilp, lra(1, 2, 1024, "a")),
+            (Relaxed, lra(2, 2, 1024, "a")),
+            (Relaxed, spread),
+        ];
+        for (round, (mode, request)) in rounds.into_iter().enumerate() {
             m.lra_scheduler_mut().ilp.mode = mode;
             let now = 10 * round as u64;
-            m.submit_lra(lra(round as u64 + 1, 2, 1024, "a"), now)
-                .unwrap();
+            m.submit_lra(request, now).unwrap();
             assert_eq!(m.tick(now).len(), 1);
         }
         let registered: BTreeSet<String> = registry
@@ -814,6 +824,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(snap.histogram("core.relax_lp_us").map(|h| h.count), Some(1));
+        assert_eq!(snap.counter("core.relax_anchor_served_total"), Some(1));
     }
 
     #[test]

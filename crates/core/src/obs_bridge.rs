@@ -38,6 +38,8 @@ medea_obs::metric_handles! {
         pub(crate) ilp_solve_us: Histogram = "core.ilp_solve_us",
         pub(crate) ilp_warm_start_hits: Counter = "core.ilp_warm_start_hits_total",
         pub(crate) heuristic_fallbacks: Counter = "core.heuristic_fallback_total",
+        pub(crate) relax_anchor_served: Counter = "core.relax_anchor_served_total",
+        pub(crate) relax_anchor_kept: Counter = "core.relax_anchor_kept_total",
         pub(crate) relax_lp_us: Histogram = "core.relax_lp_us",
         pub(crate) relax_round_us: Histogram = "core.relax_round_us",
         pub(crate) relax_residue_us: Histogram = "core.relax_residue_us",

@@ -29,8 +29,8 @@ use medea_cluster::{
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
-    IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights, PlacementOutcome,
-    PlacerMode,
+    AnchorServed, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights,
+    PlacementOutcome, PlacerMode,
 };
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -101,6 +101,44 @@ fn random_instance(seed: u64) -> Instance {
         let ri = i % requests.len();
         requests[ri].constraints.push(c);
     }
+    Instance { state, requests }
+}
+
+/// A capacity-tight instance: two or three 4 GB nodes, each cut into
+/// 1–3 GB containers that fill it exactly, the containers of one size
+/// shared among up to two requests. A placement of the whole batch
+/// exists by construction, but a greedy pass that spreads small
+/// containers first can leave no node with room for a large one.
+fn tight_instance(seed: u64) -> Instance {
+    const CUTS: [&[u64]; 3] = [&[3072, 1024], &[2048, 2048], &[2048, 1024, 1024]];
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let n_nodes = rng.random_range(2..4usize);
+    let state = ClusterState::homogeneous(n_nodes, Resources::new(4096, 8), 1);
+    let mut counts = [0usize; 3];
+    for _ in 0..n_nodes {
+        for &mem in *rng.choose(&CUTS).unwrap() {
+            counts[mem as usize / 1024 - 1] += 1;
+        }
+    }
+    let mut requests = Vec::new();
+    for (size, &count) in counts.iter().enumerate().rev() {
+        let split = if count > 1 && rng.random_bool(0.5) {
+            rng.random_range(1..count)
+        } else {
+            count
+        };
+        for part in [split, count - split].into_iter().filter(|&c| c > 0) {
+            let tag = Tag::new(["a", "b", "c"][rng.random_range(0..3usize)]);
+            requests.push(LraRequest::uniform(
+                ApplicationId(requests.len() as u64 + 1),
+                part,
+                Resources::new(1024 * (size as u64 + 1), 1),
+                vec![tag],
+                Vec::new(),
+            ));
+        }
+    }
+    rng.shuffle(&mut requests);
     Instance { state, requests }
 }
 
@@ -293,8 +331,9 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
 
     let mut oracle_feasible_seeds = 0usize;
     let mut clean_relaxed_runs = 0usize;
-    for seed in 0..SEEDS {
-        let instance = random_instance(seed);
+    for (seed, instance) in
+        (0..SEEDS).flat_map(|seed| [(seed, random_instance(seed)), (seed, tight_instance(seed))])
+    {
         let hard = hard_constraints(&instance.requests);
         let k = instance.requests.len();
 
@@ -525,6 +564,91 @@ fn placing_twice_is_identical_and_leaves_the_state_as_found() {
     assert!(
         with_residue > 0,
         "no relaxed run handed a residue to the exact arm"
+    );
+}
+
+/// Violated `(constraint, container)` checks on `state`, over the
+/// constraints of one kind (hard or soft).
+fn violated_checks(state: &ClusterState, constraints: &[PlacementConstraint], hard: bool) -> usize {
+    state
+        .allocations()
+        .map(|a| {
+            constraints
+                .iter()
+                .filter(|c| {
+                    c.is_hard() == hard
+                        && c.subject.matches_allocation(a)
+                        && check_container(state, c, a.id).is_some_and(|ch| !ch.satisfied)
+                })
+                .count()
+        })
+        .sum()
+}
+
+/// Whenever the relaxed arm serves a clean anchor (no LP), replaying it
+/// breaks no more soft checks than the state did before the batch, and
+/// no hard one. The plain and the deployed instances run with every
+/// other constraint made soft, and the first request also asks, softly,
+/// for the second's tag on its node: an affinity is met only once its
+/// target lands, so the anchor's deltas along the way need not be zero.
+#[test]
+fn a_served_clean_anchor_breaks_no_new_checks() {
+    let mut served = 0usize;
+    for seed in 0..SEEDS {
+        for Instance {
+            mut state,
+            mut requests,
+        } in [random_instance(seed), deployed_instance(seed)]
+        {
+            let listed = requests.iter_mut().flat_map(|r| r.constraints.iter_mut());
+            for c in listed.step_by(2) {
+                *c = c.clone().with_weight(1.0);
+            }
+            if let [first, second, ..] = &mut requests[..] {
+                let near = PlacementConstraint::affinity(
+                    first.containers[0].tags[0].clone(),
+                    second.containers[0].tags[0].clone(),
+                    NodeGroupId::node(),
+                );
+                first.constraints.push(near);
+            }
+            let out = fresh(LraAlgorithm::Ilp, PlacerMode::Relaxed).place_on(
+                &mut state,
+                &requests,
+                &[],
+                None,
+                None,
+                None,
+            );
+            let report = out.relax.expect("the relaxed arm reports its quality");
+            if report.anchor != Some(AnchorServed::Clean) {
+                continue;
+            }
+            served += 1;
+            let constraints: Vec<PlacementConstraint> = requests
+                .iter()
+                .flat_map(|r| r.constraints.iter().cloned())
+                .collect();
+            let before = violated_checks(&state, &constraints, false);
+            for (r, o) in requests.iter().zip(&out.outcomes) {
+                let pl = o.placement().expect("a clean anchor places every request");
+                for (c, &n) in r.containers.iter().zip(&pl.nodes) {
+                    state
+                        .allocate(r.app, n, c, ExecutionKind::LongRunning)
+                        .expect("a served placement is replayable");
+                }
+            }
+            let label = format!("seed {seed}");
+            assert!(
+                violated_checks(&state, &constraints, false) <= before,
+                "{label}: a clean anchor broke a new soft check"
+            );
+            assert_eq!(violated_checks(&state, &constraints, true), 0, "{label}");
+        }
+    }
+    assert!(
+        served >= SEEDS as usize,
+        "only {served} clean anchors served"
     );
 }
 

@@ -3,7 +3,9 @@
 //! relaxed arm commits must be capacity-feasible (replayable allocation
 //! by allocation on a fresh state) and free of hard-constraint
 //! violations, and the reported objective gap must be sound — the LP
-//! bound dominates the incumbent up to solver tolerance.
+//! bound dominates the incumbent up to solver tolerance. Each instance
+//! carries a soft spread no placement keeps, so no anchor is clean and
+//! every instance reaches the LP (a clean anchor is served without one).
 //!
 //! Two metamorphic tests ride along: uniform resource scaling leaves the
 //! relaxed arm's outcomes byte-identical (the model skeleton — and so
@@ -98,6 +100,20 @@ fn random_instance_scaled(seed: u64, scale: u64) -> Instance {
         let ri = i % requests.len();
         requests[ri].constraints.push(c);
     }
+    // One more container than nodes, spread by a soft anti-affinity: no
+    // placement keeps it, so no anchor is clean and every instance
+    // reaches the LP and the rounding.
+    requests.push(LraRequest::uniform(
+        ApplicationId(k as u64 + 1),
+        n_nodes + 1,
+        Resources::new(1024 * scale, scale as u32),
+        vec![Tag::new("spread")],
+        vec![PlacementConstraint::anti_affinity(
+            "spread",
+            "spread",
+            NodeGroupId::node(),
+        )],
+    ));
     Instance { state, requests }
 }
 
@@ -323,12 +339,13 @@ fn request_permutation_preserves_quality_invariants() {
     }
 }
 
-/// Engineered instance with a unique optimum: four single-container
+/// Engineered instance with a unique optimum value: five single-container
 /// requests of 3/4 node memory under hard node anti-affinity on a
-/// four-node cluster. Capacity forces one container per node; every
-/// request is placeable; the LP bound and the incumbent coincide. The
-/// full quality profile — placed count, violation count, and a zero
-/// objective gap — must survive request permutation.
+/// four-node cluster. Capacity forces one container per node, so every
+/// optimum places four of the five; the anchor leaves one unplaced, so
+/// the batch reaches the LP, and the LP bound and the incumbent
+/// coincide. The full quality profile — placed count, violation count,
+/// and a zero objective gap — must survive request permutation.
 #[test]
 fn engineered_instance_gap_and_placed_count_survive_permutation() {
     let state = ClusterState::homogeneous(4, Resources::new(4096, 8), 1);
@@ -346,7 +363,7 @@ fn engineered_instance_gap_and_placed_count_survive_permutation() {
             })
             .collect()
     };
-    for order in [[1u64, 2, 3, 4], [4, 2, 1, 3]] {
+    for order in [[1u64, 2, 3, 4, 5], [4, 2, 5, 1, 3]] {
         let requests = make(&order);
         let instance = Instance {
             state: state.clone(),
@@ -354,10 +371,7 @@ fn engineered_instance_gap_and_placed_count_survive_permutation() {
         };
         let (outcomes, report) = run(&instance);
         let placed = outcomes.iter().filter(|o| o.placement().is_some()).count();
-        assert_eq!(
-            placed, 4,
-            "order {order:?}: all four requests are placeable"
-        );
+        assert_eq!(placed, 4, "order {order:?}: four requests are placeable");
         assert_eq!(
             replay_and_count_hard_violations(
                 &instance.state,

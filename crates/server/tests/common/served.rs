@@ -74,6 +74,9 @@ pub struct Batching {
     pub quiet_max_us: u64,
     /// What one cycle costs on the fake clock.
     pub wall_us: u64,
+    /// The placer arm that serves the batches (the benchmark's is
+    /// `Relaxed`).
+    pub mode: PlacerMode,
 }
 
 impl Batching {
@@ -83,6 +86,7 @@ impl Batching {
             admission: AdmissionConfig::default(),
             quiet_max_us: QUIET_MAX_US,
             wall_us,
+            mode: PlacerMode::Relaxed,
         }
     }
 }
@@ -147,12 +151,12 @@ struct Served {
 }
 
 impl Served {
-    /// The benchmark's scheduler: ILP on the relaxed arm, journaled, no
+    /// The benchmark's scheduler: ILP on `batching`'s arm, journaled, no
     /// periodic checkpoint.
     fn new(cluster: ClusterState, shards: usize, batching: &Batching) -> Served {
         let registry = MetricsRegistry::new();
         let mut m = MedeaScheduler::new(cluster, LraAlgorithm::Ilp, 10);
-        m.lra_scheduler_mut().ilp.mode = PlacerMode::Relaxed;
+        m.lra_scheduler_mut().ilp.mode = batching.mode;
         if shards > 0 {
             m.set_sharding(ShardConfig::with_shards(shards));
         }
