@@ -26,28 +26,28 @@ const WALL_US: u64 = 2_000;
 const SEED: u64 = 7;
 
 const PINNED_STEADY_TINY: Pins = Pins {
-    hash: 0xdf15_f19f_3c6f_cce1,
+    hash: 0x1f9e_7170_bc1a_4e33,
     soft_violations: 0,
-    warm_hits: 48,
-    pivots: 1_137,
+    warm_hits: 0,
+    pivots: 0,
 };
 const PINNED_BURST_HBASE: Pins = Pins {
-    hash: 0xaad7_fc92_9b60_f773,
-    soft_violations: 23,
-    warm_hits: 4,
-    pivots: 377,
+    hash: 0xb398_1720_a8dc_8a15,
+    soft_violations: 0,
+    warm_hits: 0,
+    pivots: 0,
 };
 const PINNED_SCALE_SHARDED: Pins = Pins {
-    hash: 0x126d_6790_9f44_242d,
+    hash: 0xee4d_ab70_1d89_0344,
     soft_violations: 0,
-    warm_hits: 12,
-    pivots: 264,
+    warm_hits: 0,
+    pivots: 0,
 };
 const PINNED_CHURN_RESTART: Pins = Pins {
-    hash: 0x66d0_121f_7f1a_d5ee,
+    hash: 0xc94a_051d_a603_6fd5,
     soft_violations: 0,
-    warm_hits: 2,
-    pivots: 1_690,
+    warm_hits: 0,
+    pivots: 0,
 };
 
 fn check(stream: Workload, pinned: &Pins, name: &str) -> Reasons {
