@@ -4,8 +4,6 @@
 //! 1. **MIP start** — seeding branch and bound with the greedy heuristic
 //!    placement (anytime behaviour);
 //! 2. **Candidate cap** — the equivalence-class candidate budget.
-//! 3. **Relaxed arm** — the LP-relaxation fast-path placer on the same
-//!    batches (placement quality relative to exact branch and bound).
 //!
 //! Each variant deploys the same HBase batch sequence; we report wall
 //! time, placement success, and end-state violations.
@@ -14,7 +12,7 @@ use std::time::Instant;
 
 use medea_bench::{f2, pct, Report};
 use medea_cluster::{ApplicationId, ClusterState, Resources};
-use medea_core::{IlpConfig, LraAlgorithm, LraScheduler, PlacerMode};
+use medea_core::{IlpConfig, LraAlgorithm, LraScheduler};
 use medea_sim::apps;
 
 fn run(cfg: IlpConfig) -> (f64, usize, f64) {
@@ -76,17 +74,6 @@ fn main() {
             "candidates=64",
             IlpConfig {
                 max_candidates: 64,
-                ..IlpConfig::default()
-            },
-        ),
-        // The LP-relaxation fast-path arm on the identical batch
-        // sequence: the quality end of the quality-vs-latency frontier
-        // (the latency end is measured by `solver_bench`'s
-        // `placer_frontier/*` rows).
-        (
-            "relaxed-arm",
-            IlpConfig {
-                mode: PlacerMode::Relaxed,
                 ..IlpConfig::default()
             },
         ),

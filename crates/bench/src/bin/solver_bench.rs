@@ -9,38 +9,30 @@
 //! 2. **`milp_exact/*`** — full branch-and-bound solves of the same
 //!    shapes (the Fig. 9-shaped ILP instances the acceptance criteria
 //!    track).
-//! 3. **`relaxed_round/{prefill64,hbase3}_{cold,warm}`** — what the
-//!    cross-round basis slot ([`IlpBasisCache`]) buys: 16 relaxed-arm
-//!    rounds on 500 homogeneous nodes, of 64 one-container LRAs committed
-//!    round after round (`steady_tiny`'s set-up load), or of three HBase
-//!    LRAs committed and released, each listed in a new order under new
-//!    app ids (`burst_hbase`'s bursts), each batch with one container
-//!    whose soft affinity no placement meets, so that no anchor is clean
-//!    and every round reaches the LP. `cold` hands every round no slot,
-//!    `warm` hands all of them one: every batch has the previous batch's
-//!    skeleton, so after the first round the LP starts from an optimal
-//!    basis and needs almost no pivots. Pivots, hits and anchor probes
-//!    are the scheduler's own metrics (`solver.simplex_pivots_total`,
-//!    `core.relax_warm_start_hits_total`, `core.anchor_probes_total`), and
-//!    the run *asserts* the counts that cannot be noisy: cold pivots after
-//!    round 1 are nonzero and warm ones at most a tenth of them, and
-//!    `hbase3`'s anchor scores at
-//!    most 2,271 cells a round (a quarter of one per node). `anchor_us`,
-//!    the p50 of `core.prepare_anchor_us`, is shown, not gated.
+//! 3. **`anchor_round/{prefill64,hbase3}`** — the served arm's round:
+//!    16 heuristic-arm rounds (the anchor, then its validation) on 500
+//!    homogeneous nodes, of 64 one-container LRAs committed round after
+//!    round (`steady_tiny`'s set-up load), or of three HBase LRAs
+//!    committed and released, each listed in a new order under new app
+//!    ids (`burst_hbase`'s bursts), each batch with one container whose
+//!    soft affinity no placement meets. Anchor probes are the
+//!    scheduler's own metric (`core.anchor_probes_total`), and the run
+//!    *asserts* the count that cannot be noisy: `hbase3`'s anchor scores
+//!    at most 2,271 cells a round (a quarter of one per node).
+//!    `anchor_us`, the p50 of `core.prepare_anchor_us`, is shown, not
+//!    gated.
 //! 4. **`placer_frontier/*`** — the quality-vs-latency frontier of the
-//!    placer arms (exact ILP, LP-relaxation fast path, heuristic) on
-//!    capacity-tight batches from 8 containers up to 2048 (smoke: up to
-//!    512). Batches run as a production-shaped sharded round: 16-LRA
-//!    chunks, each routed to its own rack-sized node partition (the
-//!    sharded propose/commit pipeline's geometry), with placements
-//!    committed between chunks. Each row reports round latency plus
-//!    placement quality: LRAs placed, committed hard-constraint
-//!    violations (replayed and re-checked), and the relaxed arm's mean
-//!    relative objective gap. Emitted under `"frontier"` in the JSON.
+//!    two placer arms (exact ILP, validated heuristic) on capacity-tight
+//!    batches from 8 containers up to 2048 (smoke: up to 512). Batches
+//!    run as a production-shaped sharded round: 16-LRA chunks, each
+//!    routed to its own rack-sized node partition (the sharded
+//!    propose/commit pipeline's geometry), with placements committed
+//!    between chunks. Each row reports round latency plus placement
+//!    quality: LRAs placed and committed hard-constraint violations
+//!    (replayed and re-checked). Emitted under `"frontier"` in the JSON.
 //!    The run *asserts* the frontier's contract: at batches ≥ 512 the
-//!    relaxed arm is ≥ 10x faster than exact branch and bound, and no
-//!    arm other than the heuristic ever commits a hard-constraint
-//!    violation.
+//!    heuristic arm is ≥ 10x faster than exact branch and bound, and no
+//!    arm ever commits a hard-constraint violation.
 //!
 //! Usage: `cargo run --release -p medea-bench --bin solver_bench`
 //! (`--smoke` runs a fast, low-iteration variant for CI; its JSON says
@@ -56,9 +48,7 @@ use medea_cluster::{
     ApplicationId, ClusterState, ExecutionKind, NodeGroupId, NodeId, Resources, Tag,
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
-use medea_core::{
-    IlpBasisCache, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, PlacementOutcome, PlacerMode,
-};
+use medea_core::{IlpConfig, LraAlgorithm, LraRequest, LraScheduler, PlacementOutcome, PlacerMode};
 use medea_obs::MetricsRegistry;
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -97,7 +87,7 @@ struct InstanceResult {
     refactorizations_per_solve: u64,
     warm_starts_per_solve: f64,
     /// Cells the anchor scored per round and the p50 of
-    /// `core.prepare_anchor_us` (`relaxed_round/*` rows only).
+    /// `core.prepare_anchor_us` (`anchor_round/*` rows only).
     anchor: Option<(u64, u64)>,
 }
 
@@ -161,10 +151,10 @@ fn placement_model(containers: usize, nodes: usize) -> Problem {
     p
 }
 
-/// Rounds of each `relaxed_round/*` row.
-const RELAXED_ROUNDS: u64 = 16;
+/// Rounds of each `anchor_round/*` row.
+const ANCHOR_ROUNDS: u64 = 16;
 
-/// A `relaxed_round/*` family: its name, its batch for a round, and
+/// An `anchor_round/*` family: its name, its batch for a round, and
 /// whether a round's batch is released after it is committed.
 type Family = (&'static str, fn(u64) -> Vec<LraRequest>, bool);
 const FAMILIES: [Family; 2] = [("prefill64", prefill64, false), ("hbase3", hbase3, true)];
@@ -207,28 +197,22 @@ fn unmet(round: u64) -> LraRequest {
     LraRequest::uniform(app, 1, Resources::new(512, 1), tags, vec![near])
 }
 
-/// Family 3: [`RELAXED_ROUNDS`] relaxed-arm rounds of a [`Family`]'s
-/// batches plus an [`unmet`] LRA on 500 nodes, with one basis slot if
-/// `warm`. Returns the row and each round's simplex pivots.
-fn relaxed_rounds((name, batch, release): Family, warm: bool) -> (InstanceResult, Vec<u64>) {
+/// Family 3: [`ANCHOR_ROUNDS`] heuristic-arm rounds of a [`Family`]'s
+/// batches plus an [`unmet`] LRA on 500 nodes.
+fn anchor_rounds((name, batch, release): Family) -> InstanceResult {
     let registry = MetricsRegistry::new();
     let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
-    scheduler.ilp.mode = PlacerMode::Relaxed;
+    scheduler.ilp.mode = PlacerMode::Heuristic;
     scheduler.set_metrics(&registry);
-    let pivots = registry.counter("solver.simplex_pivots_total");
-    let cache = warm.then(IlpBasisCache::default);
 
     let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
     let mut samples = Vec::new();
-    let mut pivots_per_round = Vec::new();
-    for round in 0..RELAXED_ROUNDS {
+    for round in 0..ANCHOR_ROUNDS {
         let mut batch = batch(round);
         batch.push(unmet(round));
-        let pivots_before = pivots.get();
         let t = Instant::now();
-        let placed = scheduler.place_on(&mut state, &batch, &[], None, None, cache.as_ref());
+        let placed = scheduler.place_on(&mut state, &batch, &[], None, None, None);
         samples.push(t.elapsed().as_micros() as u64);
-        pivots_per_round.push(pivots.get() - pivots_before);
         for (r, out) in batch.iter().zip(&placed.outcomes) {
             let pl = out.placement().expect("a round must place its batch");
             for (c, &n) in r.containers.iter().zip(&pl.nodes) {
@@ -245,19 +229,15 @@ fn relaxed_rounds((name, batch, release): Family, warm: bool) -> (InstanceResult
     }
     let count = |name| Cell::new(registry.counter(name).get());
     let tally = Tally {
-        pivots: Cell::new(pivots.get()),
+        pivots: count("solver.simplex_pivots_total"),
         refactorizations: count("solver.refactorizations_total"),
-        warm_starts: count("core.relax_warm_start_hits_total"),
+        warm_starts: count("solver.warm_starts_total"),
     };
-    let name = format!(
-        "relaxed_round/{name}_{}",
-        if warm { "warm" } else { "cold" }
-    );
-    let mut row = summarize(&name, samples, &tally);
+    let mut row = summarize(&format!("anchor_round/{name}"), samples, &tally);
     let probes = registry.counter("core.anchor_probes_total").get();
     let anchor_us = registry.histogram("core.prepare_anchor_us").quantile(0.5);
-    row.anchor = Some((probes / RELAXED_ROUNDS, anchor_us.round() as u64));
-    (row, pivots_per_round)
+    row.anchor = Some((probes / ANCHOR_ROUNDS, anchor_us.round() as u64));
+    row
 }
 
 /// One quality-vs-latency frontier row: an arm at a batch size.
@@ -270,7 +250,6 @@ struct FrontierRow {
     placed_lras: usize,
     total_lras: usize,
     hard_violations: usize,
-    relative_gap: Option<f64>,
 }
 
 /// LRAs per frontier chunk (64 containers — one rack's worth of work,
@@ -284,8 +263,8 @@ const FRONTIER_CHUNK_LRAS: usize = 16;
 /// 5.33 per node but integrally at 5, and the cluster is sized to
 /// ~100% of *fractional* capacity (3 nodes per 16 containers): the LP
 /// bound stays ~6% above the best integral placement, so exact branch
-/// and bound must close that gap by search — the regime the fast path
-/// exists for — while the LP itself stays easy.
+/// and bound must close that gap by search while the LP itself stays
+/// easy.
 fn frontier_instance(containers: usize) -> (ClusterState, Vec<LraRequest>) {
     let nodes = (containers * 3 / 16).max(2);
     let racks = (nodes / 12).max(1);
@@ -313,7 +292,7 @@ fn frontier_instance(containers: usize) -> (ClusterState, Vec<LraRequest>) {
 
 /// Splits the cluster's nodes into `n_chunks` contiguous partitions —
 /// the per-chunk `allowed` lists of the sharded frontier round (ids
-/// ascending, as the solver arms' tie-break contract requires).
+/// ascending, as the placer arms' tie-break contract requires).
 fn frontier_partitions(n_nodes: usize, n_chunks: usize) -> Vec<Vec<NodeId>> {
     let per = n_nodes.div_ceil(n_chunks);
     (0..n_chunks)
@@ -327,7 +306,7 @@ fn frontier_partitions(n_nodes: usize, n_chunks: usize) -> Vec<Vec<NodeId>> {
 
 /// Replays `outcomes` on a fresh copy of `state` and counts committed
 /// containers violating an applicable hard constraint (the frontier's
-/// quality column; must be zero for the solver arms).
+/// quality column; must be zero for every arm).
 fn committed_hard_violations(
     state: &ClusterState,
     requests: &[LraRequest],
@@ -368,23 +347,19 @@ fn committed_hard_violations(
 /// Runs one placer arm through a full sharded frontier round: 16-LRA
 /// chunks, each solved against its own node partition with earlier
 /// chunks' placements committed and their constraints deployed.
-/// Returns the outcomes and (for the relaxed arm) the mean relative
-/// objective gap across chunks that reported one.
 fn run_round(
     arm: PlacerMode,
     state: &ClusterState,
     requests: &[LraRequest],
     scheduler: &LraScheduler,
-) -> (Vec<PlacementOutcome>, Option<f64>) {
+) -> Vec<PlacementOutcome> {
     let chunks: Vec<&[LraRequest]> = requests.chunks(FRONTIER_CHUNK_LRAS).collect();
     let parts = frontier_partitions(state.node_ids().count(), chunks.len());
     let mut work = state.clone();
     let mut deployed: Vec<PlacementConstraint> = Vec::new();
     let mut outcomes = Vec::with_capacity(requests.len());
-    let mut gaps = Vec::new();
     for (chunk, part) in chunks.iter().zip(&parts) {
         let placed = scheduler.place_on(&mut work, chunk, &deployed, Some(part), Some(arm), None);
-        gaps.extend(placed.relax.and_then(|report| report.relative_gap()));
         let outs = placed.outcomes;
         for (r, out) in chunk.iter().zip(&outs) {
             if let Some(pl) = out.placement() {
@@ -397,13 +372,12 @@ fn run_round(
         }
         outcomes.extend(outs);
     }
-    let gap = (!gaps.is_empty()).then(|| gaps.iter().sum::<f64>() / gaps.len() as f64);
-    (outcomes, gap)
+    outcomes
 }
 
 /// Benchmarks every arm at every batch size and enforces the frontier
-/// contract (≥ 10x at large batches, zero hard violations on the solver
-/// arms).
+/// contract (≥ 10x at large batches, zero hard violations on every
+/// arm).
 fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
     let mut rows = Vec::new();
     for &containers in batches {
@@ -413,36 +387,31 @@ fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
         // the small batch where every arm is fast.
         let (warmup, iters) = if containers >= 64 { (0, 1) } else { (1, 3) };
         let mut medians = std::collections::BTreeMap::new();
-        for arm in [PlacerMode::Ilp, PlacerMode::Relaxed, PlacerMode::Heuristic] {
+        for arm in [PlacerMode::Ilp, PlacerMode::Heuristic] {
             let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
             scheduler.ilp = IlpConfig {
                 mode: arm,
                 gap: 1e-6,
                 // Per-chunk deadline. The exact arm burns it chunk after
-                // chunk proving ~6% integrality gaps; the same limit
-                // bounds the relaxed arm's internal exact-residue solve,
-                // which stays microseconds because the residue is a
-                // handful of LRAs.
+                // chunk proving ~6% integrality gaps.
                 time_limit: Duration::from_secs(2),
                 node_limit: 50_000_000,
                 ..IlpConfig::default()
             };
-            let mut last: Option<(Vec<PlacementOutcome>, Option<f64>)> = None;
+            let mut last: Option<Vec<PlacementOutcome>> = None;
             let mut samples = time_iters(warmup, iters, || {
                 last = Some(run_round(arm, &state, &requests, &scheduler));
             });
             samples.sort_unstable();
-            let (outcomes, gap) = last.expect("at least one iteration ran");
+            let outcomes = last.expect("at least one iteration ran");
             let placed = outcomes.iter().filter(|o| o.placement().is_some()).count();
             let violations = committed_hard_violations(&state, &requests, &outcomes);
-            if arm != PlacerMode::Heuristic {
-                assert_eq!(
-                    violations,
-                    0,
-                    "{} arm committed {violations} hard violations at batch {containers}",
-                    arm.name()
-                );
-            }
+            assert_eq!(
+                violations,
+                0,
+                "{} arm committed {violations} hard violations at batch {containers}",
+                arm.name()
+            );
             let median_us = samples[samples.len() / 2];
             medians.insert(arm.name(), median_us);
             rows.push(FrontierRow {
@@ -454,16 +423,15 @@ fn run_frontier(batches: &[usize]) -> Vec<FrontierRow> {
                 placed_lras: placed,
                 total_lras: requests.len(),
                 hard_violations: violations,
-                relative_gap: gap,
             });
         }
         if containers >= 512 {
             let ilp = medians["ilp"];
-            let relaxed = medians["relaxed"].max(1);
+            let heuristic = medians["heuristic"].max(1);
             assert!(
-                relaxed * 10 <= ilp,
-                "frontier gate: relaxed arm must be >=10x faster than exact at batch \
-                 {containers} (ilp {ilp}us vs relaxed {relaxed}us)"
+                heuristic * 10 <= ilp,
+                "frontier gate: heuristic arm must be >=10x faster than exact at batch \
+                 {containers} (ilp {ilp}us vs heuristic {heuristic}us)"
             );
         }
     }
@@ -499,7 +467,7 @@ fn instance_json(r: &InstanceResult) -> String {
 
 /// The inside of one `frontier` row.
 fn frontier_json(r: &FrontierRow) -> String {
-    let mut row = format!(
+    format!(
         "\"name\": \"{}\", \"batch_containers\": {}, \"iters\": {}, \"median_us\": {}, \
          \"p99_us\": {}, \"placed_lras\": {}, \"total_lras\": {}, \"hard_violations\": {}",
         json_escape_free(&r.name),
@@ -510,11 +478,7 @@ fn frontier_json(r: &FrontierRow) -> String {
         r.placed_lras,
         r.total_lras,
         r.hard_violations,
-    );
-    if let Some(g) = r.relative_gap {
-        let _ = write!(row, ", \"relative_gap\": {g:.4}");
-    }
-    row
+    )
 }
 
 fn main() {
@@ -549,29 +513,15 @@ fn main() {
         results.push(summarize(&name, samples, &tally));
     }
 
-    // Family 3: relaxed rounds, without and with the basis slot.
-    let after_first = |pivots: &[u64]| pivots[1..].iter().sum::<u64>();
+    // Family 3: the served arm's rounds.
     for family in FAMILIES {
-        let (cold, cold_pivots) = relaxed_rounds(family, false);
-        let (warm, warm_pivots) = relaxed_rounds(family, true);
-        assert!(
-            after_first(&cold_pivots) > 0,
-            "{}: no LP after round 1",
-            family.0
-        );
-        assert!(
-            after_first(&warm_pivots) * 10 <= after_first(&cold_pivots),
-            "{} basis slot gate: warm pivots after round 1 ({}) must be at most a tenth of cold ({})",
-            family.0,
-            after_first(&warm_pivots),
-            after_first(&cold_pivots),
-        );
-        let (probes, _) = warm.anchor.unwrap_or_default(); // cold scores the same
+        let row = anchor_rounds(family);
+        let (probes, _) = row.anchor.unwrap_or_default();
         assert!(
             family.0 != "hbase3" || probes <= 2_271,
             "hbase3's anchor scored {probes} cells a round (at most 2,271)"
         );
-        results.extend([cold, warm]);
+        results.push(row);
     }
 
     // Family 4: the placer quality-vs-latency frontier (asserts its own
@@ -603,21 +553,18 @@ fn main() {
         );
     }
     println!(
-        "\n{:<28} {:>6} {:>10} {:>10} {:>8} {:>6} {:>8}",
-        "frontier", "batch", "median_us", "p99_us", "placed", "viol", "gap"
+        "\n{:<28} {:>6} {:>10} {:>10} {:>8} {:>6}",
+        "frontier", "batch", "median_us", "p99_us", "placed", "viol"
     );
     for r in &frontier {
         println!(
-            "{:<28} {:>6} {:>10} {:>10} {:>8} {:>6} {:>8}",
+            "{:<28} {:>6} {:>10} {:>10} {:>8} {:>6}",
             r.name,
             r.batch_containers,
             r.median_us,
             r.p99_us,
             format!("{}/{}", r.placed_lras, r.total_lras),
             r.hard_violations,
-            r.relative_gap
-                .map(|g| format!("{g:.3}"))
-                .unwrap_or_else(|| "-".to_string()),
         );
     }
     let mut doc = BenchJson::new("solver", smoke);

@@ -177,16 +177,12 @@ impl HeuristicScheduler {
     }
 }
 
-/// A round's counts: cells scored, cells `Nc` visited, terms evaluated;
-/// and the net violation delta of its placements.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
+/// A round's counts: cells scored, cells `Nc` visited, terms evaluated.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Effort {
     pub(crate) probes: u64,
     pub(crate) nc_visits: u64,
     pub(crate) terms: u64,
-    /// The violation deltas of the hosts picked, summed in placement
-    /// order: how much the round raised the weighted violation total.
-    pub(crate) net_delta: f64,
 }
 
 /// The containers of one app with the same tags and demand: they score
@@ -385,7 +381,7 @@ impl<'a> Greedy<'a> {
     /// node of the working state.
     fn place(&mut self, class: usize) -> Option<NodeId> {
         let (app, request) = (self.classes[class].app, self.classes[class].request);
-        let mut best: Option<(NodeId, f64, f64)> = None;
+        let mut best: Option<(NodeId, f64)> = None;
         for i in 0..self.nodes.len() {
             let node = self.nodes[i];
             if !self.scorer.is_feasible(&self.work, node, request) {
@@ -400,15 +396,14 @@ impl<'a> Greedy<'a> {
                 // scorer can emit (scores are finite by contract, but a partial
                 // comparison here would silently mis-order if that ever broke);
                 // strict Greater keeps first-wins tie-breaking in scan order.
-                if best.is_none_or(|(_, bs, _)| s.total_cmp(&bs) == std::cmp::Ordering::Greater) {
-                    best = Some((node, s, viol));
+                if best.is_none_or(|(_, bs)| s.total_cmp(&bs) == std::cmp::Ordering::Greater) {
+                    best = Some((node, s));
                 }
             }
         }
-        let (node, _, viol) = best?;
+        let (node, _) = best?;
         let (kind, room) = (ExecutionKind::LongRunning, self.work.free(node).ok()?);
         let id = self.work.allocate(app, node, request, kind).ok()?;
-        self.effort.net_delta += viol;
         self.invalidate(node, id, room);
         Some(node)
     }

@@ -30,9 +30,8 @@
 //!    their violation status is a constant the placement cannot change.
 //! 4. **Canonical order** — a request's classes and its own constraints
 //!    enter the model in an order that ignores how the tenant listed
-//!    them and the app's id. The model's skeleton keys both the warm-basis
-//!    slot and the relaxed arm's rounding seed, so a burst of the same
-//!    shapes starts from the last round's basis and draws the same way.
+//!    them and the app's id. The model's skeleton keys the warm-basis slot,
+//!    so a burst of the same shapes starts from the last round's basis.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -44,19 +43,20 @@ use medea_cluster::{ClusterState, GroupError, NodeGroupId, NodeId, NodeSetIndex,
 use medea_constraints::{PlacementConstraint, TagConstraint, TagExpr};
 use medea_solver::{Basis, Cmp, Milp, Problem, VarId, VarKind};
 
-use crate::heuristics::{Effort, HeuristicScheduler, Ordering};
-use crate::objective::{effective_tags, ObjectiveWeights, CLEAN_DELTA};
+use crate::heuristics::{HeuristicScheduler, Ordering};
+use crate::lra::PlacerMode;
+use crate::objective::{effective_tags, ObjectiveWeights};
 use crate::obs_bridge::PlacerMetrics;
-use crate::relax::PlacerMode;
 use crate::request::{BatchPlacement, LraPlacement, LraRequest, PlacementOutcome};
 
 /// Configuration of the ILP scheduler.
 #[derive(Debug, Clone)]
 pub struct IlpConfig {
     /// Which placer arm serves batches when the scheduler's algorithm is
-    /// [`crate::LraAlgorithm::Ilp`]: the exact MILP, the LP-relaxation
-    /// fast path, or the greedy heuristic. The scheduler's degradation ladder may temporarily
-    /// serve from a lower arm regardless of this setting.
+    /// [`crate::LraAlgorithm::Ilp`]: the exact MILP or the validated
+    /// greedy heuristic (`Relaxed` is an alias of `Heuristic`). The
+    /// scheduler's circuit breaker may serve the heuristic for a while
+    /// regardless of this setting.
     pub mode: PlacerMode,
     /// Objective weights (Eq. 1).
     pub weights: ObjectiveWeights,
@@ -139,8 +139,7 @@ impl Default for IlpConfig {
 
 impl IlpConfig {
     /// The node-candidates heuristic scoring with these weights: the
-    /// model's anchor (MIP start, relaxed fallback and `S_i` guard) and
-    /// the degradation ladder's heuristic arm.
+    /// model's anchor (MIP start and fallback) and the heuristic arm.
     pub(crate) fn anchor(&self) -> HeuristicScheduler {
         HeuristicScheduler {
             ordering: Ordering::NodeCandidates,
@@ -215,40 +214,22 @@ fn constraint_key<'a>(c: &'a PlacementConstraint, own: &Tag) -> impl Ord + 'a {
     (key, c.expr.leaves().map(leaf).collect::<Vec<_>>())
 }
 
-/// What both placer arms share before a model exists ([`anchor`]).
+/// What both placer arms start from ([`anchor`]).
 pub(crate) struct Anchored {
     pub(crate) classes: Vec<ContainerClass>,
     pub(crate) active: Vec<PlacementConstraint>,
-    /// The node-candidates heuristic placement that anchors the
-    /// candidate set (also the MIP start / fallback placement).
+    /// The node-candidates heuristic placement: the heuristic arm's
+    /// placement, and the exact arm's candidate anchor, MIP start and
+    /// fallback.
     pub(crate) heuristic: Vec<PlacementOutcome>,
-    pub(crate) effort: Effort,
 }
 
-impl Anchored {
-    /// The anchor places every request and, summed over its placements,
-    /// breaks no more than it mends (DESIGN.md §5c).
-    pub(crate) fn is_clean(&self) -> bool {
-        self.effort.net_delta <= CLEAN_DELTA
-            && self.heuristic.iter().all(|o| o.placement().is_some())
-    }
-}
-
-/// [`Anchored`] plus the candidate set and the built Fig. 5 model.
-pub(crate) struct Prepared {
-    pub(crate) anchored: Anchored,
-    /// The candidate nodes, ascending; the model's column order.
-    pub(crate) candidates: Vec<NodeId>,
-    pub(crate) model: Model,
-}
-
-/// Either the batch needs no solver (the outcomes are final), or the
-/// step's output is ready.
-pub(crate) enum Prep<T> {
-    /// Empty batch, zero-container requests, or no usable candidate
-    /// node: the outcomes are decided without touching a solver.
+/// Either the batch needs no placer (the outcomes are final), or the
+/// anchor is ready.
+pub(crate) enum Prep {
+    /// Empty batch, or only zero-container requests.
     Trivial(Vec<PlacementOutcome>),
-    Ready(Box<T>),
+    Ready(Box<Anchored>),
 }
 
 /// Groups the new containers into classes, relevance-filters and dedupes
@@ -261,7 +242,7 @@ pub(crate) fn anchor(
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
     metrics: &PlacerMetrics,
-) -> Prep<Anchored> {
+) -> Prep {
     if requests.is_empty() {
         return Prep::Trivial(Vec::new());
     }
@@ -318,20 +299,18 @@ pub(crate) fn anchor(
         classes,
         active,
         heuristic,
-        effort,
     }))
 }
 
-/// Selects candidates around the anchor's nodes and builds the Fig. 5
-/// model over them.
-pub(crate) fn build(
+/// The candidate nodes around the anchor's (see [`select_candidates`]),
+/// ascending: the model's column order.
+fn anchor_candidates(
     state: &ClusterState,
     requests: &[LraRequest],
-    anchored: Anchored,
+    anchored: &Anchored,
     cfg: &IlpConfig,
     allowed: Option<&[NodeId]>,
-    metrics: &PlacerMetrics,
-) -> Prep<Prepared> {
+) -> Vec<NodeId> {
     let mut anchor_nodes: Vec<NodeId> = (anchored.heuristic.iter())
         .filter_map(|o| o.placement())
         .flat_map(|p| p.nodes.iter().copied())
@@ -343,43 +322,15 @@ pub(crate) fn build(
     // node set (a fully spread placement uses one node per container).
     let t_total: usize = requests.iter().map(|r| r.containers.len()).sum();
     let max_candidates = cfg.max_candidates.max((t_total + 4).min(96));
-    let t_candidates = Instant::now();
-    let (classes, active) = (&anchored.classes, &anchored.active);
-    let candidates = select_candidates(
+    select_candidates(
         state,
-        classes,
-        active,
+        &anchored.classes,
+        &anchored.active,
         &anchor_nodes,
         max_candidates,
         t_total,
         allowed,
-    );
-    metrics
-        .arm
-        .prepare_candidates_us
-        .record_duration(t_candidates.elapsed());
-    if candidates.is_empty() {
-        // No usable node can host even the smallest container: the batch
-        // is unplaceable regardless of algorithm — not a solver failure.
-        return Prep::Trivial(
-            requests
-                .iter()
-                .map(|r| PlacementOutcome::Unplaced { app: r.app })
-                .collect(),
-        );
-    }
-
-    let t_model = Instant::now();
-    let model = build_model(state, requests, classes, &candidates, active, cfg);
-    metrics
-        .arm
-        .prepare_model_us
-        .record_duration(t_model.elapsed());
-    Prep::Ready(Box::new(Prepared {
-        anchored,
-        candidates,
-        model,
-    }))
+    )
 }
 
 /// The exact arm: places a batch of LRAs by solving the Fig. 5 ILP.
@@ -410,17 +361,28 @@ pub(crate) fn solve(
         Prep::Trivial(outcomes) => return outcomes.into(),
         Prep::Ready(a) => a,
     };
-    let prepared = match build(state, requests, *anchored, cfg, allowed, metrics) {
-        Prep::Trivial(outcomes) => return outcomes.into(),
-        Prep::Ready(p) => p,
-    };
-    let Prepared {
-        anchored: Anchored {
-            classes, heuristic, ..
-        },
-        candidates,
-        model,
-    } = *prepared;
+    let arm = &metrics.arm;
+    let t_candidates = Instant::now();
+    let candidates = anchor_candidates(state, requests, &anchored, cfg, allowed);
+    arm.prepare_candidates_us
+        .record_duration(t_candidates.elapsed());
+    if candidates.is_empty() {
+        // No usable node can host even the smallest container: the batch
+        // is unplaceable regardless of algorithm — not a solver failure.
+        return requests
+            .iter()
+            .map(|r| PlacementOutcome::Unplaced { app: r.app })
+            .collect::<Vec<_>>()
+            .into();
+    }
+    let Anchored {
+        classes,
+        active,
+        heuristic,
+    } = *anchored;
+    let t_model = Instant::now();
+    let model = build_model(state, requests, &classes, &candidates, &active, cfg);
+    arm.prepare_model_us.record_duration(t_model.elapsed());
 
     let mut milp = Milp::new(&model.problem)
         .time_limit(cfg.time_limit)
@@ -436,7 +398,6 @@ pub(crate) fn solve(
     // Cross-round warm start: reuse the previous round's optimal basis
     // when the constraint skeleton is unchanged (same rows over the same
     // variables — only capacities/demands/weights moved).
-    let arm = &metrics.arm;
     let skeleton = model.problem.skeleton_hash();
     if let Some(basis) = cache.and_then(|cache| cache.take_if(skeleton)) {
         arm.ilp_warm_start_hits.inc();
@@ -517,7 +478,7 @@ fn extract(
 /// Class counts of a placement (`counts[class][candidate]` = members on
 /// that candidate) and per-request placed flags. Returns `None` if nothing
 /// is placed or a placement uses a node outside the candidate set.
-pub(crate) fn counts_from_outcomes(
+fn counts_from_outcomes(
     classes: &[ContainerClass],
     outcomes: &[PlacementOutcome],
     candidates: &[NodeId],
@@ -542,7 +503,7 @@ pub(crate) fn counts_from_outcomes(
 /// class counts: `x`/`S` from the counts, `z` from residual free memory,
 /// `b` from subject presence, `y` as the least-violated conjunct, and the
 /// violation variables as the exact shortfall/excess of each leaf.
-pub(crate) fn initial_point(
+fn initial_point(
     model: &Model,
     state: &ClusterState,
     candidates: &[NodeId],
@@ -1207,17 +1168,33 @@ mod tests {
     };
     use medea_constraints::Cardinality;
 
-    /// Prepares a batch with no deployed constraints.
+    /// What the exact arm builds for a batch before it solves.
+    struct Prepared {
+        anchored: Anchored,
+        candidates: Vec<NodeId>,
+        model: Model,
+    }
+
+    /// The anchor, candidates and model of a batch with no deployed
+    /// constraints, as [`solve`] builds them.
     fn prepare_alone(
         state: &mut ClusterState,
         requests: &[LraRequest],
         cfg: &IlpConfig,
         allowed: Option<&[NodeId]>,
-    ) -> Prep<Prepared> {
+    ) -> Prepared {
         let metrics = PlacerMetrics::default();
-        match anchor(state, requests, &[], cfg, allowed, &metrics) {
-            Prep::Trivial(outcomes) => Prep::Trivial(outcomes),
-            Prep::Ready(a) => build(state, requests, *a, cfg, allowed, &metrics),
+        let Prep::Ready(anchored) = anchor(state, requests, &[], cfg, allowed, &metrics) else {
+            panic!("the batch needs a model");
+        };
+        let candidates = anchor_candidates(state, requests, &anchored, cfg, allowed);
+        assert!(!candidates.is_empty(), "no usable candidate");
+        let (classes, active) = (&anchored.classes, &anchored.active);
+        let model = build_model(state, requests, classes, &candidates, active, cfg);
+        Prepared {
+            anchored: *anchored,
+            candidates,
+            model,
         }
     }
 
@@ -1503,7 +1480,7 @@ mod tests {
         assert_eq!(pl.nodes.len(), 4);
     }
 
-    /// The anchor and the ladder's heuristic arm score with
+    /// The anchor and the heuristic arm score with
     /// `IlpConfig::weights`. Node 0 is 3/4 full; node 1 is empty but has
     /// one core, so a container there fragments it. The default `w3`
     /// prefers node 0, `w3 = 0` leaves only the balance term: node 1.
@@ -1541,9 +1518,7 @@ mod tests {
                 },
                 ..IlpConfig::default()
             };
-            let Prep::Ready(p) = prepare_alone(&mut state, &batch, &cfg, None) else {
-                panic!("the batch needs a model");
-            };
+            let p = prepare_alone(&mut state, &batch, &cfg, None);
             assert_eq!(node_of(&p.anchored.heuristic), want, "anchor, w3 = {w3}");
             let mut arm = crate::LraScheduler::new(crate::LraAlgorithm::Ilp);
             arm.ilp = cfg;
@@ -1995,7 +1970,7 @@ mod tests {
     }
 
     /// The model's shape is part of the placement contract: its skeleton
-    /// keys the warm-basis slot and the relaxed arm's rounding seed.
+    /// keys the warm-basis slot.
     #[test]
     fn prepared_models_are_pinned() {
         use crate::heuristics::tests::hbase;
@@ -2019,10 +1994,7 @@ mod tests {
         ];
         for (name, mut state, requests, allowed, pinned) in cases {
             let cfg = IlpConfig::default();
-            let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, allowed.as_deref())
-            else {
-                panic!("{name}: nothing to model");
-            };
+            let p = prepare_alone(&mut state, &requests, &cfg, allowed.as_deref());
             let problem = &p.model.problem;
             assert_eq!(
                 (
@@ -2039,17 +2011,14 @@ mod tests {
     /// The model does not depend on how tenants list their containers
     /// and constraints, nor on their app ids: a 3 x HBase batch and the
     /// same batch under fresh ids, each request shuffled, build the same
-    /// skeleton (which keys the warm slot and the rounding seed) and the
-    /// same LP optimum.
+    /// skeleton (which keys the warm slot) and the same LP optimum.
     #[test]
     fn model_is_independent_of_listing_order_and_app_ids() {
         use crate::heuristics::tests::hbase3;
         let cfg = IlpConfig::default();
         let shape = |requests: &[LraRequest]| {
             let mut state = ClusterState::homogeneous(500, Resources::new(16 * 1024, 16), 12);
-            let Prep::Ready(p) = prepare_alone(&mut state, requests, &cfg, None) else {
-                panic!("nothing to model");
-            };
+            let p = prepare_alone(&mut state, requests, &cfg, None);
             let problem = &p.model.problem;
             let lp = medea_solver::Simplex::new(problem).solve();
             assert_eq!(lp.status, medea_solver::LpStatus::Optimal);
@@ -2131,9 +2100,7 @@ mod tests {
         let containers = vec![small.clone(), large, small.clone(), small];
         let requests = [LraRequest::new(ApplicationId(1), containers, vec![])];
         let cfg = IlpConfig::default();
-        let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, None) else {
-            panic!("nothing to model");
-        };
+        let p = prepare_alone(&mut state, &requests, &cfg, None);
         assert_eq!(p.candidates, (0..4).map(NodeId).collect::<Vec<_>>());
         let members: Vec<&[usize]> = p.anchored.classes.iter().map(|c| &c.members[..]).collect();
         assert_eq!(members, [&[1][..], &[0, 2, 3][..]]);
@@ -2302,9 +2269,7 @@ mod tests {
         };
         for (seed, &(optimum, bound)) in PINNED_OBJECTIVES.iter().enumerate() {
             let (mut state, requests) = small_instance(seed as u64);
-            let Prep::Ready(p) = prepare_alone(&mut state, &requests, &cfg, None) else {
-                panic!("seed {seed}: nothing to model");
-            };
+            let p = prepare_alone(&mut state, &requests, &cfg, None);
             let milp = Milp::new(&p.model.problem)
                 .gap(0.0)
                 .time_limit(cfg.time_limit)

@@ -14,16 +14,16 @@
 //! - the **heuristics** of §5.3 (node candidates, tag popularity) plus the
 //!   evaluation baselines: `Serial`, `J-Kube`, `J-Kube++`, and `YARN`;
 //! - the **capability matrix** of Table 1;
-//! - the **LP-relaxation fast path** ([`PlacerMode::Relaxed`]): the
-//!   Fig. 5 model solved as an LP, randomized-rounded, the requests the
-//!   rounding leaves hard-violating re-solved exactly —
-//!   the arm for batch sizes where exact branch and bound cannot go;
+//! - the **placer arms** under [`LraAlgorithm::Ilp`] ([`PlacerMode`]):
+//!   the exact Fig. 5 ILP, or the §5.3 node-candidates heuristic the ILP
+//!   is anchored on, validated so that no hard violation is committed
+//!   (`PlacerMode::Relaxed` is an alias of the latter);
 //! - the **container recovery pipeline** (§2.3, §7.3): on node loss,
 //!   lost LRA containers are re-enqueued with anti-affinity to the
 //!   failing fault domain, retried with exponential backoff under a
-//!   bounded attempt budget, while a [`DegradationLadder`] of circuit
-//!   breakers degrades placement `Ilp → Relaxed → Heuristic` after
-//!   repeated solver stalls and probes back upward.
+//!   bounded attempt budget, while a [`CircuitBreaker`] degrades
+//!   placement `Ilp → Heuristic` after repeated solver stalls and probes
+//!   back upward.
 //!
 //! See `medea-constraints` for the constraint language and
 //! `medea-cluster` for the cluster model.
@@ -45,7 +45,6 @@ mod objective;
 mod obs_bridge;
 mod reconcile;
 mod recovery;
-mod relax;
 mod request;
 mod round;
 mod shared;
@@ -62,7 +61,7 @@ pub use lifecycle::{
     container_version, tag_version, version_tag, AppLifecycle, AppSpec, LifecyclePhase,
     LifecycleStats, VERSION_TAG_PREFIX,
 };
-pub use lra::{LraAlgorithm, LraScheduler};
+pub use lra::{LraAlgorithm, LraScheduler, PlacerMode};
 pub use medea::{
     CancelReport, InflightSolve, LraDeployment, MedeaScheduler, MedeaStats, NodeReport, QueuedLra,
     RestartReport,
@@ -71,10 +70,9 @@ pub use migration::Migration;
 pub use objective::{ObjectiveWeights, Scorer};
 pub use obs_bridge::SolverMetricsBridge;
 pub use recovery::{
-    fault_domain_tag, BreakerState, CircuitBreaker, DegradationLadder, NodeLossReport,
-    RecoveryConfig, RecoveryReport, FAULT_DOMAIN_TAG,
+    fault_domain_tag, BreakerState, CircuitBreaker, NodeLossReport, RecoveryConfig, RecoveryReport,
+    FAULT_DOMAIN_TAG,
 };
-pub use relax::{AnchorServed, PlacerMode, RelaxReport};
 pub use request::{
     BatchPlacement, Locality, LraPlacement, LraRequest, PlacementOutcome, TaskJobRequest,
 };

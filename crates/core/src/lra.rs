@@ -1,18 +1,58 @@
-//! The LRA scheduler: algorithm selection and dispatch (§5).
+//! The LRA scheduler: algorithm selection and dispatch (§5), and the
+//! served arm's validation.
 
 use std::fmt;
+use std::time::Instant;
 
-use medea_cluster::{ClusterState, NodeId};
-use medea_constraints::PlacementConstraint;
+use medea_cluster::{ClusterState, ContainerId, NodeId};
+use medea_constraints::{check_container, PlacementConstraint};
 use medea_obs::MetricsRegistry;
 
 use crate::heuristics::{HeuristicScheduler, Ordering};
-use crate::ilp::{self, IlpBasisCache, IlpConfig};
+use crate::ilp::{self, IlpBasisCache, IlpConfig, Prep};
 use crate::jkube::JKubeScheduler;
 use crate::obs_bridge::PlacerMetrics;
-use crate::relax::{self, PlacerMode};
 use crate::request::{BatchPlacement, LraRequest, PlacementOutcome};
 use crate::yarn::YarnScheduler;
+
+/// Which placer arm serves a batch under [`LraAlgorithm::Ilp`].
+///
+/// The scheduler's circuit breaker demotes `Ilp → Heuristic` under
+/// sustained solver failure and probes back upward (see
+/// [`crate::CircuitBreaker`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PlacerMode {
+    /// Exact branch and bound over the Fig. 5 MILP (§5.2).
+    Ilp,
+    /// An alias of [`PlacerMode::Heuristic`]: the same path, kept
+    /// because callers still name it.
+    Relaxed,
+    /// The §5.3 node-candidates heuristic, validated: every placement is
+    /// allocated live and re-checked against every hard constraint, and a
+    /// request that fails either is returned unplaced.
+    Heuristic,
+}
+
+impl PlacerMode {
+    /// Short name used in metrics and benchmark output.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PlacerMode::Ilp => "ilp",
+            PlacerMode::Relaxed => "relaxed",
+            PlacerMode::Heuristic => "heuristic",
+        }
+    }
+
+    /// Numeric encoding for the `core.placer_mode` gauge
+    /// (0 = ilp, 1 = relaxed, 2 = heuristic).
+    pub fn code(&self) -> i64 {
+        match self {
+            PlacerMode::Ilp => 0,
+            PlacerMode::Relaxed => 1,
+            PlacerMode::Heuristic => 2,
+        }
+    }
+}
 
 /// The LRA placement algorithm to use (§7.1 comparison set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,9 +131,10 @@ impl LraScheduler {
         }
     }
 
-    /// Attaches a metrics registry: the solver arms report `solver.*`,
-    /// `core.ilp_*` and `core.relax_*` series into it (handles resolved
-    /// here, once; until then they record into a private registry).
+    /// Attaches a metrics registry: the placer arms report `solver.*`,
+    /// `core.prepare_*`, `core.ilp_*` and `core.relax_*` series into it
+    /// (handles resolved here, once; until then they record into a
+    /// private registry).
     pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = PlacerMetrics::new(registry);
     }
@@ -130,10 +171,10 @@ impl LraScheduler {
     ///   nodes, ascending); `None` means all nodes. Scoring and `γ`
     ///   counts still see the full state.
     /// - `arm` overrides the configured algorithm with a placer arm — how
-    ///   the degradation ladder serves from a lower arm while a breaker is
-    ///   open; `None` serves the configured algorithm
+    ///   the circuit breaker serves the heuristic arm while it is open;
+    ///   `None` serves the configured algorithm
     ///   ([`IlpConfig::mode`] under [`LraAlgorithm::Ilp`]).
-    /// - `cache` is the warm-start slot a solver arm reads and refills;
+    /// - `cache` is the warm-start slot the exact arm reads and refills;
     ///   the caller owns it (one per shard, so shards never evict each
     ///   other). `None` solves cold.
     pub fn place_on(
@@ -150,13 +191,8 @@ impl LraScheduler {
                 .place_counted(state, requests, deployed_constraints, allowed)
                 .0
         };
-        let by_mode = |state: &mut ClusterState, mode| {
-            let solve = match mode {
-                PlacerMode::Ilp => ilp::solve,
-                PlacerMode::Relaxed => relax::solve,
-                PlacerMode::Heuristic => return greedy(state, self.ilp.anchor()).into(),
-            };
-            solve(
+        let by_mode = |state: &mut ClusterState, mode| match mode {
+            PlacerMode::Ilp => ilp::solve(
                 state,
                 requests,
                 deployed_constraints,
@@ -164,7 +200,15 @@ impl LraScheduler {
                 allowed,
                 cache,
                 &self.metrics,
-            )
+            ),
+            PlacerMode::Relaxed | PlacerMode::Heuristic => serve_anchor(
+                state,
+                requests,
+                deployed_constraints,
+                &self.ilp,
+                allowed,
+                &self.metrics,
+            ),
         };
         if let Some(mode) = arm {
             return by_mode(state, mode);
@@ -193,10 +237,104 @@ impl LraScheduler {
     }
 }
 
+/// The served arm: the §5.3 anchor ([`ilp::anchor`]), validated on
+/// `state` by [`validate_anchor`]. No model and no LP: the basis slot is
+/// not touched.
+fn serve_anchor(
+    state: &mut ClusterState,
+    requests: &[LraRequest],
+    deployed_constraints: &[PlacementConstraint],
+    cfg: &IlpConfig,
+    allowed: Option<&[NodeId]>,
+    metrics: &PlacerMetrics,
+) -> BatchPlacement {
+    let anchored = match ilp::anchor(state, requests, deployed_constraints, cfg, allowed, metrics) {
+        Prep::Trivial(outcomes) => return outcomes.into(),
+        Prep::Ready(a) => a,
+    };
+    let t_validate = Instant::now();
+    let (outcomes, evicted) = validate_anchor(state, requests, &anchored);
+    let arm = &metrics.arm;
+    arm.relax_validate_us.record_duration(t_validate.elapsed());
+    if evicted > 0 {
+        arm.relax_evictions.add(evicted as u64);
+    }
+    outcomes.into()
+}
+
+/// Validates the anchor's placement on `state`, under a rollback guard:
+/// each request is allocated live (capacity), then every kept request
+/// whose containers break an applicable hard constraint is released.
+/// Releases repeat until a pass releases nothing, so a request that
+/// passed before a later release (an affinity whose target went) is
+/// checked again and every kept request is clean on the final state.
+/// Returns the outcomes, with every request that failed `Unplaced`, and
+/// how many failed.
+fn validate_anchor(
+    state: &mut ClusterState,
+    requests: &[LraRequest],
+    anchored: &ilp::Anchored,
+) -> (Vec<PlacementOutcome>, usize) {
+    let hard: Vec<&PlacementConstraint> = anchored.active.iter().filter(|c| c.is_hard()).collect();
+    let mut work = state.scratch();
+    let mut evicted = 0;
+    let mut placed: Vec<Option<Vec<ContainerId>>> = requests
+        .iter()
+        .zip(&anchored.heuristic)
+        .map(|(r, out)| {
+            let pl = out.placement()?;
+            let ids = r.allocate_all(&mut work, |_, k| pl.nodes.get(k).copied());
+            evicted += usize::from(ids.is_none());
+            ids
+        })
+        .collect();
+    loop {
+        let before = evicted;
+        for slot in &mut placed {
+            let violating =
+                |ids: &mut Vec<ContainerId>| ids.iter().any(|&id| violates_hard(&work, &hard, id));
+            if let Some(ids) = slot.take_if(violating) {
+                for id in ids {
+                    let _ = work.release(id);
+                }
+                evicted += 1;
+            }
+        }
+        if evicted == before {
+            break;
+        }
+    }
+    let outcomes = requests
+        .iter()
+        .zip(&anchored.heuristic)
+        .zip(&placed)
+        .map(|((r, out), ids)| match ids {
+            Some(_) => out.clone(),
+            None => PlacementOutcome::Unplaced { app: r.app },
+        })
+        .collect();
+    (outcomes, evicted)
+}
+
+/// Whether live container `id` is a subject of a `hard` constraint it
+/// breaks on `work`.
+fn violates_hard(work: &ClusterState, hard: &[&PlacementConstraint], id: ContainerId) -> bool {
+    let Ok(alloc) = work.allocation(id) else {
+        return false;
+    };
+    hard.iter().any(|c| {
+        c.subject.matches_allocation(alloc)
+            && check_container(work, c, id).is_some_and(|ch| !ch.satisfied)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medea_cluster::{ApplicationId, NodeGroupId, Resources, Tag};
+    use crate::request::LraPlacement;
+    use medea_cluster::{
+        ApplicationId, ContainerRequest, ExecutionKind, NodeGroupId, Resources, Tag,
+    };
 
     #[test]
     fn every_algorithm_places_a_simple_lra() {
@@ -226,5 +364,174 @@ mod tests {
         assert_eq!(LraAlgorithm::Ilp.name(), "MEDEA-ILP");
         assert_eq!(LraAlgorithm::JKubePlusPlus.to_string(), "J-KUBE++");
         assert_eq!(LraAlgorithm::ALL.len(), 7);
+    }
+
+    /// A violator and its follower on a 2-node state: request `x`+`m`
+    /// breaks a hard anti-affinity against a deployed `x` on node 0, and
+    /// request `y` has a hard affinity to `m`, which only the violator
+    /// holds. Returns the two requests in the order `follower_first`
+    /// asks for, and the two hard constraints.
+    fn violator_and_follower(
+        follower_first: bool,
+    ) -> (ClusterState, Vec<LraRequest>, [PlacementConstraint; 2]) {
+        let mut state = ClusterState::homogeneous(2, Resources::new(4096, 4), 1);
+        let spread = PlacementConstraint::anti_affinity("x", "x", NodeGroupId::node()).hard();
+        let near = PlacementConstraint::affinity("y", "m", NodeGroupId::node()).hard();
+        let request = |app, tags: &[&str], c: &PlacementConstraint| {
+            LraRequest::uniform(
+                ApplicationId(app),
+                1,
+                Resources::new(1024, 1),
+                tags.iter().map(Tag::new).collect(),
+                vec![c.clone()],
+            )
+        };
+        let mut requests = vec![request(1, &["x", "m"], &spread), request(2, &["y"], &near)];
+        if follower_first {
+            requests.reverse();
+        }
+        state
+            .allocate(
+                ApplicationId(9),
+                NodeId(0),
+                &ContainerRequest::new(Resources::new(1024, 1), [Tag::new("x")]),
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        (state, requests, [spread, near])
+    }
+
+    /// An anchor placing `outcomes` of `requests` under `active`.
+    fn anchored(
+        requests: &[LraRequest],
+        active: Vec<PlacementConstraint>,
+        outcomes: Vec<PlacementOutcome>,
+    ) -> ilp::Anchored {
+        ilp::Anchored {
+            classes: ilp::container_classes(requests),
+            active,
+            heuristic: outcomes,
+        }
+    }
+
+    fn on(app: u64, node: u32) -> PlacementOutcome {
+        PlacementOutcome::Placed(LraPlacement {
+            app: ApplicationId(app),
+            nodes: vec![NodeId(node)],
+        })
+    }
+
+    fn unplaced(app: u64) -> PlacementOutcome {
+        PlacementOutcome::Unplaced {
+            app: ApplicationId(app),
+        }
+    }
+
+    /// Passes repeat until one releases nothing: the follower of a
+    /// released violator goes with it whether it is checked before or
+    /// after it.
+    #[test]
+    fn validation_evicts_a_violator_and_its_follower_in_either_order() {
+        for follower_first in [false, true] {
+            let (mut state, requests, [spread, near]) = violator_and_follower(follower_first);
+            let outcomes = requests.iter().map(|r| on(r.app.0, 0)).collect();
+            let anchor = anchored(&requests, vec![spread, near], outcomes);
+            let before = state.digest();
+            let (out, evicted) = validate_anchor(&mut state, &requests, &anchor);
+            assert_eq!(
+                out,
+                vec![unplaced(requests[0].app.0), unplaced(requests[1].app.0)]
+            );
+            assert_eq!(evicted, 2);
+            assert_eq!(state.digest(), before);
+        }
+    }
+
+    /// One hard violation and one over-capacity request are evicted; the
+    /// state is left as found and never copied.
+    #[test]
+    fn validation_evicts_violating_and_unallocatable_requests() {
+        let mut state = ClusterState::homogeneous(2, Resources::new(4096, 4), 1);
+        let request = |app, mem, tag: &str, constraints| {
+            LraRequest::uniform(
+                ApplicationId(app),
+                1,
+                Resources::new(mem, 1),
+                vec![Tag::new(tag)],
+                constraints,
+            )
+        };
+        let spread = PlacementConstraint::anti_affinity("x", "x", NodeGroupId::node()).hard();
+        let requests = [
+            request(1, 1024, "x", vec![spread.clone()]),
+            request(2, 8192, "y", vec![]),
+            request(3, 1024, "y", vec![]),
+            request(4, 1024, "y", vec![]),
+        ];
+        state
+            .allocate(
+                ApplicationId(9),
+                NodeId(0),
+                &requests[0].containers[0],
+                ExecutionKind::LongRunning,
+            )
+            .unwrap();
+        // Next to the deployed `x`; larger than any node; fine; not placed.
+        let outcomes = vec![on(1, 0), on(2, 1), on(3, 1), unplaced(4)];
+        let anchor = anchored(&requests, vec![spread], outcomes);
+        let (before, clones) = (state.digest(), medea_cluster::state_clones());
+        let (out, evicted) = validate_anchor(&mut state, &requests, &anchor);
+        assert_eq!(out, vec![unplaced(1), unplaced(2), on(3, 1), unplaced(4)]);
+        assert_eq!(evicted, 2);
+        assert_eq!(state.digest(), before);
+        assert_eq!(medea_cluster::state_clones(), clones);
+    }
+
+    /// The served arm on a batch its anchor cannot place whole (three
+    /// 3 GB containers on two 4 GB nodes) builds no model: no pivot, an
+    /// empty basis slot, and one validation timed.
+    #[test]
+    fn the_served_arm_runs_no_lp_on_an_unclean_batch() {
+        let registry = MetricsRegistry::new();
+        let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+        scheduler.ilp.mode = PlacerMode::Relaxed;
+        scheduler.set_metrics(&registry);
+        let cache = IlpBasisCache::default();
+        let mut tight = ClusterState::homogeneous(2, Resources::new(4096, 4), 1);
+        let before = tight.digest();
+        let batch = [
+            LraRequest::uniform(ApplicationId(1), 3, Resources::new(3072, 1), vec![], vec![]),
+            LraRequest::uniform(ApplicationId(2), 1, Resources::new(1024, 1), vec![], vec![]),
+        ];
+        let out = scheduler.place_on(&mut tight, &batch, &[], None, None, Some(&cache));
+        assert!(out.outcomes[0].placement().is_none());
+        assert!(out.outcomes[1].placement().is_some());
+        assert_eq!(tight.digest(), before);
+        assert!(format!("{cache:?}").contains("occupied: false"));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("solver.simplex_pivots_total"), Some(0));
+        let validated = snap.histogram("core.relax_validate_us");
+        assert_eq!(validated.map(|h| h.count), Some(1));
+    }
+
+    /// The heuristic arm the breaker serves validates what the greedy
+    /// placed: held to node 0, the greedy puts the violator next to the
+    /// deployed `x` and its follower beside it, and the arm evicts both.
+    #[test]
+    fn the_heuristic_arm_evicts_a_hard_violator_the_greedy_placed() {
+        let (mut state, requests, _) = violator_and_follower(false);
+        let node_0 = [NodeId(0)];
+        let greedy = HeuristicScheduler::new(Ordering::NodeCandidates);
+        let placed = greedy.place(&state, &requests, &[], Some(&node_0));
+        assert_eq!(placed, vec![on(1, 0), on(2, 0)], "the greedy places both");
+
+        let registry = MetricsRegistry::new();
+        let mut scheduler = LraScheduler::new(LraAlgorithm::Ilp);
+        scheduler.set_metrics(&registry);
+        let heuristic = Some(PlacerMode::Heuristic);
+        let out = scheduler.place_on(&mut state, &requests, &[], Some(&node_0), heuristic, None);
+        assert_eq!(out.outcomes, vec![unplaced(1), unplaced(2)]);
+        let evictions = registry.snapshot().counter("core.relax_evictions_total");
+        assert_eq!(evictions, Some(2));
     }
 }

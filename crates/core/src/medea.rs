@@ -14,10 +14,9 @@
 //! node, repairs task-queue accounting, and re-enqueues the lost LRA
 //! containers as recovery requests that carry a soft anti-affinity to the
 //! failing fault domain. Recovery retries use exponential backoff with a
-//! bounded attempt budget, and the [`DegradationLadder`]'s two
-//! [`CircuitBreaker`]s demote service after repeated solver
-//! deadline/stall outcomes: from the exact ILP to the LP-relaxation arm,
-//! and from that arm to the node-candidates heuristic.
+//! bounded attempt budget, and a [`CircuitBreaker`] demotes service from
+//! the exact ILP to the node-candidates heuristic after repeated solver
+//! deadline/stall outcomes.
 //!
 //! The scheduler is split by **who owns which state**: this file holds
 //! the composition, the LRA queue and node-loss handling; `round` the
@@ -39,7 +38,7 @@ pub use crate::durability::{NodeReport, RestartReport};
 use crate::ledger::RecoveryLedger;
 use crate::lifecycle::{LifecycleStats, ManagedApp};
 use crate::lra::{LraAlgorithm, LraScheduler};
-use crate::recovery::{fault_domain_tag, DegradationLadder, NodeLossReport, RecoveryConfig};
+use crate::recovery::{fault_domain_tag, CircuitBreaker, NodeLossReport, RecoveryConfig};
 use crate::recovery::{BreakerState, RecoveryReport, FAULT_DOMAIN_TAG};
 use crate::request::{LraRequest, TaskJobRequest};
 pub use crate::round::InflightSolve;
@@ -69,9 +68,6 @@ medea_obs::metric_handles! {
         pub(super) breaker_opened: Counter = "core.breaker_opened_total",
         pub(super) breaker_closed: Counter = "core.breaker_closed_total",
         pub(super) breaker_state: Gauge = "core.breaker_state",
-        pub(super) relax_breaker_opened: Counter = "core.relax_breaker_opened_total",
-        pub(super) relax_breaker_closed: Counter = "core.relax_breaker_closed_total",
-        pub(super) relax_breaker_state: Gauge = "core.relax_breaker_state",
         pub(super) placer_mode: Gauge = "core.placer_mode",
         pub(super) solver_stalls: Counter = "core.solver_stalls_total",
         pub(super) shards_active: Gauge = "core.shards_active",
@@ -240,8 +236,9 @@ pub struct MedeaScheduler {
     pub max_attempts: u32,
     /// Recovery retry/backoff policy and breaker thresholds.
     pub recovery: RecoveryConfig,
-    /// How a batch gets solved: the LRA scheduler, the degradation
-    /// ladder, and the sharding configuration with its per-shard caches.
+    /// How a batch gets solved: the LRA scheduler, the exact arm's
+    /// circuit breaker, and the sharding configuration with its
+    /// per-shard caches.
     pub(super) placer: Placer,
     /// Crashed node → fault-domain members marked with the
     /// [`FAULT_DOMAIN_TAG`] on its behalf (unmarked on recovery).
@@ -316,18 +313,19 @@ impl MedeaScheduler {
         self.placer.shard = config;
     }
 
-    /// Replaces the recovery policy (and resets the degradation ladder
-    /// to the new thresholds).
+    /// Replaces the recovery policy (and resets the circuit breaker to
+    /// the new thresholds).
     pub fn with_recovery(mut self, config: RecoveryConfig) -> Self {
         self.recovery = config;
-        self.placer.ladder =
-            DegradationLadder::new(config.breaker_failure_threshold, config.breaker_open_cycles);
+        self.placer.breaker =
+            CircuitBreaker::new(config.breaker_failure_threshold, config.breaker_open_cycles);
         self
     }
 
     /// Points every layer this scheduler drives at `registry`: the
-    /// scheduling cycle (`core.*`), the solver arms (`solver.*`,
-    /// `core.ilp_*`, `core.relax_*`), and the task scheduler (`task.*`).
+    /// scheduling cycle (`core.*`), the placer arms (`solver.*`,
+    /// `core.prepare_*`, `core.ilp_*`, `core.relax_*`), and the task
+    /// scheduler (`task.*`).
     /// Until then they record into a private registry nobody reads.
     /// Builder form of [`MedeaScheduler::set_metrics`].
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
@@ -571,7 +569,7 @@ impl MedeaScheduler {
     /// Current circuit-breaker state of the exact-ILP arm (degradation
     /// protection).
     pub fn breaker_state(&self) -> BreakerState {
-        self.placer.ladder.ilp_state()
+        self.placer.breaker.state()
     }
 
     /// Cumulative recovery accounting: every container killed by
@@ -689,9 +687,9 @@ impl MedeaScheduler {
     }
 
     /// Injects a solver stall: for the next `cycles` scheduling cycles
-    /// the solver arm the ladder selects is treated as degraded (counts
-    /// against its circuit breaker, placements fall back to the
-    /// heuristic).
+    /// the arm that would serve is treated as degraded (an exact round
+    /// counts against the circuit breaker) and the heuristic places the
+    /// batch.
     pub fn inject_solver_stall(&mut self, cycles: u32) {
         self.placer.stall_cycles_remaining =
             self.placer.stall_cycles_remaining.saturating_add(cycles);
@@ -771,14 +769,14 @@ mod tests {
     }
 
     /// Attaching a registry declares every series; rounds under either
-    /// solver arm add none (nothing is resolved by name mid-solve). The
-    /// relaxed arm runs a clean round (its anchor is served) and one whose
-    /// five anti-affine containers on four nodes send it to the LP.
+    /// placer arm add none (nothing is resolved by name mid-solve). The
+    /// heuristic arm also serves five anti-affine containers on four
+    /// nodes, which break a soft check.
     #[test]
     fn traced_rounds_register_exactly_the_declared_series() {
         use crate::obs_bridge::{ArmMetrics, SolverMetricsBridge};
         use crate::task_scheduler::TaskMetrics;
-        use crate::PlacerMode::{Ilp, Relaxed};
+        use crate::PlacerMode::{Heuristic, Ilp, Relaxed};
         use std::collections::BTreeSet;
 
         let registry = MetricsRegistry::new();
@@ -793,7 +791,7 @@ mod tests {
         let rounds = [
             (Ilp, lra(1, 2, 1024, "a")),
             (Relaxed, lra(2, 2, 1024, "a")),
-            (Relaxed, spread),
+            (Heuristic, spread),
         ];
         for (round, (mode, request)) in rounds.into_iter().enumerate() {
             m.lra_scheduler_mut().ilp.mode = mode;
@@ -823,8 +821,8 @@ mod tests {
             snap.histogram("core.ilp_solve_us").map(|h| h.count),
             Some(1)
         );
-        assert_eq!(snap.histogram("core.relax_lp_us").map(|h| h.count), Some(1));
-        assert_eq!(snap.counter("core.relax_anchor_served_total"), Some(1));
+        let validated = snap.histogram("core.relax_validate_us");
+        assert_eq!(validated.map(|h| h.count), Some(2));
     }
 
     #[test]
@@ -1038,7 +1036,7 @@ mod tests {
         m.submit_lra(lra(2, 1, 1024, "b"), 1).unwrap();
         assert_eq!(m.tick(1).len(), 1);
         assert_eq!(m.breaker_state(), crate::BreakerState::Open);
-        // Open cycles are served by the relaxed arm...
+        // Open cycles are served by the heuristic arm...
         m.submit_lra(lra(3, 1, 1024, "c"), 2).unwrap();
         assert_eq!(m.tick(2).len(), 1);
         m.submit_lra(lra(4, 1, 1024, "d"), 3).unwrap();
@@ -1051,28 +1049,20 @@ mod tests {
     }
 
     /// The breaker series follow every transition of the stall sequence
-    /// above, configured `Ilp` (the ILP breaker opens, the relaxed arm
-    /// serves the cool-down) and configured `Relaxed` (the relaxed
-    /// breaker opens, the heuristic serves the cool-down).
+    /// above, configured `Ilp` (the breaker opens, the heuristic serves
+    /// the cool-down); configured `Relaxed`, stalls report to no breaker.
     #[test]
     fn solver_stalls_drive_the_breaker_series() {
         use crate::PlacerMode::{Heuristic, Ilp, Relaxed};
-        // Per tick: ilp opened, closed, state; relaxed opened, closed,
-        // state; the arm the ladder selected.
+        // Per tick: opened, closed, state; the arm the breaker selected.
         let ilp_rows = [
-            [0, 0, 0, 0, 0, 0, Ilp.code()],
-            [1, 0, 1, 0, 0, 0, Ilp.code()],
-            [1, 0, 1, 0, 0, 0, Relaxed.code()],
-            [1, 0, 1, 0, 0, 0, Relaxed.code()],
-            [1, 1, 0, 0, 0, 0, Ilp.code()],
+            [0, 0, 0, Ilp.code()],
+            [1, 0, 1, Ilp.code()],
+            [1, 0, 1, Heuristic.code()],
+            [1, 0, 1, Heuristic.code()],
+            [1, 1, 0, Ilp.code()],
         ];
-        let relaxed_rows = [
-            [0, 0, 0, 0, 0, 0, Relaxed.code()],
-            [0, 0, 0, 1, 0, 1, Relaxed.code()],
-            [0, 0, 0, 1, 0, 1, Heuristic.code()],
-            [0, 0, 0, 1, 0, 1, Heuristic.code()],
-            [0, 0, 0, 1, 1, 0, Relaxed.code()],
-        ];
+        let relaxed_rows = [[0, 0, 0, Relaxed.code()]; 5];
         for (mode, rows) in [(Ilp, ilp_rows), (Relaxed, relaxed_rows)] {
             let registry = MetricsRegistry::new();
             let mut m = MedeaScheduler::new(cluster(), LraAlgorithm::Ilp, 1)
@@ -1095,9 +1085,6 @@ mod tests {
                     counter("core.breaker_opened_total"),
                     counter("core.breaker_closed_total"),
                     gauge("core.breaker_state"),
-                    counter("core.relax_breaker_opened_total"),
-                    counter("core.relax_breaker_closed_total"),
-                    gauge("core.relax_breaker_state"),
                     gauge("core.placer_mode"),
                 ];
                 assert_eq!(&seen, row, "{mode:?} tick {now}");

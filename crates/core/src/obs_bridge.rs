@@ -26,8 +26,9 @@ medea_obs::metric_handles! {
 }
 
 medea_obs::metric_handles! {
-    /// Pre-resolved series of the two solver arms (`core.prepare_*`,
-    /// `core.ilp_*`, `core.relax_*`), looked up once against the
+    /// Pre-resolved series of the two placer arms (the anchor's, the
+    /// exact arm's `core.prepare_*` and `core.ilp_*`, the heuristic arm's
+    /// validation as `core.relax_*`), looked up once against the
     /// [`crate::LraScheduler`]'s registry.
     #[derive(Debug)]
     pub(crate) struct ArmMetrics {
@@ -38,22 +39,12 @@ medea_obs::metric_handles! {
         pub(crate) ilp_solve_us: Histogram = "core.ilp_solve_us",
         pub(crate) ilp_warm_start_hits: Counter = "core.ilp_warm_start_hits_total",
         pub(crate) heuristic_fallbacks: Counter = "core.heuristic_fallback_total",
-        pub(crate) relax_anchor_served: Counter = "core.relax_anchor_served_total",
-        pub(crate) relax_anchor_kept: Counter = "core.relax_anchor_kept_total",
-        pub(crate) relax_lp_us: Histogram = "core.relax_lp_us",
-        pub(crate) relax_round_us: Histogram = "core.relax_round_us",
-        pub(crate) relax_residue_us: Histogram = "core.relax_residue_us",
         pub(crate) relax_validate_us: Histogram = "core.relax_validate_us",
-        pub(crate) relax_warm_start_hits: Counter = "core.relax_warm_start_hits_total",
-        pub(crate) relax_fallbacks: Counter = "core.relax_fallback_total",
-        pub(crate) relax_residue_solves: Counter = "core.relax_residue_solves_total",
         pub(crate) relax_evictions: Counter = "core.relax_evictions_total",
-        pub(crate) relax_residue_containers: Histogram = "core.relax_residue_containers",
-        pub(crate) relax_objective_gap_permille: Histogram = "core.relax_objective_gap_permille",
     }
 }
 
-/// Everything a solver arm reports into: its own `core.*` series and the
+/// Everything a placer arm reports into: its own `core.*` series and the
 /// `solver.*` bridge.
 #[derive(Debug)]
 pub(crate) struct PlacerMetrics {

@@ -9,13 +9,10 @@
 //! - [`RecoveryConfig`]: retry budget and exponential backoff for
 //!   re-placing long-running containers lost to a node crash;
 //! - [`CircuitBreaker`]: the classic three-state (closed / open /
-//!   half-open) breaker primitive;
-//! - [`DegradationLadder`]: two stacked breakers forming the placer-arm
-//!   ladder `Ilp → Relaxed → Heuristic` — repeated exact-solver stalls
-//!   demote service to the LP-relaxation arm, repeated rounding failures
-//!   demote further to the heuristic, and each breaker independently
-//!   probes its arm again after a cool-down (so an overloaded or
-//!   stalling solver cannot stall the whole recovery pipeline);
+//!   half-open) breaker around the exact arm — repeated exact-solver
+//!   stalls demote service `Ilp → Heuristic`, and the breaker probes the
+//!   exact arm again after a cool-down (so an overloaded or stalling
+//!   solver cannot stall the whole recovery pipeline);
 //! - [`NodeLossReport`] / [`RecoveryReport`]: structured accounting so
 //!   the harness can verify that every killed container is either
 //!   re-placed or *explicitly* reported as unplaceable — never silently
@@ -85,22 +82,19 @@ impl RecoveryConfig {
 }
 
 /// Circuit-breaker state (classic three-state machine). The discriminant
-/// is the value of the `core.breaker_state` and `core.relax_breaker_state`
-/// gauges.
+/// is the value of the `core.breaker_state` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation: the protected arm runs every cycle.
     Closed = 0,
-    /// Tripped: the protected arm is skipped and the next arm down the
-    /// [`DegradationLadder`] serves until the cool-down elapses (the
-    /// relaxed arm for the ILP breaker, the heuristic for the relaxed
-    /// breaker).
+    /// Tripped: the protected arm is skipped and the heuristic arm
+    /// serves until the cool-down elapses.
     Open = 1,
     /// Cool-down elapsed: the next cycle probes the protected arm once.
     HalfOpen = 2,
 }
 
-/// Degradation circuit breaker around one solver arm.
+/// Degradation circuit breaker around the exact arm (`Ilp → Heuristic`).
 ///
 /// `allow()` is asked once per scheduling cycle whether the arm may run;
 /// the outcome is fed back via `on_success()` / `on_failure()`, which
@@ -180,98 +174,6 @@ impl CircuitBreaker {
             self.consecutive_failures = 0;
         }
         trips
-    }
-}
-
-/// Three-arm degradation ladder: `Ilp → Relaxed → Heuristic`.
-///
-/// Two [`CircuitBreaker`]s stack into the placer-arm state machine the
-/// scheduler consults each cycle:
-///
-/// - the **ilp breaker** protects the exact MILP arm: repeated stalls /
-///   deadline degradations open it, demoting service to the
-///   LP-relaxation arm;
-/// - the **relaxed breaker** protects the relaxation arm: repeated
-///   rounding failures (fallbacks, hard-constraint evictions the residue
-///   MILP could not absorb) open it, demoting service to the greedy
-///   heuristic.
-///
-/// Recovery probes upward: each breaker independently half-opens after
-/// its cool-down, so a cycle served by the heuristic may next probe the
-/// relaxed arm, and a cycle served by the relaxed arm may next probe the
-/// exact ILP. A successful probe closes that breaker and restores the
-/// higher arm; a failed probe re-opens it for another cool-down.
-///
-/// The ladder never promotes *above* the configured mode: a scheduler
-/// configured `Relaxed` degrades only to `Heuristic`, and one configured
-/// `Heuristic` never consults a breaker at all.
-#[derive(Debug, Clone)]
-pub struct DegradationLadder {
-    ilp: CircuitBreaker,
-    relaxed: CircuitBreaker,
-}
-
-impl DegradationLadder {
-    /// Creates a closed ladder; both breakers share the thresholds.
-    pub fn new(failure_threshold: u32, open_cycles: u32) -> Self {
-        DegradationLadder {
-            ilp: CircuitBreaker::new(failure_threshold, open_cycles),
-            relaxed: CircuitBreaker::new(failure_threshold, open_cycles),
-        }
-    }
-
-    /// Picks the arm that serves this cycle, starting from the
-    /// configured mode and walking down past open breakers. While a
-    /// breaker is open each call burns one of its cool-down cycles, so
-    /// half-open probes surface here as a temporarily higher arm.
-    pub fn select(&mut self, configured: crate::PlacerMode) -> crate::PlacerMode {
-        use crate::PlacerMode::*;
-        match configured {
-            Heuristic => Heuristic,
-            Relaxed => {
-                if self.relaxed.allow() {
-                    Relaxed
-                } else {
-                    Heuristic
-                }
-            }
-            Ilp => {
-                if self.ilp.allow() {
-                    Ilp
-                } else if self.relaxed.allow() {
-                    Relaxed
-                } else {
-                    Heuristic
-                }
-            }
-        }
-    }
-
-    /// Feeds the outcome of the cycle back to the breaker protecting the
-    /// arm that served it (the heuristic arm has no solver to fail and
-    /// reports to no breaker). Returns the state that breaker just
-    /// entered, if the outcome opened or closed it.
-    pub fn on_outcome(&mut self, served: crate::PlacerMode, success: bool) -> Option<BreakerState> {
-        let breaker = match served {
-            crate::PlacerMode::Ilp => &mut self.ilp,
-            crate::PlacerMode::Relaxed => &mut self.relaxed,
-            crate::PlacerMode::Heuristic => return None,
-        };
-        if success {
-            breaker.on_success().then_some(BreakerState::Closed)
-        } else {
-            breaker.on_failure().then_some(BreakerState::Open)
-        }
-    }
-
-    /// State of the breaker protecting the exact-ILP arm.
-    pub fn ilp_state(&self) -> BreakerState {
-        self.ilp.state()
-    }
-
-    /// State of the breaker protecting the relaxed arm.
-    pub fn relaxed_state(&self) -> BreakerState {
-        self.relaxed.state()
     }
 }
 
@@ -413,82 +315,6 @@ mod tests {
         b.on_failure();
         b.on_failure();
         assert_eq!(b.state(), BreakerState::Closed, "streak was reset");
-    }
-
-    #[test]
-    fn ladder_degrades_ilp_to_relaxed_then_heuristic() {
-        use crate::PlacerMode::*;
-        // Long cool-down so the ilp breaker is still cooling (its allow()
-        // burns one cycle per select below) when the relaxed breaker opens.
-        let mut l = DegradationLadder::new(2, 4);
-        // Healthy: the configured arm serves.
-        assert_eq!(l.select(Ilp), Ilp);
-        l.on_outcome(Ilp, true);
-        // Two exact-solver stalls open the ilp breaker: service demotes
-        // to the relaxed arm, not straight to the heuristic.
-        assert_eq!(l.select(Ilp), Ilp);
-        l.on_outcome(Ilp, false);
-        assert_eq!(l.select(Ilp), Ilp);
-        l.on_outcome(Ilp, false);
-        assert_eq!(l.ilp_state(), BreakerState::Open);
-        assert_eq!(l.select(Ilp), Relaxed);
-        // Repeated rounding failures open the relaxed breaker too:
-        // service demotes to the heuristic.
-        l.on_outcome(Relaxed, false);
-        assert_eq!(l.select(Ilp), Relaxed);
-        l.on_outcome(Relaxed, false);
-        assert_eq!(l.relaxed_state(), BreakerState::Open);
-        assert_eq!(l.select(Ilp), Heuristic);
-    }
-
-    #[test]
-    fn ladder_probes_upward_after_cooldown() {
-        use crate::PlacerMode::*;
-        let mut l = DegradationLadder::new(1, 2);
-        // Open both breakers.
-        l.on_outcome(Ilp, false);
-        l.on_outcome(Relaxed, false);
-        assert_eq!(l.ilp_state(), BreakerState::Open);
-        assert_eq!(l.relaxed_state(), BreakerState::Open);
-        // Both cool-downs burn together while the heuristic serves; the
-        // first post-cooldown cycle probes the *highest* arm first.
-        assert_eq!(l.select(Ilp), Heuristic);
-        assert_eq!(l.select(Ilp), Heuristic);
-        let probe = l.select(Ilp);
-        assert_eq!(probe, Ilp, "recovery probes the exact arm");
-        // A successful probe restores exact service immediately.
-        l.on_outcome(Ilp, true);
-        assert_eq!(l.ilp_state(), BreakerState::Closed);
-        assert_eq!(l.select(Ilp), Ilp);
-        // A failed relaxed probe (after its own cool-down) re-opens only
-        // the relaxed breaker; the exact arm is unaffected.
-        l.on_outcome(Ilp, false); // threshold 1: ilp re-opens
-        assert_eq!(l.select(Ilp), Relaxed, "relaxed probe while ilp cools");
-        l.on_outcome(Relaxed, false);
-        assert_eq!(l.relaxed_state(), BreakerState::Open);
-        assert_eq!(l.select(Ilp), Heuristic);
-    }
-
-    #[test]
-    fn ladder_never_promotes_above_configured_mode() {
-        use crate::PlacerMode::*;
-        let mut l = DegradationLadder::new(1, 1);
-        // Configured Relaxed: failures demote to the heuristic only, and
-        // a successful probe restores Relaxed — never Ilp.
-        assert_eq!(l.select(Relaxed), Relaxed);
-        l.on_outcome(Relaxed, false);
-        assert_eq!(l.select(Relaxed), Heuristic);
-        assert_eq!(l.select(Relaxed), Relaxed, "half-open probe");
-        l.on_outcome(Relaxed, true);
-        assert_eq!(l.select(Relaxed), Relaxed);
-        // Configured Heuristic: no breaker is ever consulted.
-        let mut h = DegradationLadder::new(1, 1);
-        h.on_outcome(Ilp, false);
-        h.on_outcome(Relaxed, false);
-        assert_eq!(h.select(Heuristic), Heuristic);
-        // Heuristic outcomes report to no breaker.
-        h.on_outcome(Heuristic, false);
-        assert_eq!(h.ilp_state(), BreakerState::Open);
     }
 
     #[test]

@@ -12,8 +12,6 @@ use medea_cluster::{
 };
 use medea_constraints::PlacementConstraint;
 
-use crate::relax::RelaxReport;
-
 /// A long-running application submission: containers plus placement
 /// constraints (§3 "LRA interface").
 #[derive(Debug, Clone)]
@@ -216,14 +214,11 @@ impl PlacementOutcome {
 pub struct BatchPlacement {
     /// One outcome per request, in request order.
     pub outcomes: Vec<PlacementOutcome>,
-    /// A solver arm gave up on (part of) the batch — a validation error,
-    /// a limit hit before any incumbent, an unusable LP, or rounding
-    /// failures the residue solve could not absorb — and served a
-    /// fallback instead: the signal the degradation ladder counts.
-    /// Always `false` for the arms that have no solver.
+    /// The exact arm gave up on the batch — a validation error or a
+    /// limit hit before any incumbent — and served the heuristic
+    /// placement instead: the signal the circuit breaker counts. Always
+    /// `false` for the arms that have no solver.
     pub degraded: bool,
-    /// Quality accounting of the relaxed arm (`None` from every other).
-    pub relax: Option<RelaxReport>,
 }
 
 impl From<Vec<PlacementOutcome>> for BatchPlacement {
@@ -232,7 +227,6 @@ impl From<Vec<PlacementOutcome>> for BatchPlacement {
         BatchPlacement {
             outcomes,
             degraded: false,
-            relax: None,
         }
     }
 }

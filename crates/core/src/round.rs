@@ -15,10 +15,10 @@ use medea_cluster::{ApplicationId, ClusterState, ContainerId, NodeId, ShardConfi
 use medea_constraints::{ConstraintSource, PlacementConstraint};
 
 use crate::ilp::IlpBasisCache;
+use crate::lra::PlacerMode;
 use crate::lra::{LraAlgorithm, LraScheduler};
 use crate::medea::{CoreMetrics, LraDeployment, MedeaScheduler, PendingLra};
-use crate::recovery::{BreakerState, DegradationLadder, RecoveryConfig};
-use crate::relax::PlacerMode;
+use crate::recovery::{CircuitBreaker, RecoveryConfig};
 use crate::request::{LraRequest, PlacementOutcome};
 
 /// Where a batch entry's constraint footprint routes it during a sharded
@@ -179,9 +179,9 @@ impl InflightTable {
 /// How a batch gets solved.
 pub(super) struct Placer {
     pub(super) lra: LraScheduler,
-    /// Placer-arm degradation ladder (`Ilp → Relaxed → Heuristic`):
-    /// stacked circuit breakers deciding which arm serves each batch.
-    pub(super) ladder: DegradationLadder,
+    /// The exact arm's circuit breaker (`Ilp → Heuristic`): while it is
+    /// open, batches configured for the exact arm get the heuristic.
+    pub(super) breaker: CircuitBreaker,
     /// Scheduling cycles the solver is forced to degrade (injected stall).
     pub(super) stall_cycles_remaining: u32,
     /// Sharded-solving configuration (disabled by default: one
@@ -199,7 +199,7 @@ impl Placer {
     pub(super) fn new(lra: LraScheduler, recovery: &RecoveryConfig) -> Self {
         Placer {
             lra,
-            ladder: DegradationLadder::new(
+            breaker: CircuitBreaker::new(
                 recovery.breaker_failure_threshold,
                 recovery.breaker_open_cycles,
             ),
@@ -271,11 +271,11 @@ impl Placer {
 
     /// Runs the placement algorithm for one batch — restricted to the
     /// shard's nodes, warm-started from the shard's own basis slot, when
-    /// solving a shard — routing the solver arms through the degradation
-    /// ladder: injected stalls and solver degradations count as failures
-    /// against the breaker of the arm that served, demoting service
-    /// `Ilp → Relaxed → Heuristic`; each breaker probes its arm again
-    /// after a cool-down, restoring the higher arm on a successful probe.
+    /// solving a shard — routing the exact arm through its circuit
+    /// breaker: injected stalls and solver degradations of an exact round
+    /// count as failures, demoting service `Ilp → Heuristic`; the breaker
+    /// probes the exact arm again after a cool-down, restoring it on a
+    /// successful probe.
     fn place_batch_on(
         &mut self,
         state: &mut ClusterState,
@@ -286,7 +286,7 @@ impl Placer {
     ) -> Vec<PlacementOutcome> {
         let Placer {
             lra,
-            ladder,
+            breaker,
             stall_cycles_remaining,
             shard_caches,
             ..
@@ -306,9 +306,12 @@ impl Placer {
                 .place_on(state, requests, deployed, allowed, None, Some(cache))
                 .outcomes;
         }
-        let arm = ladder.select(lra.ilp.mode);
-        // An injected stall fails whichever solver arm would have served
-        // and the batch is carried by the heuristic.
+        let arm = match lra.ilp.mode {
+            PlacerMode::Ilp if !breaker.allow() => PlacerMode::Heuristic,
+            mode => mode,
+        };
+        // An injected stall fails whichever arm would have served and the
+        // batch is carried by the heuristic.
         let stalled = *stall_cycles_remaining > 0;
         if stalled {
             *stall_cycles_remaining -= 1;
@@ -322,20 +325,16 @@ impl Placer {
             Some(serving),
             Some(cache),
         );
-        if let Some(entered) = ladder.on_outcome(arm, !stalled && !placed.degraded) {
-            let (opened, closed) = match arm {
-                PlacerMode::Ilp => (&metrics.breaker_opened, &metrics.breaker_closed),
-                _ => (&metrics.relax_breaker_opened, &metrics.relax_breaker_closed),
-            };
-            match entered {
-                BreakerState::Open => opened.inc(),
-                _ => closed.inc(),
+        if arm == PlacerMode::Ilp {
+            if stalled || placed.degraded {
+                if breaker.on_failure() {
+                    metrics.breaker_opened.inc();
+                }
+            } else if breaker.on_success() {
+                metrics.breaker_closed.inc();
             }
         }
-        metrics.breaker_state.set(ladder.ilp_state() as i64);
-        metrics
-            .relax_breaker_state
-            .set(ladder.relaxed_state() as i64);
+        metrics.breaker_state.set(breaker.state() as i64);
         metrics.placer_mode.set(arm.code());
         placed.outcomes
     }

@@ -1,21 +1,17 @@
-//! Three-arm placer differential: across 32 seeded instances small
-//! enough to enumerate, the exact-ILP, LP-relaxation, and heuristic arms
-//! are run on the same batch and compared.
+//! Placer differential: across 32 seeded instances small enough to
+//! enumerate, the exact-ILP and the (validated) heuristic arms are run
+//! on the same batch and compared.
 //!
-//! - **Hard-constraint satisfaction is arm-equivalent at the top of the
-//!   ladder**: both the exact arm and the relaxed arm commit zero hard
-//!   violations (the heuristic arm is only required to be
-//!   capacity-feasible — that is exactly the quality it gives up).
+//! - **Hard-constraint satisfaction is arm-equivalent**: both arms
+//!   commit zero hard violations (the heuristic arm gives up placements
+//!   instead: its validation evicts a request that breaks one).
 //! - **Feasibility oracle**: a brute-force enumerator over all
 //!   all-or-nothing assignments decides whether a capacity-feasible,
 //!   zero-hard-violation placement of the *whole* batch exists (using
 //!   the same `check_container` semantics the placers validate with).
-//!   When it does, the gap-0 exact arm must place everything; and a
-//!   relaxed run that reports a clean pass — LP optimal, zero residue,
-//!   zero evictions — must place everything too.
+//!   When it does, the gap-0 exact arm must place everything.
 //! - **Objective dominance**: on the shared Eq. 1 evaluator (w3 = 0),
-//!   `heuristic ≤ exact`, `relaxed ≤ exact`, and `exact ≤ LP bound`,
-//!   all up to solver tolerance.
+//!   `heuristic ≤ exact` up to solver tolerance.
 //!
 //! The instances carry only *hard* constraints so "optimum = max
 //! requests placed violation-free" holds exactly and the oracle's
@@ -29,8 +25,8 @@ use medea_cluster::{
 };
 use medea_constraints::{check_container, Cardinality, PlacementConstraint};
 use medea_core::{
-    AnchorServed, IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights,
-    PlacementOutcome, PlacerMode,
+    IlpConfig, LraAlgorithm, LraRequest, LraScheduler, ObjectiveWeights, PlacementOutcome,
+    PlacerMode,
 };
 use medea_rand::rngs::StdRng;
 use medea_rand::{RngExt, SeedableRng};
@@ -313,7 +309,7 @@ fn committed_hard_violations(
 }
 
 #[test]
-fn three_arms_agree_on_hard_satisfaction_and_dominance() {
+fn both_arms_commit_no_hard_violation_and_exact_dominates() {
     let weights = ObjectiveWeights {
         w3: 0.0,
         ..ObjectiveWeights::default()
@@ -330,7 +326,6 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
     scheduler.ilp = cfg;
 
     let mut oracle_feasible_seeds = 0usize;
-    let mut clean_relaxed_runs = 0usize;
     for (seed, instance) in
         (0..SEEDS).flat_map(|seed| [(seed, random_instance(seed)), (seed, tight_instance(seed))])
     {
@@ -339,43 +334,31 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
 
         // Every arm solves cold (no basis slot): the arms stay independent.
         let arm = |mode| {
-            scheduler.place_on(
-                &mut instance.state.clone(),
-                &instance.requests,
-                &[],
-                None,
-                Some(mode),
-                None,
-            )
+            scheduler
+                .place_on(
+                    &mut instance.state.clone(),
+                    &instance.requests,
+                    &[],
+                    None,
+                    Some(mode),
+                    None,
+                )
+                .outcomes
         };
-        let ilp_out = arm(PlacerMode::Ilp).outcomes;
-        let heur_out = arm(PlacerMode::Heuristic).outcomes;
-        let relaxed = arm(PlacerMode::Relaxed);
-        let relaxed_out = relaxed.outcomes;
-        let report = relaxed.relax.expect("the relaxed arm reports its quality");
-
-        // Hard-constraint satisfaction is equivalent across the two
-        // solver arms: zero committed violations each.
-        assert_eq!(
-            committed_hard_violations(&instance, &hard, &ilp_out, &format!("seed {seed} ilp")),
-            0,
-            "seed {seed}: exact arm committed a hard violation"
-        );
-        assert_eq!(
-            committed_hard_violations(
-                &instance,
-                &hard,
-                &relaxed_out,
-                &format!("seed {seed} relaxed")
-            ),
-            0,
-            "seed {seed}: relaxed arm committed a hard violation"
-        );
+        let ilp_out = arm(PlacerMode::Ilp);
+        let heur_out = arm(PlacerMode::Heuristic);
+        for (name, out) in [("exact", &ilp_out), ("heuristic", &heur_out)] {
+            let label = format!("seed {seed} {name}");
+            assert_eq!(
+                committed_hard_violations(&instance, &hard, out, &label),
+                0,
+                "{label} arm committed a hard violation"
+            );
+        }
 
         // Objective dominance on the shared evaluator.
         let s_ilp = score(&instance, &hard, &weights, &ilp_out);
         let s_heur = score(&instance, &hard, &weights, &heur_out);
-        let s_relaxed = score(&instance, &hard, &weights, &relaxed_out);
         assert!(
             s_ilp.is_finite(),
             "seed {seed}: exact arm capacity-infeasible"
@@ -385,23 +368,9 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
             "seed {seed}: heuristic arm capacity-infeasible"
         );
         assert!(
-            s_relaxed.is_finite(),
-            "seed {seed}: relaxed arm capacity-infeasible"
-        );
-        assert!(
             s_heur <= s_ilp + TOL,
             "seed {seed}: heuristic ({s_heur}) beat the gap-0 exact arm ({s_ilp})"
         );
-        assert!(
-            s_relaxed <= s_ilp + TOL,
-            "seed {seed}: relaxed ({s_relaxed}) beat the gap-0 exact arm ({s_ilp})"
-        );
-        if let Some(bound) = report.lp_bound {
-            assert!(
-                s_ilp <= bound + TOL,
-                "seed {seed}: exact optimum {s_ilp} exceeds the LP bound {bound}"
-            );
-        }
 
         // Feasibility oracle.
         if fully_feasible(&instance, &hard) {
@@ -411,31 +380,13 @@ fn three_arms_agree_on_hard_satisfaction_and_dominance() {
                 ilp_placed, k,
                 "seed {seed}: oracle says fully feasible, exact arm placed {ilp_placed}/{k}"
             );
-            let clean = report.lp_optimal
-                && !report.fallback
-                && report.residue_lras == 0
-                && report.evicted_lras == 0;
-            if clean {
-                clean_relaxed_runs += 1;
-                let relaxed_placed = relaxed_out
-                    .iter()
-                    .filter(|o| o.placement().is_some())
-                    .count();
-                assert_eq!(
-                    relaxed_placed, k,
-                    "seed {seed}: clean zero-residue relaxed run must match the oracle ({relaxed_placed}/{k})"
-                );
-            }
         }
     }
-    // The suite must exercise both oracle branches to mean anything.
+    // The suite must exercise the oracle's feasible branch to mean
+    // anything.
     assert!(
         oracle_feasible_seeds >= 8,
         "only {oracle_feasible_seeds} fully-feasible seeds — generator drifted"
-    );
-    assert!(
-        clean_relaxed_runs >= 4,
-        "only {clean_relaxed_runs} clean relaxed runs — rounding never succeeds outright?"
     );
 }
 
@@ -525,12 +476,9 @@ fn deployed_instance(seed: u64) -> Instance {
 
 /// Placing is a pure function of the state it is handed: for every arm,
 /// over the whole cluster and over a node subset, two calls on the same
-/// state give the same outcomes and leave its digest as found. The
-/// relaxed arm must reach its optimal-LP exit both with every request
-/// rounded and with a residue handed to the exact arm.
+/// state give the same outcomes and leave its digest as found.
 #[test]
 fn placing_twice_is_identical_and_leaves_the_state_as_found() {
-    let (mut empty_residue, mut with_residue) = (0usize, 0usize);
     for seed in 0..SEEDS {
         let Instance {
             mut state,
@@ -550,154 +498,9 @@ fn placing_twice_is_identical_and_leaves_the_state_as_found() {
                     "{label}: second call differs"
                 );
                 assert_eq!(state.digest(), before, "{label}: state not left as found");
-                if let Some(report) = first.relax.filter(|r| r.lp_optimal) {
-                    if report.residue_lras > 0 {
-                        with_residue += 1;
-                    } else {
-                        empty_residue += 1;
-                    }
-                }
             }
         }
     }
-    assert!(empty_residue > 0, "no relaxed run rounded every request");
-    assert!(
-        with_residue > 0,
-        "no relaxed run handed a residue to the exact arm"
-    );
-}
-
-/// Violated `(constraint, container)` checks on `state`, over the
-/// constraints of one kind (hard or soft).
-fn violated_checks(state: &ClusterState, constraints: &[PlacementConstraint], hard: bool) -> usize {
-    state
-        .allocations()
-        .map(|a| {
-            constraints
-                .iter()
-                .filter(|c| {
-                    c.is_hard() == hard
-                        && c.subject.matches_allocation(a)
-                        && check_container(state, c, a.id).is_some_and(|ch| !ch.satisfied)
-                })
-                .count()
-        })
-        .sum()
-}
-
-/// Whenever the relaxed arm serves a clean anchor (no LP), replaying it
-/// breaks no more soft checks than the state did before the batch, and
-/// no hard one. The plain and the deployed instances run with every
-/// other constraint made soft, and the first request also asks, softly,
-/// for the second's tag on its node: an affinity is met only once its
-/// target lands, so the anchor's deltas along the way need not be zero.
-#[test]
-fn a_served_clean_anchor_breaks_no_new_checks() {
-    let mut served = 0usize;
-    for seed in 0..SEEDS {
-        for Instance {
-            mut state,
-            mut requests,
-        } in [random_instance(seed), deployed_instance(seed)]
-        {
-            let listed = requests.iter_mut().flat_map(|r| r.constraints.iter_mut());
-            for c in listed.step_by(2) {
-                *c = c.clone().with_weight(1.0);
-            }
-            if let [first, second, ..] = &mut requests[..] {
-                let near = PlacementConstraint::affinity(
-                    first.containers[0].tags[0].clone(),
-                    second.containers[0].tags[0].clone(),
-                    NodeGroupId::node(),
-                );
-                first.constraints.push(near);
-            }
-            let out = fresh(LraAlgorithm::Ilp, PlacerMode::Relaxed).place_on(
-                &mut state,
-                &requests,
-                &[],
-                None,
-                None,
-                None,
-            );
-            let report = out.relax.expect("the relaxed arm reports its quality");
-            if report.anchor != Some(AnchorServed::Clean) {
-                continue;
-            }
-            served += 1;
-            let constraints: Vec<PlacementConstraint> = requests
-                .iter()
-                .flat_map(|r| r.constraints.iter().cloned())
-                .collect();
-            let before = violated_checks(&state, &constraints, false);
-            for (r, o) in requests.iter().zip(&out.outcomes) {
-                let pl = o.placement().expect("a clean anchor places every request");
-                for (c, &n) in r.containers.iter().zip(&pl.nodes) {
-                    state
-                        .allocate(r.app, n, c, ExecutionKind::LongRunning)
-                        .expect("a served placement is replayable");
-                }
-            }
-            let label = format!("seed {seed}");
-            assert!(
-                violated_checks(&state, &constraints, false) <= before,
-                "{label}: a clean anchor broke a new soft check"
-            );
-            assert_eq!(violated_checks(&state, &constraints, true), 0, "{label}");
-        }
-    }
-    assert!(
-        served >= SEEDS as usize,
-        "only {served} clean anchors served"
-    );
-}
-
-/// LRAs the relaxed arm places and requests its final validation evicts,
-/// summed over every seed of the plain and the deployed instance, whole
-/// cluster and every other node. A change to the arm's fix-up path may
-/// raise the first and lower the second, never the reverse.
-const RELAXED_PLACED_FLOOR: usize = 192;
-const RELAXED_EVICTED_CEILING: usize = 3;
-
-#[test]
-fn relaxed_arm_quality_holds_its_floor() {
-    let (mut placed, mut evicted) = (0usize, 0usize);
-    for seed in 0..SEEDS {
-        for Instance {
-            mut state,
-            requests,
-        } in [random_instance(seed), deployed_instance(seed)]
-        {
-            let subset = every_other_node(&state);
-            for allowed in [None, Some(subset.as_slice())] {
-                let out = fresh(LraAlgorithm::Ilp, PlacerMode::Relaxed).place_on(
-                    &mut state,
-                    &requests,
-                    &[],
-                    allowed,
-                    None,
-                    None,
-                );
-                placed += out
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.placement().is_some())
-                    .count();
-                evicted += out
-                    .relax
-                    .expect("the relaxed arm reports its quality")
-                    .evicted_lras;
-            }
-        }
-    }
-    assert!(
-        placed >= RELAXED_PLACED_FLOOR,
-        "relaxed arm placed {placed} LRAs, below its floor {RELAXED_PLACED_FLOOR}"
-    );
-    assert!(
-        evicted <= RELAXED_EVICTED_CEILING,
-        "relaxed arm evicted {evicted} requests, above its ceiling {RELAXED_EVICTED_CEILING}"
-    );
 }
 
 /// A node restriction handed to the baselines is the same placement as

@@ -74,9 +74,6 @@ pub struct Batching {
     pub quiet_max_us: u64,
     /// What one cycle costs on the fake clock.
     pub wall_us: u64,
-    /// The placer arm that serves the batches (the benchmark's is
-    /// `Relaxed`).
-    pub mode: PlacerMode,
 }
 
 impl Batching {
@@ -86,7 +83,6 @@ impl Batching {
             admission: AdmissionConfig::default(),
             quiet_max_us: QUIET_MAX_US,
             wall_us,
-            mode: PlacerMode::Relaxed,
         }
     }
 }
@@ -151,12 +147,12 @@ struct Served {
 }
 
 impl Served {
-    /// The benchmark's scheduler: ILP on `batching`'s arm, journaled, no
-    /// periodic checkpoint.
+    /// The benchmark's scheduler: ILP on the `Relaxed` arm, journaled,
+    /// no periodic checkpoint.
     fn new(cluster: ClusterState, shards: usize, batching: &Batching) -> Served {
         let registry = MetricsRegistry::new();
         let mut m = MedeaScheduler::new(cluster, LraAlgorithm::Ilp, 10);
-        m.lra_scheduler_mut().ilp.mode = batching.mode;
+        m.lra_scheduler_mut().ilp.mode = PlacerMode::Relaxed;
         if shards > 0 {
             m.set_sharding(ShardConfig::with_shards(shards));
         }
@@ -380,13 +376,12 @@ fn violated_checks(m: &MedeaScheduler, hard: bool) -> usize {
 pub type Reasons = BTreeMap<&'static str, (usize, usize)>;
 
 /// What a stream's run is pinned by: the transcript's hash, the violated
-/// soft checks over its boards, and the relaxed LP's warm-slot hits and
-/// simplex pivots (counts, so they cannot be noisy).
+/// soft checks over its boards, and the simplex pivots (counts, so they
+/// cannot be noisy; the served arm runs no LP).
 #[derive(Debug, PartialEq)]
 pub struct Pins {
     pub hash: u64,
     pub soft_violations: usize,
-    pub warm_hits: u64,
     pub pivots: u64,
 }
 
@@ -427,7 +422,6 @@ pub fn run((cluster, shards, stream): Workload, batching: &Batching) -> Run {
     let pins = Pins {
         hash: fnv1a(served.transcript.as_bytes()),
         soft_violations: served.soft_violations,
-        warm_hits: count("core.relax_warm_start_hits_total"),
         pivots: count("solver.simplex_pivots_total"),
     };
     Run {

@@ -17,7 +17,6 @@ use common::served::{
     burst_hbase, burst_hbase_spaced, churn_restart, run, scale_sharded, scale_sharded_spaced,
     steady_tiny, trickle, Batching, Workload, TRICKLE_SPACINGS_US,
 };
-use medea_core::PlacerMode;
 use medea_server::{AdmissionConfig, QUIET_MAX_US};
 
 /// The rule before the bound: the gap is the last round, capped only by
@@ -91,11 +90,6 @@ struct Cell {
 }
 
 fn cell(case: &Case, quiet_max_us: u64, deadline_ms: u64) -> Cell {
-    cell_on(case, quiet_max_us, deadline_ms, PlacerMode::Relaxed)
-}
-
-/// [`cell`], served by `mode`'s arm.
-fn cell_on(case: &Case, quiet_max_us: u64, deadline_ms: u64, mode: PlacerMode) -> Cell {
     let batching = Batching {
         admission: AdmissionConfig {
             batch_max_wait_ms: deadline_ms,
@@ -103,7 +97,6 @@ fn cell_on(case: &Case, quiet_max_us: u64, deadline_ms: u64, mode: PlacerMode) -
         },
         quiet_max_us,
         wall_us: case.wall_us,
-        mode,
     };
     let mut run = run((case.workload)(), &batching);
     run.placed_us.sort_unstable();
@@ -186,45 +179,9 @@ fn the_bound_keeps_bursts_whole_and_costs_no_soft_checks() {
     }
 }
 
-/// The served arm breaks no more soft checks than the §5.3 heuristic
-/// it starts from, over the boards and once settled, in one cell.
-fn assert_no_worse_than_the_heuristic(case: &Case, bound: u64, deadline_ms: u64) {
-    let relaxed = cell_on(case, bound, deadline_ms, PlacerMode::Relaxed);
-    let heuristic = cell_on(case, bound, deadline_ms, PlacerMode::Heuristic);
-    row(case.name, bound, deadline_ms, &relaxed);
-    row("  heuristic arm", bound, deadline_ms, &heuristic);
-    assert!(
-        relaxed.soft <= heuristic.soft && relaxed.settled_soft <= heuristic.settled_soft,
-        "{} at {} / {deadline_ms} ms: relaxed {} / {} settled, heuristic {} / {}",
-        case.name,
-        bound_name(bound),
-        relaxed.soft,
-        relaxed.settled_soft,
-        heuristic.soft,
-        heuristic.settled_soft
-    );
-}
-
-/// The served arm is no worse than the heuristic arm on every served
-/// stream at the server's rules, and on the trickle at every bound at
-/// the server's deadline (the grid checks every trickle cell).
-#[test]
-fn the_relaxed_arm_breaks_no_more_soft_checks_than_the_heuristic() {
-    for case in cases() {
-        match (case.name, case.served) {
-            ("trickle", _) => BOUNDS_US
-                .into_iter()
-                .for_each(|bound| assert_no_worse_than_the_heuristic(&case, bound, DEADLINE_MS)),
-            (_, true) => assert_no_worse_than_the_heuristic(&case, QUIET_MAX_US, DEADLINE_MS),
-            _ => {}
-        }
-    }
-}
-
 /// The whole grid, as DESIGN.md §7f shows it, and the bound its rule
 /// picks at the server's deadline: the smallest bound admissible on
-/// every stream. On every trickle cell the served arm is also no worse
-/// than the heuristic arm.
+/// every stream.
 #[test]
 #[ignore = "the full grid: 192 runs; prints the table"]
 fn quiet_bound_grid() {
@@ -234,9 +191,6 @@ fn quiet_bound_grid() {
         let mut at_deadline = Vec::new();
         for deadline_ms in DEADLINES_MS {
             for bound in BOUNDS_US {
-                if case.name == "trickle" {
-                    assert_no_worse_than_the_heuristic(case, bound, deadline_ms);
-                }
                 let c = cell(case, bound, deadline_ms);
                 row(case.name, bound, deadline_ms, &c);
                 if deadline_ms == DEADLINE_MS {

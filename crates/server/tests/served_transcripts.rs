@@ -6,8 +6,8 @@
 //! hash per stream, as `crates/sim/tests/determinism.rs` does for the
 //! simulator. Beside each hash sits the number of violated soft checks
 //! summed over every published board, so a re-pin says what it did to
-//! placement quality, and the relaxed LP's warm-slot hits and simplex
-//! pivots, so it says what it did to solver effort; a hard violation on
+//! placement quality, and the simplex pivots, so it says what it did to
+//! solver effort (the served arm runs no LP); a hard violation on
 //! any board fails the run, and so does a board whose entries differ
 //! from a full rebuild ([`common::board::BoardOracle`]): publication
 //! patches the previous board. A refactor of the served path must leave
@@ -28,25 +28,21 @@ const SEED: u64 = 7;
 const PINNED_STEADY_TINY: Pins = Pins {
     hash: 0x1f9e_7170_bc1a_4e33,
     soft_violations: 0,
-    warm_hits: 0,
     pivots: 0,
 };
 const PINNED_BURST_HBASE: Pins = Pins {
     hash: 0xb398_1720_a8dc_8a15,
     soft_violations: 0,
-    warm_hits: 0,
     pivots: 0,
 };
 const PINNED_SCALE_SHARDED: Pins = Pins {
     hash: 0xee4d_ab70_1d89_0344,
     soft_violations: 0,
-    warm_hits: 0,
     pivots: 0,
 };
 const PINNED_CHURN_RESTART: Pins = Pins {
     hash: 0xc94a_051d_a603_6fd5,
     soft_violations: 0,
-    warm_hits: 0,
     pivots: 0,
 };
 
@@ -95,7 +91,7 @@ fn churn_restart_transcript_is_pinned() {
 }
 
 /// How tenants list a burst's groups and constraints, and the app ids
-/// they get, do not change what the relaxed arm places: every seed's
+/// they get, do not change what the served arm places: every seed's
 /// `burst_hbase` stream breaks as many soft checks as the pinned one.
 #[test]
 fn burst_hbase_quality_does_not_depend_on_listing_order() {

@@ -202,8 +202,8 @@ fn continuous_column_scaling_preserves_lp_optimum() {
 /// The LP relaxation of an integral instance (the same `Problem` solved
 /// by `Simplex`, which ignores integrality) must (a) bound the MILP
 /// optimum from the relaxation side and (b) keep its optimal *value*
-/// invariant under row and column permutation — the property the
-/// relaxed placer arm's quality accounting leans on.
+/// invariant under row and column permutation — the bound branch and
+/// bound prunes with.
 #[test]
 fn lp_relaxation_bounds_milp_and_is_permutation_invariant() {
     for seed in 0..15u64 {
