@@ -211,7 +211,7 @@ fn anchor_rounds((name, batch, release): Family) -> InstanceResult {
         let mut batch = batch(round);
         batch.push(unmet(round));
         let t = Instant::now();
-        let placed = scheduler.place_on(&mut state, &batch, &[], None, None, None);
+        let placed = scheduler.place_on(&mut state, &batch, &[], None, None);
         samples.push(t.elapsed().as_micros() as u64);
         for (r, out) in batch.iter().zip(&placed.outcomes) {
             let pl = out.placement().expect("a round must place its batch");
@@ -359,7 +359,7 @@ fn run_round(
     let mut deployed: Vec<PlacementConstraint> = Vec::new();
     let mut outcomes = Vec::with_capacity(requests.len());
     for (chunk, part) in chunks.iter().zip(&parts) {
-        let placed = scheduler.place_on(&mut work, chunk, &deployed, Some(part), Some(arm), None);
+        let placed = scheduler.place_on(&mut work, chunk, &deployed, Some(part), Some(arm));
         let outs = placed.outcomes;
         for (r, out) in chunk.iter().zip(&outs) {
             if let Some(pl) = out.placement() {

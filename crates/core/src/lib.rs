@@ -55,7 +55,7 @@ pub use capabilities::{
     implemented_capabilities, paper_table1, render_table, CapabilityRow, Support,
 };
 pub use heuristics::{HeuristicScheduler, Ordering};
-pub use ilp::{IlpBasisCache, IlpConfig};
+pub use ilp::IlpConfig;
 pub use jkube::JKubeScheduler;
 pub use lifecycle::{
     container_version, tag_version, version_tag, AppLifecycle, AppSpec, LifecyclePhase,

@@ -37,7 +37,6 @@ medea_obs::metric_handles! {
         pub(crate) prepare_candidates_us: Histogram = "core.prepare_candidates_us",
         pub(crate) prepare_model_us: Histogram = "core.prepare_model_us",
         pub(crate) ilp_solve_us: Histogram = "core.ilp_solve_us",
-        pub(crate) ilp_warm_start_hits: Counter = "core.ilp_warm_start_hits_total",
         pub(crate) heuristic_fallbacks: Counter = "core.heuristic_fallback_total",
         pub(crate) relax_validate_us: Histogram = "core.relax_validate_us",
         pub(crate) relax_evictions: Counter = "core.relax_evictions_total",

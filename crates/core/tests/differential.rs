@@ -325,7 +325,6 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
         node_limit: 5_000_000,
         ..IlpConfig::default()
     };
-    // Every solve below passes no basis slot: cold, seed-independent.
     let mut exact = LraScheduler::new(LraAlgorithm::Ilp);
     exact.ilp = cfg;
 
@@ -340,7 +339,6 @@ fn ilp_matches_brute_force_optimum_and_heuristic_is_admissible() {
             &mut instance.state.clone(),
             &instance.requests,
             &[],
-            None,
             None,
             None,
         );
@@ -458,7 +456,6 @@ fn index_answers_match_naive_scan_after_placements() {
         node_limit: 5_000_000,
         ..IlpConfig::default()
     };
-    // Every solve below passes no basis slot: cold, seed-independent.
     let mut exact = LraScheduler::new(LraAlgorithm::Ilp);
     exact.ilp = cfg;
 
@@ -476,7 +473,6 @@ fn index_answers_match_naive_scan_after_placements() {
                 &mut instance.state.clone(),
                 &instance.requests,
                 &[],
-                None,
                 None,
                 None,
             );

@@ -321,14 +321,10 @@ impl Problem {
     }
 
     /// Hashes the structural skeleton of the problem: sense, variable
-    /// count, and per-row comparison operator and sparsity pattern —
-    /// everything a [`crate::Basis`] snapshot depends on, and nothing it
-    /// does not (coefficients, bounds, and right-hand sides may drift
-    /// between scheduling rounds without invalidating a warm start).
-    ///
-    /// Two problems with equal skeleton hashes accept each other's basis
-    /// snapshots; a stale snapshot that slips through a hash collision is
-    /// still handled safely by the solver's cold-start fallback.
+    /// count, and per-row comparison operator and sparsity pattern, but
+    /// no coefficient, bound or right-hand side. A model-shape
+    /// fingerprint: tests pin it to catch a change in which rows and
+    /// columns a model builder emits.
     pub fn skeleton_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
