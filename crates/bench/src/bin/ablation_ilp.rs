@@ -51,9 +51,7 @@ fn main() {
         "ILP ablations: wall time, LRAs placed, end-state violations",
         &["variant", "seconds", "placed", "violations_pct"],
     );
-    // Each variant gets a freshly defaulted config: cloning one base
-    // would share its Arc'd warm-start cache, letting earlier variants'
-    // bases speed up later ones and bias the comparison.
+    // Each variant is the default config with one setting changed.
     let variants: Vec<(&str, IlpConfig)> = vec![
         ("baseline", IlpConfig::default()),
         (
