@@ -1,17 +1,17 @@
-//! Bridge between the dependency-free solver instrumentation hook and
-//! the `medea-obs` metrics registry.
+//! Bridge between the dependency-free solver and the `medea-obs`
+//! metrics registry.
 //!
-//! The solver crate reports discrete [`SolveEvent`]s through the
-//! [`SolveInstrumentation`] trait without linking any metrics library;
-//! this bridge resolves the `solver.*` series once at construction and
-//! maps each event onto a lock-free counter, so the per-event cost is a
-//! single relaxed atomic add.
+//! The solver crate links no metrics library: each solve returns its
+//! counts in [`MilpSolution::counts`]. This bridge resolves the
+//! `solver.*` series once at construction and adds one solve's counts to
+//! them.
 
 use medea_obs::MetricsRegistry;
-use medea_solver::{SolveEvent, SolveInstrumentation};
+use medea_solver::MilpSolution;
 
 medea_obs::metric_handles! {
-    /// Maps [`SolveEvent`]s onto `solver.*` counters of a registry.
+    /// Adds each solve's [`MilpSolution::counts`] to `solver.*` counters
+    /// of a registry.
     #[derive(Debug)]
     pub struct SolverMetricsBridge {
         simplex_pivots: Counter = "solver.simplex_pivots_total",
@@ -67,46 +67,71 @@ impl Default for PlacerMetrics {
     }
 }
 
-impl SolveInstrumentation for SolverMetricsBridge {
-    fn record(&self, event: SolveEvent) {
-        match event {
-            SolveEvent::SimplexPivots(n) => self.simplex_pivots.add(n),
-            SolveEvent::NodeExplored => self.nodes_explored.inc(),
-            SolveEvent::NodePruned => self.nodes_pruned.inc(),
-            SolveEvent::IncumbentImproved => self.incumbent_improvements.inc(),
-            SolveEvent::DeadlineHit => self.deadline_hits.inc(),
-            SolveEvent::NodeLimitHit => self.node_limit_hits.inc(),
-            SolveEvent::Refactorizations(n) => self.refactorizations.add(n),
-            SolveEvent::WarmStartUsed => self.warm_starts.inc(),
-        }
+impl SolverMetricsBridge {
+    /// Adds one solve's counts.
+    pub fn record(&self, sol: &MilpSolution) {
+        let c = &sol.counts;
+        self.simplex_pivots.add(c.pivots);
+        self.nodes_explored.add(sol.nodes as u64);
+        self.nodes_pruned.add(c.nodes_pruned);
+        self.incumbent_improvements.add(c.incumbent_improvements);
+        self.deadline_hits.add(u64::from(c.deadline_hit));
+        self.node_limit_hits.add(u64::from(c.node_limit_hit));
+        self.refactorizations.add(c.refactorizations);
+        self.warm_starts.add(c.warm_starts);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medea_solver::{Cmp, Milp, Problem};
 
+    /// After two exact solves, a complete one and one the node limit
+    /// stops, each `solver.*` counter holds the sum of the returned counts.
     #[test]
-    fn bridge_maps_events_to_counters() {
+    fn counters_equal_the_returned_counts() {
+        let mut p = Problem::maximize();
+        let values = [29.0, 28.0, 49.0, 20.0, 31.0, 46.0, 37.0, 41.0];
+        let weights = [20.0, 9.0, 10.0, 12.0, 6.0, 24.0, 17.0, 14.0];
+        let xs: Vec<_> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| p.add_binary(v, format!("x{i}")))
+            .collect();
+        p.add_constraint(xs.iter().zip(weights).map(|(&x, w)| (x, w)), Cmp::Le, 40.0);
         let registry = MetricsRegistry::new();
         let bridge = SolverMetricsBridge::new(&registry);
-        bridge.record(SolveEvent::SimplexPivots(17));
-        bridge.record(SolveEvent::NodeExplored);
-        bridge.record(SolveEvent::NodeExplored);
-        bridge.record(SolveEvent::NodePruned);
-        bridge.record(SolveEvent::IncumbentImproved);
-        bridge.record(SolveEvent::DeadlineHit);
-        bridge.record(SolveEvent::NodeLimitHit);
-        bridge.record(SolveEvent::Refactorizations(3));
-        bridge.record(SolveEvent::WarmStartUsed);
+        let full = Milp::new(&p).solve().unwrap();
+        let limited = Milp::new(&p).node_limit(2).solve().unwrap();
+        bridge.record(&full);
+        bridge.record(&limited);
+        let (a, b) = (full.counts, limited.counts);
+        assert!(a.nodes_pruned > 0 && a.warm_starts > 0 && b.node_limit_hit);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("solver.simplex_pivots_total"), Some(17));
-        assert_eq!(snap.counter("solver.bnb_nodes_explored_total"), Some(2));
-        assert_eq!(snap.counter("solver.bnb_nodes_pruned_total"), Some(1));
-        assert_eq!(snap.counter("solver.incumbent_improvements_total"), Some(1));
-        assert_eq!(snap.counter("solver.deadline_hits_total"), Some(1));
-        assert_eq!(snap.counter("solver.node_limit_hits_total"), Some(1));
-        assert_eq!(snap.counter("solver.refactorizations_total"), Some(3));
-        assert_eq!(snap.counter("solver.warm_starts_total"), Some(1));
+        let read = |name: &str| snap.counter(name).unwrap();
+        assert_eq!(read("solver.simplex_pivots_total"), a.pivots + b.pivots);
+        assert_eq!(
+            read("solver.bnb_nodes_explored_total"),
+            (full.nodes + limited.nodes) as u64
+        );
+        assert_eq!(
+            read("solver.bnb_nodes_pruned_total"),
+            a.nodes_pruned + b.nodes_pruned
+        );
+        assert_eq!(
+            read("solver.incumbent_improvements_total"),
+            a.incumbent_improvements + b.incumbent_improvements
+        );
+        assert_eq!(read("solver.deadline_hits_total"), 0);
+        assert_eq!(read("solver.node_limit_hits_total"), 1);
+        assert_eq!(
+            read("solver.refactorizations_total"),
+            a.refactorizations + b.refactorizations
+        );
+        assert_eq!(
+            read("solver.warm_starts_total"),
+            a.warm_starts + b.warm_starts
+        );
     }
 }

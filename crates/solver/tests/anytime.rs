@@ -142,3 +142,73 @@ fn incumbent_improves_monotonically_with_budget() {
         );
     }
 }
+
+/// A 0-1 knapsack and its optimum by dynamic programming.
+fn knapsack_with_optimum(values: &[i64], weights: &[i64], cap: i64) -> (Problem, f64) {
+    let mut p = Problem::maximize();
+    let xs: Vec<_> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| p.add_binary(v as f64, format!("x{i}")))
+        .collect();
+    p.add_constraint(
+        xs.iter().zip(weights).map(|(&x, &w)| (x, w as f64)),
+        Cmp::Le,
+        cap as f64,
+    );
+    let mut best = vec![0i64; cap as usize + 1];
+    for (&v, &w) in values.iter().zip(weights) {
+        for c in (w..=cap).rev() {
+            best[c as usize] = best[c as usize].max(best[(c - w) as usize] + v);
+        }
+    }
+    (p, best[cap as usize] as f64)
+}
+
+/// What a node-limited maximisation may report: `Optimal` only with the
+/// optimum, a bound no lower than the optimum, and no more nodes than the
+/// limit.
+fn assert_honest(p: &Problem, optimum: f64, limit: usize, case: &str) {
+    let sol = Milp::new(p).gap(0.0).node_limit(limit).solve().unwrap();
+    if sol.status == MilpStatus::Optimal {
+        assert!(
+            (sol.objective - optimum).abs() < 1e-6,
+            "{case}: Optimal {} but the optimum is {optimum}",
+            sol.objective
+        );
+    }
+    assert!(
+        sol.best_bound >= optimum - 1e-6,
+        "{case}: bound {} below the optimum {optimum}",
+        sol.best_bound
+    );
+    assert!(
+        sol.nodes <= limit,
+        "{case}: {} nodes over a limit of {limit}",
+        sol.nodes
+    );
+}
+
+#[test]
+fn a_node_limit_of_one_does_not_prove_a_suboptimal_incumbent() {
+    let (p, optimum) =
+        knapsack_with_optimum(&[29, 28, 49, 20, 31, 46], &[20, 9, 10, 12, 6, 24], 40);
+    assert_eq!(optimum, 128.0);
+    assert_honest(&p, optimum, 1, "six items");
+}
+
+#[test]
+fn node_limited_solves_report_honest_status_bound_and_nodes() {
+    for items in 3..=16usize {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x11_0DE5 ^ (items as u64) << 8 ^ seed);
+            let values: Vec<i64> = (0..items).map(|_| rng.random_range(1..50i64)).collect();
+            let weights: Vec<i64> = (0..items).map(|_| rng.random_range(1..25i64)).collect();
+            let cap = weights.iter().sum::<i64>() / 2;
+            let (p, optimum) = knapsack_with_optimum(&values, &weights, cap);
+            for limit in [1, 2, 3, 4, 6, 9, 13, 19, 28, 41, 60, 88, 119] {
+                assert_honest(&p, optimum, limit, &format!("{items} items, seed {seed}"));
+            }
+        }
+    }
+}

@@ -1,9 +1,9 @@
 //! Black-box tests of the solver's public API: anytime behaviour, MIP
-//! starts, root bounds, gaps, and exactness on structured instances.
+//! starts, gaps, the returned counts, and exactness on structured instances.
 
 use std::time::Duration;
 
-use medea_solver::{Cmp, Milp, MilpStatus, Problem, VarKind};
+use medea_solver::{Cmp, Milp, MilpStatus, Problem, Simplex};
 
 /// A 0-1 knapsack with a known dynamic-programming optimum.
 fn knapsack(values: &[i64], weights: &[i64], cap: i64) -> (Problem, i64) {
@@ -87,17 +87,6 @@ fn infeasible_incumbent_is_ignored() {
 }
 
 #[test]
-fn root_bounds_restrict_the_search() {
-    let mut p = Problem::maximize();
-    let x = p.add_var(VarKind::Integer, 0.0, 10.0, 1.0, "x");
-    let sol = Milp::new(&p)
-        .with_root_bounds(vec![(x.index(), 2.0, 4.0)])
-        .solve()
-        .unwrap();
-    assert_eq!(sol.objective.round() as i64, 4);
-}
-
-#[test]
 fn gap_terminates_early_but_within_tolerance() {
     let values: Vec<i64> = (0..20).map(|i| 40 + (i * 13) % 31).collect();
     let weights: Vec<i64> = (0..20).map(|i| 6 + (i * 7) % 13).collect();
@@ -117,12 +106,54 @@ fn node_limit_is_respected() {
     let weights: Vec<i64> = (0..22).map(|i| 3 + (i * 13) % 19).collect();
     let (p, _) = knapsack(&values, &weights, 60);
     let sol = Milp::new(&p).node_limit(5).solve().unwrap();
-    // Severely limited: a status is still produced and nodes stay small.
-    assert!(
-        sol.nodes <= 200,
-        "dive plus a handful of nodes, got {}",
-        sol.nodes
+    // Severely limited: a status is still produced and the dive obeys
+    // the limit too.
+    assert!(sol.nodes <= 5, "node limit 5, explored {}", sol.nodes);
+}
+
+/// A MIP start within the gap of the root bound ends the search at the
+/// root: one LP, solved cold, and nothing explored.
+#[test]
+fn mip_start_within_the_gap_stops_at_the_root() {
+    // LP bound 20.25 (c, a and a quarter of b); b + c scores 20.
+    let (p, best) = knapsack(&[10, 13, 7], &[3, 4, 2], 6);
+    let sol = Milp::new(&p)
+        .gap(0.02)
+        .with_incumbent(vec![0.0, 1.0, 1.0])
+        .solve()
+        .unwrap();
+    assert_eq!(sol.status, MilpStatus::Optimal);
+    assert_eq!(sol.objective.round() as i64, best);
+    assert_eq!(sol.nodes, 0, "the root LP is the only LP");
+    assert_eq!(sol.counts.warm_starts, 0);
+    assert_eq!(sol.counts.nodes_pruned, 1);
+    assert_eq!(sol.counts.incumbent_improvements, 1);
+}
+
+/// A problem without integer variables reports the pivots of its root
+/// LP: the one node re-solves the root from its optimal basis without
+/// pivoting.
+#[test]
+fn a_pure_lp_reports_its_root_pivots() {
+    let mut p = Problem::maximize();
+    let x = p.add_nonneg(3.0, "x");
+    let y = p.add_nonneg(2.0, "y");
+    let z = p.add_nonneg(4.0, "z");
+    p.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 2.0)], Cmp::Le, 4.0);
+    p.add_constraint(vec![(x, 2.0), (z, 1.0)], Cmp::Le, 5.0);
+    p.add_constraint(vec![(y, 1.0), (z, 3.0)], Cmp::Le, 7.0);
+    let root = Simplex::new(&p).solve();
+    assert!(root.iterations > 0);
+    let sol = Milp::new(&p).solve().unwrap();
+    assert_eq!(sol.status, MilpStatus::Optimal);
+    assert!((sol.objective - root.objective).abs() < 1e-9);
+    assert_eq!(sol.counts.pivots, root.iterations as u64);
+    // Installing the root basis in the node factorizes it once.
+    assert_eq!(
+        sol.counts.refactorizations,
+        root.refactorizations as u64 + 1
     );
+    assert_eq!((sol.nodes, sol.counts.warm_starts), (1, 1));
 }
 
 #[test]
