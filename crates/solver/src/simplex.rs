@@ -90,8 +90,7 @@ enum NonbasicAt {
 
 /// An opaque snapshot of an optimal simplex basis, reusable to warm-start
 /// a later solve of the *same* problem skeleton (same variables, same
-/// rows) under different bounds — the branch-and-bound child-node case —
-/// or a structurally identical problem from a previous scheduling round.
+/// rows) under different bounds — the branch-and-bound child-node case.
 ///
 /// Obtained from [`Simplex::solve_warm`]; contains no numeric factor data
 /// (the eta file is rebuilt on installation), so it is cheap to clone and
