@@ -82,7 +82,7 @@ no_orphan_bench() {
 step "every BENCH_<x>.json has its <x>_bench binary and vice versa" no_orphan_bench
 
 # Each smoke run exits nonzero when its own gate fails (solver: the
-# frontier contract and hbase3's <= 2,271 anchor probes; lifecycle: hard
+# frontier contract and hbase3's <= 400 anchor probes; lifecycle: hard
 # violations, budget overruns, broken ledger).
 for bench in solver scale recovery lifecycle; do
     step "$bench benchmark smoke (writes target/bench-smoke/BENCH_$bench.json)" \
