@@ -403,3 +403,119 @@ fn engine_matches_naive_reference_where_most_nodes_are_plain() {
     }
     assert!(placed > 500 && unplaced > 0, "{placed} / {unplaced}");
 }
+
+/// The third family, on its own seeds: three to five apps on 24–48 nodes
+/// whose constraints are scoped to their own app id and range over racks,
+/// `zone`s and, now and then, nodes. Every app draws its tags from the
+/// same four, and background containers of other apps carry them too, so
+/// most placements carry a tag another app's constraints mention, but no
+/// other app's constraint sees them: they leave their signature without
+/// moving its delta.
+fn unseen_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ 0x0B5E);
+    let n = rng.random_range(24..49usize);
+    let racks = rng.random_range(3..7usize);
+    let mut state = ClusterState::homogeneous(n, Resources::new(8192, 8), racks);
+    state.register_group(zone(), zones(n));
+    for i in 0..rng.random_range(0..n / 2) {
+        let node = NodeId(rng.random_range(0..n as u32));
+        let req = ContainerRequest::new(Resources::new(1024, 1), [Tag::new(TAGS[i % 4])]);
+        let app = ApplicationId(100 + (i % 2) as u64);
+        let _ = state.allocate(app, node, &req, ExecutionKind::LongRunning);
+    }
+    let scoped = |rng: &mut StdRng, app| {
+        let tag = Tag::new(*rng.choose(&TAGS).unwrap());
+        TagExpr::and([tag, Tag::app_id(app)])
+    };
+    let mut requests = Vec::new();
+    for ri in 0..rng.random_range(3..6u64) {
+        let app = ApplicationId(ri + 1);
+        let mut containers = Vec::new();
+        for _ in 0..rng.random_range(1..3usize) {
+            let tags = [Tag::new(*rng.choose(&TAGS).unwrap())];
+            let mem = *rng.choose(&[1024u64, 2048, 3072]).unwrap();
+            let req = ContainerRequest::new(Resources::new(mem, 1), tags);
+            containers.extend(vec![req; rng.random_range(1..5usize)]);
+        }
+        let mut constraints = Vec::new();
+        for _ in 0..rng.random_range(1..4usize) {
+            let (subject, target) = (scoped(&mut rng, app), scoped(&mut rng, app));
+            let cardinality = match rng.random_range(0..4u32) {
+                0 => Cardinality::affinity(),
+                1 => Cardinality::anti_affinity(),
+                2 => Cardinality::at_most(rng.random_range(1..3u32)),
+                _ => Cardinality::range(1, 2),
+            };
+            let group = match rng.random_range(0..5u32) {
+                0 => NodeGroupId::node(),
+                1 | 2 => NodeGroupId::rack(),
+                _ => zone(),
+            };
+            let c = PlacementConstraint::new(subject, target, cardinality, group);
+            constraints.push(c);
+        }
+        requests.push(LraRequest::new(app, containers, constraints));
+    }
+    let allowed = rng
+        .random_bool(0.3)
+        .then(|| (0..n as u32).step_by(2).map(NodeId).collect());
+    Instance {
+        state,
+        requests,
+        deployed: Vec::new(),
+        allowed,
+    }
+}
+
+/// After every placement, each violation delta the engine holds is the
+/// delta [`Scorer::violation_delta`] computes afresh, bit for bit, on every
+/// host of its cell that the class fits on — on the two families above and
+/// on [`unseen_instance`]s, where the engine keeps most deltas across a
+/// placement. The engine's placements also match the reference there.
+#[test]
+fn cached_deltas_are_fresh_deltas() {
+    let families = [
+        ("random", SEEDS / 2, random_instance as fn(u64) -> Instance),
+        ("plain", PLAIN_SEEDS / 2, plain_instance),
+        ("unseen", 150, unseen_instance),
+    ];
+    for (family, seeds, instance) in families {
+        let mut compared = 0usize;
+        for seed in 0..seeds {
+            let inst = instance(seed);
+            let mut constraints = inst.deployed.clone();
+            constraints.extend(inst.requests.iter().flat_map(|r| r.constraints.clone()));
+            let scorer = Scorer::new(ObjectiveWeights::default(), constraints);
+            for ordering in [
+                Ordering::NodeCandidates,
+                Ordering::TagPopularity,
+                Ordering::Submission,
+            ] {
+                let got = HeuristicScheduler::new(ordering).place_audited(
+                    &inst.state,
+                    &inst.requests,
+                    &inst.deployed,
+                    inst.allowed.as_deref(),
+                    |work, app, request, node, cached| {
+                        let fresh = scorer.violation_delta(work, app, request, node);
+                        let (got, want) = (cached.to_bits(), fresh.to_bits());
+                        let at = format_args!("{family} seed {seed}, {ordering:?}, {app:?}");
+                        assert_eq!(got, want, "{at} on {node:?}: {cached} != {fresh}");
+                        compared += 1;
+                    },
+                );
+                if family == "unseen" {
+                    assert_eq!(
+                        got,
+                        reference_place(&inst, ordering),
+                        "unseen seed {seed}, {ordering:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            compared > 10_000,
+            "{family}: only {compared} cached deltas compared"
+        );
+    }
+}
